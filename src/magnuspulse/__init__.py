@@ -10,10 +10,8 @@ from .system import (
     LongitudinalDiagonal,
     SpinSystem,
     assemble_full_matrix,
-    effective_s_offset,
     energy_diagonal,
     enumerate_configurations,
-    i_spin_energy,
     load_system,
     offset_diagonal,
 )
@@ -39,7 +37,6 @@ from .propagation import (
     block_hamiltonian,
     excitation_profile,
     lab_frame_propagator,
-    multi_s_assemble,
     propagate_interaction,
     su2_step,
     unitarity_defect,
@@ -54,7 +51,6 @@ from .magnus import (
     magnus_gap_check,
     magnus_partial_sums,
     omega_eigenvalues,
-    weak_field_approx,
 )
 from .expansion import (
     ExpansionState,

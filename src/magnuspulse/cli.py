@@ -238,17 +238,12 @@ def _cmd_propagate(args) -> int:
     system, shape, pulse_doc = _load_inputs(args)
     traj = propagate_interaction(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
-    rows = []
-    for ci in range(traj.n_configs):
-        for k, t in enumerate(traj.times):
-            u = traj.blocks[ci, k]
-            rows.append(
-                [
-                    float(t), ci,
-                    u[0, 0].real, u[0, 0].imag, u[0, 1].real, u[0, 1].imag,
-                    u[1, 0].real, u[1, 0].imag, u[1, 1].real, u[1, 1].imag,
-                ]
-            )
+    # U = c E - i (v . sigma); adding 0.0 makes an exact zero print as 0, never -0
+    q = np.moveaxis(traj.q, -1, 0).reshape(4, -1)
+    c, vx, vy, vz, nvx, nvy, nvz = ((x + 0.0).tolist() for x in (*q, -q[1], -q[2], -q[3]))
+    t = np.tile(traj.times, traj.n_configs).tolist()
+    ci = np.repeat(np.arange(traj.n_configs), len(traj.times)).tolist()
+    rows = list(zip(t, ci, c, nvz, nvy, nvx, vy, nvx, c, vz))
     meta = _meta(args, "propagate")
     meta["pulse"] = pulse_doc
     meta["system"] = _system_doc(system)

@@ -12,9 +12,10 @@ real linear system
     dg/dt = +(omega1/2) (f h + h x g),        h = (cos a, sin a, 0),
 
 with a(t) = -w t + phi(t) the rotating transverse-field direction of the
-configuration. This parametrization always exists, whether or not the
-continuous-exponential form does, so it is the fallback route for pulses
-that fail the convergence criterion.
+configuration. (f, g) is the unit quaternion of U (see `su2`). This
+parametrization always exists, whether or not the continuous-exponential
+form does, so it is the fallback route for pulses that fail the
+convergence criterion.
 
 Integration is classical fixed-step fourth order with step doubling, on the
 same grids as the propagation module, which keeps cross-checks between the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import E2, SX, SY, SZ
+from . import su2
 from .pulses import PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
 
@@ -221,53 +222,32 @@ def reconstruct_propagator(f: float, g) -> np.ndarray:
     residual = abs(f * f + float(np.sum(g * g)) - 1.0)
     if residual > 1e-6:
         raise ValueError(f"state violates the unit-norm constraint by {residual:.3e}")
-    return f * E2 - 2j * (g[0] * SX + g[1] * SY + g[2] * SZ)
+    return su2.to_matrix(np.concatenate(([f], g)))
+
+
+def _quaternions(state: ExpansionState) -> np.ndarray:
+    return np.concatenate((state.f[..., None], state.g), axis=-1)
 
 
 def reconstruct_blocks(state: ExpansionState) -> np.ndarray:
     """All stored propagators as (n_configs, n_steps + 1, 2, 2), no norm check."""
-    f = state.f[..., None, None]
-    g = state.g
-    u = f * E2 - 2j * (
-        g[..., 0, None, None] * SX
-        + g[..., 1, None, None] * SY
-        + g[..., 2, None, None] * SZ
-    )
-    return u
+    return su2.to_matrix(_quaternions(state))
 
 
 def angles_from_state(state: ExpansionState):
     """Decomposition angles (alpha, beta, omega_tilde) along the whole grid.
 
     alpha = atan2(g_y, g_x), beta = atan2(hypot(g_x, g_y), g_z); the rotation
-    angle 2*atan2(|g|, f) is unwrapped by continuity in time. The scalar data
-    alone cannot tell ascending from descending at a fold (angle through
-    2 pi, where |g| reflects), so the sign of the half-angle sine is resolved
-    against the last well-defined g direction before unwrapping. Degenerate
-    points |g| ~ 0 report alpha = beta = 0. Each output has shape
+    angle 2*atan2(|g|, f) is unwrapped by continuity in time by `su2.track`.
+    The scalar data alone cannot tell ascending from descending at a fold
+    (angle through 2 pi, where |g| reflects), so the sign of the half-angle
+    sine follows the last well-defined g direction before unwrapping.
+    Degenerate points |g| ~ 0 report alpha = beta = 0. Each output has shape
     (n_configs, n_steps + 1).
     """
     gx, gy, gz = state.g[..., 0], state.g[..., 1], state.g[..., 2]
-    g_norm = np.linalg.norm(state.g, axis=-1)
-    degenerate = g_norm < 1e-12
+    degenerate = np.linalg.norm(state.g, axis=-1) < 1e-12
     alpha = np.where(degenerate, 0.0, np.arctan2(gy, gx))
     beta = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))
-
-    two_pi = 2.0 * math.pi
-    omega = np.empty_like(g_norm)
-    for ci in range(omega.shape[0]):
-        axis = np.zeros(3)
-        prev_half = 0.0
-        for k in range(omega.shape[1]):
-            norm = g_norm[ci, k]
-            if norm >= 1e-12:
-                direction = state.g[ci, k] / norm
-                sign = -1.0 if float(direction @ axis) < 0.0 else 1.0
-                axis = sign * direction
-                half = math.atan2(sign * norm, state.f[ci, k])
-            else:
-                half = math.atan2(0.0, state.f[ci, k])
-            half += two_pi * round((prev_half - half) / two_pi)
-            prev_half = half
-            omega[ci, k] = 2.0 * half
+    omega, _ = su2.track(_quaternions(state))
     return alpha, beta, omega

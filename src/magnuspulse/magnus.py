@@ -1,20 +1,21 @@
 """
 Continuous-exponential propagator analysis and the explicit existence criterion.
 
-Each 2x2 interaction propagator U(t) of a configuration is written as a
-single exponential U = exp(-i Omega(t) . S). The rotation vector Omega(t) is
-recovered by inverting the SU(2) exponential with continuity tracking: among
-all branch candidates (angle + 4 pi k along the extracted axis) the one
-closest to the previous sample is kept, seeded by Omega(0) = 0. That keeps
-Omega(t) on the smooth branch the continuous-exponential solution lives on,
-instead of jumping back at angle 2 pi the way a principal logarithm would.
+Each interaction propagator U(t) of a configuration, stored as a unit
+quaternion (see `su2`), is written as a single exponential
+U = exp(-i Omega(t) . S). The rotation vector Omega(t) is recovered by the
+shared branch tracker `su2.track`: the axis keeps a continuous sign and the
+angle is unwrapped by 4 pi, seeded by Omega(0) = 0. That keeps Omega(t) on
+the smooth branch the continuous-exponential solution lives on, instead of
+jumping back at angle 2 pi the way a principal logarithm would.
 
 Where U passes through -E the rotation axis is genuinely undefined; those
 samples are flagged, the angle itself is still carried through by
 continuity. Such points are exactly where the eigenvalue-gap condition
 |lambda_i - lambda_j| != 2 pi n fails, which this module checks alongside
 the amplitude-integral criterion I(T) < 2 pi and its weak-field flip-angle
-variant.
+variant. The series partial sums use the vector form of su(2), in which a
+commutator [a . S, b . S] is i (a x b) . S.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import BlockTrajectory, E2, SX, SY, SZ, propagate_interaction
+from . import su2
+from .propagation import BlockTrajectory, propagate_interaction
 from .pulses import PulseShape, abs_amplitude_integral, flip_angle, sample
+from .su2 import SX, SY, SZ
 from .system import SpinSystem, offset_diagonal
 
 TWO_PI = 2.0 * math.pi
-FOUR_PI = 4.0 * math.pi
 
 #: |sin(angle/2)| below this with cos(angle/2) ~ -1 marks the U = -E degeneracy.
 AMBIGUITY_SIN_TOL = 1e-8
@@ -93,24 +95,11 @@ class CriterionReport:
     error_estimate: float
 
 
-def _rotation_vector_parts(blocks: np.ndarray):
-    """Scalar part c = cos(angle/2) and vector part v = sin(angle/2) * axis."""
-    u00 = blocks[..., 0, 0]
-    u01 = blocks[..., 0, 1]
-    u10 = blocks[..., 1, 0]
-    u11 = blocks[..., 1, 1]
-    c = 0.5 * (u00 + u11).real
-    vx = -0.5 * np.imag(u01 + u10)
-    vy = -0.5 * np.real(u01 - u10)
-    vz = -0.5 * np.imag(u00 - u11)
-    return c, np.stack([vx, vy, vz], axis=-1)
-
-
 def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     """Invert U(t_k) = exp(-i Omega . S) along the trajectory, per configuration.
 
-    Branch candidates (angle + 4 pi k) along the extracted axis are resolved
-    by Euclidean closeness to the previous sample, seeded at Omega(0) = 0.
+    The branch (angle + 4 pi k along the axis) is tracked for continuity by
+    `su2.track`, seeded at Omega(0) = 0.
 
     Raises
     ------
@@ -118,44 +107,21 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
         If consecutive rotation vectors are >= pi apart, i.e. the trajectory
         is stored too coarsely to track the branch.
     """
-    c_all, v_all = _rotation_vector_parts(trajectory.blocks)
-    s_all = np.linalg.norm(v_all, axis=-1)
-    base_all = 2.0 * np.arctan2(s_all, c_all)
-    ambiguous = (s_all < AMBIGUITY_SIN_TOL) & (c_all <= -1.0 + AMBIGUITY_SIN_TOL)
+    q = trajectory.q
+    c, s = q[..., 0], np.linalg.norm(q[..., 1:], axis=-1)
+    ambiguous = (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL)
 
-    n_c, n_t = c_all.shape
-    omega = np.zeros((n_c, n_t, 3))
-    for ci in range(n_c):
-        prev = np.zeros(3)
-        prev_norm = 0.0
-        for k in range(1, n_t):
-            s = s_all[ci, k]
-            if s > 1e-9:
-                axis = v_all[ci, k] / s
-            elif prev_norm > 1e-12:
-                axis = prev / prev_norm
-            else:
-                axis = np.array([0.0, 0.0, 1.0])
-            base = base_all[ci, k]
-            l_star = float(axis @ prev)
-            m = round((l_star - base) / FOUR_PI)
-            best_len = base + FOUR_PI * m
-            best_d2 = best_len * (best_len - 2.0 * l_star)
-            for mm in (m - 1, m + 1):
-                length = base + FOUR_PI * mm
-                d2 = length * (length - 2.0 * l_star)
-                if d2 < best_d2:
-                    best_len, best_d2 = length, d2
-            gap2 = best_d2 + prev_norm * prev_norm
-            if gap2 >= math.pi**2:
-                raise ExtractionError(
-                    f"rotation vector jumped by {math.sqrt(max(gap2, 0.0)):.3f} rad "
-                    f"between stored samples (config {ci}, step {k}); "
-                    "re-run the propagation with more steps"
-                )
-            prev = best_len * axis
-            prev_norm = abs(best_len)
-            omega[ci, k] = prev
+    angle, axis = su2.track(q)
+    omega = angle[..., None] * axis
+    gap2 = np.sum(np.diff(omega, axis=1) ** 2, axis=-1)
+    jumps = gap2 >= math.pi**2
+    if jumps.any():
+        ci, k = np.unravel_index(np.argmax(jumps), jumps.shape)
+        raise ExtractionError(
+            f"rotation vector jumped by {math.sqrt(gap2[ci, k]):.3f} rad "
+            f"between stored samples (config {ci}, step {k + 1}); "
+            "re-run the propagation with more steps"
+        )
 
     omega_hat = np.linalg.norm(omega, axis=-1)
     alpha, beta, _ = angles_from_omega(omega[..., 0], omega[..., 1], omega[..., 2])
@@ -172,14 +138,7 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
 
 def reconstruct_blocks(solution: MagnusSolution) -> np.ndarray:
     """exp(-i Omega . S) for every stored sample, shape (n_configs, n_times, 2, 2)."""
-    half = 0.5 * solution.omega_hat
-    c = np.cos(half)
-    s_over = np.where(solution.omega_hat > 1e-300, np.sin(half) / np.maximum(solution.omega_hat, 1e-300), 0.5)
-    g = s_over[..., None] * solution.omega
-    return (
-        c[..., None, None] * E2
-        - 2j * (g[..., 0, None, None] * SX + g[..., 1, None, None] * SY + g[..., 2, None, None] * SZ)
-    )
+    return su2.to_matrix(su2.exp(solution.omega))
 
 
 def angles_from_omega(omega_x, omega_y, omega_z):
@@ -243,11 +202,6 @@ def _gap_distances(gaps: np.ndarray) -> np.ndarray:
     return np.abs(gaps - TWO_PI * n)
 
 
-def weak_field_approx(shape: PulseShape, t: float, n_steps: int = 4096) -> float:
-    """Weak-amplitude estimate of the exponent eigenvalue: the flip angle itself."""
-    return flip_angle(shape, t, n_steps)
-
-
 def explicit_criterion(system: SpinSystem, shape: PulseShape,
                        n_steps: int = 4096, tol: float | None = 1e-9,
                        gap_tolerance: float = DEFAULT_GAP_TOL) -> CriterionReport:
@@ -302,18 +256,6 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     )
 
 
-def _sampled_hamiltonians(system: SpinSystem, shape: PulseShape, n_steps: int):
-    """Midpoint-sampled 2x2 interaction Hamiltonians, shape (n_configs, n_steps, 2, 2)."""
-    sp = sample(shape, n_steps)
-    offsets = offset_diagonal(system).values
-    angle = -offsets[:, None] * sp.times[None, :] + sp.phases[None, :]
-    h = np.zeros(angle.shape + (2, 2), dtype=complex)
-    off = 0.5 * sp.amps[None, :] * np.exp(-1j * angle)
-    h[..., 0, 1] = off
-    h[..., 1, 0] = np.conj(off)
-    return h, sp.dt
-
-
 def magnus_partial_sums(system: SpinSystem, shape: PulseShape,
                         n_steps: int = 256, order: int = 3) -> np.ndarray:
     """Cumulative series partial sums for the exponent at the pulse end.
@@ -325,37 +267,31 @@ def magnus_partial_sums(system: SpinSystem, shape: PulseShape,
     triple integral. Simplex integrals use the composite midpoint rule on the
     sampled grid, so commuting Hamiltonians give exactly zero beyond first
     order.
+
+    Each Hamiltonian sample is a vector x_k with H_k = x_k . S, and each
+    commutator a cross product, so every term is a sum of prefix or suffix
+    sums over the grid.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
-    h, dt = _sampled_hamiltonians(system, shape, n_steps)
-    n_c, n = h.shape[0], h.shape[1]
-
-    out = np.zeros((n_c, order, 2, 2), dtype=complex)
-    for ci in range(n_c):
-        hk = h[ci]
-        omega1 = hk.sum(axis=0) * dt
-        out[ci, 0] = omega1
-        if order == 1:
-            continue
-
-        cum = np.concatenate((np.zeros((1, 2, 2), complex), np.cumsum(hk, axis=0)))
-        b = cum[:-1] * dt + 0.5 * dt * hk  # integral of H up to each midpoint
-        comm1 = hk @ b - b @ hk
-        omega2 = -0.5j * comm1.sum(axis=0) * dt
-        out[ci, 1] = out[ci, 0] + omega2
-        if order == 2:
-            continue
-
-        cum1 = np.concatenate((np.zeros((1, 2, 2), complex), np.cumsum(comm1, axis=0)))
-        c_mid = cum1[:-1] * dt + 0.5 * dt * comm1
-        term_a = (hk @ c_mid - c_mid @ hk).sum(axis=0) * dt
-
-        term_b = np.zeros((2, 2), dtype=complex)
-        for k in range(1, n):
-            inner = hk[:k] @ hk[k] - hk[k] @ hk[:k]
-            outer = b[:k] @ inner - inner @ b[:k]
-            term_b += outer.sum(axis=0) * dt * dt
-        omega3 = -(term_a + term_b) / 6.0
-        out[ci, 2] = out[ci, 1] + omega3
-    return out
+    sp = sample(shape, n_steps)
+    dt = sp.dt
+    angle = -offset_diagonal(system).values[:, None] * sp.times + sp.phases
+    x = sp.amps[:, None] * np.stack(
+        (np.cos(angle), np.sin(angle), np.zeros_like(angle)), axis=-1)
+    total = x.sum(axis=1)
+    terms = [total * dt]
+    if order >= 2:
+        running = np.cumsum(x, axis=1)
+        b = dt * (running - 0.5 * x)  # integral of H up to each midpoint
+        comm = np.cross(x, b)  # [H_k, b_k] = i comm_k . S
+        terms.append(0.5 * dt * comm.sum(axis=1))
+    if order == 3:
+        c_mid = dt * (np.cumsum(comm, axis=1) - 0.5 * comm)
+        term_a = np.cross(x, c_mid).sum(axis=1) * dt
+        # sum over k > j of b_j x (x_j x x_k), linear in x_k: one suffix sum
+        later = total[:, None, :] - running
+        term_b = np.cross(b, np.cross(x, later)).sum(axis=1) * dt * dt
+        terms.append((term_a + term_b) / 6.0)
+    partial = np.cumsum(np.stack(terms, axis=1), axis=1)
+    return np.tensordot(partial, np.stack((SX, SY, SZ)), axes=(-1, 0))

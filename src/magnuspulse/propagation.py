@@ -12,8 +12,10 @@ exponential is evaluated in closed form (so unitarity is exact up to
 rounding), and the grid is doubled until the endpoint stops moving to the
 requested tolerance.
 
-The trajectory keeps every grid point because downstream analysis
-(continuous matrix-logarithm tracking) needs dense-in-time samples.
+Slices, their products and the stored trajectory are unit quaternions
+(see `su2`); `BlockTrajectory.blocks` is the 2x2 view of them. The
+trajectory keeps every grid point because downstream analysis (continuous
+matrix-logarithm tracking) needs dense-in-time samples.
 """
 
 from __future__ import annotations
@@ -23,20 +25,10 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from . import su2
 from .pulses import PulseShape, sample
-from .system import (
-    IConfiguration,
-    SpinSystem,
-    assemble_full_matrix,
-    effective_s_offset,
-    energy_diagonal,
-    offset_diagonal,
-)
-
-E2 = np.eye(2, dtype=complex)
-SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
+from .su2 import E2, SX, SY, SZ
+from .system import IConfiguration, SpinSystem, energy_diagonal, offset_diagonal
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DOUBLINGS = 8
@@ -53,15 +45,17 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockTrajectory:
-    """Per-configuration 2x2 propagators U(t_k) on the grid t_k = k*dt.
+    """Per-configuration propagators U(t_k) on the grid t_k = k*dt.
 
-    blocks has shape (n_configs, n_steps + 1, 2, 2); blocks[:, 0] is the
-    identity. amps/phases are the midpoint samples actually used for the
-    slices, offsets/energies the per-configuration diagonal frequencies.
+    q holds them as unit quaternions, shape (n_configs, n_steps + 1, 4);
+    blocks builds the 2x2 matrices from q on each access, shape
+    (n_configs, n_steps + 1, 2, 2). Index 0 in time is the identity. amps/phases are the midpoint
+    samples actually used for the slices, offsets/energies the
+    per-configuration diagonal frequencies.
     """
 
     times: np.ndarray
-    blocks: np.ndarray
+    q: np.ndarray
     amps: np.ndarray
     phases: np.ndarray
     offsets: np.ndarray
@@ -77,10 +71,14 @@ class BlockTrajectory:
 
     @property
     def n_configs(self) -> int:
-        return self.blocks.shape[0]
+        return self.q.shape[0]
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return su2.to_matrix(self.q)
 
     def endpoint_blocks(self) -> np.ndarray:
-        return self.blocks[:, -1]
+        return su2.to_matrix(self.q[:, -1])
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -97,7 +95,7 @@ def block_hamiltonian(system: SpinSystem, config: IConfiguration,
     Traceless Hermitian with eigenvalues +-|amp|/2, so the field amplitude
     bounds the spectrum directly.
     """
-    w = effective_s_offset(system, config)
+    w = offset_diagonal(system).values[config.index]
     angle = -w * t + phase
     return amp * (math.cos(angle) * SX + math.sin(angle) * SY)
 
@@ -105,70 +103,24 @@ def block_hamiltonian(system: SpinSystem, config: IConfiguration,
 def su2_step(h: np.ndarray, dt: float) -> np.ndarray:
     """Closed-form exp(-i H dt) for a traceless Hermitian 2x2 H.
 
-    Writes H = (a . sigma)/2 and returns cos(|a| dt / 2) E - i sin(|a| dt / 2)
-    (a_hat . sigma); exact to machine precision, no series truncation.
+    Writes H = a . S and returns the exponential of the rotation vector
+    a dt; exact to machine precision, no series truncation.
     """
     h = np.asarray(h, dtype=complex)
-    ax = 2.0 * h[1, 0].real
-    ay = 2.0 * h[1, 0].imag
-    az = (h[0, 0] - h[1, 1]).real
-    norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm == 0.0:
-        return E2.copy()
-    half = 0.5 * norm * dt
-    c, s = math.cos(half), math.sin(half)
-    nx, ny, nz = ax / norm, ay / norm, az / norm
-    return np.array(
-        [
-            [c - 1j * s * nz, -s * (ny + 1j * nx)],
-            [s * (ny - 1j * nx), c + 1j * s * nz],
-        ],
-        dtype=complex,
-    )
-
-
-def _slice_unitaries(amps: np.ndarray, mids: np.ndarray, phases: np.ndarray,
-                     offsets: np.ndarray, dt: float) -> np.ndarray:
-    """Closed-form slice exponentials for all configurations at once.
-
-    Returns shape (n_configs, n_steps, 2, 2). Signed rotation angles
-    w = amp*dt make negative amplitudes come out right without branching.
-    """
-    angle = -offsets[:, None] * mids[None, :] + phases[None, :]
-    half = 0.5 * amps[None, :] * dt
-    c = np.cos(half)
-    s = np.sin(half)
-    e_minus = np.exp(-1j * angle)
-    u = np.empty(angle.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = c
-    u[..., 1, 1] = c
-    u[..., 0, 1] = -1j * s * e_minus
-    u[..., 1, 0] = -1j * s * np.conj(e_minus)
-    return u
-
-
-def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products P_k = U_k ... U_1 along axis 1, log-depth scan."""
-    out = steps.copy()
-    n = out.shape[1]
-    shift = 1
-    while shift < n:
-        out[:, shift:] = out[:, shift:] @ out[:, :n - shift]
-        shift *= 2
-    return out
+    a = np.array([2.0 * h[1, 0].real, 2.0 * h[1, 0].imag, (h[0, 0] - h[1, 1]).real])
+    return su2.to_matrix(su2.exp(a * dt))
 
 
 def _propagate_once(system: SpinSystem, shape: PulseShape, n_steps: int):
     sp = sample(shape, n_steps)
     offsets = offset_diagonal(system).values
-    steps = _slice_unitaries(sp.amps, sp.times, sp.phases, offsets, sp.dt)
-    prefixes = _prefix_products(steps)
-    n_c = len(offsets)
-    blocks = np.empty((n_c, n_steps + 1, 2, 2), dtype=complex)
-    blocks[:, 0] = E2
-    blocks[:, 1:] = prefixes
+    q = np.empty((len(offsets), n_steps + 1, 4))
+    q[:, 0] = su2.IDENTITY
+    q[:, 1:] = su2.transverse_slices(0.5 * sp.amps * sp.dt,
+                                     -offsets[:, None] * sp.times + sp.phases)
+    su2.prefix_products(q[:, 1:])
     times = np.arange(n_steps + 1) * sp.dt
-    return times, blocks, sp
+    return times, q, sp
 
 
 def propagate_interaction(system: SpinSystem, shape: PulseShape,
@@ -191,10 +143,10 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     energies = energy_diagonal(system).values
 
-    times, blocks, sp = _propagate_once(system, shape, n_steps)
+    times, q, sp = _propagate_once(system, shape, n_steps)
     if tol is None:
         return BlockTrajectory(
-            times=times, blocks=blocks, amps=sp.amps, phases=sp.phases,
+            times=times, q=q, amps=sp.amps, phases=sp.phases,
             offsets=offset_diagonal(system).values, energies=energies,
             s_count=system.s_count, n_steps=n_steps,
             refinement_levels=0, error_estimate=math.nan,
@@ -205,13 +157,13 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
     estimate = math.inf
     for level in range(1, max_doublings + 1):
         n_fine = n_steps * (1 << level)
-        times_f, blocks_f, sp_f = _propagate_once(system, shape, n_fine)
-        diffs = np.linalg.norm(blocks_f[:, -1] - blocks[:, -1], axis=(-2, -1))
-        estimate = float(np.max(diffs))
-        times, blocks, sp = times_f, blocks_f, sp_f
+        times_f, q_f, sp_f = _propagate_once(system, shape, n_fine)
+        # Frobenius norm of the 2x2 difference: sqrt(2) |dq|
+        estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(q_f[:, -1] - q[:, -1], axis=-1)))
+        times, q, sp = times_f, q_f, sp_f
         if estimate < tol:
             return BlockTrajectory(
-                times=times, blocks=blocks, amps=sp.amps, phases=sp.phases,
+                times=times, q=q, amps=sp.amps, phases=sp.phases,
                 offsets=offset_diagonal(system).values, energies=energies,
                 s_count=system.s_count, n_steps=n_fine,
                 refinement_levels=level, error_estimate=estimate,
@@ -233,26 +185,14 @@ def lab_frame_propagator(system: SpinSystem, trajectory: BlockTrajectory,
     configuration, including the scalar I-spin phase exp(-i E t). Returns an
     array of shape (n_configs, 2, 2) indexed by configuration.
     """
-    n_t = trajectory.blocks.shape[1]
+    n_t = trajectory.q.shape[1]
     if not (-n_t <= t_index < n_t):
         raise IndexError(f"t_index {t_index} out of range for {n_t} stored times")
     t = float(trajectory.times[t_index])
-    blocks = trajectory.blocks[:, t_index]
-    scalar = np.exp(-1j * trajectory.energies * t)
-    upper = np.exp(-1j * 0.5 * trajectory.offsets * t)
-    phases = np.zeros((trajectory.n_configs, 2, 2), dtype=complex)
-    phases[:, 0, 0] = scalar * upper
-    phases[:, 1, 1] = scalar / upper
-    return phases @ blocks
-
-
-def multi_s_assemble(system: SpinSystem, endpoint_blocks) -> np.ndarray:
-    """Full-space unitary for n equivalent S spins sharing one 2x2 block per config.
-
-    The factors for different S spins commute, so the product collapses to a
-    tensor power; for n = 1 this is the plain direct-sum embedding.
-    """
-    return assemble_full_matrix(system, endpoint_blocks)
+    free = np.zeros((trajectory.n_configs, 3))
+    free[:, 2] = trajectory.offsets * t  # exp(-i w t Sz)
+    lab = su2.compose(su2.exp(free), trajectory.q[:, t_index])
+    return np.exp(-1j * trajectory.energies * t)[:, None, None] * su2.to_matrix(lab)
 
 
 def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,

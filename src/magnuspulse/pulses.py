@@ -98,15 +98,20 @@ class SampledPulse:
 
 
 def _eval(fn, t):
-    """Evaluate an envelope callable on an array, tolerating scalar-only callables."""
+    """Evaluate an envelope callable on an array of times.
+
+    Raises
+    ------
+    ValueError
+        If the result does not have the shape of `t` or holds a non-finite sample.
+    """
     t = np.asarray(t, dtype=float)
-    try:
-        out = np.asarray(fn(t), dtype=float)
-        if out.shape == t.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(ti)) for ti in np.atleast_1d(t)]).reshape(t.shape)
+    out = np.asarray(fn(t), dtype=float)
+    if out.shape != t.shape:
+        raise ValueError(f"envelope returned shape {out.shape} for {t.shape} sample times")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("envelope produced non-finite samples")
+    return out
 
 
 def _zero_phase(t):
@@ -330,6 +335,10 @@ class CatalogEntry:
         return calibrate(self.build(), target, n_steps)
 
 
+PULSE_FILE_FIELDS = {"name", "family", "duration_s", "nominal_flip_deg", "fourier", "params",
+                     "source"}
+
+
 def data_dir() -> Path:
     """Directory holding the bundled pulse JSON files (env override honored)."""
     override = os.environ.get(DATA_DIR_ENV)
@@ -349,8 +358,12 @@ def load_pulse_file(source) -> CatalogEntry:
           "duration_s": 0.001,
           "nominal_flip_deg": 180.0,
           "fourier": {"a0": ..., "a": [...], "b": [...]}   # fourier family
-          "params": {...}                                   # other families
+          "params": {...},                                  # other families
+          "source": "..."                                   # optional citation
         }
+
+    family, duration_s and nominal_flip_deg are required; other fields are
+    rejected.
     """
     if hasattr(source, "read"):
         doc = json.load(source)
@@ -359,9 +372,13 @@ def load_pulse_file(source) -> CatalogEntry:
             doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("pulse file must contain a JSON object")
-    family = doc.get("family")
-    if not family:
-        raise ValueError("pulse file is missing the 'family' field")
+    unknown = set(doc) - PULSE_FILE_FIELDS
+    if unknown:
+        raise ValueError(f"unknown pulse file fields: {sorted(unknown)}")
+    for key in ("family", "duration_s", "nominal_flip_deg"):
+        if doc.get(key) in (None, ""):
+            raise ValueError(f"pulse file is missing the {key!r} field")
+    family = doc["family"]
     if family == "fourier":
         block = doc.get("fourier")
         if block is None:
@@ -376,8 +393,8 @@ def load_pulse_file(source) -> CatalogEntry:
     return CatalogEntry(
         name=str(doc.get("name", "pulse")),
         family=str(family),
-        duration=float(doc.get("duration_s", 1e-3)),
-        nominal_flip=math.radians(float(doc.get("nominal_flip_deg", 90.0))),
+        duration=float(doc["duration_s"]),
+        nominal_flip=math.radians(float(doc["nominal_flip_deg"])),
         params=params,
     )
 

@@ -137,8 +137,8 @@ class IConfiguration:
 class LongitudinalDiagonal:
     """A longitudinal (z-only) spin operator, stored as its diagonal over I configurations.
 
-    All such operators are diagonal in the Zeeman product basis, so they
-    commute and their algebra is elementwise on the diagonal values.
+    All such operators are diagonal in the Zeeman product basis; entry i
+    belongs to the configuration with index i.
     """
 
     values: np.ndarray
@@ -153,29 +153,6 @@ class LongitudinalDiagonal:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, LongitudinalDiagonal):
-            if len(other) != len(self):
-                raise ValueError("diagonal length mismatch")
-            return other.values
-        return np.asarray(other, dtype=float)
-
-    def __add__(self, other) -> "LongitudinalDiagonal":
-        return LongitudinalDiagonal(self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LongitudinalDiagonal":
-        return LongitudinalDiagonal(self.values - self._coerce(other))
-
-    def __mul__(self, other) -> "LongitudinalDiagonal":
-        return LongitudinalDiagonal(self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "LongitudinalDiagonal":
-        return LongitudinalDiagonal(-self.values)
 
 
 def enumerate_configurations(system: SpinSystem) -> list[IConfiguration]:
@@ -208,16 +185,6 @@ def energy_diagonal(system: SpinSystem) -> LongitudinalDiagonal:
     for (k, l), j_hz in system.j_ii.items():
         vals = vals + TWO_PI * j_hz * ms[:, k] * ms[:, l]
     return LongitudinalDiagonal(np.atleast_1d(vals))
-
-
-def effective_s_offset(system: SpinSystem, config: IConfiguration) -> float:
-    """Diagonal value of the effective S offset operator for one configuration."""
-    return float(offset_diagonal(system).values[config.index])
-
-
-def i_spin_energy(system: SpinSystem, config: IConfiguration) -> float:
-    """Diagonal value of the I-spin Hamiltonian for one configuration."""
-    return float(energy_diagonal(system).values[config.index])
 
 
 def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:

@@ -17,17 +17,10 @@ import numpy as np
 from .expansion import integrate_expansion, reconstruct_blocks as expansion_blocks
 from .magnus import explicit_criterion, extract_omega, magnus_gap_check, magnus_partial_sums
 from .magnus import reconstruct_blocks as magnus_blocks
-from .propagation import (
-    SX,
-    SY,
-    SZ,
-    multi_s_assemble,
-    propagate_interaction,
-    su2_step,
-    unitarity_defect,
-)
+from .propagation import propagate_interaction, su2_step, unitarity_defect
 from .pulses import abs_amplitude_integral, build_pulse, calibrate, flip_angle, list_catalog
-from .system import ISpin, SpinSystem
+from .su2 import SX, SY, SZ
+from .system import ISpin, SpinSystem, assemble_full_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,7 +66,7 @@ def check_dense_oracle():
     """Assembled block propagator matches brute-force dense stepping (SAX)."""
     system, pulse = _sax(), _gaussian90()
     traj = propagate_interaction(system, pulse, n_steps=1024, tol=None)
-    assembled = multi_s_assemble(system, traj.endpoint_blocks())
+    assembled = assemble_full_matrix(system, traj.endpoint_blocks())
 
     n_fine = 2 * traj.n_steps
     dt = pulse.duration / n_fine

@@ -1,4 +1,4 @@
-"""Dense full-space reference propagator for oracle comparisons.
+"""Reference implementations for oracle comparisons.
 
 Deliberately independent of the block-structured fast path: the static and
 drive Hamiltonians are assembled from Kronecker-product single-spin
@@ -6,6 +6,10 @@ operators, the interaction-picture Hamiltonian is obtained by explicit
 conjugation with exp(+i H0 t), and each time slice is exponentiated through
 an eigendecomposition. Only the basis ordering convention (S spins slowest,
 I spins in declaration order) is shared with the library.
+
+`magnus_partial_sums_loop` is the direct 2x2-matrix evaluation of the
+series partial sums, with its O(n^2) loop over the double-commutator
+integral, kept as the reference for the library's vector form.
 """
 
 import math
@@ -102,3 +106,44 @@ def dense_propagator(system, shape, n_steps, slab=4096):
         h_int = u0[:, :, None] * h1 * np.conj(u0)[:, None, :]
         u = _ordered_product(expm_neg_i(h_int, dt)) @ u
     return u
+
+
+def magnus_partial_sums_loop(system, shape, n_steps=256, order=3):
+    """Series partial sums from sampled 2x2 Hamiltonians and matrix commutators."""
+    from magnuspulse import offset_diagonal, sample
+
+    sp = sample(shape, n_steps)
+    offsets = offset_diagonal(system).values
+    angle = -offsets[:, None] * sp.times[None, :] + sp.phases[None, :]
+    h = np.zeros(angle.shape + (2, 2), dtype=complex)
+    off = 0.5 * sp.amps[None, :] * np.exp(-1j * angle)
+    h[..., 0, 1] = off
+    h[..., 1, 0] = np.conj(off)
+    dt = sp.dt
+    n_c, n = h.shape[0], h.shape[1]
+
+    out = np.zeros((n_c, order, 2, 2), dtype=complex)
+    for ci in range(n_c):
+        hk = h[ci]
+        out[ci, 0] = hk.sum(axis=0) * dt
+        if order == 1:
+            continue
+
+        cum = np.concatenate((np.zeros((1, 2, 2), complex), np.cumsum(hk, axis=0)))
+        b = cum[:-1] * dt + 0.5 * dt * hk  # integral of H up to each midpoint
+        comm1 = hk @ b - b @ hk
+        out[ci, 1] = out[ci, 0] - 0.5j * comm1.sum(axis=0) * dt
+        if order == 2:
+            continue
+
+        cum1 = np.concatenate((np.zeros((1, 2, 2), complex), np.cumsum(comm1, axis=0)))
+        c_mid = cum1[:-1] * dt + 0.5 * dt * comm1
+        term_a = (hk @ c_mid - c_mid @ hk).sum(axis=0) * dt
+
+        term_b = np.zeros((2, 2), dtype=complex)
+        for k in range(1, n):
+            inner = hk[:k] @ hk[k] - hk[k] @ hk[:k]
+            outer = b[:k] @ inner - inner @ b[:k]
+            term_b += outer.sum(axis=0) * dt * dt
+        out[ci, 2] = out[ci, 1] - (term_a + term_b) / 6.0
+    return out

@@ -15,6 +15,7 @@ from magnuspulse import (
     ISpin,
     SpinSystem,
     abs_amplitude_integral,
+    assemble_full_matrix,
     build_pulse,
     calibrate,
     explicit_criterion,
@@ -24,7 +25,6 @@ from magnuspulse import (
     list_catalog,
     magnus_gap_check,
     magnus_partial_sums,
-    multi_s_assemble,
     omega_eigenvalues,
     propagate_interaction,
     resolve_pulse,
@@ -115,7 +115,7 @@ def test_c03_oracle_equivalence(sax_system, s2ax_system, gaussian90):
     worst = 0.0
     for system in (sax_system, s2ax_system):
         traj = propagate_interaction(system, gaussian90, n_steps=4096, tol=1e-9)
-        assembled = multi_s_assemble(system, traj.endpoint_blocks())
+        assembled = assemble_full_matrix(system, traj.endpoint_blocks())
         dense = oracle.dense_propagator(system, gaussian90, 2 * traj.n_steps)
         worst = max(worst, float(np.linalg.norm(assembled - dense)))
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -199,12 +200,35 @@ class TestErrors:
         assert rc == 2
         assert "zero net area" in capsys.readouterr().err
 
+    def test_non_finite_amplitude_bad_input(self, tmp_path, capsys):
+        pulse_file = tmp_path / "nan.json"
+        pulse_file.write_text(
+            '{"name": "nan", "family": "gaussian_cascade", "duration_s": 0.001,'
+            ' "nominal_flip_deg": 90.0, "params": {"amplitudes": [NaN, 1.0],'
+            ' "centers": [0.3, 0.7], "fwhms": [0.1, 0.1]}}'
+        )
+        rc = main(["criterion", "--pulse", str(pulse_file)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_misspelled_pulse_field_bad_input(self, tmp_path, capsys):
+        pulse_file = tmp_path / "typo.json"
+        pulse_file.write_text(
+            '{"name": "typo", "family": "gaussian", "duraton_s": 0.002,'
+            ' "nominal_flip_deg": 90.0, "params": {"truncation": 0.01}}'
+        )
+        rc = main(["criterion", "--pulse", str(pulse_file)])
+        assert rc == 2
+        assert "duraton_s" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the package from wherever this process found it
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
             [sys.executable, "-m", "magnuspulse.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "magnuspulse" in proc.stdout

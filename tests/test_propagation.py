@@ -6,13 +6,13 @@ import scipy.linalg
 
 from magnuspulse import (
     SpinSystem,
+    assemble_full_matrix,
     block_hamiltonian,
     build_pulse,
     calibrate,
     enumerate_configurations,
     excitation_profile,
     lab_frame_propagator,
-    multi_s_assemble,
     propagate_interaction,
     su2_step,
     unitarity_defect,
@@ -120,7 +120,7 @@ class TestPropagateInteraction:
 
     def test_sax_matches_dense_oracle(self, sax_system, gaussian90):
         traj = propagate_interaction(sax_system, gaussian90, n_steps=4096, tol=1e-9)
-        assembled = multi_s_assemble(sax_system, traj.endpoint_blocks())
+        assembled = assemble_full_matrix(sax_system, traj.endpoint_blocks())
         dense = oracle.dense_propagator(sax_system, gaussian90, 2 * traj.n_steps)
         assert np.linalg.norm(assembled - dense) < 1e-8
 
@@ -153,7 +153,7 @@ class TestLabFrame:
 class TestMultiSAssemble:
     def test_n1_is_direct_sum(self, sa_system, gaussian90):
         traj = propagate_interaction(sa_system, gaussian90, n_steps=256, tol=None)
-        full = multi_s_assemble(sa_system, traj.endpoint_blocks())
+        full = assemble_full_matrix(sa_system, traj.endpoint_blocks())
         blocks = traj.endpoint_blocks()
         assert np.allclose(full[np.ix_([0, 2], [0, 2])], blocks[0])
         assert np.allclose(full[np.ix_([1, 3], [1, 3])], blocks[1])
@@ -162,13 +162,13 @@ class TestMultiSAssemble:
         system = SpinSystem(s_count=2)
         theta = 0.7
         block = scipy.linalg.expm(-1j * theta * SX)
-        full = multi_s_assemble(system, [block])
+        full = assemble_full_matrix(system, [block])
         sx_total = np.kron(SX, np.eye(2)) + np.kron(np.eye(2), SX)
         assert np.allclose(full, scipy.linalg.expm(-1j * theta * sx_total), atol=1e-12)
 
     def test_s2ax_matches_dense_oracle(self, s2ax_system, gaussian90):
         traj = propagate_interaction(s2ax_system, gaussian90, n_steps=4096, tol=1e-9)
-        assembled = multi_s_assemble(s2ax_system, traj.endpoint_blocks())
+        assembled = assemble_full_matrix(s2ax_system, traj.endpoint_blocks())
         dense = oracle.dense_propagator(s2ax_system, gaussian90, 2 * traj.n_steps)
         assert np.linalg.norm(assembled - dense) < 1e-8
 

@@ -6,13 +6,10 @@ import pytest
 from magnuspulse import (
     IConfiguration,
     ISpin,
-    LongitudinalDiagonal,
     SpinSystem,
     assemble_full_matrix,
-    effective_s_offset,
     energy_diagonal,
     enumerate_configurations,
-    i_spin_energy,
     load_system,
     offset_diagonal,
 )
@@ -50,29 +47,30 @@ class TestDiagonals:
     def test_effective_offset_plus_half(self):
         system = SpinSystem(s_offset=0.0, i_spins=(ISpin(j_to_s=10.0),))
         up, down = enumerate_configurations(system)
-        assert effective_s_offset(system, up) == pytest.approx(10.0 * math.pi)
-        assert effective_s_offset(system, down) == pytest.approx(-10.0 * math.pi)
+        offsets = offset_diagonal(system).values
+        assert offsets[up.index] == pytest.approx(10.0 * math.pi)
+        assert offsets[down.index] == pytest.approx(-10.0 * math.pi)
 
     def test_effective_offset_no_i_spins(self):
         system = SpinSystem(s_offset=100.0)
         (config,) = enumerate_configurations(system)
-        assert effective_s_offset(system, config) == pytest.approx(100.0)
+        assert offset_diagonal(system).values[config.index] == pytest.approx(100.0)
 
     def test_i_spin_energy_sum(self):
         system = SpinSystem(i_spins=(ISpin(offset=200.0), ISpin(offset=-50.0)))
         configs = enumerate_configurations(system)
-        assert i_spin_energy(system, configs[0]) == pytest.approx(75.0)
+        assert energy_diagonal(system).values[configs[0].index] == pytest.approx(75.0)
 
     def test_i_spin_energy_with_coupling(self):
         system = SpinSystem(
             i_spins=(ISpin(offset=200.0), ISpin(offset=-50.0)), j_ii={(0, 1): 4.0}
         )
         configs = enumerate_configurations(system)
-        assert i_spin_energy(system, configs[0]) == pytest.approx(75.0 + TWO_PI)
+        assert energy_diagonal(system).values[configs[0].index] == pytest.approx(75.0 + TWO_PI)
 
     def test_i_spin_energy_empty(self, s_only_system):
         (config,) = enumerate_configurations(s_only_system)
-        assert i_spin_energy(s_only_system, config) == 0.0
+        assert energy_diagonal(s_only_system).values[config.index] == 0.0
 
     def test_offset_multiset_matches_sign_combinations(self, sax_system):
         values = sorted(offset_diagonal(sax_system).values)
@@ -84,24 +82,6 @@ class TestDiagonals:
             for s2 in (+1, -1)
         )
         assert np.allclose(values, expected)
-
-
-class TestLongitudinalAlgebra:
-    def test_commutative_product(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            a = LongitudinalDiagonal(rng.normal(size=8))
-            b = LongitudinalDiagonal(rng.normal(size=8))
-            assert np.array_equal((a * b).values, (b * a).values)
-
-    def test_add_and_scalar(self):
-        a = LongitudinalDiagonal([1.0, 2.0])
-        assert np.array_equal((a + a).values, [2.0, 4.0])
-        assert np.array_equal((3.0 * a).values, [3.0, 6.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LongitudinalDiagonal([1.0]) + LongitudinalDiagonal([1.0, 2.0])
 
 
 class TestAssembleFullMatrix:
