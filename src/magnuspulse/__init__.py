@@ -55,7 +55,6 @@ from .magnus import (
 from .expansion import (
     ExpansionState,
     angles_from_state,
-    expansion_rhs,
     integrate_expansion,
     omega_hat_quadrature,
     reconstruct_propagator,

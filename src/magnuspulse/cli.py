@@ -268,20 +268,13 @@ def _cmd_decompose(args) -> int:
     system, shape, pulse_doc = _load_inputs(args)
     state = integrate_expansion(system, shape, n_steps=args.steps, tol=args.tol)
     alpha, beta, omega = angles_from_state(state)
-    residual = state.constraint_residual()
     columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta",
                "omega_hat", "constraint_residual"]
-    rows = []
-    for ci in range(state.n_configs):
-        for k, t in enumerate(state.times):
-            rows.append(
-                [
-                    float(t), ci, float(state.f[ci, k]),
-                    float(state.g[ci, k, 0]), float(state.g[ci, k, 1]), float(state.g[ci, k, 2]),
-                    float(alpha[ci, k]), float(beta[ci, k]), float(omega[ci, k]),
-                    float(residual[ci, k]),
-                ]
-            )
+    t = np.tile(state.times, state.n_configs).tolist()
+    ci = np.repeat(np.arange(state.n_configs), len(state.times)).tolist()
+    values = (state.f, *np.moveaxis(state.g, -1, 0), alpha, beta, omega,
+              state.constraint_residual())
+    rows = list(zip(t, ci, *(x.ravel().tolist() for x in values)))
     meta = _meta(args, "decompose")
     meta["pulse"] = pulse_doc
     meta["system"] = _system_doc(system)

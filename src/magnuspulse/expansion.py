@@ -17,24 +17,24 @@ parametrization always exists, whether or not the continuous-exponential
 form does, so it is the fallback route for pulses that fail the
 convergence criterion.
 
-Integration is classical fixed-step fourth order with step doubling, on the
-same grids as the propagation module, which keeps cross-checks between the
-two routes bitwise comparable in time.
+That system is the linear quaternion ODE dq/dt = p(t) q with
+p = (0, omega1 h / 2), so one classical fourth-order (RK4) step is a left
+product with a single quaternion. Integration builds those step quaternions
+for the whole grid at once and hands them to the same prefix scan and
+step-doubling driver as the exact propagation route (`propagation._refine`);
+both routes store their states on the grid t_k = k T / n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import su2
+from .propagation import DEFAULT_MAX_DOUBLINGS, DEFAULT_TOL, _refine
 from .pulses import PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
-
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_DOUBLINGS = 8
 
 
 @dataclass(frozen=True)
@@ -66,38 +66,6 @@ class ExpansionState:
         return np.abs(self.f**2 + np.sum(self.g**2, axis=-1) - 1.0)
 
 
-def expansion_rhs(f, g, h, amp):
-    """Time derivative (df, dg) of the propagator coefficients.
-
-    Linear in (f, g); conserves f**2 + |g|**2 identically since
-    g . (h x g) = 0. Broadcasts over leading axes: f (...,), g and h (..., 3).
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    df = -0.5 * amp * np.sum(h * g, axis=-1)
-    dg = 0.5 * amp * (f[..., None] * h + np.cross(h, g))
-    return df, dg
-
-
-def _legacy_expansion_rhs(f, g, h, amp):
-    """Superseded variant of the coefficient ODEs, kept as a regression fixture.
-
-    Differs from `expansion_rhs` by a factor 2 on df/dt and a sign flip on the
-    x component of the cross term; it does not conserve f**2 + |g|**2, which
-    is how tests demonstrate the corrected system matters. Not part of the
-    public API.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    df = -amp * np.sum(h * g, axis=-1)
-    w = np.cross(h, g)
-    w[..., 0] *= -1.0
-    dg = 0.5 * amp * (f[..., None] * h + w)
-    return df, dg
-
-
 def _field_direction(offsets: np.ndarray, times: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Unit transverse field h(t) per configuration: shape (n_configs, len(times), 3)."""
     angle = -offsets[:, None] * times[None, :] + phases[None, :]
@@ -107,83 +75,62 @@ def _field_direction(offsets: np.ndarray, times: np.ndarray, phases: np.ndarray)
     return h
 
 
-def _integrate_once(system: SpinSystem, shape: PulseShape, n_steps: int, rhs):
+def _rk4_steps(system: SpinSystem, shape: PulseShape, n_steps: int):
+    """Classical RK4 steps of dq/dt = p(t) q as quaternions, one per time step.
+
+    p = (0, omega1 h / 2) is the quaternion of -i H, so each stage is a left
+    product and a whole step is q_{k+1} = M_k q_k with
+    M_k = 1 + (k1 + 2 k2 + 2 k3 + k4) / 6, where k1 = dt p(t_k),
+    k2 = dt p(t_mid) (1 + k1/2), k3 = dt p(t_mid) (1 + k2/2) and
+    k4 = dt p(t_{k+1}) (1 + k3). Returns (M, grid nodes); M has shape
+    (n_configs, n_steps, 4).
+    """
     offsets = offset_diagonal(system).values
-    n_c = len(offsets)
     dt = shape.duration / n_steps
     nodes = np.arange(n_steps + 1) * dt
-    mids = nodes[:-1] + 0.5 * dt
 
-    amp_nodes = _eval(shape.amplitude_fn, nodes)
-    amp_mids = _eval(shape.amplitude_fn, mids)
-    h_nodes = _field_direction(offsets, nodes, _eval(shape.phase_fn, nodes))
-    h_mids = _field_direction(offsets, mids, _eval(shape.phase_fn, mids))
+    def dt_p(times):
+        out = np.zeros((len(offsets), len(times), 4))
+        out[..., 1:] = (0.5 * dt * _eval(shape.amplitude_fn, times))[:, None] * _field_direction(
+            offsets, times, _eval(shape.phase_fn, times))
+        return out
 
-    f = np.ones(n_c)
-    g = np.zeros((n_c, 3))
-    f_hist = np.empty((n_c, n_steps + 1))
-    g_hist = np.empty((n_c, n_steps + 1, 3))
-    f_hist[:, 0] = f
-    g_hist[:, 0] = g
-
-    for k in range(n_steps):
-        a0, am, a1 = amp_nodes[k], amp_mids[k], amp_nodes[k + 1]
-        h0, hm, h1 = h_nodes[:, k], h_mids[:, k], h_nodes[:, k + 1]
-        df1, dg1 = rhs(f, g, h0, a0)
-        df2, dg2 = rhs(f + 0.5 * dt * df1, g + 0.5 * dt * dg1, hm, am)
-        df3, dg3 = rhs(f + 0.5 * dt * df2, g + 0.5 * dt * dg2, hm, am)
-        df4, dg4 = rhs(f + dt * df3, g + dt * dg3, h1, a1)
-        f = f + (dt / 6.0) * (df1 + 2.0 * df2 + 2.0 * df3 + df4)
-        g = g + (dt / 6.0) * (dg1 + 2.0 * dg2 + 2.0 * dg3 + dg4)
-        f_hist[:, k + 1] = f
-        g_hist[:, k + 1] = g
-
-    return nodes, f_hist, g_hist
+    at_nodes = dt_p(nodes)
+    at_mids = dt_p(nodes[:-1] + 0.5 * dt)
+    one = su2.IDENTITY
+    # M is accumulated stage by stage so only one k is alive at a time.
+    k = at_nodes[:, :-1]
+    m = one + k / 6.0
+    k = su2.compose(at_mids, one + 0.5 * k)
+    m += k / 3.0
+    k = su2.compose(at_mids, one + 0.5 * k)
+    m += k / 3.0
+    del at_mids
+    k = su2.compose(at_nodes[:, 1:], one + k)
+    m += k / 6.0
+    return m, nodes
 
 
 def integrate_expansion(system: SpinSystem, shape: PulseShape,
                         n_steps: int = 4096, tol: float | None = DEFAULT_TOL,
-                        max_doublings: int = DEFAULT_MAX_DOUBLINGS,
-                        _rhs=expansion_rhs) -> ExpansionState:
+                        max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> ExpansionState:
     """Integrate the coefficient ODEs over [0, T] for every configuration.
 
-    Fixed-step fourth-order integration, grid-doubled until the endpoint
-    state moves by less than `tol` (max over configurations and components).
-    ``tol=None`` runs a single fixed-grid pass.
+    Fixed-step fourth-order integration, grid-doubled by the propagation
+    module's driver until the endpoint moves by less than `tol` (max
+    Frobenius norm of the 2x2 difference over configurations). ``tol=None``
+    runs a single fixed-grid pass.
 
     Raises
     ------
-    RuntimeError
+    RefinementError
         If the tolerance is not met within `max_doublings` refinements.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    times, f, g = _integrate_once(system, shape, n_steps, _rhs)
-    if tol is None:
-        return ExpansionState(times=times, f=f, g=g, s_count=system.s_count,
-                              n_steps=n_steps, refinement_levels=0,
-                              error_estimate=math.nan)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    estimate = math.inf
-    for level in range(1, max_doublings + 1):
-        n_fine = n_steps * (1 << level)
-        times_f, f_f, g_f = _integrate_once(system, shape, n_fine, _rhs)
-        estimate = float(
-            max(
-                np.max(np.abs(f_f[:, -1] - f[:, -1])),
-                np.max(np.abs(g_f[:, -1] - g[:, -1])),
-            )
-        )
-        times, f, g = times_f, f_f, g_f
-        if estimate < tol:
-            return ExpansionState(times=times, f=f, g=g, s_count=system.s_count,
-                                  n_steps=n_fine, refinement_levels=level,
-                                  error_estimate=estimate)
-    raise RuntimeError(
-        f"expansion endpoint moved by {estimate:.3e} > tol={tol:.3e} after "
-        f"{max_doublings} grid doublings; increase n_steps or max_doublings"
-    )
+    q, times, levels, estimate = _refine(
+        lambda n: _rk4_steps(system, shape, n), n_steps, tol, max_doublings)
+    return ExpansionState(times=times, f=q[..., 0], g=q[..., 1:], s_count=system.s_count,
+                          n_steps=len(times) - 1, refinement_levels=levels,
+                          error_estimate=estimate)
 
 
 def omega_hat_quadrature(state: ExpansionState, shape: PulseShape,

@@ -10,7 +10,8 @@ where w is the configuration's effective S offset. The time-ordered
 propagator is built by piecewise-constant midpoint slicing: each slice
 exponential is evaluated in closed form (so unitarity is exact up to
 rounding), and the grid is doubled until the endpoint stops moving to the
-requested tolerance.
+requested tolerance. `_refine` is that doubling driver for both routes: the
+expansion module hands it RK4 step quaternions instead of exact slices.
 
 Slices, their products and the stored trajectory are unit quaternions
 (see `su2`); `BlockTrajectory.blocks` is the 2x2 view of them. The
@@ -111,16 +112,57 @@ def su2_step(h: np.ndarray, dt: float) -> np.ndarray:
     return su2.to_matrix(su2.exp(a * dt))
 
 
-def _propagate_once(system: SpinSystem, shape: PulseShape, n_steps: int):
-    sp = sample(shape, n_steps)
-    offsets = offset_diagonal(system).values
-    q = np.empty((len(offsets), n_steps + 1, 4))
-    q[:, 0] = su2.IDENTITY
-    q[:, 1:] = su2.transverse_slices(0.5 * sp.amps * sp.dt,
-                                     -offsets[:, None] * sp.times + sp.phases)
-    su2.prefix_products(q[:, 1:])
-    times = np.arange(n_steps + 1) * sp.dt
-    return times, q, sp
+def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
+    """Step-doubling driver shared by every propagator route.
+
+    `steps(n)` returns ``(slices, kept)``: the quaternions of the n time steps
+    on the n-step grid, shape (n_configs, n, 4), and whatever the route keeps
+    of that grid. Their time-ordered prefix products are taken on n_steps,
+    2 n_steps, ... steps until the endpoint moves by less than `tol` between
+    successive grids (Frobenius norm of the 2x2 difference, sqrt(2) |dq|,
+    max over configurations). ``tol=None`` runs a single pass.
+
+    Returns (q, kept, refinement_levels, error_estimate) of the last grid;
+    q has shape (n_configs, n + 1, 4) with the identity at index 0.
+
+    Raises
+    ------
+    RefinementError
+        If the tolerance is not met within `max_doublings` refinements; the
+        exception carries the best error estimate and the finest grid size.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if tol is not None and not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+    def scan(n):
+        slices, kept = steps(n)
+        q = np.empty(slices.shape[:-2] + (n + 1, 4))
+        q[..., 0, :] = su2.IDENTITY
+        q[..., 1:, :] = slices
+        del slices  # not alive during the scan's temporaries
+        su2.prefix_products(q[..., 1:, :])
+        return q, kept
+
+    q, kept = scan(n_steps)
+    if tol is None:
+        return q, kept, 0, math.nan
+    estimate = math.inf
+    for level in range(1, max_doublings + 1):
+        q_fine, kept = scan(n_steps << level)
+        estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(q_fine[:, -1] - q[:, -1], axis=-1)))
+        q = q_fine
+        if estimate < tol:
+            return q, kept, level, estimate
+    finest = n_steps << max_doublings
+    raise RefinementError(
+        f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after "
+        f"{max_doublings} grid doublings (finest grid {finest} steps); "
+        "increase n_steps or max_doublings",
+        estimate=estimate,
+        n_steps=finest,
+    )
 
 
 def propagate_interaction(system: SpinSystem, shape: PulseShape,
@@ -139,41 +181,19 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
         If the tolerance is not met within `max_doublings` refinements; the
         exception carries the best error estimate.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    energies = energy_diagonal(system).values
+    offsets = offset_diagonal(system).values
 
-    times, q, sp = _propagate_once(system, shape, n_steps)
-    if tol is None:
-        return BlockTrajectory(
-            times=times, q=q, amps=sp.amps, phases=sp.phases,
-            offsets=offset_diagonal(system).values, energies=energies,
-            s_count=system.s_count, n_steps=n_steps,
-            refinement_levels=0, error_estimate=math.nan,
-        )
+    def slices(n):
+        sp = sample(shape, n)
+        return su2.transverse_slices(0.5 * sp.amps * sp.dt,
+                                     -offsets[:, None] * sp.times + sp.phases), sp
 
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    estimate = math.inf
-    for level in range(1, max_doublings + 1):
-        n_fine = n_steps * (1 << level)
-        times_f, q_f, sp_f = _propagate_once(system, shape, n_fine)
-        # Frobenius norm of the 2x2 difference: sqrt(2) |dq|
-        estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(q_f[:, -1] - q[:, -1], axis=-1)))
-        times, q, sp = times_f, q_f, sp_f
-        if estimate < tol:
-            return BlockTrajectory(
-                times=times, q=q, amps=sp.amps, phases=sp.phases,
-                offsets=offset_diagonal(system).values, energies=energies,
-                s_count=system.s_count, n_steps=n_fine,
-                refinement_levels=level, error_estimate=estimate,
-            )
-    raise RefinementError(
-        f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after "
-        f"{max_doublings} grid doublings (finest grid {n_steps * (1 << max_doublings)} steps); "
-        "increase n_steps or max_doublings",
-        estimate=estimate,
-        n_steps=n_steps * (1 << max_doublings),
+    q, sp, levels, estimate = _refine(slices, n_steps, tol, max_doublings)
+    return BlockTrajectory(
+        times=np.arange(len(sp.times) + 1) * sp.dt, q=q, amps=sp.amps, phases=sp.phases,
+        offsets=offsets, energies=energy_diagonal(system).values,
+        s_count=system.s_count, n_steps=len(sp.times),
+        refinement_levels=levels, error_estimate=estimate,
     )
 
 

@@ -230,6 +230,13 @@ def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:
     return full
 
 
+def _finite(value, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def load_system(source) -> SpinSystem:
     """Load a spin system from a JSON file (path or open file object).
 
@@ -253,20 +260,24 @@ def load_system(source) -> SpinSystem:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown system file fields: {sorted(unknown)}")
+    spin_known = {"offset_hz", "j_to_s_hz"}
     spins = []
-    for entry in doc.get("i_spins", []):
+    for k, entry in enumerate(doc.get("i_spins", [])):
+        unknown = set(entry) - spin_known
+        if unknown:
+            raise ValueError(f"unknown fields in i_spins[{k}]: {sorted(unknown)}")
         spins.append(
             ISpin(
-                offset=TWO_PI * float(entry.get("offset_hz", 0.0)),
-                j_to_s=float(entry.get("j_to_s_hz", 0.0)),
+                offset=TWO_PI * _finite(entry.get("offset_hz", 0.0), f"i_spins[{k}].offset_hz"),
+                j_to_s=_finite(entry.get("j_to_s_hz", 0.0), f"i_spins[{k}].j_to_s_hz"),
             )
         )
     j_ii = {}
     for k, l, value in doc.get("j_ii_hz", []):
-        j_ii[(int(k), int(l))] = float(value)
+        j_ii[(int(k), int(l))] = _finite(value, f"j_ii_hz[{k}, {l}]")
     return SpinSystem(
         s_count=int(doc.get("s_count", 1)),
-        s_offset=TWO_PI * float(doc.get("s_offset_hz", 0.0)),
+        s_offset=TWO_PI * _finite(doc.get("s_offset_hz", 0.0), "s_offset_hz"),
         i_spins=tuple(spins),
         j_ii=j_ii,
     )

@@ -10,6 +10,11 @@ I spins in declaration order) is shared with the library.
 `magnus_partial_sums_loop` is the direct 2x2-matrix evaluation of the
 series partial sums, with its O(n^2) loop over the double-commutator
 integral, kept as the reference for the library's vector form.
+
+`integrate_expansion_loop` is the sequential classical RK4 integration of
+the expansion-form coefficient ODEs (`expansion_rhs`), one time step at a
+time, kept as the reference for the library's step-quaternion scan.
+`_legacy_expansion_rhs` is the superseded form of those ODEs.
 """
 
 import math
@@ -147,3 +152,77 @@ def magnus_partial_sums_loop(system, shape, n_steps=256, order=3):
             term_b += outer.sum(axis=0) * dt * dt
         out[ci, 2] = out[ci, 1] - (term_a + term_b) / 6.0
     return out
+
+
+def expansion_rhs(f, g, h, amp):
+    """Time derivative (df, dg) of the propagator coefficients.
+
+    Linear in (f, g); conserves f**2 + |g|**2 identically since
+    g . (h x g) = 0. Broadcasts over leading axes: f (...,), g and h (..., 3).
+    """
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
+    df = -0.5 * amp * np.sum(h * g, axis=-1)
+    dg = 0.5 * amp * (f[..., None] * h + np.cross(h, g))
+    return df, dg
+
+
+def _legacy_expansion_rhs(f, g, h, amp):
+    """Superseded variant of the coefficient ODEs, kept as a regression fixture.
+
+    Differs from `expansion_rhs` by a factor 2 on df/dt and a sign flip on the
+    x component of the cross term; it does not conserve f**2 + |g|**2, which
+    is how tests demonstrate the corrected system matters.
+    """
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    h = np.asarray(h, dtype=float)
+    df = -amp * np.sum(h * g, axis=-1)
+    w = np.cross(h, g)
+    w[..., 0] *= -1.0
+    dg = 0.5 * amp * (f[..., None] * h + w)
+    return df, dg
+
+
+def integrate_expansion_loop(system, shape, n_steps, rhs=expansion_rhs):
+    """Fixed-step RK4 of the coefficient ODEs, one step at a time.
+
+    Returns (times, f, g) with f of shape (n_configs, n_steps + 1) and g of
+    shape (n_configs, n_steps + 1, 3), starting from the identity.
+    """
+    from magnuspulse import offset_diagonal
+
+    offsets = offset_diagonal(system).values
+    n_c = len(offsets)
+    dt = shape.duration / n_steps
+    nodes = np.arange(n_steps + 1) * dt
+    mids = nodes[:-1] + 0.5 * dt
+
+    def field(times):
+        amps = np.asarray(shape.amplitude_fn(times), dtype=float)
+        angle = -offsets[:, None] * times[None, :] + np.asarray(shape.phase_fn(times), dtype=float)
+        h = np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=-1)
+        return amps, h
+
+    amp_nodes, h_nodes = field(nodes)
+    amp_mids, h_mids = field(mids)
+
+    f = np.ones(n_c)
+    g = np.zeros((n_c, 3))
+    f_hist = np.empty((n_c, n_steps + 1))
+    g_hist = np.empty((n_c, n_steps + 1, 3))
+    f_hist[:, 0] = f
+    g_hist[:, 0] = g
+    for k in range(n_steps):
+        a0, am, a1 = amp_nodes[k], amp_mids[k], amp_nodes[k + 1]
+        h0, hm, h1 = h_nodes[:, k], h_mids[:, k], h_nodes[:, k + 1]
+        df1, dg1 = rhs(f, g, h0, a0)
+        df2, dg2 = rhs(f + 0.5 * dt * df1, g + 0.5 * dt * dg1, hm, am)
+        df3, dg3 = rhs(f + 0.5 * dt * df2, g + 0.5 * dt * dg2, hm, am)
+        df4, dg4 = rhs(f + dt * df3, g + dt * dg3, h1, a1)
+        f = f + (dt / 6.0) * (df1 + 2.0 * df2 + 2.0 * df3 + df4)
+        g = g + (dt / 6.0) * (dg1 + 2.0 * dg2 + 2.0 * dg3 + dg4)
+        f_hist[:, k + 1] = f
+        g_hist[:, k + 1] = g
+    return nodes, f_hist, g_hist

@@ -190,6 +190,33 @@ class TestErrors:
         assert rc == 4
         assert "numerical" in capsys.readouterr().err
 
+    def test_expansion_refinement_failure_exit_4(self, capsys):
+        rc = main(
+            ["decompose", "--shape", "gaussian", "--flip", "90",
+             "--steps", "1", "--tol", "1e-300"]
+        )
+        assert rc == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["criterion", "decompose"])
+    def test_nan_tol_bad_input(self, command, capsys):
+        assert main([command, "--pulse", "g4", "--tol", "nan"]) == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_misspelled_spin_field_bad_input(self, tmp_path, capsys):
+        system_file = tmp_path / "typo.json"
+        system_file.write_text('{"i_spins": [{"offset_hz": 30.0, "j_to_hz": 8.0}]}')
+        rc = main(["criterion", "--pulse", "g4", "--system", str(system_file)])
+        assert rc == 2
+        assert "j_to_hz" in capsys.readouterr().err
+
+    def test_non_finite_system_offset_bad_input(self, tmp_path, capsys):
+        system_file = tmp_path / "nan.json"
+        system_file.write_text('{"s_offset_hz": NaN, "i_spins": [{"j_to_s_hz": 8.0}]}')
+        rc = main(["decompose", "--pulse", "g4", "--system", str(system_file)])
+        assert rc == 2
+        assert "s_offset_hz" in capsys.readouterr().err
+
     def test_zero_area_pulse_bad_input(self, tmp_path, capsys):
         pulse_file = tmp_path / "odd.json"
         pulse_file.write_text(

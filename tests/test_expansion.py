@@ -8,7 +8,6 @@ from magnuspulse import (
     angles_from_state,
     build_pulse,
     calibrate,
-    expansion_rhs,
     extract_omega,
     integrate_expansion,
     list_catalog,
@@ -16,8 +15,12 @@ from magnuspulse import (
     propagate_interaction,
     reconstruct_propagator,
 )
-from magnuspulse.expansion import _legacy_expansion_rhs, reconstruct_blocks
+from magnuspulse.expansion import reconstruct_blocks
 from magnuspulse.magnus import angles_from_omega
+from magnuspulse.propagation import RefinementError
+
+import oracle
+from oracle import _legacy_expansion_rhs, expansion_rhs
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,10 +105,24 @@ class TestIntegrate:
         assert np.allclose(state1.g, state2.g, atol=1e-12)
 
     def test_legacy_rhs_violates_constraint(self, sa_system, gaussian90):
-        state = integrate_expansion(
-            sa_system, gaussian90, n_steps=512, tol=None, _rhs=_legacy_expansion_rhs
-        )
-        assert float(state.constraint_residual().max()) > 1e-2
+        _, f, g = oracle.integrate_expansion_loop(sa_system, gaussian90, 512, _legacy_expansion_rhs)
+        assert float(np.max(np.abs(f**2 + np.sum(g**2, axis=-1) - 1.0))) > 1e-2
+
+    def test_matches_sequential_oracle(self, sax_system):
+        for entry in list_catalog():
+            pulse = entry.build_calibrated()
+            for n in (64, 1024):
+                state = integrate_expansion(sax_system, pulse, n_steps=n, tol=None)
+                times, f, g = oracle.integrate_expansion_loop(sax_system, pulse, n)
+                assert np.array_equal(state.times, times)
+                assert np.max(np.abs(state.f - f)) < 1e-12, (entry.name, n)
+                assert np.max(np.abs(state.g - g)) < 1e-12, (entry.name, n)
+
+    def test_refinement_failure_carries_grid(self, sax_system, gaussian90):
+        with pytest.raises(RefinementError) as err:
+            integrate_expansion(sax_system, gaussian90, n_steps=1, tol=1e-300)
+        assert err.value.n_steps == 256
+        assert err.value.estimate > 1e-300
 
 
 class TestOmegaHatQuadrature:

@@ -31,6 +31,9 @@ CASES = {
         ["propagate", "--pulse", "g4", "--system", SYSTEM, "--steps", "32", "--tol", "1e-4"], 0),
     "decompose_g4.csv": (
         ["decompose", "--pulse", "g4", "--system", SYSTEM, "--steps", "32", "--tol", "1e-4"], 0),
+    "decompose_reburp.csv": (
+        ["decompose", "--pulse", "reburp", "--system", SYSTEM, "--steps", "32", "--tol", "1e-4"],
+        0),
     "profile_q5.csv": (
         ["profile", "--pulse", "q5", "--offset-start", "-2000", "--offset-stop", "2000",
          "--offset-count", "21"], 0),

@@ -145,5 +145,23 @@ class TestValidationAndLoading:
         with pytest.raises(ValueError, match="unknown"):
             load_system(path)
 
+    def test_load_system_rejects_unknown_spin_fields(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text('{"i_spins": [{"offset_hz": 30.0, "j_to_hz": 8.0}]}')
+        with pytest.raises(ValueError, match="j_to_hz"):
+            load_system(path)
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"s_offset_hz": NaN}', "s_offset_hz"),
+        ('{"i_spins": [{"offset_hz": Infinity}]}', "offset_hz"),
+        ('{"i_spins": [{"j_to_s_hz": NaN}]}', "j_to_s_hz"),
+        ('{"i_spins": [{}, {}], "j_ii_hz": [[0, 1, NaN]]}', "j_ii_hz"),
+    ])
+    def test_load_system_rejects_non_finite_values(self, tmp_path, text, field):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=field):
+            load_system(path)
+
     def test_energy_diagonal_no_spins_is_zero(self, s_only_system):
         assert np.array_equal(energy_diagonal(s_only_system).values, [0.0])
