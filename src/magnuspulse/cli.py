@@ -85,10 +85,9 @@ def _emit(text: str, output: str | None):
 def _emit_table(columns, rows, meta, args):
     fmt = _resolve_format(args, default="csv")
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        _emit("\n".join(lines) + "\n", args.output)
+        # One %-format per row, typed by the first row: the text of _fmt, without a call per cell.
+        row_fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+        _emit("\n".join([",".join(columns), *map(row_fmt.__mod__, rows)]) + "\n", args.output)
     else:
         doc = dict(meta)
         doc["columns"] = list(columns)
@@ -256,7 +255,7 @@ def _cmd_profile(args) -> int:
     offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
     table = excitation_profile(system, shape, TWO_PI * offsets_hz, n_steps=args.steps)
     columns = ["offset_hz", "mx", "my", "mz"]
-    rows = [[float(offsets_hz[i]), *map(float, table[i])] for i in range(len(offsets_hz))]
+    rows = list(zip(offsets_hz.tolist(), *table.T.tolist()))
     meta = _meta(args, "profile")
     meta["pulse"] = pulse_doc
     meta["system"] = _system_doc(system)

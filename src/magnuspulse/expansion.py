@@ -20,9 +20,10 @@ convergence criterion.
 That system is the linear quaternion ODE dq/dt = p(t) q with
 p = (0, omega1 h / 2), so one classical fourth-order (RK4) step is a left
 product with a single quaternion. Integration builds those step quaternions
-for the whole grid at once and hands them to the same prefix scan and
-step-doubling driver as the exact propagation route (`propagation._refine`);
-both routes store their states on the grid t_k = k T / n.
+block by block over the grid and hands them to the same step-doubling
+driver as the exact propagation route (`propagation._refine`): endpoint
+reductions on the grids it discards, one scan of the grid it keeps. Both
+routes store their states on the grid t_k = k T / n.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .propagation import DEFAULT_MAX_DOUBLINGS, DEFAULT_TOL, _refine
+from .propagation import BLOCK, DEFAULT_MAX_DOUBLINGS, DEFAULT_TOL, _refine
 from .pulses import PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
 
@@ -82,32 +83,41 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, n_steps: int):
     product and a whole step is q_{k+1} = M_k q_k with
     M_k = 1 + (k1 + 2 k2 + 2 k3 + k4) / 6, where k1 = dt p(t_k),
     k2 = dt p(t_mid) (1 + k1/2), k3 = dt p(t_mid) (1 + k2/2) and
-    k4 = dt p(t_{k+1}) (1 + k3). Returns (M, grid nodes); M has shape
-    (n_configs, n_steps, 4).
+    k4 = dt p(t_{k+1}) (1 + k3). The steps are built `BLOCK` quaternions at
+    a time, so the stage temporaries stay small whatever the grid. Returns
+    (M, grid nodes); M is component-major, shape (4, n_configs, n_steps).
     """
     offsets = offset_diagonal(system).values
     dt = shape.duration / n_steps
     nodes = np.arange(n_steps + 1) * dt
+    mids = nodes[:-1] + 0.5 * dt
+    at_nodes, at_mids = ((t, 0.5 * dt * _eval(shape.amplitude_fn, t), _eval(shape.phase_fn, t))
+                         for t in (nodes, mids))
 
-    def dt_p(times):
-        out = np.zeros((len(offsets), len(times), 4))
-        out[..., 1:] = (0.5 * dt * _eval(shape.amplitude_fn, times))[:, None] * _field_direction(
-            offsets, times, _eval(shape.phase_fn, times))
+    def dt_p(times, half_dt_amps, phases):
+        out = np.zeros((4, len(offsets), len(times)))
+        angle = -offsets[:, None] * times[None, :] + phases[None, :]
+        out[1] = half_dt_amps * np.cos(angle)
+        out[2] = half_dt_amps * np.sin(angle)
         return out
 
-    at_nodes = dt_p(nodes)
-    at_mids = dt_p(nodes[:-1] + 0.5 * dt)
-    one = su2.IDENTITY
-    # M is accumulated stage by stage so only one k is alive at a time.
-    k = at_nodes[:, :-1]
-    m = one + k / 6.0
-    k = su2.compose(at_mids, one + 0.5 * k)
-    m += k / 3.0
-    k = su2.compose(at_mids, one + 0.5 * k)
-    m += k / 3.0
-    del at_mids
-    k = su2.compose(at_nodes[:, 1:], one + k)
-    m += k / 6.0
+    one = su2.IDENTITY[:, None, None]
+    m = np.empty((4, len(offsets), n_steps))
+    block = max(1, BLOCK // len(offsets))
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        p_nodes = dt_p(*(x[start:stop + 1] for x in at_nodes))
+        p_mids = dt_p(*(x[start:stop] for x in at_mids))
+        # M is accumulated stage by stage so only one k is alive at a time.
+        out = m[..., start:stop]
+        k = p_nodes[..., :-1]
+        np.add(one, k / 6.0, out=out)
+        k = su2.compose(p_mids, one + 0.5 * k)
+        out += k / 3.0
+        k = su2.compose(p_mids, one + 0.5 * k)
+        out += k / 3.0
+        k = su2.compose(p_nodes[..., 1:], one + k)
+        out += k / 6.0
     return m, nodes
 
 

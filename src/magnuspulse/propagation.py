@@ -14,9 +14,12 @@ requested tolerance. `_refine` is that doubling driver for both routes: the
 expansion module hands it RK4 step quaternions instead of exact slices.
 
 Slices, their products and the stored trajectory are unit quaternions
-(see `su2`); `BlockTrajectory.blocks` is the 2x2 view of them. The
-trajectory keeps every grid point because downstream analysis (continuous
-matrix-logarithm tracking) needs dense-in-time samples.
+(see `su2`); `BlockTrajectory.blocks` is the 2x2 view of them. A grid that
+refinement discards only contributes its endpoint, a pairwise product
+(`su2.reduce`); the accepted grid is scanned (`su2.scan`) for the whole
+trajectory, every grid point of it, because downstream analysis
+(continuous matrix-logarithm tracking) needs dense-in-time samples.
+Excitation profiles need endpoints only and never build a trajectory.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .system import IConfiguration, SpinSystem, energy_diagonal, offset_diagonal
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DOUBLINGS = 8
+
+#: Quaternions built at once where a route works through its grid in blocks.
+BLOCK = 1 << 16
 
 
 class RefinementError(RuntimeError):
@@ -116,14 +122,17 @@ def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
     """Step-doubling driver shared by every propagator route.
 
     `steps(n)` returns ``(slices, kept)``: the quaternions of the n time steps
-    on the n-step grid, shape (n_configs, n, 4), and whatever the route keeps
-    of that grid. Their time-ordered prefix products are taken on n_steps,
-    2 n_steps, ... steps until the endpoint moves by less than `tol` between
+    on the n-step grid, component-major with shape (4, n_configs, n), and
+    whatever the route keeps of that grid. Grids of n_steps, 2 n_steps, ...
+    steps are tried until the endpoint moves by less than `tol` between
     successive grids (Frobenius norm of the 2x2 difference, sqrt(2) |dq|,
-    max over configurations). ``tol=None`` runs a single pass.
+    max over configurations). A grid's endpoint is its pairwise product
+    (`su2.reduce`); only the grid that is returned is scanned for its whole
+    trajectory (`su2.scan`). ``tol=None`` scans a single pass.
 
     Returns (q, kept, refinement_levels, error_estimate) of the last grid;
-    q has shape (n_configs, n + 1, 4) with the identity at index 0.
+    q has shape (n_configs, n + 1, 4) with the identity at index 0, a view
+    of a component-major array.
 
     Raises
     ------
@@ -136,33 +145,35 @@ def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    def scan(n):
-        slices, kept = steps(n)
-        q = np.empty(slices.shape[:-2] + (n + 1, 4))
-        q[..., 0, :] = su2.IDENTITY
-        q[..., 1:, :] = slices
-        del slices  # not alive during the scan's temporaries
-        su2.prefix_products(q[..., 1:, :])
-        return q, kept
+    slices, kept = steps(n_steps)
+    level, estimate = 0, math.nan
+    if tol is not None:
+        end, estimate = su2.reduce(slices), math.inf
+        while not estimate < tol:
+            if level == max_doublings:
+                finest = n_steps << max_doublings
+                raise RefinementError(
+                    f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after "
+                    f"{max_doublings} grid doublings (finest grid {finest} steps); "
+                    "increase n_steps or max_doublings",
+                    estimate=estimate,
+                    n_steps=finest,
+                )
+            del slices  # not alive while the finer grid is built
+            level += 1
+            slices, kept = steps(n_steps << level)
+            fine = su2.reduce(slices)
+            # (n_configs, 4) with the components contiguous, as the trajectory stores them
+            dq = np.ascontiguousarray((fine - end).T)
+            estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(dq, axis=-1)))
+            end = fine
 
-    q, kept = scan(n_steps)
-    if tol is None:
-        return q, kept, 0, math.nan
-    estimate = math.inf
-    for level in range(1, max_doublings + 1):
-        q_fine, kept = scan(n_steps << level)
-        estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(q_fine[:, -1] - q[:, -1], axis=-1)))
-        q = q_fine
-        if estimate < tol:
-            return q, kept, level, estimate
-    finest = n_steps << max_doublings
-    raise RefinementError(
-        f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after "
-        f"{max_doublings} grid doublings (finest grid {finest} steps); "
-        "increase n_steps or max_doublings",
-        estimate=estimate,
-        n_steps=finest,
-    )
+    q = np.empty(slices.shape[:-1] + (slices.shape[-1] + 1,))
+    q[..., 0] = su2.IDENTITY[:, None]
+    q[..., 1:] = slices
+    del slices  # not alive during the scan's temporaries
+    su2.scan(q[..., 1:])
+    return np.moveaxis(q, 0, -1), kept, level, estimate
 
 
 def propagate_interaction(system: SpinSystem, shape: PulseShape,
@@ -211,8 +222,8 @@ def lab_frame_propagator(system: SpinSystem, trajectory: BlockTrajectory,
     t = float(trajectory.times[t_index])
     free = np.zeros((trajectory.n_configs, 3))
     free[:, 2] = trajectory.offsets * t  # exp(-i w t Sz)
-    lab = su2.compose(su2.exp(free), trajectory.q[:, t_index])
-    return np.exp(-1j * trajectory.energies * t)[:, None, None] * su2.to_matrix(lab)
+    lab = su2.compose(su2.exp(free).T, trajectory.q[:, t_index].T)
+    return np.exp(-1j * trajectory.energies * t)[:, None, None] * su2.to_matrix(lab.T)
 
 
 def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
@@ -223,14 +234,27 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     rotating-frame propagator per configuration; expectation values are
     averaged uniformly over I configurations (infinite-temperature I spins)
     and normalized so the initial <Sz> is 1/2. Returns shape (len(offsets), 3).
+
+    Only the propagator at the end of the pulse matters, so every
+    (offset, configuration) row of midpoint slices is reduced to its
+    endpoint (`su2.reduce`) without a trajectory, `BLOCK` slices at a time.
+    The response is the rotated z axis of that endpoint.
     """
     offsets = np.asarray(offsets, dtype=float)
-    out = np.empty((len(offsets), 3))
-    for row, w_s in enumerate(offsets):
-        trial = dc_replace(system, s_offset=float(w_s))
-        traj = propagate_interaction(trial, shape, n_steps=n_steps, tol=None)
-        labs = lab_frame_propagator(trial, traj, -1)
-        rho = labs @ SZ @ np.conj(np.swapaxes(labs, -1, -2))
-        for col, op in enumerate((SX, SY, SZ)):
-            out[row, col] = float(np.mean(np.trace(rho @ op, axis1=-2, axis2=-1).real))
-    return out
+    sp = sample(shape, n_steps)
+    duration = n_steps * sp.dt
+    # offset_diagonal is s_offset + couplings, so each trial offset adds to the couplings
+    couplings = offset_diagonal(dc_replace(system, s_offset=0.0)).values
+    rows = (offsets[:, None] + couplings).ravel()
+    response = np.empty((3, len(rows)))
+    per_block = max(1, BLOCK // n_steps)
+    for start in range(0, len(rows), per_block):
+        w = rows[start:start + per_block]
+        end = su2.reduce(su2.transverse_slices(0.5 * sp.amps * sp.dt,
+                                               -w[:, None] * sp.times + sp.phases))
+        free = np.zeros((len(w), 3))
+        free[:, 2] = w * duration  # exp(-i w T Sz) after the pulse
+        c, x, y, z = su2.compose(su2.exp(free).T, end)
+        response[:, start:start + len(w)] = (x * z + c * y, y * z - c * x,
+                                              0.5 * (c * c + z * z - x * x - y * y))
+    return response.reshape(3, len(offsets), len(couplings)).mean(axis=-1).T

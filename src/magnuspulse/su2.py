@@ -5,8 +5,14 @@ A configuration block U = c E - i (v . sigma) = exp(-i Omega . S) is stored
 as the real array (c, vx, vy, vz) along a trailing axis of length 4, with
 c**2 + |v|**2 = 1 (Cayley-Klein form; Pauly et al., IEEE TMI 10 (1991) 53).
 The expansion-form coefficients (f, g) of U = f E - 2i (g . S) are the same
-numbers. Products, prefix scans and branch tracking act on these arrays;
-`to_matrix` is the only place that builds the 2x2 complex view.
+numbers. `to_matrix` is the only place that builds the 2x2 complex view.
+
+Stored trajectories and `exp`, `to_matrix` and `track` keep the quaternion
+axis last. Products run component-major, on (4, ...) arrays with each
+component contiguous: `transverse_slices` builds them that way, `compose`
+multiplies them, `reduce` takes a time-ordered product down to its endpoint
+by a pairwise tree, and `scan` gives every prefix product with the same
+association, in about 2n products.
 """
 
 from __future__ import annotations
@@ -28,11 +34,13 @@ def transverse_slices(half_angles: np.ndarray, field_angles: np.ndarray) -> np.n
     """exp(-i 2h (cos a Sx + sin a Sy)) for half angles h and field directions a.
 
     Signed half angles make negative amplitudes come out right without
-    branching. Broadcasts the two inputs; appends the quaternion axis.
+    branching. Broadcasts the two inputs; the quaternions come back
+    component-major, shape (4,) + broadcast shape, ready for `reduce` and
+    `scan`.
     """
     s = np.sin(half_angles)
     return np.stack(np.broadcast_arrays(np.cos(half_angles), s * np.cos(field_angles),
-                                        s * np.sin(field_angles), 0.0), axis=-1)
+                                        s * np.sin(field_angles), 0.0))
 
 
 def exp(rotation: np.ndarray) -> np.ndarray:
@@ -44,25 +52,80 @@ def exp(rotation: np.ndarray) -> np.ndarray:
     return np.concatenate((np.cos(half)[..., None], scale[..., None] * rotation), axis=-1)
 
 
-def compose(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quaternion of the matrix product U_p U_q (broadcasting)."""
-    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
-    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
-    return np.stack((
-        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-        p0 * q1 + q0 * p1 + p2 * q3 - p3 * q2,
-        p0 * q2 + q0 * p2 + p3 * q1 - p1 * q3,
-        p0 * q3 + q0 * p3 + p1 * q2 - p2 * q1,
-    ), axis=-1)
+def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Quaternion of the matrix product U_p U_q, component-major (4, ...).
+
+    Broadcasts p and q past the component axis. `out`, if given, must not
+    overlap p or q. Every component is summed left to right in a fixed order,
+    so a product is the same to the last bit whatever the array layout.
+    """
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    if out is None:
+        out = np.empty((4,) + np.broadcast_shapes(p0.shape, q0.shape))
+    c, x, y, z = out
+    t = np.empty(c.shape)
+    np.multiply(p0, q0, out=c)
+    c -= np.multiply(p1, q1, out=t)
+    c -= np.multiply(p2, q2, out=t)
+    c -= np.multiply(p3, q3, out=t)
+    np.multiply(p0, q1, out=x)
+    x += np.multiply(q0, p1, out=t)
+    x += np.multiply(p2, q3, out=t)
+    x -= np.multiply(p3, q2, out=t)
+    np.multiply(p0, q2, out=y)
+    y += np.multiply(q0, p2, out=t)
+    y += np.multiply(p3, q1, out=t)
+    y -= np.multiply(p1, q3, out=t)
+    np.multiply(p0, q3, out=z)
+    z += np.multiply(q0, p3, out=t)
+    z += np.multiply(p1, q2, out=t)
+    z -= np.multiply(p2, q1, out=t)
+    return out
 
 
-def prefix_products(steps: np.ndarray) -> None:
-    """Replace steps[..., k, :] by the product U_k ... U_0, in place (log-depth scan)."""
-    n = steps.shape[-2]
-    shift = 1
-    while shift < n:
-        steps[..., shift:, :] = compose(steps[..., shift:, :], steps[..., :n - shift, :])
-        shift *= 2
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """U_{2j+1} U_{2j} for every whole pair along the last axis; an odd last one is left out."""
+    n = x.shape[-1]
+    return compose(x[..., 1::2], x[..., 0:n - 1:2])
+
+
+def reduce(x: np.ndarray) -> np.ndarray:
+    """Time-ordered product U_{n-1} ... U_0 of x, component-major (4, ..., n).
+
+    A pairwise tree: neighbours are multiplied level by level, and at a level
+    of odd length the unpaired last element waits to be multiplied on from
+    the left. This is exactly the association `scan` gives its last element,
+    so ``reduce(x)`` equals ``scan(x)[..., -1]`` bit for bit. Returns (4, ...).
+    """
+    unpaired = []
+    while x.shape[-1] > 1:
+        if x.shape[-1] % 2:
+            unpaired.append(x[..., -1].copy())
+        x = _pairs(x)
+    out = x[..., 0]
+    for last in reversed(unpaired):
+        out = compose(last, out)
+    return out
+
+
+def scan(x: np.ndarray) -> None:
+    """Replace x[..., k] by the product U_k ... U_0, in place; x is (4, ..., n).
+
+    Work-efficient recursive pairwise scan (Blelloch, CMU-CS-90-190, 1990):
+    the products of neighbouring pairs are scanned recursively and give the
+    odd positions; each even position is its own element times the odd
+    prefix before it. About 2n products and n/2 + n/4 + ... = n elements of
+    temporaries, against n log2 n products for a log-depth scan.
+    """
+    n = x.shape[-1]
+    if n < 2:
+        return
+    pairs = _pairs(x)
+    scan(pairs)
+    x[..., 1::2] = pairs
+    evens = pairs[..., :(n - 1) // 2]
+    x[..., 2::2] = compose(x[..., 2::2], x[..., 1:n - 1:2], out=evens)
 
 
 def to_matrix(q: np.ndarray) -> np.ndarray:

@@ -260,9 +260,15 @@ def load_system(source) -> SpinSystem:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown system file fields: {sorted(unknown)}")
+    i_spins, j_ii_hz = doc.get("i_spins", []), doc.get("j_ii_hz", [])
+    if not (isinstance(i_spins, list) and all(isinstance(e, dict) for e in i_spins)):
+        raise ValueError(f"i_spins must be a list of objects, got {i_spins!r}")
+    if not (isinstance(j_ii_hz, list)
+            and all(isinstance(e, list) and len(e) == 3 for e in j_ii_hz)):
+        raise ValueError(f"j_ii_hz must be a list of [k, l, J] triples, got {j_ii_hz!r}")
     spin_known = {"offset_hz", "j_to_s_hz"}
     spins = []
-    for k, entry in enumerate(doc.get("i_spins", [])):
+    for k, entry in enumerate(i_spins):
         unknown = set(entry) - spin_known
         if unknown:
             raise ValueError(f"unknown fields in i_spins[{k}]: {sorted(unknown)}")
@@ -273,7 +279,7 @@ def load_system(source) -> SpinSystem:
             )
         )
     j_ii = {}
-    for k, l, value in doc.get("j_ii_hz", []):
+    for k, l, value in j_ii_hz:
         j_ii[(int(k), int(l))] = _finite(value, f"j_ii_hz[{k}, {l}]")
     return SpinSystem(
         s_count=int(doc.get("s_count", 1)),

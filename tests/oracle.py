@@ -15,6 +15,12 @@ integral, kept as the reference for the library's vector form.
 the expansion-form coefficient ODEs (`expansion_rhs`), one time step at a
 time, kept as the reference for the library's step-quaternion scan.
 `_legacy_expansion_rhs` is the superseded form of those ODEs.
+
+`sequential_prefix` multiplies unit-quaternion steps as 2x2 matrices one at
+a time, the reference for the library's scan. `hillis_steele_prefix` is the
+log-depth scan (about n log2 n products) that the library's work-efficient
+scan replaced; its endpoint fixes the association that refinement decisions
+were recorded with.
 """
 
 import math
@@ -226,3 +232,43 @@ def integrate_expansion_loop(system, shape, n_steps, rhs=expansion_rhs):
         f_hist[:, k + 1] = f
         g_hist[:, k + 1] = g
     return nodes, f_hist, g_hist
+
+
+def quaternion_matrix(q):
+    """c E - i (v . sigma) for quaternions (c, vx, vy, vz) along a trailing axis."""
+    c, x, y, z = (np.asarray(q, dtype=float)[..., i, None, None] for i in range(4))
+    return c * np.eye(2) - 2j * (x * SX1 + y * SY1 + z * SZ1)
+
+
+def sequential_prefix(q):
+    """U_k ... U_0 for every k of q (..., n, 4), one 2x2 product at a time: (..., n, 2, 2)."""
+    steps = quaternion_matrix(q)
+    out = np.empty_like(steps)
+    acc = np.broadcast_to(np.eye(2, dtype=complex), steps[..., 0, :, :].shape)
+    for k in range(steps.shape[-3]):
+        acc = steps[..., k, :, :] @ acc
+        out[..., k, :, :] = acc
+    return out
+
+
+def quaternion_product(p, q):
+    """U_p U_q on trailing-axis quaternions, each component summed left to right."""
+    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
+    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
+    return np.stack((
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + q0 * p1 + p2 * q3 - p3 * q2,
+        p0 * q2 + q0 * p2 + p3 * q1 - p1 * q3,
+        p0 * q3 + q0 * p3 + p1 * q2 - p2 * q1,
+    ), axis=-1)
+
+
+def hillis_steele_prefix(q):
+    """Log-depth inclusive scan of q (..., n, 4): row k becomes U_k ... U_0."""
+    q = np.array(q, dtype=float)
+    n = q.shape[-2]
+    shift = 1
+    while shift < n:
+        q[..., shift:, :] = quaternion_product(q[..., shift:, :], q[..., :n - shift, :])
+        shift *= 2
+    return q

@@ -210,6 +210,14 @@ class TestErrors:
         assert rc == 2
         assert "j_to_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("i_spins", ["[5]", "5"])
+    def test_non_list_i_spins_bad_input(self, tmp_path, capsys, i_spins):
+        system_file = tmp_path / "spins.json"
+        system_file.write_text(f'{{"i_spins": {i_spins}}}')
+        rc = main(["criterion", "--pulse", "g4", "--system", str(system_file)])
+        assert rc == 2
+        assert "i_spins" in capsys.readouterr().err
+
     def test_non_finite_system_offset_bad_input(self, tmp_path, capsys):
         system_file = tmp_path / "nan.json"
         system_file.write_text('{"s_offset_hz": NaN, "i_spins": [{"j_to_s_hz": 8.0}]}')

@@ -163,5 +163,18 @@ class TestValidationAndLoading:
         with pytest.raises(ValueError, match=field):
             load_system(path)
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"i_spins": [5]}', "i_spins"),
+        ('{"i_spins": 5}', "i_spins"),
+        ('{"i_spins": {"offset_hz": 30.0}}', "i_spins"),
+        ('{"i_spins": [{}, {}], "j_ii_hz": 5}', "j_ii_hz"),
+        ('{"i_spins": [{}, {}], "j_ii_hz": [[0, 1]]}', "j_ii_hz"),
+    ])
+    def test_load_system_rejects_malformed_lists(self, tmp_path, text, field):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=field):
+            load_system(path)
+
     def test_energy_diagonal_no_spins_is_zero(self, s_only_system):
         assert np.array_equal(energy_diagonal(s_only_system).values, [0.0])
