@@ -5,19 +5,15 @@ its rotation-vector decomposition, and the expansion-form alternative.
 """
 
 from .system import (
-    IConfiguration,
     ISpin,
-    LongitudinalDiagonal,
     SpinSystem,
     assemble_full_matrix,
     energy_diagonal,
-    enumerate_configurations,
     load_system,
     offset_diagonal,
 )
 from .pulses import (
     CatalogEntry,
-    FourierPulseSpec,
     PulseShape,
     SampledPulse,
     abs_amplitude_integral,
@@ -29,23 +25,19 @@ from .pulses import (
     resolve_pulse,
     sample,
     scale_amplitude,
-    with_phase,
 )
 from .propagation import (
     BlockTrajectory,
     RefinementError,
-    block_hamiltonian,
     excitation_profile,
     lab_frame_propagator,
     propagate_interaction,
-    su2_step,
     unitarity_defect,
 )
 from .magnus import (
     CriterionReport,
     ExtractionError,
     MagnusSolution,
-    angles_from_omega,
     explicit_criterion,
     extract_omega,
     magnus_gap_check,
@@ -57,7 +49,6 @@ from .expansion import (
     angles_from_state,
     integrate_expansion,
     omega_hat_quadrature,
-    reconstruct_propagator,
 )
 
 __version__ = "0.1.0"

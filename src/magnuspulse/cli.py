@@ -46,11 +46,7 @@ EXIT_NUMERICAL = 4
 
 def _fmt(value) -> str:
     """Fixed 12-significant-digit text for floats (byte-stable output)."""
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return str(value)
-        return f"{value:.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _round_floats(obj):
@@ -105,12 +101,9 @@ def _resolve_format(args, default: str) -> str:
     return default
 
 
-def _meta(args, command: str) -> dict:
-    return {
-        "tool": "magnuspulse",
-        "version": __version__,
-        "command": command,
-    }
+def _meta(args) -> dict:
+    """Header of every JSON document: tool, version and the command that wrote it."""
+    return {"tool": "magnuspulse", "version": __version__, "command": args.command}
 
 
 def _system_doc(system: SpinSystem) -> dict:
@@ -128,7 +121,11 @@ SHAPE_PARAM_FLAGS = ("amplitude", "peak", "truncation", "beta", "lobes", "order"
 
 
 def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
-    """Resolve the system and the calibrated pulse from the parsed arguments."""
+    """Resolve the system and the calibrated pulse from the parsed arguments.
+
+    Returns them with the report header: `_meta` plus the pulse and system
+    as the command received them.
+    """
     system = load_system(args.system) if args.system else SpinSystem()
 
     flip_rad = math.radians(args.flip) if args.flip is not None else None
@@ -163,14 +160,14 @@ def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
         pulse_doc.update(params)
     else:
         raise ValueError("a pulse is required: pass --pulse NAME_OR_PATH or --shape FAMILY")
-    return system, shape, pulse_doc
+    return system, shape, {**_meta(args), "pulse": pulse_doc, "system": _system_doc(system)}
 
 
 def _cmd_catalog(args) -> int:
     entries = list_catalog()
     fmt = _resolve_format(args, default="text")
     if fmt == "json":
-        doc = _meta(args, "catalog")
+        doc = _meta(args)
         doc["pulses"] = [
             {
                 "name": e.name,
@@ -193,11 +190,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
-    system, shape, pulse_doc = _load_inputs(args)
+    system, shape, doc = _load_inputs(args)
     report = explicit_criterion(system, shape, n_steps=args.steps, tol=args.tol)
-    doc = _meta(args, "criterion")
-    doc["pulse"] = pulse_doc
-    doc["system"] = _system_doc(system)
     doc["config"] = {"n_steps": args.steps, "tol": args.tol}
     doc.update(
         {
@@ -234,7 +228,7 @@ def _cmd_criterion(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    system, shape, pulse_doc = _load_inputs(args)
+    system, shape, meta = _load_inputs(args)
     traj = propagate_interaction(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
     # U = c E - i (v . sigma); adding 0.0 makes an exact zero print as 0, never -0
@@ -243,28 +237,22 @@ def _cmd_propagate(args) -> int:
     t = np.tile(traj.times, traj.n_configs).tolist()
     ci = np.repeat(np.arange(traj.n_configs), len(traj.times)).tolist()
     rows = list(zip(t, ci, c, nvz, nvy, nvx, vy, nvx, c, vz))
-    meta = _meta(args, "propagate")
-    meta["pulse"] = pulse_doc
-    meta["system"] = _system_doc(system)
     _emit_table(columns, rows, meta, args)
     return EXIT_OK
 
 
 def _cmd_profile(args) -> int:
-    system, shape, pulse_doc = _load_inputs(args)
+    system, shape, meta = _load_inputs(args)
     offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
     table = excitation_profile(system, shape, TWO_PI * offsets_hz, n_steps=args.steps)
     columns = ["offset_hz", "mx", "my", "mz"]
     rows = list(zip(offsets_hz.tolist(), *table.T.tolist()))
-    meta = _meta(args, "profile")
-    meta["pulse"] = pulse_doc
-    meta["system"] = _system_doc(system)
     _emit_table(columns, rows, meta, args)
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
-    system, shape, pulse_doc = _load_inputs(args)
+    system, shape, meta = _load_inputs(args)
     state = integrate_expansion(system, shape, n_steps=args.steps, tol=args.tol)
     alpha, beta, omega = angles_from_state(state)
     columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta",
@@ -274,9 +262,6 @@ def _cmd_decompose(args) -> int:
     values = (state.f, *np.moveaxis(state.g, -1, 0), alpha, beta, omega,
               state.constraint_residual())
     rows = list(zip(t, ci, *(x.ravel().tolist() for x in values)))
-    meta = _meta(args, "decompose")
-    meta["pulse"] = pulse_doc
-    meta["system"] = _system_doc(system)
     _emit_table(columns, rows, meta, args)
     return EXIT_OK
 

@@ -42,17 +42,26 @@ from .system import SpinSystem, offset_diagonal
 class ExpansionState:
     """Propagator coefficients f(t_k), g(t_k) per configuration on a uniform grid.
 
-    f has shape (n_configs, n_steps + 1), g has shape (n_configs, n_steps + 1, 3);
-    f[:, 0] = 1 and g[:, 0] = 0 since U(0) is the identity.
+    q holds the unit quaternions (f, g_x, g_y, g_z), shape
+    (n_configs, n_steps + 1, 4); f (n_configs, n_steps + 1) and
+    g (n_configs, n_steps + 1, 3) are views of it. f[:, 0] = 1 and
+    g[:, 0] = 0 since U(0) is the identity.
     """
 
     times: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
+    q: np.ndarray
     s_count: int
     n_steps: int
     refinement_levels: int
     error_estimate: float
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.q[..., 0]
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.q[..., 1:]
 
     @property
     def dt(self) -> float:
@@ -60,7 +69,7 @@ class ExpansionState:
 
     @property
     def n_configs(self) -> int:
-        return self.f.shape[0]
+        return self.q.shape[0]
 
     def constraint_residual(self) -> np.ndarray:
         """|f**2 + |g|**2 - 1| at every stored time, shape (n_configs, n_steps + 1)."""
@@ -87,7 +96,7 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, n_steps: int):
     a time, so the stage temporaries stay small whatever the grid. Returns
     (M, grid nodes); M is component-major, shape (4, n_configs, n_steps).
     """
-    offsets = offset_diagonal(system).values
+    offsets = offset_diagonal(system)
     dt = shape.duration / n_steps
     nodes = np.arange(n_steps + 1) * dt
     mids = nodes[:-1] + 0.5 * dt
@@ -138,7 +147,7 @@ def integrate_expansion(system: SpinSystem, shape: PulseShape,
     """
     q, times, levels, estimate = _refine(
         lambda n: _rk4_steps(system, shape, n), n_steps, tol, max_doublings)
-    return ExpansionState(times=times, f=q[..., 0], g=q[..., 1:], s_count=system.s_count,
+    return ExpansionState(times=times, q=q, s_count=system.s_count,
                           n_steps=len(times) - 1, refinement_levels=levels,
                           error_estimate=estimate)
 
@@ -151,7 +160,7 @@ def omega_hat_quadrature(state: ExpansionState, shape: PulseShape,
     rule on the state's own grid; where |g| < 1e-10 the direction falls back
     to the instantaneous field h (the t -> 0 limit). Shape (n_configs, n_steps + 1).
     """
-    offsets = offset_diagonal(system).values
+    offsets = offset_diagonal(system)
     dt = state.dt
     mids = state.times[:-1] + 0.5 * dt
 
@@ -165,30 +174,6 @@ def omega_hat_quadrature(state: ExpansionState, shape: PulseShape,
     out = np.zeros((state.n_configs, len(state.times)))
     out[:, 1:] = np.cumsum(increments, axis=1)
     return out
-
-
-def reconstruct_propagator(f: float, g) -> np.ndarray:
-    """2x2 unitary f E - 2i (g . S) from one state point.
-
-    Raises
-    ------
-    ValueError
-        If f**2 + |g|**2 deviates from 1 by more than 1e-6.
-    """
-    g = np.asarray(g, dtype=float)
-    residual = abs(f * f + float(np.sum(g * g)) - 1.0)
-    if residual > 1e-6:
-        raise ValueError(f"state violates the unit-norm constraint by {residual:.3e}")
-    return su2.to_matrix(np.concatenate(([f], g)))
-
-
-def _quaternions(state: ExpansionState) -> np.ndarray:
-    return np.concatenate((state.f[..., None], state.g), axis=-1)
-
-
-def reconstruct_blocks(state: ExpansionState) -> np.ndarray:
-    """All stored propagators as (n_configs, n_steps + 1, 2, 2), no norm check."""
-    return su2.to_matrix(_quaternions(state))
 
 
 def angles_from_state(state: ExpansionState):
@@ -206,5 +191,5 @@ def angles_from_state(state: ExpansionState):
     degenerate = np.linalg.norm(state.g, axis=-1) < 1e-12
     alpha = np.where(degenerate, 0.0, np.arctan2(gy, gx))
     beta = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))
-    omega, _ = su2.track(_quaternions(state))
+    omega, _ = su2.track(state.q)
     return alpha, beta, omega

@@ -50,8 +50,11 @@ class MagnusSolution:
 
     omega has shape (n_configs, n_times, 3); omega_hat is its norm (always
     >= 0), alpha/beta the axis angles of the elementary-rotation
-    decomposition. ambiguous marks stored samples where U ~ -E left the axis
-    undefined (the angle is still valid there).
+    decomposition: alpha = atan2(Omega_y, Omega_x) in (-pi, pi] and
+    beta = atan2(hypot(Omega_x, Omega_y), Omega_z) in [0, pi], so that
+    Omega = omega_hat (cos alpha sin beta, sin alpha sin beta, cos beta).
+    ambiguous marks stored samples where U ~ -E left the axis undefined (the
+    angle is still valid there).
     """
 
     times: np.ndarray
@@ -123,46 +126,16 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
             "re-run the propagation with more steps"
         )
 
-    omega_hat = np.linalg.norm(omega, axis=-1)
-    alpha, beta, _ = angles_from_omega(omega[..., 0], omega[..., 1], omega[..., 2])
+    ox, oy, oz = np.moveaxis(omega, -1, 0)
     return MagnusSolution(
         times=trajectory.times,
         omega=omega,
-        omega_hat=omega_hat,
-        alpha=alpha,
-        beta=beta,
+        omega_hat=np.linalg.norm(omega, axis=-1),
+        alpha=np.arctan2(oy, ox),
+        beta=np.arctan2(np.hypot(ox, oy), oz),
         ambiguous=ambiguous,
         s_count=trajectory.s_count,
     )
-
-
-def reconstruct_blocks(solution: MagnusSolution) -> np.ndarray:
-    """exp(-i Omega . S) for every stored sample, shape (n_configs, n_times, 2, 2)."""
-    return su2.to_matrix(su2.exp(solution.omega))
-
-
-def angles_from_omega(omega_x, omega_y, omega_z):
-    """Elementary-rotation angles (alpha, beta, omega_hat) from the exponent components.
-
-    alpha = atan2(Omega_y, Omega_x) in (-pi, pi], beta = atan2(hypot(Omega_x,
-    Omega_y), Omega_z) in [0, pi], omega_hat the Euclidean norm. Vectorized;
-    degenerate zero components resolve to angle 0.
-    """
-    ox = np.asarray(omega_x, dtype=float)
-    oy = np.asarray(omega_y, dtype=float)
-    oz = np.asarray(omega_z, dtype=float)
-    transverse = np.hypot(ox, oy)
-    alpha = np.arctan2(oy, ox)
-    beta = np.arctan2(transverse, oz)
-    omega_hat = np.sqrt(ox * ox + oy * oy + oz * oz)
-    if alpha.ndim == 0:
-        return float(alpha), float(beta), float(omega_hat)
-    return alpha, beta, omega_hat
-
-
-def total_sz_quantum_numbers(s_count: int) -> np.ndarray:
-    """Total S-group magnetic quantum numbers -n/2 .. n/2 in unit steps."""
-    return np.arange(s_count + 1) - 0.5 * s_count
 
 
 def omega_eigenvalues(solution: MagnusSolution, t_index: int) -> np.ndarray:
@@ -175,7 +148,7 @@ def omega_eigenvalues(solution: MagnusSolution, t_index: int) -> np.ndarray:
     n_t = solution.omega_hat.shape[1]
     if not (-n_t <= t_index < n_t):
         raise IndexError(f"t_index {t_index} out of range for {n_t} stored times")
-    ms = total_sz_quantum_numbers(solution.s_count)
+    ms = np.arange(solution.s_count + 1) - 0.5 * solution.s_count
     return (solution.omega_hat[:, t_index][:, None] * ms[None, :]).ravel()
 
 
@@ -223,7 +196,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     i_grid = np.concatenate(([0.0], np.cumsum(np.abs(trajectory.amps)) * dt))
     bound21_margin = float(np.min(i_grid[None, :] - solution.omega_hat))
 
-    ms = total_sz_quantum_numbers(solution.s_count)
+    ms = np.arange(solution.s_count + 1) - 0.5 * solution.s_count  # total S quantum numbers
     n_t = solution.omega_hat.shape[1]
     lam = (solution.omega_hat[:, :, None] * ms[None, None, :])
     lam = lam.transpose(1, 0, 2).reshape(n_t, -1)  # (n_times, n_values)
@@ -276,7 +249,7 @@ def magnus_partial_sums(system: SpinSystem, shape: PulseShape,
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
     sp = sample(shape, n_steps)
     dt = sp.dt
-    angle = -offset_diagonal(system).values[:, None] * sp.times + sp.phases
+    angle = -offset_diagonal(system)[:, None] * sp.times + sp.phases
     x = sp.amps[:, None] * np.stack(
         (np.cos(angle), np.sin(angle), np.zeros_like(angle)), axis=-1)
     total = x.sum(axis=1)

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import su2
 from .pulses import PulseShape, sample
-from .su2 import E2, SX, SY, SZ
-from .system import IConfiguration, SpinSystem, energy_diagonal, offset_diagonal
+from .su2 import E2
+from .system import SpinSystem, energy_diagonal, offset_diagonal
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DOUBLINGS = 8
@@ -93,29 +93,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     u = np.asarray(u, dtype=complex)
     prod = u @ np.conj(np.swapaxes(u, -1, -2))
     return float(np.max(np.linalg.norm(prod - E2, axis=(-2, -1))))
-
-
-def block_hamiltonian(system: SpinSystem, config: IConfiguration,
-                      amp: float, phase: float, t: float) -> np.ndarray:
-    """2x2 interaction-picture Hamiltonian for one I configuration.
-
-    Traceless Hermitian with eigenvalues +-|amp|/2, so the field amplitude
-    bounds the spectrum directly.
-    """
-    w = offset_diagonal(system).values[config.index]
-    angle = -w * t + phase
-    return amp * (math.cos(angle) * SX + math.sin(angle) * SY)
-
-
-def su2_step(h: np.ndarray, dt: float) -> np.ndarray:
-    """Closed-form exp(-i H dt) for a traceless Hermitian 2x2 H.
-
-    Writes H = a . S and returns the exponential of the rotation vector
-    a dt; exact to machine precision, no series truncation.
-    """
-    h = np.asarray(h, dtype=complex)
-    a = np.array([2.0 * h[1, 0].real, 2.0 * h[1, 0].imag, (h[0, 0] - h[1, 1]).real])
-    return su2.to_matrix(su2.exp(a * dt))
 
 
 def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
@@ -192,7 +169,7 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
         If the tolerance is not met within `max_doublings` refinements; the
         exception carries the best error estimate.
     """
-    offsets = offset_diagonal(system).values
+    offsets = offset_diagonal(system)
 
     def slices(n):
         sp = sample(shape, n)
@@ -202,7 +179,7 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
     q, sp, levels, estimate = _refine(slices, n_steps, tol, max_doublings)
     return BlockTrajectory(
         times=np.arange(len(sp.times) + 1) * sp.dt, q=q, amps=sp.amps, phases=sp.phases,
-        offsets=offsets, energies=energy_diagonal(system).values,
+        offsets=offsets, energies=energy_diagonal(system),
         s_count=system.s_count, n_steps=len(sp.times),
         refinement_levels=levels, error_estimate=estimate,
     )
@@ -244,7 +221,7 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     sp = sample(shape, n_steps)
     duration = n_steps * sp.dt
     # offset_diagonal is s_offset + couplings, so each trial offset adds to the couplings
-    couplings = offset_diagonal(dc_replace(system, s_offset=0.0)).values
+    couplings = offset_diagonal(dc_replace(system, s_offset=0.0))
     rows = (offsets[:, None] + couplings).ravel()
     response = np.empty((3, len(rows)))
     per_block = max(1, BLOCK // n_steps)

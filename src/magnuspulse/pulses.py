@@ -27,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 
+from .system import _finite
+
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_N_STEPS = 4096
@@ -50,37 +52,6 @@ class PulseShape:
     def __post_init__(self):
         if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
-
-
-@dataclass(frozen=True)
-class FourierPulseSpec:
-    """Truncated Fourier-series envelope with period equal to the duration.
-
-    omega1(t) = scale * [a0 + sum_n A_n cos(2 pi n t / T) + B_n sin(2 pi n t / T)]
-    """
-
-    name: str
-    nominal_flip: float
-    a0: float
-    cos_coeffs: tuple[float, ...] = ()
-    sin_coeffs: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
-        object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
-        values = (self.a0,) + self.cos_coeffs + self.sin_coeffs
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"non-finite Fourier coefficient in pulse {self.name!r}")
-
-    def envelope(self, t, duration: float):
-        t = np.asarray(t, dtype=float)
-        x = TWO_PI * t / duration
-        out = np.full_like(t, self.a0)
-        for n, a in enumerate(self.cos_coeffs, start=1):
-            out = out + a * np.cos(n * x)
-        for n, b in enumerate(self.sin_coeffs, start=1):
-            out = out + b * np.sin(n * x)
-        return out
 
 
 @dataclass(frozen=True)
@@ -136,12 +107,13 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
     * ``hermite``: order (even >= 0, default 2), width (argument scale,
       default 1.5), truncation for the Gaussian window, peak. The envelope is
       H_order(width*u)/H_order(0) * exp(-a*u**2) on u in [-1, 1].
-    * ``fourier``: spec=FourierPulseSpec, or a0/cos_coeffs/sin_coeffs.
+    * ``fourier``: a0, cos_coeffs A_n, sin_coeffs B_n of the series
+      a0 + sum_n A_n cos(2 pi n t / T) + B_n sin(2 pi n t / T).
     * ``gaussian_cascade``: amplitudes, centers, fwhms (equal-length lists;
       centers and widths as fractions of the duration).
 
-    All families are amplitude-only (phase identically zero). Use
-    `with_phase` to attach a phase function.
+    All families are amplitude-only (phase identically zero); give a
+    `PulseShape` its own `phase_fn` for a phase-modulated pulse.
     """
     _require(duration > 0, f"duration must be positive, got {duration}")
     t0 = duration / 2.0
@@ -200,19 +172,29 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
         return shape(hermite_amp)
 
     if family == "fourier":
-        spec = params.pop("spec", None)
-        if spec is None:
-            spec = FourierPulseSpec(
-                name=params.pop("name", "fourier"),
-                nominal_flip=float(params.pop("nominal_flip", math.pi / 2)),
-                a0=float(params.pop("a0")),
-                cos_coeffs=tuple(params.pop("cos_coeffs", ())),
-                sin_coeffs=tuple(params.pop("sin_coeffs", ())),
-            )
+        _require("a0" in params, "fourier pulses need the a0 parameter")
+        a0 = float(params.pop("a0"))
+        cos_c = tuple(float(c) for c in params.pop("cos_coeffs", ()))
+        sin_c = tuple(float(c) for c in params.pop("sin_coeffs", ()))
         _require(not params, f"unexpected parameters {sorted(params)} for fourier")
-        return shape(lambda t: spec.envelope(t, duration))
+        _require(all(math.isfinite(v) for v in (a0,) + cos_c + sin_c),
+                 "non-finite Fourier coefficient")
+
+        def fourier_amp(t):
+            t = np.asarray(t, dtype=float)
+            x = TWO_PI * t / duration
+            out = np.full_like(t, a0)
+            for n, a in enumerate(cos_c, start=1):
+                out = out + a * np.cos(n * x)
+            for n, b in enumerate(sin_c, start=1):
+                out = out + b * np.sin(n * x)
+            return out
+
+        return shape(fourier_amp)
 
     if family == "gaussian_cascade":
+        _require({"amplitudes", "centers", "fwhms"} <= set(params),
+                 "gaussian_cascade pulses need amplitudes, centers and fwhms")
         amps = [float(a) for a in params.pop("amplitudes")]
         centers = [float(c) for c in params.pop("centers")]
         fwhms = [float(w) for w in params.pop("fwhms")]
@@ -232,11 +214,6 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
         return shape(cascade_amp)
 
     raise ValueError(f"unknown pulse family {family!r}")
-
-
-def with_phase(pulse: PulseShape, phase_fn: Callable) -> PulseShape:
-    """Return a copy of `pulse` with the given phase function."""
-    return replace(pulse, phase_fn=phase_fn)
 
 
 def scale_amplitude(pulse: PulseShape, factor: float) -> PulseShape:
@@ -307,7 +284,7 @@ def sample(pulse: PulseShape, n_steps: int) -> SampledPulse:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A pulse definition loaded from a JSON file."""
+    """A pulse definition loaded from a JSON file; `params` are its `build_pulse` arguments."""
 
     name: str
     family: str
@@ -317,15 +294,6 @@ class CatalogEntry:
 
     def build(self) -> PulseShape:
         """Uncalibrated envelope (unit scale); calibrate for a target flip."""
-        if self.family == "fourier":
-            spec = FourierPulseSpec(
-                name=self.name,
-                nominal_flip=self.nominal_flip,
-                a0=self.params["a0"],
-                cos_coeffs=tuple(self.params.get("a", ())),
-                sin_coeffs=tuple(self.params.get("b", ())),
-            )
-            return build_pulse("fourier", self.duration, spec=spec)
         return build_pulse(self.family, self.duration, **self.params)
 
     def build_calibrated(self, flip: float | None = None,
@@ -381,20 +349,24 @@ def load_pulse_file(source) -> CatalogEntry:
     family = doc["family"]
     if family == "fourier":
         block = doc.get("fourier")
-        if block is None:
-            raise ValueError("fourier pulse file is missing the 'fourier' block")
-        params = {
-            "a0": float(block["a0"]),
-            "a": [float(v) for v in block.get("a", [])],
-            "b": [float(v) for v in block.get("b", [])],
-        }
+        if not isinstance(block, dict) or "a0" not in block:
+            raise ValueError(f"fourier pulse file needs a 'fourier' object with 'a0', "
+                             f"got {block!r}")
+        params = {"a0": _finite(block["a0"], "fourier.a0")}
+        for key, name in (("a", "cos_coeffs"), ("b", "sin_coeffs")):
+            values = block.get(key, [])
+            if not isinstance(values, list):
+                raise ValueError(f"fourier.{key} must be a list of numbers, got {values!r}")
+            params[name] = [_finite(v, f"fourier.{key}[{n}]") for n, v in enumerate(values)]
     else:
-        params = dict(doc.get("params", {}))
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, got {params!r}")
     return CatalogEntry(
         name=str(doc.get("name", "pulse")),
         family=str(family),
-        duration=float(doc["duration_s"]),
-        nominal_flip=math.radians(float(doc["nominal_flip_deg"])),
+        duration=_finite(doc["duration_s"], "duration_s"),
+        nominal_flip=math.radians(_finite(doc["nominal_flip_deg"], "nominal_flip_deg")),
         params=params,
     )
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -102,64 +102,6 @@ class SpinSystem:
         return 1 << (self.s_count + self.n_i)
 
 
-@dataclass(frozen=True)
-class IConfiguration:
-    """Joint assignment of m_k = +-1/2 to the I spins, with its basis index.
-
-    The index is the big-endian encoding of the m vector, m_k = +1/2 mapping
-    to bit 0, so index 0 is the all-up configuration.
-    """
-
-    m_values: tuple[float, ...]
-    index: int
-
-    def __post_init__(self):
-        expected = 0
-        for m in self.m_values:
-            expected = (expected << 1) | (0 if m > 0 else 1)
-        if expected != self.index:
-            raise ValueError(
-                f"index {self.index} does not encode m values {self.m_values}"
-            )
-
-    @classmethod
-    def from_index(cls, index: int, n_i: int) -> "IConfiguration":
-        if not (0 <= index < (1 << n_i)):
-            raise ValueError(f"index {index} out of range for {n_i} I spins")
-        ms = tuple(
-            0.5 if ((index >> (n_i - 1 - k)) & 1) == 0 else -0.5
-            for k in range(n_i)
-        )
-        return cls(ms, index)
-
-
-@dataclass(frozen=True)
-class LongitudinalDiagonal:
-    """A longitudinal (z-only) spin operator, stored as its diagonal over I configurations.
-
-    All such operators are diagonal in the Zeeman product basis; entry i
-    belongs to the configuration with index i.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("LongitudinalDiagonal values must be a 1-d vector")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def enumerate_configurations(system: SpinSystem) -> list[IConfiguration]:
-    """All 2**n_i I configurations of `system`, in index order."""
-    return [IConfiguration.from_index(i, system.n_i) for i in range(system.n_configs)]
-
-
 def m_table(system: SpinSystem) -> np.ndarray:
     """(n_configs, n_i) array of magnetic quantum numbers, config index as row."""
     n = system.n_i
@@ -170,21 +112,21 @@ def m_table(system: SpinSystem) -> np.ndarray:
     return 0.5 - bits.astype(float)
 
 
-def offset_diagonal(system: SpinSystem) -> LongitudinalDiagonal:
-    """Effective S offset Omega_s + sum_k 2*pi*J_ks*m_k over all configurations."""
+def offset_diagonal(system: SpinSystem) -> np.ndarray:
+    """Effective S offset Omega_s + sum_k 2*pi*J_ks*m_k, one entry per configuration."""
     ms = m_table(system)
     j_s = TWO_PI * np.array([s.j_to_s for s in system.i_spins])
-    return LongitudinalDiagonal(system.s_offset + ms @ j_s)
+    return system.s_offset + ms @ j_s
 
 
-def energy_diagonal(system: SpinSystem) -> LongitudinalDiagonal:
+def energy_diagonal(system: SpinSystem) -> np.ndarray:
     """I-spin Zeeman + J energy sum_k Omega_k*m_k + sum_{k<l} 2*pi*J_kl*m_k*m_l."""
     ms = m_table(system)
     offs = np.array([s.offset for s in system.i_spins])
     vals = ms @ offs if system.n_i else np.zeros(1)
     for (k, l), j_hz in system.j_ii.items():
         vals = vals + TWO_PI * j_hz * ms[:, k] * ms[:, l]
-    return LongitudinalDiagonal(np.atleast_1d(vals))
+    return vals
 
 
 def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:
@@ -197,27 +139,18 @@ def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:
 
     Parameters
     ----------
-    per_config_blocks : mapping or sequence
-        2x2 complex matrices keyed by IConfiguration, by integer index, or
-        given as a sequence/array ordered by configuration index.
+    per_config_blocks : array_like, shape (n_configs, 2, 2)
+        Complex blocks ordered by configuration index (rows of `m_table`).
 
     Raises
     ------
     ValueError
-        If any configuration block is missing.
+        If the blocks do not have shape (n_configs, 2, 2).
     """
     n_c = system.n_configs
-    blocks: dict[int, np.ndarray] = {}
-    if isinstance(per_config_blocks, Mapping):
-        for key, block in per_config_blocks.items():
-            idx = key.index if isinstance(key, IConfiguration) else int(key)
-            blocks[idx] = np.asarray(block, dtype=complex)
-    else:
-        arr = list(per_config_blocks)
-        blocks = {i: np.asarray(b, dtype=complex) for i, b in enumerate(arr)}
-    missing = [i for i in range(n_c) if i not in blocks]
-    if missing:
-        raise ValueError(f"missing blocks for configuration indices {missing}")
+    blocks = np.asarray(per_config_blocks)
+    if blocks.shape != (n_c, 2, 2):
+        raise ValueError(f"expected blocks of shape ({n_c}, 2, 2), got {blocks.shape}")
 
     dim_s = 1 << system.s_count
     full = np.zeros((dim_s * n_c, dim_s * n_c), dtype=complex)
@@ -231,9 +164,19 @@ def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:
 
 
 def _finite(value, name: str) -> float:
-    value = float(value)
+    """A finite float from a file field, or a ValueError naming the field."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -280,9 +223,10 @@ def load_system(source) -> SpinSystem:
         )
     j_ii = {}
     for k, l, value in j_ii_hz:
-        j_ii[(int(k), int(l))] = _finite(value, f"j_ii_hz[{k}, {l}]")
+        pair = (_integer(k, "j_ii_hz spin index"), _integer(l, "j_ii_hz spin index"))
+        j_ii[pair] = _finite(value, f"j_ii_hz[{k}, {l}]")
     return SpinSystem(
-        s_count=int(doc.get("s_count", 1)),
+        s_count=_integer(doc.get("s_count", 1), "s_count"),
         s_offset=TWO_PI * _finite(doc.get("s_offset_hz", 0.0), "s_offset_hz"),
         i_spins=tuple(spins),
         j_ii=j_ii,

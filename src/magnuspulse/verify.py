@@ -1,41 +1,77 @@
 """
-Self-contained cross-module invariant suite, run by the `verify` CLI command.
+The cross-module contracts, run by the `verify` CLI command and the acceptance tests.
 
-Each check exercises one contract that ties two independent computation
-routes together (closed-form slice exponentials vs dense eigendecomposition,
-block propagation vs expansion-form integration, quadrature bounds vs
-extracted exponents). Everything runs in a few seconds on a laptop with no
-external data or packages beyond numpy.
+`CHECKS` is the one list of them. Each check exercises one contract that ties
+two independent computation routes together (closed-form slice exponentials
+vs dense eigendecomposition, block propagation vs expansion-form
+integration, quadrature bounds vs extracted exponents) and returns
+(passed, detail). Everything runs in a few seconds with no external data or
+packages beyond numpy. The two contracts that need the reference
+implementations of tests/oracle.py (the full-space dense propagator and the
+superseded coefficient equations) stay in tests/test_acceptance.py.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .expansion import integrate_expansion, reconstruct_blocks as expansion_blocks
-from .magnus import explicit_criterion, extract_omega, magnus_gap_check, magnus_partial_sums
-from .magnus import reconstruct_blocks as magnus_blocks
-from .propagation import propagate_interaction, su2_step, unitarity_defect
-from .pulses import abs_amplitude_integral, build_pulse, calibrate, flip_angle, list_catalog
+from . import su2
+from .expansion import integrate_expansion
+from .magnus import ExtractionError, explicit_criterion, extract_omega, magnus_partial_sums
+from .propagation import propagate_interaction, unitarity_defect
+from .pulses import (abs_amplitude_integral, build_pulse, calibrate, flip_angle, list_catalog,
+                     scale_amplitude)
 from .su2 import SX, SY, SZ
-from .system import ISpin, SpinSystem, assemble_full_matrix
+from .system import ISpin, SpinSystem, assemble_full_matrix, energy_diagonal, offset_diagonal
 
 TWO_PI = 2.0 * math.pi
 
 
+def _sa():
+    return SpinSystem(s_count=1, s_offset=TWO_PI * 12.0,
+                      i_spins=(ISpin(offset=TWO_PI * 40.0, j_to_s=7.0),))
+
+
 def _sax():
-    return SpinSystem(
-        s_count=1,
-        s_offset=TWO_PI * 10.0,
-        i_spins=(ISpin(offset=TWO_PI * 35.0, j_to_s=8.0), ISpin(offset=-TWO_PI * 55.0, j_to_s=4.0)),
-        j_ii={(0, 1): 5.0},
-    )
+    spins = (ISpin(offset=TWO_PI * 35.0, j_to_s=8.0), ISpin(offset=-TWO_PI * 55.0, j_to_s=4.0))
+    return SpinSystem(s_count=1, s_offset=TWO_PI * 10.0, i_spins=spins, j_ii={(0, 1): 5.0})
 
 
 def _gaussian90():
     return calibrate(build_pulse("gaussian", 2e-3, truncation=0.01), math.pi / 2)
+
+
+def random_fourier_pulse(rng):
+    """Seeded random 1 ms Fourier envelope with four harmonics, uncalibrated."""
+    a0 = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+    cos_c = rng.normal(0.0, 0.6, size=4)
+    sin_c = rng.normal(0.0, 0.6, size=4)
+    return build_pulse("fourier", 1e-3, a0=a0, cos_coeffs=tuple(cos_c), sin_coeffs=tuple(sin_c))
+
+
+def random_small_system(rng):
+    """Random SA or SAX system with moderate offsets and couplings."""
+    n_i = int(rng.integers(1, 3))
+    spins = tuple(
+        ISpin(offset=TWO_PI * rng.uniform(-80.0, 80.0), j_to_s=rng.uniform(0.0, 12.0))
+        for _ in range(n_i)
+    )
+    j_ii = {(0, 1): rng.uniform(0.0, 8.0)} if n_i == 2 else {}
+    s_offset = TWO_PI * rng.uniform(-50.0, 50.0)
+    return SpinSystem(s_count=1, s_offset=s_offset, i_spins=spins, j_ii=j_ii)
+
+
+def _criterion(system, pulse, n_steps, tol):
+    """explicit_criterion, retried on 4x denser grids while extraction fails."""
+    for n in (n_steps, 4 * n_steps, 16 * n_steps, 64 * n_steps):
+        try:
+            return explicit_criterion(system, pulse, n_steps=n, tol=tol)
+        except ExtractionError:
+            continue
+    raise ExtractionError(f"extraction failed on every retry grid up to {64 * n_steps} steps")
 
 
 def _expm_eigh(h, dt):
@@ -44,14 +80,15 @@ def _expm_eigh(h, dt):
 
 
 def check_su2_closed_form():
-    """su2_step agrees with an eigendecomposition exponential."""
+    """su2.exp of a rotation vector agrees with an eigendecomposition exponential."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(50):
         a = rng.normal(size=3) * 2000.0
         h = a[0] * SX + a[1] * SY + a[2] * SZ
         dt = rng.uniform(1e-6, 1e-3)
-        worst = max(worst, float(np.linalg.norm(su2_step(h, dt) - _expm_eigh(h, dt))))
+        u = su2.to_matrix(su2.exp(a * dt))
+        worst = max(worst, float(np.linalg.norm(u - _expm_eigh(h, dt))))
     return worst < 1e-11, f"max deviation {worst:.2e}"
 
 
@@ -72,10 +109,8 @@ def check_dense_oracle():
     dt = pulse.duration / n_fine
     mids = (np.arange(n_fine) + 0.5) * dt
     amps = np.asarray(pulse.amplitude_fn(mids), dtype=float)
-    from .system import energy_diagonal, offset_diagonal
-
-    energies = energy_diagonal(system).values
-    offsets = offset_diagonal(system).values
+    energies = energy_diagonal(system)
+    offsets = offset_diagonal(system)
     h0 = np.zeros((8, 8))
     for ci in range(4):
         for s_bit, m_s in ((0, 0.5), (1, -0.5)):
@@ -93,121 +128,127 @@ def check_dense_oracle():
 
 
 def check_criterion_integrals():
-    """I(t) >= |theta(t)| on random Fourier envelopes; equality for non-negative shapes."""
+    """I(t) >= |theta(t)| on random Fourier envelopes; I(T) = theta(T) for non-negative shapes.
+
+    The identity is checked on Gaussian and sech envelopes at 90 and 270
+    degrees; it is exact because calibration and quadrature share one grid.
+    """
     rng = np.random.default_rng(2)
     for _ in range(25):
-        pulse = build_pulse(
-            "fourier", 1e-3,
-            a0=rng.uniform(-1, 1),
-            cos_coeffs=tuple(rng.normal(0, 0.5, 3)),
-            sin_coeffs=tuple(rng.normal(0, 0.5, 3)),
-        )
+        pulse = random_fourier_pulse(rng)
         t = rng.uniform(0.1, 1.0) * 1e-3
         if abs_amplitude_integral(pulse, t, 256) < abs(flip_angle(pulse, t, 256)) - 1e-12:
             return False, "triangle inequality violated"
-    g = _gaussian90()
-    gap = abs(abs_amplitude_integral(g, g.duration) - flip_angle(g, g.duration))
-    return gap < 1e-12, f"non-negative identity gap {gap:.2e}"
+    worst = 0.0
+    for family, kwargs in (("gaussian", {"truncation": 0.01}), ("sech", {"beta": 5.3})):
+        for flip in (math.pi / 2, 1.5 * math.pi):
+            pulse = calibrate(build_pulse(family, 2e-3, **kwargs), flip, 4096)
+            gap = abs(abs_amplitude_integral(pulse, 2e-3, 4096) - flip_angle(pulse, 2e-3, 4096))
+            worst = max(worst, gap)
+    return worst < 1e-12, f"max non-negative |I - theta| {worst:.2e}"
 
 
 def check_log_reconstruction():
-    """exp(-i Omega) rebuilt from the extracted exponent matches the trajectory."""
+    """exp(-i Omega . S) rebuilt from the extracted exponent matches the trajectory."""
     traj = propagate_interaction(_sax(), _gaussian90(), n_steps=1024, tol=1e-8)
     sol = extract_omega(traj)
-    err = np.linalg.norm(magnus_blocks(sol) - traj.blocks, axis=(-2, -1))
+    err = np.linalg.norm(su2.to_matrix(su2.exp(sol.omega)) - traj.blocks, axis=(-2, -1))
     worst = float(err[~sol.ambiguous].max())
     return worst < 1e-8, f"max reconstruction error {worst:.2e}"
 
 
-def check_exponent_bound():
-    """|omega_hat(t)| <= I(t) pointwise on a small random sweep."""
-    from .magnus import ExtractionError
+def check_bound_and_gap_sweep():
+    """100 random SA/SAX cases: omega_hat(t) <= I(t), and I(T) < 2 pi implies the gap condition.
 
-    rng = np.random.default_rng(3)
-    worst = -math.inf
-    for _ in range(10):
-        system = SpinSystem(
-            s_count=1,
-            s_offset=TWO_PI * rng.uniform(-50, 50),
-            i_spins=(ISpin(offset=TWO_PI * rng.uniform(-80, 80), j_to_s=rng.uniform(0, 12)),),
-        )
-        pulse = calibrate(
-            build_pulse(
-                "fourier", 1e-3,
-                a0=rng.uniform(0.2, 1.0),
-                cos_coeffs=tuple(rng.normal(0, 0.6, 4)),
-                sin_coeffs=tuple(rng.normal(0, 0.6, 4)),
-            ),
-            rng.uniform(0.3, 1.8) * math.pi,
-        )
-        # exponents grazing the 2 pi degeneracy need denser sampling to track
-        for n_steps in (512, 4096, 32768):
-            try:
-                report = explicit_criterion(system, pulse, n_steps=n_steps, tol=1e-6)
-                break
-            except ExtractionError:
-                continue
-        else:
-            return False, "extraction failed even on the finest retry grid"
+    Criterion integrals are capped at U-BURP intensity (2.8 * 2 pi); hotter
+    envelopes push the exponent arbitrarily close to the 2 pi degeneracy,
+    where branch tracking needs impractically dense grids.
+    """
+    cap = 2.8 * TWO_PI
+    rng = np.random.default_rng(42)
+    worst, met, counterexamples = -math.inf, 0, 0
+    for _ in range(100):
+        system = random_small_system(rng)
+        target = rng.uniform(0.3, 1.8) * math.pi
+        pulse = calibrate(random_fourier_pulse(rng), target)
+        i_total = abs_amplitude_integral(pulse, pulse.duration)
+        if i_total > cap:
+            pulse = scale_amplitude(pulse, cap / i_total)
+        report = _criterion(system, pulse, 384, 1e-6)
         worst = max(worst, -report.bound21_margin)
-    return worst < 1e-6, f"worst bound excess {worst:.2e}"
+        met += report.criterion23_met
+        counterexamples += report.criterion23_met and not report.magnus_criterion_ok
+    return worst < 1e-6 and counterexamples == 0, (
+        f"worst bound excess {worst:.2e}; {met}/100 met the criterion, "
+        f"{counterexamples} gap counterexamples")
 
 
 def check_expansion_equivalence():
-    """Expansion-form propagator matches the exact one for a criterion violator."""
+    """Expansion-form propagator matches the exact one for every catalog pulse (SAX)."""
     system = _sax()
-    violator = None
+    worst_diff, worst_residual = 0.0, 0.0
     for entry in list_catalog():
-        if entry.name == "RE-BURP":
-            violator = entry
-    pulse = violator.build_calibrated()
-    state = integrate_expansion(system, pulse, n_steps=1024, tol=1e-8)
-    traj = propagate_interaction(system, pulse, n_steps=1024, tol=1e-8)
-    err = float(
-        np.max(np.linalg.norm(expansion_blocks(state)[:, -1] - traj.endpoint_blocks(), axis=(-2, -1)))
-    )
-    residual = float(state.constraint_residual().max())
-    return err < 1e-6 and residual < 1e-8, f"endpoint error {err:.2e}, constraint {residual:.2e}"
+        pulse = entry.build_calibrated()
+        state = integrate_expansion(system, pulse, n_steps=1024, tol=1e-8)
+        traj = propagate_interaction(system, pulse, n_steps=1024, tol=1e-8)
+        # Frobenius norm of the 2x2 difference is sqrt(2) times the quaternion distance
+        diff = math.sqrt(2.0) * np.linalg.norm(state.q[:, -1] - traj.q[:, -1], axis=-1)
+        worst_diff = max(worst_diff, float(diff.max()))
+        worst_residual = max(worst_residual, float(state.constraint_residual().max()))
+    return worst_diff < 1e-6 and worst_residual < 1e-8, (
+        f"max endpoint error {worst_diff:.2e}, max constraint residual {worst_residual:.2e}")
 
 
 def check_degenerate_two_pi():
-    """Hard 2 pi pulse: U(T) = -E, flagged, gap violation at the first multiple."""
-    system = SpinSystem(s_count=1, s_offset=0.0)
+    """Hard 2 pi pulse: U(T) = -E, flagged, tracked to 2 pi, and the gap audit fails."""
+    system = SpinSystem()
     pulse = calibrate(build_pulse("constant", 1e-3), TWO_PI)
-    traj = propagate_interaction(system, pulse, n_steps=256, tol=1e-10)
+    traj = propagate_interaction(system, pulse, n_steps=1024, tol=1e-10)
     sol = extract_omega(traj)
     end_ok = float(np.linalg.norm(traj.endpoint_blocks()[0] + np.eye(2))) < 1e-10
     flagged = bool(sol.ambiguous.any())
     angle_ok = abs(sol.omega_hat[0, -1] - TWO_PI) < 1e-6
-    ok_gap, nearest = magnus_gap_check([math.pi, -math.pi])
-    return end_ok and flagged and angle_ok and not ok_gap, (
+    report = explicit_criterion(system, pulse, n_steps=1024, tol=1e-10)
+    return end_ok and flagged and angle_ok and not report.magnus_criterion_ok, (
         f"endpoint -E ok={end_ok}, flagged={flagged}, angle ok={angle_ok}, "
-        f"gap distance {nearest:.1e}"
+        f"gap ok={report.magnus_criterion_ok} at distance {report.magnus_gap_nearest:.1e}"
     )
 
 
 def check_catalog_verdicts():
-    """Bundled catalog reproduces the published criterion verdict signs."""
+    """The criterion reproduces the published verdict of every bundled pulse (SA)."""
     expected_met = {"G4": True, "Q5": True, "E-BURP-2": False, "U-BURP": False,
                     "I-BURP-2": False, "RE-BURP": False, "G3": False, "Q3": False}
+    system = SpinSystem(s_count=1, s_offset=TWO_PI * 5.0,
+                        i_spins=(ISpin(offset=TWO_PI * 30.0, j_to_s=6.0),))
     for entry in list_catalog():
-        pulse = entry.build_calibrated()
-        i_total = abs_amplitude_integral(pulse, entry.duration)
-        if (i_total < TWO_PI) != expected_met[entry.name]:
-            return False, f"{entry.name}: I(T)={i_total:.3f} contradicts expected verdict"
+        report = _criterion(system, entry.build_calibrated(), 1024, 1e-6)
+        if report.criterion23_met != expected_met[entry.name]:
+            return False, f"{entry.name}: I(T)={report.i_total:.3f} contradicts expected verdict"
     return True, "all eight verdicts reproduced"
+
+
+def check_weak_field():
+    """Each amplitude halving cuts the flip-angle estimate's error below 0.6x (SAX)."""
+    system, pulse = _sax(), _gaussian90()
+    errors = []
+    for _ in range(6):
+        sol = extract_omega(propagate_interaction(system, pulse, n_steps=1024, tol=1e-9))
+        approx = flip_angle(pulse, pulse.duration, 1024)
+        errors.append(float(np.max(np.abs(approx - sol.omega_hat[:, -1]))))
+        pulse = scale_amplitude(pulse, 0.5)
+    ratios = [b / a for a, b in zip(errors, errors[1:])]
+    return all(r < 0.6 for r in ratios), "error ratios " + ", ".join(f"{r:.3f}" for r in ratios)
 
 
 def check_partial_sums():
     """Third-order exponent beats first order on a 90 degree Gaussian (SA)."""
-    system = SpinSystem(s_count=1, s_offset=TWO_PI * 12.0,
-                        i_spins=(ISpin(offset=TWO_PI * 40.0, j_to_s=7.0),))
-    pulse = _gaussian90()
-    traj = propagate_interaction(system, pulse, n_steps=1024, tol=1e-9)
-    sums = magnus_partial_sums(system, pulse, n_steps=256, order=3)
+    system, pulse = _sa(), _gaussian90()
+    exact = propagate_interaction(system, pulse, n_steps=1024, tol=1e-9).endpoint_blocks()
+    sums = magnus_partial_sums(system, pulse, n_steps=384, order=3)
     for ci in range(sums.shape[0]):
-        e1 = np.linalg.norm(_expm_eigh(sums[ci, 0], 1.0) - traj.endpoint_blocks()[ci])
-        e3 = np.linalg.norm(_expm_eigh(sums[ci, 2], 1.0) - traj.endpoint_blocks()[ci])
+        e1 = np.linalg.norm(_expm_eigh(sums[ci, 0], 1.0) - exact[ci])
+        e3 = np.linalg.norm(_expm_eigh(sums[ci, 2], 1.0) - exact[ci])
         if not e3 < e1:
             return False, f"config {ci}: order-3 error {e3:.2e} not below order-1 {e1:.2e}"
     return True, "order-3 below order-1 on every configuration"
@@ -219,18 +260,21 @@ CHECKS = [
     ("dense-oracle", check_dense_oracle),
     ("criterion-integrals", check_criterion_integrals),
     ("log-reconstruction", check_log_reconstruction),
-    ("exponent-bound", check_exponent_bound),
+    ("bound-and-gap-sweep", check_bound_and_gap_sweep),
     ("expansion-equivalence", check_expansion_equivalence),
     ("degenerate-two-pi", check_degenerate_two_pi),
     ("catalog-verdicts", check_catalog_verdicts),
+    ("weak-field", check_weak_field),
     ("partial-sums", check_partial_sums),
 ]
 
 
 def run_all(stream=None) -> int:
-    """Run every check, print one line each, return the number of failures."""
-    import sys
+    """Run every check, print one line each, return the number of failures.
 
+    A check that raises fails with the exception's name and message, and the
+    remaining checks still run.
+    """
     out = stream or sys.stdout
     failures = 0
     for name, fn in CHECKS:
@@ -238,9 +282,7 @@ def run_all(stream=None) -> int:
             passed, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        status = "ok" if passed else "FAIL"
-        print(f"[{status:4s}] {name}: {detail}", file=out)
+        print(f"[{'ok' if passed else 'FAIL':4s}] {name}: {detail}", file=out)
         failures += 0 if passed else 1
-    total = len(CHECKS)
-    print(f"{total - failures}/{total} checks passed", file=out)
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed", file=out)
     return failures

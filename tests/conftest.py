@@ -1,8 +1,8 @@
+import functools
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -64,42 +64,11 @@ def gaussian270():
     return calibrate(build_pulse("gaussian", 2e-3, truncation=0.01), 1.5 * math.pi)
 
 
-def random_fourier_pulse(rng, duration=1e-3, n_harmonics=4, target=None,
-                         max_criterion=None):
-    """Seeded random Fourier envelope, optionally calibrated to `target` rad.
+@pytest.fixture(scope="session")
+def run_check():
+    """Call a `verify.CHECKS` function at most once per session and return its result.
 
-    `max_criterion` caps the integral of |amplitude| by rescaling, keeping
-    sweep cases within the intensity range of real shaped pulses (exponents
-    that graze the 2*pi degeneracy need impractically dense grids to track).
+    The acceptance tests and the `verify` command test share the checks' work
+    this way; a check that raises is not cached and raises at every call.
     """
-    from magnuspulse import abs_amplitude_integral, scale_amplitude
-
-    a0 = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
-    cos_c = rng.normal(0.0, 0.6, size=n_harmonics)
-    sin_c = rng.normal(0.0, 0.6, size=n_harmonics)
-    pulse = build_pulse(
-        "fourier", duration, a0=a0, cos_coeffs=tuple(cos_c), sin_coeffs=tuple(sin_c)
-    )
-    if target is not None:
-        pulse = calibrate(pulse, target)
-    if max_criterion is not None:
-        i_total = abs_amplitude_integral(pulse, duration)
-        if i_total > max_criterion:
-            pulse = scale_amplitude(pulse, max_criterion / i_total)
-    return pulse
-
-
-def random_small_system(rng):
-    """Random SA or SAX system with moderate offsets and couplings."""
-    n_i = int(rng.integers(1, 3))
-    spins = tuple(
-        ISpin(offset=TWO_PI * rng.uniform(-80.0, 80.0), j_to_s=rng.uniform(0.0, 12.0))
-        for _ in range(n_i)
-    )
-    j_ii = {(0, 1): rng.uniform(0.0, 8.0)} if n_i == 2 else {}
-    return SpinSystem(
-        s_count=1,
-        s_offset=TWO_PI * rng.uniform(-50.0, 50.0),
-        i_spins=spins,
-        j_ii=j_ii,
-    )
+    return functools.cache(lambda check: check())

@@ -124,7 +124,7 @@ def magnus_partial_sums_loop(system, shape, n_steps=256, order=3):
     from magnuspulse import offset_diagonal, sample
 
     sp = sample(shape, n_steps)
-    offsets = offset_diagonal(system).values
+    offsets = offset_diagonal(system)
     angle = -offsets[:, None] * sp.times[None, :] + sp.phases[None, :]
     h = np.zeros(angle.shape + (2, 2), dtype=complex)
     off = 0.5 * sp.amps[None, :] * np.exp(-1j * angle)
@@ -199,7 +199,7 @@ def integrate_expansion_loop(system, shape, n_steps, rhs=expansion_rhs):
     """
     from magnuspulse import offset_diagonal
 
-    offsets = offset_diagonal(system).values
+    offsets = offset_diagonal(system)
     n_c = len(offsets)
     dt = shape.duration / n_steps
     nodes = np.arange(n_steps + 1) * dt

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from magnuspulse import verify
 from magnuspulse.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -255,6 +257,72 @@ class TestErrors:
         rc = main(["criterion", "--pulse", str(pulse_file)])
         assert rc == 2
         assert "duraton_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, field", [
+        ('"family": "gaussian", "duration_s": 0.002, "params": [1, 2]', "params"),
+        ('"family": "fourier", "duration_s": 0.001, "fourier": [1]', "fourier"),
+        ('"family": "fourier", "duration_s": 0.001, "fourier": {"a": [1.0]}', "a0"),
+        ('"family": "fourier", "duration_s": 0.001, "fourier": {"a0": 1.0, "a": 5}', "fourier.a"),
+        ('"family": "fourier", "duration_s": 0.001, "fourier": {"a0": 1.0, "b": {"1": 0.5}}',
+         "fourier.b"),
+        ('"family": "fourier", "duration_s": 0.001, "fourier": {"a0": [1.0]}', "fourier.a0"),
+        ('"family": "gaussian", "duration_s": [0.002]', "duration_s"),
+    ])
+    def test_malformed_pulse_field_bad_input(self, tmp_path, capsys, fields, field):
+        pulse_file = tmp_path / "bad.json"
+        pulse_file.write_text('{"nominal_flip_deg": 90.0, ' + fields + "}")
+        rc = main(["criterion", "--pulse", str(pulse_file)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape, field", [("fourier", "a0"),
+                                              ("gaussian_cascade", "amplitudes")])
+    def test_shape_without_required_parameters_bad_input(self, capsys, shape, field):
+        assert main(["criterion", "--shape", shape]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"s_count": 1.7}', "s_count"),
+        ('{"s_count": true}', "s_count"),
+        ('{"i_spins": [{}, {}], "j_ii_hz": [[0.9, 1, 5.0]]}', "j_ii_hz"),
+    ])
+    def test_non_integer_system_field_bad_input(self, tmp_path, capsys, text, field):
+        system_file = tmp_path / "system.json"
+        system_file.write_text(text)
+        rc = main(["criterion", "--pulse", "g4", "--system", str(system_file)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
+
+class TestVerify:
+    def test_all_checks_pass(self, capsys, monkeypatch, run_check):
+        # every real check, each computed once per session (shared with test_acceptance)
+        monkeypatch.setattr(verify, "CHECKS", [(name, functools.partial(run_check, check))
+                                               for name, check in verify.CHECKS])
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        n = len(verify.CHECKS)
+        assert lines[-1] == f"{n}/{n} checks passed"
+        assert len(lines) == n + 1
+        assert all(line.startswith("[ok  ] ") for line in lines[:-1])
+
+    def test_failing_check_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "CHECKS", [("fails", lambda: (False, "off by 1e-3")),
+                                               ("passes", lambda: (True, "fine"))])
+        assert main(["verify"]) == 4
+        assert capsys.readouterr().out.splitlines() == [
+            "[FAIL] fails: off by 1e-3", "[ok  ] passes: fine", "1/2 checks passed"]
+
+    def test_raising_check_fails_and_the_rest_still_run(self, capsys, monkeypatch):
+        def crashes():
+            return 1 / 0
+
+        monkeypatch.setattr(verify, "CHECKS", [("crashes", crashes),
+                                               ("passes", lambda: (True, "fine"))])
+        assert main(["verify"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL] crashes: raised ZeroDivisionError")
+        assert lines[1:] == ["[ok  ] passes: fine", "1/2 checks passed"]
 
 
 class TestEntryPoint:

@@ -13,10 +13,9 @@ from magnuspulse import (
     list_catalog,
     omega_hat_quadrature,
     propagate_interaction,
-    reconstruct_propagator,
+    su2,
 )
-from magnuspulse.expansion import reconstruct_blocks
-from magnuspulse.magnus import angles_from_omega
+from magnuspulse.expansion import ExpansionState
 from magnuspulse.propagation import RefinementError
 
 import oracle
@@ -88,7 +87,7 @@ class TestIntegrate:
     def test_matches_exact_propagator(self, sax_system, gaussian90):
         state = integrate_expansion(sax_system, gaussian90, n_steps=1024, tol=1e-9)
         traj = propagate_interaction(sax_system, gaussian90, n_steps=1024, tol=1e-9)
-        rebuilt = reconstruct_blocks(state)[:, -1]
+        rebuilt = su2.to_matrix(state.q[:, -1])
         diff = np.linalg.norm(rebuilt - traj.endpoint_blocks(), axis=(-2, -1))
         assert float(diff.max()) < 1e-6
 
@@ -148,23 +147,34 @@ class TestOmegaHatQuadrature:
         assert np.allclose(ohat, sol.omega_hat, atol=1e-6)
 
 
+def _one_step_state(f, g):
+    """One configuration that steps from the identity to the state point (f, g)."""
+    q = np.array([[[1.0, 0.0, 0.0, 0.0], [f, *g]]])
+    return ExpansionState(times=np.array([0.0, 1.0]), q=q, s_count=1, n_steps=1,
+                          refinement_levels=0, error_estimate=0.0)
+
+
 class TestReconstruct:
+    """The 2x2 propagator f E - 2i (g . S) is su2.to_matrix of the state's quaternion (f, g)."""
+
     def test_identity(self):
-        assert np.array_equal(reconstruct_propagator(1.0, np.zeros(3)), np.eye(2))
+        u = su2.to_matrix(_one_step_state(1.0, [0.0, 0.0, 0.0]).q[0, -1])
+        assert np.array_equal(u, np.eye(2))
 
     def test_pi_x_rotation(self):
-        u = reconstruct_propagator(0.0, np.array([1.0, 0.0, 0.0]))
+        u = su2.to_matrix(_one_step_state(0.0, [1.0, 0.0, 0.0]).q[0, -1])
         assert np.allclose(u, np.array([[0, -1j], [-1j, 0]]))
 
     def test_z_rotation(self):
         theta = 0.9
-        u = reconstruct_propagator(math.cos(theta / 2), np.array([0, 0, math.sin(theta / 2)]))
+        state = _one_step_state(math.cos(theta / 2), [0, 0, math.sin(theta / 2)])
         expected = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
-        assert np.allclose(u, expected, atol=1e-12)
+        assert np.allclose(su2.to_matrix(state.q[0, -1]), expected, atol=1e-12)
 
     def test_norm_violation_rejected(self):
-        with pytest.raises(ValueError, match="constraint"):
-            reconstruct_propagator(1.0, np.array([0.5, 0.0, 0.0]))
+        # the norm defect is reported, not rebuilt into a non-unitary matrix
+        state = _one_step_state(1.0, [0.5, 0.0, 0.0])
+        assert state.constraint_residual()[0, -1] == pytest.approx(0.25)
 
 
 class TestAnglesFromState:
@@ -177,14 +187,7 @@ class TestAnglesFromState:
         assert np.array_equal(omega, np.zeros_like(omega))
 
     def test_z_state_point(self):
-        from magnuspulse.expansion import ExpansionState
-
-        state = ExpansionState(
-            times=np.array([0.0, 1.0]),
-            f=np.array([[1.0, 0.0]]),
-            g=np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]),
-            s_count=1, n_steps=1, refinement_levels=0, error_estimate=0.0,
-        )
+        state = _one_step_state(0.0, [0.0, 0.0, 1.0])
         _, beta, omega = angles_from_state(state)
         assert beta[0, 1] == pytest.approx(0.0)
         assert omega[0, 1] == pytest.approx(math.pi)
@@ -211,9 +214,7 @@ class TestAnglesFromState:
         alpha, beta, omega = angles_from_state(state)
         traj = propagate_interaction(sax_system, gaussian90, n_steps=1024, tol=None)
         sol = extract_omega(traj)
-        a_ref, b_ref, o_ref = angles_from_omega(
-            sol.omega[..., 0], sol.omega[..., 1], sol.omega[..., 2]
-        )
+        a_ref, b_ref, o_ref = sol.alpha, sol.beta, sol.omega_hat
         # skip the t=0 sample where the axis is undefined on both sides
         assert np.allclose(omega[:, 1:], o_ref[:, 1:], atol=1e-6)
         assert np.allclose(beta[:, 1:], b_ref[:, 1:], atol=1e-5)
@@ -226,7 +227,7 @@ class TestCatalogEquivalence:
             pulse = entry.build_calibrated()
             state = integrate_expansion(sax_system, pulse, n_steps=1024, tol=1e-8)
             traj = propagate_interaction(sax_system, pulse, n_steps=1024, tol=1e-8)
-            rebuilt = reconstruct_blocks(state)[:, -1]
+            rebuilt = su2.to_matrix(state.q[:, -1])
             diff = np.linalg.norm(rebuilt - traj.endpoint_blocks(), axis=(-2, -1))
             assert float(diff.max()) < 1e-6, entry.name
             assert float(state.constraint_residual().max()) < 1e-8, entry.name
@@ -235,5 +236,5 @@ class TestCatalogEquivalence:
         pulse = resolve_pulse("g4").build_calibrated()
         state = integrate_expansion(sax_system, pulse, n_steps=4096, tol=None)
         traj = propagate_interaction(sax_system, pulse, n_steps=4096, tol=None)
-        diff = np.linalg.norm(reconstruct_blocks(state) - traj.blocks, axis=(-2, -1))
+        diff = np.linalg.norm(su2.to_matrix(state.q) - traj.blocks, axis=(-2, -1))
         assert float(diff.max()) < 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import scipy.linalg
 
 from magnuspulse import (
     SpinSystem,
-    angles_from_omega,
     build_pulse,
     calibrate,
     explicit_criterion,
@@ -18,10 +18,11 @@ from magnuspulse import (
     propagate_interaction,
     resolve_pulse,
     scale_amplitude,
+    su2,
 )
-from magnuspulse.magnus import ExtractionError, reconstruct_blocks, total_sz_quantum_numbers
-from magnuspulse.propagation import SX, SY, SZ
-from conftest import random_fourier_pulse, random_small_system
+from magnuspulse.magnus import ExtractionError
+from magnuspulse.su2 import SX
+from magnuspulse.verify import random_fourier_pulse, random_small_system
 import oracle
 
 TWO_PI = 2.0 * math.pi
@@ -50,7 +51,7 @@ class TestExtractOmega:
     def test_gaussian_sax_reconstruction(self, sax_system, gaussian90):
         traj = propagate_interaction(sax_system, gaussian90, n_steps=1024, tol=1e-8)
         sol = extract_omega(traj)
-        rebuilt = reconstruct_blocks(sol)
+        rebuilt = su2.to_matrix(su2.exp(sol.omega))
         unflagged = ~sol.ambiguous
         err = np.linalg.norm(rebuilt - traj.blocks, axis=(-2, -1))
         assert float(err[unflagged].max()) < 1e-8
@@ -63,21 +64,41 @@ class TestExtractOmega:
 
 
 class TestAnglesFromOmega:
+    """The decomposition angles alpha, beta that extract_omega returns with Omega."""
+
+    @staticmethod
+    def _solution(omega):
+        """extract_omega on one step from E to exp(-i Omega . S), a configuration per row."""
+        omega = np.atleast_2d(omega)
+        traj = propagate_interaction(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0),
+                                     n_steps=1, tol=None)
+        q = su2.exp(np.stack((np.zeros_like(omega), omega), axis=1))
+        sol = extract_omega(dataclasses.replace(traj, q=q))
+        assert np.allclose(sol.omega[:, 1], omega, atol=1e-12)
+        return sol
+
+    def _angles(self, vector):
+        sol = self._solution(vector)
+        return sol.alpha[0, 1], sol.beta[0, 1], sol.omega_hat[0, 1]
+
     def test_z_axis(self):
-        assert angles_from_omega(0.0, 0.0, 1.3) == pytest.approx((0.0, 0.0, 1.3))
+        assert self._angles([0.0, 0.0, 1.3]) == pytest.approx((0.0, 0.0, 1.3))
 
     def test_x_axis(self):
-        alpha, beta, ohat = angles_from_omega(0.7, 0.0, 0.0)
+        alpha, beta, ohat = self._angles([0.7, 0.0, 0.0])
         assert (alpha, beta, ohat) == pytest.approx((0.0, math.pi / 2, 0.7))
 
     def test_y_axis(self):
-        alpha, beta, ohat = angles_from_omega(0.0, 0.7, 0.0)
+        alpha, beta, ohat = self._angles([0.0, 0.7, 0.0])
         assert (alpha, beta, ohat) == pytest.approx((math.pi / 2, math.pi / 2, 0.7))
 
     def test_defining_identities_and_round_trip(self):
         rng = np.random.default_rng(17)
-        vec = rng.normal(size=(200, 3)) * rng.uniform(0.1, 10, size=(200, 1))
-        alpha, beta, ohat = angles_from_omega(vec[:, 0], vec[:, 1], vec[:, 2])
+        # random directions; one step from E is tracked only for |Omega| < pi
+        vec = rng.normal(size=(200, 3))
+        vec *= rng.uniform(0.1, 3.0, size=(200, 1)) / np.linalg.norm(vec, axis=1, keepdims=True)
+        sol = self._solution(vec)
+        alpha, beta, ohat = sol.alpha[:, 1], sol.beta[:, 1], sol.omega_hat[:, 1]
         # defining relations of the decomposition angles
         assert np.allclose(vec[:, 0] * np.sin(alpha), vec[:, 1] * np.cos(alpha), atol=1e-10)
         proj = vec[:, 0] * np.cos(alpha) + vec[:, 1] * np.sin(alpha)
@@ -95,9 +116,9 @@ class TestAnglesFromOmega:
         assert np.allclose(rebuilt, vec, atol=1e-12 * np.abs(vec).max())
 
     def test_range_conventions(self):
-        alpha, beta, _ = angles_from_omega(-1.0, -1e-12, 0.5)
-        assert -math.pi < alpha <= math.pi
-        assert 0.0 <= beta <= math.pi
+        sol = self._solution([[-1.0, -1e-12, 0.5], [-1.0, 1e-12, -0.5]])
+        assert np.all((-math.pi < sol.alpha) & (sol.alpha <= math.pi))
+        assert np.all((0.0 <= sol.beta) & (sol.beta <= math.pi))
 
 
 class TestEigenvaluesAndGap:
@@ -114,7 +135,10 @@ class TestEigenvaluesAndGap:
         assert np.array_equal(omega_eigenvalues(sol, 3), np.zeros(8))
 
     def test_two_s_spins_quantum_numbers(self):
-        assert np.array_equal(total_sz_quantum_numbers(2), [-1.0, 0.0, 1.0])
+        pulse = calibrate(build_pulse("constant", 1e-3), math.pi)
+        traj = propagate_interaction(SpinSystem(s_count=2), pulse, n_steps=64, tol=None)
+        sol = extract_omega(traj)
+        assert np.allclose(omega_eigenvalues(sol, -1), [-math.pi, 0.0, math.pi], atol=1e-9)
 
     def test_gap_check_ok(self):
         ok, nearest = magnus_gap_check([math.pi / 4, -math.pi / 4])
@@ -171,7 +195,8 @@ class TestExplicitCriterion:
         rng = np.random.default_rng(2024)
         for _ in range(30):
             system = random_small_system(rng)
-            pulse = random_fourier_pulse(rng, target=rng.uniform(0.3, 1.8) * math.pi)
+            target = rng.uniform(0.3, 1.8) * math.pi
+            pulse = calibrate(random_fourier_pulse(rng), target)
             report = explicit_criterion(system, pulse, n_steps=512, tol=1e-6)
             assert report.bound21_margin >= -1e-6
             assert report.max_eigenvalue_gap <= report.i_total + 1e-6

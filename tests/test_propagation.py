@@ -7,55 +7,62 @@ import scipy.linalg
 from magnuspulse import (
     SpinSystem,
     assemble_full_matrix,
-    block_hamiltonian,
     build_pulse,
     calibrate,
-    enumerate_configurations,
     excitation_profile,
     lab_frame_propagator,
+    offset_diagonal,
     propagate_interaction,
-    su2_step,
+    su2,
     unitarity_defect,
 )
-from magnuspulse.propagation import E2, SX, SY, SZ, RefinementError
+from magnuspulse.propagation import RefinementError
+from magnuspulse.su2 import E2, SX, SY, SZ
 import oracle
 
 TWO_PI = 2.0 * math.pi
 
 
+def _slice(system, config, amp, phase, t, dt):
+    """exp(-i H dt) of one configuration's block Hamiltonian, as a 2x2 matrix."""
+    angle = -offset_diagonal(system)[config] * t + phase
+    return su2.to_matrix(su2.transverse_slices(0.5 * amp * dt, angle).T)
+
+
 class TestBlockHamiltonian:
+    """A configuration's Hamiltonian amp (cos a Sx + sin a Sy), through its slice exponential."""
+
     def test_zero_amplitude(self, sa_system):
-        config = enumerate_configurations(sa_system)[0]
-        h = block_hamiltonian(sa_system, config, 0.0, 0.0, 1e-4)
-        assert np.array_equal(h, np.zeros((2, 2)))
+        assert np.array_equal(_slice(sa_system, 0, 0.0, 0.0, 1e-4, 1e-5), E2)
 
     def test_on_resonance_x(self, s_only_system):
-        (config,) = enumerate_configurations(s_only_system)
-        h = block_hamiltonian(s_only_system, config, 1000.0, 0.0, 0.5e-3)
-        assert np.allclose(h, 1000.0 * SX)
+        u = _slice(s_only_system, 0, 1000.0, 0.0, 0.5e-3, 1e-4)
+        assert np.allclose(u, scipy.linalg.expm(-1j * 1000.0 * SX * 1e-4), atol=1e-14)
 
     def test_phase_shift_gives_y(self, sa_system):
-        config = enumerate_configurations(sa_system)[0]
-        h = block_hamiltonian(sa_system, config, 800.0, math.pi / 2, 0.0)
-        assert np.allclose(h, 800.0 * SY)
+        u = _slice(sa_system, 0, 800.0, math.pi / 2, 0.0, 1e-4)
+        assert np.allclose(u, scipy.linalg.expm(-1j * 800.0 * SY * 1e-4), atol=1e-14)
 
     def test_eigenvalues_are_half_amplitude(self, sax_system):
         rng = np.random.default_rng(5)
-        for config in enumerate_configurations(sax_system):
+        dt = 1e-4
+        for config in range(sax_system.n_configs):
             amp = rng.uniform(-3000.0, 3000.0)
-            h = block_hamiltonian(sax_system, config, amp, rng.uniform(0, TWO_PI), rng.uniform(0, 1e-3))
-            eig = np.linalg.eigvalsh(h)
-            assert np.allclose(sorted(eig), [-abs(amp) / 2, abs(amp) / 2], atol=1e-12)
-            assert abs(np.trace(h)) < 1e-12
+            u = _slice(sax_system, config, amp, rng.uniform(0, TWO_PI), rng.uniform(0, 1e-3), dt)
+            phases = np.sort(np.angle(np.linalg.eigvals(u)))
+            assert np.allclose(phases, [-abs(amp) * dt / 2, abs(amp) * dt / 2], atol=1e-12)
+            assert abs(np.linalg.det(u) - 1.0) < 1e-12  # traceless Hamiltonian
 
 
 class TestSu2Step:
+    """Closed-form exp(-i (a . S) dt) through su2.exp and the 2x2 view su2.to_matrix."""
+
     def test_zero_hamiltonian(self):
-        assert np.array_equal(su2_step(np.zeros((2, 2)), 1.0), E2)
+        assert np.array_equal(su2.to_matrix(su2.exp(np.zeros(3))), E2)
 
     def test_x_rotation_closed_form(self):
         w, dt = 700.0, 1e-4
-        u = su2_step(w * SX, dt)
+        u = su2.to_matrix(su2.exp(np.array([w * dt, 0.0, 0.0])))
         expected = math.cos(w * dt / 2) * E2 - 2j * math.sin(w * dt / 2) * SX
         assert np.allclose(u, expected, atol=1e-14)
 
@@ -64,9 +71,7 @@ class TestSu2Step:
         for _ in range(10):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            h = axis[0] * SX + axis[1] * SY + axis[2] * SZ
-            u = su2_step(TWO_PI * h, 1.0)
-            assert np.allclose(u, -E2, atol=1e-12)
+            assert np.allclose(su2.to_matrix(su2.exp(TWO_PI * axis)), -E2, atol=1e-12)
 
     def test_matches_scipy_expm(self):
         rng = np.random.default_rng(3)
@@ -74,7 +79,8 @@ class TestSu2Step:
             a = rng.normal(size=3) * 1000.0
             h = a[0] * SX + a[1] * SY + a[2] * SZ
             dt = rng.uniform(1e-5, 1e-3)
-            assert np.allclose(su2_step(h, dt), scipy.linalg.expm(-1j * h * dt), atol=1e-12)
+            u = su2.to_matrix(su2.exp(a * dt))
+            assert np.allclose(u, scipy.linalg.expm(-1j * h * dt), atol=1e-12)
 
 
 class TestPropagateInteraction:

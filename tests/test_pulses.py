@@ -13,7 +13,7 @@ from magnuspulse import (
     sample,
     scale_amplitude,
 )
-from conftest import random_fourier_pulse
+from magnuspulse.verify import random_fourier_pulse
 
 TWO_PI = 2.0 * math.pi
 

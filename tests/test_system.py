@@ -4,76 +4,70 @@ import numpy as np
 import pytest
 
 from magnuspulse import (
-    IConfiguration,
     ISpin,
     SpinSystem,
     assemble_full_matrix,
     energy_diagonal,
-    enumerate_configurations,
     load_system,
     offset_diagonal,
 )
+from magnuspulse.system import m_table
 
 TWO_PI = 2.0 * math.pi
 
 
 class TestConfigurations:
+    """Configurations are the rows of m_table, in big-endian basis order."""
+
     def test_no_i_spins_single_empty_configuration(self, s_only_system):
-        configs = enumerate_configurations(s_only_system)
-        assert len(configs) == 1
-        assert configs[0].m_values == ()
-        assert configs[0].index == 0
+        assert m_table(s_only_system).shape == (1, 0)
+        assert s_only_system.n_configs == 1
 
     def test_single_i_spin(self):
         system = SpinSystem(i_spins=(ISpin(),))
-        configs = enumerate_configurations(system)
-        assert [c.m_values for c in configs] == [(0.5,), (-0.5,)]
+        assert m_table(system).tolist() == [[0.5], [-0.5]]
 
     def test_two_i_spins_index_order(self):
         system = SpinSystem(i_spins=(ISpin(), ISpin()))
-        configs = enumerate_configurations(system)
-        assert len(configs) == 4
-        assert [c.index for c in configs] == [0, 1, 2, 3]
+        ms = m_table(system)
+        assert ms.shape == (4, 2)
         # big-endian: first spin is the most significant bit
-        assert configs[1].m_values == (0.5, -0.5)
-        assert configs[2].m_values == (-0.5, 0.5)
+        assert ms.tolist() == [[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5]]
 
     def test_index_encoding_validated(self):
-        with pytest.raises(ValueError):
-            IConfiguration((0.5, -0.5), 2)
+        system = SpinSystem(i_spins=(ISpin(), ISpin(), ISpin()))
+        bits = (0.5 - m_table(system)).astype(int)  # m = +1/2 is bit 0
+        assert (bits @ [4, 2, 1]).tolist() == list(range(8))
 
 
 class TestDiagonals:
     def test_effective_offset_plus_half(self):
         system = SpinSystem(s_offset=0.0, i_spins=(ISpin(j_to_s=10.0),))
-        up, down = enumerate_configurations(system)
-        offsets = offset_diagonal(system).values
-        assert offsets[up.index] == pytest.approx(10.0 * math.pi)
-        assert offsets[down.index] == pytest.approx(-10.0 * math.pi)
+        up, down = offset_diagonal(system)
+        assert up == pytest.approx(10.0 * math.pi)
+        assert down == pytest.approx(-10.0 * math.pi)
 
     def test_effective_offset_no_i_spins(self):
         system = SpinSystem(s_offset=100.0)
-        (config,) = enumerate_configurations(system)
-        assert offset_diagonal(system).values[config.index] == pytest.approx(100.0)
+        (offset,) = offset_diagonal(system)
+        assert offset == pytest.approx(100.0)
 
     def test_i_spin_energy_sum(self):
         system = SpinSystem(i_spins=(ISpin(offset=200.0), ISpin(offset=-50.0)))
-        configs = enumerate_configurations(system)
-        assert energy_diagonal(system).values[configs[0].index] == pytest.approx(75.0)
+        assert energy_diagonal(system)[0] == pytest.approx(75.0)
 
     def test_i_spin_energy_with_coupling(self):
         system = SpinSystem(
             i_spins=(ISpin(offset=200.0), ISpin(offset=-50.0)), j_ii={(0, 1): 4.0}
         )
-        configs = enumerate_configurations(system)
-        assert energy_diagonal(system).values[configs[0].index] == pytest.approx(75.0 + TWO_PI)
+        assert energy_diagonal(system)[0] == pytest.approx(75.0 + TWO_PI)
 
     def test_i_spin_energy_empty(self, s_only_system):
-        (config,) = enumerate_configurations(s_only_system)
-        assert energy_diagonal(s_only_system).values[config.index] == 0.0
+        (energy,) = energy_diagonal(s_only_system)
+        assert energy == 0.0
 
     def test_offset_multiset_matches_sign_combinations(self, sax_system):
-        values = sorted(offset_diagonal(sax_system).values)
+        values = sorted(offset_diagonal(sax_system))
         expected = sorted(
             sax_system.s_offset
             + s1 * math.pi * sax_system.i_spins[0].j_to_s
@@ -86,7 +80,7 @@ class TestDiagonals:
 
 class TestAssembleFullMatrix:
     def test_identity_blocks_give_identity(self, sax_system):
-        blocks = {c: np.eye(2) for c in enumerate_configurations(sax_system)}
+        blocks = np.broadcast_to(np.eye(2), (sax_system.n_configs, 2, 2))
         assert np.array_equal(assemble_full_matrix(sax_system, blocks), np.eye(8))
 
     def test_no_i_spins_identity(self, s_only_system):
@@ -110,8 +104,10 @@ class TestAssembleFullMatrix:
         assert np.array_equal(full, np.kron(block, block))
 
     def test_missing_block_rejected(self, sa_system):
-        with pytest.raises(ValueError, match="missing"):
-            assemble_full_matrix(sa_system, {0: np.eye(2)})
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 2\)"):
+            assemble_full_matrix(sa_system, [np.eye(2)])
+        with pytest.raises(ValueError, match="shape"):
+            assemble_full_matrix(sa_system, {0: np.eye(2), 1: np.eye(2)})
 
 
 class TestValidationAndLoading:
@@ -176,5 +172,20 @@ class TestValidationAndLoading:
         with pytest.raises(ValueError, match=field):
             load_system(path)
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"s_count": 1.7}', "s_count"),
+        ('{"s_count": true}', "s_count"),
+        ('{"s_count": "1"}', "s_count"),
+        ('{"i_spins": [{}, {}], "j_ii_hz": [[0.9, 1, 5.0]]}', "j_ii_hz"),
+        ('{"i_spins": [{}, {}], "j_ii_hz": [[0, "1", 5.0]]}', "j_ii_hz"),
+        ('{"s_offset_hz": [10.0]}', "s_offset_hz"),
+        ('{"i_spins": [{"j_to_s_hz": "eight"}]}', "j_to_s_hz"),
+    ])
+    def test_load_system_rejects_non_integers_and_non_numbers(self, tmp_path, text, field):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=field):
+            load_system(path)
+
     def test_energy_diagonal_no_spins_is_zero(self, s_only_system):
-        assert np.array_equal(energy_diagonal(s_only_system).values, [0.0])
+        assert np.array_equal(energy_diagonal(s_only_system), [0.0])
