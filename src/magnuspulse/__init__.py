@@ -40,9 +40,8 @@ from .magnus import (
     MagnusSolution,
     explicit_criterion,
     extract_omega,
-    magnus_gap_check,
+    gap_audit,
     magnus_partial_sums,
-    omega_eigenvalues,
 )
 from .expansion import (
     ExpansionState,

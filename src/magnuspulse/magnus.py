@@ -12,9 +12,10 @@ jumping back at angle 2 pi the way a principal logarithm would.
 Where U passes through -E the rotation axis is genuinely undefined; those
 samples are flagged, the angle itself is still carried through by
 continuity. Such points are exactly where the eigenvalue-gap condition
-|lambda_i - lambda_j| != 2 pi n fails, which this module checks alongside
-the amplitude-integral criterion I(T) < 2 pi and its weak-field flip-angle
-variant. The series partial sums use the vector form of su(2), in which a
+|lambda_i - lambda_j| != 2 pi n fails. `gap_audit` checks it over the
+eigenvalues m_S omega_hat of the whole block-diagonal exponent at every
+stored time, alongside the amplitude-integral criterion I(T) < 2 pi and its
+weak-field flip-angle variant. The series partial sums use the vector form of su(2), in which a
 commutator [a . S, b . S] is i (a x b) . S.
 """
 
@@ -36,7 +37,7 @@ TWO_PI = 2.0 * math.pi
 #: |sin(angle/2)| below this with cos(angle/2) ~ -1 marks the U = -E degeneracy.
 AMBIGUITY_SIN_TOL = 1e-8
 
-#: Default tolerance for the eigenvalue-gap (2 pi n) proximity check, in rad.
+#: A gap within this distance (rad) of some 2 pi n, n != 0, fails the gap condition.
 DEFAULT_GAP_TOL = 1e-6
 
 
@@ -76,10 +77,11 @@ class CriterionReport:
 
     criterion23_met is the amplitude-integral test I(T) < 2 pi (strict);
     criterion25_met the flip-angle variant theta(T) < 2 pi. The gap fields
-    summarize the eigenvalue-difference condition over every stored time:
-    magnus_gap_nearest is the smallest distance from any pairwise gap to the
-    set {2 pi n, n != 0}, and magnus_criterion_ok is true when it stays above
-    the tolerance. bound21_margin is the worst-case I(t) - omega_hat(t), the
+    are `gap_audit` over the eigenvalues at every stored time, all
+    configurations together: max_eigenvalue_gap is the largest pairwise gap,
+    magnus_gap_nearest the smallest distance from any pairwise gap to the set
+    {2 pi n, n != 0}, and magnus_criterion_ok is true when that distance
+    exceeds DEFAULT_GAP_TOL. bound21_margin is the worst-case I(t) - omega_hat(t), the
     pointwise audit of the amplitude-integral bound on the exponent.
     """
 
@@ -138,46 +140,25 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     )
 
 
-def omega_eigenvalues(solution: MagnusSolution, t_index: int) -> np.ndarray:
-    """Eigenvalues m_s * omega_hat of the exponent at one stored time.
+def gap_audit(lam: np.ndarray) -> tuple[float, float]:
+    """Largest eigenvalue gap and the nearest gap to the set {2 pi n, n != 0}.
 
-    Values are ordered configuration-major, each configuration contributing
-    one eigenvalue per total S quantum number (distinct values once; the
-    binomial multiplicities for n > 1 equivalent S spins are not repeated).
+    `lam` has shape (n_times, n_values): the eigenvalues of the whole
+    block-diagonal exponent at each stored time. Every pair (i, j) at the same
+    time counts, visited one offset j - i at a time, so no temporary holds more
+    than n_times * n_values entries. Fewer than two values give (0.0, inf).
     """
-    n_t = solution.omega_hat.shape[1]
-    if not (-n_t <= t_index < n_t):
-        raise IndexError(f"t_index {t_index} out of range for {n_t} stored times")
-    ms = np.arange(solution.s_count + 1) - 0.5 * solution.s_count
-    return (solution.omega_hat[:, t_index][:, None] * ms[None, :]).ravel()
-
-
-def magnus_gap_check(eigenvalues, tolerance: float = DEFAULT_GAP_TOL):
-    """Distance of all pairwise eigenvalue gaps from the lattice {2 pi n, n != 0}.
-
-    Returns (ok, nearest_violation): ok iff every gap stays farther than
-    `tolerance` from every nonzero multiple of 2 pi. Fewer than two
-    eigenvalues trivially pass with infinite distance.
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    lam = np.asarray(eigenvalues, dtype=float).ravel()
-    if lam.size < 2:
-        return True, math.inf
-    iu = np.triu_indices(lam.size, k=1)
-    gaps = np.abs(lam[:, None] - lam[None, :])[iu]
-    nearest = float(np.min(_gap_distances(gaps)))
-    return nearest > tolerance, nearest
-
-
-def _gap_distances(gaps: np.ndarray) -> np.ndarray:
-    n = np.maximum(np.round(gaps / TWO_PI), 1.0)
-    return np.abs(gaps - TWO_PI * n)
+    max_gap, nearest = 0.0, math.inf
+    for d in range(1, lam.shape[1]):
+        gaps = np.abs(lam[:, d:] - lam[:, :-d])
+        max_gap = max(max_gap, float(np.max(gaps)))
+        n = np.maximum(np.round(gaps / TWO_PI), 1.0)
+        nearest = min(nearest, float(np.min(np.abs(gaps - TWO_PI * n))))
+    return max_gap, nearest
 
 
 def explicit_criterion(system: SpinSystem, shape: PulseShape,
-                       n_steps: int = 4096, tol: float | None = 1e-9,
-                       gap_tolerance: float = DEFAULT_GAP_TOL) -> CriterionReport:
+                       n_steps: int = 4096, tol: float | None = 1e-9) -> CriterionReport:
     """Evaluate the existence criterion and all audit quantities for one pulse.
 
     Computes I(T) and theta(T) by quadrature, propagates the exact
@@ -200,16 +181,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     n_t = solution.omega_hat.shape[1]
     lam = (solution.omega_hat[:, :, None] * ms[None, None, :])
     lam = lam.transpose(1, 0, 2).reshape(n_t, -1)  # (n_times, n_values)
-    iu = np.triu_indices(lam.shape[1], k=1)
-    max_gap = 0.0
-    nearest = math.inf
-    chunk = 16384
-    for start in range(0, lam.shape[0], chunk):
-        block = lam[start:start + chunk]
-        gaps = np.abs(block[:, :, None] - block[:, None, :])[:, iu[0], iu[1]]
-        if gaps.size:
-            max_gap = max(max_gap, float(np.max(gaps)))
-            nearest = min(nearest, float(np.min(_gap_distances(gaps))))
+    max_gap, nearest = gap_audit(lam)
 
     ambiguity_times = trajectory.times[np.any(solution.ambiguous, axis=0)]
     return CriterionReport(
@@ -220,7 +192,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         max_omega_hat=float(np.max(solution.omega_hat)),
         max_eigenvalue_gap=max_gap,
         magnus_gap_nearest=nearest,
-        magnus_criterion_ok=bool(nearest > gap_tolerance),
+        magnus_criterion_ok=bool(nearest > DEFAULT_GAP_TOL),
         bound21_margin=bound21_margin,
         ambiguity_times=ambiguity_times,
         n_steps=n_steps,

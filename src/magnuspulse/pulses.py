@@ -118,44 +118,52 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
     _require(duration > 0, f"duration must be positive, got {duration}")
     t0 = duration / 2.0
 
+    def number(key, default):
+        return _finite(params.pop(key, default), key)
+
+    def numbers(key):
+        values = params.pop(key, ())
+        _require(isinstance(values, (list, tuple)), f"{key} must be a list of numbers, got {values!r}")
+        return [_finite(v, f"{key}[{n}]") for n, v in enumerate(values)]
+
     def shape(fn):
         return PulseShape(duration=duration, amplitude_fn=fn, phase_fn=_zero_phase)
 
     if family == "constant":
-        amplitude = float(params.pop("amplitude", 1.0))
+        amplitude = number("amplitude", 1.0)
         _require(not params, f"unexpected parameters {sorted(params)} for constant")
         return shape(lambda t: np.full_like(np.asarray(t, dtype=float), amplitude))
 
     if family == "gaussian":
-        truncation = float(params.pop("truncation", 0.01))
-        peak = float(params.pop("peak", 1.0))
+        truncation = number("truncation", 0.01)
+        peak = number("peak", 1.0)
         _require(not params, f"unexpected parameters {sorted(params)} for gaussian")
         _require(0.0 < truncation < 1.0, f"truncation must be in (0, 1), got {truncation}")
         a = -math.log(truncation)
         return shape(lambda t: peak * np.exp(-a * ((np.asarray(t) - t0) / t0) ** 2))
 
     if family == "sech":
-        beta = float(params.pop("beta", 5.3))
-        peak = float(params.pop("peak", 1.0))
+        beta = number("beta", 5.3)
+        peak = number("peak", 1.0)
         _require(not params, f"unexpected parameters {sorted(params)} for sech")
         _require(beta > 0, f"beta must be positive, got {beta}")
         return shape(lambda t: peak / np.cosh(beta * (np.asarray(t) - t0) / t0))
 
     if family == "sinc":
-        lobes = params.pop("lobes", 3)
-        peak = float(params.pop("peak", 1.0))
+        lobes = number("lobes", 3)
+        peak = number("peak", 1.0)
         _require(not params, f"unexpected parameters {sorted(params)} for sinc")
-        _require(int(lobes) == lobes and lobes >= 1, f"lobes must be an integer >= 1, got {lobes}")
+        _require(lobes.is_integer() and lobes >= 1, f"lobes must be an integer >= 1, got {lobes}")
         lobes = int(lobes)
         return shape(lambda t: peak * np.sinc(lobes * (np.asarray(t) - t0) / t0))
 
     if family == "hermite":
-        order = params.pop("order", 2)
-        width = float(params.pop("width", 1.5))
-        truncation = float(params.pop("truncation", 0.01))
-        peak = float(params.pop("peak", 1.0))
+        order = number("order", 2)
+        width = number("width", 1.5)
+        truncation = number("truncation", 0.01)
+        peak = number("peak", 1.0)
         _require(not params, f"unexpected parameters {sorted(params)} for hermite")
-        _require(int(order) == order and order >= 0 and order % 2 == 0,
+        _require(order.is_integer() and order >= 0 and order % 2 == 0,
                  f"order must be an even integer >= 0, got {order}")
         _require(0.0 < truncation < 1.0, f"truncation must be in (0, 1), got {truncation}")
         order = int(order)
@@ -173,12 +181,10 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
 
     if family == "fourier":
         _require("a0" in params, "fourier pulses need the a0 parameter")
-        a0 = float(params.pop("a0"))
-        cos_c = tuple(float(c) for c in params.pop("cos_coeffs", ()))
-        sin_c = tuple(float(c) for c in params.pop("sin_coeffs", ()))
+        a0 = number("a0", None)
+        cos_c = numbers("cos_coeffs")
+        sin_c = numbers("sin_coeffs")
         _require(not params, f"unexpected parameters {sorted(params)} for fourier")
-        _require(all(math.isfinite(v) for v in (a0,) + cos_c + sin_c),
-                 "non-finite Fourier coefficient")
 
         def fourier_amp(t):
             t = np.asarray(t, dtype=float)
@@ -195,9 +201,7 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
     if family == "gaussian_cascade":
         _require({"amplitudes", "centers", "fwhms"} <= set(params),
                  "gaussian_cascade pulses need amplitudes, centers and fwhms")
-        amps = [float(a) for a in params.pop("amplitudes")]
-        centers = [float(c) for c in params.pop("centers")]
-        fwhms = [float(w) for w in params.pop("fwhms")]
+        amps, centers, fwhms = numbers("amplitudes"), numbers("centers"), numbers("fwhms")
         _require(not params, f"unexpected parameters {sorted(params)} for gaussian_cascade")
         _require(len(amps) == len(centers) == len(fwhms) and len(amps) >= 1,
                  "amplitudes, centers, fwhms must be equal-length non-empty lists")
@@ -227,26 +231,25 @@ def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:
     return (np.arange(n_steps) + 0.5) * dt, dt
 
 
-def flip_angle(pulse: PulseShape, t: float, n_steps: int = DEFAULT_N_STEPS) -> float:
-    """Flip angle theta(t) = integral_0^t omega1, composite midpoint rule."""
+def _midpoint_integral(pulse: PulseShape, t: float, n_steps: int, absolute: bool) -> float:
     if not (0.0 <= t <= pulse.duration):
         raise ValueError(f"t={t} outside pulse support [0, {pulse.duration}]")
     if t == 0.0:
         return 0.0
     _require(n_steps >= 1, f"n_steps must be >= 1, got {n_steps}")
     mids, dt = _midpoints(t, n_steps)
-    return float(np.sum(_eval(pulse.amplitude_fn, mids)) * dt)
+    amps = _eval(pulse.amplitude_fn, mids)
+    return float(np.sum(np.abs(amps) if absolute else amps) * dt)
+
+
+def flip_angle(pulse: PulseShape, t: float, n_steps: int = DEFAULT_N_STEPS) -> float:
+    """Flip angle theta(t) = integral_0^t omega1, composite midpoint rule."""
+    return _midpoint_integral(pulse, t, n_steps, absolute=False)
 
 
 def abs_amplitude_integral(pulse: PulseShape, t: float, n_steps: int = DEFAULT_N_STEPS) -> float:
     """Criterion integral I(t) = integral_0^t |omega1|, same grid as flip_angle."""
-    if not (0.0 <= t <= pulse.duration):
-        raise ValueError(f"t={t} outside pulse support [0, {pulse.duration}]")
-    if t == 0.0:
-        return 0.0
-    _require(n_steps >= 1, f"n_steps must be >= 1, got {n_steps}")
-    mids, dt = _midpoints(t, n_steps)
-    return float(np.sum(np.abs(_eval(pulse.amplitude_fn, mids))) * dt)
+    return _midpoint_integral(pulse, t, n_steps, absolute=True)
 
 
 def calibrate(pulse: PulseShape, target_flip: float, n_steps: int = DEFAULT_N_STEPS) -> PulseShape:

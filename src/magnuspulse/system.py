@@ -170,7 +170,7 @@ def _finite(value, name: str) -> float:
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"non-finite {name}: {value}")
     return value
 
 

@@ -267,6 +267,9 @@ class TestErrors:
          "fourier.b"),
         ('"family": "fourier", "duration_s": 0.001, "fourier": {"a0": [1.0]}', "fourier.a0"),
         ('"family": "gaussian", "duration_s": [0.002]', "duration_s"),
+        ('"family": "gaussian", "duration_s": 0.002, "params": {"truncation": [1]}', "truncation"),
+        ('"family": "gaussian_cascade", "duration_s": 0.001, "params": {"amplitudes": 5,'
+         ' "centers": [0.5], "fwhms": [0.1]}', "amplitudes"),
     ])
     def test_malformed_pulse_field_bad_input(self, tmp_path, capsys, fields, field):
         pulse_file = tmp_path / "bad.json"

@@ -12,15 +12,16 @@ from magnuspulse import (
     explicit_criterion,
     extract_omega,
     flip_angle,
-    magnus_gap_check,
+    gap_audit,
+    list_catalog,
     magnus_partial_sums,
-    omega_eigenvalues,
     propagate_interaction,
     resolve_pulse,
     scale_amplitude,
     su2,
 )
-from magnuspulse.magnus import ExtractionError
+from magnuspulse import magnus
+from magnuspulse.magnus import DEFAULT_GAP_TOL, ExtractionError
 from magnuspulse.su2 import SX
 from magnuspulse.verify import random_fourier_pulse, random_small_system
 import oracle
@@ -123,41 +124,71 @@ class TestAnglesFromOmega:
 
 class TestEigenvaluesAndGap:
     def test_single_config_pair(self, s_only_system):
+        # eigenvalues +-omega_hat/2 with omega_hat rising to pi
         pulse = calibrate(build_pulse("constant", 1e-3), math.pi)
-        traj = propagate_interaction(s_only_system, pulse, n_steps=64, tol=None)
-        sol = extract_omega(traj)
-        lam = omega_eigenvalues(sol, -1)
-        assert np.allclose(sorted(lam), [-math.pi / 2, math.pi / 2], atol=1e-9)
+        report = explicit_criterion(s_only_system, pulse, n_steps=64, tol=None)
+        assert report.max_eigenvalue_gap == pytest.approx(math.pi, abs=1e-9)
 
     def test_zero_hat_all_zero(self, sax_system):
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
-        sol = extract_omega(propagate_interaction(sax_system, pulse, n_steps=16, tol=None))
-        assert np.array_equal(omega_eigenvalues(sol, 3), np.zeros(8))
+        report = explicit_criterion(sax_system, pulse, n_steps=16, tol=None)
+        assert report.max_eigenvalue_gap == 0.0
+        assert report.magnus_gap_nearest == TWO_PI
 
     def test_two_s_spins_quantum_numbers(self):
+        # eigenvalues -pi, 0, pi at the end: the outer pair is 2 pi apart
         pulse = calibrate(build_pulse("constant", 1e-3), math.pi)
-        traj = propagate_interaction(SpinSystem(s_count=2), pulse, n_steps=64, tol=None)
-        sol = extract_omega(traj)
-        assert np.allclose(omega_eigenvalues(sol, -1), [-math.pi, 0.0, math.pi], atol=1e-9)
+        report = explicit_criterion(SpinSystem(s_count=2), pulse, n_steps=64, tol=None)
+        assert report.max_eigenvalue_gap == pytest.approx(TWO_PI, abs=1e-9)
+        assert report.magnus_gap_nearest == pytest.approx(0.0, abs=1e-9)
+        assert not report.magnus_criterion_ok
 
     def test_gap_check_ok(self):
-        ok, nearest = magnus_gap_check([math.pi / 4, -math.pi / 4])
-        assert ok
+        _, nearest = gap_audit(np.array([[math.pi / 4, -math.pi / 4]]))
+        assert nearest > DEFAULT_GAP_TOL
         assert nearest == pytest.approx(TWO_PI - math.pi / 2)
 
     def test_gap_check_violation_at_n1(self):
-        ok, nearest = magnus_gap_check([math.pi, -math.pi])
-        assert not ok
+        _, nearest = gap_audit(np.array([[math.pi, -math.pi]]))
+        assert not nearest > DEFAULT_GAP_TOL
         assert nearest == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_check_zero_eigenvalues_ok(self):
-        ok, nearest = magnus_gap_check([0.0, 0.0])
-        assert ok
+        _, nearest = gap_audit(np.array([[0.0, 0.0]]))
+        assert nearest > DEFAULT_GAP_TOL
         assert nearest == pytest.approx(TWO_PI)
 
     def test_gap_check_single_value(self):
-        ok, nearest = magnus_gap_check([0.3])
-        assert ok and nearest == math.inf
+        assert gap_audit(np.array([[0.3]])) == (0.0, math.inf)
+
+    def test_matches_all_pairs_oracle_on_random_spectra(self):
+        rng = np.random.default_rng(8)
+        special = [
+            lambda n: np.zeros(n),
+            lambda n: rng.choice([-1.0, 0.5, 2.0], size=n),  # duplicates
+            lambda n: np.resize([math.pi, -math.pi], n),
+            lambda n: np.resize([0.0, TWO_PI, 2.0 * TWO_PI, -TWO_PI], n),  # exactly 2 pi n apart
+        ]
+        for n_values in range(1, 41):
+            lam = rng.uniform(-3.0 * TWO_PI, 3.0 * TWO_PI, size=(int(rng.integers(4, 40)), n_values))
+            for row, fill in enumerate(special):
+                lam[row] = fill(n_values)
+            assert gap_audit(lam) == oracle.gap_audit_pairs(lam), n_values
+
+    @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
+    def test_matches_all_pairs_oracle_on_catalog(self, request, monkeypatch, system):
+        seen = []
+
+        def spy(lam):
+            seen.append(lam)
+            return gap_audit(lam)
+
+        monkeypatch.setattr(magnus, "gap_audit", spy)
+        system = request.getfixturevalue(system)
+        for entry in list_catalog():
+            report = explicit_criterion(system, entry.build_calibrated(), n_steps=1024, tol=None)
+            audit = oracle.gap_audit_pairs(seen.pop())
+            assert (report.max_eigenvalue_gap, report.magnus_gap_nearest) == audit, entry.name
 
 
 class TestExplicitCriterion:

@@ -18,7 +18,6 @@ from magnuspulse import (
 )
 from magnuspulse.propagation import RefinementError
 from magnuspulse.su2 import E2, SX, SY, SZ
-import oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,12 +123,6 @@ class TestPropagateInteraction:
             propagate_interaction(sax_system, gaussian90, n_steps=2, tol=1e-14, max_doublings=1)
         assert err.value.estimate > 1e-14
 
-    def test_sax_matches_dense_oracle(self, sax_system, gaussian90):
-        traj = propagate_interaction(sax_system, gaussian90, n_steps=4096, tol=1e-9)
-        assembled = assemble_full_matrix(sax_system, traj.endpoint_blocks())
-        dense = oracle.dense_propagator(sax_system, gaussian90, 2 * traj.n_steps)
-        assert np.linalg.norm(assembled - dense) < 1e-8
-
 
 class TestLabFrame:
     def test_time_zero_identity(self, sax_system, gaussian90):
@@ -171,12 +164,6 @@ class TestMultiSAssemble:
         full = assemble_full_matrix(system, [block])
         sx_total = np.kron(SX, np.eye(2)) + np.kron(np.eye(2), SX)
         assert np.allclose(full, scipy.linalg.expm(-1j * theta * sx_total), atol=1e-12)
-
-    def test_s2ax_matches_dense_oracle(self, s2ax_system, gaussian90):
-        traj = propagate_interaction(s2ax_system, gaussian90, n_steps=4096, tol=1e-9)
-        assembled = assemble_full_matrix(s2ax_system, traj.endpoint_blocks())
-        dense = oracle.dense_propagator(s2ax_system, gaussian90, 2 * traj.n_steps)
-        assert np.linalg.norm(assembled - dense) < 1e-8
 
 
 class TestExcitationProfile:
