@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .system import _finite
+from .system import _finite, _numbers
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,9 +122,7 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
         return _finite(params.pop(key, default), key)
 
     def numbers(key):
-        values = params.pop(key, ())
-        _require(isinstance(values, (list, tuple)), f"{key} must be a list of numbers, got {values!r}")
-        return [_finite(v, f"{key}[{n}]") for n, v in enumerate(values)]
+        return _numbers(params.pop(key, ()), key)
 
     def shape(fn):
         return PulseShape(duration=duration, amplitude_fn=fn, phase_fn=_zero_phase)
@@ -357,10 +355,7 @@ def load_pulse_file(source) -> CatalogEntry:
                              f"got {block!r}")
         params = {"a0": _finite(block["a0"], "fourier.a0")}
         for key, name in (("a", "cos_coeffs"), ("b", "sin_coeffs")):
-            values = block.get(key, [])
-            if not isinstance(values, list):
-                raise ValueError(f"fourier.{key} must be a list of numbers, got {values!r}")
-            params[name] = [_finite(v, f"fourier.{key}[{n}]") for n, v in enumerate(values)]
+            params[name] = _numbers(block.get(key, []), f"fourier.{key}")
     else:
         params = doc.get("params", {})
         if not isinstance(params, dict):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -165,13 +166,19 @@ def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:
 
 def _finite(value, name: str) -> float:
     """A finite float from a file field, or a ValueError naming the field."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"non-finite {name}: {value}")
     return value
+
+
+def _numbers(values, name: str) -> list[float]:
+    """A list of finite floats from a file field, each entry named `name[k]`."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return [_finite(v, f"{name}[{k}]") for k, v in enumerate(values)]
 
 
 def _integer(value, name: str) -> int:

@@ -22,8 +22,8 @@ log-depth scan (about n log2 n products) that the library's work-efficient
 scan replaced; its endpoint fixes the association that refinement decisions
 were recorded with.
 
-`gap_audit_pairs` is the eigenvalue-gap audit as an all-pairs table over
-fixed 16384-time chunks, the reference for the library's offset sweep.
+`gap_audit_pairs` is the eigenvalue-gap audit as one all-pairs table, the
+reference for the library's offset sweep.
 """
 
 import math
@@ -277,16 +277,11 @@ def hillis_steele_prefix(q):
     return q
 
 
-def gap_audit_pairs(lam, chunk=16384):
+def gap_audit_pairs(lam):
     """(max gap, nearest gap to {2 pi n, n != 0}) over every pair of lam[t, :]."""
     iu = np.triu_indices(lam.shape[1], k=1)
-    max_gap = 0.0
-    nearest = math.inf
-    for start in range(0, lam.shape[0], chunk):
-        block = lam[start:start + chunk]
-        gaps = np.abs(block[:, :, None] - block[:, None, :])[:, iu[0], iu[1]]
-        if gaps.size:
-            max_gap = max(max_gap, float(np.max(gaps)))
-            n = np.maximum(np.round(gaps / TWO_PI), 1.0)
-            nearest = min(nearest, float(np.min(np.abs(gaps - TWO_PI * n))))
-    return max_gap, nearest
+    gaps = np.abs(lam[:, :, None] - lam[:, None, :])[:, iu[0], iu[1]]
+    if not gaps.size:
+        return 0.0, math.inf
+    n = np.maximum(np.round(gaps / TWO_PI), 1.0)
+    return float(np.max(gaps)), float(np.min(np.abs(gaps - TWO_PI * n)))

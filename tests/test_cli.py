@@ -227,6 +227,13 @@ class TestErrors:
         assert rc == 2
         assert "s_offset_hz" in capsys.readouterr().err
 
+    def test_string_system_offset_bad_input(self, tmp_path, capsys):
+        system_file = tmp_path / "text.json"
+        system_file.write_text('{"s_offset_hz": "100", "i_spins": [{"j_to_s_hz": 8.0}]}')
+        rc = main(["decompose", "--pulse", "g4", "--system", str(system_file)])
+        assert rc == 2
+        assert "s_offset_hz" in capsys.readouterr().err
+
     def test_zero_area_pulse_bad_input(self, tmp_path, capsys):
         pulse_file = tmp_path / "odd.json"
         pulse_file.write_text(
@@ -270,6 +277,8 @@ class TestErrors:
         ('"family": "gaussian", "duration_s": 0.002, "params": {"truncation": [1]}', "truncation"),
         ('"family": "gaussian_cascade", "duration_s": 0.001, "params": {"amplitudes": 5,'
          ' "centers": [0.5], "fwhms": [0.1]}', "amplitudes"),
+        ('"family": "sinc", "duration_s": 0.002, "params": {"lobes": "3"}', "lobes"),
+        ('"family": "gaussian", "duration_s": 0.002, "params": {"peak": true}', "peak"),
     ])
     def test_malformed_pulse_field_bad_input(self, tmp_path, capsys, fields, field):
         pulse_file = tmp_path / "bad.json"
