@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,6 +44,9 @@ EXIT_BAD_INPUT = 2
 EXIT_CRITERION_VIOLATED = 3
 EXIT_NUMERICAL = 4
 
+#: Most rows of one configuration whose CSV text is built and written at once.
+CSV_BLOCK_ROWS = 8192
+
 
 def _fmt(value) -> str:
     """Fixed 12-significant-digit text for floats (byte-stable output)."""
@@ -52,9 +56,7 @@ def _fmt(value) -> str:
 def _round_floats(obj):
     """Round floats to 12 significant digits recursively; non-finite to None."""
     if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return None
-        return float(f"{obj:.12g}")
+        return float(f"{obj:.12g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -62,15 +64,15 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(text: str, output: str | None):
+def _emit(chunks, output: str | None):
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(output)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".magnuspulse-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, output)
     except BaseException:
         if os.path.exists(tmp):
@@ -78,17 +80,42 @@ def _emit(text: str, output: str | None):
         raise
 
 
-def _emit_table(columns, rows, meta, args):
-    fmt = _resolve_format(args, default="csv")
-    if fmt == "csv":
-        # One %-format per row, typed by the first row: the text of _fmt, without a call per cell.
-        row_fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
-        _emit("\n".join([",".join(columns), *map(row_fmt.__mod__, rows)]) + "\n", args.output)
-    else:
-        doc = dict(meta)
-        doc["columns"] = list(columns)
-        doc["rows"] = _round_floats([list(map(float, row)) for row in rows])
-        _emit(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.output)
+def _g12(values: np.ndarray) -> list[str]:
+    """`%.12g` text of each value of a 1-D float array, from one format call."""
+    return (("%.12g\n" * len(values)) % tuple(values.tolist())).split()
+
+
+def _negated(texts: list[str]) -> list[str]:
+    """`_g12` text of -v + 0.0 from that of v: toggle the leading '-'; 0 stays 0."""
+    return [s[1:] if s[0] == "-" else s if s == "0" else "-" + s for s in texts]
+
+
+def _emit_table(columns, lead, values, meta, args, layout=None, indexed=True):
+    """Write one row per (configuration k, grid point i), k-major, as CSV or JSON.
+
+    A row is lead[i], k if `indexed`, then values[j, k, i] for each j in `layout` (default:
+    each source once), j = ~s standing for -values[s, k, i] + 0.0. CSV text is made in blocks
+    of one configuration's rows, formatting each value once; JSON rows are the cells read back.
+    """
+    layout = range(len(values)) if layout is None else layout
+
+    def blocks():
+        yield ",".join(columns) + "\n"
+        lead_text = _g12(lead)
+        for k in range(values.shape[1]):
+            for start in range(0, len(lead), CSV_BLOCK_ROWS):
+                rows = slice(start, start + CSV_BLOCK_ROWS)
+                text = {j: _g12(source[k, rows]) for j, source in enumerate(values)}
+                text.update({j: _negated(text[~j]) for j in set(layout) if j < 0})
+                index = [[str(k)] * len(lead_text[rows])] if indexed else []
+                yield "\n".join(map(",".join, zip(lead_text[rows], *index, *map(text.get, layout)))) + "\n"
+
+    if _resolve_format(args, default="csv") == "csv":
+        _emit(blocks(), args.output)
+        return
+    rows = [list(map(float, line.split(","))) for line in "".join(blocks()).splitlines()[1:]]
+    doc = {**meta, "columns": list(columns), "rows": _round_floats(rows)}
+    _emit([json.dumps(doc, indent=2, allow_nan=False) + "\n"], args.output)
 
 
 def _resolve_format(args, default: str) -> str:
@@ -165,8 +192,7 @@ def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
 
 def _cmd_catalog(args) -> int:
     entries = list_catalog()
-    fmt = _resolve_format(args, default="text")
-    if fmt == "json":
+    if _resolve_format(args, default="text") == "json":
         doc = _meta(args)
         doc["pulses"] = [
             {
@@ -177,7 +203,7 @@ def _cmd_catalog(args) -> int:
             }
             for e in entries
         ]
-        _emit(json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n", args.output)
+        _emit([json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n"], args.output)
     else:
         lines = [f"{'name':10s} {'family':18s} {'flip':>6s} {'duration':>10s}"]
         for e in entries:
@@ -185,7 +211,7 @@ def _cmd_catalog(args) -> int:
                 f"{e.name:10s} {e.family:18s} {math.degrees(e.nominal_flip):5.0f}d "
                 f"{e.duration * 1e3:7.3f} ms"
             )
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -209,21 +235,17 @@ def _cmd_criterion(args) -> int:
             "error_estimate": report.error_estimate,
         }
     )
-    fmt = _resolve_format(args, default="json")
-    if fmt == "json":
-        _emit(json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n", args.output)
+    if _resolve_format(args, default="json") == "json":
+        _emit([json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n"], args.output)
     else:
         flat = {}
         for key, value in doc.items():
             if isinstance(value, dict):
-                for sub, v in value.items():
-                    flat[f"{key}.{sub}"] = v
-            elif isinstance(value, list):
-                flat[key] = ";".join(_fmt(float(v)) if isinstance(v, float) else _fmt(v) for v in value)
+                flat.update((f"{key}.{sub}", v) for sub, v in value.items())
             else:
-                flat[key] = value
+                flat[key] = ";".join(map(_fmt, value)) if isinstance(value, list) else value
         lines = ["key,value"] + [f"{k},{_fmt(v)}" for k, v in flat.items()]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK if report.criterion23_met else EXIT_CRITERION_VIOLATED
 
 
@@ -231,13 +253,9 @@ def _cmd_propagate(args) -> int:
     system, shape, meta = _load_inputs(args)
     traj = propagate_interaction(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
-    # U = c E - i (v . sigma); adding 0.0 makes an exact zero print as 0, never -0
-    q = np.moveaxis(traj.q, -1, 0).reshape(4, -1)
-    c, vx, vy, vz, nvx, nvy, nvz = ((x + 0.0).tolist() for x in (*q, -q[1], -q[2], -q[3]))
-    t = np.tile(traj.times, traj.n_configs).tolist()
-    ci = np.repeat(np.arange(traj.n_configs), len(traj.times)).tolist()
-    rows = list(zip(t, ci, c, nvz, nvy, nvx, vy, nvx, c, vz))
-    _emit_table(columns, rows, meta, args)
+    # U = c E - i (v . sigma) from (c, vx, vy, vz); adding 0.0 makes an exact zero print as 0
+    values = np.moveaxis(traj.q, -1, 0) + 0.0
+    _emit_table(columns, traj.times, values, meta, args, layout=(0, ~3, ~2, ~1, 2, ~1, 0, 3))
     return EXIT_OK
 
 
@@ -246,23 +264,18 @@ def _cmd_profile(args) -> int:
     offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
     table = excitation_profile(system, shape, TWO_PI * offsets_hz, n_steps=args.steps)
     columns = ["offset_hz", "mx", "my", "mz"]
-    rows = list(zip(offsets_hz.tolist(), *table.T.tolist()))
-    _emit_table(columns, rows, meta, args)
+    _emit_table(columns, offsets_hz, table.T[:, None], meta, args, indexed=False)
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
     system, shape, meta = _load_inputs(args)
     state = integrate_expansion(system, shape, n_steps=args.steps, tol=args.tol)
-    alpha, beta, omega = angles_from_state(state)
     columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta",
                "omega_hat", "constraint_residual"]
-    t = np.tile(state.times, state.n_configs).tolist()
-    ci = np.repeat(np.arange(state.n_configs), len(state.times)).tolist()
-    values = (state.f, *np.moveaxis(state.g, -1, 0), alpha, beta, omega,
-              state.constraint_residual())
-    rows = list(zip(t, ci, *(x.ravel().tolist() for x in values)))
-    _emit_table(columns, rows, meta, args)
+    values = np.stack((*np.moveaxis(state.q, -1, 0), *angles_from_state(state),
+                       state.constraint_residual()))
+    _emit_table(columns, state.times, values, meta, args)
     return EXIT_OK
 
 
@@ -331,9 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

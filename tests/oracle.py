@@ -24,6 +24,9 @@ were recorded with.
 
 `gap_audit_pairs` is the eigenvalue-gap audit as one all-pairs table, the
 reference for the library's offset sweep.
+
+`csv_table` is the command line's former table writer, one `%` format per
+row, the reference for the text of its column-wise CSV writer.
 """
 
 import math
@@ -285,3 +288,12 @@ def gap_audit_pairs(lam):
         return 0.0, math.inf
     n = np.maximum(np.round(gaps / TWO_PI), 1.0)
     return float(np.max(gaps)), float(np.min(np.abs(gaps - TWO_PI * n)))
+
+
+def csv_table(columns, rows):
+    """CSV text of `rows`, each formatted by one `%` format typed by the first row.
+
+    Floats print as `%.12g`, anything else (the integer config_index) as `%s`.
+    """
+    row_fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+    return "\n".join([",".join(columns), *map(row_fmt.__mod__, rows)]) + "\n"

@@ -5,12 +5,18 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from magnuspulse import verify
-from magnuspulse.cli import main
+from magnuspulse import (angles_from_state, build_pulse, calibrate, excitation_profile,
+                         integrate_expansion, load_system, propagate_interaction, resolve_pulse,
+                         verify)
+from magnuspulse.cli import CSV_BLOCK_ROWS, _g12, _negated, _round_floats, main
+from oracle import csv_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,8 +159,103 @@ class TestTables:
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["columns"][0] == "t"
-        assert len(doc["rows"][0]) == len(doc["columns"])
+        assert doc["columns"] == ["t", "config_index", "re00", "im00", "re01", "im01",
+                                  "re10", "im10", "re11", "im11"]
+        system = load_system(sa_file)
+        shape = calibrate(build_pulse("gaussian", 1e-3), math.radians(90), 32)
+        traj = propagate_interaction(system, shape, n_steps=32, tol=1e-4)
+        c, vx, vy, vz = np.moveaxis(traj.q + 0.0, -1, 0)
+        nvx, nvy, nvz = (-x + 0.0 for x in (vx, vy, vz))
+        index = np.arange(traj.n_configs, dtype=float)[:, None]
+        table = np.broadcast_arrays(traj.times, index, c, nvz, nvy, nvx, vy, nvx, c, vz)
+        assert doc["rows"] == _round_floats(np.stack(table, axis=-1).reshape(-1, 10).tolist())
+
+
+SAX = str(Path(__file__).parent / "data" / "golden" / "sax.json")
+#: Odd, and 8195 steps give 8196 grid points: two row blocks per configuration.
+LONG_STEPS = 8195
+
+
+def assert_same_text(text, expected):
+    """text == expected, naming the first differing line instead of diffing megabytes."""
+    if text != expected:
+        got, want = text.split("\n") + [None], expected.split("\n") + [None]
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        pytest.fail(f"line {i + 1}: {got[i]!r} != {want[i]!r}")
+
+
+class TestCsvText:
+    """Table files equal, byte for byte, the former per-row writer applied to the
+    library's own results, on SAX (4 configurations) with a grid longer than one
+    row block."""
+
+    @pytest.fixture(scope="class")
+    def g4(self):
+        entry = resolve_pulse("g4")
+        return load_system(SAX), calibrate(entry.build(), entry.nominal_flip, LONG_STEPS)
+
+    @staticmethod
+    def run(tmp_path, argv):
+        out = tmp_path / "table.csv"
+        assert main(argv + ["--pulse", "g4", "--system", SAX, "--output", str(out)]) == 0
+        return out.read_text()
+
+    def test_propagate(self, tmp_path, g4):
+        assert LONG_STEPS + 1 > CSV_BLOCK_ROWS
+        text = self.run(tmp_path, ["propagate", "--steps", str(LONG_STEPS), "--tol", "1e-4"])
+        traj = propagate_interaction(*g4, n_steps=LONG_STEPS, tol=1e-4)
+        assert traj.n_configs == 4
+        q = np.moveaxis(traj.q, -1, 0).reshape(4, -1)
+        c, vx, vy, vz, nvx, nvy, nvz = ((x + 0.0).tolist() for x in (*q, -q[1], -q[2], -q[3]))
+        t = np.tile(traj.times, traj.n_configs).tolist()
+        ci = np.repeat(np.arange(traj.n_configs), len(traj.times)).tolist()
+        rows = list(zip(t, ci, c, nvz, nvy, nvx, vy, nvx, c, vz))
+        columns = ["t", "config_index", "re00", "im00", "re01", "im01", "re10", "im10", "re11",
+                   "im11"]
+        assert_same_text(text, csv_table(columns, rows))
+
+    def test_decompose(self, tmp_path, g4):
+        text = self.run(tmp_path, ["decompose", "--steps", str(LONG_STEPS), "--tol", "1e-4"])
+        state = integrate_expansion(*g4, n_steps=LONG_STEPS, tol=1e-4)
+        t = np.tile(state.times, state.n_configs).tolist()
+        ci = np.repeat(np.arange(state.n_configs), len(state.times)).tolist()
+        values = (state.f, *np.moveaxis(state.g, -1, 0), *angles_from_state(state),
+                  state.constraint_residual())
+        rows = list(zip(t, ci, *(x.ravel().tolist() for x in values)))
+        columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta", "omega_hat",
+                   "constraint_residual"]
+        assert_same_text(text, csv_table(columns, rows))
+
+    def test_profile(self, tmp_path):
+        count = CSV_BLOCK_ROWS + 1
+        text = self.run(tmp_path, ["profile", "--steps", "33", "--offset-start", "-2000",
+                                   "--offset-stop", "2000", "--offset-count", str(count)])
+        entry = resolve_pulse("g4")
+        shape = calibrate(entry.build(), entry.nominal_flip, 33)
+        offsets_hz = np.linspace(-2000.0, 2000.0, count)
+        table = excitation_profile(load_system(SAX), shape, TWO_PI * offsets_hz, n_steps=33)
+        rows = list(zip(offsets_hz.tolist(), *table.T.tolist()))
+        assert_same_text(text, csv_table(["offset_hz", "mx", "my", "mz"], rows))
+
+    def test_stdout_equals_file(self, tmp_path, capsys):
+        argv = ["propagate", "--steps", "33", "--tol", "1e-4"]
+        text = self.run(tmp_path, argv)
+        capsys.readouterr()
+        assert main(argv + ["--pulse", "g4", "--system", SAX]) == 0
+        assert_same_text(capsys.readouterr().out, text)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(FINITE, max_size=40))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310])
+@example([1e12, -1e12, 999999999999.5, 123456789012345.0, 2.0**53, -(2.0**63)])
+@example([1e-4, -1e-4, 1e-5, 9.99999999999e-5, 9.999999999995e-5, -9.9999999999949e-5])
+def test_cell_text_matches_percent_format(values):
+    text = _g12(np.array(values, dtype=float))
+    assert text == ["%.12g" % v for v in values]
+    assert _negated(text) == ["%.12g" % (-v + 0.0) for v in values]
 
 
 class TestCatalogCommand:
