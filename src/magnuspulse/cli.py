@@ -19,8 +19,10 @@ only), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -243,9 +245,13 @@ def _cmd_criterion(args) -> int:
             if isinstance(value, dict):
                 flat.update((f"{key}.{sub}", v) for sub, v in value.items())
             else:
-                flat[key] = ";".join(map(_fmt, value)) if isinstance(value, list) else value
-        lines = ["key,value"] + [f"{k},{_fmt(v)}" for k, v in flat.items()]
-        _emit(["\n".join(lines) + "\n"], args.output)
+                flat[key] = value
+        # a list or dict is one cell of JSON text, quoted where it holds commas
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([("key", "value")] + [
+            (k, json.dumps(_round_floats(v)) if isinstance(v, (list, dict)) else _fmt(v))
+            for k, v in flat.items()])
+        _emit([text.getvalue()], args.output)
     return EXIT_OK if report.criterion23_met else EXIT_CRITERION_VIOLATED
 
 

@@ -180,16 +180,18 @@ def angles_from_state(state: ExpansionState):
     """Decomposition angles (alpha, beta, omega_tilde) along the whole grid.
 
     alpha = atan2(g_y, g_x), beta = atan2(hypot(g_x, g_y), g_z); the rotation
-    angle 2*atan2(|g|, f) is unwrapped by continuity in time by `su2.track`.
+    angle 2*atan2(|g|, f) is unwrapped by continuity in time by
+    `su2.track_rows`, on the component rows of `state.q`.
     The scalar data alone cannot tell ascending from descending at a fold
     (angle through 2 pi, where |g| reflects), so the sign of the half-angle
     sine follows the last well-defined g direction before unwrapping.
     Degenerate points |g| ~ 0 report alpha = beta = 0. Each output has shape
     (n_configs, n_steps + 1).
     """
-    gx, gy, gz = state.g[..., 0], state.g[..., 1], state.g[..., 2]
-    degenerate = np.linalg.norm(state.g, axis=-1) < 1e-12
+    rows = np.moveaxis(state.q, -1, 0)  # contiguous (n_configs, n_times) rows
+    _, gx, gy, gz = rows
+    omega, _, norm = su2.track_rows(rows[0], rows[1:])
+    degenerate = norm < 1e-12
     alpha = np.where(degenerate, 0.0, np.arctan2(gy, gx))
     beta = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))
-    omega, _ = su2.track(state.q)
     return alpha, beta, omega

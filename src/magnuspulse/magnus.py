@@ -4,10 +4,13 @@ Continuous-exponential propagator analysis and the explicit existence criterion.
 Each interaction propagator U(t) of a configuration, stored as a unit
 quaternion (see `su2`), is written as a single exponential
 U = exp(-i Omega(t) . S). The rotation vector Omega(t) is recovered by the
-shared branch tracker `su2.track`: the axis keeps a continuous sign and the
-angle is unwrapped by 4 pi, seeded by Omega(0) = 0. That keeps Omega(t) on
-the smooth branch the continuous-exponential solution lives on, instead of
-jumping back at angle 2 pi the way a principal logarithm would.
+shared branch tracker `su2.track_rows`: the axis keeps a continuous sign and
+the angle is unwrapped by 4 pi, seeded by Omega(0) = 0. That keeps Omega(t)
+on the smooth branch the continuous-exponential solution lives on, instead
+of jumping back at angle 2 pi the way a principal logarithm would. Omega
+and the eigenvalues are built as rows with time contiguous, (3, n_configs,
+n_times) and (n_values, n_times); `MagnusSolution.omega` and the array
+`gap_audit` receives are transposed views of them.
 
 Where U passes through -E the rotation axis is genuinely undefined; those
 samples are flagged, the angle itself is still carried through by
@@ -49,7 +52,8 @@ class ExtractionError(RuntimeError):
 class MagnusSolution:
     """Continuity-tracked exponent Omega(t) per configuration.
 
-    omega has shape (n_configs, n_times, 3); omega_hat is its norm (always
+    omega has shape (n_configs, n_times, 3), a view of component-major
+    (3, n_configs, n_times) rows; omega_hat is its norm (always
     >= 0), alpha/beta the axis angles of the elementary-rotation
     decomposition: alpha = atan2(Omega_y, Omega_x) in (-pi, pi] and
     beta = atan2(hypot(Omega_x, Omega_y), Omega_z) in [0, pi], so that
@@ -104,7 +108,8 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     """Invert U(t_k) = exp(-i Omega . S) along the trajectory, per configuration.
 
     The branch (angle + 4 pi k along the axis) is tracked for continuity by
-    `su2.track`, seeded at Omega(0) = 0.
+    `su2.track_rows` on the component rows of the trajectory, seeded at
+    Omega(0) = 0; the same |v| flags the -E samples.
 
     Raises
     ------
@@ -112,13 +117,15 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
         If consecutive rotation vectors are >= pi apart, i.e. the trajectory
         is stored too coarsely to track the branch.
     """
-    q = trajectory.q
-    c, s = q[..., 0], np.linalg.norm(q[..., 1:], axis=-1)
+    rows = np.moveaxis(trajectory.q, -1, 0)  # contiguous (n_configs, n_times) rows
+    c = rows[0]
+    angle, omega, s = su2.track_rows(c, rows[1:])
     ambiguous = (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL)
 
-    angle, axis = su2.track(q)
-    omega = angle[..., None] * axis
-    gap2 = np.sum(np.diff(omega, axis=1) ** 2, axis=-1)
+    omega *= angle  # the unit axis becomes Omega, (3, n_configs, n_times)
+    step = np.diff(omega, axis=-1)
+    step *= step
+    gap2 = step[0] + step[1] + step[2]
     jumps = gap2 >= math.pi**2
     if jumps.any():
         ci, k = np.unravel_index(np.argmax(jumps), jumps.shape)
@@ -128,11 +135,11 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
             "re-run the propagation with more steps"
         )
 
-    ox, oy, oz = np.moveaxis(omega, -1, 0)
+    ox, oy, oz = omega
     return MagnusSolution(
         times=trajectory.times,
-        omega=omega,
-        omega_hat=np.linalg.norm(omega, axis=-1),
+        omega=np.moveaxis(omega, 0, -1),
+        omega_hat=np.sqrt(ox * ox + oy * oy + oz * oz),
         alpha=np.arctan2(oy, ox),
         beta=np.arctan2(np.hypot(ox, oy), oz),
         ambiguous=ambiguous,
@@ -145,15 +152,25 @@ def gap_audit(lam: np.ndarray) -> tuple[float, float]:
 
     `lam` has shape (n_times, n_values): the eigenvalues of the whole
     block-diagonal exponent at each stored time. Every pair (i, j) at the same
-    time counts, visited one offset j - i at a time, so no temporary holds more
-    than n_times * n_values entries. Fewer than two values give (0.0, inf).
+    time counts, visited one offset j - i at a time over the value-major rows
+    of `lam` (copied only if `lam` is not the transpose of a C-ordered
+    array) into two (n_values - 1, n_times) buffers allocated once. Fewer
+    than two values give (0.0, inf).
     """
+    rows = np.ascontiguousarray(np.transpose(lam))  # (n_values, n_times)
+    n_values = rows.shape[0]
+    gap_buf = np.empty((max(n_values - 1, 0),) + rows.shape[1:])
+    dist_buf = np.empty_like(gap_buf)
     max_gap, nearest = 0.0, math.inf
-    for d in range(1, lam.shape[1]):
-        gaps = np.abs(lam[:, d:] - lam[:, :-d])
+    for d in range(1, n_values):
+        gaps, dist = gap_buf[d - 1:], dist_buf[d - 1:]
+        np.abs(np.subtract(rows[d:], rows[:-d], out=gaps), out=gaps)
         max_gap = max(max_gap, float(np.max(gaps)))
-        n = np.maximum(np.round(gaps / TWO_PI), 1.0)
-        nearest = min(nearest, float(np.min(np.abs(gaps - TWO_PI * n))))
+        np.divide(gaps, TWO_PI, out=dist)
+        np.maximum(np.round(dist, out=dist), 1.0, out=dist)  # n
+        dist *= TWO_PI
+        np.abs(np.subtract(gaps, dist, out=dist), out=dist)
+        nearest = min(nearest, float(np.min(dist)))
     return max_gap, nearest
 
 
@@ -179,9 +196,8 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
 
     ms = np.arange(solution.s_count + 1) - 0.5 * solution.s_count  # total S quantum numbers
     n_t = solution.omega_hat.shape[1]
-    lam = (solution.omega_hat[:, :, None] * ms[None, None, :])
-    lam = lam.transpose(1, 0, 2).reshape(n_t, -1)  # (n_times, n_values)
-    max_gap, nearest = gap_audit(lam)
+    lam = (solution.omega_hat[:, None, :] * ms[None, :, None]).reshape(-1, n_t)  # (n_values, n_times)
+    max_gap, nearest = gap_audit(lam.T)
 
     ambiguity_times = trajectory.times[np.any(solution.ambiguous, axis=0)]
     return CriterionReport(

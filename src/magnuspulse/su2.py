@@ -7,12 +7,13 @@ c**2 + |v|**2 = 1 (Cayley-Klein form; Pauly et al., IEEE TMI 10 (1991) 53).
 The expansion-form coefficients (f, g) of U = f E - 2i (g . S) are the same
 numbers. `to_matrix` is the only place that builds the 2x2 complex view.
 
-Stored trajectories and `exp`, `to_matrix` and `track` keep the quaternion
-axis last. Products run component-major, on (4, ...) arrays with each
-component contiguous: `transverse_slices` builds them that way, `compose`
-multiplies them, `reduce` takes a time-ordered product down to its endpoint
-by a pairwise tree, and `scan` gives every prefix product with the same
-association, in about 2n products.
+`exp`, `to_matrix` and `track` take the quaternion axis last, and stored
+trajectories show it last, as views of component-major (4, ...) arrays. The
+bulk work runs on those contiguous component rows: `transverse_slices`
+builds them, `compose` multiplies them, `reduce` takes a time-ordered product
+down to its endpoint by a pairwise tree, `scan` gives every prefix product
+with the same association in about 2n products, and `track_rows` tracks the
+branch.
 """
 
 from __future__ import annotations
@@ -147,30 +148,42 @@ def track(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuous rotation angle and axis along the time axis -2 of q.
 
     Returns (angle, axis), shapes q.shape[:-1] and q.shape[:-1] + (3,), with
-    q[..., k, :] = exp(-i angle_k axis_k . S) at every sample. Where
-    |v| <= AXIS_TOL the axis of the last sample that had one is kept (the z
-    axis before any). The axis sign is chosen so consecutive axes never point
-    apart, and the half angle atan2(+-|v|, c) is then unwrapped by 2 pi, so
-    the angle runs on through 2 pi instead of folding back.
+    q[..., k, :] = exp(-i angle_k axis_k . S) at every sample. `track_rows`
+    does the work on the component rows of q; axis is a view of its
+    component-major result.
     """
-    q = np.asarray(q, dtype=float)
-    v = q[..., 1:]
-    norm = np.linalg.norm(v, axis=-1)
+    rows = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    angle, axis, _ = track_rows(rows[0], rows[1:])
+    return angle, np.moveaxis(axis, 0, -1)
+
+
+def track_rows(c: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`track` on component rows: c (..., n_t) and v = (vx, vy, vz), shape (3, ..., n_t).
+
+    Where |v| <= AXIS_TOL the axis of the last sample that had one is kept
+    (the z axis before any). The axis sign is chosen so consecutive axes
+    never point apart, and the half angle atan2(+-|v|, c) is then unwrapped
+    by 2 pi, so the angle runs on through 2 pi instead of folding back.
+    Returns (angle, axis, |v|); axis is component-major, shape (3, ..., n_t).
+    """
+    x, y, z = v
+    norm = np.sqrt(x * x + y * y + z * z)
     defined = norm > AXIS_TOL
     n_t = norm.shape[-1]
 
-    candidates = np.zeros(q.shape[:-2] + (n_t + 1, 3))
-    candidates[..., 0, 2] = 1.0
-    candidates[..., 1:, :] = np.where(
-        defined[..., None], v / np.where(defined, norm, 1.0)[..., None], 0.0)
+    candidates = np.zeros((3,) + norm.shape[:-1] + (n_t + 1,))
+    candidates[2, ..., 0] = 1.0
+    np.divide(v, norm, out=candidates[..., 1:], where=defined)
     source = np.where(defined, np.arange(1, n_t + 1), 0)
     source = np.maximum.accumulate(source, axis=-1)
-    axis = np.take_along_axis(candidates, source[..., None], axis=-2)
+    ax, ay, az = axis = np.take_along_axis(candidates, source[None], axis=-1)
 
     # The z fallback is not a real previous axis, so it never flips the sign.
-    flips = (np.sum(axis[..., 1:, :] * axis[..., :-1, :], axis=-1) < 0.0) & (source[..., :-1] > 0)
+    dot = ax[..., 1:] * ax[..., :-1] + ay[..., 1:] * ay[..., :-1] + az[..., 1:] * az[..., :-1]
+    flips = (dot < 0.0) & (source[..., :-1] > 0)
     sign = np.ones_like(norm)
     sign[..., 1:] = np.cumprod(np.where(flips, -1.0, 1.0), axis=-1)
 
-    half = np.unwrap(np.arctan2(sign * norm, q[..., 0]), axis=-1)
-    return 2.0 * half, sign[..., None] * axis
+    half = np.unwrap(np.arctan2(sign * norm, c), axis=-1)
+    axis *= sign
+    return 2.0 * half, axis, norm

@@ -22,6 +22,10 @@ log-depth scan (about n log2 n products) that the library's work-efficient
 scan replaced; its endpoint fixes the association that refinement decisions
 were recorded with.
 
+`track_trailing` is the branch tracker on quaternions with the component
+axis last, one (..., n_t, 4) array, the reference for the library's tracker
+on component rows.
+
 `gap_audit_pairs` is the eigenvalue-gap audit as one all-pairs table, the
 reference for the library's offset sweep.
 
@@ -278,6 +282,39 @@ def hillis_steele_prefix(q):
         q[..., shift:, :] = quaternion_product(q[..., shift:, :], q[..., :n - shift, :])
         shift *= 2
     return q
+
+
+def track_trailing(q):
+    """Continuous angle and axis along the time axis -2 of q (..., n_t, 4), axis last.
+
+    The axis of the last sample with |v| > AXIS_TOL is kept (z before any),
+    its sign chosen so consecutive axes never point apart, and the half angle
+    atan2(+-|v|, c) unwrapped by 2 pi. Returns (angle, axis), shapes
+    q.shape[:-1] and q.shape[:-1] + (3,).
+    """
+    from magnuspulse.su2 import AXIS_TOL
+
+    q = np.asarray(q, dtype=float)
+    v = q[..., 1:]
+    norm = np.linalg.norm(v, axis=-1)
+    defined = norm > AXIS_TOL
+    n_t = norm.shape[-1]
+
+    candidates = np.zeros(q.shape[:-2] + (n_t + 1, 3))
+    candidates[..., 0, 2] = 1.0
+    candidates[..., 1:, :] = np.where(
+        defined[..., None], v / np.where(defined, norm, 1.0)[..., None], 0.0)
+    source = np.where(defined, np.arange(1, n_t + 1), 0)
+    source = np.maximum.accumulate(source, axis=-1)
+    axis = np.take_along_axis(candidates, source[..., None], axis=-2)
+
+    # The z fallback is not a real previous axis, so it never flips the sign.
+    flips = (np.sum(axis[..., 1:, :] * axis[..., :-1, :], axis=-1) < 0.0) & (source[..., :-1] > 0)
+    sign = np.ones_like(norm)
+    sign[..., 1:] = np.cumprod(np.where(flips, -1.0, 1.0), axis=-1)
+
+    half = np.unwrap(np.arctan2(sign * norm, q[..., 0]), axis=-1)
+    return 2.0 * half, sign[..., None] * axis
 
 
 def gap_audit_pairs(lam):

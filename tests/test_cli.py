@@ -93,6 +93,21 @@ class TestCriterion:
         assert float(flat["bound21_margin"]) == pytest.approx(doc["bound21_margin"], rel=1e-6)
         assert flat["criterion23"] == str(doc["criterion23"])
 
+    def test_csv_rows_have_two_fields(self, tmp_path):
+        base = ["criterion", "--pulse", "g4", "--system", SAX]
+        out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+        main(base + ["--output", str(out_json)])
+        main(base + ["--output", str(out_csv)])
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows), [row for row in rows if len(row) != 2]
+        flat = dict(rows[1:])
+        doc = json.loads(out_json.read_text())
+        assert json.loads(flat["system.i_spins"]) == doc["system"]["i_spins"]
+        assert json.loads(flat["system.j_ii_hz"]) == doc["system"]["j_ii_hz"]
+        assert json.loads(flat["ambiguity_times"]) == doc["ambiguity_times"]
+
 
 class TestTables:
     def test_propagate_csv(self, tmp_path, sa_file):

@@ -29,6 +29,11 @@ import oracle
 TWO_PI = 2.0 * math.pi
 
 
+def _layouts(lam):
+    """The same (n_times, n_values) spectra C-ordered and as a transposed value-major view."""
+    return np.ascontiguousarray(lam), np.ascontiguousarray(lam.T).T
+
+
 class TestExtractOmega:
     def test_identity_trajectory(self, sax_system):
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
@@ -159,7 +164,8 @@ class TestEigenvaluesAndGap:
         assert nearest == pytest.approx(TWO_PI)
 
     def test_gap_check_single_value(self):
-        assert gap_audit(np.array([[0.3]])) == (0.0, math.inf)
+        for lam in _layouts(np.array([[0.3], [-1.0], [7.0]])):
+            assert gap_audit(lam) == (0.0, math.inf)
 
     def test_matches_all_pairs_oracle_on_random_spectra(self):
         rng = np.random.default_rng(8)
@@ -173,7 +179,8 @@ class TestEigenvaluesAndGap:
             lam = rng.uniform(-3.0 * TWO_PI, 3.0 * TWO_PI, size=(int(rng.integers(4, 40)), n_values))
             for row, fill in enumerate(special):
                 lam[row] = fill(n_values)
-            assert gap_audit(lam) == oracle.gap_audit_pairs(lam), n_values
+            audit = oracle.gap_audit_pairs(lam)
+            assert [gap_audit(x) for x in _layouts(lam)] == [audit, audit], n_values
 
     @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
     def test_matches_all_pairs_oracle_on_catalog(self, request, monkeypatch, system):
@@ -187,8 +194,10 @@ class TestEigenvaluesAndGap:
         system = request.getfixturevalue(system)
         for entry in list_catalog():
             report = explicit_criterion(system, entry.build_calibrated(), n_steps=1024, tol=None)
-            audit = oracle.gap_audit_pairs(seen.pop())
+            lam = seen.pop()
+            audit = oracle.gap_audit_pairs(lam)
             assert (report.max_eigenvalue_gap, report.magnus_gap_nearest) == audit, entry.name
+            assert [gap_audit(x) for x in _layouts(lam)] == [audit, audit], entry.name
 
 
 class TestExplicitCriterion:

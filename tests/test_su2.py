@@ -1,12 +1,15 @@
-"""The quaternion products behind every propagator: pairwise reduction and scan."""
+"""The quaternion core behind every propagator: pairwise reduction, scan and branch tracking."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magnuspulse import list_catalog, su2
+from magnuspulse import (angles_from_state, extract_omega, integrate_expansion, list_catalog,
+                         propagate_interaction, su2)
 from magnuspulse.cli import main
 import oracle
 
@@ -67,3 +70,74 @@ def test_odd_grid_refinement_unchanged(entry, tmp_path):
     assert rc in (0, 3)
     levels = LEVELS_AT_1000_STEPS[entry.name]
     assert json.loads(out.read_text())["trajectory_steps"] == 1000 << levels
+
+
+def _assert_tracks_like_oracle(q):
+    angle, axis = su2.track(q)
+    ref_angle, ref_axis = oracle.track_trailing(q)
+    assert np.array_equal(angle, ref_angle)
+    assert np.array_equal(axis, ref_axis)
+    return ref_angle, ref_axis
+
+
+@pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
+def test_track_matches_trailing_axis_oracle_on_catalog(request, system):
+    system = request.getfixturevalue(system)
+    for entry in list_catalog():
+        shape = entry.build_calibrated()
+        traj = propagate_interaction(system, shape, n_steps=4096, tol=None)
+        angle, axis = _assert_tracks_like_oracle(traj.q)
+        assert np.array_equal(extract_omega(traj).omega, angle[..., None] * axis), entry.name
+        state = integrate_expansion(system, shape, n_steps=4096, tol=None)
+        angle, _ = _assert_tracks_like_oracle(state.q)
+        assert np.array_equal(angles_from_state(state)[2], angle), entry.name
+
+
+#: How one sample of a random path is made from the one before it.
+SAMPLE_KINDS = ("step", "step", "random", "coordinate", "undefined", "at_tol", "flip", "minus_e")
+
+
+@st.composite
+def quaternion_paths(draw):
+    """Unit-quaternion paths, (n_configs, n_t, 4), with every case the tracker branches on.
+
+    Each configuration starts with a run of samples whose axis is undefined
+    (|v| <= AXIS_TOL, possibly empty); later samples are small steps, jumps,
+    rotations about a coordinate axis (consecutive axes exactly perpendicular),
+    undefined axes (also mid-path), |v| at the tolerance itself, the previous
+    rotation with its axis reversed, and -E passages.
+    """
+    n_configs, n_t = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    lead = draw(st.integers(0, n_t))
+    kinds = draw(st.lists(st.sampled_from(SAMPLE_KINDS), min_size=n_configs * n_t,
+                          max_size=n_configs * n_t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.empty((n_configs, n_t, 4))
+    for ci in range(n_configs):
+        prev = su2.IDENTITY
+        for k in range(n_t):
+            kind = "undefined" if k < lead else kinds[ci * n_t + k]
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            if kind == "step":
+                step = su2.exp(rng.normal(size=3) * 0.3)
+                sample = su2.compose(step[:, None], prev[:, None])[:, 0]
+            elif kind == "random":
+                sample = su2.exp(direction * rng.uniform(0.0, 4.0 * np.pi))
+            elif kind == "coordinate":
+                sample = su2.exp(np.eye(3)[rng.integers(3)] * rng.uniform(-4.0, 4.0))
+            elif kind in ("undefined", "at_tol"):
+                size = su2.AXIS_TOL if kind == "at_tol" else rng.choice([0.0, rng.uniform(0.0, su2.AXIS_TOL)])
+                sample = np.concatenate(([rng.choice([-1.0, 1.0])], size * direction))
+            elif kind == "flip":
+                sample = prev * np.array([1.0, -1.0, -1.0, -1.0])
+            else:
+                sample = np.array([-1.0, 0.0, 0.0, 0.0])
+            q[ci, k] = prev = sample
+    return q
+
+
+@settings(deadline=None)
+@given(quaternion_paths())
+def test_track_matches_trailing_axis_oracle_on_random_paths(q):
+    _assert_tracks_like_oracle(q)
