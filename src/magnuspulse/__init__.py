@@ -8,7 +8,6 @@ from .system import (
     ISpin,
     SpinSystem,
     assemble_full_matrix,
-    energy_diagonal,
     load_system,
     offset_diagonal,
 )
@@ -30,9 +29,7 @@ from .propagation import (
     BlockTrajectory,
     RefinementError,
     excitation_profile,
-    lab_frame_propagator,
     propagate_interaction,
-    unitarity_defect,
 )
 from .magnus import (
     CriterionReport,
@@ -47,7 +44,6 @@ from .expansion import (
     ExpansionState,
     angles_from_state,
     integrate_expansion,
-    omega_hat_quadrature,
 )
 
 __version__ = "0.1.0"

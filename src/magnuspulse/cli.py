@@ -34,8 +34,9 @@ import numpy as np
 from . import __version__
 from .expansion import angles_from_state, integrate_expansion
 from .magnus import ExtractionError, explicit_criterion
-from .propagation import RefinementError, excitation_profile, propagate_interaction
-from .pulses import PulseShape, build_pulse, calibrate, list_catalog, resolve_pulse
+from .propagation import DEFAULT_TOL, RefinementError, excitation_profile, propagate_interaction
+from .pulses import (DEFAULT_N_STEPS, PulseShape, build_pulse, calibrate, list_catalog,
+                     resolve_pulse)
 from .system import SpinSystem, load_system
 from .verify import run_all as run_verify
 
@@ -296,8 +297,11 @@ def _add_common(parser: argparse.ArgumentParser, offsets: bool = False):
     parser.add_argument("--shape", help="analytic pulse family (gaussian, sech, sinc, hermite, constant, ...)")
     parser.add_argument("--duration", type=float, help="pulse duration in seconds")
     parser.add_argument("--flip", type=float, help="target flip angle in degrees")
-    parser.add_argument("--steps", type=int, default=4096, help="quadrature/propagation steps (default 4096)")
-    parser.add_argument("--tol", type=float, default=1e-9, help="step-doubling endpoint tolerance (default 1e-9)")
+    parser.add_argument("--steps", type=int, default=DEFAULT_N_STEPS,
+                        help="quadrature/propagation steps (default %(default)s)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help=f"step-doubling endpoint tolerance (default {DEFAULT_TOL:g})"
+                        .replace("e-0", "e-"))  # "1e-9", as %(default)s would not print it
     parser.add_argument("--amplitude", type=float, help="constant-family amplitude in rad/s")
     parser.add_argument("--peak", type=float, help="peak amplitude in rad/s for analytic families")
     parser.add_argument("--truncation", type=float, help="edge truncation for gaussian/hermite")
@@ -310,7 +314,7 @@ def _add_common(parser: argparse.ArgumentParser, offsets: bool = False):
         parser.add_argument("--offset-stop", type=float, required=True, help="last trial offset in Hz")
         parser.add_argument("--offset-count", type=int, default=101, help="number of offsets (default 101)")
     parser.add_argument("--output", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv", "text"),
+    parser.add_argument("--format", choices=("json", "csv"),
                         help="output format (default inferred from --output extension)")
 
 

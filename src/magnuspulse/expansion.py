@@ -23,7 +23,9 @@ product with a single quaternion. Integration builds those step quaternions
 block by block over the grid and hands them to the same step-doubling
 driver as the exact propagation route (`propagation._refine`): endpoint
 reductions on the grids it discards, one scan of the grid it keeps. Both
-routes store their states on the grid t_k = k T / n.
+routes store their states on the grid t_k = k T / n. The decomposition
+angles, the rotation angle among them, are read off the stored quaternions
+by the shared branch tracker (`angles_from_state`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import su2
 from .propagation import BLOCK, DEFAULT_MAX_DOUBLINGS, DEFAULT_TOL, _refine
-from .pulses import PulseShape, _eval
+from .pulses import DEFAULT_N_STEPS, PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
 
 
@@ -73,16 +75,7 @@ class ExpansionState:
 
     def constraint_residual(self) -> np.ndarray:
         """|f**2 + |g|**2 - 1| at every stored time, shape (n_configs, n_steps + 1)."""
-        return np.abs(self.f**2 + np.sum(self.g**2, axis=-1) - 1.0)
-
-
-def _field_direction(offsets: np.ndarray, times: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Unit transverse field h(t) per configuration: shape (n_configs, len(times), 3)."""
-    angle = -offsets[:, None] * times[None, :] + phases[None, :]
-    h = np.zeros(angle.shape + (3,))
-    h[..., 0] = np.cos(angle)
-    h[..., 1] = np.sin(angle)
-    return h
+        return su2.norm_defect(self.q)
 
 
 def _rk4_steps(system: SpinSystem, shape: PulseShape, n_steps: int):
@@ -131,7 +124,7 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, n_steps: int):
 
 
 def integrate_expansion(system: SpinSystem, shape: PulseShape,
-                        n_steps: int = 4096, tol: float | None = DEFAULT_TOL,
+                        n_steps: int = DEFAULT_N_STEPS, tol: float | None = DEFAULT_TOL,
                         max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> ExpansionState:
     """Integrate the coefficient ODEs over [0, T] for every configuration.
 
@@ -150,30 +143,6 @@ def integrate_expansion(system: SpinSystem, shape: PulseShape,
     return ExpansionState(times=times, q=q, s_count=system.s_count,
                           n_steps=len(times) - 1, refinement_levels=levels,
                           error_estimate=estimate)
-
-
-def omega_hat_quadrature(state: ExpansionState, shape: PulseShape,
-                         system: SpinSystem) -> np.ndarray:
-    """Accumulated rotation angle from the reduced scalar ODE, per configuration.
-
-    Integrates omega1 (h . n) with n the unit vector along g, by the midpoint
-    rule on the state's own grid; where |g| < 1e-10 the direction falls back
-    to the instantaneous field h (the t -> 0 limit). Shape (n_configs, n_steps + 1).
-    """
-    offsets = offset_diagonal(system)
-    dt = state.dt
-    mids = state.times[:-1] + 0.5 * dt
-
-    amp_mids = _eval(shape.amplitude_fn, mids)
-    h_mids = _field_direction(offsets, mids, _eval(shape.phase_fn, mids))
-
-    g_mid = 0.5 * (state.g[:, :-1] + state.g[:, 1:])
-    norms = np.linalg.norm(g_mid, axis=-1)
-    n_vec = np.where(norms[..., None] >= 1e-10, g_mid / np.maximum(norms, 1e-300)[..., None], h_mids)
-    increments = amp_mids[None, :] * np.sum(h_mids * n_vec, axis=-1) * dt
-    out = np.zeros((state.n_configs, len(state.times)))
-    out[:, 1:] = np.cumsum(increments, axis=1)
-    return out
 
 
 def angles_from_state(state: ExpansionState):

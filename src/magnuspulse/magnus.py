@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .propagation import BlockTrajectory, propagate_interaction
-from .pulses import PulseShape, abs_amplitude_integral, flip_angle, sample
+from .propagation import DEFAULT_TOL, BlockTrajectory, propagate_interaction
+from .pulses import DEFAULT_N_STEPS, PulseShape, abs_amplitude_integral, flip_angle, sample
 from .su2 import SX, SY, SZ
 from .system import SpinSystem, offset_diagonal
 
@@ -54,8 +54,9 @@ class MagnusSolution:
 
     omega has shape (n_configs, n_times, 3), a view of component-major
     (3, n_configs, n_times) rows; omega_hat is its norm (always
-    >= 0), alpha/beta the axis angles of the elementary-rotation
-    decomposition: alpha = atan2(Omega_y, Omega_x) in (-pi, pi] and
+    >= 0). alpha/beta, computed from omega on each access, are the axis
+    angles of the elementary-rotation decomposition:
+    alpha = atan2(Omega_y, Omega_x) in (-pi, pi] and
     beta = atan2(hypot(Omega_x, Omega_y), Omega_z) in [0, pi], so that
     Omega = omega_hat (cos alpha sin beta, sin alpha sin beta, cos beta).
     ambiguous marks stored samples where U ~ -E left the axis undefined (the
@@ -65,14 +66,20 @@ class MagnusSolution:
     times: np.ndarray
     omega: np.ndarray
     omega_hat: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
     ambiguous: np.ndarray
     s_count: int
 
     @property
     def n_configs(self) -> int:
         return self.omega.shape[0]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return np.arctan2(self.omega[..., 1], self.omega[..., 0])
+
+    @property
+    def beta(self) -> np.ndarray:
+        return np.arctan2(np.hypot(self.omega[..., 0], self.omega[..., 1]), self.omega[..., 2])
 
 
 @dataclass(frozen=True)
@@ -140,8 +147,6 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
         times=trajectory.times,
         omega=np.moveaxis(omega, 0, -1),
         omega_hat=np.sqrt(ox * ox + oy * oy + oz * oz),
-        alpha=np.arctan2(oy, ox),
-        beta=np.arctan2(np.hypot(ox, oy), oz),
         ambiguous=ambiguous,
         s_count=trajectory.s_count,
     )
@@ -175,7 +180,8 @@ def gap_audit(lam: np.ndarray) -> tuple[float, float]:
 
 
 def explicit_criterion(system: SpinSystem, shape: PulseShape,
-                       n_steps: int = 4096, tol: float | None = 1e-9) -> CriterionReport:
+                       n_steps: int = DEFAULT_N_STEPS,
+                       tol: float | None = DEFAULT_TOL) -> CriterionReport:
     """Evaluate the existence criterion and all audit quantities for one pulse.
 
     Computes I(T) and theta(T) by quadrature, propagates the exact

@@ -14,12 +14,13 @@ requested tolerance. `_refine` is that doubling driver for both routes: the
 expansion module hands it RK4 step quaternions instead of exact slices.
 
 Slices, their products and the stored trajectory are unit quaternions
-(see `su2`); `BlockTrajectory.blocks` is the 2x2 view of them. A grid that
+(see `su2`); `su2.to_matrix` gives the 2x2 view of any of them. A grid that
 refinement discards only contributes its endpoint, a pairwise product
 (`su2.reduce`); the accepted grid is scanned (`su2.scan`) for the whole
 trajectory, every grid point of it, because downstream analysis
 (continuous matrix-logarithm tracking) needs dense-in-time samples.
-Excitation profiles need endpoints only and never build a trajectory.
+Excitation profiles need endpoints only and never build a trajectory. No
+propagator carries the I-spin energies' scalar phase, which cancels (see `system`).
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import su2
-from .pulses import PulseShape, sample
-from .su2 import E2
-from .system import SpinSystem, energy_diagonal, offset_diagonal
+from .pulses import DEFAULT_N_STEPS, PulseShape, sample
+from .system import SpinSystem, offset_diagonal
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_DOUBLINGS = 8
@@ -56,17 +56,13 @@ class BlockTrajectory:
 
     q holds them as unit quaternions, shape (n_configs, n_steps + 1, 4);
     blocks builds the 2x2 matrices from q on each access, shape
-    (n_configs, n_steps + 1, 2, 2). Index 0 in time is the identity. amps/phases are the midpoint
-    samples actually used for the slices, offsets/energies the
-    per-configuration diagonal frequencies.
+    (n_configs, n_steps + 1, 2, 2). Index 0 in time is the identity. amps
+    are the midpoint amplitude samples actually used for the slices.
     """
 
     times: np.ndarray
     q: np.ndarray
     amps: np.ndarray
-    phases: np.ndarray
-    offsets: np.ndarray
-    energies: np.ndarray
     s_count: int
     n_steps: int
     refinement_levels: int
@@ -83,16 +79,6 @@ class BlockTrajectory:
     @property
     def blocks(self) -> np.ndarray:
         return su2.to_matrix(self.q)
-
-    def endpoint_blocks(self) -> np.ndarray:
-        return su2.to_matrix(self.q[:, -1])
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """Frobenius norm of U U^dagger - E, maximal over any leading axes."""
-    u = np.asarray(u, dtype=complex)
-    prod = u @ np.conj(np.swapaxes(u, -1, -2))
-    return float(np.max(np.linalg.norm(prod - E2, axis=(-2, -1))))
 
 
 def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
@@ -154,7 +140,7 @@ def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
 
 
 def propagate_interaction(system: SpinSystem, shape: PulseShape,
-                          n_steps: int = 4096, tol: float | None = DEFAULT_TOL,
+                          n_steps: int = DEFAULT_N_STEPS, tol: float | None = DEFAULT_TOL,
                           max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> BlockTrajectory:
     """Time-ordered interaction-picture propagator over [0, T], all configurations.
 
@@ -178,33 +164,14 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
 
     q, sp, levels, estimate = _refine(slices, n_steps, tol, max_doublings)
     return BlockTrajectory(
-        times=np.arange(len(sp.times) + 1) * sp.dt, q=q, amps=sp.amps, phases=sp.phases,
-        offsets=offsets, energies=energy_diagonal(system),
+        times=np.arange(len(sp.times) + 1) * sp.dt, q=q, amps=sp.amps,
         s_count=system.s_count, n_steps=len(sp.times),
         refinement_levels=levels, error_estimate=estimate,
     )
 
 
-def lab_frame_propagator(system: SpinSystem, trajectory: BlockTrajectory,
-                         t_index: int) -> np.ndarray:
-    """Rotating-frame propagator blocks exp(-i H0 t) U_I(t) at one grid index.
-
-    Each block picks up the diagonal phase exp(-i (E + w Sz) t) of its
-    configuration, including the scalar I-spin phase exp(-i E t). Returns an
-    array of shape (n_configs, 2, 2) indexed by configuration.
-    """
-    n_t = trajectory.q.shape[1]
-    if not (-n_t <= t_index < n_t):
-        raise IndexError(f"t_index {t_index} out of range for {n_t} stored times")
-    t = float(trajectory.times[t_index])
-    free = np.zeros((trajectory.n_configs, 3))
-    free[:, 2] = trajectory.offsets * t  # exp(-i w t Sz)
-    lab = su2.compose(su2.exp(free).T, trajectory.q[:, t_index].T)
-    return np.exp(-1j * trajectory.energies * t)[:, None, None] * su2.to_matrix(lab.T)
-
-
 def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
-                       n_steps: int = 4096) -> np.ndarray:
+                       n_steps: int = DEFAULT_N_STEPS) -> np.ndarray:
     """Response table (<Sx>, <Sy>, <Sz>) after the pulse versus trial S offset.
 
     For each offset the initial state operator Sz evolves under the

@@ -7,20 +7,20 @@ c**2 + |v|**2 = 1 (Cayley-Klein form; Pauly et al., IEEE TMI 10 (1991) 53).
 The expansion-form coefficients (f, g) of U = f E - 2i (g . S) are the same
 numbers. `to_matrix` is the only place that builds the 2x2 complex view.
 
-`exp`, `to_matrix` and `track` take the quaternion axis last, and stored
+`exp` and `to_matrix` take the quaternion axis last, and stored
 trajectories show it last, as views of component-major (4, ...) arrays. The
 bulk work runs on those contiguous component rows: `transverse_slices`
 builds them, `compose` multiplies them, `reduce` takes a time-ordered product
 down to its endpoint by a pairwise tree, `scan` gives every prefix product
 with the same association in about 2n products, and `track_rows` tracks the
-branch.
+branch; a trailing-axis array q is tracked as ``track_rows(r[0], r[1:])``
+with ``r = np.moveaxis(q, -1, 0)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-E2 = np.eye(2, dtype=complex)
 SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
@@ -144,27 +144,21 @@ def to_matrix(q: np.ndarray) -> np.ndarray:
     return u
 
 
-def track(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous rotation angle and axis along the time axis -2 of q.
-
-    Returns (angle, axis), shapes q.shape[:-1] and q.shape[:-1] + (3,), with
-    q[..., k, :] = exp(-i angle_k axis_k . S) at every sample. `track_rows`
-    does the work on the component rows of q; axis is a view of its
-    component-major result.
-    """
-    rows = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    angle, axis, _ = track_rows(rows[0], rows[1:])
-    return angle, np.moveaxis(axis, 0, -1)
+def norm_defect(q: np.ndarray) -> np.ndarray:
+    """|c**2 + |v|**2 - 1| per quaternion (axis last); U U^dagger - E is that times E."""
+    return np.abs(q[..., 0] ** 2 + np.sum(q[..., 1:] ** 2, axis=-1) - 1.0)
 
 
 def track_rows(c: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`track` on component rows: c (..., n_t) and v = (vx, vy, vz), shape (3, ..., n_t).
+    """Continuous rotation angle and axis of c E - i (v . sigma) along the last (time) axis.
 
-    Where |v| <= AXIS_TOL the axis of the last sample that had one is kept
-    (the z axis before any). The axis sign is chosen so consecutive axes
-    never point apart, and the half angle atan2(+-|v|, c) is then unwrapped
-    by 2 pi, so the angle runs on through 2 pi instead of folding back.
-    Returns (angle, axis, |v|); axis is component-major, shape (3, ..., n_t).
+    c has shape (..., n_t) and v = (vx, vy, vz) shape (3, ..., n_t). Where
+    |v| <= AXIS_TOL the axis of the last sample that had one is kept (the z
+    axis before any). The axis sign is chosen so consecutive axes never
+    point apart, and the half angle atan2(+-|v|, c) is then unwrapped by
+    2 pi, so the angle runs on through 2 pi instead of folding back.
+    Returns (angle, axis, |v|), with angle_k axis_k . S the exponent of
+    sample k; axis is component-major, shape (3, ..., n_t).
     """
     x, y, z = v
     norm = np.sqrt(x * x + y * y + z * z)

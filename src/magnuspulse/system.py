@@ -7,7 +7,9 @@ each other through scalar couplings. Weak coupling keeps every I-spin operator
 longitudinal, so the static Hamiltonian is diagonal in the Zeeman product
 basis and the S-spin dynamics splits into independent 2x2 blocks, one per
 joint assignment of magnetic quantum numbers to the I spins (an
-"I configuration").
+"I configuration"). Only the S offset and the S-I couplings enter a block:
+the I-spin offsets and the couplings among I spins add a scalar phase per
+configuration, so they are validated and kept but never propagated.
 
 Units
 -----
@@ -120,16 +122,6 @@ def offset_diagonal(system: SpinSystem) -> np.ndarray:
     return system.s_offset + ms @ j_s
 
 
-def energy_diagonal(system: SpinSystem) -> np.ndarray:
-    """I-spin Zeeman + J energy sum_k Omega_k*m_k + sum_{k<l} 2*pi*J_kl*m_k*m_l."""
-    ms = m_table(system)
-    offs = np.array([s.offset for s in system.i_spins])
-    vals = ms @ offs if system.n_i else np.zeros(1)
-    for (k, l), j_hz in system.j_ii.items():
-        vals = vals + TWO_PI * j_hz * ms[:, k] * ms[:, l]
-    return vals
-
-
 def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:
     """Embed per-configuration 2x2 S-spin blocks into the full Hilbert space.
 
@@ -231,6 +223,8 @@ def load_system(source) -> SpinSystem:
     j_ii = {}
     for k, l, value in j_ii_hz:
         pair = (_integer(k, "j_ii_hz spin index"), _integer(l, "j_ii_hz spin index"))
+        if pair in j_ii or pair[::-1] in j_ii:
+            raise ValueError(f"duplicate j_ii_hz entry for spins {pair}")
         j_ii[pair] = _finite(value, f"j_ii_hz[{k}, {l}]")
     return SpinSystem(
         s_count=_integer(doc.get("s_count", 1), "s_count"),

@@ -15,6 +15,9 @@ integral, kept as the reference for the library's vector form.
 the expansion-form coefficient ODEs (`expansion_rhs`), one time step at a
 time, kept as the reference for the library's step-quaternion scan.
 `_legacy_expansion_rhs` is the superseded form of those ODEs.
+`omega_hat_quadrature` is a second route to the expansion form's rotation
+angle: midpoint quadrature of the reduced scalar ODE, where the library
+tracks the branch of the stored quaternions.
 
 `sequential_prefix` multiplies unit-quaternion steps as 2x2 matrices one at
 a time, the reference for the library's scan. `hillis_steele_prefix` is the
@@ -242,6 +245,41 @@ def integrate_expansion_loop(system, shape, n_steps, rhs=expansion_rhs):
         f_hist[:, k + 1] = f
         g_hist[:, k + 1] = g
     return nodes, f_hist, g_hist
+
+
+def _field_direction(offsets, times, phases):
+    """Unit transverse field h(t) per configuration: shape (n_configs, len(times), 3)."""
+    angle = -offsets[:, None] * times[None, :] + phases[None, :]
+    h = np.zeros(angle.shape + (3,))
+    h[..., 0] = np.cos(angle)
+    h[..., 1] = np.sin(angle)
+    return h
+
+
+def omega_hat_quadrature(state, shape, system):
+    """Accumulated rotation angle from the reduced scalar ODE, per configuration.
+
+    Integrates omega1 (h . n) with n the unit vector along g, by the midpoint
+    rule on the state's own grid; where |g| < 1e-10 the direction falls back
+    to the instantaneous field h (the t -> 0 limit). Shape (n_configs, n_steps + 1).
+    """
+    from magnuspulse import offset_diagonal
+    from magnuspulse.pulses import _eval
+
+    offsets = offset_diagonal(system)
+    dt = state.dt
+    mids = state.times[:-1] + 0.5 * dt
+
+    amp_mids = _eval(shape.amplitude_fn, mids)
+    h_mids = _field_direction(offsets, mids, _eval(shape.phase_fn, mids))
+
+    g_mid = 0.5 * (state.g[:, :-1] + state.g[:, 1:])
+    norms = np.linalg.norm(g_mid, axis=-1)
+    n_vec = np.where(norms[..., None] >= 1e-10, g_mid / np.maximum(norms, 1e-300)[..., None], h_mids)
+    increments = amp_mids[None, :] * np.sum(h_mids * n_vec, axis=-1) * dt
+    out = np.zeros((state.n_configs, len(state.times)))
+    out[:, 1:] = np.cumsum(increments, axis=1)
+    return out
 
 
 def quaternion_matrix(q):

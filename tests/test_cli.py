@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from magnuspulse import (angles_from_state, build_pulse, calibrate, excitation_profile,
                          integrate_expansion, load_system, propagate_interaction, resolve_pulse,
                          verify)
-from magnuspulse.cli import CSV_BLOCK_ROWS, _g12, _negated, _round_floats, main
+from magnuspulse.cli import CSV_BLOCK_ROWS, _g12, _negated, _round_floats, build_parser, main
+from magnuspulse.propagation import DEFAULT_TOL
+from magnuspulse.pulses import DEFAULT_N_STEPS
 from oracle import csv_table
 
 TWO_PI = 2.0 * math.pi
@@ -420,6 +422,29 @@ class TestErrors:
         rc = main(["criterion", "--pulse", "g4", "--system", str(system_file)])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    def test_duplicate_coupling_bad_input(self, tmp_path, capsys):
+        system_file = tmp_path / "system.json"
+        system_file.write_text('{"i_spins": [{}, {}], "j_ii_hz": [[0, 1, 5.0], [0, 1, 9.0]]}')
+        rc = main(["criterion", "--pulse", "g4", "--system", str(system_file)])
+        assert rc == 2
+        assert "j_ii_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["criterion", "propagate", "profile", "decompose"])
+    def test_text_format_bad_input(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--pulse", "g4", "--offset-start", "0", "--offset-stop", "1",
+                  "--format", "text"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_steps_and_tol_defaults(self, capsys):
+        args = build_parser().parse_args(["criterion"])
+        assert (args.steps, args.tol) == (DEFAULT_N_STEPS, DEFAULT_TOL)
+        with pytest.raises(SystemExit):
+            main(["criterion", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "(default 4096)" in out and "(default 1e-9)" in out
 
 
 class TestVerify:

@@ -229,7 +229,7 @@ class TestExplicitCriterion:
         assert len(report.ambiguity_times) >= 1
 
         traj = propagate_interaction(s_only_system, pulse, n_steps=256, tol=1e-10)
-        assert np.allclose(traj.endpoint_blocks()[0], -np.eye(2), atol=1e-10)
+        assert np.allclose(su2.to_matrix(traj.q[:, -1])[0], -np.eye(2), atol=1e-10)
 
     def test_bound_triangle_and_implication_sweep(self):
         rng = np.random.default_rng(2024)
@@ -282,7 +282,7 @@ class TestPartialSums:
 
     def test_order_three_beats_order_one(self, sa_system, gaussian90):
         traj = propagate_interaction(sa_system, gaussian90, n_steps=1024, tol=1e-9)
-        exact = traj.endpoint_blocks()
+        exact = su2.to_matrix(traj.q[:, -1])
         sums = magnus_partial_sums(sa_system, gaussian90, n_steps=512, order=3)
         for ci in range(sums.shape[0]):
             err1 = np.linalg.norm(scipy.linalg.expm(-1j * sums[ci, 0]) - exact[ci])

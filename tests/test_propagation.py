@@ -10,16 +10,15 @@ from magnuspulse import (
     build_pulse,
     calibrate,
     excitation_profile,
-    lab_frame_propagator,
     offset_diagonal,
     propagate_interaction,
     su2,
-    unitarity_defect,
 )
 from magnuspulse.propagation import RefinementError
-from magnuspulse.su2 import E2, SX, SY, SZ
+from magnuspulse.su2 import SX, SY, SZ
 
 TWO_PI = 2.0 * math.pi
+E2 = np.eye(2, dtype=complex)
 
 
 def _slice(system, config, amp, phase, t, dt):
@@ -92,11 +91,12 @@ class TestPropagateInteraction:
         pulse = calibrate(build_pulse("constant", 1e-3), math.pi / 2)
         traj = propagate_interaction(s_only_system, pulse, n_steps=64, tol=1e-10)
         expected = scipy.linalg.expm(-1j * (math.pi / 2) * SX)
-        assert np.allclose(traj.endpoint_blocks()[0], expected, atol=1e-9)
+        assert np.allclose(su2.to_matrix(traj.q[:, -1])[0], expected, atol=1e-9)
 
     def test_unitarity_along_trajectory(self, sax_system, gaussian90):
         traj = propagate_interaction(sax_system, gaussian90, n_steps=4096, tol=None)
-        assert unitarity_defect(traj.blocks) < 1e-10
+        # Frobenius norm of U U^dagger - E = (|q|^2 - 1) E
+        assert math.sqrt(2.0) * su2.norm_defect(traj.q).max() < 1e-10
 
     def test_grid_and_metadata(self, sa_system, gaussian90):
         traj = propagate_interaction(sa_system, gaussian90, n_steps=128, tol=1e-6)
@@ -110,7 +110,7 @@ class TestPropagateInteraction:
         endpoints = []
         for n in (128, 256, 512, 1024):
             traj = propagate_interaction(sax_system, gaussian90, n_steps=n, tol=None)
-            endpoints.append(traj.endpoint_blocks())
+            endpoints.append(su2.to_matrix(traj.q[:, -1]))
         diffs = [
             float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
             for a, b in zip(endpoints, endpoints[1:])
@@ -124,36 +124,11 @@ class TestPropagateInteraction:
         assert err.value.estimate > 1e-14
 
 
-class TestLabFrame:
-    def test_time_zero_identity(self, sax_system, gaussian90):
-        traj = propagate_interaction(sax_system, gaussian90, n_steps=64, tol=None)
-        labs = lab_frame_propagator(sax_system, traj, 0)
-        assert np.allclose(labs, np.broadcast_to(E2, labs.shape))
-
-    def test_free_evolution_phases(self, sa_system):
-        pulse = build_pulse("constant", 1e-3, amplitude=0.0)
-        traj = propagate_interaction(sa_system, pulse, n_steps=16, tol=None)
-        labs = lab_frame_propagator(sa_system, traj, -1)
-        t = traj.times[-1]
-        for ci in range(traj.n_configs):
-            e, w = traj.energies[ci], traj.offsets[ci]
-            expected = np.diag(
-                [np.exp(-1j * (e + w / 2) * t), np.exp(-1j * (e - w / 2) * t)]
-            )
-            assert np.allclose(labs[ci], expected, atol=1e-12)
-
-    def test_short_hard_pulse_lab_equals_interaction(self, sa_system):
-        pulse = calibrate(build_pulse("constant", 1e-7), math.pi / 2)
-        traj = propagate_interaction(sa_system, pulse, n_steps=16, tol=None)
-        labs = lab_frame_propagator(sa_system, traj, -1)
-        assert np.allclose(labs, traj.blocks[:, -1], atol=1e-3)
-
-
 class TestMultiSAssemble:
     def test_n1_is_direct_sum(self, sa_system, gaussian90):
         traj = propagate_interaction(sa_system, gaussian90, n_steps=256, tol=None)
-        full = assemble_full_matrix(sa_system, traj.endpoint_blocks())
-        blocks = traj.endpoint_blocks()
+        full = assemble_full_matrix(sa_system, su2.to_matrix(traj.q[:, -1]))
+        blocks = su2.to_matrix(traj.q[:, -1])
         assert np.allclose(full[np.ix_([0, 2], [0, 2])], blocks[0])
         assert np.allclose(full[np.ix_([1, 3], [1, 3])], blocks[1])
 

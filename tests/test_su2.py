@@ -73,7 +73,9 @@ def test_odd_grid_refinement_unchanged(entry, tmp_path):
 
 
 def _assert_tracks_like_oracle(q):
-    angle, axis = su2.track(q)
+    rows = np.moveaxis(q, -1, 0)
+    angle, axis, _ = su2.track_rows(rows[0], rows[1:])
+    axis = np.moveaxis(axis, 0, -1)
     ref_angle, ref_axis = oracle.track_trailing(q)
     assert np.array_equal(angle, ref_angle)
     assert np.array_equal(axis, ref_axis)
@@ -141,3 +143,13 @@ def quaternion_paths(draw):
 @given(quaternion_paths())
 def test_track_matches_trailing_axis_oracle_on_random_paths(q):
     _assert_tracks_like_oracle(q)
+
+
+def test_norm_defect_is_the_matrix_unitarity_defect():
+    # U U^dagger - E = (|q|^2 - 1) E, so its Frobenius norm is sqrt(2) |(|q|^2 - 1)|
+    rng = np.random.default_rng(8)
+    q = su2.exp(rng.normal(size=(500, 3)) * 4.0) * rng.uniform(0.8, 1.2, size=(500, 1))
+    q[:10] = su2.exp(rng.normal(size=(10, 3)))  # unit ones too
+    u = oracle.quaternion_matrix(q)
+    matrix_defect = np.linalg.norm(u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(2), axis=(-2, -1))
+    assert np.allclose(np.sqrt(2.0) * su2.norm_defect(q), matrix_defect, rtol=0.0, atol=1e-15)

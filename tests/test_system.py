@@ -7,7 +7,6 @@ from magnuspulse import (
     ISpin,
     SpinSystem,
     assemble_full_matrix,
-    energy_diagonal,
     load_system,
     offset_diagonal,
 )
@@ -51,20 +50,6 @@ class TestDiagonals:
         system = SpinSystem(s_offset=100.0)
         (offset,) = offset_diagonal(system)
         assert offset == pytest.approx(100.0)
-
-    def test_i_spin_energy_sum(self):
-        system = SpinSystem(i_spins=(ISpin(offset=200.0), ISpin(offset=-50.0)))
-        assert energy_diagonal(system)[0] == pytest.approx(75.0)
-
-    def test_i_spin_energy_with_coupling(self):
-        system = SpinSystem(
-            i_spins=(ISpin(offset=200.0), ISpin(offset=-50.0)), j_ii={(0, 1): 4.0}
-        )
-        assert energy_diagonal(system)[0] == pytest.approx(75.0 + TWO_PI)
-
-    def test_i_spin_energy_empty(self, s_only_system):
-        (energy,) = energy_diagonal(s_only_system)
-        assert energy == 0.0
 
     def test_offset_multiset_matches_sign_combinations(self, sax_system):
         values = sorted(offset_diagonal(sax_system))
@@ -187,5 +172,10 @@ class TestValidationAndLoading:
         with pytest.raises(ValueError, match=field):
             load_system(path)
 
-    def test_energy_diagonal_no_spins_is_zero(self, s_only_system):
-        assert np.array_equal(energy_diagonal(s_only_system), [0.0])
+    @pytest.mark.parametrize("couplings", ["[[0, 1, 5.0], [0, 1, 9.0]]",
+                                           "[[0, 1, 5.0], [1, 0, 9.0]]"])
+    def test_load_system_rejects_duplicate_couplings(self, tmp_path, couplings):
+        path = tmp_path / "sys.json"
+        path.write_text(f'{{"i_spins": [{{}}, {{}}], "j_ii_hz": {couplings}}}')
+        with pytest.raises(ValueError, match="duplicate j_ii_hz"):
+            load_system(path)
