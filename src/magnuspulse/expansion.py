@@ -78,18 +78,19 @@ class ExpansionState:
         return su2.norm_defect(self.q)
 
 
-def _rk4_steps(system: SpinSystem, shape: PulseShape, n_steps: int):
+def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.ndarray:
     """Classical RK4 steps of dq/dt = p(t) q as quaternions, one per time step.
 
     p = (0, omega1 h / 2) is the quaternion of -i H, so each stage is a left
     product and a whole step is q_{k+1} = M_k q_k with
     M_k = 1 + (k1 + 2 k2 + 2 k3 + k4) / 6, where k1 = dt p(t_k),
     k2 = dt p(t_mid) (1 + k1/2), k3 = dt p(t_mid) (1 + k2/2) and
-    k4 = dt p(t_{k+1}) (1 + k3). The steps are built `BLOCK` quaternions at
-    a time, so the stage temporaries stay small whatever the grid. Returns
-    (M, grid nodes); M is component-major, shape (4, n_configs, n_steps).
+    k4 = dt p(t_{k+1}) (1 + k3). M is written into `out`, component-major
+    with shape (4, n_configs, n_steps), `BLOCK` quaternions at a time, so the
+    stage temporaries stay small whatever the grid. Returns the grid nodes.
     """
     offsets = offset_diagonal(system)
+    n_steps = out.shape[-1]
     dt = shape.duration / n_steps
     nodes = np.arange(n_steps + 1) * dt
     mids = nodes[:-1] + 0.5 * dt
@@ -97,30 +98,29 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, n_steps: int):
                          for t in (nodes, mids))
 
     def dt_p(times, half_dt_amps, phases):
-        out = np.zeros((4, len(offsets), len(times)))
+        p = np.zeros((4, len(offsets), len(times)))
         angle = -offsets[:, None] * times[None, :] + phases[None, :]
-        out[1] = half_dt_amps * np.cos(angle)
-        out[2] = half_dt_amps * np.sin(angle)
-        return out
+        p[1] = half_dt_amps * np.cos(angle)
+        p[2] = half_dt_amps * np.sin(angle)
+        return p
 
     one = su2.IDENTITY[:, None, None]
-    m = np.empty((4, len(offsets), n_steps))
     block = max(1, BLOCK // len(offsets))
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
         p_nodes = dt_p(*(x[start:stop + 1] for x in at_nodes))
         p_mids = dt_p(*(x[start:stop] for x in at_mids))
         # M is accumulated stage by stage so only one k is alive at a time.
-        out = m[..., start:stop]
+        m = out[..., start:stop]
         k = p_nodes[..., :-1]
-        np.add(one, k / 6.0, out=out)
+        np.add(one, k / 6.0, out=m)
         k = su2.compose(p_mids, one + 0.5 * k)
-        out += k / 3.0
+        m += k / 3.0
         k = su2.compose(p_mids, one + 0.5 * k)
-        out += k / 3.0
+        m += k / 3.0
         k = su2.compose(p_nodes[..., 1:], one + k)
-        out += k / 6.0
-    return m, nodes
+        m += k / 6.0
+    return nodes
 
 
 def integrate_expansion(system: SpinSystem, shape: PulseShape,
@@ -138,8 +138,8 @@ def integrate_expansion(system: SpinSystem, shape: PulseShape,
     RefinementError
         If the tolerance is not met within `max_doublings` refinements.
     """
-    q, times, levels, estimate = _refine(
-        lambda n: _rk4_steps(system, shape, n), n_steps, tol, max_doublings)
+    q, times, levels, estimate = _refine(lambda out: _rk4_steps(system, shape, out),
+                                         system.n_configs, n_steps, tol, max_doublings)
     return ExpansionState(times=times, q=q, s_count=system.s_count,
                           n_steps=len(times) - 1, refinement_levels=levels,
                           error_estimate=estimate)

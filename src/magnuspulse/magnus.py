@@ -156,27 +156,37 @@ def gap_audit(lam: np.ndarray) -> tuple[float, float]:
     """Largest eigenvalue gap and the nearest gap to the set {2 pi n, n != 0}.
 
     `lam` has shape (n_times, n_values): the eigenvalues of the whole
-    block-diagonal exponent at each stored time. Every pair (i, j) at the same
-    time counts, visited one offset j - i at a time over the value-major rows
-    of `lam` (copied only if `lam` is not the transpose of a C-ordered
-    array) into two (n_values - 1, n_times) buffers allocated once. Fewer
-    than two values give (0.0, inf).
+    block-diagonal exponent at each stored time. Every pair (i, j) at the
+    same time counts. Rounding is monotone, so the spread s = fl(max - min)
+    is the largest gap at its time; where s <= 2 pi every pair has n = 1 and
+    the nearest distance there is exactly fl(|s - 2 pi|). Only times with
+    s > 2 pi are swept pair by pair. Fewer than two values give (0.0, inf).
     """
-    rows = np.ascontiguousarray(np.transpose(lam))  # (n_values, n_times)
-    n_values = rows.shape[0]
-    gap_buf = np.empty((max(n_values - 1, 0),) + rows.shape[1:])
+    rows = np.transpose(lam)  # (n_values, n_times)
+    if rows.shape[0] < 2:
+        return 0.0, math.inf
+    spread = np.max(rows, axis=0) - np.min(rows, axis=0)
+    wide = spread > TWO_PI
+    nearest = float(np.min(np.abs(spread[~wide] - TWO_PI), initial=math.inf))
+    if wide.any():
+        nearest = min(nearest, _pair_sweep(np.ascontiguousarray(rows[:, wide])))
+    return float(np.max(spread)), nearest
+
+
+def _pair_sweep(rows: np.ndarray) -> float:
+    """Nearest gap to {2 pi n, n != 0} over every pair of value-major rows, offset by offset."""
+    gap_buf = np.empty((rows.shape[0] - 1,) + rows.shape[1:])
     dist_buf = np.empty_like(gap_buf)
-    max_gap, nearest = 0.0, math.inf
-    for d in range(1, n_values):
+    nearest = math.inf
+    for d in range(1, rows.shape[0]):
         gaps, dist = gap_buf[d - 1:], dist_buf[d - 1:]
         np.abs(np.subtract(rows[d:], rows[:-d], out=gaps), out=gaps)
-        max_gap = max(max_gap, float(np.max(gaps)))
         np.divide(gaps, TWO_PI, out=dist)
         np.maximum(np.round(dist, out=dist), 1.0, out=dist)  # n
         dist *= TWO_PI
         np.abs(np.subtract(gaps, dist, out=dist), out=dist)
         nearest = min(nearest, float(np.min(dist)))
-    return max_gap, nearest
+    return nearest
 
 
 def explicit_criterion(system: SpinSystem, shape: PulseShape,

@@ -16,8 +16,8 @@ expansion module hands it RK4 step quaternions instead of exact slices.
 Slices, their products and the stored trajectory are unit quaternions
 (see `su2`); `su2.to_matrix` gives the 2x2 view of any of them. A grid that
 refinement discards only contributes its endpoint, a pairwise product
-(`su2.reduce`); the accepted grid is scanned (`su2.scan`) for the whole
-trajectory, every grid point of it, because downstream analysis
+(`su2.reduce`); the accepted grid is scanned in place from its reduction's
+levels (`su2.scan`) for every grid point of it, because downstream analysis
 (continuous matrix-logarithm tracking) needs dense-in-time samples.
 Excitation profiles need endpoints only and never build a trajectory. No
 propagator carries the I-spin energies' scalar phase, which cancels (see `system`).
@@ -81,21 +81,21 @@ class BlockTrajectory:
         return su2.to_matrix(self.q)
 
 
-def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
+def _refine(steps, n_configs: int, n_steps: int, tol: float | None, max_doublings: int):
     """Step-doubling driver shared by every propagator route.
 
-    `steps(n)` returns ``(slices, kept)``: the quaternions of the n time steps
-    on the n-step grid, component-major with shape (4, n_configs, n), and
-    whatever the route keeps of that grid. Grids of n_steps, 2 n_steps, ...
-    steps are tried until the endpoint moves by less than `tol` between
-    successive grids (Frobenius norm of the 2x2 difference, sqrt(2) |dq|,
-    max over configurations). A grid's endpoint is its pairwise product
-    (`su2.reduce`); only the grid that is returned is scanned for its whole
-    trajectory (`su2.scan`). ``tol=None`` scans a single pass.
+    `steps(out)` writes the quaternions of the n time steps of a grid into
+    `out`, shape (4, n_configs, n), and returns whatever the route keeps of
+    that grid; `out` is a grid buffer past its identity column 0. Grids of
+    n_steps, 2 n_steps, ... steps are tried until the endpoint moves by less
+    than `tol` between successive grids (Frobenius norm of the 2x2
+    difference, sqrt(2) |dq|, max over configurations). A grid's endpoint is
+    its pairwise product (`su2.reduce`); only the grid that is returned is
+    scanned in place (`su2.scan`), from that reduction's levels.
+    ``tol=None`` scans a single pass.
 
     Returns (q, kept, refinement_levels, error_estimate) of the last grid;
-    q has shape (n_configs, n + 1, 4) with the identity at index 0, a view
-    of a component-major array.
+    q is the (n_configs, n + 1, 4) view of its buffer.
 
     Raises
     ------
@@ -108,10 +108,15 @@ def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    slices, kept = steps(n_steps)
-    level, estimate = 0, math.nan
+    def grid(n):
+        q = np.empty((4, n_configs, n + 1))
+        q[..., 0] = su2.IDENTITY[:, None]
+        return q, steps(q[..., 1:])
+
+    q, kept = grid(n_steps)
+    level, estimate, tree = 0, math.nan, []
     if tol is not None:
-        end, estimate = su2.reduce(slices), math.inf
+        end, estimate = su2.reduce(q[..., 1:], tree), math.inf
         while not estimate < tol:
             if level == max_doublings:
                 finest = n_steps << max_doublings
@@ -122,20 +127,17 @@ def _refine(steps, n_steps: int, tol: float | None, max_doublings: int):
                     estimate=estimate,
                     n_steps=finest,
                 )
-            del slices  # not alive while the finer grid is built
+            del q, tree  # not alive while the finer grid is built
             level += 1
-            slices, kept = steps(n_steps << level)
-            fine = su2.reduce(slices)
+            q, kept = grid(n_steps << level)
+            tree = []
+            fine = su2.reduce(q[..., 1:], tree)
             # (n_configs, 4) with the components contiguous, as the trajectory stores them
             dq = np.ascontiguousarray((fine - end).T)
             estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(dq, axis=-1)))
             end = fine
 
-    q = np.empty(slices.shape[:-1] + (slices.shape[-1] + 1,))
-    q[..., 0] = su2.IDENTITY[:, None]
-    q[..., 1:] = slices
-    del slices  # not alive during the scan's temporaries
-    su2.scan(q[..., 1:])
+    su2.scan(q[..., 1:], tree)
     return np.moveaxis(q, 0, -1), kept, level, estimate
 
 
@@ -157,12 +159,12 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
     """
     offsets = offset_diagonal(system)
 
-    def slices(n):
-        sp = sample(shape, n)
-        return su2.transverse_slices(0.5 * sp.amps * sp.dt,
-                                     -offsets[:, None] * sp.times + sp.phases), sp
+    def slices(out):
+        sp = sample(shape, out.shape[-1])
+        su2.transverse_slices(0.5 * sp.amps * sp.dt, -offsets[:, None] * sp.times + sp.phases, out)
+        return sp
 
-    q, sp, levels, estimate = _refine(slices, n_steps, tol, max_doublings)
+    q, sp, levels, estimate = _refine(slices, len(offsets), n_steps, tol, max_doublings)
     return BlockTrajectory(
         times=np.arange(len(sp.times) + 1) * sp.dt, q=q, amps=sp.amps,
         s_count=system.s_count, n_steps=len(sp.times),

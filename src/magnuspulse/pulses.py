@@ -229,25 +229,26 @@ def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:
     return (np.arange(n_steps) + 0.5) * dt, dt
 
 
-def _midpoint_integral(pulse: PulseShape, t: float, n_steps: int, absolute: bool) -> float:
+def _midpoint_integrals(pulse: PulseShape, t: float, n_steps: int) -> tuple[float, float]:
+    """(integral of omega1, integral of |omega1|) over [0, t] from one set of midpoint samples."""
     if not (0.0 <= t <= pulse.duration):
         raise ValueError(f"t={t} outside pulse support [0, {pulse.duration}]")
     if t == 0.0:
-        return 0.0
+        return 0.0, 0.0
     _require(n_steps >= 1, f"n_steps must be >= 1, got {n_steps}")
     mids, dt = _midpoints(t, n_steps)
     amps = _eval(pulse.amplitude_fn, mids)
-    return float(np.sum(np.abs(amps) if absolute else amps) * dt)
+    return float(np.sum(amps) * dt), float(np.sum(np.abs(amps)) * dt)
 
 
 def flip_angle(pulse: PulseShape, t: float, n_steps: int = DEFAULT_N_STEPS) -> float:
     """Flip angle theta(t) = integral_0^t omega1, composite midpoint rule."""
-    return _midpoint_integral(pulse, t, n_steps, absolute=False)
+    return _midpoint_integrals(pulse, t, n_steps)[0]
 
 
 def abs_amplitude_integral(pulse: PulseShape, t: float, n_steps: int = DEFAULT_N_STEPS) -> float:
     """Criterion integral I(t) = integral_0^t |omega1|, same grid as flip_angle."""
-    return _midpoint_integral(pulse, t, n_steps, absolute=True)
+    return _midpoint_integrals(pulse, t, n_steps)[1]
 
 
 def calibrate(pulse: PulseShape, target_flip: float, n_steps: int = DEFAULT_N_STEPS) -> PulseShape:
@@ -259,8 +260,7 @@ def calibrate(pulse: PulseShape, target_flip: float, n_steps: int = DEFAULT_N_ST
         If the envelope has (numerically) zero net area, which cannot be
         calibrated by scaling.
     """
-    area = flip_angle(pulse, pulse.duration, n_steps)
-    magnitude = abs_amplitude_integral(pulse, pulse.duration, n_steps)
+    area, magnitude = _midpoint_integrals(pulse, pulse.duration, n_steps)
     if magnitude == 0.0 or abs(area) < 1e-12 * magnitude:
         raise ValueError("pulse has zero net area; flip angle cannot be calibrated by scaling")
     return scale_amplitude(pulse, target_flip / area)

@@ -31,17 +31,22 @@ IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 AXIS_TOL = 1e-9
 
 
-def transverse_slices(half_angles: np.ndarray, field_angles: np.ndarray) -> np.ndarray:
+def transverse_slices(half_angles: np.ndarray, field_angles: np.ndarray, out=None) -> np.ndarray:
     """exp(-i 2h (cos a Sx + sin a Sy)) for half angles h and field directions a.
 
     Signed half angles make negative amplitudes come out right without
     branching. Broadcasts the two inputs; the quaternions come back
     component-major, shape (4,) + broadcast shape, ready for `reduce` and
-    `scan`.
+    `scan`, and written row by row into `out` if it is given.
     """
+    if out is None:
+        out = np.empty((4,) + np.broadcast_shapes(np.shape(half_angles), np.shape(field_angles)))
     s = np.sin(half_angles)
-    return np.stack(np.broadcast_arrays(np.cos(half_angles), s * np.cos(field_angles),
-                                        s * np.sin(field_angles), 0.0))
+    out[0] = np.cos(half_angles)
+    np.multiply(s, np.cos(field_angles), out=out[1, ...])
+    np.multiply(s, np.sin(field_angles), out=out[2, ...])
+    out[3] = 0.0
+    return out
 
 
 def exp(rotation: np.ndarray) -> np.ndarray:
@@ -91,39 +96,43 @@ def _pairs(x: np.ndarray) -> np.ndarray:
     return compose(x[..., 1::2], x[..., 0:n - 1:2])
 
 
-def reduce(x: np.ndarray) -> np.ndarray:
+def reduce(x: np.ndarray, levels: list | None = None) -> np.ndarray:
     """Time-ordered product U_{n-1} ... U_0 of x, component-major (4, ..., n).
 
     A pairwise tree: neighbours are multiplied level by level, and at a level
     of odd length the unpaired last element waits to be multiplied on from
     the left. This is exactly the association `scan` gives its last element,
-    so ``reduce(x)`` equals ``scan(x)[..., -1]`` bit for bit. Returns (4, ...).
+    so ``reduce(x)`` equals ``scan(x)[..., -1]`` bit for bit. Returns a new
+    (4, ...) array. A `levels` list receives the tree's levels above x.
     """
     unpaired = []
     while x.shape[-1] > 1:
         if x.shape[-1] % 2:
             unpaired.append(x[..., -1].copy())
         x = _pairs(x)
-    out = x[..., 0]
+        if levels is not None:
+            levels.append(x)
+    out = x[..., 0].copy()
     for last in reversed(unpaired):
         out = compose(last, out)
     return out
 
 
-def scan(x: np.ndarray) -> None:
+def scan(x: np.ndarray, levels=()) -> None:
     """Replace x[..., k] by the product U_k ... U_0, in place; x is (4, ..., n).
 
     Work-efficient recursive pairwise scan (Blelloch, CMU-CS-90-190, 1990):
     the products of neighbouring pairs are scanned recursively and give the
     odd positions; each even position is its own element times the odd
     prefix before it. About 2n products and n/2 + n/4 + ... = n elements of
-    temporaries, against n log2 n products for a log-depth scan.
+    temporaries, against n log2 n products for a log-depth scan. The pair
+    products can come from ``reduce(x, levels)``'s `levels`, which it overwrites.
     """
     n = x.shape[-1]
     if n < 2:
         return
-    pairs = _pairs(x)
-    scan(pairs)
+    pairs = levels[0] if levels else _pairs(x)
+    scan(pairs, levels[1:])
     x[..., 1::2] = pairs
     evens = pairs[..., :(n - 1) // 2]
     x[..., 2::2] = compose(x[..., 2::2], x[..., 1:n - 1:2], out=evens)
@@ -159,18 +168,21 @@ def track_rows(c: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     2 pi, so the angle runs on through 2 pi instead of folding back.
     Returns (angle, axis, |v|), with angle_k axis_k . S the exponent of
     sample k; axis is component-major, shape (3, ..., n_t).
+    Only the (rare) undefined samples are filled, and `np.unwrap` runs only
+    if some half-angle step is pi or more.
     """
     x, y, z = v
     norm = np.sqrt(x * x + y * y + z * z)
     defined = norm > AXIS_TOL
-    n_t = norm.shape[-1]
 
-    candidates = np.zeros((3,) + norm.shape[:-1] + (n_t + 1,))
-    candidates[2, ..., 0] = 1.0
-    np.divide(v, norm, out=candidates[..., 1:], where=defined)
-    source = np.where(defined, np.arange(1, n_t + 1), 0)
+    axis = np.divide(v, norm, out=np.empty(v.shape), where=defined)
+    source = np.where(defined, np.arange(1, norm.shape[-1] + 1), 0)
     source = np.maximum.accumulate(source, axis=-1)
-    ax, ay, az = axis = np.take_along_axis(candidates, source[None], axis=-1)
+    undefined = np.nonzero(~defined)
+    earlier = source[undefined]
+    fill = axis[(slice(None),) + undefined[:-1] + (np.maximum(earlier - 1, 0),)]
+    axis[(slice(None),) + undefined] = np.where(earlier > 0, fill, [[0.0], [0.0], [1.0]])
+    ax, ay, az = axis
 
     # The z fallback is not a real previous axis, so it never flips the sign.
     dot = ax[..., 1:] * ax[..., :-1] + ay[..., 1:] * ay[..., :-1] + az[..., 1:] * az[..., :-1]
@@ -178,6 +190,9 @@ def track_rows(c: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     sign = np.ones_like(norm)
     sign[..., 1:] = np.cumprod(np.where(flips, -1.0, 1.0), axis=-1)
 
-    half = np.unwrap(np.arctan2(sign * norm, c), axis=-1)
+    half = np.arctan2(sign * norm, c)
+    # Without a step of pi or more, np.unwrap would only add 0.0 (-0.0 becomes +0.0).
+    smooth = np.all(np.abs(np.diff(half, axis=-1)) < np.pi)
+    half = half + 0.0 if smooth else np.unwrap(half, axis=-1)
     axis *= sign
     return 2.0 * half, axis, norm

@@ -80,11 +80,9 @@ class SpinSystem:
         couplings: dict[tuple[int, int], float] = {}
         for (k, l), value in dict(self.j_ii).items():
             if k == l:
-                raise ValueError(f"self-coupling ({k}, {l}) is not allowed")
+                raise ValueError(f"j_ii_hz self-coupling ({k}, {l}) is not allowed")
             if not (0 <= k < n and 0 <= l < n):
-                raise ValueError(
-                    f"coupling ({k}, {l}) references a spin outside 0..{n - 1}"
-                )
+                raise ValueError(f"j_ii_hz ({k}, {l}) references a spin outside 0..{n - 1}")
             key = (min(k, l), max(k, l))
             if key in couplings:
                 raise ValueError(f"duplicate coupling entry for {key}")

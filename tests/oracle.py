@@ -27,10 +27,12 @@ were recorded with.
 
 `track_trailing` is the branch tracker on quaternions with the component
 axis last, one (..., n_t, 4) array, the reference for the library's tracker
-on component rows.
+on component rows. `track_rows_dense` is the library's former tracker on
+component rows, which gathered every axis from a candidate array and always
+unwrapped; the library's tracker now pays only at undefined axes and jumps.
 
 `gap_audit_pairs` is the eigenvalue-gap audit as one all-pairs table, the
-reference for the library's offset sweep.
+reference for the library's spread shortcut and its offset sweep.
 
 `csv_table` is the command line's former table writer, one `%` format per
 row, the reference for the text of its column-wise CSV writer.
@@ -353,6 +355,35 @@ def track_trailing(q):
 
     half = np.unwrap(np.arctan2(sign * norm, q[..., 0]), axis=-1)
     return 2.0 * half, sign[..., None] * axis
+
+
+def track_rows_dense(c, v):
+    """`su2.track_rows` on component rows, with every sample gathered and always unwrapped.
+
+    Returns (angle, axis, |v|) with the axis component-major, (3, ..., n_t).
+    """
+    from magnuspulse.su2 import AXIS_TOL
+
+    x, y, z = v
+    norm = np.sqrt(x * x + y * y + z * z)
+    defined = norm > AXIS_TOL
+    n_t = norm.shape[-1]
+
+    candidates = np.zeros((3,) + norm.shape[:-1] + (n_t + 1,))
+    candidates[2, ..., 0] = 1.0
+    np.divide(v, norm, out=candidates[..., 1:], where=defined)
+    source = np.where(defined, np.arange(1, n_t + 1), 0)
+    source = np.maximum.accumulate(source, axis=-1)
+    ax, ay, az = axis = np.take_along_axis(candidates, source[None], axis=-1)
+
+    dot = ax[..., 1:] * ax[..., :-1] + ay[..., 1:] * ay[..., :-1] + az[..., 1:] * az[..., :-1]
+    flips = (dot < 0.0) & (source[..., :-1] > 0)
+    sign = np.ones_like(norm)
+    sign[..., 1:] = np.cumprod(np.where(flips, -1.0, 1.0), axis=-1)
+
+    half = np.unwrap(np.arctan2(sign * norm, c), axis=-1)
+    axis *= sign
+    return 2.0 * half, axis, norm
 
 
 def gap_audit_pairs(lam):

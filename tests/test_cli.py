@@ -423,6 +423,18 @@ class TestErrors:
         assert rc == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("couplings, message", [
+        ("[[0, 0, 5.0]]", "self-coupling (0, 0)"),
+        ("[[0, 7, 5.0]]", "(0, 7) references a spin outside 0..1"),
+    ])
+    def test_invalid_coupling_names_field(self, tmp_path, capsys, couplings, message):
+        system_file = tmp_path / "system.json"
+        system_file.write_text(f'{{"i_spins": [{{}}, {{}}], "j_ii_hz": {couplings}}}')
+        rc = main(["criterion", "--pulse", "g4", "--system", str(system_file)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "j_ii_hz" in err and message in err
+
     def test_duplicate_coupling_bad_input(self, tmp_path, capsys):
         system_file = tmp_path / "system.json"
         system_file.write_text('{"i_spins": [{}, {}], "j_ii_hz": [[0, 1, 5.0], [0, 1, 9.0]]}')

@@ -182,6 +182,45 @@ class TestEigenvaluesAndGap:
             audit = oracle.gap_audit_pairs(lam)
             assert [gap_audit(x) for x in _layouts(lam)] == [audit, audit], n_values
 
+    def test_spread_shortcut_matches_all_pairs_oracle_at_two_pi(self):
+        # Each time's spread is drawn narrow (< 2 pi), exactly 2 pi, 2 pi +- 1 ulp
+        # or wide (up to 6 pi); half the spectra use only narrow and wide times, so
+        # their nearest gap often comes from a wide time's pair sweep.
+        rng = np.random.default_rng(12)
+        edges = (TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0))
+        seen_edges = set()
+        for case in range(200):
+            n_times, n_values = int(rng.integers(1, 30)), int(rng.integers(2, 12))
+            kinds = ("narrow", "wide") + (("edge",) if case % 2 else ())
+            lam = np.empty((n_times, n_values))
+            for row in lam:
+                kind = rng.choice(kinds)
+                if kind == "edge":
+                    hi, lo = rng.choice(edges), 0.0  # fl(hi - 0.0) is hi exactly
+                else:
+                    lo = rng.uniform(-TWO_PI, TWO_PI)
+                    hi = lo + rng.uniform(0.0, TWO_PI if kind == "narrow" else 3.0 * TWO_PI)
+                row[:] = rng.uniform(lo, hi, size=n_values)
+                row[:2] = lo, hi
+                rng.shuffle(row)
+            seen_edges.update(set(np.ptp(lam, axis=1)) & set(edges))
+            audit = oracle.gap_audit_pairs(lam)
+            assert [gap_audit(x) for x in _layouts(lam)] == [audit, audit], case
+        assert seen_edges == set(edges)
+
+    def test_sweeps_only_times_wider_than_two_pi(self, monkeypatch):
+        swept = []
+        sweep = magnus._pair_sweep
+        monkeypatch.setattr(magnus, "_pair_sweep", lambda rows: swept.append(rows.shape) or sweep(rows))
+        spreads = [1.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0), 9.0, 2.0]
+        lam = np.array([[0.0, 0.5 * s, s] for s in spreads])
+        for x in _layouts(lam):
+            assert gap_audit(x) == oracle.gap_audit_pairs(lam)
+        assert swept == [(3, 2), (3, 2)]
+        swept.clear()
+        assert gap_audit(lam[:3]) == oracle.gap_audit_pairs(lam[:3])
+        assert swept == []
+
     @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
     def test_matches_all_pairs_oracle_on_catalog(self, request, monkeypatch, system):
         seen = []
@@ -210,6 +249,25 @@ class TestExplicitCriterion:
         assert report.i_total == pytest.approx(report.theta_total, abs=1e-12)
         assert report.magnus_criterion_ok
         assert report.bound21_margin >= -1e-6
+
+    @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
+    def test_fast_paths_match_dense_forms_bit_for_bit(self, request, monkeypatch, system):
+        # The gap audit's spread shortcut, the scan from the endpoint reduction's
+        # levels and the tracker's sparse fill and unwrap, against the all-pairs
+        # audit, a scan of its own and the dense tracker.
+        system = request.getfixturevalue(system)
+        pulses = [entry.build_calibrated() for entry in list_catalog()]
+
+        def reports():
+            return [repr(dataclasses.replace(r, ambiguity_times=r.ambiguity_times.tolist()))
+                    for r in (explicit_criterion(system, pulse) for pulse in pulses)]
+
+        fast = reports()
+        scan = su2.scan
+        monkeypatch.setattr(magnus, "gap_audit", oracle.gap_audit_pairs)
+        monkeypatch.setattr(su2, "scan", lambda x, levels=(): scan(x))
+        monkeypatch.setattr(su2, "track_rows", oracle.track_rows_dense)
+        assert fast == reports()
 
     def test_reburp_violates(self, sa_system):
         entry = resolve_pulse("reburp")

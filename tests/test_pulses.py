@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +152,24 @@ class TestCalibrate:
         pulse = build_pulse("fourier", 1e-3, a0=0.0, sin_coeffs=(1.0,))
         with pytest.raises(ValueError, match="zero net area"):
             calibrate(pulse, math.pi / 2)
+
+    @pytest.mark.parametrize("n_steps", [1000, 4096])
+    def test_matches_scaling_by_flip_angle_on_catalog(self, n_steps):
+        for entry in list_catalog():
+            pulse = entry.build()
+            expected = scale_amplitude(
+                pulse, entry.nominal_flip / flip_angle(pulse, pulse.duration, n_steps))
+            t = np.linspace(0.0, pulse.duration, 257)
+            got = calibrate(pulse, entry.nominal_flip, n_steps).amplitude_fn(t)
+            assert np.array_equal(got, expected.amplitude_fn(t)), entry.name
+
+    def test_evaluates_envelope_once(self):
+        calls = []
+        pulse = build_pulse("gaussian", 2e-3, truncation=0.01)
+        amp = pulse.amplitude_fn
+        counted = dataclasses.replace(pulse, amplitude_fn=lambda t: calls.append(t.size) or amp(t))
+        calibrate(counted, math.pi / 2, 512)
+        assert calls == [512]
 
     def test_scale_amplitude_linearity(self, gaussian90):
         doubled = scale_amplitude(gaussian90, 2.0)

@@ -43,6 +43,19 @@ def test_reduce_is_the_scan_endpoint_bit_for_bit(n):
     assert np.array_equal(endpoint, _scanned(q)[..., -1])
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_scan_from_kept_levels_is_the_plain_scan_bit_for_bit(n):
+    q = _steps(n)
+    x = np.ascontiguousarray(np.moveaxis(q, -1, 0))
+    levels = []
+    endpoint = su2.reduce(x, levels)
+    kept = endpoint.copy()
+    assert len(levels) == n.bit_length() - 1
+    su2.scan(x, levels)
+    assert np.array_equal(x, _scanned(q))
+    assert np.array_equal(endpoint, kept)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 1024, 4096])
 def test_power_of_two_endpoint_matches_log_depth_scan(n):
     q = _steps(n)
@@ -77,8 +90,8 @@ def _assert_tracks_like_oracle(q):
     angle, axis, _ = su2.track_rows(rows[0], rows[1:])
     axis = np.moveaxis(axis, 0, -1)
     ref_angle, ref_axis = oracle.track_trailing(q)
-    assert np.array_equal(angle, ref_angle)
-    assert np.array_equal(axis, ref_axis)
+    assert angle.tobytes() == ref_angle.tobytes()  # signed zeros too
+    assert axis.tobytes() == ref_axis.tobytes()
     return ref_angle, ref_axis
 
 
@@ -142,6 +155,27 @@ def quaternion_paths(draw):
 @settings(deadline=None)
 @given(quaternion_paths())
 def test_track_matches_trailing_axis_oracle_on_random_paths(q):
+    _assert_tracks_like_oracle(q)
+
+
+@pytest.mark.parametrize("turns, unwraps", [(0.2, 0), (2.0, 1)])
+def test_track_unwraps_only_at_half_angle_jumps(monkeypatch, turns, unwraps):
+    # Rotations about one fixed axis per configuration. The half angle passes
+    # pi (a jump of about 2 pi after the sign flip) only beyond one turn. The
+    # path opens with a reversed axis and then the identity, whose half angle
+    # atan2(-0.0, 1.0) is -0.0 and must come out as np.unwrap leaves it, +0.0.
+    rng = np.random.default_rng(5)
+    axes = rng.normal(size=(3, 1, 3))
+    angles = np.concatenate(([0.0, 0.1, -0.1, 0.0], np.linspace(0.0, turns * 2.0 * np.pi, 60)))
+    q = su2.exp(angles[None, :, None] * axes / np.linalg.norm(axes, axis=-1, keepdims=True))
+    calls = []
+    unwrap = np.unwrap
+    monkeypatch.setattr(np, "unwrap", lambda *a, **k: calls.append(1) or unwrap(*a, **k))
+    rows = np.moveaxis(q, -1, 0)
+    angle = su2.track_rows(rows[0], rows[1:])[0]
+    assert len(calls) == unwraps
+    monkeypatch.undo()
+    assert not np.any(np.signbit(angle[:, 3]))
     _assert_tracks_like_oracle(q)
 
 
