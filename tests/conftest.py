@@ -1,15 +1,23 @@
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from magnuspulse import ISpin, SpinSystem, build_pulse, calibrate
 
 TWO_PI = 2.0 * math.pi
+
+# CI runs (GitHub Actions sets CI) replay the same examples without a time limit, so a red
+# property test there reproduces with `CI=1 pytest`.
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

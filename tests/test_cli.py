@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from magnuspulse import (angles_from_state, build_pulse, calibrate, excitation_profile,
                          integrate_expansion, load_system, propagate_interaction, resolve_pulse,
                          verify)
-from magnuspulse.cli import CSV_BLOCK_ROWS, _g12, _negated, _round_floats, build_parser, main
+from magnuspulse.cli import CSV_BLOCK_ROWS, _emit_table, _round_floats, build_parser, main
 from magnuspulse.propagation import DEFAULT_TOL
 from magnuspulse.pulses import DEFAULT_N_STEPS
 from oracle import csv_table
@@ -262,17 +265,70 @@ class TestCsvText:
         assert_same_text(capsys.readouterr().out, text)
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+def table_text(columns, lead, values, layout=None, indexed=True):
+    """CSV text that `_emit_table` writes for (sources, configurations, rows) `values`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_table(columns, lead, values, {}, argparse.Namespace(format="csv", output=None),
+                    layout, indexed)
+    return out.getvalue()
 
 
-@given(st.lists(FINITE, max_size=40))
+def assert_cells_match_percent_format(values):
+    """Each value as lead, value and negated cell equals `'%.12g' % v` and of -v + 0.0."""
+    v = np.array(values, dtype=float)
+    text = table_text(["v", "w", "neg"], v, v[None, None], layout=(0, ~0), indexed=False)
+    expected = "".join(f"{x:.12g},{x:.12g},{-x + 0.0:.12g}\n" for x in values)
+    assert_same_text(text, "v,w,neg\n" + expected)
+
+
+@given(st.lists(st.floats(), max_size=40))
 @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310])
 @example([1e12, -1e12, 999999999999.5, 123456789012345.0, 2.0**53, -(2.0**63)])
 @example([1e-4, -1e-4, 1e-5, 9.99999999999e-5, 9.999999999995e-5, -9.9999999999949e-5])
+@example([10.0**k * (1 + sign * delta) for k in range(-20, 21) for sign in (1, -1)
+          for delta in (1e-15, 1e-14, 1e-13, 1e-12, 5e-12, 2e-11)])
+@example([100000000000.5, 100000000001.5, 999999999999.5, -100000000000.5])
+@example([10.0, 100.0, 120.0, 1e11, 1e12, -120.0, 1.0, 1e99, 1e100, 1e-99, 1e-100])
+@example([12345678.9, -99999999.25, 123456789.25, 1234567890.5, 0.1, 1.5, 2e-5, 2.5e-5])
+@example([1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308])
+@example([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0])
 def test_cell_text_matches_percent_format(values):
-    text = _g12(np.array(values, dtype=float))
-    assert text == ["%.12g" % v for v in values]
-    assert _negated(text) == ["%.12g" % (-v + 0.0) for v in values]
+    assert_cells_match_percent_format(values)
+
+
+def test_cell_text_sweeps_every_decimal_exponent():
+    assert_cells_match_percent_format([float(f"{mantissa}e{k}") for k in range(-324, 309)
+                                       for mantissa in ("1", "9.99999999999", "5.000000000005")])
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_cell_text_does_not_rest_on_log10(monkeypatch, shift):
+    """With log10 a decade off, the range tests send every cell to `%`, none to wrong text."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    assert_cells_match_percent_format([float(f"{mantissa}e{k}") for k in range(-30, 31)
+                                       for mantissa in ("1.5", "9.99999999999", "9.9999999999")])
+
+
+def test_table_bytes_across_blocks_with_slow_and_negated_cells():
+    """More than one block of rows in 11 configurations (1- and 2-digit indices), holding
+    cells that `%` formats (zeros, integers, near-ties, non-finite values) beside negated
+    cells."""
+    count = CSV_BLOCK_ROWS + 5
+    rng = np.random.default_rng(13)
+    lead = np.arange(count) / 4.0
+    values = rng.standard_normal((2, 11, count)) * 10.0 ** rng.integers(-8, 8, (2, 11, count))
+    values[:, :, ::97] = np.round(values[:, :, ::97])
+    values[0, :, 5::101] = 0.0
+    values[1, :, 7::89] = 100000000000.5
+    values[:, :, -4:] = [np.nan, -np.nan, np.inf, -np.inf]
+    layout = (1, ~0, 0, ~1)
+    columns = ["t", "config_index", "b", "neg_a", "a", "neg_b"]
+    text = table_text(columns, lead, values, layout)
+    rows = [(t, k, *(values[j, k, i] if j >= 0 else -values[~j, k, i] + 0.0 for j in layout))
+            for k in range(11) for i, t in enumerate(lead.tolist())]
+    assert_same_text(text, csv_table(columns, rows))
 
 
 class TestCatalogCommand:
