@@ -267,6 +267,12 @@ def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
     Returns them with the report header: `_meta` plus the pulse and system
     as the command received them.
     """
+    for name in ("duration", "flip", "offset_start", "offset_stop", *SHAPE_PARAM_FLAGS):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if getattr(args, "offset_count", 1) < 1:
+        raise ValueError(f"--offset-count must be at least 1, got {args.offset_count}")
     system = load_system(args.system) if args.system else SpinSystem()
 
     flip_rad = math.radians(args.flip) if args.flip is not None else None

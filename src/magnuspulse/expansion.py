@@ -99,9 +99,7 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.nda
 
     def dt_p(times, half_dt_amps, phases):
         p = np.zeros((4, len(offsets), len(times)))
-        angle = -offsets[:, None] * times[None, :] + phases[None, :]
-        p[1] = half_dt_amps * np.cos(angle)
-        p[2] = half_dt_amps * np.sin(angle)
+        su2.rotating_field(half_dt_amps, phases, offsets, times[0], dt, out=p[1:3])
         return p
 
     one = su2.IDENTITY[:, None, None]

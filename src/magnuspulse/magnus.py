@@ -31,7 +31,7 @@ import numpy as np
 
 from . import su2
 from .propagation import DEFAULT_TOL, BlockTrajectory, propagate_interaction
-from .pulses import DEFAULT_N_STEPS, PulseShape, abs_amplitude_integral, flip_angle, sample
+from .pulses import DEFAULT_N_STEPS, PulseShape, _midpoint_integrals, sample
 from .su2 import SX, SY, SZ
 from .system import SpinSystem, offset_diagonal
 
@@ -199,9 +199,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     bound omega_hat(t) <= I(t) as well as the eigenvalue-gap condition at
     every stored time.
     """
-    duration = shape.duration
-    i_total = abs_amplitude_integral(shape, duration, n_steps)
-    theta_total = flip_angle(shape, duration, n_steps)
+    theta_total, i_total = _midpoint_integrals(shape, shape.duration, n_steps)
 
     trajectory = propagate_interaction(system, shape, n_steps=n_steps, tol=tol)
     solution = extract_omega(trajectory)
@@ -253,9 +251,9 @@ def magnus_partial_sums(system: SpinSystem, shape: PulseShape,
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
     sp = sample(shape, n_steps)
     dt = sp.dt
-    angle = -offset_diagonal(system)[:, None] * sp.times + sp.phases
-    x = sp.amps[:, None] * np.stack(
-        (np.cos(angle), np.sin(angle), np.zeros_like(angle)), axis=-1)
+    offsets = offset_diagonal(system)
+    x = np.zeros((len(offsets), len(sp.times), 3))
+    x[..., 0], x[..., 1] = su2.rotating_field(sp.amps, sp.phases, offsets, 0.5 * dt, dt)
     total = x.sum(axis=1)
     terms = [total * dt]
     if order >= 2:

@@ -36,6 +36,9 @@ reference for the library's spread shortcut and its offset sweep.
 
 `csv_table` is the command line's former table writer, one `%` format per
 row, the reference for the text of its column-wise CSV writer.
+
+`fourier_series` sums a Fourier envelope one harmonic at a time, a cos or sin
+call each, the reference for the library's Clenshaw recurrence.
 """
 
 import math
@@ -403,3 +406,14 @@ def csv_table(columns, rows):
     """
     row_fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
     return "\n".join([",".join(columns), *map(row_fmt.__mod__, rows)]) + "\n"
+
+
+def fourier_series(t, duration, a0, cos_coeffs, sin_coeffs):
+    """a0 + sum_n A_n cos(2 pi n t / T) + B_n sin(2 pi n t / T), one harmonic at a time."""
+    x = TWO_PI * np.asarray(t, dtype=float) / duration
+    out = np.full_like(x, a0)
+    for n, a in enumerate(cos_coeffs, start=1):
+        out = out + a * np.cos(n * x)
+    for n, b in enumerate(sin_coeffs, start=1):
+        out = out + b * np.sin(n * x)
+    return out

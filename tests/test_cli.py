@@ -379,6 +379,31 @@ class TestErrors:
         assert main([command, "--pulse", "g4", "--tol", "nan"]) == 2
         assert "tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["criterion", "--shape", "gaussian", "--flip", "nan"], "--flip"),
+        (["criterion", "--pulse", "g4", "--flip", "inf"], "--flip"),
+        (["criterion", "--shape", "gaussian", "--duration", "inf"], "--duration"),
+        (["decompose", "--pulse", "g4", "--duration", "nan"], "--duration"),
+        (["criterion", "--shape", "gaussian", "--peak", "nan"], "--peak"),
+        (["criterion", "--shape", "constant", "--amplitude=-inf"], "--amplitude"),
+        (["criterion", "--shape", "gaussian", "--truncation", "inf"], "--truncation"),
+        (["criterion", "--shape", "sech", "--beta", "nan"], "--beta"),
+        (["criterion", "--shape", "hermite", "--width", "inf"], "--width"),
+        (["profile", "--shape", "gaussian", "--offset-start", "nan", "--offset-stop", "10"],
+         "--offset-start"),
+        (["profile", "--shape", "gaussian", "--offset-start", "0", "--offset-stop", "inf"],
+         "--offset-stop"),
+        (["profile", "--shape", "gaussian", "--offset-start", "0", "--offset-stop", "10",
+          "--offset-count", "-3"], "--offset-count"),
+        (["profile", "--shape", "gaussian", "--offset-start", "0", "--offset-stop", "10",
+          "--offset-count", "0"], "--offset-count"),
+    ])
+    def test_invalid_number_flag_bad_input(self, argv, flag, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Warning" not in err
+
     def test_misspelled_spin_field_bad_input(self, tmp_path, capsys):
         system_file = tmp_path / "typo.json"
         system_file.write_text('{"i_spins": [{"offset_hz": 30.0, "j_to_hz": 8.0}]}')

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from magnuspulse import (
     build_pulse,
     calibrate,
     excitation_profile,
+    integrate_expansion,
+    list_catalog,
     offset_diagonal,
     propagate_interaction,
     su2,
@@ -23,8 +26,8 @@ E2 = np.eye(2, dtype=complex)
 
 def _slice(system, config, amp, phase, t, dt):
     """exp(-i H dt) of one configuration's block Hamiltonian, as a 2x2 matrix."""
-    angle = -offset_diagonal(system)[config] * t + phase
-    return su2.to_matrix(su2.transverse_slices(0.5 * amp * dt, angle).T)
+    w = offset_diagonal(system)[config:config + 1]
+    return su2.to_matrix(su2.transverse_slices([0.5 * amp * dt], [phase], w, t, dt)[:, 0, 0])
 
 
 class TestBlockHamiltonian:
@@ -122,6 +125,45 @@ class TestPropagateInteraction:
         with pytest.raises(RefinementError) as err:
             propagate_interaction(sax_system, gaussian90, n_steps=2, tol=1e-14, max_doublings=1)
         assert err.value.estimate > 1e-14
+
+
+def _endpoints(route, system, shape, n_steps):
+    """Endpoint quaternions (n_configs, 4) of a route on a fixed grid."""
+    return route(system, shape, n_steps=n_steps, tol=None).q[:, -1]
+
+
+@pytest.mark.parametrize("entry", list_catalog(), ids=lambda e: e.name)
+def test_midpoint_propagator_has_observed_order_two(entry, sax_system):
+    shape = entry.build_calibrated()
+    ends = [_endpoints(propagate_interaction, sax_system, shape, n)
+            for n in (4096, 8192, 16384, 32768)]
+    changes = [float(np.max(np.linalg.norm(fine - coarse, axis=-1)))
+               for coarse, fine in zip(ends, ends[1:])]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(changes, changes[1:])]
+    assert all(1.9 <= order <= 2.1 for order in orders), orders
+
+
+class TestPhaseModulation:
+    """Phase-modulated pulses, which no CLI family builds, through both propagator routes."""
+
+    ROUTES = [propagate_interaction, integrate_expansion]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_constant_phase_rotates_the_propagator_about_z(self, route, sax_system, gaussian90):
+        phi = 0.83
+        shifted = dc_replace(gaussian90, phase_fn=lambda t: np.full_like(t, phi))
+        u0 = su2.to_matrix(_endpoints(route, sax_system, gaussian90, 512))
+        u = su2.to_matrix(_endpoints(route, sax_system, shifted, 512))
+        z = scipy.linalg.expm(-1j * phi * SZ)
+        assert np.max(np.abs(u - z @ u0 @ z.conj().T)) < 1e-13
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_linear_phase_is_an_offset_shift(self, route, sax_system, gaussian90):
+        sweep = TWO_PI * 300.0  # phi(t) = sweep t at offset w acts as offset w - sweep
+        chirped = dc_replace(gaussian90, phase_fn=lambda t: sweep * t)
+        moved = dc_replace(sax_system, s_offset=sax_system.s_offset - sweep)
+        u = _endpoints(route, sax_system, chirped, 512)
+        assert np.max(np.abs(u - _endpoints(route, moved, gaussian90, 512))) < 1e-13
 
 
 class TestMultiSAssemble:

@@ -15,8 +15,20 @@ from magnuspulse import (
     scale_amplitude,
 )
 from magnuspulse.verify import random_fourier_pulse
+import oracle
 
 TWO_PI = 2.0 * math.pi
+
+
+def _assert_fourier_matches_oracle(duration, a0, cos_c, sin_c):
+    """Clenshaw against the per-harmonic sum, to 1e-14 of the coefficients' absolute sum."""
+    n = 4096
+    edges = np.array([0.0, 1e-12, 0.25, 0.5, 0.5 - 1e-12, 1.0 - 1e-12, 1.0])  # x near 0, pi, 2 pi
+    t = np.concatenate(((np.arange(n) + 0.5) * duration / n, duration * edges))
+    amp = build_pulse("fourier", duration, a0=a0, cos_coeffs=cos_c, sin_coeffs=sin_c).amplitude_fn
+    scale = abs(a0) + sum(map(abs, cos_c)) + sum(map(abs, sin_c))
+    error = np.max(np.abs(amp(t) - oracle.fourier_series(t, duration, a0, cos_c, sin_c)))
+    assert error <= 1e-14 * scale
 
 
 class TestFamilies:
@@ -57,6 +69,22 @@ class TestFamilies:
         i_t = abs_amplitude_integral(pulse, entry.duration)
         theta = flip_angle(pulse, entry.duration)
         assert i_t > abs(theta)
+
+    @pytest.mark.parametrize("name", ["reburp", "uburp", "eburp2", "iburp2"])
+    def test_fourier_clenshaw_matches_per_harmonic_sum_on_catalog(self, name):
+        entry = resolve_pulse(name)
+        p = entry.params
+        _assert_fourier_matches_oracle(entry.duration, p["a0"], p["cos_coeffs"], p["sin_coeffs"])
+
+    def test_fourier_clenshaw_matches_per_harmonic_sum_on_random_series(self):
+        rng = np.random.default_rng(14)
+        for trial in range(200):
+            n_cos, n_sin = rng.integers(0, 33, size=2)
+            if trial % 4 == 0:
+                n_cos, n_sin = (0, n_sin) if trial % 8 == 0 else (n_cos, 0)
+            cos_c = rng.normal(size=n_cos) * rng.choice([1e-3, 1.0, 10.0])
+            sin_c = rng.normal(size=n_sin)
+            _assert_fourier_matches_oracle(1e-3, rng.normal(), tuple(cos_c), tuple(sin_c))
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown pulse family"):

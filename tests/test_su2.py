@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnuspulse import (angles_from_state, extract_omega, integrate_expansion, list_catalog,
+from magnuspulse import (angles_from_state, build_pulse, excitation_profile, extract_omega,
+                         integrate_expansion, list_catalog, magnus_partial_sums,
                          propagate_interaction, su2)
 from magnuspulse.cli import main
+from magnuspulse.verify import _sax
 import oracle
 
 GOLDEN_SYSTEM = Path(__file__).parent / "data" / "golden" / "sax.json"
@@ -187,3 +189,48 @@ def test_norm_defect_is_the_matrix_unitarity_defect():
     u = oracle.quaternion_matrix(q)
     matrix_defect = np.linalg.norm(u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(2), axis=(-2, -1))
     assert np.allclose(np.sqrt(2.0) * su2.norm_defect(q), matrix_defect, rtol=0.0, atol=1e-15)
+
+
+U = 2.0 ** -53  # unit roundoff
+
+
+@pytest.mark.parametrize("n", list(range(1, 71)) + [4097, 1 << 20])
+@pytest.mark.parametrize("t0_steps", [0.0, 0.5, 137.0])
+def test_rotating_phase_matches_direct_trig(n, t0_steps):
+    # e^{-i w t_k} by angle addition against cos/sin of the whole angle, |w t| up to 200 rad
+    dt = 1e-3 / n
+    t0 = t0_steps * dt
+    times = t0 + np.arange(n) * dt
+    w = 200.0 / (t0 + n * dt) * np.array([1.0, -1.0, -0.37, 0.0])
+    w = w[:2] if n == 1 << 20 else w
+    cos, sin = su2.rotating_field(np.ones(n), np.zeros(n), w, t0, dt)
+    angle = -w[:, None] * times
+    bound = 4.0 * U * (1.0 + np.abs(angle))
+    assert np.all(np.abs(cos - np.cos(angle)) <= bound)
+    assert np.all(np.abs(sin - np.sin(angle)) <= bound)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64, 100])
+def test_rotating_field_writes_into_out_and_applies_phase(n):
+    rng = np.random.default_rng(n)
+    amps, phases, w = rng.normal(size=n), rng.uniform(-4.0, 4.0, n), rng.normal(size=3) * 1e3
+    dt = 1e-5
+    out = np.full((2, 3, n + 1), np.nan)[..., 1:]  # rows strided like a grid buffer
+    assert su2.rotating_field(amps, phases, w, 0.5 * dt, dt, out=out) is out
+    angle = phases - w[:, None] * (0.5 * dt + np.arange(n) * dt)
+    assert np.allclose(out[0], amps * np.cos(angle), rtol=0.0, atol=1e-14)
+    assert np.allclose(out[1], amps * np.sin(angle), rtol=0.0, atol=1e-14)
+
+
+def test_every_rotating_frame_site_takes_its_phase_from_the_one_helper(monkeypatch):
+    calls = []
+    helper = su2.rotating_field
+    monkeypatch.setattr(su2, "rotating_field", lambda *a, **k: calls.append(a) or helper(*a, **k))
+    system, pulse = _sax(), build_pulse("gaussian", 1e-3)
+    for site in (lambda: propagate_interaction(system, pulse, n_steps=16, tol=None),
+                 lambda: integrate_expansion(system, pulse, n_steps=16, tol=None),
+                 lambda: excitation_profile(system, pulse, [0.0, 100.0], n_steps=16),
+                 lambda: magnus_partial_sums(system, pulse, n_steps=16)):
+        calls.clear()
+        site()
+        assert calls
