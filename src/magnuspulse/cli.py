@@ -130,18 +130,33 @@ def _cell_tables():
     return tables
 
 
+def _product_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """a b - s exactly, for s = fl(a b): Dekker's product with Veltkamp's split."""
+    def split(x):
+        big = 134217729.0 * x  # 2**27 + 1
+        high = big - (big - x)
+        return high, x - high
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    return (((ah * bh - s) + ah * bl) + al * bh) + al * bl
+
+
 def _cells(values: np.ndarray) -> np.ndarray:
     """The cell of ',' and `'%.12g' % v` for each value of 1-D `values`.
 
     With e = floor(log10|v|), the scaled value s = |v| 10**(11 - e) is two correctly rounded
     operations from the exact one, so within 2.3e-4 of it below 1e12. Where 1e11 + margin
     <= s, rint(s) < 1e12 and s is more than the margin from a half, m = rint(s) is the
-    correctly rounded 12-digit mantissa whatever log10 returned. Its digits are read from
-    4-digit group tables into fixed slots. As in `%g`, the dot follows digit e where
-    0 <= e < 12, sits in a "0.000" prefix where -4 <= e < 0, and otherwise follows the
-    first digit, with an exponent after the digits. Zeros, non-finite, tiny or huge values,
-    near-ties, and texts whose dot has no slot or no digit after it are formatted by `%`
-    one at a time.
+    correctly rounded 12-digit mantissa whatever log10 returned. Where 0 <= 11 - e <= 22
+    the power of ten is exact and s is the exact value rounded once; a half-integer is a
+    double, so it can only lie between the two if s is on it. There m = rint(s) holds
+    without a margin, and on a half the error-free product (`_product_error`) moves m
+    to the exact value's side. The digits are read from 4-digit group tables into fixed
+    slots. As in `%g`, the dot follows digit e where 0 <= e < 12, sits in a "0.000" prefix
+    where -4 <= e < 0, and otherwise follows the first digit, with an exponent after the
+    digits. Zeros, non-finite, tiny or huge values, exact decimal ties, near-ties where the
+    power is rounded, and texts whose dot has no slot or no digit after it are formatted by
+    `%` one at a time.
     """
     pairs, packed, exponent_words, powers, divisors = _cell_tables()
     magnitude = np.abs(values)
@@ -150,9 +165,19 @@ def _cells(values: np.ndarray) -> np.ndarray:
         np.fmin(np.fmax(e, -_EXP, out=e), _EXP, out=e)
         row = e.astype(np.intp) + _EXP
         # every index below is in range: mode="clip" only skips the bounds check
-        scaled = magnitude * powers.take(row, mode="clip")
+        power = powers.take(row, mode="clip")
+        scaled = magnitude * power
         m = np.rint(scaled)
-        fast = (scaled >= 1e11 + _MARGIN) & (m < 1e12) & (np.abs(scaled - m) < 0.5 - _MARGIN)
+        off = np.abs(scaled - m)
+        inside = scaled >= 1e11 + _MARGIN
+        exact = (e >= -11) & (e <= 11)  # 10**(11 - e) is a double
+        fast = inside & np.where(exact, off < 0.5, off < 0.5 - _MARGIN)
+        # on a half the sign of the exact product's error decides; err = 0 is a decimal tie
+        halves = np.flatnonzero(inside & exact & (off == 0.5))
+        err = _product_error(magnitude[halves], power[halves], scaled[halves])
+        m[halves] = scaled[halves] + np.copysign(0.5, err)
+        fast[halves] = err != 0.0
+        fast &= m < 1e12
         q = m / divisors.take(row, mode="clip")
         fast &= q != np.floor(q)
         np.copyto(m, 1e11, where=~fast)

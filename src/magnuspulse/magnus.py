@@ -12,6 +12,15 @@ and the eigenvalues are built as rows with time contiguous, (3, n_configs,
 n_times) and (n_values, n_times); `MagnusSolution.omega` and the array
 `gap_audit` receives are transposed views of them.
 
+The trajectory is analysed in time blocks of about `TRACK_BLOCK` samples
+(`_omega_blocks`): the tracker carries its branch state across block edges,
+and the jump test compares each block's first sample with the last one
+before it, so every block holds the values of one pass over the whole grid.
+`extract_omega` writes the blocks into whole-grid arrays. `explicit_criterion`
+folds the bound margin, the gap audit, the -E times and the largest
+omega_hat block by block and never holds Omega, its steps or the
+eigenvalues of the whole grid.
+
 Where U passes through -E the rotation axis is genuinely undefined; those
 samples are flagged, the angle itself is still carried through by
 continuity. Such points are exactly where the eigenvalue-gap condition
@@ -42,6 +51,9 @@ AMBIGUITY_SIN_TOL = 1e-8
 
 #: A gap within this distance (rad) of some 2 pi n, n != 0, fails the gap condition.
 DEFAULT_GAP_TOL = 1e-6
+
+#: Samples (configurations x times) of Omega tracked and audited at once.
+TRACK_BLOCK = 1 << 14
 
 
 class ExtractionError(RuntimeError):
@@ -116,7 +128,8 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
 
     The branch (angle + 4 pi k along the axis) is tracked for continuity by
     `su2.track_rows` on the component rows of the trajectory, seeded at
-    Omega(0) = 0; the same |v| flags the -E samples.
+    Omega(0) = 0; the same |v| flags the -E samples. The blocks of
+    `_omega_blocks` are written into whole-grid arrays.
 
     Raises
     ------
@@ -124,31 +137,79 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
         If consecutive rotation vectors are >= pi apart, i.e. the trajectory
         is stored too coarsely to track the branch.
     """
-    rows = np.moveaxis(trajectory.q, -1, 0)  # contiguous (n_configs, n_times) rows
-    c = rows[0]
-    angle, omega, s = su2.track_rows(c, rows[1:])
-    ambiguous = (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL)
-
-    omega *= angle  # the unit axis becomes Omega, (3, n_configs, n_times)
-    step = np.diff(omega, axis=-1)
-    step *= step
-    gap2 = step[0] + step[1] + step[2]
-    jumps = gap2 >= math.pi**2
-    if jumps.any():
-        ci, k = np.unravel_index(np.argmax(jumps), jumps.shape)
-        raise ExtractionError(
-            f"rotation vector jumped by {math.sqrt(gap2[ci, k]):.3f} rad "
-            f"between stored samples (config {ci}, step {k + 1}); "
-            "re-run the propagation with more steps"
-        )
-
-    ox, oy, oz = omega
+    shape = trajectory.q.shape[:-1]
+    omega, omega_hat, ambiguous = np.empty((3,) + shape), np.empty(shape), np.empty(shape, bool)
+    for block, *values in _omega_blocks(trajectory):
+        omega[..., block], omega_hat[:, block], ambiguous[:, block] = values
     return MagnusSolution(
         times=trajectory.times,
         omega=np.moveaxis(omega, 0, -1),
-        omega_hat=np.sqrt(ox * ox + oy * oy + oz * oz),
+        omega_hat=omega_hat,
         ambiguous=ambiguous,
         s_count=trajectory.s_count,
+    )
+
+
+def _omega_blocks(trajectory: BlockTrajectory):
+    """Omega, omega_hat and the -E flags along the trajectory, in blocks of `TRACK_BLOCK` samples.
+
+    Yields (block, omega, omega_hat, ambiguous) for consecutive time slices
+    `block`: omega is component-major, (3, n_configs, block length). One
+    `su2.BranchState` carries the tracker across blocks, and the jump test
+    compares each block's first sample with the one before it, so the values
+    are those of one pass over the whole grid.
+
+    Raises
+    ------
+    ExtractionError
+        At the first block with a jump; the message names the lowest
+        configuration that jumps anywhere, at its first jump.
+    """
+    rows = np.moveaxis(trajectory.q, -1, 0)  # contiguous (n_configs, n_times) rows
+    n_configs, n_times = rows.shape[1:]
+    width = max(1, TRACK_BLOCK // n_configs)
+    state = su2.BranchState((n_configs,))
+    before = None
+    for start in range(0, n_times, width):
+        block = slice(start, start + width)
+        c = rows[0, :, block]
+        angle, omega, s = su2.track_rows(c, rows[1:, :, block], state)
+        omega *= angle  # the unit axis becomes Omega
+        if np.any(_step2(omega, omega[..., 0] if before is None else before) >= math.pi**2):
+            _raise_jump(rows)
+        before = omega[..., -1]
+        ox, oy, oz = omega
+        omega_hat = ox * ox
+        omega_hat += oy * oy
+        omega_hat += oz * oz
+        yield (block, omega, np.sqrt(omega_hat, out=omega_hat),
+               (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL))
+
+
+def _step2(omega: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """|Omega_k - Omega_{k-1}|**2 along the last axis, with Omega_{-1} = `before`."""
+    step = np.empty(omega.shape)
+    np.subtract(omega[..., 0], before, out=step[..., 0])
+    np.subtract(omega[..., 1:], omega[..., :-1], out=step[..., 1:])
+    step *= step
+    step[0] += step[1]
+    step[0] += step[2]
+    return step[0]
+
+
+def _raise_jump(rows: np.ndarray):
+    """Raise the ExtractionError of the lowest configuration with a jump, at its first one.
+
+    Tracks the whole grid again: another configuration may jump in an earlier block.
+    """
+    angle, omega, _ = su2.track_rows(rows[0], rows[1:])
+    omega *= angle
+    gap2 = _step2(omega, omega[..., 0])
+    ci, k = np.unravel_index(np.argmax(gap2 >= math.pi**2), gap2.shape)
+    raise ExtractionError(
+        f"rotation vector jumped by {math.sqrt(gap2[ci, k]):.3f} rad "
+        f"between stored samples (config {ci}, step {k}); "
+        "re-run the propagation with more steps"
     )
 
 
@@ -197,34 +258,40 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     Computes I(T) and theta(T) by quadrature, propagates the exact
     trajectory, extracts the continuous exponent, and audits the pointwise
     bound omega_hat(t) <= I(t) as well as the eigenvalue-gap condition at
-    every stored time.
+    every stored time, one time block of `_omega_blocks` at a time.
+
+    Raises
+    ------
+    ExtractionError
+        As `extract_omega` does.
     """
     theta_total, i_total = _midpoint_integrals(shape, shape.duration, n_steps)
 
     trajectory = propagate_interaction(system, shape, n_steps=n_steps, tol=tol)
-    solution = extract_omega(trajectory)
+    i_grid = np.concatenate(([0.0], np.cumsum(np.abs(trajectory.amps)) * trajectory.dt))
+    ms = np.arange(trajectory.s_count + 1) - 0.5 * trajectory.s_count  # total S quantum numbers
 
-    dt = trajectory.dt
-    i_grid = np.concatenate(([0.0], np.cumsum(np.abs(trajectory.amps)) * dt))
-    bound21_margin = float(np.min(i_grid[None, :] - solution.omega_hat))
+    margin, max_hat, max_gap, nearest = math.inf, -math.inf, -math.inf, math.inf
+    ambiguous_at = []
+    for block, _, omega_hat, ambiguous in _omega_blocks(trajectory):
+        margin = np.minimum(margin, np.min(i_grid[block] - omega_hat))
+        max_hat = np.maximum(max_hat, np.max(omega_hat))
+        lam = (omega_hat[:, None, :] * ms[None, :, None]).reshape(-1, omega_hat.shape[-1])
+        gap, near = gap_audit(lam.T)  # lam is (n_values, n_times)
+        max_gap, nearest = np.maximum(max_gap, gap), np.minimum(nearest, near)
+        ambiguous_at.append(trajectory.times[block][np.any(ambiguous, axis=0)])
 
-    ms = np.arange(solution.s_count + 1) - 0.5 * solution.s_count  # total S quantum numbers
-    n_t = solution.omega_hat.shape[1]
-    lam = (solution.omega_hat[:, None, :] * ms[None, :, None]).reshape(-1, n_t)  # (n_values, n_times)
-    max_gap, nearest = gap_audit(lam.T)
-
-    ambiguity_times = trajectory.times[np.any(solution.ambiguous, axis=0)]
     return CriterionReport(
         i_total=i_total,
         theta_total=theta_total,
         criterion23_met=bool(i_total < TWO_PI),
         criterion25_met=bool(theta_total < TWO_PI),
-        max_omega_hat=float(np.max(solution.omega_hat)),
-        max_eigenvalue_gap=max_gap,
-        magnus_gap_nearest=nearest,
+        max_omega_hat=float(max_hat),
+        max_eigenvalue_gap=float(max_gap),
+        magnus_gap_nearest=float(nearest),
         magnus_criterion_ok=bool(nearest > DEFAULT_GAP_TOL),
-        bound21_margin=bound21_margin,
-        ambiguity_times=ambiguity_times,
+        bound21_margin=float(margin),
+        ambiguity_times=np.concatenate(ambiguous_at),
         n_steps=n_steps,
         trajectory_steps=trajectory.n_steps,
         error_estimate=trajectory.error_estimate,

@@ -200,10 +200,16 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     rows = (offsets[:, None] + couplings).ravel()
     response = np.empty((3, len(rows)))
     per_block = max(1, BLOCK // n_steps)
+    # `su2.transverse_slices` of each block, with the rows that every block shares
+    # (cos h, and z = 0) and sin h computed once
+    half = 0.5 * sp.amps * sp.dt
+    slices = np.empty((4, min(per_block, len(rows)), n_steps))
+    slices[0], slices[3] = np.cos(half), 0.0
+    sin_half = np.sin(half)
     for start in range(0, len(rows), per_block):
         w = rows[start:start + per_block]
-        end = su2.reduce(su2.transverse_slices(0.5 * sp.amps * sp.dt, sp.phases, w,
-                                               0.5 * sp.dt, sp.dt))
+        su2.rotating_field(sin_half, sp.phases, w, 0.5 * sp.dt, sp.dt, out=slices[1:3, :len(w)])
+        end = su2.reduce(slices[:, :len(w)])
         free = np.zeros((len(w), 3))
         free[:, 2] = w * duration  # exp(-i w T Sz) after the pulse
         c, x, y, z = su2.compose(su2.exp(free).T, end)

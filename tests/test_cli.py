@@ -15,10 +15,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from magnuspulse import (angles_from_state, build_pulse, calibrate, excitation_profile,
-                         integrate_expansion, load_system, propagate_interaction, resolve_pulse,
-                         verify)
-from magnuspulse.cli import CSV_BLOCK_ROWS, _emit_table, _round_floats, build_parser, main
+from magnuspulse import (SpinSystem, angles_from_state, build_pulse, calibrate,
+                         excitation_profile, integrate_expansion, list_catalog, load_system,
+                         propagate_interaction, resolve_pulse, verify)
+from magnuspulse.cli import CSV_BLOCK_ROWS, _cells, _emit_table, _round_floats, build_parser, main
 from magnuspulse.propagation import DEFAULT_TOL
 from magnuspulse.pulses import DEFAULT_N_STEPS
 from oracle import csv_table
@@ -293,6 +293,12 @@ def assert_cells_match_percent_format(values):
 @example([12345678.9, -99999999.25, 123456789.25, 1234567890.5, 0.1, 1.5, 2e-5, 2.5e-5])
 @example([1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308])
 @example([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0])
+@example([1234567890125.0, 1234567890135.0, 123456789012.5, 123456789013.5, 2.0**-18,
+          -(2.0**-18), 3 * 2.0**-18, 1.5 * 2.0**-20, 2.0**-24 * 1e7])  # exact decimal ties
+# near-ties whose scaled value rounds onto the half, on the other side of it from the exact one
+@example([1.234567890125e-06, 0.001234567890135, 0.009876543210975, 0.001000000000015,
+          500000.0000005, 100000.0000015, 50000000000.05, 10000000000.15, 1.234567890135e-09,
+          -1.000000000015e-09])
 def test_cell_text_matches_percent_format(values):
     assert_cells_match_percent_format(values)
 
@@ -309,6 +315,21 @@ def test_cell_text_does_not_rest_on_log10(monkeypatch, shift):
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
     assert_cells_match_percent_format([float(f"{mantissa}e{k}") for k in range(-30, 31)
                                        for mantissa in ("1.5", "9.99999999999", "9.9999999999")])
+
+
+@pytest.mark.parametrize("entry", list_catalog(), ids=lambda e: e.name)
+def test_time_columns_match_percent_format_at_every_refinement_level(entry):
+    """Grid times t_i = i T / n often sit near a half in the 13th digit; each cell must be
+    `'%.12g' % t` at the default steps and at every level that `propagate` or `decompose`
+    refines to on the catalog pulse, for one S spin alone and for SAX."""
+    shape = entry.build_calibrated()
+    levels = max(route(system, shape).refinement_levels for system in (SpinSystem(), verify._sax())
+                 for route in (propagate_interaction, integrate_expansion))
+    for level in range(levels + 1):
+        n = DEFAULT_N_STEPS << level
+        times = np.arange(n + 1) * (shape.duration / n)
+        text = _cells(times).tobytes().replace(b"\0", b"").decode()
+        assert text == "".join(f",{t:.12g}" for t in times.tolist()), (entry.name, n)
 
 
 def test_table_bytes_across_blocks_with_slow_and_negated_cells():

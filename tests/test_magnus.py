@@ -68,6 +68,24 @@ class TestExtractOmega:
             traj = propagate_interaction(s_only_system, pulse, n_steps=2, tol=None)
             extract_omega(traj)
 
+    @pytest.mark.parametrize("block", [16, 1 << 40])
+    def test_jump_message_names_lowest_configuration_across_blocks(self, monkeypatch, block):
+        # Configuration 1 jumps at step 3 (first block of 8 samples), configuration 0 at
+        # step 16, across the edge into the third block: the message names configuration 0.
+        angles = np.tile(0.1 * np.arange(24.0), (2, 1))
+        angles[1, 3:] += 3.5
+        angles[0, 16:] += 3.2
+        traj = propagate_interaction(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0),
+                                     n_steps=23, tol=None)
+        traj = dataclasses.replace(traj, q=su2.exp(angles[..., None] * np.array([1.0, 0.0, 0.0])))
+        monkeypatch.setattr(magnus, "TRACK_BLOCK", block)
+        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        message = r"jumped by 3\.300 rad between stored samples \(config 0, step 16\)"
+        with pytest.raises(ExtractionError, match=message):
+            extract_omega(traj)
+        with pytest.raises(ExtractionError, match=message):
+            explicit_criterion(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0))
+
 
 class TestAnglesFromOmega:
     """The decomposition angles alpha, beta that extract_omega returns with Omega."""
@@ -230,10 +248,12 @@ class TestEigenvaluesAndGap:
             return gap_audit(lam)
 
         monkeypatch.setattr(magnus, "gap_audit", spy)
+        monkeypatch.setattr(magnus, "TRACK_BLOCK", 1000)  # several time blocks per report
         system = request.getfixturevalue(system)
         for entry in list_catalog():
             report = explicit_criterion(system, entry.build_calibrated(), n_steps=1024, tol=None)
-            lam = seen.pop()
+            lam = np.concatenate(seen)
+            seen.clear()
             audit = oracle.gap_audit_pairs(lam)
             assert (report.max_eigenvalue_gap, report.magnus_gap_nearest) == audit, entry.name
             assert [gap_audit(x) for x in _layouts(lam)] == [audit, audit], entry.name
@@ -253,8 +273,8 @@ class TestExplicitCriterion:
     @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
     def test_fast_paths_match_dense_forms_bit_for_bit(self, request, monkeypatch, system):
         # The gap audit's spread shortcut, the scan from the endpoint reduction's
-        # levels and the tracker's sparse fill and unwrap, against the all-pairs
-        # audit, a scan of its own and the dense tracker.
+        # levels and the blocked tracker's sparse fill and unwrap, against the
+        # all-pairs audit, a scan of its own and the dense tracker over the whole grid.
         system = request.getfixturevalue(system)
         pulses = [entry.build_calibrated() for entry in list_catalog()]
 
@@ -266,7 +286,8 @@ class TestExplicitCriterion:
         scan = su2.scan
         monkeypatch.setattr(magnus, "gap_audit", oracle.gap_audit_pairs)
         monkeypatch.setattr(su2, "scan", lambda x, levels=(): scan(x))
-        monkeypatch.setattr(su2, "track_rows", oracle.track_rows_dense)
+        monkeypatch.setattr(magnus, "TRACK_BLOCK", 1 << 40)  # the dense tracker runs as one block
+        monkeypatch.setattr(su2, "track_rows", lambda c, v, state: oracle.track_rows_dense(c, v))
         assert fast == reports()
 
     def test_reburp_violates(self, sa_system):

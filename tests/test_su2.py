@@ -71,6 +71,33 @@ def test_compose_is_layout_independent():
     assert np.array_equal(np.moveaxis(cm, 0, -1), oracle.quaternion_product(p, q))
 
 
+def test_planar_products_equal_compose():
+    # Left-out products are signed zeros: values equal, only an exact zero's sign may differ.
+    rng = np.random.default_rng(3)
+    p, q = (np.ascontiguousarray(np.moveaxis(_steps(257, seed=s), -1, 0)) for s in (4, 5))
+    p[3] = 0.0
+    p[:, :, ::9] = su2.IDENTITY[:, None, None]  # exact zeros in the products too
+    assert np.array_equal(su2._compose_planar(p, q), su2.compose(p, q))
+    planar_q = q.copy()
+    planar_q[3] = rng.choice([0.0, -0.0], size=planar_q[3].shape)
+    assert np.array_equal(su2._compose_planar(p, planar_q, both=True), su2.compose(p, planar_q))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+def test_planar_reduce_and_scan_equal_the_full_products(monkeypatch, n):
+    x = su2.transverse_slices(np.linspace(-1.0, 2.0, n), np.zeros(n), np.array([0.0, 3e3, -7e3]),
+                              0.0, 1e-5)
+    x[..., ::5] = su2.IDENTITY[:, None, None]
+    assert su2._planar(x)
+    planar_end, planar_scan = su2.reduce(x), x.copy()
+    su2.scan(planar_scan)
+    monkeypatch.setattr(su2, "_planar", lambda x: False)
+    full_scan = x.copy()
+    su2.scan(full_scan)
+    assert np.array_equal(planar_end, su2.reduce(x))
+    assert np.array_equal(planar_scan, full_scan)
+
+
 #: Refinement levels of a `criterion --steps 1000` run on the golden system,
 #: recorded with the log-depth scan: the grid must double exactly as often.
 LEVELS_AT_1000_STEPS = {"E-BURP-2": 5, "G3": 6, "G4": 5, "I-BURP-2": 5,
@@ -160,6 +187,88 @@ def test_track_matches_trailing_axis_oracle_on_random_paths(q):
     _assert_tracks_like_oracle(q)
 
 
+def _track_in_blocks(q, cuts):
+    """`su2.track_rows` over the blocks of q (n_configs, n_t, 4) starting at time indices `cuts`."""
+    rows = np.moveaxis(q, -1, 0)
+    state = su2.BranchState(rows.shape[1:-1])
+    edges = [0, *cuts, rows.shape[-1]]
+    parts = [su2.track_rows(rows[0, ..., a:b], rows[1:, ..., a:b], state)
+             for a, b in zip(edges, edges[1:])]
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
+
+
+def _assert_blocks_track_like_dense(q, cuts):
+    rows = np.moveaxis(q, -1, 0)
+    dense = oracle.track_rows_dense(rows[0], rows[1:])
+    for got, want in zip(_track_in_blocks(q, cuts), dense):
+        assert got.tobytes() == want.tobytes(), cuts  # signed zeros too
+
+
+def _edge_case_paths():
+    """Three configurations whose every block edge is one of the tracker's carried cases.
+
+    Row 0 turns about one axis from an undefined start, back to E (an undefined
+    run after defined axes), through -E (where the raw axis reverses and the
+    sign flips) and past 2 pi and 4 pi (half-angle steps of pi or more). Row 1
+    never has a defined axis (E, -E and |v| below the tolerance). Row 2 takes
+    random steps and a reversed-axis copy of its previous sample.
+    """
+    rng = np.random.default_rng(21)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    turn = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+                     2.0 * np.pi, 7.0, 8.0, 9.0, 11.0, 12.0, 4.0 * np.pi, 13.5, 15.0, 16.0])
+    n_t = len(turn)
+    q = np.empty((3, n_t, 4))
+    q[0] = su2.exp(turn[:, None] * axis)
+    q[1] = 0.0
+    q[1, :, 0] = np.where(np.arange(n_t) % 3 == 1, -1.0, 1.0)
+    q[1, ::4, 1] = 0.5 * su2.AXIS_TOL
+    steps = su2.exp(rng.normal(size=(n_t, 3)) * 0.8)
+    prev = su2.IDENTITY
+    for k in range(n_t):
+        prev = prev * np.array([1.0, -1.0, -1.0, -1.0]) if k % 7 == 6 else su2.compose(
+            steps[k][:, None], prev[:, None])[:, 0]
+        q[2, k] = prev
+    return q
+
+
+def test_edge_case_paths_reach_every_carried_case(monkeypatch):
+    q = _edge_case_paths()
+    rows = np.moveaxis(q, -1, 0)
+    norm = np.linalg.norm(rows[1:], axis=0)
+    defined = norm > su2.AXIS_TOL
+    assert not defined[1].any()
+    assert np.any(defined[0, :-1] & ~defined[0, 1:])  # an undefined run after a defined axis
+    raw = rows[1:] / np.where(defined, norm, 1.0)
+    assert np.any(np.sum(raw[:, 0, 1:] * raw[:, 0, :-1], axis=0) < 0.0)  # the raw axis reverses
+    calls = []
+    correction = su2._unwrap_correction
+    monkeypatch.setattr(su2, "_unwrap_correction", lambda x: calls.append(x) or correction(x))
+    su2.track_rows(rows[0, :1], rows[1:, :1])
+    assert calls and np.any(np.abs(calls[0]) >= np.pi)  # half-angle steps of pi or more
+
+
+@pytest.mark.parametrize("cut", range(1, 25))  # every edge of the 25-sample paths
+def test_blocks_track_like_one_dense_pass_at_every_edge(cut):
+    q = _edge_case_paths()
+    _assert_blocks_track_like_dense(q, [cut])
+    _assert_blocks_track_like_dense(q, [1, cut] if cut > 1 else [cut, 2])
+
+
+def test_blocks_of_one_sample_track_like_one_dense_pass():
+    q = _edge_case_paths()
+    _assert_blocks_track_like_dense(q, list(range(1, q.shape[1])))
+
+
+@settings(deadline=None)
+@given(quaternion_paths(), st.data())
+def test_blocks_track_like_one_dense_pass_on_random_paths(q, data):
+    n_t = q.shape[1]
+    cuts = data.draw(st.lists(st.integers(1, max(1, n_t - 1)), max_size=6, unique=True))
+    _assert_blocks_track_like_dense(q, sorted(c for c in cuts if c < n_t))
+
+
 @pytest.mark.parametrize("turns, unwraps", [(0.2, 0), (2.0, 1)])
 def test_track_unwraps_only_at_half_angle_jumps(monkeypatch, turns, unwraps):
     # Rotations about one fixed axis per configuration. The half angle passes
@@ -171,8 +280,8 @@ def test_track_unwraps_only_at_half_angle_jumps(monkeypatch, turns, unwraps):
     angles = np.concatenate(([0.0, 0.1, -0.1, 0.0], np.linspace(0.0, turns * 2.0 * np.pi, 60)))
     q = su2.exp(angles[None, :, None] * axes / np.linalg.norm(axes, axis=-1, keepdims=True))
     calls = []
-    unwrap = np.unwrap
-    monkeypatch.setattr(np, "unwrap", lambda *a, **k: calls.append(1) or unwrap(*a, **k))
+    unwrap = su2._unwrap_correction
+    monkeypatch.setattr(su2, "_unwrap_correction", lambda step: calls.append(1) or unwrap(step))
     rows = np.moveaxis(q, -1, 0)
     angle = su2.track_rows(rows[0], rows[1:])[0]
     assert len(calls) == unwraps
