@@ -41,7 +41,6 @@ from .magnus import (
     magnus_partial_sums,
 )
 from .expansion import (
-    ExpansionState,
     angles_from_state,
     integrate_expansion,
 )

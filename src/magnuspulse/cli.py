@@ -31,7 +31,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__
+from . import __version__, su2
 from .expansion import angles_from_state, integrate_expansion
 from .magnus import ExtractionError, explicit_criterion
 from .propagation import DEFAULT_TOL, RefinementError, excitation_profile, propagate_interaction
@@ -419,12 +419,12 @@ def _cmd_profile(args) -> int:
 
 def _cmd_decompose(args) -> int:
     system, shape, meta = _load_inputs(args)
-    state = integrate_expansion(system, shape, n_steps=args.steps, tol=args.tol)
+    traj = integrate_expansion(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta",
                "omega_hat", "constraint_residual"]
-    values = np.stack((*np.moveaxis(state.q, -1, 0), *angles_from_state(state),
-                       state.constraint_residual()))
-    _emit_table(columns, state.times, values, meta, args)
+    values = np.stack((*np.moveaxis(traj.q, -1, 0), *angles_from_state(traj),
+                       su2.norm_defect(traj.q)))
+    _emit_table(columns, traj.times, values, meta, args)
     return EXIT_OK
 
 

@@ -23,59 +23,19 @@ product with a single quaternion. Integration builds those step quaternions
 block by block over the grid and hands them to the same step-doubling
 driver as the exact propagation route (`propagation._refine`): endpoint
 reductions on the grids it discards, one scan of the grid it keeps. Both
-routes store their states on the grid t_k = k T / n. The decomposition
-angles, the rotation angle among them, are read off the stored quaternions
-by the shared branch tracker (`angles_from_state`).
+routes return the same `BlockTrajectory`, whose q holds (f, g) on the grid
+t_k = k T / n. The decomposition angles, the rotation angle among them, are
+read off those quaternions by the shared branch tracker (`angles_from_state`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import su2
-from .propagation import BLOCK, DEFAULT_MAX_DOUBLINGS, DEFAULT_TOL, _refine
+from .propagation import BLOCK, DEFAULT_TOL, BlockTrajectory, _refine
 from .pulses import DEFAULT_N_STEPS, PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
-
-
-@dataclass(frozen=True)
-class ExpansionState:
-    """Propagator coefficients f(t_k), g(t_k) per configuration on a uniform grid.
-
-    q holds the unit quaternions (f, g_x, g_y, g_z), shape
-    (n_configs, n_steps + 1, 4); f (n_configs, n_steps + 1) and
-    g (n_configs, n_steps + 1, 3) are views of it. f[:, 0] = 1 and
-    g[:, 0] = 0 since U(0) is the identity.
-    """
-
-    times: np.ndarray
-    q: np.ndarray
-    s_count: int
-    n_steps: int
-    refinement_levels: int
-    error_estimate: float
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.q[..., 0]
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.q[..., 1:]
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def n_configs(self) -> int:
-        return self.q.shape[0]
-
-    def constraint_residual(self) -> np.ndarray:
-        """|f**2 + |g|**2 - 1| at every stored time, shape (n_configs, n_steps + 1)."""
-        return su2.norm_defect(self.q)
 
 
 def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.ndarray:
@@ -87,15 +47,17 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.nda
     k2 = dt p(t_mid) (1 + k1/2), k3 = dt p(t_mid) (1 + k2/2) and
     k4 = dt p(t_{k+1}) (1 + k3). M is written into `out`, component-major
     with shape (4, n_configs, n_steps), `BLOCK` quaternions at a time, so the
-    stage temporaries stay small whatever the grid. Returns the grid nodes.
+    stage temporaries stay small whatever the grid. Returns the midpoint
+    amplitudes.
     """
     offsets = offset_diagonal(system)
     n_steps = out.shape[-1]
     dt = shape.duration / n_steps
     nodes = np.arange(n_steps + 1) * dt
     mids = nodes[:-1] + 0.5 * dt
-    at_nodes, at_mids = ((t, 0.5 * dt * _eval(shape.amplitude_fn, t), _eval(shape.phase_fn, t))
-                         for t in (nodes, mids))
+    amps = _eval(shape.amplitude_fn, mids)
+    at_nodes = (nodes, 0.5 * dt * _eval(shape.amplitude_fn, nodes), _eval(shape.phase_fn, nodes))
+    at_mids = (mids, 0.5 * dt * amps, _eval(shape.phase_fn, mids))
 
     def dt_p(times, half_dt_amps, phases):
         p = np.zeros((4, len(offsets), len(times)))
@@ -118,44 +80,41 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.nda
         m += k / 3.0
         k = su2.compose(p_nodes[..., 1:], one + k)
         m += k / 6.0
-    return nodes
+    return amps
 
 
 def integrate_expansion(system: SpinSystem, shape: PulseShape,
-                        n_steps: int = DEFAULT_N_STEPS, tol: float | None = DEFAULT_TOL,
-                        max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> ExpansionState:
+                        n_steps: int = DEFAULT_N_STEPS,
+                        tol: float | None = DEFAULT_TOL) -> BlockTrajectory:
     """Integrate the coefficient ODEs over [0, T] for every configuration.
 
     Fixed-step fourth-order integration, grid-doubled by the propagation
     module's driver until the endpoint moves by less than `tol` (max
     Frobenius norm of the 2x2 difference over configurations). ``tol=None``
-    runs a single fixed-grid pass.
+    runs a single fixed-grid pass. The trajectory's q holds (f, g) per
+    configuration and time, and its amps are the RK4 midpoint amplitudes.
 
     Raises
     ------
     RefinementError
-        If the tolerance is not met within `max_doublings` refinements.
+        If the tolerance is not met within `propagation.MAX_DOUBLINGS` refinements.
     """
-    q, times, levels, estimate = _refine(lambda out: _rk4_steps(system, shape, out),
-                                         system.n_configs, n_steps, tol, max_doublings)
-    return ExpansionState(times=times, q=q, s_count=system.s_count,
-                          n_steps=len(times) - 1, refinement_levels=levels,
-                          error_estimate=estimate)
+    return _refine(lambda out: _rk4_steps(system, shape, out), system, shape, n_steps, tol)
 
 
-def angles_from_state(state: ExpansionState):
+def angles_from_state(trajectory: BlockTrajectory):
     """Decomposition angles (alpha, beta, omega_tilde) along the whole grid.
 
     alpha = atan2(g_y, g_x), beta = atan2(hypot(g_x, g_y), g_z); the rotation
     angle 2*atan2(|g|, f) is unwrapped by continuity in time by
-    `su2.track_rows`, on the component rows of `state.q`.
+    `su2.track_rows`, on the component rows of `trajectory.q`.
     The scalar data alone cannot tell ascending from descending at a fold
     (angle through 2 pi, where |g| reflects), so the sign of the half-angle
     sine follows the last well-defined g direction before unwrapping.
     Degenerate points |g| ~ 0 report alpha = beta = 0. Each output has shape
     (n_configs, n_steps + 1).
     """
-    rows = np.moveaxis(state.q, -1, 0)  # contiguous (n_configs, n_times) rows
+    rows = np.moveaxis(trajectory.q, -1, 0)  # contiguous (n_configs, n_times) rows
     _, gx, gy, gz = rows
     omega, _, norm = su2.track_rows(rows[0], rows[1:])
     degenerate = norm < 1e-12

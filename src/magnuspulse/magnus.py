@@ -62,7 +62,7 @@ class ExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MagnusSolution:
-    """Continuity-tracked exponent Omega(t) per configuration.
+    """Continuity-tracked exponent Omega(t) per configuration, on the trajectory's grid.
 
     omega has shape (n_configs, n_times, 3), a view of component-major
     (3, n_configs, n_times) rows; omega_hat is its norm (always
@@ -75,15 +75,9 @@ class MagnusSolution:
     angle is still valid there).
     """
 
-    times: np.ndarray
     omega: np.ndarray
     omega_hat: np.ndarray
     ambiguous: np.ndarray
-    s_count: int
-
-    @property
-    def n_configs(self) -> int:
-        return self.omega.shape[0]
 
     @property
     def alpha(self) -> np.ndarray:
@@ -141,13 +135,7 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     omega, omega_hat, ambiguous = np.empty((3,) + shape), np.empty(shape), np.empty(shape, bool)
     for block, *values in _omega_blocks(trajectory):
         omega[..., block], omega_hat[:, block], ambiguous[:, block] = values
-    return MagnusSolution(
-        times=trajectory.times,
-        omega=np.moveaxis(omega, 0, -1),
-        omega_hat=omega_hat,
-        ambiguous=ambiguous,
-        s_count=trajectory.s_count,
-    )
+    return MagnusSolution(omega=np.moveaxis(omega, 0, -1), omega_hat=omega_hat, ambiguous=ambiguous)
 
 
 def _omega_blocks(trajectory: BlockTrajectory):

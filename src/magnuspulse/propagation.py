@@ -11,7 +11,8 @@ propagator is built by piecewise-constant midpoint slicing: each slice
 exponential is evaluated in closed form (so unitarity is exact up to
 rounding), and the grid is doubled until the endpoint stops moving to the
 requested tolerance. `_refine` is that doubling driver for both routes: the
-expansion module hands it RK4 step quaternions instead of exact slices.
+expansion module hands it RK4 step quaternions instead of exact slices, and
+both get back the same `BlockTrajectory`.
 
 A slice's transverse part sin h e^{i phi_k}, shared by every configuration,
 is turned by e^{-i w t_k} from `su2.rotating_field`, which builds a whole
@@ -41,7 +42,8 @@ from .pulses import DEFAULT_N_STEPS, PulseShape, sample
 from .system import SpinSystem, offset_diagonal
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_DOUBLINGS = 8
+#: Grid doublings before refinement gives up; a larger n_steps reaches the same finest grid.
+MAX_DOUBLINGS = 8
 
 #: Quaternions built at once where a route works through its grid in blocks.
 BLOCK = 1 << 16
@@ -58,12 +60,12 @@ class RefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockTrajectory:
-    """Per-configuration propagators U(t_k) on the grid t_k = k*dt.
+    """Per-configuration propagators U(t_k) on the grid t_k = k*dt, from either route.
 
-    q holds them as unit quaternions, shape (n_configs, n_steps + 1, 4);
-    blocks builds the 2x2 matrices from q on each access, shape
-    (n_configs, n_steps + 1, 2, 2). Index 0 in time is the identity. amps
-    are the midpoint amplitude samples actually used for the slices.
+    q holds them as unit quaternions (f, g_x, g_y, g_z), shape
+    (n_configs, n_steps + 1, 4), so U = f E - 2i g . S (`su2.to_matrix`).
+    Index 0 in time is the identity. amps are the midpoint amplitude samples
+    the route stepped with.
     """
 
     times: np.ndarray
@@ -82,17 +84,14 @@ class BlockTrajectory:
     def n_configs(self) -> int:
         return self.q.shape[0]
 
-    @property
-    def blocks(self) -> np.ndarray:
-        return su2.to_matrix(self.q)
 
-
-def _refine(steps, n_configs: int, n_steps: int, tol: float | None, max_doublings: int):
+def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
+            tol: float | None) -> BlockTrajectory:
     """Step-doubling driver shared by every propagator route.
 
     `steps(out)` writes the quaternions of the n time steps of a grid into
-    `out`, shape (4, n_configs, n), and returns whatever the route keeps of
-    that grid; `out` is a grid buffer past its identity column 0. Grids of
+    `out`, shape (4, n_configs, n), and returns that grid's midpoint
+    amplitudes; `out` is a grid buffer past its identity column 0. Grids of
     n_steps, 2 n_steps, ... steps are tried until the endpoint moves by less
     than `tol` between successive grids (Frobenius norm of the 2x2
     difference, sqrt(2) |dq|, max over configurations). A grid's endpoint is
@@ -100,13 +99,13 @@ def _refine(steps, n_configs: int, n_steps: int, tol: float | None, max_doubling
     scanned in place (`su2.scan`), from that reduction's levels.
     ``tol=None`` scans a single pass.
 
-    Returns (q, kept, refinement_levels, error_estimate) of the last grid;
-    q is the (n_configs, n + 1, 4) view of its buffer.
+    Returns the trajectory of the last grid; its q is the
+    (n_configs, n + 1, 4) view of the grid buffer.
 
     Raises
     ------
     RefinementError
-        If the tolerance is not met within `max_doublings` refinements; the
+        If the tolerance is not met within `MAX_DOUBLINGS` refinements; the
         exception carries the best error estimate and the finest grid size.
     """
     if n_steps < 1:
@@ -115,27 +114,27 @@ def _refine(steps, n_configs: int, n_steps: int, tol: float | None, max_doubling
         raise ValueError(f"tol must be positive, got {tol}")
 
     def grid(n):
-        q = np.empty((4, n_configs, n + 1))
+        q = np.empty((4, system.n_configs, n + 1))
         q[..., 0] = su2.IDENTITY[:, None]
         return q, steps(q[..., 1:])
 
-    q, kept = grid(n_steps)
+    q, amps = grid(n_steps)
     level, estimate, tree = 0, math.nan, []
     if tol is not None:
         end, estimate = su2.reduce(q[..., 1:], tree), math.inf
         while not estimate < tol:
-            if level == max_doublings:
-                finest = n_steps << max_doublings
+            if level == MAX_DOUBLINGS:
+                finest = n_steps << MAX_DOUBLINGS
                 raise RefinementError(
                     f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after "
-                    f"{max_doublings} grid doublings (finest grid {finest} steps); "
-                    "increase n_steps or max_doublings",
+                    f"{MAX_DOUBLINGS} grid doublings (finest grid {finest} steps); "
+                    "increase n_steps",
                     estimate=estimate,
                     n_steps=finest,
                 )
             del q, tree  # not alive while the finer grid is built
             level += 1
-            q, kept = grid(n_steps << level)
+            q, amps = grid(n_steps << level)
             tree = []
             fine = su2.reduce(q[..., 1:], tree)
             # (n_configs, 4) with the components contiguous, as the trajectory stores them
@@ -144,23 +143,27 @@ def _refine(steps, n_configs: int, n_steps: int, tol: float | None, max_doubling
             end = fine
 
     su2.scan(q[..., 1:], tree)
-    return np.moveaxis(q, 0, -1), kept, level, estimate
+    n = len(amps)
+    return BlockTrajectory(
+        times=np.arange(n + 1) * (shape.duration / n), q=np.moveaxis(q, 0, -1), amps=amps,
+        s_count=system.s_count, n_steps=n, refinement_levels=level, error_estimate=estimate,
+    )
 
 
 def propagate_interaction(system: SpinSystem, shape: PulseShape,
-                          n_steps: int = DEFAULT_N_STEPS, tol: float | None = DEFAULT_TOL,
-                          max_doublings: int = DEFAULT_MAX_DOUBLINGS) -> BlockTrajectory:
+                          n_steps: int = DEFAULT_N_STEPS,
+                          tol: float | None = DEFAULT_TOL) -> BlockTrajectory:
     """Time-ordered interaction-picture propagator over [0, T], all configurations.
 
     Starts from `n_steps` midpoint slices and doubles the grid until the
-    endpoint blocks move by less than `tol` (max Frobenius norm over
+    endpoint propagators move by less than `tol` (max Frobenius norm over
     configurations) between successive refinements. Pass ``tol=None`` for a
     single fixed-grid pass.
 
     Raises
     ------
     RefinementError
-        If the tolerance is not met within `max_doublings` refinements; the
+        If the tolerance is not met within `MAX_DOUBLINGS` refinements; the
         exception carries the best error estimate.
     """
     offsets = offset_diagonal(system)
@@ -168,14 +171,9 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
     def slices(out):
         sp = sample(shape, out.shape[-1])
         su2.transverse_slices(0.5 * sp.amps * sp.dt, sp.phases, offsets, 0.5 * sp.dt, sp.dt, out)
-        return sp
+        return sp.amps
 
-    q, sp, levels, estimate = _refine(slices, len(offsets), n_steps, tol, max_doublings)
-    return BlockTrajectory(
-        times=np.arange(len(sp.times) + 1) * sp.dt, q=q, amps=sp.amps,
-        s_count=system.s_count, n_steps=len(sp.times),
-        refinement_levels=levels, error_estimate=estimate,
-    )
+    return _refine(slices, system, shape, n_steps, tol)
 
 
 def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,

@@ -190,7 +190,7 @@ def check_expansion_equivalence():
         # Frobenius norm of the 2x2 difference is sqrt(2) times the quaternion distance
         diff = math.sqrt(2.0) * np.linalg.norm(state.q[:, -1] - traj.q[:, -1], axis=-1)
         worst_diff = max(worst_diff, float(diff.max()))
-        worst_residual = max(worst_residual, float(state.constraint_residual().max()))
+        worst_residual = max(worst_residual, float(su2.norm_defect(state.q).max()))
     return worst_diff < 1e-6 and worst_residual < 1e-8, (
         f"max endpoint error {worst_diff:.2e}, max constraint residual {worst_residual:.2e}")
 

@@ -278,7 +278,8 @@ def omega_hat_quadrature(state, shape, system):
     amp_mids = _eval(shape.amplitude_fn, mids)
     h_mids = _field_direction(offsets, mids, _eval(shape.phase_fn, mids))
 
-    g_mid = 0.5 * (state.g[:, :-1] + state.g[:, 1:])
+    g = state.q[..., 1:]
+    g_mid = 0.5 * (g[:, :-1] + g[:, 1:])
     norms = np.linalg.norm(g_mid, axis=-1)
     n_vec = np.where(norms[..., None] >= 1e-10, g_mid / np.maximum(norms, 1e-300)[..., None], h_mids)
     increments = amp_mids[None, :] * np.sum(h_mids * n_vec, axis=-1) * dt

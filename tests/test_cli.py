@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from magnuspulse import (SpinSystem, angles_from_state, build_pulse, calibrate,
                          excitation_profile, integrate_expansion, list_catalog, load_system,
-                         propagate_interaction, resolve_pulse, verify)
+                         propagate_interaction, resolve_pulse, su2, verify)
 from magnuspulse.cli import CSV_BLOCK_ROWS, _cells, _emit_table, _round_floats, build_parser, main
 from magnuspulse.propagation import DEFAULT_TOL
 from magnuspulse.pulses import DEFAULT_N_STEPS
@@ -239,8 +239,8 @@ class TestCsvText:
         state = integrate_expansion(*g4, n_steps=LONG_STEPS, tol=1e-4)
         t = np.tile(state.times, state.n_configs).tolist()
         ci = np.repeat(np.arange(state.n_configs), len(state.times)).tolist()
-        values = (state.f, *np.moveaxis(state.g, -1, 0), *angles_from_state(state),
-                  state.constraint_residual())
+        values = (*np.moveaxis(state.q, -1, 0), *angles_from_state(state),
+                  su2.norm_defect(state.q))
         rows = list(zip(t, ci, *(x.ravel().tolist() for x in values)))
         columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta", "omega_hat",
                    "constraint_residual"]

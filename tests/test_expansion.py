@@ -14,8 +14,7 @@ from magnuspulse import (
     propagate_interaction,
     su2,
 )
-from magnuspulse.expansion import ExpansionState
-from magnuspulse.propagation import RefinementError
+from magnuspulse.propagation import BlockTrajectory, RefinementError
 
 import oracle
 from oracle import _legacy_expansion_rhs, expansion_rhs
@@ -62,26 +61,26 @@ class TestIntegrate:
     def test_zero_pulse(self, sax_system):
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         state = integrate_expansion(sax_system, pulse, n_steps=16, tol=None)
-        assert np.array_equal(state.f, np.ones_like(state.f))
-        assert np.array_equal(state.g, np.zeros_like(state.g))
+        assert np.array_equal(state.q[..., 0], np.ones_like(state.q[..., 0]))
+        assert np.array_equal(state.q[..., 1:], np.zeros_like(state.q[..., 1:]))
 
     def test_initial_condition(self, sa_system, gaussian90):
         state = integrate_expansion(sa_system, gaussian90, n_steps=64, tol=None)
-        assert np.array_equal(state.f[:, 0], [1.0, 1.0])
-        assert np.array_equal(state.g[:, 0], np.zeros((2, 3)))
+        assert np.array_equal(state.q[:, 0, 0], [1.0, 1.0])
+        assert np.array_equal(state.q[:, 0, 1:], np.zeros((2, 3)))
 
     def test_constant_on_resonance_closed_form(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-3), 1.2 * math.pi)
         state = integrate_expansion(s_only_system, pulse, n_steps=256, tol=1e-10)
         w1 = 1.2 * math.pi / 1e-3
         t = state.times
-        assert np.allclose(state.f[0], np.cos(w1 * t / 2), atol=1e-9)
-        assert np.allclose(state.g[0, :, 0], np.sin(w1 * t / 2), atol=1e-9)
-        assert np.allclose(state.g[0, :, 1:], 0.0, atol=1e-9)
+        assert np.allclose(state.q[0, :, 0], np.cos(w1 * t / 2), atol=1e-9)
+        assert np.allclose(state.q[0, :, 1], np.sin(w1 * t / 2), atol=1e-9)
+        assert np.allclose(state.q[0, :, 2:], 0.0, atol=1e-9)
 
     def test_constraint_conserved(self, sax_system, gaussian90):
         state = integrate_expansion(sax_system, gaussian90, n_steps=4096, tol=None)
-        assert float(state.constraint_residual().max()) < 1e-8
+        assert float(su2.norm_defect(state.q).max()) < 1e-8
 
     def test_matches_exact_propagator(self, sax_system, gaussian90):
         state = integrate_expansion(sax_system, gaussian90, n_steps=1024, tol=1e-9)
@@ -99,8 +98,8 @@ class TestIntegrate:
             s_only_system, calibrate(build_pulse("gaussian", 2e-3), math.pi / 2),
             n_steps=512, tol=None,
         )
-        assert np.allclose(state1.f, state2.f, atol=1e-12)
-        assert np.allclose(state1.g, state2.g, atol=1e-12)
+        assert np.allclose(state1.q[..., 0], state2.q[..., 0], atol=1e-12)
+        assert np.allclose(state1.q[..., 1:], state2.q[..., 1:], atol=1e-12)
 
     def test_legacy_rhs_violates_constraint(self, sa_system, gaussian90):
         _, f, g = oracle.integrate_expansion_loop(sa_system, gaussian90, 512, _legacy_expansion_rhs)
@@ -113,8 +112,8 @@ class TestIntegrate:
                 state = integrate_expansion(sax_system, pulse, n_steps=n, tol=None)
                 times, f, g = oracle.integrate_expansion_loop(sax_system, pulse, n)
                 assert np.array_equal(state.times, times)
-                assert np.max(np.abs(state.f - f)) < 1e-12, (entry.name, n)
-                assert np.max(np.abs(state.g - g)) < 1e-12, (entry.name, n)
+                assert np.max(np.abs(state.q[..., 0] - f)) < 1e-12, (entry.name, n)
+                assert np.max(np.abs(state.q[..., 1:] - g)) < 1e-12, (entry.name, n)
 
     def test_refinement_failure_carries_grid(self, sax_system, gaussian90):
         with pytest.raises(RefinementError) as err:
@@ -149,8 +148,8 @@ class TestOmegaHatQuadrature:
 def _one_step_state(f, g):
     """One configuration that steps from the identity to the state point (f, g)."""
     q = np.array([[[1.0, 0.0, 0.0, 0.0], [f, *g]]])
-    return ExpansionState(times=np.array([0.0, 1.0]), q=q, s_count=1, n_steps=1,
-                          refinement_levels=0, error_estimate=0.0)
+    return BlockTrajectory(times=np.array([0.0, 1.0]), q=q, amps=np.zeros(1), s_count=1,
+                           n_steps=1, refinement_levels=0, error_estimate=0.0)
 
 
 class TestReconstruct:
@@ -173,7 +172,7 @@ class TestReconstruct:
     def test_norm_violation_rejected(self):
         # the norm defect is reported, not rebuilt into a non-unitary matrix
         state = _one_step_state(1.0, [0.5, 0.0, 0.0])
-        assert state.constraint_residual()[0, -1] == pytest.approx(0.25)
+        assert su2.norm_defect(state.q)[0, -1] == pytest.approx(0.25)
 
 
 class TestAnglesFromState:
@@ -202,7 +201,7 @@ class TestAnglesFromState:
         state = integrate_expansion(sa_system, gaussian90, n_steps=2048, tol=None)
         _, _, omega = angles_from_state(state)
         ohat = oracle.omega_hat_quadrature(state, gaussian90, sa_system)
-        g_norm = np.linalg.norm(state.g, axis=-1)
+        g_norm = np.linalg.norm(state.q[..., 1:], axis=-1)
         interior = (g_norm[:, :-1] > 1e-6) & (g_norm[:, 1:] > 1e-6)
         d_angle = np.diff(omega, axis=1)[interior]
         d_quad = np.diff(ohat, axis=1)[interior]
@@ -229,11 +228,11 @@ class TestCatalogEquivalence:
             rebuilt = su2.to_matrix(state.q[:, -1])
             diff = np.linalg.norm(rebuilt - su2.to_matrix(traj.q[:, -1]), axis=(-2, -1))
             assert float(diff.max()) < 1e-6, entry.name
-            assert float(state.constraint_residual().max()) < 1e-8, entry.name
+            assert float(su2.norm_defect(state.q).max()) < 1e-8, entry.name
 
     def test_shared_grid_agreement_along_trajectory(self, sax_system):
         pulse = resolve_pulse("g4").build_calibrated()
         state = integrate_expansion(sax_system, pulse, n_steps=4096, tol=None)
         traj = propagate_interaction(sax_system, pulse, n_steps=4096, tol=None)
-        diff = np.linalg.norm(su2.to_matrix(state.q) - traj.blocks, axis=(-2, -1))
+        diff = np.linalg.norm(su2.to_matrix(state.q) - su2.to_matrix(traj.q), axis=(-2, -1))
         assert float(diff.max()) < 1e-6

@@ -59,7 +59,7 @@ class TestExtractOmega:
         sol = extract_omega(traj)
         rebuilt = su2.to_matrix(su2.exp(sol.omega))
         unflagged = ~sol.ambiguous
-        err = np.linalg.norm(rebuilt - traj.blocks, axis=(-2, -1))
+        err = np.linalg.norm(rebuilt - su2.to_matrix(traj.q), axis=(-2, -1))
         assert float(err[unflagged].max()) < 1e-8
 
     def test_too_coarse_grid_rejected(self, s_only_system):

@@ -17,7 +17,7 @@ from magnuspulse import (
     propagate_interaction,
     su2,
 )
-from magnuspulse.propagation import RefinementError
+from magnuspulse.propagation import MAX_DOUBLINGS, RefinementError
 from magnuspulse.su2 import SX, SY, SZ
 
 TWO_PI = 2.0 * math.pi
@@ -88,7 +88,8 @@ class TestPropagateInteraction:
     def test_zero_pulse_identity_everywhere(self, sax_system):
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         traj = propagate_interaction(sax_system, pulse, n_steps=32, tol=1e-12)
-        assert np.allclose(traj.blocks, np.broadcast_to(E2, traj.blocks.shape))
+        blocks = su2.to_matrix(traj.q)
+        assert np.allclose(blocks, np.broadcast_to(E2, blocks.shape))
 
     def test_constant_on_resonance_quarter_turn(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-3), math.pi / 2)
@@ -107,7 +108,7 @@ class TestPropagateInteraction:
         assert traj.times[-1] == pytest.approx(gaussian90.duration, rel=1e-12)
         assert traj.n_steps == 128 * (1 << traj.refinement_levels)
         assert traj.error_estimate < 1e-6
-        assert np.allclose(traj.blocks[:, 0], E2)
+        assert np.allclose(su2.to_matrix(traj.q[:, 0]), E2)
 
     def test_step_halving_consistency(self, sax_system, gaussian90):
         endpoints = []
@@ -123,8 +124,9 @@ class TestPropagateInteraction:
 
     def test_refinement_failure_carries_estimate(self, sax_system, gaussian90):
         with pytest.raises(RefinementError) as err:
-            propagate_interaction(sax_system, gaussian90, n_steps=2, tol=1e-14, max_doublings=1)
+            propagate_interaction(sax_system, gaussian90, n_steps=2, tol=1e-14)
         assert err.value.estimate > 1e-14
+        assert err.value.n_steps == 2 << MAX_DOUBLINGS
 
 
 def _endpoints(route, system, shape, n_steps):

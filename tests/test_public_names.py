@@ -14,11 +14,12 @@ EXPORTS = {
     "BlockTrajectory", "RefinementError", "excitation_profile", "propagate_interaction",
     "CriterionReport", "ExtractionError", "MagnusSolution", "explicit_criterion",
     "extract_omega", "gap_audit", "magnus_partial_sums",
-    "ExpansionState", "angles_from_state", "integrate_expansion",
+    "angles_from_state", "integrate_expansion",
 }
 
 #: Removed names; README "Removed public names" gives each one's replacement.
-REMOVED = ("energy_diagonal", "lab_frame_propagator", "unitarity_defect", "omega_hat_quadrature")
+REMOVED = ("energy_diagonal", "lab_frame_propagator", "unitarity_defect", "omega_hat_quadrature",
+           "ExpansionState")
 
 
 def test_exports_are_exactly_the_public_names():
