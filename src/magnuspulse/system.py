@@ -97,11 +97,6 @@ class SpinSystem:
     def n_configs(self) -> int:
         return 1 << self.n_i
 
-    @property
-    def dim(self) -> int:
-        """Full Hilbert-space dimension 2**(s_count + n_i)."""
-        return 1 << (self.s_count + self.n_i)
-
 
 def m_table(system: SpinSystem) -> np.ndarray:
     """(n_configs, n_i) array of magnetic quantum numbers, config index as row."""

@@ -9,9 +9,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from magnuspulse import ISpin, SpinSystem, build_pulse, calibrate
-
-TWO_PI = 2.0 * math.pi
+from magnuspulse import SpinSystem, build_pulse, calibrate, verify
 
 # CI runs (GitHub Actions sets CI) replay the same examples without a time limit, so a red
 # property test there reproduces with `CI=1 pytest`.
@@ -29,25 +27,13 @@ def s_only_system():
 @pytest.fixture(scope="session")
 def sa_system():
     """SA: one S spin, one coupled I spin."""
-    return SpinSystem(
-        s_count=1,
-        s_offset=TWO_PI * 12.0,
-        i_spins=(ISpin(offset=TWO_PI * 40.0, j_to_s=7.0),),
-    )
+    return verify._sa()
 
 
 @pytest.fixture(scope="session")
 def sax_system():
     """SAX: one S spin, two coupled I spins with an I-I coupling."""
-    return SpinSystem(
-        s_count=1,
-        s_offset=TWO_PI * 10.0,
-        i_spins=(
-            ISpin(offset=TWO_PI * 35.0, j_to_s=8.0),
-            ISpin(offset=-TWO_PI * 55.0, j_to_s=4.0),
-        ),
-        j_ii={(0, 1): 5.0},
-    )
+    return verify._sax()
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +50,7 @@ def s2ax_system(sax_system):
 @pytest.fixture(scope="session")
 def gaussian90():
     """Gaussian pulse calibrated to a 90 degree flip over 2 ms."""
-    return calibrate(build_pulse("gaussian", 2e-3, truncation=0.01), math.pi / 2)
+    return verify._gaussian90()
 
 
 @pytest.fixture(scope="session")
