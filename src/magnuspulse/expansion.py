@@ -105,7 +105,8 @@ def integrate_expansion(system: SpinSystem, shape: PulseShape,
 def angles_from_state(trajectory: BlockTrajectory):
     """Decomposition angles (alpha, beta, omega_tilde) along the whole grid.
 
-    alpha = atan2(g_y, g_x), beta = atan2(hypot(g_x, g_y), g_z); the rotation
+    alpha = atan2(g_y, g_x) in (-pi, pi] with exact zeros taken as +0 (as
+    `MagnusSolution.alpha`), beta = atan2(hypot(g_x, g_y), g_z); the rotation
     angle 2*atan2(|g|, f) is unwrapped by continuity in time by
     `su2.track_rows`, on the component rows of `trajectory.q`.
     The scalar data alone cannot tell ascending from descending at a fold
@@ -118,6 +119,6 @@ def angles_from_state(trajectory: BlockTrajectory):
     _, gx, gy, gz = rows
     omega, _, norm = su2.track_rows(rows[0], rows[1:])
     degenerate = norm < 1e-12
-    alpha = np.where(degenerate, 0.0, np.arctan2(gy, gx))
+    alpha = np.where(degenerate, 0.0, np.arctan2(gy + 0.0, gx + 0.0))
     beta = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))
     return alpha, beta, omega

@@ -68,7 +68,7 @@ class MagnusSolution:
     (3, n_configs, n_times) rows; omega_hat is its norm (always
     >= 0). alpha/beta, computed from omega on each access, are the axis
     angles of the elementary-rotation decomposition:
-    alpha = atan2(Omega_y, Omega_x) in (-pi, pi] and
+    alpha = atan2(Omega_y, Omega_x) in (-pi, pi], exact zeros taken as +0, and
     beta = atan2(hypot(Omega_x, Omega_y), Omega_z) in [0, pi], so that
     Omega = omega_hat (cos alpha sin beta, sin alpha sin beta, cos beta).
     ambiguous marks stored samples where U ~ -E left the axis undefined (the
@@ -81,7 +81,8 @@ class MagnusSolution:
 
     @property
     def alpha(self) -> np.ndarray:
-        return np.arctan2(self.omega[..., 1], self.omega[..., 0])
+        # + 0.0 makes -0 +0: a zero's sign is summation order, and atan2(-0, x < 0) = -pi
+        return np.arctan2(self.omega[..., 1] + 0.0, self.omega[..., 0] + 0.0)
 
     @property
     def beta(self) -> np.ndarray:

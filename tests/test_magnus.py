@@ -9,10 +9,12 @@ from magnuspulse import (
     SpinSystem,
     build_pulse,
     calibrate,
+    angles_from_state,
     explicit_criterion,
     extract_omega,
     flip_angle,
     gap_audit,
+    integrate_expansion,
     list_catalog,
     magnus_partial_sums,
     propagate_interaction,
@@ -143,6 +145,14 @@ class TestAnglesFromOmega:
         sol = self._solution([[-1.0, -1e-12, 0.5], [-1.0, 1e-12, -0.5]])
         assert np.all((-math.pi < sol.alpha) & (sol.alpha <= math.pi))
         assert np.all((0.0 <= sol.beta) & (sol.beta <= math.pi))
+
+    def test_on_resonance_zeros_are_canonical(self, s_only_system):
+        # every rotation is about x, so the y components are zeros of either sign
+        pulse = resolve_pulse("q3").build_calibrated(TWO_PI)
+        for alpha in (extract_omega(propagate_interaction(s_only_system, pulse)).alpha,
+                      angles_from_state(integrate_expansion(s_only_system, pulse))[0]):
+            assert np.all(alpha > -math.pi)
+            assert not np.signbit(alpha[alpha == 0.0]).any()
 
 
 class TestEigenvaluesAndGap:
