@@ -143,7 +143,7 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
             end = fine
 
     su2.scan(q[..., 1:], tree)
-    n = len(amps)
+    n = n_steps << level
     return BlockTrajectory(
         times=np.arange(n + 1) * (shape.duration / n), q=np.moveaxis(q, 0, -1), amps=amps,
         s_count=system.s_count, n_steps=n, refinement_levels=level, error_estimate=estimate,
