@@ -258,7 +258,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
 
     trajectory = propagate_interaction(system, shape, n_steps=n_steps, tol=tol)
     i_grid = np.concatenate(([0.0], np.cumsum(np.abs(trajectory.amps)) * trajectory.dt))
-    ms = np.arange(trajectory.s_count + 1) - 0.5 * trajectory.s_count  # total S quantum numbers
+    ms = np.arange(system.s_count + 1) - 0.5 * system.s_count  # total S quantum numbers
 
     margin, max_hat, max_gap, nearest = math.inf, -math.inf, -math.inf, math.inf
     ambiguous_at = []
@@ -287,11 +287,10 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     )
 
 
-def magnus_partial_sums(system: SpinSystem, shape: PulseShape,
-                        n_steps: int = 256, order: int = 3) -> np.ndarray:
+def magnus_partial_sums(system: SpinSystem, shape: PulseShape, n_steps: int = 256) -> np.ndarray:
     """Cumulative series partial sums for the exponent at the pulse end.
 
-    Returns shape (n_configs, order, 2, 2): entry m is the Hermitian partial
+    Returns shape (n_configs, 3, 2, 2): entry m is the Hermitian partial
     sum of the first m + 1 terms, where the first term is the plain time
     integral of the Hamiltonian, the second the antisymmetrized double
     integral of the commutator, and the third the nested double-commutator
@@ -303,26 +302,20 @@ def magnus_partial_sums(system: SpinSystem, shape: PulseShape,
     commutator a cross product, so every term is a sum of prefix or suffix
     sums over the grid.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2, or 3, got {order}")
     sp = sample(shape, n_steps)
     dt = sp.dt
     offsets = offset_diagonal(system)
     x = np.zeros((len(offsets), len(sp.times), 3))
     x[..., 0], x[..., 1] = su2.rotating_field(sp.amps, sp.phases, offsets, 0.5 * dt, dt)
     total = x.sum(axis=1)
-    terms = [total * dt]
-    if order >= 2:
-        running = np.cumsum(x, axis=1)
-        b = dt * (running - 0.5 * x)  # integral of H up to each midpoint
-        comm = np.cross(x, b)  # [H_k, b_k] = i comm_k . S
-        terms.append(0.5 * dt * comm.sum(axis=1))
-    if order == 3:
-        c_mid = dt * (np.cumsum(comm, axis=1) - 0.5 * comm)
-        term_a = np.cross(x, c_mid).sum(axis=1) * dt
-        # sum over k > j of b_j x (x_j x x_k), linear in x_k: one suffix sum
-        later = total[:, None, :] - running
-        term_b = np.cross(b, np.cross(x, later)).sum(axis=1) * dt * dt
-        terms.append((term_a + term_b) / 6.0)
+    running = np.cumsum(x, axis=1)
+    b = dt * (running - 0.5 * x)  # integral of H up to each midpoint
+    comm = np.cross(x, b)  # [H_k, b_k] = i comm_k . S
+    c_mid = dt * (np.cumsum(comm, axis=1) - 0.5 * comm)
+    term_a = np.cross(x, c_mid).sum(axis=1) * dt
+    # sum over k > j of b_j x (x_j x x_k), linear in x_k: one suffix sum
+    later = total[:, None, :] - running
+    term_b = np.cross(b, np.cross(x, later)).sum(axis=1) * dt * dt
+    terms = (total * dt, 0.5 * dt * comm.sum(axis=1), (term_a + term_b) / 6.0)
     partial = np.cumsum(np.stack(terms, axis=1), axis=1)
     return np.tensordot(partial, np.stack((SX, SY, SZ)), axes=(-1, 0))

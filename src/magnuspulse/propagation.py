@@ -71,7 +71,6 @@ class BlockTrajectory:
     times: np.ndarray
     q: np.ndarray
     amps: np.ndarray
-    s_count: int
     n_steps: int
     refinement_levels: int
     error_estimate: float
@@ -146,7 +145,7 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
     n = n_steps << level
     return BlockTrajectory(
         times=np.arange(n + 1) * (shape.duration / n), q=np.moveaxis(q, 0, -1), amps=amps,
-        s_count=system.s_count, n_steps=n, refinement_levels=level, error_estimate=estimate,
+        n_steps=n, refinement_levels=level, error_estimate=estimate,
     )
 
 

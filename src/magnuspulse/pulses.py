@@ -4,7 +4,10 @@ Shaped RF pulse envelopes, flip-angle calibration, and the criterion integrals.
 A pulse is an amplitude envelope omega1(t) in rad/s plus a phase phi(t) in
 rad, both defined on [0, T]. Analytic families (gaussian, sech, sinc,
 hermite, constant) are amplitude-only; Fourier-series and Gaussian-cascade
-envelopes carry the literature shapes bundled under data/.
+envelopes carry the literature shapes bundled under data/. `FAMILIES` is the
+one table of each family's parameters and defaults: `build_pulse` rejects
+other parameters and converts the given ones before the family's own range
+checks.
 
 Two integrals drive everything downstream:
 
@@ -24,7 +27,6 @@ harmonic, instead of a cos or sin per harmonic.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -33,9 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .system import _finite, _numbers
-
-TWO_PI = 2.0 * math.pi
+from .system import _finite, _numbers, read_object
 
 DEFAULT_N_STEPS = 4096
 
@@ -100,18 +100,28 @@ def _require(cond: bool, message: str):
         raise ValueError(message)
 
 
-def build_pulse(family: str, duration: float, **params) -> PulseShape:
-    """Construct a pulse envelope from a named family.
+#: Each family's parameters and their defaults; None marks a required parameter, and a
+#: tuple default a list of numbers.
+FAMILIES = {
+    "constant": {"amplitude": 1.0},
+    "gaussian": {"truncation": 0.01, "peak": 1.0},
+    "sech": {"beta": 5.3, "peak": 1.0},
+    "sinc": {"lobes": 3, "peak": 1.0},
+    "hermite": {"order": 2, "width": 1.5, "truncation": 0.01, "peak": 1.0},
+    "fourier": {"a0": None, "cos_coeffs": (), "sin_coeffs": ()},
+    "gaussian_cascade": {"amplitudes": (), "centers": (), "fwhms": ()},
+}
 
-    Families and their parameters:
 
-    * ``constant``: amplitude (rad/s, default 1.0).
-    * ``gaussian``: truncation in (0, 1) (edge/peak ratio, default 0.01),
-      peak (rad/s, default 1.0).
-    * ``sech``: beta > 0 (default 5.3), peak.
-    * ``sinc``: lobes >= 1 (zero crossings per side, default 3), peak.
-    * ``hermite``: order (even >= 0, default 2), width (argument scale,
-      default 1.5), truncation for the Gaussian window, peak. The envelope is
+def build_pulse(family: str, duration: float, /, **params) -> PulseShape:
+    """Construct a pulse envelope from a named family; `FAMILIES` gives the parameters.
+
+    * ``constant``: amplitude (rad/s).
+    * ``gaussian``: truncation in (0, 1) (edge/peak ratio), peak (rad/s).
+    * ``sech``: beta > 0, peak.
+    * ``sinc``: lobes >= 1 (zero crossings per side), peak.
+    * ``hermite``: order (even >= 0), width (argument scale), truncation for
+      the Gaussian window, peak. The envelope is
       H_order(width*u)/H_order(0) * exp(-a*u**2) on u in [-1, 1].
     * ``fourier``: a0, cos_coeffs A_n, sin_coeffs B_n of the series
       a0 + sum_n A_n cos(2 pi n t / T) + B_n sin(2 pi n t / T).
@@ -121,52 +131,42 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
     All families are amplitude-only (phase identically zero); give a
     `PulseShape` its own `phase_fn` for a phase-modulated pulse.
     """
-    _require(duration > 0, f"duration must be positive, got {duration}")
+    _require(family in FAMILIES, f"unknown pulse family {family!r}")
+    defaults = FAMILIES[family]
+    unexpected = sorted(params.keys() - defaults)
+    _require(not unexpected, f"unexpected parameters {unexpected} for {family}")
+    p = {}
+    for key, default in defaults.items():
+        value = params.get(key, default)
+        _require(value is not None, f"{family} pulses need the {key} parameter")
+        p[key] = _numbers(value, key) if isinstance(default, tuple) else _finite(value, key)
     t0 = duration / 2.0
-
-    def number(key, default):
-        return _finite(params.pop(key, default), key)
-
-    def numbers(key):
-        return _numbers(params.pop(key, ()), key)
 
     def shape(fn):
         return PulseShape(duration=duration, amplitude_fn=fn, phase_fn=_zero_phase)
 
     if family == "constant":
-        amplitude = number("amplitude", 1.0)
-        _require(not params, f"unexpected parameters {sorted(params)} for constant")
-        return shape(lambda t: np.full_like(np.asarray(t, dtype=float), amplitude))
+        return shape(lambda t: np.full_like(np.asarray(t, dtype=float), p["amplitude"]))
 
     if family == "gaussian":
-        truncation = number("truncation", 0.01)
-        peak = number("peak", 1.0)
-        _require(not params, f"unexpected parameters {sorted(params)} for gaussian")
+        truncation = p["truncation"]
         _require(0.0 < truncation < 1.0, f"truncation must be in (0, 1), got {truncation}")
         a = -math.log(truncation)
-        return shape(lambda t: peak * np.exp(-a * ((np.asarray(t) - t0) / t0) ** 2))
+        return shape(lambda t: p["peak"] * np.exp(-a * ((np.asarray(t) - t0) / t0) ** 2))
 
     if family == "sech":
-        beta = number("beta", 5.3)
-        peak = number("peak", 1.0)
-        _require(not params, f"unexpected parameters {sorted(params)} for sech")
+        beta = p["beta"]
         _require(beta > 0, f"beta must be positive, got {beta}")
-        return shape(lambda t: peak / np.cosh(beta * (np.asarray(t) - t0) / t0))
+        return shape(lambda t: p["peak"] / np.cosh(beta * (np.asarray(t) - t0) / t0))
 
     if family == "sinc":
-        lobes = number("lobes", 3)
-        peak = number("peak", 1.0)
-        _require(not params, f"unexpected parameters {sorted(params)} for sinc")
+        lobes = p["lobes"]
         _require(lobes.is_integer() and lobes >= 1, f"lobes must be an integer >= 1, got {lobes}")
         lobes = int(lobes)
-        return shape(lambda t: peak * np.sinc(lobes * (np.asarray(t) - t0) / t0))
+        return shape(lambda t: p["peak"] * np.sinc(lobes * (np.asarray(t) - t0) / t0))
 
     if family == "hermite":
-        order = number("order", 2)
-        width = number("width", 1.5)
-        truncation = number("truncation", 0.01)
-        peak = number("peak", 1.0)
-        _require(not params, f"unexpected parameters {sorted(params)} for hermite")
+        order, width, truncation = p["order"], p["width"], p["truncation"]
         _require(order.is_integer() and order >= 0 and order % 2 == 0,
                  f"order must be an even integer >= 0, got {order}")
         _require(0.0 < truncation < 1.0, f"truncation must be in (0, 1), got {truncation}")
@@ -179,16 +179,12 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
         def hermite_amp(t):
             u = (np.asarray(t) - t0) / t0
             poly = np.polynomial.hermite.hermval(width * u, coeffs) / h0
-            return peak * poly * np.exp(-a * u**2)
+            return p["peak"] * poly * np.exp(-a * u**2)
 
         return shape(hermite_amp)
 
     if family == "fourier":
-        _require("a0" in params, "fourier pulses need the a0 parameter")
-        a0 = number("a0", None)
-        cos_c = numbers("cos_coeffs")
-        sin_c = numbers("sin_coeffs")
-        _require(not params, f"unexpected parameters {sorted(params)} for fourier")
+        a0, cos_c, sin_c = p["a0"], p["cos_coeffs"], p["sin_coeffs"]
 
         def fourier_amp(t):
             # Clenshaw's recurrence b_k = c_k + 2 cos x b_{k+1} - b_{k+2}, x = 2 pi t / T, in
@@ -215,26 +211,20 @@ def build_pulse(family: str, duration: float, **params) -> PulseShape:
 
         return shape(fourier_amp)
 
-    if family == "gaussian_cascade":
-        _require({"amplitudes", "centers", "fwhms"} <= set(params),
-                 "gaussian_cascade pulses need amplitudes, centers and fwhms")
-        amps, centers, fwhms = numbers("amplitudes"), numbers("centers"), numbers("fwhms")
-        _require(not params, f"unexpected parameters {sorted(params)} for gaussian_cascade")
-        _require(len(amps) == len(centers) == len(fwhms) and len(amps) >= 1,
-                 "amplitudes, centers, fwhms must be equal-length non-empty lists")
-        _require(all(w > 0 for w in fwhms), "cascade component widths must be positive")
-        four_ln2 = 4.0 * math.log(2.0)
+    amps, centers, fwhms = p["amplitudes"], p["centers"], p["fwhms"]  # gaussian_cascade
+    _require(len(amps) == len(centers) == len(fwhms) and len(amps) >= 1,
+             "amplitudes, centers, fwhms must be equal-length non-empty lists")
+    _require(all(w > 0 for w in fwhms), "cascade component widths must be positive")
+    four_ln2 = 4.0 * math.log(2.0)
 
-        def cascade_amp(t):
-            x = np.asarray(t, dtype=float) / duration
-            out = np.zeros_like(x)
-            for a, c, w in zip(amps, centers, fwhms):
-                out = out + a * np.exp(-four_ln2 * ((x - c) / w) ** 2)
-            return out
+    def cascade_amp(t):
+        x = np.asarray(t, dtype=float) / duration
+        out = np.zeros_like(x)
+        for a, c, w in zip(amps, centers, fwhms):
+            out = out + a * np.exp(-four_ln2 * ((x - c) / w) ** 2)
+        return out
 
-        return shape(cascade_amp)
-
-    raise ValueError(f"unknown pulse family {family!r}")
+    return shape(cascade_amp)
 
 
 def scale_amplitude(pulse: PulseShape, factor: float) -> PulseShape:
@@ -244,6 +234,7 @@ def scale_amplitude(pulse: PulseShape, factor: float) -> PulseShape:
 
 
 def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:
+    _require(n_steps >= 1, f"n_steps must be >= 1, got {n_steps}")
     dt = t / n_steps
     return (np.arange(n_steps) + 0.5) * dt, dt
 
@@ -254,7 +245,6 @@ def _midpoint_integrals(pulse: PulseShape, t: float, n_steps: int) -> tuple[floa
         raise ValueError(f"t={t} outside pulse support [0, {pulse.duration}]")
     if t == 0.0:
         return 0.0, 0.0
-    _require(n_steps >= 1, f"n_steps must be >= 1, got {n_steps}")
     mids, dt = _midpoints(t, n_steps)
     amps = _eval(pulse.amplitude_fn, mids)
     return float(np.sum(amps) * dt), float(np.sum(np.abs(amps)) * dt)
@@ -287,7 +277,6 @@ def calibrate(pulse: PulseShape, target_flip: float, n_steps: int = DEFAULT_N_ST
 
 def sample(pulse: PulseShape, n_steps: int) -> SampledPulse:
     """Midpoint samples of amplitude and phase on an n_steps grid over [0, T]."""
-    _require(n_steps >= 1, f"n_steps must be >= 1, got {n_steps}")
     mids, dt = _midpoints(pulse.duration, n_steps)
     return SampledPulse(
         times=mids,
@@ -350,24 +339,17 @@ def load_pulse_file(source) -> CatalogEntry:
           "source": "..."                                   # optional citation
         }
 
-    family, duration_s and nominal_flip_deg are required; other fields are
-    rejected.
+    family, duration_s and nominal_flip_deg are required; other fields, and
+    the block of the other kind (`params` on a fourier pulse, `fourier` on any
+    other), are rejected.
     """
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("pulse file must contain a JSON object")
-    unknown = set(doc) - PULSE_FILE_FIELDS
-    if unknown:
-        raise ValueError(f"unknown pulse file fields: {sorted(unknown)}")
+    doc = read_object(source, "pulse", PULSE_FILE_FIELDS)
     for key in ("family", "duration_s", "nominal_flip_deg"):
         if doc.get(key) in (None, ""):
             raise ValueError(f"pulse file is missing the {key!r} field")
     family = doc["family"]
     if family == "fourier":
+        _require("params" not in doc, "fourier pulse files take no 'params' object")
         block = doc.get("fourier")
         if not isinstance(block, dict) or "a0" not in block:
             raise ValueError(f"fourier pulse file needs a 'fourier' object with 'a0', "
@@ -376,6 +358,7 @@ def load_pulse_file(source) -> CatalogEntry:
         for key, name in (("a", "cos_coeffs"), ("b", "sin_coeffs")):
             params[name] = _numbers(block.get(key, []), f"fourier.{key}")
     else:
+        _require("fourier" not in doc, f"{family} pulse files take no 'fourier' object")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"params must be an object, got {params!r}")

@@ -16,13 +16,15 @@ with the same association in about 2n products, and `track_rows` tracks the
 branch; a trailing-axis array q is tracked as ``track_rows(r[0], r[1:])``
 with ``r = np.moveaxis(q, -1, 0)``.
 
-Where a grid's z row is all zero, as for every slice `transverse_slices`
-builds, the first level of `reduce` and `scan` leaves out the products with
-that zero factor; the data decide this. Each left-out product is a signed
-zero, so only the sign of an exact zero can differ from `compose`. Higher
-levels keep `compose` even where their z rows stay zero (rotations about
-one axis): an exact zero there reaches the output, printed with its sign by
-`decompose`, whose alpha = atan2(g_y, g_x) it turns between pi and -pi.
+`compose` is the one quaternion product; its `planar` level leaves out the
+products with a zero z factor. Where a grid's z row is all zero, as for every
+slice `transverse_slices` builds, the first level of `reduce` and `scan`
+passes that level; the data decide this. Each left-out product is a signed
+zero, so only the sign of an exact zero can differ from the full product.
+Higher levels take the full product even where their z rows stay zero
+(rotations about one axis): an exact zero there reaches the output, printed
+with its sign by `decompose`, whose alpha = atan2(g_y, g_x) it turns between
+pi and -pi.
 `track_rows` can run over consecutive time blocks, carrying a `BranchState`
 from one to the next, with the result of one call over the whole grid.
 """
@@ -99,12 +101,16 @@ def exp(rotation: np.ndarray) -> np.ndarray:
     return np.concatenate((np.cos(half)[..., None], scale[..., None] * rotation), axis=-1)
 
 
-def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
+            planar: int = 0) -> np.ndarray:
     """Quaternion of the matrix product U_p U_q, component-major (4, ...).
 
     Broadcasts p and q past the component axis. `out`, if given, must not
     overlap p or q. Every component is summed left to right in a fixed order,
     so a product is the same to the last bit whatever the array layout.
+    `planar` 1 says that p's z row is all zero, 2 that q's is too; the
+    products with that zero factor are left out (20 ufunc passes instead of
+    28, 14 at 2), which changes at most the sign of an exact zero.
     """
     p0, p1, p2, p3 = p
     q0, q1, q2, q3 = q
@@ -115,50 +121,26 @@ def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.n
     np.multiply(p0, q0, out=c)
     c -= np.multiply(p1, q1, out=t)
     c -= np.multiply(p2, q2, out=t)
-    c -= np.multiply(p3, q3, out=t)
+    if not planar:
+        c -= np.multiply(p3, q3, out=t)
     np.multiply(p0, q1, out=x)
     x += np.multiply(q0, p1, out=t)
-    x += np.multiply(p2, q3, out=t)
-    x -= np.multiply(p3, q2, out=t)
-    np.multiply(p0, q2, out=y)
-    y += np.multiply(q0, p2, out=t)
-    y += np.multiply(p3, q1, out=t)
-    y -= np.multiply(p1, q3, out=t)
-    np.multiply(p0, q3, out=z)
-    z += np.multiply(q0, p3, out=t)
-    z += np.multiply(p1, q2, out=t)
-    z -= np.multiply(p2, q1, out=t)
-    return out
-
-
-def _compose_planar(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
-                    both: bool = False) -> np.ndarray:
-    """`compose` where p's z row is all zero, and q's too if `both`.
-
-    The products with a zero factor are left out, in `compose`'s order otherwise: 20 ufunc
-    passes instead of 28, 14 if `both`. Each left-out term is a signed zero, so the sums can
-    differ from `compose`'s only in the sign of an exact zero.
-    """
-    p0, p1, p2 = p[:3]
-    q0, q1, q2, q3 = q
-    if out is None:
-        out = np.empty((4,) + np.broadcast_shapes(p0.shape, q0.shape))
-    c, x, y, z = out
-    t = np.empty(c.shape)
-    np.multiply(p0, q0, out=c)
-    c -= np.multiply(p1, q1, out=t)
-    c -= np.multiply(p2, q2, out=t)
-    np.multiply(p0, q1, out=x)
-    x += np.multiply(q0, p1, out=t)
-    np.multiply(p0, q2, out=y)
-    y += np.multiply(q0, p2, out=t)
-    if both:
-        np.multiply(p1, q2, out=z)
-    else:
+    if planar < 2:
         x += np.multiply(p2, q3, out=t)
+    if not planar:
+        x -= np.multiply(p3, q2, out=t)
+    np.multiply(p0, q2, out=y)
+    y += np.multiply(q0, p2, out=t)
+    if not planar:
+        y += np.multiply(p3, q1, out=t)
+    if planar < 2:
         y -= np.multiply(p1, q3, out=t)
         np.multiply(p0, q3, out=z)
+        if not planar:
+            z += np.multiply(q0, p3, out=t)
         z += np.multiply(p1, q2, out=t)
+    else:
+        np.multiply(p1, q2, out=z)
     z -= np.multiply(p2, q1, out=t)
     return out
 
@@ -174,9 +156,7 @@ def _pairs(x: np.ndarray, planar: bool = False) -> np.ndarray:
     `planar` says that x's z row is all zero (`_planar`).
     """
     n = x.shape[-1]
-    if planar:
-        return _compose_planar(x[..., 1::2], x[..., 0:n - 1:2], both=True)
-    return compose(x[..., 1::2], x[..., 0:n - 1:2])
+    return compose(x[..., 1::2], x[..., 0:n - 1:2], planar=2 * planar)
 
 
 def reduce(x: np.ndarray, levels: list | None = None) -> np.ndarray:
@@ -217,7 +197,7 @@ def scan(x: np.ndarray, levels=()) -> None:
 
 
 def _scan(x: np.ndarray, levels, planar: bool) -> None:
-    """`scan`, with `planar` saying that x's z row is all zero; the levels below keep `compose`."""
+    """`scan`, with `planar` saying that x's z row is all zero; the levels below multiply in full."""
     n = x.shape[-1]
     if n < 2:
         return
@@ -225,8 +205,7 @@ def _scan(x: np.ndarray, levels, planar: bool) -> None:
     _scan(pairs, levels[1:], False)
     x[..., 1::2] = pairs
     evens = pairs[..., :(n - 1) // 2]
-    product = _compose_planar if planar else compose
-    x[..., 2::2] = product(x[..., 2::2], x[..., 1:n - 1:2], out=evens)
+    x[..., 2::2] = compose(x[..., 2::2], x[..., 1:n - 1:2], out=evens, planar=int(planar))
 
 
 def to_matrix(q: np.ndarray) -> np.ndarray:

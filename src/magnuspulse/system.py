@@ -149,13 +149,18 @@ def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:
     return full
 
 
-def _finite(value, name: str) -> float:
-    """A finite float from a file field, or a ValueError naming the field."""
+def _finite(value, name: str, hz: bool = False) -> float:
+    """A finite float from a file field, or a ValueError naming the field.
+
+    An `hz` field must stay finite in rad/s (times 2 pi) too.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"non-finite {name}: {value}")
+    if hz and not math.isfinite(TWO_PI * value):
+        raise ValueError(f"{name} overflows in rad/s: {value}")
     return value
 
 
@@ -172,6 +177,29 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _known(doc: dict, fields, where: str):
+    """Reject the keys of `doc` outside `fields`, naming them as `where`."""
+    unknown = set(doc) - fields
+    if unknown:
+        raise ValueError(f"unknown {where}: {sorted(unknown)}")
+
+
+def read_object(source, what: str, fields) -> dict:
+    """The JSON object in a file (path or open file object), with no field outside `fields`.
+
+    `what` names the file in messages ("system", "pulse").
+    """
+    if hasattr(source, "read"):
+        doc = json.load(source)
+    else:
+        with open(source) as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file must contain a JSON object")
+    _known(doc, fields, f"{what} file fields")
+    return doc
+
+
 def load_system(source) -> SpinSystem:
     """Load a spin system from a JSON file (path or open file object).
 
@@ -184,35 +212,19 @@ def load_system(source) -> SpinSystem:
           "j_ii_hz": [[0, 1, 5.0], ...]
         }
     """
-    if hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("system file must contain a JSON object")
-    known = {"s_count", "s_offset_hz", "i_spins", "j_ii_hz"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown system file fields: {sorted(unknown)}")
+    doc = read_object(source, "system", {"s_count", "s_offset_hz", "i_spins", "j_ii_hz"})
     i_spins, j_ii_hz = doc.get("i_spins", []), doc.get("j_ii_hz", [])
     if not (isinstance(i_spins, list) and all(isinstance(e, dict) for e in i_spins)):
         raise ValueError(f"i_spins must be a list of objects, got {i_spins!r}")
     if not (isinstance(j_ii_hz, list)
             and all(isinstance(e, list) and len(e) == 3 for e in j_ii_hz)):
         raise ValueError(f"j_ii_hz must be a list of [k, l, J] triples, got {j_ii_hz!r}")
-    spin_known = {"offset_hz", "j_to_s_hz"}
     spins = []
     for k, entry in enumerate(i_spins):
-        unknown = set(entry) - spin_known
-        if unknown:
-            raise ValueError(f"unknown fields in i_spins[{k}]: {sorted(unknown)}")
-        spins.append(
-            ISpin(
-                offset=TWO_PI * _finite(entry.get("offset_hz", 0.0), f"i_spins[{k}].offset_hz"),
-                j_to_s=_finite(entry.get("j_to_s_hz", 0.0), f"i_spins[{k}].j_to_s_hz"),
-            )
-        )
+        _known(entry, {"offset_hz", "j_to_s_hz"}, f"fields in i_spins[{k}]")
+        offset, j = (_finite(entry.get(key, 0.0), f"i_spins[{k}].{key}", hz=True)
+                     for key in ("offset_hz", "j_to_s_hz"))
+        spins.append(ISpin(offset=TWO_PI * offset, j_to_s=j))
     j_ii = {}
     for k, l, value in j_ii_hz:
         pair = (_integer(k, "j_ii_hz spin index"), _integer(l, "j_ii_hz spin index"))
@@ -221,7 +233,7 @@ def load_system(source) -> SpinSystem:
         j_ii[pair] = _finite(value, f"j_ii_hz[{k}, {l}]")
     return SpinSystem(
         s_count=_integer(doc.get("s_count", 1), "s_count"),
-        s_offset=TWO_PI * _finite(doc.get("s_offset_hz", 0.0), "s_offset_hz"),
+        s_offset=TWO_PI * _finite(doc.get("s_offset_hz", 0.0), "s_offset_hz", hz=True),
         i_spins=tuple(spins),
         j_ii=j_ii,
     )

@@ -241,7 +241,7 @@ def check_partial_sums():
     """Third-order exponent beats first order on a 90 degree Gaussian (SA)."""
     system, pulse = _sa(), _gaussian90()
     exact = su2.to_matrix(propagate_interaction(system, pulse, n_steps=1024, tol=1e-9).q[:, -1])
-    sums = magnus_partial_sums(system, pulse, n_steps=384, order=3)
+    sums = magnus_partial_sums(system, pulse, n_steps=384)
     for ci in range(sums.shape[0]):
         e1 = np.linalg.norm(_expm_eigh(sums[ci, 0], 1.0) - exact[ci])
         e3 = np.linalg.norm(_expm_eigh(sums[ci, 2], 1.0) - exact[ci])

@@ -447,6 +447,21 @@ class TestErrors:
         assert rc == 2
         assert "s_offset_hz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"s_offset_hz": 1e308}', "s_offset_hz"),
+        ('{"i_spins": [{"j_to_s_hz": 1e308}]}', "j_to_s_hz"),
+        ('{"i_spins": [{"offset_hz": 1e308}]}', "offset_hz"),
+    ])
+    def test_system_frequency_overflowing_in_rad_per_s_bad_input(self, tmp_path, capsys, text,
+                                                                  field):
+        system_file = tmp_path / "huge.json"
+        system_file.write_text(text)
+        rc = main(["criterion", "--pulse", "g4", "--system", str(system_file)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err
+        assert "Warning" not in err
+
     def test_string_system_offset_bad_input(self, tmp_path, capsys):
         system_file = tmp_path / "text.json"
         system_file.write_text('{"s_offset_hz": "100", "i_spins": [{"j_to_s_hz": 8.0}]}')
@@ -499,6 +514,11 @@ class TestErrors:
          ' "centers": [0.5], "fwhms": [0.1]}', "amplitudes"),
         ('"family": "sinc", "duration_s": 0.002, "params": {"lobes": "3"}', "lobes"),
         ('"family": "gaussian", "duration_s": 0.002, "params": {"peak": true}', "peak"),
+        ('"family": "gaussian", "duration_s": 0.002, "params": {"duration": 0.001}', "duration"),
+        ('"family": "gaussian", "duration_s": 0.002, "params": {"family": "sech"}', "'family'"),
+        ('"family": "fourier", "duration_s": 0.001, "fourier": {"a0": 1.0},'
+         ' "params": {"peak": 3}', "params"),
+        ('"family": "gaussian", "duration_s": 0.002, "fourier": {"a0": 1.0}', "fourier"),
     ])
     def test_malformed_pulse_field_bad_input(self, tmp_path, capsys, fields, field):
         pulse_file = tmp_path / "bad.json"

@@ -148,8 +148,8 @@ class TestOmegaHatQuadrature:
 def _one_step_state(f, g):
     """One configuration that steps from the identity to the state point (f, g)."""
     q = np.array([[[1.0, 0.0, 0.0, 0.0], [f, *g]]])
-    return BlockTrajectory(times=np.array([0.0, 1.0]), q=q, amps=np.zeros(1), s_count=1,
-                           n_steps=1, refinement_levels=0, error_estimate=0.0)
+    return BlockTrajectory(times=np.array([0.0, 1.0]), q=q, amps=np.zeros(1), n_steps=1,
+                           refinement_levels=0, error_estimate=0.0)
 
 
 class TestReconstruct:

@@ -77,10 +77,10 @@ def test_planar_products_equal_compose():
     p, q = (np.ascontiguousarray(np.moveaxis(_steps(257, seed=s), -1, 0)) for s in (4, 5))
     p[3] = 0.0
     p[:, :, ::9] = su2.IDENTITY[:, None, None]  # exact zeros in the products too
-    assert np.array_equal(su2._compose_planar(p, q), su2.compose(p, q))
+    assert np.array_equal(su2.compose(p, q, planar=1), su2.compose(p, q))
     planar_q = q.copy()
     planar_q[3] = rng.choice([0.0, -0.0], size=planar_q[3].shape)
-    assert np.array_equal(su2._compose_planar(p, planar_q, both=True), su2.compose(p, planar_q))
+    assert np.array_equal(su2.compose(p, planar_q, planar=2), su2.compose(p, planar_q))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ class TestValidationAndLoading:
         path.write_text(text)
         with pytest.raises(ValueError, match=field):
             load_system(path)
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"s_offset_hz": 1e308}', "s_offset_hz"),
+        ('{"i_spins": [{"offset_hz": -1e308}]}', "i_spins[0].offset_hz"),
+        ('{"i_spins": [{}, {"j_to_s_hz": 1e308}]}', "i_spins[1].j_to_s_hz"),
+    ])
+    def test_load_system_rejects_overflow_in_rad_per_s(self, tmp_path, text, field):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(field) + " overflows in rad/s"):
+            load_system(path)
+        path.write_text(text.replace("1e308", "1e307"))  # 2 pi 1e307 is finite
+        load_system(path)
 
     @pytest.mark.parametrize("text, field", [
         ('{"i_spins": [5]}', "i_spins"),
