@@ -403,7 +403,7 @@ def _cmd_propagate(args) -> int:
     traj = propagate_interaction(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
     # U = c E - i (v . sigma) from (c, vx, vy, vz); adding 0.0 makes an exact zero print as 0
-    values = np.moveaxis(traj.q, -1, 0) + 0.0
+    values = traj.q + 0.0
     _emit_table(columns, traj.times, values, meta, args, layout=(0, ~3, ~2, ~1, 2, ~1, 0, 3))
     return EXIT_OK
 
@@ -413,7 +413,7 @@ def _cmd_profile(args) -> int:
     offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
     table = excitation_profile(system, shape, TWO_PI * offsets_hz, n_steps=args.steps)
     columns = ["offset_hz", "mx", "my", "mz"]
-    _emit_table(columns, offsets_hz, table.T[:, None], meta, args, indexed=False)
+    _emit_table(columns, offsets_hz, table[:, None], meta, args, indexed=False)
     return EXIT_OK
 
 
@@ -422,7 +422,7 @@ def _cmd_decompose(args) -> int:
     traj = integrate_expansion(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta",
                "omega_hat", "constraint_residual"]
-    values = np.stack((*np.moveaxis(traj.q, -1, 0), *angles_from_state(traj),
+    values = np.stack((*traj.q, *angles_from_state(traj),
                        su2.norm_defect(traj.q)))
     _emit_table(columns, traj.times, values, meta, args)
     return EXIT_OK

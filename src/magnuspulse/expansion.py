@@ -115,9 +115,8 @@ def angles_from_state(trajectory: BlockTrajectory):
     Degenerate points |g| ~ 0 report alpha = beta = 0. Each output has shape
     (n_configs, n_steps + 1).
     """
-    rows = np.moveaxis(trajectory.q, -1, 0)  # contiguous (n_configs, n_times) rows
-    _, gx, gy, gz = rows
-    omega, _, norm = su2.track_rows(rows[0], rows[1:])
+    f, gx, gy, gz = trajectory.q
+    omega, _, norm = su2.track_rows(f, trajectory.q[1:])
     degenerate = norm < 1e-12
     alpha = np.where(degenerate, 0.0, np.arctan2(gy + 0.0, gx + 0.0))
     beta = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))

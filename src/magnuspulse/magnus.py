@@ -8,9 +8,8 @@ shared branch tracker `su2.track_rows`: the axis keeps a continuous sign and
 the angle is unwrapped by 4 pi, seeded by Omega(0) = 0. That keeps Omega(t)
 on the smooth branch the continuous-exponential solution lives on, instead
 of jumping back at angle 2 pi the way a principal logarithm would. Omega
-and the eigenvalues are built as rows with time contiguous, (3, n_configs,
-n_times) and (n_values, n_times); `MagnusSolution.omega` and the array
-`gap_audit` receives are transposed views of them.
+has its components first and time last, (3, n_configs, n_times), as the
+trajectory's quaternions do (see `su2`).
 
 The trajectory is analysed in time blocks of about `TRACK_BLOCK` samples
 (`_omega_blocks`): the tracker carries its branch state across block edges,
@@ -64,8 +63,7 @@ class ExtractionError(RuntimeError):
 class MagnusSolution:
     """Continuity-tracked exponent Omega(t) per configuration, on the trajectory's grid.
 
-    omega has shape (n_configs, n_times, 3), a view of component-major
-    (3, n_configs, n_times) rows; omega_hat is its norm (always
+    omega has shape (3, n_configs, n_times); omega_hat is its norm (always
     >= 0). alpha/beta, computed from omega on each access, are the axis
     angles of the elementary-rotation decomposition:
     alpha = atan2(Omega_y, Omega_x) in (-pi, pi], exact zeros taken as +0, and
@@ -82,11 +80,11 @@ class MagnusSolution:
     @property
     def alpha(self) -> np.ndarray:
         # + 0.0 makes -0 +0: a zero's sign is summation order, and atan2(-0, x < 0) = -pi
-        return np.arctan2(self.omega[..., 1] + 0.0, self.omega[..., 0] + 0.0)
+        return np.arctan2(self.omega[1] + 0.0, self.omega[0] + 0.0)
 
     @property
     def beta(self) -> np.ndarray:
-        return np.arctan2(np.hypot(self.omega[..., 0], self.omega[..., 1]), self.omega[..., 2])
+        return np.arctan2(np.hypot(self.omega[0], self.omega[1]), self.omega[2])
 
 
 @dataclass(frozen=True)
@@ -132,11 +130,11 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
         If consecutive rotation vectors are >= pi apart, i.e. the trajectory
         is stored too coarsely to track the branch.
     """
-    shape = trajectory.q.shape[:-1]
+    shape = trajectory.q.shape[1:]
     omega, omega_hat, ambiguous = np.empty((3,) + shape), np.empty(shape), np.empty(shape, bool)
     for block, *values in _omega_blocks(trajectory):
         omega[..., block], omega_hat[:, block], ambiguous[:, block] = values
-    return MagnusSolution(omega=np.moveaxis(omega, 0, -1), omega_hat=omega_hat, ambiguous=ambiguous)
+    return MagnusSolution(omega=omega, omega_hat=omega_hat, ambiguous=ambiguous)
 
 
 def _omega_blocks(trajectory: BlockTrajectory):
@@ -154,18 +152,18 @@ def _omega_blocks(trajectory: BlockTrajectory):
         At the first block with a jump; the message names the lowest
         configuration that jumps anywhere, at its first jump.
     """
-    rows = np.moveaxis(trajectory.q, -1, 0)  # contiguous (n_configs, n_times) rows
-    n_configs, n_times = rows.shape[1:]
+    q = trajectory.q
+    n_configs, n_times = q.shape[1:]
     width = max(1, TRACK_BLOCK // n_configs)
     state = su2.BranchState((n_configs,))
     before = None
     for start in range(0, n_times, width):
         block = slice(start, start + width)
-        c = rows[0, :, block]
-        angle, omega, s = su2.track_rows(c, rows[1:, :, block], state)
+        c = q[0, :, block]
+        angle, omega, s = su2.track_rows(c, q[1:, :, block], state)
         omega *= angle  # the unit axis becomes Omega
         if np.any(_step2(omega, omega[..., 0] if before is None else before) >= math.pi**2):
-            _raise_jump(rows)
+            _raise_jump(q)
         before = omega[..., -1]
         ox, oy, oz = omega
         omega_hat = ox * ox

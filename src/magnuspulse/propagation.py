@@ -62,9 +62,9 @@ class RefinementError(RuntimeError):
 class BlockTrajectory:
     """Per-configuration propagators U(t_k) on the grid t_k = k*dt, from either route.
 
-    q holds them as unit quaternions (f, g_x, g_y, g_z), shape
-    (n_configs, n_steps + 1, 4), so U = f E - 2i g . S (`su2.to_matrix`).
-    Index 0 in time is the identity. amps are the midpoint amplitude samples
+    q holds them as unit quaternions (f, g_x, g_y, g_z), components first and
+    time last, shape (4, n_configs, n_steps + 1), so U = f E - 2i g . S
+    (`su2.to_matrix`). Index 0 in time is the identity. amps are the midpoint amplitude samples
     the route stepped with.
     """
 
@@ -81,7 +81,7 @@ class BlockTrajectory:
 
     @property
     def n_configs(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[1]
 
 
 def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
@@ -98,8 +98,7 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
     scanned in place (`su2.scan`), from that reduction's levels.
     ``tol=None`` scans a single pass.
 
-    Returns the trajectory of the last grid; its q is the
-    (n_configs, n + 1, 4) view of the grid buffer.
+    Returns the trajectory of the last grid; its q is that grid's buffer.
 
     Raises
     ------
@@ -136,15 +135,13 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
             q, amps = grid(n_steps << level)
             tree = []
             fine = su2.reduce(q[..., 1:], tree)
-            # (n_configs, 4) with the components contiguous, as the trajectory stores them
-            dq = np.ascontiguousarray((fine - end).T)
-            estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(dq, axis=-1)))
+            estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(fine - end, axis=0)))
             end = fine
 
     su2.scan(q[..., 1:], tree)
     n = n_steps << level
     return BlockTrajectory(
-        times=np.arange(n + 1) * (shape.duration / n), q=np.moveaxis(q, 0, -1), amps=amps,
+        times=np.arange(n + 1) * (shape.duration / n), q=q, amps=amps,
         n_steps=n, refinement_levels=level, error_estimate=estimate,
     )
 
@@ -182,7 +179,7 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     For each offset the initial state operator Sz evolves under the
     rotating-frame propagator per configuration; expectation values are
     averaged uniformly over I configurations (infinite-temperature I spins)
-    and normalized so the initial <Sz> is 1/2. Returns shape (len(offsets), 3).
+    and normalized so the initial <Sz> is 1/2. Returns shape (3, len(offsets)).
 
     Only the propagator at the end of the pulse matters, so every
     (offset, configuration) row of midpoint slices is reduced to its
@@ -207,9 +204,9 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
         w = rows[start:start + per_block]
         su2.rotating_field(sin_half, sp.phases, w, 0.5 * sp.dt, sp.dt, out=slices[1:3, :len(w)])
         end = su2.reduce(slices[:, :len(w)])
-        free = np.zeros((len(w), 3))
-        free[:, 2] = w * duration  # exp(-i w T Sz) after the pulse
-        c, x, y, z = su2.compose(su2.exp(free).T, end)
+        free = np.zeros((3, len(w)))
+        free[2] = w * duration  # exp(-i w T Sz) after the pulse
+        c, x, y, z = su2.compose(su2.exp(free), end)
         response[:, start:start + len(w)] = (x * z + c * y, y * z - c * x,
                                               0.5 * (c * c + z * z - x * x - y * y))
-    return response.reshape(3, len(offsets), len(couplings)).mean(axis=-1).T
+    return response.reshape(3, len(offsets), len(couplings)).mean(axis=-1)

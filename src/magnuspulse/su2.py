@@ -2,19 +2,17 @@
 SU(2) elements as unit quaternions: the one representation of every block.
 
 A configuration block U = c E - i (v . sigma) = exp(-i Omega . S) is stored
-as the real array (c, vx, vy, vz) along a trailing axis of length 4, with
-c**2 + |v|**2 = 1 (Cayley-Klein form; Pauly et al., IEEE TMI 10 (1991) 53).
-The expansion-form coefficients (f, g) of U = f E - 2i (g . S) are the same
-numbers. `to_matrix` is the only place that builds the 2x2 complex view.
+as the real components (c, vx, vy, vz), with c**2 + |v|**2 = 1 (Cayley-Klein
+form; Pauly et al., IEEE TMI 10 (1991) 53). The expansion-form coefficients
+(f, g) of U = f E - 2i (g . S) are the same numbers. `to_matrix` is the only
+place that builds the 2x2 complex view.
 
-`exp` and `to_matrix` take the quaternion axis last, and stored
-trajectories show it last, as views of component-major (4, ...) arrays. The
-bulk work runs on those contiguous component rows: `transverse_slices`
-builds them, `compose` multiplies them, `reduce` takes a time-ordered product
-down to its endpoint by a pairwise tree, `scan` gives every prefix product
-with the same association in about 2n products, and `track_rows` tracks the
-branch; a trailing-axis array q is tracked as ``track_rows(r[0], r[1:])``
-with ``r = np.moveaxis(q, -1, 0)``.
+Every array here has its components first and time last: quaternions are
+(4, ..., n_t) and rotation vectors (3, ..., n_t), so each component is a
+contiguous row. `transverse_slices` builds those rows, `compose` multiplies
+them, `reduce` takes a time-ordered product down to its endpoint by a pairwise
+tree, `scan` gives every prefix product with the same association in about 2n
+products, and ``track_rows(q[0], q[1:])`` tracks the branch.
 
 `compose` is the one quaternion product; its `planar` level leaves out the
 products with a zero z factor. Where a grid's z row is all zero, as for every
@@ -93,12 +91,12 @@ def transverse_slices(half_angles: np.ndarray, phases: np.ndarray, w: np.ndarray
 
 
 def exp(rotation: np.ndarray) -> np.ndarray:
-    """exp(-i Omega . S) for rotation vectors Omega along a trailing axis of 3."""
+    """exp(-i Omega . S) for rotation vectors Omega, shape (3, ...), as quaternions (4, ...)."""
     rotation = np.asarray(rotation, dtype=float)
-    angle = np.linalg.norm(rotation, axis=-1)
+    angle = np.linalg.norm(rotation, axis=0)
     half = 0.5 * angle
     scale = np.where(angle > 0.0, np.sin(half) / np.where(angle > 0.0, angle, 1.0), 0.5)
-    return np.concatenate((np.cos(half)[..., None], scale[..., None] * rotation), axis=-1)
+    return np.concatenate((np.cos(half)[None], scale * rotation))
 
 
 def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
@@ -209,10 +207,9 @@ def _scan(x: np.ndarray, levels, planar: bool) -> None:
 
 
 def to_matrix(q: np.ndarray) -> np.ndarray:
-    """2x2 complex view c E - i (v . sigma), shape q.shape[:-1] + (2, 2)."""
-    q = np.asarray(q, dtype=float)
-    c, vx, vy, vz = np.moveaxis(q, -1, 0)
-    u = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    """2x2 complex view c E - i (v . sigma) of q (4, ...), shape q.shape[1:] + (2, 2)."""
+    c, vx, vy, vz = np.asarray(q, dtype=float)
+    u = np.empty(c.shape + (2, 2), dtype=complex)
     re, im = u.real, u.imag
     re[..., 0, 0] = re[..., 1, 1] = c
     im[..., 0, 0] = -vz
@@ -224,8 +221,8 @@ def to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def norm_defect(q: np.ndarray) -> np.ndarray:
-    """|c**2 + |v|**2 - 1| per quaternion (axis last); U U^dagger - E is that times E."""
-    return np.abs(q[..., 0] ** 2 + np.sum(q[..., 1:] ** 2, axis=-1) - 1.0)
+    """|c**2 + |v|**2 - 1| per quaternion of q (4, ...); U U^dagger - E is that times E."""
+    return np.abs(q[0] ** 2 + np.sum(q[1:] ** 2, axis=0) - 1.0)
 
 
 class BranchState:

@@ -104,7 +104,7 @@ def check_dense_oracle():
     """Assembled block propagator matches brute-force dense stepping (SAX)."""
     system, pulse = _sax(), _gaussian90()
     traj = propagate_interaction(system, pulse, n_steps=1024, tol=None)
-    assembled = assemble_full_matrix(system, su2.to_matrix(traj.q[:, -1]))
+    assembled = assemble_full_matrix(system, su2.to_matrix(traj.q[..., -1]))
 
     n_fine = 2 * traj.n_steps
     dt = pulse.duration / n_fine
@@ -188,7 +188,7 @@ def check_expansion_equivalence():
         state = integrate_expansion(system, pulse, n_steps=1024, tol=1e-8)
         traj = propagate_interaction(system, pulse, n_steps=1024, tol=1e-8)
         # Frobenius norm of the 2x2 difference is sqrt(2) times the quaternion distance
-        diff = math.sqrt(2.0) * np.linalg.norm(state.q[:, -1] - traj.q[:, -1], axis=-1)
+        diff = math.sqrt(2.0) * np.linalg.norm(state.q[..., -1] - traj.q[..., -1], axis=0)
         worst_diff = max(worst_diff, float(diff.max()))
         worst_residual = max(worst_residual, float(su2.norm_defect(state.q).max()))
     return worst_diff < 1e-6 and worst_residual < 1e-8, (
@@ -201,7 +201,7 @@ def check_degenerate_two_pi():
     pulse = calibrate(build_pulse("constant", 1e-3), TWO_PI)
     traj = propagate_interaction(system, pulse, n_steps=1024, tol=1e-10)
     sol = extract_omega(traj)
-    end_ok = float(np.linalg.norm(su2.to_matrix(traj.q[0, -1]) + np.eye(2))) < 1e-10
+    end_ok = float(np.linalg.norm(su2.to_matrix(traj.q[:, 0, -1]) + np.eye(2))) < 1e-10
     flagged = bool(sol.ambiguous.any())
     angle_ok = abs(sol.omega_hat[0, -1] - TWO_PI) < 1e-6
     report = explicit_criterion(system, pulse, n_steps=1024, tol=1e-10)
@@ -240,7 +240,7 @@ def check_weak_field():
 def check_partial_sums():
     """Third-order exponent beats first order on a 90 degree Gaussian (SA)."""
     system, pulse = _sa(), _gaussian90()
-    exact = su2.to_matrix(propagate_interaction(system, pulse, n_steps=1024, tol=1e-9).q[:, -1])
+    exact = su2.to_matrix(propagate_interaction(system, pulse, n_steps=1024, tol=1e-9).q[..., -1])
     sums = magnus_partial_sums(system, pulse, n_steps=384)
     for ci in range(sums.shape[0]):
         e1 = np.linalg.norm(_expm_eigh(sums[ci, 0], 1.0) - exact[ci])

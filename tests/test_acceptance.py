@@ -30,7 +30,7 @@ def test_c03_oracle_equivalence(sax_system, s2ax_system, gaussian90):
     worst = 0.0
     for system in (sax_system, s2ax_system):
         traj = propagate_interaction(system, gaussian90, n_steps=4096, tol=1e-9)
-        assembled = assemble_full_matrix(system, su2.to_matrix(traj.q[:, -1]))
+        assembled = assemble_full_matrix(system, su2.to_matrix(traj.q[..., -1]))
         dense = oracle.dense_propagator(system, gaussian90, 2 * traj.n_steps)
         worst = max(worst, float(np.linalg.norm(assembled - dense)))
     elapsed = time.perf_counter() - start

@@ -184,7 +184,7 @@ class TestTables:
         system = load_system(sa_file)
         shape = calibrate(build_pulse("gaussian", 1e-3), math.radians(90), 32)
         traj = propagate_interaction(system, shape, n_steps=32, tol=1e-4)
-        c, vx, vy, vz = np.moveaxis(traj.q + 0.0, -1, 0)
+        c, vx, vy, vz = traj.q + 0.0
         nvx, nvy, nvz = (-x + 0.0 for x in (vx, vy, vz))
         index = np.arange(traj.n_configs, dtype=float)[:, None]
         table = np.broadcast_arrays(traj.times, index, c, nvz, nvy, nvx, vy, nvx, c, vz)
@@ -225,7 +225,7 @@ class TestCsvText:
         text = self.run(tmp_path, ["propagate", "--steps", str(LONG_STEPS), "--tol", "1e-4"])
         traj = propagate_interaction(*g4, n_steps=LONG_STEPS, tol=1e-4)
         assert traj.n_configs == 4
-        q = np.moveaxis(traj.q, -1, 0).reshape(4, -1)
+        q = traj.q.reshape(4, -1)
         c, vx, vy, vz, nvx, nvy, nvz = ((x + 0.0).tolist() for x in (*q, -q[1], -q[2], -q[3]))
         t = np.tile(traj.times, traj.n_configs).tolist()
         ci = np.repeat(np.arange(traj.n_configs), len(traj.times)).tolist()
@@ -239,7 +239,7 @@ class TestCsvText:
         state = integrate_expansion(*g4, n_steps=LONG_STEPS, tol=1e-4)
         t = np.tile(state.times, state.n_configs).tolist()
         ci = np.repeat(np.arange(state.n_configs), len(state.times)).tolist()
-        values = (*np.moveaxis(state.q, -1, 0), *angles_from_state(state),
+        values = (*state.q, *angles_from_state(state),
                   su2.norm_defect(state.q))
         rows = list(zip(t, ci, *(x.ravel().tolist() for x in values)))
         columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta", "omega_hat",
@@ -254,7 +254,7 @@ class TestCsvText:
         shape = calibrate(entry.build(), entry.nominal_flip, 33)
         offsets_hz = np.linspace(-2000.0, 2000.0, count)
         table = excitation_profile(load_system(SAX), shape, TWO_PI * offsets_hz, n_steps=33)
-        rows = list(zip(offsets_hz.tolist(), *table.T.tolist()))
+        rows = list(zip(offsets_hz.tolist(), *table.tolist()))
         assert_same_text(text, csv_table(["offset_hz", "mx", "my", "mz"], rows))
 
     def test_stdout_equals_file(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,22 +62,22 @@ class TestIntegrate:
     def test_zero_pulse(self, sax_system):
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         state = integrate_expansion(sax_system, pulse, n_steps=16, tol=None)
-        assert np.array_equal(state.q[..., 0], np.ones_like(state.q[..., 0]))
-        assert np.array_equal(state.q[..., 1:], np.zeros_like(state.q[..., 1:]))
+        assert np.array_equal(state.q[0], np.ones_like(state.q[0]))
+        assert np.array_equal(state.q[1:], np.zeros_like(state.q[1:]))
 
     def test_initial_condition(self, sa_system, gaussian90):
         state = integrate_expansion(sa_system, gaussian90, n_steps=64, tol=None)
-        assert np.array_equal(state.q[:, 0, 0], [1.0, 1.0])
-        assert np.array_equal(state.q[:, 0, 1:], np.zeros((2, 3)))
+        assert np.array_equal(state.q[0, :, 0], [1.0, 1.0])
+        assert np.array_equal(state.q[1:, :, 0].T, np.zeros((2, 3)))
 
     def test_constant_on_resonance_closed_form(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-3), 1.2 * math.pi)
         state = integrate_expansion(s_only_system, pulse, n_steps=256, tol=1e-10)
         w1 = 1.2 * math.pi / 1e-3
         t = state.times
-        assert np.allclose(state.q[0, :, 0], np.cos(w1 * t / 2), atol=1e-9)
-        assert np.allclose(state.q[0, :, 1], np.sin(w1 * t / 2), atol=1e-9)
-        assert np.allclose(state.q[0, :, 2:], 0.0, atol=1e-9)
+        assert np.allclose(state.q[0, 0], np.cos(w1 * t / 2), atol=1e-9)
+        assert np.allclose(state.q[1, 0], np.sin(w1 * t / 2), atol=1e-9)
+        assert np.allclose(state.q[2:, 0], 0.0, atol=1e-9)
 
     def test_constraint_conserved(self, sax_system, gaussian90):
         state = integrate_expansion(sax_system, gaussian90, n_steps=4096, tol=None)
@@ -85,8 +86,8 @@ class TestIntegrate:
     def test_matches_exact_propagator(self, sax_system, gaussian90):
         state = integrate_expansion(sax_system, gaussian90, n_steps=1024, tol=1e-9)
         traj = propagate_interaction(sax_system, gaussian90, n_steps=1024, tol=1e-9)
-        rebuilt = su2.to_matrix(state.q[:, -1])
-        diff = np.linalg.norm(rebuilt - su2.to_matrix(traj.q[:, -1]), axis=(-2, -1))
+        rebuilt = su2.to_matrix(state.q[..., -1])
+        diff = np.linalg.norm(rebuilt - su2.to_matrix(traj.q[..., -1]), axis=(-2, -1))
         assert float(diff.max()) < 1e-6
 
     def test_commuting_scale_symmetry(self, s_only_system):
@@ -98,8 +99,8 @@ class TestIntegrate:
             s_only_system, calibrate(build_pulse("gaussian", 2e-3), math.pi / 2),
             n_steps=512, tol=None,
         )
-        assert np.allclose(state1.q[..., 0], state2.q[..., 0], atol=1e-12)
-        assert np.allclose(state1.q[..., 1:], state2.q[..., 1:], atol=1e-12)
+        assert np.allclose(state1.q[0], state2.q[0], atol=1e-12)
+        assert np.allclose(state1.q[1:], state2.q[1:], atol=1e-12)
 
     def test_legacy_rhs_violates_constraint(self, sa_system, gaussian90):
         _, f, g = oracle.integrate_expansion_loop(sa_system, gaussian90, 512, _legacy_expansion_rhs)
@@ -112,8 +113,8 @@ class TestIntegrate:
                 state = integrate_expansion(sax_system, pulse, n_steps=n, tol=None)
                 times, f, g = oracle.integrate_expansion_loop(sax_system, pulse, n)
                 assert np.array_equal(state.times, times)
-                assert np.max(np.abs(state.q[..., 0] - f)) < 1e-12, (entry.name, n)
-                assert np.max(np.abs(state.q[..., 1:] - g)) < 1e-12, (entry.name, n)
+                assert np.max(np.abs(state.q[0] - f)) < 1e-12, (entry.name, n)
+                assert np.max(np.abs(np.moveaxis(state.q[1:], 0, -1) - g)) < 1e-12, (entry.name, n)
 
     def test_refinement_failure_carries_grid(self, sax_system, gaussian90):
         with pytest.raises(RefinementError) as err:
@@ -122,11 +123,17 @@ class TestIntegrate:
         assert err.value.estimate > 1e-300
 
 
+def _trailing_state(state):
+    """What `oracle.omega_hat_quadrature` reads of a trajectory, with q's components last."""
+    return SimpleNamespace(q=np.moveaxis(state.q, 0, -1), n_configs=state.n_configs,
+                           dt=state.dt, times=state.times)
+
+
 class TestOmegaHatQuadrature:
     def test_constant_on_resonance(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-3), math.pi / 2)
         state = integrate_expansion(s_only_system, pulse, n_steps=256, tol=None)
-        ohat = oracle.omega_hat_quadrature(state, pulse, s_only_system)
+        ohat = oracle.omega_hat_quadrature(_trailing_state(state), pulse, s_only_system)
         w1 = math.pi / 2 / 1e-3
         assert np.allclose(ohat[0], w1 * state.times, rtol=1e-10, atol=1e-12)
 
@@ -134,12 +141,12 @@ class TestOmegaHatQuadrature:
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         state = integrate_expansion(sax_system, pulse, n_steps=16, tol=None)
         assert np.array_equal(
-            oracle.omega_hat_quadrature(state, pulse, sax_system), np.zeros((4, 17))
+            oracle.omega_hat_quadrature(_trailing_state(state), pulse, sax_system), np.zeros((4, 17))
         )
 
     def test_matches_log_extraction(self, sa_system, gaussian90):
         state = integrate_expansion(sa_system, gaussian90, n_steps=2048, tol=None)
-        ohat = oracle.omega_hat_quadrature(state, gaussian90, sa_system)
+        ohat = oracle.omega_hat_quadrature(_trailing_state(state), gaussian90, sa_system)
         traj = propagate_interaction(sa_system, gaussian90, n_steps=2048, tol=None)
         sol = extract_omega(traj)
         assert np.allclose(ohat, sol.omega_hat, atol=1e-6)
@@ -147,7 +154,7 @@ class TestOmegaHatQuadrature:
 
 def _one_step_state(f, g):
     """One configuration that steps from the identity to the state point (f, g)."""
-    q = np.array([[[1.0, 0.0, 0.0, 0.0], [f, *g]]])
+    q = np.moveaxis(np.array([[[1.0, 0.0, 0.0, 0.0], [f, *g]]]), -1, 0)
     return BlockTrajectory(times=np.array([0.0, 1.0]), q=q, amps=np.zeros(1), n_steps=1,
                            refinement_levels=0, error_estimate=0.0)
 
@@ -156,18 +163,18 @@ class TestReconstruct:
     """The 2x2 propagator f E - 2i (g . S) is su2.to_matrix of the state's quaternion (f, g)."""
 
     def test_identity(self):
-        u = su2.to_matrix(_one_step_state(1.0, [0.0, 0.0, 0.0]).q[0, -1])
+        u = su2.to_matrix(_one_step_state(1.0, [0.0, 0.0, 0.0]).q[:, 0, -1])
         assert np.array_equal(u, np.eye(2))
 
     def test_pi_x_rotation(self):
-        u = su2.to_matrix(_one_step_state(0.0, [1.0, 0.0, 0.0]).q[0, -1])
+        u = su2.to_matrix(_one_step_state(0.0, [1.0, 0.0, 0.0]).q[:, 0, -1])
         assert np.allclose(u, np.array([[0, -1j], [-1j, 0]]))
 
     def test_z_rotation(self):
         theta = 0.9
         state = _one_step_state(math.cos(theta / 2), [0, 0, math.sin(theta / 2)])
         expected = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
-        assert np.allclose(su2.to_matrix(state.q[0, -1]), expected, atol=1e-12)
+        assert np.allclose(su2.to_matrix(state.q[:, 0, -1]), expected, atol=1e-12)
 
     def test_norm_violation_rejected(self):
         # the norm defect is reported, not rebuilt into a non-unitary matrix
@@ -200,8 +207,8 @@ class TestAnglesFromState:
     def test_angle_derivative_matches_quadrature_integrand(self, sa_system, gaussian90):
         state = integrate_expansion(sa_system, gaussian90, n_steps=2048, tol=None)
         _, _, omega = angles_from_state(state)
-        ohat = oracle.omega_hat_quadrature(state, gaussian90, sa_system)
-        g_norm = np.linalg.norm(state.q[..., 1:], axis=-1)
+        ohat = oracle.omega_hat_quadrature(_trailing_state(state), gaussian90, sa_system)
+        g_norm = np.linalg.norm(state.q[1:], axis=0)
         interior = (g_norm[:, :-1] > 1e-6) & (g_norm[:, 1:] > 1e-6)
         d_angle = np.diff(omega, axis=1)[interior]
         d_quad = np.diff(ohat, axis=1)[interior]
@@ -225,8 +232,8 @@ class TestCatalogEquivalence:
             pulse = entry.build_calibrated()
             state = integrate_expansion(sax_system, pulse, n_steps=1024, tol=1e-8)
             traj = propagate_interaction(sax_system, pulse, n_steps=1024, tol=1e-8)
-            rebuilt = su2.to_matrix(state.q[:, -1])
-            diff = np.linalg.norm(rebuilt - su2.to_matrix(traj.q[:, -1]), axis=(-2, -1))
+            rebuilt = su2.to_matrix(state.q[..., -1])
+            diff = np.linalg.norm(rebuilt - su2.to_matrix(traj.q[..., -1]), axis=(-2, -1))
             assert float(diff.max()) < 1e-6, entry.name
             assert float(su2.norm_defect(state.q).max()) < 1e-8, entry.name
 

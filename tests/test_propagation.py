@@ -95,7 +95,7 @@ class TestPropagateInteraction:
         pulse = calibrate(build_pulse("constant", 1e-3), math.pi / 2)
         traj = propagate_interaction(s_only_system, pulse, n_steps=64, tol=1e-10)
         expected = scipy.linalg.expm(-1j * (math.pi / 2) * SX)
-        assert np.allclose(su2.to_matrix(traj.q[:, -1])[0], expected, atol=1e-9)
+        assert np.allclose(su2.to_matrix(traj.q[..., -1])[0], expected, atol=1e-9)
 
     def test_unitarity_along_trajectory(self, sax_system, gaussian90):
         traj = propagate_interaction(sax_system, gaussian90, n_steps=4096, tol=None)
@@ -108,13 +108,13 @@ class TestPropagateInteraction:
         assert traj.times[-1] == pytest.approx(gaussian90.duration, rel=1e-12)
         assert traj.n_steps == 128 * (1 << traj.refinement_levels)
         assert traj.error_estimate < 1e-6
-        assert np.allclose(su2.to_matrix(traj.q[:, 0]), E2)
+        assert np.allclose(su2.to_matrix(traj.q[..., 0]), E2)
 
     def test_step_halving_consistency(self, sax_system, gaussian90):
         endpoints = []
         for n in (128, 256, 512, 1024):
             traj = propagate_interaction(sax_system, gaussian90, n_steps=n, tol=None)
-            endpoints.append(su2.to_matrix(traj.q[:, -1]))
+            endpoints.append(su2.to_matrix(traj.q[..., -1]))
         diffs = [
             float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
             for a, b in zip(endpoints, endpoints[1:])
@@ -130,8 +130,8 @@ class TestPropagateInteraction:
 
 
 def _endpoints(route, system, shape, n_steps):
-    """Endpoint quaternions (n_configs, 4) of a route on a fixed grid."""
-    return route(system, shape, n_steps=n_steps, tol=None).q[:, -1]
+    """Endpoint quaternions (4, n_configs) of a route on a fixed grid."""
+    return route(system, shape, n_steps=n_steps, tol=None).q[..., -1]
 
 
 @pytest.mark.parametrize("entry", list_catalog(), ids=lambda e: e.name)
@@ -139,7 +139,7 @@ def test_midpoint_propagator_has_observed_order_two(entry, sax_system):
     shape = entry.build_calibrated()
     ends = [_endpoints(propagate_interaction, sax_system, shape, n)
             for n in (4096, 8192, 16384, 32768)]
-    changes = [float(np.max(np.linalg.norm(fine - coarse, axis=-1)))
+    changes = [float(np.max(np.linalg.norm(fine - coarse, axis=0)))
                for coarse, fine in zip(ends, ends[1:])]
     orders = [math.log2(coarse / fine) for coarse, fine in zip(changes, changes[1:])]
     assert all(1.9 <= order <= 2.1 for order in orders), orders
@@ -171,8 +171,8 @@ class TestPhaseModulation:
 class TestMultiSAssemble:
     def test_n1_is_direct_sum(self, sa_system, gaussian90):
         traj = propagate_interaction(sa_system, gaussian90, n_steps=256, tol=None)
-        full = assemble_full_matrix(sa_system, su2.to_matrix(traj.q[:, -1]))
-        blocks = su2.to_matrix(traj.q[:, -1])
+        full = assemble_full_matrix(sa_system, su2.to_matrix(traj.q[..., -1]))
+        blocks = su2.to_matrix(traj.q[..., -1])
         assert np.allclose(full[np.ix_([0, 2], [0, 2])], blocks[0])
         assert np.allclose(full[np.ix_([1, 3], [1, 3])], blocks[1])
 
@@ -189,21 +189,21 @@ class TestExcitationProfile:
     def test_zero_pulse(self, sa_system):
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         table = excitation_profile(sa_system, pulse, [0.0, 100.0], n_steps=8)
-        assert np.allclose(table, [[0.0, 0.0, 0.5], [0.0, 0.0, 0.5]], atol=1e-12)
+        assert np.allclose(table.T, [[0.0, 0.0, 0.5], [0.0, 0.0, 0.5]], atol=1e-12)
 
     def test_hard_quarter_pulse_on_resonance(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-6), math.pi / 2)
         table = excitation_profile(s_only_system, pulse, [0.0], n_steps=512)
-        assert np.allclose(table[0], [0.0, -0.5, 0.0], atol=1e-6)
+        assert np.allclose(table[:, 0], [0.0, -0.5, 0.0], atol=1e-6)
 
     def test_hard_inversion(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-6), math.pi)
         table = excitation_profile(s_only_system, pulse, [0.0], n_steps=512)
-        assert np.allclose(table[0], [0.0, 0.0, -0.5], atol=1e-6)
+        assert np.allclose(table[:, 0], [0.0, 0.0, -0.5], atol=1e-6)
 
     def test_gaussian_selectivity_far_off_resonance(self, s_only_system, gaussian90):
         table = excitation_profile(
             s_only_system, gaussian90, [0.0, TWO_PI * 20000.0], n_steps=2048
         )
-        assert table[0, 2] == pytest.approx(0.0, abs=1e-3)  # excited on resonance
-        assert table[1, 2] == pytest.approx(0.5, abs=1e-2)  # untouched far away
+        assert table[2, 0] == pytest.approx(0.0, abs=1e-3)  # excited on resonance
+        assert table[2, 1] == pytest.approx(0.5, abs=1e-2)  # untouched far away

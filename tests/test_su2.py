@@ -20,13 +20,18 @@ SIZES = list(range(1, 71)) + [1000, 4096]
 
 
 def _steps(n, n_configs=3, seed=0):
-    """Random unit quaternions, shape (n_configs, n, 4), reproducible per n and seed."""
+    """Random unit quaternions, shape (4, n_configs, n), reproducible per n and seed."""
     rng = np.random.default_rng(seed + n)
-    return su2.exp(rng.normal(size=(n_configs, n, 3)) * 2.0)
+    return su2.exp(np.moveaxis(rng.normal(size=(n_configs, n, 3)), -1, 0) * 2.0)
+
+
+def _trailing(q):
+    """q with its components moved last, as the oracle takes them."""
+    return np.moveaxis(q, 0, -1)
 
 
 def _scanned(q):
-    x = np.ascontiguousarray(np.moveaxis(q, -1, 0))
+    x = q.copy()
     su2.scan(x)
     return x
 
@@ -34,21 +39,21 @@ def _scanned(q):
 @pytest.mark.parametrize("n", SIZES)
 def test_scan_matches_sequential_product(n):
     q = _steps(n)
-    scanned = np.moveaxis(_scanned(q), 0, -1)
-    assert np.max(np.abs(su2.to_matrix(scanned) - oracle.sequential_prefix(q))) < 1e-12
+    scanned = _scanned(q)
+    assert np.max(np.abs(su2.to_matrix(scanned) - oracle.sequential_prefix(_trailing(q)))) < 1e-12
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_reduce_is_the_scan_endpoint_bit_for_bit(n):
     q = _steps(n)
-    endpoint = su2.reduce(np.ascontiguousarray(np.moveaxis(q, -1, 0)))
+    endpoint = su2.reduce(q)
     assert np.array_equal(endpoint, _scanned(q)[..., -1])
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_scan_from_kept_levels_is_the_plain_scan_bit_for_bit(n):
     q = _steps(n)
-    x = np.ascontiguousarray(np.moveaxis(q, -1, 0))
+    x = q.copy()
     levels = []
     endpoint = su2.reduce(x, levels)
     kept = endpoint.copy()
@@ -61,20 +66,20 @@ def test_scan_from_kept_levels_is_the_plain_scan_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 1024, 4096])
 def test_power_of_two_endpoint_matches_log_depth_scan(n):
     q = _steps(n)
-    endpoint = su2.reduce(np.ascontiguousarray(np.moveaxis(q, -1, 0)))
-    assert np.array_equal(endpoint.T, oracle.hillis_steele_prefix(q)[:, -1])
+    endpoint = su2.reduce(q)
+    assert np.array_equal(endpoint.T, oracle.hillis_steele_prefix(_trailing(q))[:, -1])
 
 
 def test_compose_is_layout_independent():
     p, q = _steps(257, seed=1), _steps(257, seed=2)
-    cm = su2.compose(np.moveaxis(p, -1, 0), np.moveaxis(q, -1, 0))
-    assert np.array_equal(np.moveaxis(cm, 0, -1), oracle.quaternion_product(p, q))
+    cm = su2.compose(p, q)
+    assert np.array_equal(_trailing(cm), oracle.quaternion_product(_trailing(p), _trailing(q)))
 
 
 def test_planar_products_equal_compose():
     # Left-out products are signed zeros: values equal, only an exact zero's sign may differ.
     rng = np.random.default_rng(3)
-    p, q = (np.ascontiguousarray(np.moveaxis(_steps(257, seed=s), -1, 0)) for s in (4, 5))
+    p, q = (_steps(257, seed=s) for s in (4, 5))
     p[3] = 0.0
     p[:, :, ::9] = su2.IDENTITY[:, None, None]  # exact zeros in the products too
     assert np.array_equal(su2.compose(p, q, planar=1), su2.compose(p, q))
@@ -115,10 +120,9 @@ def test_odd_grid_refinement_unchanged(entry, tmp_path):
 
 
 def _assert_tracks_like_oracle(q):
-    rows = np.moveaxis(q, -1, 0)
-    angle, axis, _ = su2.track_rows(rows[0], rows[1:])
-    axis = np.moveaxis(axis, 0, -1)
-    ref_angle, ref_axis = oracle.track_trailing(q)
+    angle, axis, _ = su2.track_rows(q[0], q[1:])
+    axis = _trailing(axis)
+    ref_angle, ref_axis = oracle.track_trailing(_trailing(q))
     assert angle.tobytes() == ref_angle.tobytes()  # signed zeros too
     assert axis.tobytes() == ref_axis.tobytes()
     return ref_angle, ref_axis
@@ -131,7 +135,7 @@ def test_track_matches_trailing_axis_oracle_on_catalog(request, system):
         shape = entry.build_calibrated()
         traj = propagate_interaction(system, shape, n_steps=4096, tol=None)
         angle, axis = _assert_tracks_like_oracle(traj.q)
-        assert np.array_equal(extract_omega(traj).omega, angle[..., None] * axis), entry.name
+        assert np.array_equal(extract_omega(traj).omega, angle * np.moveaxis(axis, -1, 0)), entry.name
         state = integrate_expansion(system, shape, n_steps=4096, tol=None)
         angle, _ = _assert_tracks_like_oracle(state.q)
         assert np.array_equal(angles_from_state(state)[2], angle), entry.name
@@ -143,7 +147,7 @@ SAMPLE_KINDS = ("step", "step", "random", "coordinate", "undefined", "at_tol", "
 
 @st.composite
 def quaternion_paths(draw):
-    """Unit-quaternion paths, (n_configs, n_t, 4), with every case the tracker branches on.
+    """Unit-quaternion paths, (4, n_configs, n_t), with every case the tracker branches on.
 
     Each configuration starts with a run of samples whose axis is undefined
     (|v| <= AXIS_TOL, possibly empty); later samples are small steps, jumps,
@@ -156,7 +160,7 @@ def quaternion_paths(draw):
     kinds = draw(st.lists(st.sampled_from(SAMPLE_KINDS), min_size=n_configs * n_t,
                           max_size=n_configs * n_t))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    q = np.empty((n_configs, n_t, 4))
+    q = np.empty((4, n_configs, n_t))
     for ci in range(n_configs):
         prev = su2.IDENTITY
         for k in range(n_t):
@@ -177,7 +181,7 @@ def quaternion_paths(draw):
                 sample = prev * np.array([1.0, -1.0, -1.0, -1.0])
             else:
                 sample = np.array([-1.0, 0.0, 0.0, 0.0])
-            q[ci, k] = prev = sample
+            q[:, ci, k] = prev = sample
     return q
 
 
@@ -188,18 +192,16 @@ def test_track_matches_trailing_axis_oracle_on_random_paths(q):
 
 
 def _track_in_blocks(q, cuts):
-    """`su2.track_rows` over the blocks of q (n_configs, n_t, 4) starting at time indices `cuts`."""
-    rows = np.moveaxis(q, -1, 0)
-    state = su2.BranchState(rows.shape[1:-1])
-    edges = [0, *cuts, rows.shape[-1]]
-    parts = [su2.track_rows(rows[0, ..., a:b], rows[1:, ..., a:b], state)
+    """`su2.track_rows` over the blocks of q (4, n_configs, n_t) starting at time indices `cuts`."""
+    state = su2.BranchState(q.shape[1:-1])
+    edges = [0, *cuts, q.shape[-1]]
+    parts = [su2.track_rows(q[0, ..., a:b], q[1:, ..., a:b], state)
              for a, b in zip(edges, edges[1:])]
     return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
 
 
 def _assert_blocks_track_like_dense(q, cuts):
-    rows = np.moveaxis(q, -1, 0)
-    dense = oracle.track_rows_dense(rows[0], rows[1:])
+    dense = oracle.track_rows_dense(q[0], q[1:])
     for got, want in zip(_track_in_blocks(q, cuts), dense):
         assert got.tobytes() == want.tobytes(), cuts  # signed zeros too
 
@@ -219,23 +221,22 @@ def _edge_case_paths():
     turn = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
                      2.0 * np.pi, 7.0, 8.0, 9.0, 11.0, 12.0, 4.0 * np.pi, 13.5, 15.0, 16.0])
     n_t = len(turn)
-    q = np.empty((3, n_t, 4))
-    q[0] = su2.exp(turn[:, None] * axis)
-    q[1] = 0.0
-    q[1, :, 0] = np.where(np.arange(n_t) % 3 == 1, -1.0, 1.0)
-    q[1, ::4, 1] = 0.5 * su2.AXIS_TOL
-    steps = su2.exp(rng.normal(size=(n_t, 3)) * 0.8)
+    q = np.empty((4, 3, n_t))
+    q[:, 0] = su2.exp(axis[:, None] * turn)
+    q[:, 1] = 0.0
+    q[0, 1] = np.where(np.arange(n_t) % 3 == 1, -1.0, 1.0)
+    q[1, 1, ::4] = 0.5 * su2.AXIS_TOL
+    steps = su2.exp(rng.normal(size=(n_t, 3)).T * 0.8)
     prev = su2.IDENTITY
     for k in range(n_t):
         prev = prev * np.array([1.0, -1.0, -1.0, -1.0]) if k % 7 == 6 else su2.compose(
-            steps[k][:, None], prev[:, None])[:, 0]
-        q[2, k] = prev
+            steps[:, k, None], prev[:, None])[:, 0]
+        q[:, 2, k] = prev
     return q
 
 
 def test_edge_case_paths_reach_every_carried_case(monkeypatch):
-    q = _edge_case_paths()
-    rows = np.moveaxis(q, -1, 0)
+    rows = _edge_case_paths()
     norm = np.linalg.norm(rows[1:], axis=0)
     defined = norm > su2.AXIS_TOL
     assert not defined[1].any()
@@ -258,13 +259,13 @@ def test_blocks_track_like_one_dense_pass_at_every_edge(cut):
 
 def test_blocks_of_one_sample_track_like_one_dense_pass():
     q = _edge_case_paths()
-    _assert_blocks_track_like_dense(q, list(range(1, q.shape[1])))
+    _assert_blocks_track_like_dense(q, list(range(1, q.shape[-1])))
 
 
 @settings(deadline=None)
 @given(quaternion_paths(), st.data())
 def test_blocks_track_like_one_dense_pass_on_random_paths(q, data):
-    n_t = q.shape[1]
+    n_t = q.shape[-1]
     cuts = data.draw(st.lists(st.integers(1, max(1, n_t - 1)), max_size=6, unique=True))
     _assert_blocks_track_like_dense(q, sorted(c for c in cuts if c < n_t))
 
@@ -278,12 +279,12 @@ def test_track_unwraps_only_at_half_angle_jumps(monkeypatch, turns, unwraps):
     rng = np.random.default_rng(5)
     axes = rng.normal(size=(3, 1, 3))
     angles = np.concatenate(([0.0, 0.1, -0.1, 0.0], np.linspace(0.0, turns * 2.0 * np.pi, 60)))
-    q = su2.exp(angles[None, :, None] * axes / np.linalg.norm(axes, axis=-1, keepdims=True))
+    q = su2.exp(np.moveaxis(angles[None, :, None] * axes / np.linalg.norm(axes, axis=-1,
+                                                                          keepdims=True), -1, 0))
     calls = []
     unwrap = su2._unwrap_correction
     monkeypatch.setattr(su2, "_unwrap_correction", lambda step: calls.append(1) or unwrap(step))
-    rows = np.moveaxis(q, -1, 0)
-    angle = su2.track_rows(rows[0], rows[1:])[0]
+    angle = su2.track_rows(q[0], q[1:])[0]
     assert len(calls) == unwraps
     monkeypatch.undo()
     assert not np.any(np.signbit(angle[:, 3]))
@@ -293,9 +294,9 @@ def test_track_unwraps_only_at_half_angle_jumps(monkeypatch, turns, unwraps):
 def test_norm_defect_is_the_matrix_unitarity_defect():
     # U U^dagger - E = (|q|^2 - 1) E, so its Frobenius norm is sqrt(2) |(|q|^2 - 1)|
     rng = np.random.default_rng(8)
-    q = su2.exp(rng.normal(size=(500, 3)) * 4.0) * rng.uniform(0.8, 1.2, size=(500, 1))
-    q[:10] = su2.exp(rng.normal(size=(10, 3)))  # unit ones too
-    u = oracle.quaternion_matrix(q)
+    q = su2.exp(rng.normal(size=(500, 3)).T * 4.0) * rng.uniform(0.8, 1.2, size=500)
+    q[:, :10] = su2.exp(rng.normal(size=(10, 3)).T)  # unit ones too
+    u = oracle.quaternion_matrix(_trailing(q))
     matrix_defect = np.linalg.norm(u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(2), axis=(-2, -1))
     assert np.allclose(np.sqrt(2.0) * su2.norm_defect(q), matrix_defect, rtol=0.0, atol=1e-15)
 
