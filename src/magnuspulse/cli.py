@@ -37,7 +37,7 @@ from .magnus import ExtractionError, explicit_criterion
 from .propagation import DEFAULT_TOL, RefinementError, excitation_profile, propagate_interaction
 from .pulses import (DEFAULT_N_STEPS, PulseShape, build_pulse, calibrate, list_catalog,
                      resolve_pulse)
-from .system import SpinSystem, load_system
+from .system import SpinSystem, _check_offsets, load_system
 from .verify import run_all as run_verify
 
 TWO_PI = 2.0 * math.pi
@@ -410,6 +410,7 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_profile(args) -> int:
     system, shape, meta = _load_inputs(args)
+    _check_offsets(system, TWO_PI * max(abs(args.offset_start), abs(args.offset_stop)))
     offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
     table = excitation_profile(system, shape, TWO_PI * offsets_hz, n_steps=args.steps)
     columns = ["offset_hz", "mx", "my", "mz"]

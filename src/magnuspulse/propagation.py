@@ -103,8 +103,8 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
     Raises
     ------
     RefinementError
-        If the tolerance is not met within `MAX_DOUBLINGS` refinements; the
-        exception carries the best error estimate and the finest grid size.
+        If the tolerance is not met within `MAX_DOUBLINGS` refinements or the endpoint is
+        not finite; the exception carries the last error estimate and its grid size.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -121,12 +121,13 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
     if tol is not None:
         end, estimate = su2.reduce(q[..., 1:], tree), math.inf
         while not estimate < tol:
-            if level == MAX_DOUBLINGS:
-                finest = n_steps << MAX_DOUBLINGS
+            finest, finite = n_steps << level, math.isfinite(estimate) or not level
+            if level == MAX_DOUBLINGS or not finite:
                 raise RefinementError(
                     f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after "
                     f"{MAX_DOUBLINGS} grid doublings (finest grid {finest} steps); "
-                    "increase n_steps",
+                    "increase n_steps" if finite else f"endpoint is not finite on the grid "
+                    f"of {finest} steps (moved by {estimate}); more steps cannot help",
                     estimate=estimate,
                     n_steps=finest,
                 )

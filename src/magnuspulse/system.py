@@ -76,6 +76,7 @@ class SpinSystem:
             s if isinstance(s, ISpin) else ISpin(*s) for s in self.i_spins
         )
         object.__setattr__(self, "i_spins", spins)
+        _check_offsets(self)
         n = len(spins)
         couplings: dict[tuple[int, int], float] = {}
         for (k, l), value in dict(self.j_ii).items():
@@ -101,8 +102,6 @@ class SpinSystem:
 def m_table(system: SpinSystem) -> np.ndarray:
     """(n_configs, n_i) array of magnetic quantum numbers, config index as row."""
     n = system.n_i
-    if n == 0:
-        return np.zeros((1, 0))
     idx = np.arange(1 << n)
     bits = (idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
     return 0.5 - bits.astype(float)
@@ -113,6 +112,14 @@ def offset_diagonal(system: SpinSystem) -> np.ndarray:
     ms = m_table(system)
     j_s = TWO_PI * np.array([s.j_to_s for s in system.i_spins])
     return system.s_offset + ms @ j_s
+
+
+def _check_offsets(system: SpinSystem, trial: float = 0.0):
+    """Require |Omega_s| + pi sum_k |J_k| + |trial|, the largest effective S offset, finite."""
+    if not math.isfinite(abs(system.s_offset) + abs(trial)
+                         + math.pi * sum(abs(s.j_to_s) for s in system.i_spins)):
+        raise ValueError("effective S offset overflows in rad/s: |s_offset_hz| + sum_k "
+                         f"|i_spins[k].j_to_s_hz| / 2{' + |--offset-start/--offset-stop|' * bool(trial)}")
 
 
 def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:

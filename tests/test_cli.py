@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -16,9 +17,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from magnuspulse import (SpinSystem, angles_from_state, build_pulse, calibrate,
-                         excitation_profile, integrate_expansion, list_catalog, load_system,
-                         propagate_interaction, resolve_pulse, su2, verify)
-from magnuspulse.cli import CSV_BLOCK_ROWS, _cells, _emit_table, _round_floats, build_parser, main
+                         excitation_profile, explicit_criterion, integrate_expansion,
+                         list_catalog, load_system, propagate_interaction, resolve_pulse, su2,
+                         verify)
+from magnuspulse import cli
+from magnuspulse.cli import (CSV_BLOCK_ROWS, _cells, _emit, _emit_table, _round_floats,
+                             build_parser, main)
 from magnuspulse.propagation import DEFAULT_TOL
 from magnuspulse.pulses import DEFAULT_N_STEPS
 from oracle import csv_table
@@ -112,6 +116,29 @@ class TestCriterion:
         assert json.loads(flat["system.i_spins"]) == doc["system"]["i_spins"]
         assert json.loads(flat["system.j_ii_hz"]) == doc["system"]["j_ii_hz"]
         assert json.loads(flat["ambiguity_times"]) == doc["ambiguity_times"]
+
+
+    def test_duration_override_reaches_the_pulse_and_is_echoed(self, tmp_path, sa_file):
+        out = tmp_path / "report.json"
+        assert main(["criterion", "--pulse", "g4", "--duration", "2e-3", "--system", sa_file,
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["pulse"]["duration_s"] == 2e-3
+        pulse = dataclasses.replace(resolve_pulse("g4"), duration=2e-3).build_calibrated()
+        report = explicit_criterion(load_system(sa_file), pulse)
+        assert doc["bound21_margin"] == _round_floats(report.bound21_margin)
+
+    def test_shape_flags_reach_the_pulse_and_are_echoed(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "build_pulse",
+                            lambda *a, **k: calls.append((a, k)) or build_pulse(*a, **k))
+        out = tmp_path / "report.json"
+        assert main(["criterion", "--shape", "sech", "--beta", "4", "--peak", "2", "--flip", "90",
+                     "--output", str(out)]) == 0
+        assert calls == [(("sech", 1e-3), {"peak": 2.0, "beta": 4.0})]
+        assert json.loads(out.read_text())["pulse"] == {
+            "name": "sech", "family": "sech", "duration_s": 1e-3, "flip_deg": 90.0,
+            "peak": 2.0, "beta": 4.0}
 
 
 class TestTables:
@@ -352,6 +379,16 @@ def test_table_bytes_across_blocks_with_slow_and_negated_cells():
     assert_same_text(text, csv_table(columns, rows))
 
 
+def test_emit_leaves_no_file_when_writing_fails(tmp_path):
+    def chunks():
+        yield "t,x\n"
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        _emit(chunks(), str(tmp_path / "table.csv"))
+    assert list(tmp_path.iterdir()) == []  # neither the table nor a .magnuspulse-* temp file
+
+
 class TestCatalogCommand:
     def test_text_listing(self, capsys):
         assert main(["catalog"]) == 0
@@ -418,6 +455,8 @@ class TestErrors:
           "--offset-count", "-3"], "--offset-count"),
         (["profile", "--shape", "gaussian", "--offset-start", "0", "--offset-stop", "10",
           "--offset-count", "0"], "--offset-count"),
+        (["profile", "--pulse", "g4", "--offset-start", "1e308", "--offset-stop", "1e308",
+          "--offset-count", "2"], "|--offset-start/--offset-stop|"),
     ])
     def test_invalid_number_flag_bad_input(self, argv, flag, capsys):
         assert main(argv) == 2
@@ -451,6 +490,8 @@ class TestErrors:
         ('{"s_offset_hz": 1e308}', "s_offset_hz"),
         ('{"i_spins": [{"j_to_s_hz": 1e308}]}', "j_to_s_hz"),
         ('{"i_spins": [{"offset_hz": 1e308}]}', "offset_hz"),
+        ('{"s_offset_hz": 2.8e307, "i_spins": [{"j_to_s_hz": 2.8e307}]}',
+         "effective S offset overflows in rad/s: |s_offset_hz| + sum_k |i_spins[k].j_to_s_hz|"),
     ])
     def test_system_frequency_overflowing_in_rad_per_s_bad_input(self, tmp_path, capsys, text,
                                                                   field):
@@ -461,6 +502,12 @@ class TestErrors:
         assert rc == 2
         assert field in err
         assert "Warning" not in err
+
+    def test_system_file_that_is_not_an_object_bad_input(self, tmp_path, capsys):
+        system_file = tmp_path / "list.json"
+        system_file.write_text("[1, 2]")
+        assert main(["criterion", "--pulse", "g4", "--system", str(system_file)]) == 2
+        assert "system file must contain a JSON object" in capsys.readouterr().err
 
     def test_string_system_offset_bad_input(self, tmp_path, capsys):
         system_file = tmp_path / "text.json"
@@ -519,6 +566,7 @@ class TestErrors:
         ('"family": "fourier", "duration_s": 0.001, "fourier": {"a0": 1.0},'
          ' "params": {"peak": 3}', "params"),
         ('"family": "gaussian", "duration_s": 0.002, "fourier": {"a0": 1.0}', "fourier"),
+        ('"family": "gaussian", "params": {"truncation": 0.01}', "missing the 'duration_s' field"),
     ])
     def test_malformed_pulse_field_bad_input(self, tmp_path, capsys, fields, field):
         pulse_file = tmp_path / "bad.json"

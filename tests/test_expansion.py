@@ -122,6 +122,15 @@ class TestIntegrate:
         assert err.value.n_steps == 256
         assert err.value.estimate > 1e-300
 
+    def test_non_finite_endpoint_stops_refinement_at_once(self, s_only_system):
+        # RK4 steps of a 1e200 rad/s field overflow, so every grid's endpoint is NaN
+        pulse = build_pulse("constant", 1e-3, amplitude=1e200)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RefinementError, match="endpoint is not finite") as err:
+            integrate_expansion(s_only_system, pulse, n_steps=64)
+        assert err.value.n_steps == 2 * 64
+        assert math.isnan(err.value.estimate)
+
 
 def _trailing_state(state):
     """What `oracle.omega_hat_quadrature` reads of a trajectory, with q's components last."""

@@ -219,6 +219,18 @@ class TestSample:
         sp = sample(gaussian90, 4096)
         assert float(np.sum(sp.amps) * sp.dt) == flip_angle(gaussian90, gaussian90.duration, 4096)
 
+    def test_envelope_of_the_wrong_shape_rejected(self):
+        pulse = dataclasses.replace(build_pulse("constant", 1e-3), amplitude_fn=lambda t: 1.0)
+        with pytest.raises(ValueError, match=r"envelope returned shape \(\) for \(16,\)"):
+            sample(pulse, 16)
+
+    def test_non_finite_envelope_rejected(self):
+        # two components of 1e308 at one centre sum past the largest double
+        pulse = build_pulse("gaussian_cascade", 1e-3, amplitudes=[1e308, 1e308],
+                            centers=[0.5, 0.5], fwhms=[0.2, 0.2])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite samples"):
+            sample(pulse, 16)
+
 
 class TestCatalog:
     def test_eight_bundled_pulses(self):

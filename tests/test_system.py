@@ -1,3 +1,4 @@
+import io
 import math
 import re
 
@@ -108,6 +109,31 @@ class TestValidationAndLoading:
     def test_out_of_range_coupling_rejected(self):
         with pytest.raises(ValueError):
             SpinSystem(i_spins=(ISpin(),), j_ii={(0, 1): 1.0})
+
+    def test_duplicate_coupling_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("duplicate coupling entry for (0, 1)")):
+            SpinSystem(i_spins=(ISpin(), ISpin()), j_ii={(0, 1): 1.0, (1, 0): 2.0})
+
+    def test_effective_s_offset_must_stay_finite_in_rad_per_s(self, tmp_path):
+        # each field is finite in rad/s, but Omega_s + pi J of a configuration is not
+        message = (r"effective S offset overflows in rad/s: \|s_offset_hz\| \+ sum_k "
+                   r"\|i_spins\[k\]\.j_to_s_hz\| / 2$")
+        path = tmp_path / "sys.json"
+        path.write_text('{"s_offset_hz": 2.8e307, "i_spins": [{"j_to_s_hz": 2.8e307}]}')
+        with pytest.raises(ValueError, match=message):
+            load_system(path)
+        with pytest.raises(ValueError, match=message):
+            SpinSystem(s_offset=1.7e308, i_spins=(ISpin(j_to_s=1e308),))
+        path.write_text('{"s_offset_hz": 2.8e307, "i_spins": [{"j_to_s_hz": 1e306}]}')
+        assert np.all(np.isfinite(offset_diagonal(load_system(path))))
+
+    def test_load_system_reads_an_open_file_and_requires_an_object(self, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text('{"s_offset_hz": 10.0, "i_spins": [{"j_to_s_hz": 8.0}]}')
+        with open(path) as fh:
+            assert load_system(fh) == load_system(path)
+        with pytest.raises(ValueError, match="system file must contain a JSON object"):
+            load_system(io.StringIO("[1, 2]"))
 
     def test_load_system_converts_hz(self, tmp_path):
         path = tmp_path / "sys.json"
