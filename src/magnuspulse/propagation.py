@@ -64,8 +64,8 @@ class BlockTrajectory:
 
     q holds them as unit quaternions (f, g_x, g_y, g_z), components first and
     time last, shape (4, n_configs, n_steps + 1), so U = f E - 2i g . S
-    (`su2.to_matrix`). Index 0 in time is the identity. amps are the midpoint amplitude samples
-    the route stepped with.
+    (`su2.to_matrix`). Index 0 in time is the identity. amps are the
+    midpoint amplitude samples the route stepped with.
     """
 
     times: np.ndarray
@@ -124,10 +124,10 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
             finest, finite = n_steps << level, math.isfinite(estimate) or not level
             if level == MAX_DOUBLINGS or not finite:
                 raise RefinementError(
-                    f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after "
-                    f"{MAX_DOUBLINGS} grid doublings (finest grid {finest} steps); "
-                    "increase n_steps" if finite else f"endpoint is not finite on the grid "
-                    f"of {finest} steps (moved by {estimate}); more steps cannot help",
+                    (f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after {MAX_DOUBLINGS} "
+                     f"grid doublings (finest grid {finest} steps); increase n_steps") if finite
+                    else (f"endpoint is not finite on the grid of {finest} steps (moved by "
+                          f"{estimate}); more steps cannot help"),
                     estimate=estimate,
                     n_steps=finest,
                 )

@@ -118,8 +118,8 @@ def _check_offsets(system: SpinSystem, trial: float = 0.0):
     """Require |Omega_s| + pi sum_k |J_k| + |trial|, the largest effective S offset, finite."""
     if not math.isfinite(abs(system.s_offset) + abs(trial)
                          + math.pi * sum(abs(s.j_to_s) for s in system.i_spins)):
-        raise ValueError("effective S offset overflows in rad/s: |s_offset_hz| + sum_k "
-                         f"|i_spins[k].j_to_s_hz| / 2{' + |--offset-start/--offset-stop|' * bool(trial)}")
+        raise ValueError("effective S offset overflows in rad/s: |s_offset_hz| + sum_k |i_spins"
+                         "[k].j_to_s_hz| / 2" + " + |--offset-start/--offset-stop|" * bool(trial))
 
 
 def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:

@@ -149,9 +149,8 @@ class TestOmegaHatQuadrature:
     def test_zero_pulse(self, sax_system):
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         state = integrate_expansion(sax_system, pulse, n_steps=16, tol=None)
-        assert np.array_equal(
-            oracle.omega_hat_quadrature(_trailing_state(state), pulse, sax_system), np.zeros((4, 17))
-        )
+        ohat = oracle.omega_hat_quadrature(_trailing_state(state), pulse, sax_system)
+        assert np.array_equal(ohat, np.zeros((4, 17)))
 
     def test_matches_log_extraction(self, sa_system, gaussian90):
         state = integrate_expansion(sa_system, gaussian90, n_steps=2048, tol=None)

@@ -79,7 +79,8 @@ class TestExtractOmega:
         angles[0, 16:] += 3.2
         traj = propagate_interaction(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0),
                                      n_steps=23, tol=None)
-        traj = dataclasses.replace(traj, q=su2.exp(np.array([1.0, 0.0, 0.0])[:, None, None] * angles))
+        x_axis = np.array([1.0, 0.0, 0.0])[:, None, None]
+        traj = dataclasses.replace(traj, q=su2.exp(x_axis * angles))
         monkeypatch.setattr(magnus, "TRACK_BLOCK", block)
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
         message = r"jumped by 3\.300 rad between stored samples \(config 0, step 16\)"
