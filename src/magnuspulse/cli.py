@@ -51,11 +51,6 @@ EXIT_NUMERICAL = 4
 CSV_BLOCK_ROWS = 8192
 
 
-def _fmt(value) -> str:
-    """Fixed 12-significant-digit text for floats (byte-stable output)."""
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
-
-
 def _round_floats(obj):
     """Round floats to 12 significant digits recursively; non-finite to None."""
     if isinstance(obj, float):
@@ -69,12 +64,12 @@ def _round_floats(obj):
 
 def _emit(chunks, output: str | None):
     if output is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
         return
     directory = os.path.dirname(os.path.abspath(output)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".magnuspulse-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, output)
     except BaseException:
@@ -83,10 +78,11 @@ def _emit(chunks, output: str | None):
         raise
 
 
-#: One table cell: 32 bytes holding the separator before it (0), a sign (1), a "0.000" prefix
-#: (2-6), digits 0-7 each followed by a dot slot (8-23), digits 8-11 (24-27) and an exponent
-#: "e+XX" (28-31) at fixed offsets; a zero byte is an unused slot.
-_CELL = np.dtype((np.void, 32))
+#: One table cell: 24 bytes, three little-endian words. Word 0 holds the separator before the
+#: cell (byte 0), the sign (1) and a head of up to 6 bytes: a "0.000" prefix, or the digits
+#: before the dot and the dot. Words 1-2 hold the digits after the head, then an exponent
+#: "e+XX" (20-23). A zero byte is an unused slot.
+_CELL = np.dtype((np.void, 24))
 #: Values with 10**-_EXP <= |v| < 10**(_EXP + 1) may take the fast path.
 _EXP = 99
 #: Margin of the fast path's tests, above the 2.3e-4 error of the scaled value.
@@ -97,34 +93,28 @@ _MARGIN = 1e-3
 def _cell_tables():
     """Read-only lookup tables of `_cells`, indexed by digit group or by exponent.
 
-    Returns the digits of each 4-digit group, plain then with trailing zeros as unused
-    bytes, as a word of (digit, dot slot) pairs and as a word of 4 digits; the four words of
-    an exponent's cell (separator, prefix, dot, suffix); the correctly rounded 10**(11 - e);
-    10**(12 - digits before the dot), or 1 where the dot has no slot.
+    Returns the words of each 4-digit group's digits: plain, with trailing zeros as unused
+    bytes (group 0000 empty), and both again shifted to bytes 4-7. Then for each exponent e,
+    with h the count of digits the head holds: the head word (separator, prefix or dot),
+    2**(64 - 8 h) mod 2**64, 48 - 8 h, 8 h and the exponent word; the correctly rounded
+    10**(11 - e); the largest |s - m| of a fast cell: 0.5 where 10**(11 - e) is a double,
+    0.5 - margin where it is rounded, below zero where the head has no room.
     """
-    digits = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
-    for place in range(4):
-        digits[..., place] = np.arange(48, 58)[(slice(None),) + (None,) * (3 - place)]
-    last = digits[1]  # trailing zeros unused, group 0000 empty
-    last[..., 0, 3] = last[..., 0, 0, 2] = last[:, 0, 0, 0, 1] = last[0, 0, 0, 0] = 0
-    digits = digits.reshape(-1, 4)
-    pairs, packed = np.zeros((2, len(digits), 8), np.uint8)
-    pairs[:, ::2] = packed[:, :4] = digits
-    e = np.arange(-_EXP, _EXP + 1)
-    fixed = (e >= -4) & (e < 12)
-    before_dot = np.where(fixed, np.maximum(e + 1, 0), 1)
-    slotted = (before_dot > 0) & (before_dot <= 8)
-    cells = np.zeros((len(e), _CELL.itemsize), np.uint8)
-    cells[:, 0] = ord(",")
-    for k in range(1, 5):
-        cells[e == -k, 2:3 + k] = np.frombuffer(b"0." + b"0" * (k - 1), np.uint8)
-    cells[slotted, 7 + 2 * before_dot[slotted]] = ord(".")
-    cells[~fixed, 28:] = np.stack((np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
-                                   48 + abs(e) // 10, 48 + abs(e) % 10), axis=1)[~fixed]
-    powers = np.array([float(f"1e{k}") for k in range(11 + _EXP, 10 - _EXP, -1)])
-    tables = (pairs.view(np.uint64).ravel(), packed.view(np.uint64).ravel(),
-              cells.view(np.uint64).T.copy(), powers,
-              np.where(slotted | (before_dot == 0), 10.0 ** (12 - before_dot), 1.0))
+    digits = (48 + np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
+    kept = np.flip(np.cumsum(np.flip(digits != 48, 1), 1), 1) > 0  # up to the last nonzero digit
+    groups = np.concatenate((digits, digits * kept)).view(np.uint32).ravel().astype(np.uint64)
+    words, powers, limits = [], [], []
+    for e in range(-_EXP, _EXP + 1):
+        fixed = -4 <= e < 12
+        h = e + 1 if 0 <= e <= 4 else 0 if fixed else 1
+        head = b"0." + b"0" * (-e - 1) if fixed and e < 0 else b"\0" * h + b"." * (h > 0)
+        exponent = b"" if fixed else f"\0\0\0\0e{e:+03d}".encode()
+        words.append([int.from_bytes(b",\0" + head, "little"), (1 << 64 - 8 * h) % (1 << 64),
+                      48 - 8 * h, 8 * h, int.from_bytes(exponent, "little")])
+        powers.append(float(f"1e{11 - e}"))
+        limits.append(-1.0 if fixed and e > 4 else 0.5 if abs(e) <= 11 else 0.5 - _MARGIN)
+    tables = (np.concatenate((groups, groups << np.uint64(32))),
+              np.array(words, np.uint64).T.copy(), np.array(powers), np.array(limits))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -151,14 +141,17 @@ def _cells(values: np.ndarray) -> np.ndarray:
     the power of ten is exact and s is the exact value rounded once; a half-integer is a
     double, so it can only lie between the two if s is on it. There m = rint(s) holds
     without a margin, and on a half the error-free product (`_product_error`) moves m
-    to the exact value's side. The digits are read from 4-digit group tables into fixed
-    slots. As in `%g`, the dot follows digit e where 0 <= e < 12, sits in a "0.000" prefix
-    where -4 <= e < 0, and otherwise follows the first digit, with an exponent after the
-    digits. Zeros, non-finite, tiny or huge values, exact decimal ties, near-ties where the
-    power is rounded, and texts whose dot has no slot or no digit after it are formatted by
-    `%` one at a time.
+    to the exact value's side. The 12 digits are read from 4-digit group tables as two
+    words. As in `%g`, the head holds a "0.000" prefix where -4 <= e < 0, the first e + 1
+    digits and the dot where 0 <= e <= 4, and otherwise the first digit and the dot; an
+    exponent follows the digits. The h digits the head holds move to byte 2 and the rest
+    h bytes down into words 1-2. Every shift count is below 64: a product with
+    2**(64 - 8 h) mod 2**64 shifts left by 64 - 8 h, or clears where h = 0. Zeros,
+    non-finite, tiny or huge values, exact decimal ties, near-ties where the power is
+    rounded, fixed-notation values of 1e5 or more and texts with no digit after the dot
+    are formatted by `%` one at a time.
     """
-    pairs, packed, exponent_words, powers, divisors = _cell_tables()
+    groups, per_exponent, powers, limits = _cell_tables()
     magnitude = np.abs(values)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(magnitude))
@@ -170,29 +163,31 @@ def _cells(values: np.ndarray) -> np.ndarray:
         m = np.rint(scaled)
         off = np.abs(scaled - m)
         inside = scaled >= 1e11 + _MARGIN
-        exact = (e >= -11) & (e <= 11)  # 10**(11 - e) is a double
-        fast = inside & np.where(exact, off < 0.5, off < 0.5 - _MARGIN)
+        limit = limits.take(row, mode="clip")
+        fast = inside & (off < limit)
         # on a half the sign of the exact product's error decides; err = 0 is a decimal tie
-        halves = np.flatnonzero(inside & exact & (off == 0.5))
+        halves = np.flatnonzero((off == 0.5) & inside & (limit == 0.5))
         err = _product_error(magnitude[halves], power[halves], scaled[halves])
         m[halves] = scaled[halves] + np.copysign(0.5, err)
         fast[halves] = err != 0.0
         fast &= m < 1e12
-        q = m / divisors.take(row, mode="clip")
-        fast &= q != np.floor(q)
         np.copyto(m, 1e11, where=~fast)
     low = m.astype(np.int64)
     high = low // 10**8
     low -= high * 10**8
+    # digits 0-7, the middle group read from the copies in bytes 4-7, and digits 8-11; the last
+    # nonzero group is read from the table without trailing zeros
+    first = groups.take(high + 10**4 * (low == 0), mode="clip")
     mid = low // 10**4
     low -= mid * 10**4
-    # the last nonzero group is read from the table without trailing zeros
-    groups = (high + 10**4 * ((mid == 0) & (low == 0)), mid + 10**4 * (low == 0), low + 10**4)
-    words = np.empty((len(values), 4), np.uint64)
-    words[:, 0] = exponent_words[0].take(row, mode="clip")
-    for word, (table, group) in enumerate(zip((pairs, pairs, packed), groups), 1):
-        words[:, word] = (exponent_words[word].take(row, mode="clip")
-                          | table.take(group, mode="clip"))
+    first |= groups.take(mid + np.where(low == 0, 3 * 10**4, 2 * 10**4), mode="clip")
+    rest = groups.take(low + 10**4, mode="clip")
+    head, scale, right, shift, exponent = (table.take(row, mode="clip") for table in per_exponent)
+    words = np.empty((len(values), 3), np.uint64)
+    np.bitwise_or(head, (first * scale) >> right, out=words[:, 0])
+    np.bitwise_or(first >> shift, rest * scale, out=words[:, 1])
+    np.bitwise_or(rest >> shift, exponent, out=words[:, 2])
+    fast &= words[:, 1] != 0  # a digit follows the dot
     cells = words.view(np.uint8)
     cells[:, 1] = (values < 0) * np.uint8(ord("-"))
     slow = np.flatnonzero(~fast)
@@ -220,9 +215,10 @@ def _emit_table(columns, lead, values, meta, args, layout=None, indexed=True):
     targets = {}
     for column, j in enumerate(layout):
         targets.setdefault(j if j >= 0 else ~j, []).append(str(column))
+    negated = [(record.fields[str(column)][1] + 1, ~j) for column, j in enumerate(layout) if j < 0]
 
     def blocks():
-        yield ",".join(columns)
+        yield ",".join(columns).encode()
         lead_cells = _cells(lead)
         lead_cells.view(np.uint8)[::_CELL.itemsize] = ord("\n")
         full = bytearray(min(len(lead), CSV_BLOCK_ROWS) * record.itemsize)
@@ -241,20 +237,18 @@ def _emit_table(columns, lead, values, meta, args, layout=None, indexed=True):
                     for name in names:
                         block[name] = cells
                 signs = np.frombuffer(text, np.uint8).reshape(n, -1)
-                for column, j in enumerate(layout):
-                    if j < 0:
-                        signs[:, record.fields[str(column)][1] + 1] = (
-                            (values[~j, k, rows] > 0) * np.uint8(ord("-")))
-                yield text.translate(None, b"\0").decode()
-        yield "\n"
+                for sign, source in negated:
+                    signs[:, sign] = (values[source, k, rows] > 0) * np.uint8(ord("-"))
+                yield text.translate(None, b"\0")
+        yield b"\n"
 
     if _resolve_format(args, default="csv") == "csv":
         _emit(blocks(), args.output)
         return
-    rows = [[x if math.isfinite(x) else None for x in map(float, line.split(","))]
-            for line in "".join(blocks()).splitlines()[1:]]
+    rows = [[x if math.isfinite(x) else None for x in map(float, line.split(b","))]
+            for line in b"".join(blocks()).splitlines()[1:]]
     _emit([json.dumps({**meta, "columns": list(columns), "rows": rows}, indent=2,
-                      allow_nan=False) + "\n"], args.output)
+                      allow_nan=False).encode() + b"\n"], args.output)
 
 
 def _resolve_format(args, default: str) -> str:
@@ -348,7 +342,8 @@ def _cmd_catalog(args) -> int:
             }
             for e in entries
         ]
-        _emit([json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n"], args.output)
+        _emit([json.dumps(_round_floats(doc), indent=2, allow_nan=False).encode() + b"\n"],
+              args.output)
     else:
         lines = [f"{'name':10s} {'family':18s} {'flip':>6s} {'duration':>10s}"]
         for e in entries:
@@ -356,7 +351,7 @@ def _cmd_catalog(args) -> int:
                 f"{e.name:10s} {e.family:18s} {math.degrees(e.nominal_flip):5.0f}d "
                 f"{e.duration * 1e3:7.3f} ms"
             )
-        _emit(["\n".join(lines) + "\n"], args.output)
+        _emit([("\n".join(lines) + "\n").encode()], args.output)
     return EXIT_OK
 
 
@@ -381,7 +376,8 @@ def _cmd_criterion(args) -> int:
         }
     )
     if _resolve_format(args, default="json") == "json":
-        _emit([json.dumps(_round_floats(doc), indent=2, allow_nan=False) + "\n"], args.output)
+        _emit([json.dumps(_round_floats(doc), indent=2, allow_nan=False).encode() + b"\n"],
+              args.output)
     else:
         flat = {}
         for key, value in doc.items():
@@ -392,9 +388,9 @@ def _cmd_criterion(args) -> int:
         # a list or dict is one cell of JSON text, quoted where it holds commas
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows([("key", "value")] + [
-            (k, json.dumps(_round_floats(v)) if isinstance(v, (list, dict)) else _fmt(v))
-            for k, v in flat.items()])
-        _emit([text.getvalue()], args.output)
+            (k, json.dumps(_round_floats(v)) if isinstance(v, (list, dict))
+             else f"{v:.12g}" if isinstance(v, float) else str(v)) for k, v in flat.items()])
+        _emit([text.getvalue().encode()], args.output)
     return EXIT_OK if report.criterion23_met else EXIT_CRITERION_VIOLATED
 
 
@@ -410,7 +406,8 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_profile(args) -> int:
     system, shape, meta = _load_inputs(args)
-    _check_offsets(system, TWO_PI * max(abs(args.offset_start), abs(args.offset_stop)))
+    _check_offsets(system, TWO_PI * max(abs(args.offset_start), abs(args.offset_stop)),
+                   shape.duration)
     offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
     table = excitation_profile(system, shape, TWO_PI * offsets_hz, n_steps=args.steps)
     columns = ["offset_hz", "mx", "my", "mz"]

@@ -114,12 +114,22 @@ def offset_diagonal(system: SpinSystem) -> np.ndarray:
     return system.s_offset + ms @ j_s
 
 
-def _check_offsets(system: SpinSystem, trial: float = 0.0):
-    """Require |Omega_s| + pi sum_k |J_k| + |trial|, the largest effective S offset, finite."""
-    if not math.isfinite(abs(system.s_offset) + abs(trial)
-                         + math.pi * sum(abs(s.j_to_s) for s in system.i_spins)):
+def _check_offsets(system: SpinSystem, trial: float = 0.0, duration: float = 0.0):
+    """Require |Omega_s| + pi sum_k |J_k| + |trial|, the largest effective S offset, finite.
+
+    A profile puts trial offsets up to |trial| in place of Omega_s and ends each row with
+    the free precession exp(-i w T Sz) over the pulse's `duration` T, and `su2.exp` squares
+    w T: (|trial| + pi sum_k |J_k|) T must square to a finite number too.
+    """
+    coupling = math.pi * sum(abs(s.j_to_s) for s in system.i_spins)
+    if not math.isfinite(abs(system.s_offset) + abs(trial) + coupling):
         raise ValueError("effective S offset overflows in rad/s: |s_offset_hz| + sum_k |i_spins"
                          "[k].j_to_s_hz| / 2" + " + |--offset-start/--offset-stop|" * bool(trial))
+    angle = (abs(trial) + coupling) * duration
+    if not math.isfinite(angle * angle):
+        raise ValueError("free precession after the pulse overflows: 2 pi (|--offset-start/"
+                         "--offset-stop| + sum_k |i_spins[k].j_to_s_hz| / 2) duration_s must "
+                         f"stay below {math.sqrt(np.finfo(float).max):.4g} rad")
 
 
 def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:

@@ -284,12 +284,17 @@ class TestCsvText:
         rows = list(zip(offsets_hz.tolist(), *table.tolist()))
         assert_same_text(text, csv_table(["offset_hz", "mx", "my", "mz"], rows))
 
-    def test_stdout_equals_file(self, tmp_path, capsys):
-        argv = ["propagate", "--steps", "33", "--tol", "1e-4"]
-        text = self.run(tmp_path, argv)
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--steps", "33", "--tol", "1e-4"],
+        ["decompose", "--steps", "33", "--tol", "1e-4"],
+        ["profile", "--steps", "33", "--offset-start", "-2000", "--offset-stop", "2000",
+         "--offset-count", "9"]], ids=lambda argv: argv[0])
+    def test_stdout_equals_file(self, tmp_path, capsys, argv):
+        """The decoded text on stdout equals the bytes written to --output."""
+        self.run(tmp_path, argv)
         capsys.readouterr()
         assert main(argv + ["--pulse", "g4", "--system", SAX]) == 0
-        assert_same_text(capsys.readouterr().out, text)
+        assert_same_text(capsys.readouterr().out, (tmp_path / "table.csv").read_bytes().decode())
 
 
 def table_text(columns, lead, values, layout=None, indexed=True):
@@ -327,6 +332,23 @@ def assert_cells_match_percent_format(values):
           500000.0000005, 100000.0000015, 50000000000.05, 10000000000.15, 1.234567890135e-09,
           -1.000000000015e-09])
 def test_cell_text_matches_percent_format(values):
+    assert_cells_match_percent_format(values)
+
+
+@st.composite
+def decimals(draw):
+    """Values of either sign in [1e-5, 1e6) with 1-12 significant decimal digits."""
+    digits = draw(st.integers(1, 12))
+    mantissa = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+    value = float(f"{mantissa}e{draw(st.integers(-5, 5)) - digits + 1}")
+    return draw(st.sampled_from((value, -value)))
+
+
+@given(st.lists(decimals(), max_size=40))
+@example([9999.95, 10000.5, 99999.5, 99999.99999995, 100000.5, 1e5, 12345.0, 10.5, 100.25,
+          1.5e-5, 5e-5, -0.0])
+def test_decimal_cell_text_matches_percent_format(values):
+    """Every dot position in the head, trailing zeros, and the 1e5 edge of fixed notation."""
     assert_cells_match_percent_format(values)
 
 
@@ -381,7 +403,7 @@ def test_table_bytes_across_blocks_with_slow_and_negated_cells():
 
 def test_emit_leaves_no_file_when_writing_fails(tmp_path):
     def chunks():
-        yield "t,x\n"
+        yield b"t,x\n"
         raise RuntimeError("disk full")
 
     with pytest.raises(RuntimeError, match="disk full"):
@@ -502,6 +524,19 @@ class TestErrors:
         assert rc == 2
         assert field in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("offset_hz, code", [("1e300", 2), ("2.134e156", 2), ("2.1339e156", 0)])
+    def test_profile_free_precession_overflowing_bad_input(self, capsys, offset_hz, code):
+        """G4 lasts 1 ms, so 2 pi offset_hz 1e-3 rad squares past the largest double from
+        about 2.1339e156 Hz on, where `su2.exp` turned each row into NaN."""
+        rc = main(["profile", "--pulse", "g4", "--offset-start", offset_hz, "--offset-stop",
+                   offset_hz, "--offset-count", "2"])
+        out, err = capsys.readouterr()
+        assert rc == code
+        if code:
+            assert "--offset-start/--offset-stop" in err and "Warning" not in err
+        else:
+            assert "nan" not in out
 
     def test_system_file_that_is_not_an_object_bad_input(self, tmp_path, capsys):
         system_file = tmp_path / "list.json"
