@@ -26,8 +26,9 @@ continuity. Such points are exactly where the eigenvalue-gap condition
 |lambda_i - lambda_j| != 2 pi n fails. `gap_audit` checks it over the
 eigenvalues m_S omega_hat of the whole block-diagonal exponent at every
 stored time, alongside the amplitude-integral criterion I(T) < 2 pi and its
-weak-field flip-angle variant. The series partial sums use the vector form of su(2), in which a
-commutator [a . S, b . S] is i (a x b) . S.
+weak-field flip-angle variant. The series partial sums are rotation vectors,
+computed in the vector form of su(2), where a commutator [a . S, b . S] is
+i (a x b) . S.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from . import su2
 from .propagation import DEFAULT_TOL, BlockTrajectory, propagate_interaction
 from .pulses import DEFAULT_N_STEPS, PulseShape, _midpoint_integrals, sample
-from .su2 import SX, SY, SZ
 from .system import SpinSystem, offset_diagonal
 
 TWO_PI = 2.0 * math.pi
@@ -200,24 +200,23 @@ def _raise_jump(rows: np.ndarray):
     )
 
 
-def gap_audit(lam: np.ndarray) -> tuple[float, float]:
+def gap_audit(rows: np.ndarray) -> tuple[float, float]:
     """Largest eigenvalue gap and the nearest gap to the set {2 pi n, n != 0}.
 
-    `lam` has shape (n_times, n_values): the eigenvalues of the whole
-    block-diagonal exponent at each stored time. Every pair (i, j) at the
-    same time counts. Rounding is monotone, so the spread s = fl(max - min)
+    `rows` has shape (n_values, n_times): the eigenvalues of the whole
+    block-diagonal exponent, values first and time last. Every pair (i, j) at
+    the same time counts. Rounding is monotone, so the spread s = fl(max - min)
     is the largest gap at its time; where s <= 2 pi every pair has n = 1 and
     the nearest distance there is exactly fl(|s - 2 pi|). Only times with
     s > 2 pi are swept pair by pair. Fewer than two values give (0.0, inf).
     """
-    rows = np.transpose(lam)  # (n_values, n_times)
     if rows.shape[0] < 2:
         return 0.0, math.inf
     spread = np.max(rows, axis=0) - np.min(rows, axis=0)
     wide = spread > TWO_PI
     nearest = float(np.min(np.abs(spread[~wide] - TWO_PI), initial=math.inf))
     if wide.any():
-        nearest = min(nearest, _pair_sweep(np.ascontiguousarray(rows[:, wide])))
+        nearest = min(nearest, _pair_sweep(rows[:, wide]))
     return float(np.max(spread)), nearest
 
 
@@ -264,7 +263,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         margin = np.minimum(margin, np.min(i_grid[block] - omega_hat))
         max_hat = np.maximum(max_hat, np.max(omega_hat))
         lam = (omega_hat[:, None, :] * ms[None, :, None]).reshape(-1, omega_hat.shape[-1])
-        gap, near = gap_audit(lam.T)  # lam is (n_values, n_times)
+        gap, near = gap_audit(lam)
         max_gap, nearest = np.maximum(max_gap, gap), np.minimum(nearest, near)
         ambiguous_at.append(trajectory.times[block][np.any(ambiguous, axis=0)])
 
@@ -286,15 +285,15 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
 
 
 def magnus_partial_sums(system: SpinSystem, shape: PulseShape, n_steps: int = 256) -> np.ndarray:
-    """Cumulative series partial sums for the exponent at the pulse end.
+    """Cumulative series partial sums for the exponent at the pulse end, as rotation vectors.
 
-    Returns shape (n_configs, 3, 2, 2): entry m is the Hermitian partial
-    sum of the first m + 1 terms, where the first term is the plain time
-    integral of the Hamiltonian, the second the antisymmetrized double
-    integral of the commutator, and the third the nested double-commutator
-    triple integral. Simplex integrals use the composite midpoint rule on the
-    sampled grid, so commuting Hamiltonians give exactly zero beyond first
-    order.
+    Returns shape (3, n_configs, 3): sums[..., m] is the sum of the first
+    m + 1 terms, so ``su2.exp(sums[..., m])`` is the order-(m + 1)
+    propagator. The first term is the plain time integral of the
+    Hamiltonian, the second the antisymmetrized double integral of the
+    commutator, and the third the nested double-commutator triple integral.
+    Simplex integrals use the composite midpoint rule on the sampled grid, so
+    commuting Hamiltonians give exactly zero beyond first order.
 
     Each Hamiltonian sample is a vector x_k with H_k = x_k . S, and each
     commutator a cross product, so every term is a sum of prefix or suffix
@@ -303,17 +302,16 @@ def magnus_partial_sums(system: SpinSystem, shape: PulseShape, n_steps: int = 25
     sp = sample(shape, n_steps)
     dt = sp.dt
     offsets = offset_diagonal(system)
-    x = np.zeros((len(offsets), len(sp.times), 3))
-    x[..., 0], x[..., 1] = su2.rotating_field(sp.amps, sp.phases, offsets, 0.5 * dt, dt)
-    total = x.sum(axis=1)
-    running = np.cumsum(x, axis=1)
+    x = np.zeros((3, len(offsets), len(sp.times)))
+    su2.rotating_field(sp.amps, sp.phases, offsets, 0.5 * dt, dt, out=x[:2])
+    total = x.sum(axis=-1)
+    running = np.cumsum(x, axis=-1)
     b = dt * (running - 0.5 * x)  # integral of H up to each midpoint
-    comm = np.cross(x, b)  # [H_k, b_k] = i comm_k . S
-    c_mid = dt * (np.cumsum(comm, axis=1) - 0.5 * comm)
-    term_a = np.cross(x, c_mid).sum(axis=1) * dt
+    comm = np.cross(x, b, axis=0)  # [H_k, b_k] = i comm_k . S
+    c_mid = dt * (np.cumsum(comm, axis=-1) - 0.5 * comm)
+    term_a = np.cross(x, c_mid, axis=0).sum(axis=-1) * dt
     # sum over k > j of b_j x (x_j x x_k), linear in x_k: one suffix sum
-    later = total[:, None, :] - running
-    term_b = np.cross(b, np.cross(x, later)).sum(axis=1) * dt * dt
-    terms = (total * dt, 0.5 * dt * comm.sum(axis=1), (term_a + term_b) / 6.0)
-    partial = np.cumsum(np.stack(terms, axis=1), axis=1)
-    return np.tensordot(partial, np.stack((SX, SY, SZ)), axes=(-1, 0))
+    later = total[..., None] - running
+    term_b = np.cross(b, np.cross(x, later, axis=0), axis=0).sum(axis=-1) * dt * dt
+    terms = (total * dt, 0.5 * dt * comm.sum(axis=-1), (term_a + term_b) / 6.0)
+    return np.cumsum(np.stack(terms, axis=-1), axis=-1)

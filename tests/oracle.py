@@ -390,10 +390,10 @@ def track_rows_dense(c, v):
     return 2.0 * half, axis, norm
 
 
-def gap_audit_pairs(lam):
-    """(max gap, nearest gap to {2 pi n, n != 0}) over every pair of lam[t, :]."""
-    iu = np.triu_indices(lam.shape[1], k=1)
-    gaps = np.abs(lam[:, :, None] - lam[:, None, :])[:, iu[0], iu[1]]
+def gap_audit_pairs(rows):
+    """(max gap, nearest gap to {2 pi n, n != 0}) over every pair of rows[:, t], values first."""
+    iu = np.triu_indices(rows.shape[0], k=1)
+    gaps = np.abs(rows[:, None, :] - rows[None, :, :])[iu[0], iu[1]]
     if not gaps.size:
         return 0.0, math.inf
     n = np.maximum(np.round(gaps / TWO_PI), 1.0)

@@ -24,16 +24,21 @@ from magnuspulse import (
 )
 from magnuspulse import magnus
 from magnuspulse.magnus import DEFAULT_GAP_TOL, ExtractionError
-from magnuspulse.su2 import SX
+from magnuspulse.su2 import SX, SY, SZ
 from magnuspulse.verify import random_fourier_pulse, random_small_system
 import oracle
 
 TWO_PI = 2.0 * math.pi
 
 
-def _layouts(lam):
-    """The same (n_times, n_values) spectra C-ordered and as a transposed value-major view."""
-    return np.ascontiguousarray(lam), np.ascontiguousarray(lam.T).T
+def _layouts(rows):
+    """The same (n_values, n_times) eigenvalue rows C-ordered and as a time-major view."""
+    return np.ascontiguousarray(rows), np.asfortranarray(rows)
+
+
+def _hermitian(sums):
+    """The (n_configs, order, 2, 2) matrices a . S of the (3, n_configs, order) partial sums."""
+    return np.einsum("jcm,jab->cmab", sums, np.stack((SX, SY, SZ)))
 
 
 class TestExtractOmega:
@@ -178,23 +183,23 @@ class TestEigenvaluesAndGap:
         assert not report.magnus_criterion_ok
 
     def test_gap_check_ok(self):
-        _, nearest = gap_audit(np.array([[math.pi / 4, -math.pi / 4]]))
+        _, nearest = gap_audit(np.array([[math.pi / 4], [-math.pi / 4]]))
         assert nearest > DEFAULT_GAP_TOL
         assert nearest == pytest.approx(TWO_PI - math.pi / 2)
 
     def test_gap_check_violation_at_n1(self):
-        _, nearest = gap_audit(np.array([[math.pi, -math.pi]]))
+        _, nearest = gap_audit(np.array([[math.pi], [-math.pi]]))
         assert not nearest > DEFAULT_GAP_TOL
         assert nearest == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_check_zero_eigenvalues_ok(self):
-        _, nearest = gap_audit(np.array([[0.0, 0.0]]))
+        _, nearest = gap_audit(np.array([[0.0], [0.0]]))
         assert nearest > DEFAULT_GAP_TOL
         assert nearest == pytest.approx(TWO_PI)
 
     def test_gap_check_single_value(self):
-        for lam in _layouts(np.array([[0.3], [-1.0], [7.0]])):
-            assert gap_audit(lam) == (0.0, math.inf)
+        for rows in _layouts(np.array([[0.3, -1.0, 7.0]])):
+            assert gap_audit(rows) == (0.0, math.inf)
 
     def test_matches_all_pairs_oracle_on_random_spectra(self):
         rng = np.random.default_rng(8)
@@ -205,11 +210,12 @@ class TestEigenvaluesAndGap:
             lambda n: np.resize([0.0, TWO_PI, 2.0 * TWO_PI, -TWO_PI], n),  # exactly 2 pi n apart
         ]
         for n_values in range(1, 41):
-            lam = rng.uniform(-3.0 * TWO_PI, 3.0 * TWO_PI, size=(int(rng.integers(4, 40)), n_values))
-            for row, fill in enumerate(special):
-                lam[row] = fill(n_values)
-            audit = oracle.gap_audit_pairs(lam)
-            assert [gap_audit(x) for x in _layouts(lam)] == [audit, audit], n_values
+            n_times = int(rng.integers(4, 40))
+            rows = rng.uniform(-3.0 * TWO_PI, 3.0 * TWO_PI, size=(n_values, n_times))
+            for time, fill in enumerate(special):
+                rows[:, time] = fill(n_values)
+            audit = oracle.gap_audit_pairs(rows)
+            assert [gap_audit(x) for x in _layouts(rows)] == [audit, audit], n_values
 
     def test_spread_shortcut_matches_all_pairs_oracle_at_two_pi(self):
         # Each time's spread is drawn narrow (< 2 pi), exactly 2 pi, 2 pi +- 1 ulp
@@ -221,8 +227,8 @@ class TestEigenvaluesAndGap:
         for case in range(200):
             n_times, n_values = int(rng.integers(1, 30)), int(rng.integers(2, 12))
             kinds = ("narrow", "wide") + (("edge",) if case % 2 else ())
-            lam = np.empty((n_times, n_values))
-            for row in lam:
+            rows = np.empty((n_values, n_times))
+            for row in rows.T:
                 kind = rng.choice(kinds)
                 if kind == "edge":
                     hi, lo = rng.choice(edges), 0.0  # fl(hi - 0.0) is hi exactly
@@ -232,42 +238,43 @@ class TestEigenvaluesAndGap:
                 row[:] = rng.uniform(lo, hi, size=n_values)
                 row[:2] = lo, hi
                 rng.shuffle(row)
-            seen_edges.update(set(np.ptp(lam, axis=1)) & set(edges))
-            audit = oracle.gap_audit_pairs(lam)
-            assert [gap_audit(x) for x in _layouts(lam)] == [audit, audit], case
+            seen_edges.update(set(np.ptp(rows, axis=0)) & set(edges))
+            audit = oracle.gap_audit_pairs(rows)
+            assert [gap_audit(x) for x in _layouts(rows)] == [audit, audit], case
         assert seen_edges == set(edges)
 
     def test_sweeps_only_times_wider_than_two_pi(self, monkeypatch):
         swept = []
         sweep = magnus._pair_sweep
         monkeypatch.setattr(magnus, "_pair_sweep", lambda rows: swept.append(rows.shape) or sweep(rows))
-        spreads = [1.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0), 9.0, 2.0]
-        lam = np.array([[0.0, 0.5 * s, s] for s in spreads])
-        for x in _layouts(lam):
-            assert gap_audit(x) == oracle.gap_audit_pairs(lam)
+        spreads = np.array([1.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0),
+                            9.0, 2.0])
+        rows = np.stack((np.zeros(6), 0.5 * spreads, spreads))
+        for x in _layouts(rows):
+            assert gap_audit(x) == oracle.gap_audit_pairs(rows)
         assert swept == [(3, 2), (3, 2)]
         swept.clear()
-        assert gap_audit(lam[:3]) == oracle.gap_audit_pairs(lam[:3])
+        assert gap_audit(rows[:, :3]) == oracle.gap_audit_pairs(rows[:, :3])
         assert swept == []
 
     @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
     def test_matches_all_pairs_oracle_on_catalog(self, request, monkeypatch, system):
         seen = []
 
-        def spy(lam):
-            seen.append(lam)
-            return gap_audit(lam)
+        def spy(rows):
+            seen.append(rows)
+            return gap_audit(rows)
 
         monkeypatch.setattr(magnus, "gap_audit", spy)
         monkeypatch.setattr(magnus, "TRACK_BLOCK", 1000)  # several time blocks per report
         system = request.getfixturevalue(system)
         for entry in list_catalog():
             report = explicit_criterion(system, entry.build_calibrated(), n_steps=1024, tol=None)
-            lam = np.concatenate(seen)
+            rows = np.concatenate(seen, axis=1)
             seen.clear()
-            audit = oracle.gap_audit_pairs(lam)
+            audit = oracle.gap_audit_pairs(rows)
             assert (report.max_eigenvalue_gap, report.magnus_gap_nearest) == audit, entry.name
-            assert [gap_audit(x) for x in _layouts(lam)] == [audit, audit], entry.name
+            assert [gap_audit(x) for x in _layouts(rows)] == [audit, audit], entry.name
 
 
 class TestExplicitCriterion:
@@ -359,28 +366,28 @@ class TestPartialSums:
     def test_commuting_case_higher_orders_vanish(self, s_only_system):
         pulse = calibrate(build_pulse("gaussian", 1e-3), math.pi / 2)
         sums = magnus_partial_sums(s_only_system, pulse, n_steps=128)
-        first = sums[0, 0]
-        assert np.allclose(first, flip_angle(pulse, 1e-3, 128) * SX, atol=1e-12)
-        assert np.allclose(sums[0, 1], first, atol=1e-14)
-        assert np.allclose(sums[0, 2], first, atol=1e-14)
+        first = sums[:, 0, 0]
+        assert np.allclose(first, [flip_angle(pulse, 1e-3, 128), 0.0, 0.0], atol=1e-12)
+        assert np.allclose(sums[:, 0, 1], first, atol=1e-14)
+        assert np.allclose(sums[:, 0, 2], first, atol=1e-14)
 
     def test_terms_are_hermitian(self, sa_system, gaussian90):
+        # a real rotation vector a is the Hermitian a . S
         sums = magnus_partial_sums(sa_system, gaussian90, n_steps=128)
-        for ci in range(sums.shape[0]):
-            for m in range(3):
-                assert np.allclose(sums[ci, m], sums[ci, m].conj().T, atol=1e-10)
+        assert sums.shape == (3, sa_system.n_configs, 3)
+        assert sums.dtype == np.float64
 
     def test_order_three_beats_order_one(self, sa_system, gaussian90):
         traj = propagate_interaction(sa_system, gaussian90, n_steps=1024, tol=1e-9)
         exact = su2.to_matrix(traj.q[..., -1])
-        sums = magnus_partial_sums(sa_system, gaussian90, n_steps=512)
-        for ci in range(sums.shape[0]):
-            err1 = np.linalg.norm(scipy.linalg.expm(-1j * sums[ci, 0]) - exact[ci])
-            err3 = np.linalg.norm(scipy.linalg.expm(-1j * sums[ci, 2]) - exact[ci])
+        hermitian = _hermitian(magnus_partial_sums(sa_system, gaussian90, n_steps=512))
+        for ci in range(hermitian.shape[0]):
+            err1 = np.linalg.norm(scipy.linalg.expm(-1j * hermitian[ci, 0]) - exact[ci])
+            err3 = np.linalg.norm(scipy.linalg.expm(-1j * hermitian[ci, 2]) - exact[ci])
             assert err3 < err1
 
     def test_vector_form_matches_matrix_loop(self, sax_system, gaussian90):
-        sums = magnus_partial_sums(sax_system, gaussian90, n_steps=256)
+        hermitian = _hermitian(magnus_partial_sums(sax_system, gaussian90, n_steps=256))
         for order in (1, 2, 3):
             ref = oracle.magnus_partial_sums_loop(sax_system, gaussian90, n_steps=256, order=order)
-            assert np.max(np.abs(sums[:, :order] - ref)) < 1e-12
+            assert np.max(np.abs(hermitian[:, :order] - ref)) < 1e-12
