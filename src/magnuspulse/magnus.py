@@ -13,8 +13,9 @@ trajectory's quaternions do (see `su2`).
 
 The trajectory is analysed in time blocks of about `TRACK_BLOCK` samples
 (`_omega_blocks`): the tracker carries its branch state across block edges,
-and the jump test compares each block's first sample with the last one
-before it, so every block holds the values of one pass over the whole grid.
+so every block holds the values of one pass over the whole grid, and each
+block starts with the last sample before it, so the jump test, the gap audit
+and the -E passages see every pair of consecutive samples.
 `extract_omega` writes the blocks into whole-grid arrays. `explicit_criterion`
 folds the bound margin, the gap audit, the -E times and the largest
 omega_hat block by block and never holds Omega, its steps or the
@@ -24,8 +25,8 @@ Where U passes through -E the rotation axis is genuinely undefined; those
 samples are flagged, the angle itself is still carried through by
 continuity. Such points are exactly where the eigenvalue-gap condition
 |lambda_i - lambda_j| != 2 pi n fails. `gap_audit` checks it over the
-eigenvalues m_S omega_hat of the whole block-diagonal exponent at every
-stored time, alongside the amplitude-integral criterion I(T) < 2 pi and its
+eigenvalues m_S omega_hat of the whole block-diagonal exponent at and
+between stored times, alongside the amplitude-integral criterion I(T) < 2 pi and its
 weak-field flip-angle variant. The series partial sums are rotation vectors,
 computed in the vector form of su(2), where a commutator [a . S, b . S] is
 i (a x b) . S.
@@ -93,12 +94,17 @@ class CriterionReport:
 
     criterion23_met is the amplitude-integral test I(T) < 2 pi (strict);
     criterion25_met the flip-angle variant theta(T) < 2 pi. The gap fields
-    are `gap_audit` over the eigenvalues at every stored time, all
-    configurations together: max_eigenvalue_gap is the largest pairwise gap,
-    magnus_gap_nearest the smallest distance from any pairwise gap to the set
-    {2 pi n, n != 0}, and magnus_criterion_ok is true when that distance
+    are `gap_audit` over the eigenvalues along the whole trajectory, all
+    configurations together: max_eigenvalue_gap is the largest pairwise gap
+    at a stored time, magnus_gap_nearest the smallest distance from any
+    pairwise gap to the set {2 pi n, n != 0} (0 where a gap passes 2 pi n
+    between samples), and magnus_criterion_ok is true when that distance
     exceeds DEFAULT_GAP_TOL. bound21_margin is the worst-case I(t) - omega_hat(t), the
     pointwise audit of the amplitude-integral bound on the exponent.
+    ambiguity_times, ascending, are where some configuration's U passes -E
+    (`_minus_e_times`): each stored time flagged as in
+    `MagnusSolution.ambiguous`, and an interpolated time for each passage
+    between two unflagged samples.
     """
 
     i_total: float
@@ -140,11 +146,12 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
 def _omega_blocks(trajectory: BlockTrajectory):
     """Omega, omega_hat and the -E flags along the trajectory, in blocks of `TRACK_BLOCK` samples.
 
-    Yields (block, omega, omega_hat, ambiguous) for consecutive time slices
-    `block`: omega is component-major, (3, n_configs, block length). One
-    `su2.BranchState` carries the tracker across blocks, and the jump test
-    compares each block's first sample with the one before it, so the values
-    are those of one pass over the whole grid.
+    Yields (block, omega, omega_hat, ambiguous) for time slices `block`:
+    omega is component-major, (3, n_configs, block length). Each block after
+    the first starts with the last sample of the block before, so every pair
+    of consecutive samples lies in one block. One `su2.BranchState` carries
+    the tracker across blocks, so the values are those of one pass over the
+    whole grid.
 
     Raises
     ------
@@ -156,27 +163,29 @@ def _omega_blocks(trajectory: BlockTrajectory):
     n_configs, n_times = q.shape[1:]
     width = max(1, TRACK_BLOCK // n_configs)
     state = su2.BranchState((n_configs,))
-    before = None
     for start in range(0, n_times, width):
         block = slice(start, start + width)
         c = q[0, :, block]
         angle, omega, s = su2.track_rows(c, q[1:, :, block], state)
         omega *= angle  # the unit axis becomes Omega
-        if np.any(_step2(omega, omega[..., 0] if before is None else before) >= math.pi**2):
+        ambiguous = (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL)
+        if start:  # lead with the sample before the block
+            omega = np.concatenate((before[0], omega), axis=-1)
+            ambiguous = np.concatenate((before[1], ambiguous), axis=-1)
+            block = slice(start - 1, block.stop)
+        if np.any(_step2(omega) >= math.pi**2):
             _raise_jump(q)
-        before = omega[..., -1]
+        before = omega[..., -1:], ambiguous[:, -1:]
         ox, oy, oz = omega
         omega_hat = ox * ox
         omega_hat += oy * oy
         omega_hat += oz * oz
-        yield (block, omega, np.sqrt(omega_hat, out=omega_hat),
-               (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL))
+        yield block, omega, np.sqrt(omega_hat, out=omega_hat), ambiguous
 
 
-def _step2(omega: np.ndarray, before: np.ndarray) -> np.ndarray:
-    """|Omega_k - Omega_{k-1}|**2 along the last axis, with Omega_{-1} = `before`."""
-    step = np.empty(omega.shape)
-    np.subtract(omega[..., 0], before, out=step[..., 0])
+def _step2(omega: np.ndarray) -> np.ndarray:
+    """|Omega_k - Omega_{k-1}|**2 along the last axis, 0 at the first sample."""
+    step = np.zeros(omega.shape)
     np.subtract(omega[..., 1:], omega[..., :-1], out=step[..., 1:])
     step *= step
     step[0] += step[1]
@@ -191,7 +200,7 @@ def _raise_jump(rows: np.ndarray):
     """
     angle, omega, _ = su2.track_rows(rows[0], rows[1:])
     omega *= angle
-    gap2 = _step2(omega, omega[..., 0])
+    gap2 = _step2(omega)
     ci, k = np.unravel_index(np.argmax(gap2 >= math.pi**2), gap2.shape)
     raise ExtractionError(
         f"rotation vector jumped by {math.sqrt(gap2[ci, k]):.3f} rad "
@@ -209,6 +218,13 @@ def gap_audit(rows: np.ndarray) -> tuple[float, float]:
     is the largest gap at its time; where s <= 2 pi every pair has n = 1 and
     the nearest distance there is exactly fl(|s - 2 pi|). Only times with
     s > 2 pi are swept pair by pair. Fewer than two values give (0.0, inf).
+
+    The time between samples counts too. Tracked eigenvalues are continuous,
+    so where either of two consecutive samples has s > 2 pi, a pair whose
+    |lambda_i - lambda_j| / 2 pi brackets an integer n >= 1 passed 2 pi n
+    between them, and the nearest distance is 0. A grid audited in blocks
+    passes each with the last sample before it in front (`_omega_blocks`); a
+    repeated sample changes neither result.
     """
     if rows.shape[0] < 2:
         return 0.0, math.inf
@@ -217,7 +233,25 @@ def gap_audit(rows: np.ndarray) -> tuple[float, float]:
     nearest = float(np.min(np.abs(spread[~wide] - TWO_PI), initial=math.inf))
     if wide.any():
         nearest = min(nearest, _pair_sweep(rows[:, wide]))
+        near = wide.copy()  # the wide times and their neighbours
+        near[1:] |= wide[:-1]
+        near[:-1] |= wide[1:]
+        if _crosses(rows[:, near]):
+            nearest = 0.0
     return float(np.max(spread)), nearest
+
+
+def _crosses(rows: np.ndarray) -> bool:
+    """Whether some pair's floor(|lambda_i - lambda_j| / 2 pi) changes between neighbouring columns.
+
+    Neighbouring columns that are not consecutive times are both narrow
+    (s <= 2 pi), where a floor of 1 means a gap of exactly 2 pi, at distance 0.
+    """
+    for d in range(1, rows.shape[0]):
+        turns = np.floor(np.abs(rows[d:] - rows[:-d]) / TWO_PI)
+        if np.any(turns[:, 1:] != turns[:, :-1]):
+            return True
+    return False
 
 
 def _pair_sweep(rows: np.ndarray) -> float:
@@ -243,8 +277,9 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
 
     Computes I(T) and theta(T) by quadrature, propagates the exact
     trajectory, extracts the continuous exponent, and audits the pointwise
-    bound omega_hat(t) <= I(t) as well as the eigenvalue-gap condition at
-    every stored time, one time block of `_omega_blocks` at a time.
+    bound omega_hat(t) <= I(t) at every stored time, and the eigenvalue-gap
+    condition and the -E passages at and between stored times, one time
+    block of `_omega_blocks` at a time.
 
     Raises
     ------
@@ -258,14 +293,14 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     ms = np.arange(system.s_count + 1) - 0.5 * system.s_count  # total S quantum numbers
 
     margin, max_hat, max_gap, nearest = math.inf, -math.inf, -math.inf, math.inf
-    ambiguous_at = []
+    minus_e = []
     for block, _, omega_hat, ambiguous in _omega_blocks(trajectory):
         margin = np.minimum(margin, np.min(i_grid[block] - omega_hat))
         max_hat = np.maximum(max_hat, np.max(omega_hat))
         lam = (omega_hat[:, None, :] * ms[None, :, None]).reshape(-1, omega_hat.shape[-1])
         gap, near = gap_audit(lam)
         max_gap, nearest = np.maximum(max_gap, gap), np.minimum(nearest, near)
-        ambiguous_at.append(trajectory.times[block][np.any(ambiguous, axis=0)])
+        minus_e.append(_minus_e_times(trajectory.times[block], omega_hat, ambiguous))
 
     return CriterionReport(
         i_total=i_total,
@@ -277,11 +312,30 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         magnus_gap_nearest=float(nearest),
         magnus_criterion_ok=bool(nearest > DEFAULT_GAP_TOL),
         bound21_margin=float(margin),
-        ambiguity_times=np.concatenate(ambiguous_at),
+        ambiguity_times=np.sort(np.concatenate(minus_e)),
         n_steps=n_steps,
         trajectory_steps=trajectory.n_steps,
         error_estimate=trajectory.error_estimate,
     )
+
+
+def _minus_e_times(times: np.ndarray, omega_hat: np.ndarray, ambiguous: np.ndarray) -> np.ndarray:
+    """Times after a block's first sample where some configuration's U passes -E.
+
+    These are the flagged samples, and between two consecutive unflagged
+    samples where omega_hat passes an odd multiple of 2 pi, the time where
+    omega_hat, taken as linear between them, meets it. (A block's first
+    sample is the last one of the block before, or the identity at t = 0.)
+    """
+    flagged = times[1:][np.any(ambiguous[:, 1:], axis=0)]
+    if np.max(omega_hat) < TWO_PI:
+        return flagged
+    odd = np.floor((omega_hat + TWO_PI) / (2.0 * TWO_PI))  # odd multiples at or below
+    c, k = np.nonzero((odd[:, 1:] != odd[:, :-1]) & ~ambiguous[:, 1:] & ~ambiguous[:, :-1])
+    h0, h1 = omega_hat[c, k], omega_hat[c, k + 1]
+    share = (TWO_PI * (2.0 * np.maximum(odd[c, k], odd[c, k + 1]) - 1.0) - h0) / (h1 - h0)
+    passages = times[k] + np.clip(share, 0.0, 1.0) * (times[k + 1] - times[k])
+    return np.concatenate((flagged, passages))
 
 
 def magnus_partial_sums(system: SpinSystem, shape: PulseShape, n_steps: int = 256) -> np.ndarray:

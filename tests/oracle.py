@@ -32,7 +32,8 @@ component rows, which gathered every axis from a candidate array and always
 unwrapped; the library's tracker now pays only at undefined axes and jumps.
 
 `gap_audit_pairs` is the eigenvalue-gap audit as one all-pairs table, the
-reference for the library's spread shortcut and its offset sweep.
+reference for the library's spread shortcut, its offset sweep and its test
+for gaps that pass 2 pi n between samples.
 
 `csv_table` is the command line's former table writer, one `%` format per
 row, the reference for the text of its column-wise CSV writer.
@@ -391,13 +392,23 @@ def track_rows_dense(c, v):
 
 
 def gap_audit_pairs(rows):
-    """(max gap, nearest gap to {2 pi n, n != 0}) over every pair of rows[:, t], values first."""
+    """(max gap, nearest gap to {2 pi n, n != 0}) over every pair of rows[:, t], values first.
+
+    A pair whose gap / 2 pi has a different floor at two consecutive times,
+    one of which has some gap above 2 pi, passed a gap of 2 pi n between
+    them, so the nearest distance is 0.
+    """
     iu = np.triu_indices(rows.shape[0], k=1)
-    gaps = np.abs(rows[:, None, :] - rows[None, :, :])[iu[0], iu[1]]
+    gaps = np.abs(rows[:, None, :] - rows[None, :, :])[iu[0], iu[1]]  # (pairs, times)
     if not gaps.size:
         return 0.0, math.inf
     n = np.maximum(np.round(gaps / TWO_PI), 1.0)
-    return float(np.max(gaps)), float(np.min(np.abs(gaps - TWO_PI * n)))
+    nearest = float(np.min(np.abs(gaps - TWO_PI * n)))
+    turns = np.floor(gaps / TWO_PI)
+    wide = np.max(gaps, axis=0) > TWO_PI
+    if np.any((turns[:, 1:] != turns[:, :-1]) & (wide[1:] | wide[:-1])):
+        nearest = 0.0
+    return float(np.max(gaps)), nearest
 
 
 def csv_table(columns, rows):

@@ -63,6 +63,31 @@ class TestCriterion:
         assert doc["config"]["n_steps"] == 4096
         assert doc["system"]["s_offset_hz"] == pytest.approx(5.0)
 
+    def test_s2_group_gap_passes_two_pi_between_samples(self, tmp_path):
+        # Each block's omega_hat stays below 2 pi, but the S2 group's gap 2 omega_hat
+        # passes 2 pi between two samples, neither of them within 1e-6 of it.
+        system, out = tmp_path / "s2.json", tmp_path / "report.json"
+        system.write_text('{"s_count": 2, "s_offset_hz": 10.0}')
+        rc = main(["criterion", "--shape", "gaussian", "--flip", "200", "--duration", "1e-3",
+                   "--system", str(system), "--output", str(out)])
+        doc = json.loads(out.read_text())
+        assert rc == 0 and doc["criterion23"] is True
+        assert doc["max_omega_hat"] < TWO_PI < doc["max_eigenvalue_gap"]
+        assert doc["magnus_gap_nearest"] == 0.0
+        assert doc["magnus_ok"] is False
+
+    def test_minus_e_passage_between_samples(self, tmp_path):
+        # omega_hat passes 2 pi between steps 18703 and 18704 of 32768; no sample is flagged.
+        out = tmp_path / "report.json"
+        rc = main(["criterion", "--shape", "gaussian", "--flip", "540", "--duration", "1e-3",
+                   "--output", str(out)])
+        doc = json.loads(out.read_text())
+        assert rc == 3
+        assert doc["trajectory_steps"] == 32768
+        (passage,) = doc["ambiguity_times"]
+        assert 18703 * 1e-3 / 32768 <= passage <= 18704 * 1e-3 / 32768
+        assert doc["magnus_gap_nearest"] == 0.0
+
     def test_reburp_violates_exit_3(self, tmp_path, sa_file):
         out = tmp_path / "report.json"
         rc = main(

@@ -36,6 +36,13 @@ def _layouts(rows):
     return np.ascontiguousarray(rows), np.asfortranarray(rows)
 
 
+def _assert_each_time_matches_oracle(rows):
+    """gap_audit of each time alone equals the oracle's: the distances, with no time in between."""
+    for time in range(rows.shape[1]):
+        column = rows[:, time:time + 1]
+        assert gap_audit(column) == oracle.gap_audit_pairs(column), time
+
+
 def _hermitian(sums):
     """The (n_configs, order, 2, 2) matrices a . S of the (3, n_configs, order) partial sums."""
     return np.einsum("jcm,jab->cmab", sums, np.stack((SX, SY, SZ)))
@@ -216,6 +223,7 @@ class TestEigenvaluesAndGap:
                 rows[:, time] = fill(n_values)
             audit = oracle.gap_audit_pairs(rows)
             assert [gap_audit(x) for x in _layouts(rows)] == [audit, audit], n_values
+            _assert_each_time_matches_oracle(rows)
 
     def test_spread_shortcut_matches_all_pairs_oracle_at_two_pi(self):
         # Each time's spread is drawn narrow (< 2 pi), exactly 2 pi, 2 pi +- 1 ulp
@@ -241,6 +249,7 @@ class TestEigenvaluesAndGap:
             seen_edges.update(set(np.ptp(rows, axis=0)) & set(edges))
             audit = oracle.gap_audit_pairs(rows)
             assert [gap_audit(x) for x in _layouts(rows)] == [audit, audit], case
+            _assert_each_time_matches_oracle(rows)
         assert seen_edges == set(edges)
 
     def test_sweeps_only_times_wider_than_two_pi(self, monkeypatch):
@@ -307,6 +316,23 @@ class TestExplicitCriterion:
         monkeypatch.setattr(magnus, "TRACK_BLOCK", 1 << 40)  # the dense tracker runs as one block
         monkeypatch.setattr(su2, "track_rows", lambda c, v, state: oracle.track_rows_dense(c, v))
         assert fast == reports()
+
+    @pytest.mark.parametrize("block", [8, 1 << 40])
+    def test_crossing_on_a_track_block_edge(self, monkeypatch, block):
+        # omega_hat rises by 2 pi / 7.5 a step, so it passes 2 pi halfway between samples
+        # 7 and 8, across the edge of the first block of 8 samples; no sample is within
+        # 0.4 of any 2 pi n.
+        traj = propagate_interaction(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0),
+                                     n_steps=11, tol=None)
+        x_axis = np.array([1.0, 0.0, 0.0])[:, None, None]
+        traj = dataclasses.replace(traj, q=su2.exp(x_axis * (TWO_PI / 7.5) * np.arange(12.0)))
+        monkeypatch.setattr(magnus, "TRACK_BLOCK", block)
+        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        report = explicit_criterion(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0))
+        assert report.max_eigenvalue_gap == pytest.approx(11 * TWO_PI / 7.5)
+        assert report.magnus_gap_nearest == 0.0
+        assert not report.magnus_criterion_ok
+        assert report.ambiguity_times == pytest.approx([7.5 * traj.dt], rel=1e-12)
 
     def test_reburp_violates(self, sa_system):
         entry = resolve_pulse("reburp")
