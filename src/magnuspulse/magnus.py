@@ -26,8 +26,8 @@ samples are flagged, the angle itself is still carried through by
 continuity. Such points are exactly where the eigenvalue-gap condition
 |lambda_i - lambda_j| != 2 pi n fails. `gap_audit` checks it over the
 eigenvalues m_S omega_hat of the whole block-diagonal exponent at and
-between stored times, alongside the amplitude-integral criterion I(T) < 2 pi and its
-weak-field flip-angle variant. The series partial sums are rotation vectors,
+between stored times, alongside the amplitude-integral criterion
+I(T) < 2 pi and its weak-field flip-angle variant. The series partial sums are rotation vectors,
 computed in the vector form of su(2), where a commutator [a . S, b . S] is
 i (a x b) . S.
 """
@@ -242,7 +242,7 @@ def gap_audit(rows: np.ndarray) -> tuple[float, float]:
 
 
 def _crosses(rows: np.ndarray) -> bool:
-    """Whether some pair's floor(|lambda_i - lambda_j| / 2 pi) changes between neighbouring columns.
+    """Whether a pair's floor(|lambda_i - lambda_j| / 2 pi) changes between neighbouring columns.
 
     Neighbouring columns that are not consecutive times are both narrow
     (s <= 2 pi), where a floor of 1 means a gap of exactly 2 pi, at distance 0.

@@ -24,11 +24,11 @@ CAP = 2.8 * TWO_PI
 
 seeds = st.integers(0, 2**32 - 1)
 flips = st.floats(0.3 * math.pi, 3.0 * math.pi)
+SAX = _sax()
 SYSTEMS = {
     "S": SpinSystem(s_count=1, s_offset=0.0),
-    "SAX": _sax(),
-    "S2AX": SpinSystem(s_count=2, s_offset=_sax().s_offset, i_spins=_sax().i_spins,
-                       j_ii=_sax().j_ii),
+    "SAX": SAX,
+    "S2AX": SpinSystem(s_count=2, s_offset=SAX.s_offset, i_spins=SAX.i_spins, j_ii=SAX.j_ii),
 }
 
 
