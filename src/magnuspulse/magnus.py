@@ -101,8 +101,8 @@ class CriterionReport:
     between samples), and magnus_criterion_ok is true when that distance
     exceeds DEFAULT_GAP_TOL. bound21_margin is the worst-case I(t) - omega_hat(t), the
     pointwise audit of the amplitude-integral bound on the exponent.
-    ambiguity_times, ascending, are where some configuration's U passes -E
-    (`_minus_e_times`): each stored time flagged as in
+    ambiguity_times, ascending and distinct, are where some configuration's
+    U passes -E (`_minus_e_times`): each stored time flagged as in
     `MagnusSolution.ambiguous`, and an interpolated time for each passage
     between two unflagged samples.
     """
@@ -312,7 +312,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         magnus_gap_nearest=float(nearest),
         magnus_criterion_ok=bool(nearest > DEFAULT_GAP_TOL),
         bound21_margin=float(margin),
-        ambiguity_times=np.sort(np.concatenate(minus_e)),
+        ambiguity_times=np.unique(np.concatenate(minus_e)),
         n_steps=n_steps,
         trajectory_steps=trajectory.n_steps,
         error_estimate=trajectory.error_estimate,

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from magnuspulse import (
+    ISpin,
     SpinSystem,
     build_pulse,
     calibrate,
@@ -333,6 +334,14 @@ class TestExplicitCriterion:
         assert report.magnus_gap_nearest == 0.0
         assert not report.magnus_criterion_ok
         assert report.ambiguity_times == pytest.approx([7.5 * traj.dt], rel=1e-12)
+
+    def test_passage_of_equal_configurations_listed_once(self):
+        # A J = 0 spectator gives two configurations with one trajectory; their
+        # passage between samples 18703 and 18704 is one time.
+        pulse = calibrate(build_pulse("gaussian", 1e-3), 3.0 * math.pi)
+        system = SpinSystem(s_offset=0.0, i_spins=(ISpin(offset=TWO_PI * 30.0, j_to_s=0.0),))
+        (passage,) = explicit_criterion(system, pulse).ambiguity_times
+        assert 18703 * 1e-3 / 32768 <= passage <= 18704 * 1e-3 / 32768
 
     def test_reburp_violates(self, sa_system):
         entry = resolve_pulse("reburp")
