@@ -217,7 +217,8 @@ def gap_audit(rows: np.ndarray) -> tuple[float, float]:
     the same time counts. Rounding is monotone, so the spread s = fl(max - min)
     is the largest gap at its time; where s <= 2 pi every pair has n = 1 and
     the nearest distance there is exactly fl(|s - 2 pi|). Only times with
-    s > 2 pi are swept pair by pair. Fewer than two values give (0.0, inf).
+    s > 2 pi, and their neighbours, are swept pair by pair. Fewer than two
+    values give (0.0, inf).
 
     The time between samples counts too. Tracked eigenvalues are continuous,
     so where either of two consecutive samples has s > 2 pi, a pair whose
@@ -232,30 +233,21 @@ def gap_audit(rows: np.ndarray) -> tuple[float, float]:
     wide = spread > TWO_PI
     nearest = float(np.min(np.abs(spread[~wide] - TWO_PI), initial=math.inf))
     if wide.any():
-        nearest = min(nearest, _pair_sweep(rows[:, wide]))
         near = wide.copy()  # the wide times and their neighbours
         near[1:] |= wide[:-1]
         near[:-1] |= wide[1:]
-        if _crosses(rows[:, near]):
-            nearest = 0.0
+        nearest = min(nearest, _pair_sweep(rows[:, near]))
     return float(np.max(spread)), nearest
 
 
-def _crosses(rows: np.ndarray) -> bool:
-    """Whether a pair's floor(|lambda_i - lambda_j| / 2 pi) changes between neighbouring columns.
-
-    Neighbouring columns that are not consecutive times are both narrow
-    (s <= 2 pi), where a floor of 1 means a gap of exactly 2 pi, at distance 0.
-    """
-    for d in range(1, rows.shape[0]):
-        turns = np.floor(np.abs(rows[d:] - rows[:-d]) / TWO_PI)
-        if np.any(turns[:, 1:] != turns[:, :-1]):
-            return True
-    return False
-
-
 def _pair_sweep(rows: np.ndarray) -> float:
-    """Nearest gap to {2 pi n, n != 0} over every pair of value-major rows, offset by offset."""
+    """Nearest gap to {2 pi n, n != 0} over every pair of value-major rows, offset by offset.
+
+    0 where a pair's floor(gap / 2 pi) changes between neighbouring columns.
+    Columns with s <= 2 pi leave the result as `gap_audit` has it: their
+    distances are at least fl(|s - 2 pi|), and their floors are 0 but at a gap
+    of exactly 2 pi, so two such neighbours need not be consecutive times.
+    """
     gap_buf = np.empty((rows.shape[0] - 1,) + rows.shape[1:])
     dist_buf = np.empty_like(gap_buf)
     nearest = math.inf
@@ -263,6 +255,9 @@ def _pair_sweep(rows: np.ndarray) -> float:
         gaps, dist = gap_buf[d - 1:], dist_buf[d - 1:]
         np.abs(np.subtract(rows[d:], rows[:-d], out=gaps), out=gaps)
         np.divide(gaps, TWO_PI, out=dist)
+        turns = np.floor(dist)
+        if np.any(turns[:, 1:] != turns[:, :-1]):
+            return 0.0
         np.maximum(np.round(dist, out=dist), 1.0, out=dist)  # n
         dist *= TWO_PI
         np.abs(np.subtract(gaps, dist, out=dist), out=dist)

@@ -253,7 +253,7 @@ class TestEigenvaluesAndGap:
             _assert_each_time_matches_oracle(rows)
         assert seen_edges == set(edges)
 
-    def test_sweeps_only_times_wider_than_two_pi(self, monkeypatch):
+    def test_sweeps_only_wide_times_and_their_neighbours(self, monkeypatch):
         swept = []
         sweep = magnus._pair_sweep
         monkeypatch.setattr(magnus, "_pair_sweep", lambda rows: swept.append(rows.shape) or sweep(rows))
@@ -262,7 +262,7 @@ class TestEigenvaluesAndGap:
         rows = np.stack((np.zeros(6), 0.5 * spreads, spreads))
         for x in _layouts(rows):
             assert gap_audit(x) == oracle.gap_audit_pairs(rows)
-        assert swept == [(3, 2), (3, 2)]
+        assert swept == [(3, 4), (3, 4)]  # wide at times 3 and 4
         swept.clear()
         assert gap_audit(rows[:, :3]) == oracle.gap_audit_pairs(rows[:, :3])
         assert swept == []
