@@ -398,9 +398,11 @@ def _cmd_propagate(args) -> int:
     system, shape, meta = _load_inputs(args)
     traj = propagate_interaction(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
-    # U = c E - i (v . sigma) from (c, vx, vy, vz); adding 0.0 makes an exact zero print as 0
-    values = traj.q + 0.0
-    _emit_table(columns, traj.times, values, meta, args, layout=(0, ~3, ~2, ~1, 2, ~1, 0, 3))
+    # U = [[a, -conj b], [b, conj a]] from rows (Re a, Re b, Im a, Im b); adding 0.0 makes
+    # an exact zero print as 0
+    values = np.concatenate((traj.q.real, traj.q.imag))
+    values += 0.0
+    _emit_table(columns, traj.times, values, meta, args, layout=(0, 2, ~1, 3, 1, 3, 0, ~2))
     return EXIT_OK
 
 
@@ -420,8 +422,13 @@ def _cmd_decompose(args) -> int:
     traj = integrate_expansion(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta",
                "omega_hat", "constraint_residual"]
-    values = np.stack((*traj.q, *angles_from_state(traj),
-                       su2.norm_defect(traj.q)))
+    angles = angles_from_state(traj)
+    values = np.empty((8,) + traj.q.shape[1:])
+    su2.rows(traj.q, out=values[:4])
+    values[4:7], values[7] = angles, su2.norm_defect(traj.q)
+    del angles  # not alive while the table is written
+    values[:4] += 0.0  # an exact zero of (f, g) or of the residual prints as 0
+    values[7] += 0.0
     _emit_table(columns, traj.times, values, meta, args)
     return EXIT_OK
 

@@ -12,20 +12,21 @@ real linear system
     dg/dt = +(omega1/2) (f h + h x g),        h = (cos a, sin a, 0),
 
 with a(t) = -w t + phi(t) the rotating transverse-field direction of the
-configuration. (f, g) is the unit quaternion of U (see `su2`). This
+configuration. (f, g) are the real rows of the Cayley-Klein pair (a, b) of U,
+f = Re a and g = (-Im b, Re b, -Im a) (see `su2`). This
 parametrization always exists, whether or not the continuous-exponential
 form does, so it is the fallback route for pulses that fail the
 convergence criterion.
 
-That system is the linear quaternion ODE dq/dt = p(t) q with
-p = (0, omega1 h / 2), so one classical fourth-order (RK4) step is a left
-product with a single quaternion. Integration builds those step quaternions
+That system is the linear ODE dq/dt = p(t) q on pairs, with
+p = (0, -i omega1 (h_x + i h_y) / 2), so one classical fourth-order (RK4) step
+is a left product with a single pair. Integration builds those step pairs
 block by block over the grid and hands them to the same step-doubling
 driver as the exact propagation route (`propagation._refine`): endpoint
 reductions on the grids it discards, one scan of the grid it keeps. Both
 routes return the same `BlockTrajectory`, whose q holds (f, g) on the grid
 t_k = k T / n. The decomposition angles, the rotation angle among them, are
-read off those quaternions by the shared branch tracker (`angles_from_state`).
+read off those pairs by the shared branch tracker (`angles_from_state`).
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ from .system import SpinSystem, offset_diagonal
 
 
 def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.ndarray:
-    """Classical RK4 steps of dq/dt = p(t) q as quaternions, one per time step.
+    """Classical RK4 steps of dq/dt = p(t) q as pairs, one per time step.
 
-    p = (0, omega1 h / 2) is the quaternion of -i H, so each stage is a left
+    p = (0, -i omega1 (h_x + i h_y) / 2) is the pair of -i H, so each stage is a left
     product and a whole step is q_{k+1} = M_k q_k with
     M_k = 1 + (k1 + 2 k2 + 2 k3 + k4) / 6, where k1 = dt p(t_k),
     k2 = dt p(t_mid) (1 + k1/2), k3 = dt p(t_mid) (1 + k2/2) and
     k4 = dt p(t_{k+1}) (1 + k3). M is written into `out`, component-major
-    with shape (4, n_configs, n_steps), `BLOCK` quaternions at a time, so the
+    with shape (2, n_configs, n_steps), `BLOCK` pairs at a time, so the
     stage temporaries stay small whatever the grid. Returns the midpoint
     amplitudes.
     """
@@ -60,8 +61,8 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.nda
     at_mids = (mids, 0.5 * dt * amps, _eval(shape.phase_fn, mids))
 
     def dt_p(times, half_dt_amps, phases):
-        p = np.zeros((4, len(offsets), len(times)))
-        su2.rotating_field(half_dt_amps, phases, offsets, times[0], dt, out=p[1:3])
+        p = np.zeros((2, len(offsets), len(times)), dtype=complex)
+        su2.rotating_field(half_dt_amps, phases, offsets, times[0], dt, out=p[1])
         return p
 
     one = su2.IDENTITY[:, None, None]
@@ -70,15 +71,17 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.nda
         stop = min(start + block, n_steps)
         p_nodes = dt_p(*(x[start:stop + 1] for x in at_nodes))
         p_mids = dt_p(*(x[start:stop] for x in at_mids))
-        # M is accumulated stage by stage so only one k is alive at a time.
+        # M is accumulated stage by stage, and each stage's factor 1 + k/2 or 1 + k is
+        # built in place of k, so only one k is alive at a time.
         m = out[..., start:stop]
         k = p_nodes[..., :-1]
         np.add(one, k / 6.0, out=m)
         k = su2.compose(p_mids, one + 0.5 * k)
         m += k / 3.0
-        k = su2.compose(p_mids, one + 0.5 * k)
+        k *= 0.5
+        k = su2.compose(p_mids, np.add(k, one, out=k))
         m += k / 3.0
-        k = su2.compose(p_nodes[..., 1:], one + k)
+        k = su2.compose(p_nodes[..., 1:], np.add(k, one, out=k))
         m += k / 6.0
     return amps
 
@@ -108,15 +111,15 @@ def angles_from_state(trajectory: BlockTrajectory):
     alpha = atan2(g_y, g_x) in (-pi, pi] with exact zeros taken as +0 (as
     `MagnusSolution.alpha`), beta = atan2(hypot(g_x, g_y), g_z); the rotation
     angle 2*atan2(|g|, f) is unwrapped by continuity in time by
-    `su2.track_rows`, on the component rows of `trajectory.q`.
+    `su2.track_rows`, on the real rows (f, g) of `trajectory.q` (`su2.rows`).
     The scalar data alone cannot tell ascending from descending at a fold
     (angle through 2 pi, where |g| reflects), so the sign of the half-angle
     sine follows the last well-defined g direction before unwrapping.
     Degenerate points |g| ~ 0 report alpha = beta = 0. Each output has shape
     (n_configs, n_steps + 1).
     """
-    f, gx, gy, gz = trajectory.q
-    omega, _, norm = su2.track_rows(f, trajectory.q[1:])
+    f, gx, gy, gz = rows = su2.rows(trajectory.q)
+    omega, _, norm = su2.track_rows(f, rows[1:])
     degenerate = norm < 1e-12
     alpha = np.where(degenerate, 0.0, np.arctan2(gy + 0.0, gx + 0.0))
     beta = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))

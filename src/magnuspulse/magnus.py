@@ -1,15 +1,15 @@
 """
 Continuous-exponential propagator analysis and the explicit existence criterion.
 
-Each interaction propagator U(t) of a configuration, stored as a unit
-quaternion (see `su2`), is written as a single exponential
+Each interaction propagator U(t) of a configuration, stored as a Cayley-Klein
+pair (see `su2`), is written as a single exponential
 U = exp(-i Omega(t) . S). The rotation vector Omega(t) is recovered by the
 shared branch tracker `su2.track_rows`: the axis keeps a continuous sign and
 the angle is unwrapped by 4 pi, seeded by Omega(0) = 0. That keeps Omega(t)
 on the smooth branch the continuous-exponential solution lives on, instead
 of jumping back at angle 2 pi the way a principal logarithm would. Omega
 has its components first and time last, (3, n_configs, n_times), as the
-trajectory's quaternions do (see `su2`).
+trajectory's pairs do (see `su2`).
 
 The trajectory is analysed in time blocks of about `TRACK_BLOCK` samples
 (`_omega_blocks`): the tracker carries its branch state across block edges,
@@ -126,7 +126,7 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     """Invert U(t_k) = exp(-i Omega . S) along the trajectory, per configuration.
 
     The branch (angle + 4 pi k along the axis) is tracked for continuity by
-    `su2.track_rows` on the component rows of the trajectory, seeded at
+    `su2.track_rows` on the real rows of the trajectory (`su2.rows`), seeded at
     Omega(0) = 0; the same |v| flags the -E samples. The blocks of
     `_omega_blocks` are written into whole-grid arrays.
 
@@ -147,7 +147,8 @@ def _omega_blocks(trajectory: BlockTrajectory):
     """Omega, omega_hat and the -E flags along the trajectory, in blocks of `TRACK_BLOCK` samples.
 
     Yields (block, omega, omega_hat, ambiguous) for time slices `block`:
-    omega is component-major, (3, n_configs, block length). Each block after
+    omega is component-major, (3, n_configs, block length). Each block's real
+    rows (`su2.rows`) are built contiguous for the tracker. Each block after
     the first starts with the last sample of the block before, so every pair
     of consecutive samples lies in one block. One `su2.BranchState` carries
     the tracker across blocks, so the values are those of one pass over the
@@ -165,8 +166,9 @@ def _omega_blocks(trajectory: BlockTrajectory):
     state = su2.BranchState((n_configs,))
     for start in range(0, n_times, width):
         block = slice(start, start + width)
-        c = q[0, :, block]
-        angle, omega, s = su2.track_rows(c, q[1:, :, block], state)
+        rows = su2.rows(q[..., block])
+        c = rows[0]
+        angle, omega, s = su2.track_rows(c, rows[1:], state)
         omega *= angle  # the unit axis becomes Omega
         ambiguous = (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL)
         if start:  # lead with the sample before the block
@@ -193,11 +195,12 @@ def _step2(omega: np.ndarray) -> np.ndarray:
     return step[0]
 
 
-def _raise_jump(rows: np.ndarray):
+def _raise_jump(q: np.ndarray):
     """Raise the ExtractionError of the lowest configuration with a jump, at its first one.
 
-    Tracks the whole grid again: another configuration may jump in an earlier block.
+    Tracks the whole grid of pairs q again: another configuration may jump in an earlier block.
     """
+    rows = su2.rows(q)
     angle, omega, _ = su2.track_rows(rows[0], rows[1:])
     omega *= angle
     gap2 = _step2(omega)
@@ -351,8 +354,9 @@ def magnus_partial_sums(system: SpinSystem, shape: PulseShape, n_steps: int = 25
     sp = sample(shape, n_steps)
     dt = sp.dt
     offsets = offset_diagonal(system)
-    x = np.zeros((3, len(offsets), len(sp.times)))
-    su2.rotating_field(sp.amps, sp.phases, offsets, 0.5 * dt, dt, out=x[:2])
+    field = su2.rotating_field(sp.amps, sp.phases, offsets, 0.5 * dt, dt)
+    x = np.zeros((3,) + field.shape)
+    x[0], x[1] = -field.imag, field.real  # v_x and v_y of the pair row b
     total = x.sum(axis=-1)
     running = np.cumsum(x, axis=-1)
     b = dt * (running - 0.5 * x)  # integral of H up to each midpoint

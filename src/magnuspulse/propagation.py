@@ -11,7 +11,7 @@ propagator is built by piecewise-constant midpoint slicing: each slice
 exponential is evaluated in closed form (so unitarity is exact up to
 rounding), and the grid is doubled until the endpoint stops moving to the
 requested tolerance. `_refine` is that doubling driver for both routes: the
-expansion module hands it RK4 step quaternions instead of exact slices, and
+expansion module hands it RK4 step pairs instead of exact slices, and
 both get back the same `BlockTrajectory`.
 
 A slice's transverse part sin h e^{i phi_k}, shared by every configuration,
@@ -20,7 +20,7 @@ row by angle addition from about 2 sqrt(n) trig calls. When every phase is
 0, as for every family `build_pulse` makes, e^{i phi} = 1 and its trig is
 skipped.
 
-Slices, their products and the stored trajectory are unit quaternions
+Slices, their products and the stored trajectory are Cayley-Klein pairs
 (see `su2`); `su2.to_matrix` gives the 2x2 view of any of them. A grid that
 refinement discards only contributes its endpoint, a pairwise product
 (`su2.reduce`); the accepted grid is scanned in place from its reduction's
@@ -45,7 +45,7 @@ DEFAULT_TOL = 1e-9
 #: Grid doublings before refinement gives up; a larger n_steps reaches the same finest grid.
 MAX_DOUBLINGS = 8
 
-#: Quaternions built at once where a route works through its grid in blocks.
+#: Pairs built at once where a route works through its grid in blocks.
 BLOCK = 1 << 16
 
 
@@ -62,9 +62,10 @@ class RefinementError(RuntimeError):
 class BlockTrajectory:
     """Per-configuration propagators U(t_k) on the grid t_k = k*dt, from either route.
 
-    q holds them as unit quaternions (f, g_x, g_y, g_z), components first and
-    time last, shape (4, n_configs, n_steps + 1), so U = f E - 2i g . S
-    (`su2.to_matrix`). Index 0 in time is the identity. amps are the
+    q holds them as complex Cayley-Klein pairs (a, b), components first and
+    time last, shape (2, n_configs, n_steps + 1), so U = [[a, -conj b],
+    [b, conj a]] (`su2.to_matrix`); `su2.rows` reads off (f, g) of
+    U = f E - 2i g . S. Index 0 in time is the identity. amps are the
     midpoint amplitude samples the route stepped with.
     """
 
@@ -88,14 +89,14 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
             tol: float | None) -> BlockTrajectory:
     """Step-doubling driver shared by every propagator route.
 
-    `steps(out)` writes the quaternions of the n time steps of a grid into
-    `out`, shape (4, n_configs, n), and returns that grid's midpoint
+    `steps(out)` writes the pairs of the n time steps of a grid into
+    `out`, shape (2, n_configs, n), and returns that grid's midpoint
     amplitudes; `out` is a grid buffer past its identity column 0. Grids of
     n_steps, 2 n_steps, ... steps are tried until the endpoint moves by less
     than `tol` between successive grids (Frobenius norm of the 2x2
-    difference, sqrt(2) |dq|, max over configurations). A grid's endpoint is
-    its pairwise product (`su2.reduce`); only the grid that is returned is
-    scanned in place (`su2.scan`), from that reduction's levels.
+    difference, sqrt(2 (|da|**2 + |db|**2)), max over configurations). A
+    grid's endpoint is its pairwise product (`su2.reduce`); only the grid that
+    is returned is scanned in place (`su2.scan`), from that reduction's levels.
     ``tol=None`` scans a single pass.
 
     Returns the trajectory of the last grid; its q is that grid's buffer.
@@ -112,7 +113,7 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
         raise ValueError(f"tol must be positive, got {tol}")
 
     def grid(n):
-        q = np.empty((4, system.n_configs, n + 1))
+        q = np.empty((2, system.n_configs, n + 1), dtype=complex)
         q[..., 0] = su2.IDENTITY[:, None]
         return q, steps(q[..., 1:])
 
@@ -185,7 +186,8 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     Only the propagator at the end of the pulse matters, so every
     (offset, configuration) row of midpoint slices is reduced to its
     endpoint (`su2.reduce`) without a trajectory, `BLOCK` slices at a time.
-    The response is the rotated z axis of that endpoint.
+    The response is the rotated z axis of that endpoint, (Re, Im) of conj(a) b
+    and (|a|**2 - |b|**2) / 2.
     """
     offsets = np.asarray(offsets, dtype=float)
     sp = sample(shape, n_steps)
@@ -195,19 +197,20 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     rows = (offsets[:, None] + couplings).ravel()
     response = np.empty((3, len(rows)))
     per_block = max(1, BLOCK // n_steps)
-    # `su2.transverse_slices` of each block, with the rows that every block shares
-    # (cos h, and z = 0) and sin h computed once
+    # `su2.transverse_slices` of each block, with the row that every block shares
+    # (a = cos h) and sin h computed once
     half = 0.5 * sp.amps * sp.dt
-    slices = np.empty((4, min(per_block, len(rows)), n_steps))
-    slices[0], slices[3] = np.cos(half), 0.0
+    slices = np.empty((2, min(per_block, len(rows)), n_steps), dtype=complex)
+    slices[0] = np.cos(half)
     sin_half = np.sin(half)
     for start in range(0, len(rows), per_block):
         w = rows[start:start + per_block]
-        su2.rotating_field(sin_half, sp.phases, w, 0.5 * sp.dt, sp.dt, out=slices[1:3, :len(w)])
+        su2.rotating_field(sin_half, sp.phases, w, 0.5 * sp.dt, sp.dt, out=slices[1, :len(w)])
         end = su2.reduce(slices[:, :len(w)])
         free = np.zeros((3, len(w)))
         free[2] = w * duration  # exp(-i w T Sz) after the pulse
-        c, x, y, z = su2.compose(su2.exp(free), end)
-        response[:, start:start + len(w)] = (x * z + c * y, y * z - c * x,
-                                              0.5 * (c * c + z * z - x * x - y * y))
+        a, b = su2.compose(su2.exp(free), end)
+        m = np.conj(a) * b
+        response[:, start:start + len(w)] = (m.real, m.imag, 0.5 * (
+            a.real * a.real + a.imag * a.imag - b.imag * b.imag - b.real * b.real))
     return response.reshape(3, len(offsets), len(couplings)).mean(axis=-1)

@@ -1,30 +1,31 @@
 """
-SU(2) elements as unit quaternions: the one representation of every block.
+SU(2) elements as Cayley-Klein pairs: the one representation of every block.
 
 A configuration block U = c E - i (v . sigma) = exp(-i Omega . S) is stored
-as the real components (c, vx, vy, vz), with c**2 + |v|**2 = 1 (Cayley-Klein
-form; Pauly et al., IEEE TMI 10 (1991) 53). The expansion-form coefficients
-(f, g) of U = f E - 2i (g . S) are the same numbers. `to_matrix` is the only
-place that builds the 2x2 complex view.
+as the complex pair (a, b) = (c - i v_z, v_y - i v_x), so that
+U = [[a, -conj b], [b, conj a]] and |a|**2 + |b|**2 = 1 (Cayley-Klein
+parameters; Pauly et al., IEEE TMI 10 (1991) 53). The expansion-form
+coefficients (f, g) of U = f E - 2i (g . S) are the same numbers,
+f = Re a and g = (-Im b, Re b, -Im a); `rows` reads them off as real rows
+and `to_matrix` builds the 2x2 view.
 
-Every array here has its components first and time last: quaternions are
-(4, ..., n_t) and rotation vectors (3, ..., n_t), so each component is a
-contiguous row. `transverse_slices` builds those rows, `compose` multiplies
+Every array here has its components first and time last: pairs are complex
+(2, ..., n_t) and rotation vectors real (3, ..., n_t), so each component is
+a contiguous row. `transverse_slices` builds those rows, `compose` multiplies
 them, `reduce` takes a time-ordered product down to its endpoint by a pairwise
 tree, `scan` gives every prefix product with the same association in about 2n
-products, and ``track_rows(q[0], q[1:])`` tracks the branch.
-
-`compose` is the one quaternion product; its `planar` level leaves out the
-products with a zero z factor. Where a grid's z row is all zero, as for every
-slice `transverse_slices` builds, the first level of `reduce` and `scan`
-passes that level; the data decide this. Each left-out product is a signed
-zero, so only the sign of an exact zero can differ from the full product.
-Higher levels take the full product even where their z rows stay zero
-(rotations about one axis): an exact zero there reaches the output, printed
-with its sign by `decompose`, whose alpha = atan2(g_y, g_x) it turns between
-pi and -pi.
+products, and ``track_rows(r[0], r[1:])`` with ``r = rows(x)`` tracks the branch.
 `track_rows` can run over consecutive time blocks, carrying a `BranchState`
 from one to the next, with the result of one call over the whole grid.
+
+`compose` is the one product, 8 complex ufunc passes. numpy's complex
+multiply may fuse multiply-adds, depending on the CPU features it dispatches
+to (AVX2 and AVX-512 on x86-64). Arrays then give the same bits whatever
+their layout or length, so ``reduce(x)`` is ``scan(x)[..., -1]`` bit for bit,
+but numpy's 0-d scalar arithmetic need not match them, so products are taken
+on arrays. Across machines and numpy builds results agree to rounding, not
+bit for bit; with ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+AVX512_SPR"`` numpy multiplies by the plain formula.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
 
-IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+IDENTITY = np.array([1.0, 0.0], dtype=complex)
 
 #: |v| at or below this leaves the rotation axis to the last sample that had one.
 AXIS_TOL = 1e-9
@@ -43,34 +44,34 @@ AXIS_TOL = 1e-9
 
 def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float, dt: float,
                    out=None) -> np.ndarray:
-    """amps_k e^{i (phases_k - w t_k)} on the grid t_k = t0 + k dt, for each offset w.
+    """b = -i amps_k e^{i (phases_k - w t_k)} on the grid t_k = t0 + k dt, for each offset w.
 
-    amps and phases have length n and w length m; the real and imaginary
-    parts come back as rows of shape (2, m, n), written into `out` if given.
-    e^{-i w t_k} is built by angle addition: with k = j B + r and B about
-    sqrt(n), the cos and sin of -w (j B dt) and of -w (t0 + r dt) cost about
-    2 sqrt(n) trig calls per offset, and each sample 4 multiplies and 2 adds.
-    amps e^{i phases} is shared by every offset; where every phase is 0 it is
-    amps itself and its trig is skipped.
+    That is the pair row b = v_y - i v_x of the transverse vector
+    amps_k (cos a_k, sin a_k, 0), a_k = phases_k - w t_k. amps and phases
+    have length n and w length m; b comes back complex, shape (m, n),
+    written into `out` if given. e^{-i w t_k} is built by angle addition:
+    with k = j B + r and B about sqrt(n), the turns by -w (j B dt) and by
+    -w (t0 + r dt), -i folded into the latter, cost about 2 sqrt(n) trig
+    calls per offset, and each sample one complex product. amps e^{i phases}
+    is shared by every offset; where every phase is 0 it is amps itself and
+    its trig is skipped.
     """
     n = len(amps)
     w = np.asarray(w, dtype=float)[:, None]
     size = 1 << n.bit_length() // 2  # B, a power of two
     fine = -w * (t0 + np.arange(size) * dt)
     coarse = -w * (np.arange(0, n, size) * dt)
-    cf, sf = np.cos(fine)[:, None], np.sin(fine)[:, None]
-    cc, sc = np.cos(coarse)[..., None], np.sin(coarse)[..., None]
-    c, s = (v.reshape(len(w), -1)[:, :n] for v in (cc * cf - sc * sf, sc * cf + cc * sf))
+    turn_fine = np.empty(fine.shape, dtype=complex)
+    turn_fine.real, turn_fine.imag = np.sin(fine), -np.cos(fine)  # -i e^{i fine}
+    turn_coarse = np.empty(coarse.shape, dtype=complex)
+    turn_coarse.real, turn_coarse.imag = np.cos(coarse), np.sin(coarse)
     if out is None:
-        out = np.empty((2, len(w), n))
-    if np.any(phases):
-        ax, ay = amps * np.cos(phases), amps * np.sin(phases)
-        np.subtract(ax * c, ay * s, out=out[0])
-        np.add(ay * c, ax * s, out=out[1])
-    else:
-        np.multiply(amps, c, out=out[0])
-        np.multiply(amps, s, out=out[1])
-    return out
+        out = np.empty((len(w), n), dtype=complex)
+    # the turns fill `out` itself where n is a multiple of B, and run past it otherwise
+    turn = np.empty((len(w), coarse.shape[1] * size), dtype=complex) if n % size else out
+    np.multiply(turn_coarse[..., None], turn_fine[:, None], out=turn.reshape(len(w), -1, size))
+    amps = amps * (np.cos(phases) + 1j * np.sin(phases)) if np.any(phases) else amps + 0j
+    return np.multiply(amps, turn[:, :n], out=out)
 
 
 def transverse_slices(half_angles: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float,
@@ -78,101 +79,69 @@ def transverse_slices(half_angles: np.ndarray, phases: np.ndarray, w: np.ndarray
     """exp(-i 2h_k (cos a Sx + sin a Sy)), a = phases_k - w t_k, on the grid t_k = t0 + k dt.
 
     Signed half angles h make negative amplitudes come out right without
-    branching. The transverse part sin h e^{i a} is `rotating_field` of
-    sin h. The quaternions come back component-major, shape (4, len(w), n),
-    ready for `reduce` and `scan`, and written row by row into `out` if given.
+    branching. The pair is (cos h, -i sin h e^{i a}), its b the
+    `rotating_field` of sin h. The pairs come back component-major, shape
+    (2, len(w), n), ready for `reduce` and `scan`, and written row by row into
+    `out` if given.
     """
     if out is None:
-        out = np.empty((4, len(w), len(half_angles)))
+        out = np.empty((2, len(w), len(half_angles)), dtype=complex)
     out[0] = np.cos(half_angles)
-    rotating_field(np.sin(half_angles), phases, w, t0, dt, out=out[1:3])
-    out[3] = 0.0
+    rotating_field(np.sin(half_angles), phases, w, t0, dt, out=out[1])
     return out
 
 
 def exp(rotation: np.ndarray) -> np.ndarray:
-    """exp(-i Omega . S) for rotation vectors Omega, shape (3, ...), as quaternions (4, ...)."""
+    """exp(-i Omega . S) for rotation vectors Omega, shape (3, ...), as pairs (2, ...)."""
     rotation = np.asarray(rotation, dtype=float)
     angle = np.linalg.norm(rotation, axis=0)
     half = 0.5 * angle
     scale = np.where(angle > 0.0, np.sin(half) / np.where(angle > 0.0, angle, 1.0), 0.5)
-    return np.concatenate((np.cos(half)[None], scale * rotation))
+    x, y, z = scale * rotation
+    return np.stack((np.cos(half) - 1j * z, y - 1j * x))
 
 
-def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None,
-            planar: int = 0) -> np.ndarray:
-    """Quaternion of the matrix product U_p U_q, component-major (4, ...).
+def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pair of the matrix product U_p U_q, component-major (2, ...).
 
-    Broadcasts p and q past the component axis. `out`, if given, must not
-    overlap p or q. Every component is summed left to right in a fixed order,
-    so a product is the same to the last bit whatever the array layout.
-    `planar` 1 says that p's z row is all zero, 2 that q's is too; the
-    products with that zero factor are left out (20 ufunc passes instead of
-    28, 14 at 2), which changes at most the sign of an exact zero.
+    a = a_p a_q - conj(b_p) b_q and b = b_p a_q + conj(a_p) b_q, each summed
+    in that order, so a product is the same to the last bit whatever the
+    array layout (see the module docstring). Broadcasts p and q past the
+    component axis. `out`, if given, must not overlap p or q.
     """
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
+    pa, pb = p
+    qa, qb = q
     if out is None:
-        out = np.empty((4,) + np.broadcast_shapes(p0.shape, q0.shape))
-    c, x, y, z = out
-    t = np.empty(c.shape)
-    np.multiply(p0, q0, out=c)
-    c -= np.multiply(p1, q1, out=t)
-    c -= np.multiply(p2, q2, out=t)
-    if not planar:
-        c -= np.multiply(p3, q3, out=t)
-    np.multiply(p0, q1, out=x)
-    x += np.multiply(q0, p1, out=t)
-    if planar < 2:
-        x += np.multiply(p2, q3, out=t)
-    if not planar:
-        x -= np.multiply(p3, q2, out=t)
-    np.multiply(p0, q2, out=y)
-    y += np.multiply(q0, p2, out=t)
-    if not planar:
-        y += np.multiply(p3, q1, out=t)
-    if planar < 2:
-        y -= np.multiply(p1, q3, out=t)
-        np.multiply(p0, q3, out=z)
-        if not planar:
-            z += np.multiply(q0, p3, out=t)
-        z += np.multiply(p1, q2, out=t)
-    else:
-        np.multiply(p1, q2, out=z)
-    z -= np.multiply(p2, q1, out=t)
+        out = np.empty((2,) + np.broadcast_shapes(pa.shape, qa.shape), dtype=complex)
+    a, b = out
+    t = np.empty(a.shape, dtype=complex)
+    np.multiply(pa, qa, out=a)
+    a -= np.multiply(np.conjugate(pb, out=t), qb, out=t)
+    np.multiply(pb, qa, out=b)
+    b += np.multiply(np.conjugate(pa, out=t), qb, out=t)
     return out
 
 
-def _planar(x: np.ndarray) -> bool:
-    """Whether the z row of component-major x is all zero, as in every `transverse_slices` slice."""
-    return not x[3].any()
-
-
-def _pairs(x: np.ndarray, planar: bool = False) -> np.ndarray:
-    """U_{2j+1} U_{2j} for every whole pair along the last axis; an odd last one is left out.
-
-    `planar` says that x's z row is all zero (`_planar`).
-    """
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """U_{2j+1} U_{2j} for every whole pair along the last axis; an odd last one is left out."""
     n = x.shape[-1]
-    return compose(x[..., 1::2], x[..., 0:n - 1:2], planar=2 * planar)
+    return compose(x[..., 1::2], x[..., 0:n - 1:2])
 
 
 def reduce(x: np.ndarray, levels: list | None = None) -> np.ndarray:
-    """Time-ordered product U_{n-1} ... U_0 of x, component-major (4, ..., n).
+    """Time-ordered product U_{n-1} ... U_0 of x, component-major (2, ..., n).
 
     A pairwise tree: neighbours are multiplied level by level, and at a level
     of odd length the unpaired last element waits to be multiplied on from
     the left. This is exactly the association `scan` gives its last element,
     so ``reduce(x)`` equals ``scan(x)[..., -1]`` bit for bit. Returns a new
-    (4, ...) array. A `levels` list receives the tree's levels above x.
+    (2, ...) array. A `levels` list receives the tree's levels above x.
     """
     unpaired = []
-    planar = _planar(x)
     while x.shape[-1] > 1:
         if x.shape[-1] % 2:
             unpaired.append(x[..., -1].copy())
-        x = _pairs(x, planar)
-        planar = False  # only the grid's own level; see the module docstring
+        x = _pairs(x)
         if levels is not None:
             levels.append(x)
     out = x[..., 0].copy()
@@ -181,48 +150,49 @@ def reduce(x: np.ndarray, levels: list | None = None) -> np.ndarray:
     return out
 
 
-def scan(x: np.ndarray, levels=()) -> None:
-    """Replace x[..., k] by the product U_k ... U_0, in place; x is (4, ..., n).
+def scan(x: np.ndarray, levels: list | None = None) -> None:
+    """Replace x[..., k] by the product U_k ... U_0, in place; x is (2, ..., n).
 
     Work-efficient recursive pairwise scan (Blelloch, CMU-CS-90-190, 1990):
     the products of neighbouring pairs are scanned recursively and give the
     odd positions; each even position is its own element times the odd
     prefix before it. About 2n products and n/2 + n/4 + ... = n elements of
     temporaries, against n log2 n products for a log-depth scan. The pair
-    products can come from ``reduce(x, levels)``'s `levels`, which it overwrites.
+    products can come from ``reduce(x, levels)``'s `levels`, which it
+    overwrites and takes off the list, so each level is freed once used.
     """
-    _scan(x, levels, _planar(x))
-
-
-def _scan(x: np.ndarray, levels, planar: bool) -> None:
-    """`scan`, with `planar` saying that x's z row is all zero; the levels below multiply in full."""
     n = x.shape[-1]
     if n < 2:
         return
-    pairs = levels[0] if levels else _pairs(x, planar)
-    _scan(pairs, levels[1:], False)
+    pairs = levels.pop(0) if levels else _pairs(x)
+    scan(pairs, levels)
     x[..., 1::2] = pairs
     evens = pairs[..., :(n - 1) // 2]
-    x[..., 2::2] = compose(x[..., 2::2], x[..., 1:n - 1:2], out=evens, planar=int(planar))
+    x[..., 2::2] = compose(x[..., 2::2], x[..., 1:n - 1:2], out=evens)
 
 
-def to_matrix(q: np.ndarray) -> np.ndarray:
-    """2x2 complex view c E - i (v . sigma) of q (4, ...), shape q.shape[1:] + (2, 2)."""
-    c, vx, vy, vz = np.asarray(q, dtype=float)
-    u = np.empty(c.shape + (2, 2), dtype=complex)
-    re, im = u.real, u.imag
-    re[..., 0, 0] = re[..., 1, 1] = c
-    im[..., 0, 0] = -vz
-    im[..., 1, 1] = vz
-    re[..., 0, 1] = -vy
-    re[..., 1, 0] = vy
-    im[..., 0, 1] = im[..., 1, 0] = -vx
-    return u
+def rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real rows (c, v_x, v_y, v_z) = (Re a, -Im b, Re b, -Im a) of pairs x (2, ...), as (4, ...).
+
+    Written into `out` if given; the rows are contiguous where `out` is.
+    """
+    a, b = x
+    out = np.stack((a.real, b.imag, b.real, a.imag), out=out)
+    np.negative(out[1::2], out=out[1::2])
+    return out
 
 
-def norm_defect(q: np.ndarray) -> np.ndarray:
-    """|c**2 + |v|**2 - 1| per quaternion of q (4, ...); U U^dagger - E is that times E."""
-    return np.abs(q[0] ** 2 + np.sum(q[1:] ** 2, axis=0) - 1.0)
+def to_matrix(x: np.ndarray) -> np.ndarray:
+    """2x2 view [[a, -conj b], [b, conj a]] of pairs x (2, ...), shape x.shape[1:] + (2, 2)."""
+    a, b = x
+    return np.stack((np.stack((a, -np.conj(b)), axis=-1), np.stack((b, np.conj(a)), axis=-1)),
+                    axis=-2)
+
+
+def norm_defect(x: np.ndarray) -> np.ndarray:
+    """||a|**2 + |b|**2 - 1| per pair of x (2, ...); U U^dagger - E is that times E."""
+    a, b = x
+    return np.abs(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 - 1.0)
 
 
 class BranchState:

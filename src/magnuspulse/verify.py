@@ -95,7 +95,7 @@ def check_su2_closed_form():
 def check_unitarity():
     """Propagated blocks stay unitary to 1e-10 along a 4096-step trajectory."""
     traj = propagate_interaction(_sax(), _gaussian90(), n_steps=4096, tol=None)
-    # Frobenius norm of U U^dagger - E, which is (|q|^2 - 1) E
+    # Frobenius norm of U U^dagger - E, which is (|a|^2 + |b|^2 - 1) E
     defect = math.sqrt(2.0) * float(np.max(su2.norm_defect(traj.q)))
     return defect < 1e-10, f"max defect {defect:.2e}"
 
@@ -187,7 +187,7 @@ def check_expansion_equivalence():
         pulse = entry.build_calibrated()
         state = integrate_expansion(system, pulse, n_steps=1024, tol=1e-8)
         traj = propagate_interaction(system, pulse, n_steps=1024, tol=1e-8)
-        # Frobenius norm of the 2x2 difference is sqrt(2) times the quaternion distance
+        # Frobenius norm of the 2x2 difference is sqrt(2) times the pair distance
         diff = math.sqrt(2.0) * np.linalg.norm(state.q[..., -1] - traj.q[..., -1], axis=0)
         worst_diff = max(worst_diff, float(diff.max()))
         worst_residual = max(worst_residual, float(su2.norm_defect(state.q).max()))

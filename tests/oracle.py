@@ -13,17 +13,19 @@ integral, kept as the reference for the library's vector form.
 
 `integrate_expansion_loop` is the sequential classical RK4 integration of
 the expansion-form coefficient ODEs (`expansion_rhs`), one time step at a
-time, kept as the reference for the library's step-quaternion scan.
+time, kept as the reference for the library's step-pair scan.
 `_legacy_expansion_rhs` is the superseded form of those ODEs.
 `omega_hat_quadrature` is a second route to the expansion form's rotation
 angle: midpoint quadrature of the reduced scalar ODE, where the library
-tracks the branch of the stored quaternions.
+tracks the branch of the stored pairs.
 
-`sequential_prefix` multiplies unit-quaternion steps as 2x2 matrices one at
-a time, the reference for the library's scan. `hillis_steele_prefix` is the
-log-depth scan (about n log2 n products) that the library's work-efficient
-scan replaced; its endpoint fixes the association that refinement decisions
-were recorded with.
+`sequential_prefix` multiplies unit-quaternion steps (c, v), the real rows of
+the library's Cayley-Klein pairs, as 2x2 Pauli-form matrices one at a time,
+the reference for the library's scan. `pair_product` is the library's
+Cayley-Klein product written on pairs with the component axis last.
+`hillis_steele_prefix` is the log-depth scan (about n log2 n products) that
+the library's work-efficient scan replaced; its endpoint fixes the
+association that refinement decisions were recorded with.
 
 `track_trailing` is the branch tracker on quaternions with the component
 axis last, one (..., n_t, 4) array, the reference for the library's tracker
@@ -306,27 +308,22 @@ def sequential_prefix(q):
     return out
 
 
-def quaternion_product(p, q):
-    """U_p U_q on trailing-axis quaternions, each component summed left to right."""
-    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
-    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
-    return np.stack((
-        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-        p0 * q1 + q0 * p1 + p2 * q3 - p3 * q2,
-        p0 * q2 + q0 * p2 + p3 * q1 - p1 * q3,
-        p0 * q3 + q0 * p3 + p1 * q2 - p2 * q1,
-    ), axis=-1)
+def pair_product(p, q):
+    """U_p U_q on trailing-axis Cayley-Klein pairs (a, b), each component summed left to right."""
+    pa, pb = np.moveaxis(p, -1, 0)
+    qa, qb = np.moveaxis(q, -1, 0)
+    return np.stack((pa * qa - np.conj(pb) * qb, pb * qa + np.conj(pa) * qb), axis=-1)
 
 
-def hillis_steele_prefix(q):
-    """Log-depth inclusive scan of q (..., n, 4): row k becomes U_k ... U_0."""
-    q = np.array(q, dtype=float)
-    n = q.shape[-2]
+def hillis_steele_prefix(x):
+    """Log-depth inclusive scan of pairs x (..., n, 2): row k becomes U_k ... U_0."""
+    x = np.array(x, dtype=complex)
+    n = x.shape[-2]
     shift = 1
     while shift < n:
-        q[..., shift:, :] = quaternion_product(q[..., shift:, :], q[..., :n - shift, :])
+        x[..., shift:, :] = pair_product(x[..., shift:, :], x[..., :n - shift, :])
         shift *= 2
-    return q
+    return x
 
 
 def track_trailing(q):

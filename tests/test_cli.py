@@ -236,10 +236,11 @@ class TestTables:
         system = load_system(sa_file)
         shape = calibrate(build_pulse("gaussian", 1e-3), math.radians(90), 32)
         traj = propagate_interaction(system, shape, n_steps=32, tol=1e-4)
-        c, vx, vy, vz = traj.q + 0.0
-        nvx, nvy, nvz = (-x + 0.0 for x in (vx, vy, vz))
+        a, b = traj.q  # U = [[a, -conj b], [b, conj a]]
+        ra, ia, rb, ib = (x + 0.0 for x in (a.real, a.imag, b.real, b.imag))
+        nrb, nia = (-x + 0.0 for x in (b.real, a.imag))
         index = np.arange(traj.n_configs, dtype=float)[:, None]
-        table = np.broadcast_arrays(traj.times, index, c, nvz, nvy, nvx, vy, nvx, c, vz)
+        table = np.broadcast_arrays(traj.times, index, ra, ia, nrb, ib, rb, ib, ra, nia)
         assert doc["rows"] == _round_floats(np.stack(table, axis=-1).reshape(-1, 10).tolist())
 
 
@@ -277,11 +278,12 @@ class TestCsvText:
         text = self.run(tmp_path, ["propagate", "--steps", str(LONG_STEPS), "--tol", "1e-4"])
         traj = propagate_interaction(*g4, n_steps=LONG_STEPS, tol=1e-4)
         assert traj.n_configs == 4
-        q = traj.q.reshape(4, -1)
-        c, vx, vy, vz, nvx, nvy, nvz = ((x + 0.0).tolist() for x in (*q, -q[1], -q[2], -q[3]))
+        a, b = traj.q.reshape(2, -1)  # U = [[a, -conj b], [b, conj a]]
+        ra, ia, rb, ib, nrb, nia = ((x + 0.0).tolist()
+                                    for x in (a.real, a.imag, b.real, b.imag, -b.real, -a.imag))
         t = np.tile(traj.times, traj.n_configs).tolist()
         ci = np.repeat(np.arange(traj.n_configs), len(traj.times)).tolist()
-        rows = list(zip(t, ci, c, nvz, nvy, nvx, vy, nvx, c, vz))
+        rows = list(zip(t, ci, ra, ia, nrb, ib, rb, ib, ra, nia))
         columns = ["t", "config_index", "re00", "im00", "re01", "im01", "re10", "im10", "re11",
                    "im11"]
         assert_same_text(text, csv_table(columns, rows))
@@ -291,8 +293,8 @@ class TestCsvText:
         state = integrate_expansion(*g4, n_steps=LONG_STEPS, tol=1e-4)
         t = np.tile(state.times, state.n_configs).tolist()
         ci = np.repeat(np.arange(state.n_configs), len(state.times)).tolist()
-        values = (*state.q, *angles_from_state(state),
-                  su2.norm_defect(state.q))
+        values = (*su2.rows(state.q) + 0.0, *angles_from_state(state),
+                  su2.norm_defect(state.q) + 0.0)
         rows = list(zip(t, ci, *(x.ravel().tolist() for x in values)))
         columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta", "omega_hat",
                    "constraint_residual"]

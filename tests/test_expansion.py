@@ -61,23 +61,23 @@ class TestRhs:
 class TestIntegrate:
     def test_zero_pulse(self, sax_system):
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
-        state = integrate_expansion(sax_system, pulse, n_steps=16, tol=None)
-        assert np.array_equal(state.q[0], np.ones_like(state.q[0]))
-        assert np.array_equal(state.q[1:], np.zeros_like(state.q[1:]))
+        fg = su2.rows(integrate_expansion(sax_system, pulse, n_steps=16, tol=None).q)
+        assert np.array_equal(fg[0], np.ones_like(fg[0]))
+        assert np.array_equal(fg[1:], np.zeros_like(fg[1:]))
 
     def test_initial_condition(self, sa_system, gaussian90):
-        state = integrate_expansion(sa_system, gaussian90, n_steps=64, tol=None)
-        assert np.array_equal(state.q[0, :, 0], [1.0, 1.0])
-        assert np.array_equal(state.q[1:, :, 0].T, np.zeros((2, 3)))
+        fg = su2.rows(integrate_expansion(sa_system, gaussian90, n_steps=64, tol=None).q)
+        assert np.array_equal(fg[0, :, 0], [1.0, 1.0])
+        assert np.array_equal(fg[1:, :, 0].T, np.zeros((2, 3)))
 
     def test_constant_on_resonance_closed_form(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-3), 1.2 * math.pi)
         state = integrate_expansion(s_only_system, pulse, n_steps=256, tol=1e-10)
         w1 = 1.2 * math.pi / 1e-3
-        t = state.times
-        assert np.allclose(state.q[0, 0], np.cos(w1 * t / 2), atol=1e-9)
-        assert np.allclose(state.q[1, 0], np.sin(w1 * t / 2), atol=1e-9)
-        assert np.allclose(state.q[2:, 0], 0.0, atol=1e-9)
+        t, fg = state.times, su2.rows(state.q)
+        assert np.allclose(fg[0, 0], np.cos(w1 * t / 2), atol=1e-9)
+        assert np.allclose(fg[1, 0], np.sin(w1 * t / 2), atol=1e-9)
+        assert np.allclose(fg[2:, 0], 0.0, atol=1e-9)
 
     def test_constraint_conserved(self, sax_system, gaussian90):
         state = integrate_expansion(sax_system, gaussian90, n_steps=4096, tol=None)
@@ -99,8 +99,7 @@ class TestIntegrate:
             s_only_system, calibrate(build_pulse("gaussian", 2e-3), math.pi / 2),
             n_steps=512, tol=None,
         )
-        assert np.allclose(state1.q[0], state2.q[0], atol=1e-12)
-        assert np.allclose(state1.q[1:], state2.q[1:], atol=1e-12)
+        assert np.allclose(su2.rows(state1.q), su2.rows(state2.q), atol=1e-12)
 
     def test_legacy_rhs_violates_constraint(self, sa_system, gaussian90):
         _, f, g = oracle.integrate_expansion_loop(sa_system, gaussian90, 512, _legacy_expansion_rhs)
@@ -113,8 +112,9 @@ class TestIntegrate:
                 state = integrate_expansion(sax_system, pulse, n_steps=n, tol=None)
                 times, f, g = oracle.integrate_expansion_loop(sax_system, pulse, n)
                 assert np.array_equal(state.times, times)
-                assert np.max(np.abs(state.q[0] - f)) < 1e-12, (entry.name, n)
-                assert np.max(np.abs(np.moveaxis(state.q[1:], 0, -1) - g)) < 1e-12, (entry.name, n)
+                fg = su2.rows(state.q)
+                assert np.max(np.abs(fg[0] - f)) < 1e-12, (entry.name, n)
+                assert np.max(np.abs(np.moveaxis(fg[1:], 0, -1) - g)) < 1e-12, (entry.name, n)
 
     def test_refinement_failure_carries_grid(self, sax_system, gaussian90):
         with pytest.raises(RefinementError) as err:
@@ -133,8 +133,8 @@ class TestIntegrate:
 
 
 def _trailing_state(state):
-    """What `oracle.omega_hat_quadrature` reads of a trajectory, with q's components last."""
-    return SimpleNamespace(q=np.moveaxis(state.q, 0, -1), n_configs=state.n_configs,
+    """What `oracle.omega_hat_quadrature` reads of a trajectory: q's real rows, components last."""
+    return SimpleNamespace(q=np.moveaxis(su2.rows(state.q), 0, -1), n_configs=state.n_configs,
                            dt=state.dt, times=state.times)
 
 
@@ -162,13 +162,14 @@ class TestOmegaHatQuadrature:
 
 def _one_step_state(f, g):
     """One configuration that steps from the identity to the state point (f, g)."""
-    q = np.moveaxis(np.array([[[1.0, 0.0, 0.0, 0.0], [f, *g]]]), -1, 0)
+    c, x, y, z = np.moveaxis(np.array([[[1.0, 0.0, 0.0, 0.0], [f, *g]]]), -1, 0)
+    q = np.stack((c - 1j * z, y - 1j * x))  # the pair (a, b) of (f, g)
     return BlockTrajectory(times=np.array([0.0, 1.0]), q=q, amps=np.zeros(1), n_steps=1,
                            refinement_levels=0, error_estimate=0.0)
 
 
 class TestReconstruct:
-    """The 2x2 propagator f E - 2i (g . S) is su2.to_matrix of the state's quaternion (f, g)."""
+    """The 2x2 propagator f E - 2i (g . S) is su2.to_matrix of the state's pair of (f, g)."""
 
     def test_identity(self):
         u = su2.to_matrix(_one_step_state(1.0, [0.0, 0.0, 0.0]).q[:, 0, -1])
@@ -216,7 +217,7 @@ class TestAnglesFromState:
         state = integrate_expansion(sa_system, gaussian90, n_steps=2048, tol=None)
         _, _, omega = angles_from_state(state)
         ohat = oracle.omega_hat_quadrature(_trailing_state(state), gaussian90, sa_system)
-        g_norm = np.linalg.norm(state.q[1:], axis=0)
+        g_norm = np.linalg.norm(su2.rows(state.q)[1:], axis=0)
         interior = (g_norm[:, :-1] > 1e-6) & (g_norm[:, 1:] > 1e-6)
         d_angle = np.diff(omega, axis=1)[interior]
         d_quad = np.diff(ohat, axis=1)[interior]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from magnuspulse import (
     list_catalog,
     offset_diagonal,
     propagate_interaction,
+    resolve_pulse,
     su2,
 )
 from magnuspulse.propagation import MAX_DOUBLINGS, RefinementError
@@ -99,7 +101,7 @@ class TestPropagateInteraction:
 
     def test_unitarity_along_trajectory(self, sax_system, gaussian90):
         traj = propagate_interaction(sax_system, gaussian90, n_steps=4096, tol=None)
-        # Frobenius norm of U U^dagger - E = (|q|^2 - 1) E
+        # Frobenius norm of U U^dagger - E = (|a|^2 + |b|^2 - 1) E
         assert math.sqrt(2.0) * su2.norm_defect(traj.q).max() < 1e-10
 
     def test_grid_and_metadata(self, sa_system, gaussian90):
@@ -128,9 +130,25 @@ class TestPropagateInteraction:
         assert err.value.estimate > 1e-14
         assert err.value.n_steps == 2 << MAX_DOUBLINGS
 
+    @pytest.mark.parametrize("pulse", ["G90", "RE-BURP"])
+    def test_peak_memory_stays_near_the_trajectory(self, sax_system, gaussian90, pulse):
+        # Refinement keeps one grid and its reduction tree, both in pair form, and the
+        # scan frees each tree level once used (2.1-2.2x the trajectory's bytes); a
+        # second copy of the trajectory in another layout would take the peak past 3x.
+        shape = gaussian90 if pulse == "G90" else resolve_pulse("reburp").build_calibrated()
+        propagate_interaction(sax_system, shape)
+        tracemalloc.start()
+        try:
+            traj = propagate_interaction(sax_system, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.refinement_levels >= 2
+        assert peak <= 2.5 * traj.q.nbytes
+
 
 def _endpoints(route, system, shape, n_steps):
-    """Endpoint quaternions (4, n_configs) of a route on a fixed grid."""
+    """Endpoint pairs (2, n_configs) of a route on a fixed grid."""
     return route(system, shape, n_steps=n_steps, tol=None).q[..., -1]
 
 

@@ -44,3 +44,9 @@ def test_removed_name_is_gone(name):
 def test_trailing_axis_tracker_is_gone():
     # a trailing-axis array is tracked as su2.track_rows on np.moveaxis(q, -1, 0) rows
     assert not hasattr(magnuspulse.su2, "track")
+
+
+def test_planar_product_is_gone():
+    # the Cayley-Klein product is always taken in full: no planar levels, no z-row test
+    assert not hasattr(magnuspulse.su2, "_planar")
+    assert list(inspect.signature(magnuspulse.su2.compose).parameters) == ["p", "q", "out"]

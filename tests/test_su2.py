@@ -1,6 +1,10 @@
-"""The quaternion core behind every propagator: pairwise reduction, scan and branch tracking."""
+"""The Cayley-Klein core behind every propagator: product, reduction, scan and branch tracking."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,7 @@ SIZES = list(range(1, 71)) + [1000, 4096]
 
 
 def _steps(n, n_configs=3, seed=0):
-    """Random unit quaternions, shape (4, n_configs, n), reproducible per n and seed."""
+    """Random unit pairs, shape (2, n_configs, n), reproducible per n and seed."""
     rng = np.random.default_rng(seed + n)
     return su2.exp(np.moveaxis(rng.normal(size=(n_configs, n, 3)), -1, 0) * 2.0)
 
@@ -28,6 +32,11 @@ def _steps(n, n_configs=3, seed=0):
 def _trailing(q):
     """q with its components moved last, as the oracle takes them."""
     return np.moveaxis(q, 0, -1)
+
+
+def _trailing_rows(x):
+    """The real rows (c, v) of pairs x with their components moved last."""
+    return _trailing(su2.rows(x))
 
 
 def _scanned(q):
@@ -40,7 +49,8 @@ def _scanned(q):
 def test_scan_matches_sequential_product(n):
     q = _steps(n)
     scanned = _scanned(q)
-    assert np.max(np.abs(su2.to_matrix(scanned) - oracle.sequential_prefix(_trailing(q)))) < 1e-12
+    sequential = oracle.sequential_prefix(_trailing_rows(q))
+    assert np.max(np.abs(su2.to_matrix(scanned) - sequential)) < 1e-12
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -70,37 +80,64 @@ def test_power_of_two_endpoint_matches_log_depth_scan(n):
     assert np.array_equal(endpoint.T, oracle.hillis_steele_prefix(_trailing(q))[:, -1])
 
 
-def test_compose_is_layout_independent():
-    p, q = _steps(257, seed=1), _steps(257, seed=2)
+@pytest.mark.parametrize("n", [1, 2, 257])
+def test_compose_is_layout_independent(n):
+    p, q = _steps(n, seed=1), _steps(n, seed=2)
     cm = su2.compose(p, q)
-    assert np.array_equal(_trailing(cm), oracle.quaternion_product(_trailing(p), _trailing(q)))
+    assert np.array_equal(_trailing(cm), oracle.pair_product(_trailing(p), _trailing(q)))
+    assert np.array_equal(su2.compose(p[..., ::-2], q[..., ::-2]), cm[..., ::-2])  # strided
+    assert np.array_equal(su2.compose(p[..., -1:], q[..., -1:]), cm[..., -1:])  # length 1
+    assert np.array_equal(su2.compose(p[:, :1], q), su2.compose(p[:, :1].repeat(3, 1), q))
 
 
-def test_planar_products_equal_compose():
-    # Left-out products are signed zeros: values equal, only an exact zero's sign may differ.
-    rng = np.random.default_rng(3)
-    p, q = (_steps(257, seed=s) for s in (4, 5))
-    p[3] = 0.0
-    p[:, :, ::9] = su2.IDENTITY[:, None, None]  # exact zeros in the products too
-    assert np.array_equal(su2.compose(p, q, planar=1), su2.compose(p, q))
-    planar_q = q.copy()
-    planar_q[3] = rng.choice([0.0, -0.0], size=planar_q[3].shape)
-    assert np.array_equal(su2.compose(p, planar_q, planar=2), su2.compose(p, planar_q))
+#: numpy's dispatch targets whose complex multiply may fuse multiply-adds on x86-64.
+FUSING_FEATURES = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
-def test_planar_reduce_and_scan_equal_the_full_products(monkeypatch, n):
-    x = su2.transverse_slices(np.linspace(-1.0, 2.0, n), np.zeros(n), np.array([0.0, 3e3, -7e3]),
-                              0.0, 1e-5)
-    x[..., ::5] = su2.IDENTITY[:, None, None]
-    assert su2._planar(x)
-    planar_end, planar_scan = su2.reduce(x), x.copy()
-    su2.scan(planar_scan)
-    monkeypatch.setattr(su2, "_planar", lambda x: False)
-    full_scan = x.copy()
-    su2.scan(full_scan)
-    assert np.array_equal(planar_end, su2.reduce(x))
-    assert np.array_equal(planar_scan, full_scan)
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the setting names x86-64 feature sets")
+def test_compose_is_the_plain_formula_without_fused_multiply_adds():
+    code = """
+import numpy as np
+from magnuspulse import su2
+rng = np.random.default_rng(4)
+p, q = (su2.exp(rng.normal(size=(3, 2, 999))) for _ in range(2))
+(pa, pb), (qa, qb) = ((np.stack((x.real, x.imag)) for x in y) for y in (p, q))
+mul = lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+conj = lambda x: (x[0], -x[1])
+plain_a = np.subtract(mul(pa, qa), mul(conj(pb), qb))
+plain_b = np.add(mul(pb, qa), mul(conj(pa), qb))
+a, b = su2.compose(p, q)
+assert np.array_equal(a.real, plain_a[0]) and np.array_equal(a.imag, plain_a[1])
+assert np.array_equal(b.real, plain_b[0]) and np.array_equal(b.imag, plain_b[1])
+"""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": FUSING_FEATURES,
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_rows_are_the_pauli_form_of_the_pair():
+    # U = [[a, -conj b], [b, conj a]] is c E - i (v . sigma) for (c, v) = su2.rows of (a, b)
+    x = _steps(64, seed=9) * np.random.default_rng(9).uniform(0.5, 1.5, size=64)
+    assert np.max(np.abs(su2.to_matrix(x) - oracle.quaternion_matrix(_trailing_rows(x)))) <= 1e-15
+    c, vx, vy, vz = su2.rows(x)
+    a, b = x
+    assert np.array_equal(a, c - 1j * vz) and np.array_equal(b, vy - 1j * vx)
+
+
+@st.composite
+def unit_pairs(draw, n=5):
+    """Random unit pairs (2, n) from random rotation vectors, angles up to 4 pi."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = rng.normal(size=(3, n))
+    return su2.exp(axes / np.linalg.norm(axes, axis=0) * rng.uniform(0.0, 4.0 * np.pi, n))
+
+
+@given(unit_pairs(), unit_pairs())
+def test_compose_is_the_matrix_product(p, q):
+    product = su2.to_matrix(p) @ su2.to_matrix(q)
+    assert np.max(np.abs(su2.to_matrix(su2.compose(p, q)) - product)) <= 1e-15
 
 
 #: Refinement levels of a `criterion --steps 1000` run on the golden system,
@@ -120,6 +157,7 @@ def test_odd_grid_refinement_unchanged(entry, tmp_path):
 
 
 def _assert_tracks_like_oracle(q):
+    """`su2.track_rows` on quaternion rows q (c, v), (4, ..., n_t), against the oracle."""
     angle, axis, _ = su2.track_rows(q[0], q[1:])
     axis = _trailing(axis)
     ref_angle, ref_axis = oracle.track_trailing(_trailing(q))
@@ -134,11 +172,11 @@ def test_track_matches_trailing_axis_oracle_on_catalog(request, system):
     for entry in list_catalog():
         shape = entry.build_calibrated()
         traj = propagate_interaction(system, shape, n_steps=4096, tol=None)
-        angle, axis = _assert_tracks_like_oracle(traj.q)
+        angle, axis = _assert_tracks_like_oracle(su2.rows(traj.q))
         omega = angle * np.moveaxis(axis, -1, 0)
         assert np.array_equal(extract_omega(traj).omega, omega), entry.name
         state = integrate_expansion(system, shape, n_steps=4096, tol=None)
-        angle, _ = _assert_tracks_like_oracle(state.q)
+        angle, _ = _assert_tracks_like_oracle(su2.rows(state.q))
         assert np.array_equal(angles_from_state(state)[2], angle), entry.name
 
 
@@ -146,9 +184,15 @@ def test_track_matches_trailing_axis_oracle_on_catalog(request, system):
 SAMPLE_KINDS = ("step", "step", "random", "coordinate", "undefined", "at_tol", "flip", "minus_e")
 
 
+def _pair(q):
+    """The Cayley-Klein pair (c - i v_z, v_y - i v_x) of quaternion rows q (4, ...)."""
+    c, x, y, z = q
+    return np.stack((c - 1j * z, y - 1j * x))
+
+
 @st.composite
 def quaternion_paths(draw):
-    """Unit-quaternion paths, (4, n_configs, n_t), with every case the tracker branches on.
+    """Unit-quaternion rows (c, v), (4, n_configs, n_t), with every case the tracker branches on.
 
     Each configuration starts with a run of samples whose axis is undefined
     (|v| <= AXIS_TOL, possibly empty); later samples are small steps, jumps,
@@ -163,18 +207,18 @@ def quaternion_paths(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = np.empty((4, n_configs, n_t))
     for ci in range(n_configs):
-        prev = su2.IDENTITY
+        prev = su2.rows(su2.IDENTITY)
         for k in range(n_t):
             kind = "undefined" if k < lead else kinds[ci * n_t + k]
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             if kind == "step":
                 step = su2.exp(rng.normal(size=3) * 0.3)
-                sample = su2.compose(step[:, None], prev[:, None])[:, 0]
+                sample = su2.rows(su2.compose(step[:, None], _pair(prev[:, None]))[:, 0])
             elif kind == "random":
-                sample = su2.exp(direction * rng.uniform(0.0, 4.0 * np.pi))
+                sample = su2.rows(su2.exp(direction * rng.uniform(0.0, 4.0 * np.pi)))
             elif kind == "coordinate":
-                sample = su2.exp(np.eye(3)[rng.integers(3)] * rng.uniform(-4.0, 4.0))
+                sample = su2.rows(su2.exp(np.eye(3)[rng.integers(3)] * rng.uniform(-4.0, 4.0)))
             elif kind in ("undefined", "at_tol"):
                 size = su2.AXIS_TOL if kind == "at_tol" else rng.choice([0.0, rng.uniform(0.0, su2.AXIS_TOL)])
                 sample = np.concatenate(([rng.choice([-1.0, 1.0])], size * direction))
@@ -223,15 +267,15 @@ def _edge_case_paths():
                      2.0 * np.pi, 7.0, 8.0, 9.0, 11.0, 12.0, 4.0 * np.pi, 13.5, 15.0, 16.0])
     n_t = len(turn)
     q = np.empty((4, 3, n_t))
-    q[:, 0] = su2.exp(axis[:, None] * turn)
+    q[:, 0] = su2.rows(su2.exp(axis[:, None] * turn))
     q[:, 1] = 0.0
     q[0, 1] = np.where(np.arange(n_t) % 3 == 1, -1.0, 1.0)
     q[1, 1, ::4] = 0.5 * su2.AXIS_TOL
     steps = su2.exp(rng.normal(size=(n_t, 3)).T * 0.8)
-    prev = su2.IDENTITY
+    prev = su2.rows(su2.IDENTITY)
     for k in range(n_t):
-        prev = prev * np.array([1.0, -1.0, -1.0, -1.0]) if k % 7 == 6 else su2.compose(
-            steps[:, k, None], prev[:, None])[:, 0]
+        prev = prev * np.array([1.0, -1.0, -1.0, -1.0]) if k % 7 == 6 else su2.rows(su2.compose(
+            steps[:, k, None], _pair(prev[:, None]))[:, 0])
         q[:, 2, k] = prev
     return q
 
@@ -280,8 +324,8 @@ def test_track_unwraps_only_at_half_angle_jumps(monkeypatch, turns, unwraps):
     rng = np.random.default_rng(5)
     axes = rng.normal(size=(3, 1, 3))
     angles = np.concatenate(([0.0, 0.1, -0.1, 0.0], np.linspace(0.0, turns * 2.0 * np.pi, 60)))
-    q = su2.exp(np.moveaxis(angles[None, :, None] * axes / np.linalg.norm(axes, axis=-1,
-                                                                          keepdims=True), -1, 0))
+    q = su2.rows(su2.exp(np.moveaxis(angles[None, :, None] * axes / np.linalg.norm(
+        axes, axis=-1, keepdims=True), -1, 0)))
     calls = []
     unwrap = su2._unwrap_correction
     monkeypatch.setattr(su2, "_unwrap_correction", lambda step: calls.append(1) or unwrap(step))
@@ -293,11 +337,11 @@ def test_track_unwraps_only_at_half_angle_jumps(monkeypatch, turns, unwraps):
 
 
 def test_norm_defect_is_the_matrix_unitarity_defect():
-    # U U^dagger - E = (|q|^2 - 1) E, so its Frobenius norm is sqrt(2) |(|q|^2 - 1)|
+    # U U^dagger - E = (|a|^2 + |b|^2 - 1) E, so its Frobenius norm is sqrt(2) times that
     rng = np.random.default_rng(8)
     q = su2.exp(rng.normal(size=(500, 3)).T * 4.0) * rng.uniform(0.8, 1.2, size=500)
     q[:, :10] = su2.exp(rng.normal(size=(10, 3)).T)  # unit ones too
-    u = oracle.quaternion_matrix(_trailing(q))
+    u = oracle.quaternion_matrix(_trailing_rows(q))
     matrix_defect = np.linalg.norm(u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(2), axis=(-2, -1))
     assert np.allclose(np.sqrt(2.0) * su2.norm_defect(q), matrix_defect, rtol=0.0, atol=1e-15)
 
@@ -314,7 +358,8 @@ def test_rotating_phase_matches_direct_trig(n, t0_steps):
     times = t0 + np.arange(n) * dt
     w = 200.0 / (t0 + n * dt) * np.array([1.0, -1.0, -0.37, 0.0])
     w = w[:2] if n == 1 << 20 else w
-    cos, sin = su2.rotating_field(np.ones(n), np.zeros(n), w, t0, dt)
+    b = su2.rotating_field(np.ones(n), np.zeros(n), w, t0, dt)
+    cos, sin = -b.imag, b.real  # b = -i e^{i angle}
     angle = -w[:, None] * times
     bound = 4.0 * U * (1.0 + np.abs(angle))
     assert np.all(np.abs(cos - np.cos(angle)) <= bound)
@@ -326,11 +371,11 @@ def test_rotating_field_writes_into_out_and_applies_phase(n):
     rng = np.random.default_rng(n)
     amps, phases, w = rng.normal(size=n), rng.uniform(-4.0, 4.0, n), rng.normal(size=3) * 1e3
     dt = 1e-5
-    out = np.full((2, 3, n + 1), np.nan)[..., 1:]  # rows strided like a grid buffer
+    out = np.full((3, n + 1), np.nan, dtype=complex)[..., 1:]  # a row strided like a grid buffer
     assert su2.rotating_field(amps, phases, w, 0.5 * dt, dt, out=out) is out
     angle = phases - w[:, None] * (0.5 * dt + np.arange(n) * dt)
-    assert np.allclose(out[0], amps * np.cos(angle), rtol=0.0, atol=1e-14)
-    assert np.allclose(out[1], amps * np.sin(angle), rtol=0.0, atol=1e-14)
+    assert np.allclose(-out.imag, amps * np.cos(angle), rtol=0.0, atol=1e-14)
+    assert np.allclose(out.real, amps * np.sin(angle), rtol=0.0, atol=1e-14)
 
 
 def test_every_rotating_frame_site_takes_its_phase_from_the_one_helper(monkeypatch):
