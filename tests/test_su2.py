@@ -2,7 +2,6 @@
 
 import json
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -92,10 +91,12 @@ def test_compose_is_layout_independent(n):
 
 #: numpy's dispatch targets whose complex multiply may fuse multiply-adds on x86-64.
 FUSING_FEATURES = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+#: The feature sets this numpy build dispatches to, in numpy's own names.
+DISPATCH = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath.__cpu_dispatch__
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="the setting names x86-64 feature sets")
+@pytest.mark.skipif(not set(DISPATCH) <= set(FUSING_FEATURES.split()),
+                    reason=f"numpy dispatches to {DISPATCH}, which the setting does not name")
 def test_compose_is_the_plain_formula_without_fused_multiply_adds():
     code = """
 import numpy as np
