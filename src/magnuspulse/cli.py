@@ -296,6 +296,9 @@ def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
 
     flip_rad = math.radians(args.flip) if args.flip is not None else None
     if args.pulse:
+        extra = [f"--{n}" for n in ("shape", *SHAPE_PARAM_FLAGS) if getattr(args, n) is not None]
+        if extra:
+            raise ValueError(f"--pulse takes no shape flags; drop {', '.join(extra)}")
         entry = resolve_pulse(args.pulse)
         if args.duration is not None:
             entry = dataclasses.replace(entry, duration=args.duration)

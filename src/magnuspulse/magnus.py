@@ -157,13 +157,16 @@ def _omega_blocks(trajectory: BlockTrajectory):
     Raises
     ------
     ExtractionError
-        At the first block with a jump; the message names the lowest
-        configuration that jumps anywhere, at its first jump.
+        After the last sample, if any configuration jumps; no block is yielded
+        from the first jump on. The walk records each configuration's first
+        jump and tracks on, as a lower configuration may first jump in a later
+        block; the message names the lowest one, at its first jump.
     """
     q = trajectory.q
     n_configs, n_times = q.shape[1:]
     width = max(1, TRACK_BLOCK // n_configs)
     state = su2.BranchState((n_configs,))
+    first_jump, jump2 = np.full(n_configs, n_times), np.zeros(n_configs)  # n_times: no jump yet
     for start in range(0, n_times, width):
         block = slice(start, start + width)
         rows = su2.rows(q[..., block])
@@ -175,14 +178,26 @@ def _omega_blocks(trajectory: BlockTrajectory):
             omega = np.concatenate((before[0], omega), axis=-1)
             ambiguous = np.concatenate((before[1], ambiguous), axis=-1)
             block = slice(start - 1, block.stop)
-        if np.any(_step2(omega) >= math.pi**2):
-            _raise_jump(q)
+        step2 = _step2(omega)
+        jumps = step2 >= math.pi**2
+        k = np.argmax(jumps, axis=-1)
+        new = (first_jump == n_times) & np.any(jumps, axis=-1)
+        first_jump[new], jump2[new] = block.start + k[new], step2[new, k[new]]
         before = omega[..., -1:], ambiguous[:, -1:]
+        if first_jump.min() < n_times:
+            continue
         ox, oy, oz = omega
         omega_hat = ox * ox
         omega_hat += oy * oy
         omega_hat += oz * oz
         yield block, omega, np.sqrt(omega_hat, out=omega_hat), ambiguous
+    if first_jump.min() < n_times:
+        ci = int(np.argmax(first_jump < n_times))
+        raise ExtractionError(
+            f"rotation vector jumped by {math.sqrt(jump2[ci]):.3f} rad "
+            f"between stored samples (config {ci}, step {first_jump[ci]}); "
+            "re-run the propagation with more steps"
+        )
 
 
 def _step2(omega: np.ndarray) -> np.ndarray:
@@ -193,23 +208,6 @@ def _step2(omega: np.ndarray) -> np.ndarray:
     step[0] += step[1]
     step[0] += step[2]
     return step[0]
-
-
-def _raise_jump(q: np.ndarray):
-    """Raise the ExtractionError of the lowest configuration with a jump, at its first one.
-
-    Tracks the whole grid of pairs q again: another configuration may jump in an earlier block.
-    """
-    rows = su2.rows(q)
-    angle, omega, _ = su2.track_rows(rows[0], rows[1:])
-    omega *= angle
-    gap2 = _step2(omega)
-    ci, k = np.unravel_index(np.argmax(gap2 >= math.pi**2), gap2.shape)
-    raise ExtractionError(
-        f"rotation vector jumped by {math.sqrt(gap2[ci, k]):.3f} rad "
-        f"between stored samples (config {ci}, step {k}); "
-        "re-run the propagation with more steps"
-    )
 
 
 def gap_audit(rows: np.ndarray) -> tuple[float, float]:

@@ -197,15 +197,11 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     rows = (offsets[:, None] + couplings).ravel()
     response = np.empty((3, len(rows)))
     per_block = max(1, BLOCK // n_steps)
-    # `su2.transverse_slices` of each block, with the row that every block shares
-    # (a = cos h) and sin h computed once
     half = 0.5 * sp.amps * sp.dt
     slices = np.empty((2, min(per_block, len(rows)), n_steps), dtype=complex)
-    slices[0] = np.cos(half)
-    sin_half = np.sin(half)
     for start in range(0, len(rows), per_block):
         w = rows[start:start + per_block]
-        su2.rotating_field(sin_half, sp.phases, w, 0.5 * sp.dt, sp.dt, out=slices[1, :len(w)])
+        su2.transverse_slices(half, sp.phases, w, 0.5 * sp.dt, sp.dt, out=slices[:, :len(w)])
         end = su2.reduce(slices[:, :len(w)])
         free = np.zeros((3, len(w)))
         free[2] = w * duration  # exp(-i w T Sz) after the pulse

@@ -506,6 +506,15 @@ class TestErrors:
           "--offset-count", "0"], "--offset-count"),
         (["profile", "--pulse", "g4", "--offset-start", "1e308", "--offset-stop", "1e308",
           "--offset-count", "2"], "|--offset-start/--offset-stop|"),
+        (["criterion", "--pulse", "g4", "--shape", "sech", "--peak", "5"], "--shape, --peak"),
+        (["decompose", "--pulse", "g4", "--shape", "gaussian"], "--shape"),
+        (["criterion", "--pulse", "g4", "--amplitude", "1e3"], "--amplitude"),
+        (["propagate", "--pulse", "g4", "--truncation", "0.01"], "--truncation"),
+        (["criterion", "--pulse", "g4", "--beta", "5"], "--beta"),
+        (["criterion", "--pulse", "g4", "--lobes", "3"], "--lobes"),
+        (["criterion", "--pulse", "g4", "--order", "2", "--width", "1.5"], "--order, --width"),
+        (["profile", "--pulse", "q5", "--peak", "5", "--offset-start", "0", "--offset-stop", "10"],
+         "--peak"),
     ])
     def test_invalid_number_flag_bad_input(self, argv, flag, capsys):
         assert main(argv) == 2

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,31 @@ class TestExtractOmega:
             extract_omega(traj)
         with pytest.raises(ExtractionError, match=message):
             explicit_criterion(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0))
+
+    def test_jump_found_without_tracking_the_grid_again(self, monkeypatch):
+        # 32 configurations x 16385 samples; configuration 5 jumps at step 100 in the first
+        # block, configuration 2 at step 12000 in a later one. The walk names configuration 2
+        # from its own blocks, so the failing criterion allocates a few blocks' worth, not
+        # the whole-grid rows, axes and steps of a second pass.
+        n_times = 16385
+        angles = np.tile(1e-3 * np.arange(float(n_times)), (32, 1))
+        angles[5, 100:] += 3.5
+        angles[2, 12000:] += 3.2
+        pulse = build_pulse("constant", 1e-3, amplitude=0.0)
+        traj = propagate_interaction(SpinSystem(), pulse, n_steps=n_times - 1, tol=None)
+        x_axis = np.array([1.0, 0.0, 0.0])[:, None, None]
+        traj = dataclasses.replace(traj, q=su2.exp(x_axis * angles))
+        del angles
+        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        message = r"jumped by 3\.201 rad between stored samples \(config 2, step 12000\)"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExtractionError, match=message):
+                explicit_criterion(SpinSystem(), pulse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * traj.q.nbytes
 
 
 class TestAnglesFromOmega:

@@ -130,6 +130,13 @@ class TestPropagateInteraction:
         assert err.value.estimate > 1e-14
         assert err.value.n_steps == 2 << MAX_DOUBLINGS
 
+    @pytest.mark.parametrize("route", [propagate_interaction, integrate_expansion])
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_non_positive_steps_rejected_on_both_routes(self, s_only_system, gaussian90, route,
+                                                        n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            route(s_only_system, gaussian90, n_steps=n_steps)
+
     @pytest.mark.parametrize("pulse", ["G90", "RE-BURP"])
     def test_peak_memory_stays_near_the_trajectory(self, sax_system, gaussian90, pulse):
         # Refinement keeps one grid and its reduction tree, both in pair form, and the
