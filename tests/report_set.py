@@ -14,6 +14,9 @@ holds one of:
 - the same for U-BURP, RE-BURP, E-BURP-2, I-BURP-2, G3 and Q3 at 360, 540 and
   720 deg on 0-4 spectators (offsets 30 + 17k Hz, J = 3 + 1.5k Hz, S offset
   10 Hz) with one and two S spins, at 1024 steps;
+- the sha1 of the `omega`, `omega_hat` and `ambiguous` bytes of
+  `extract_omega`, or the `ExtractionError` text, for every catalog pulse at
+  its nominal flip on the same S, SAX and S2AX systems at the defaults;
 - the exit code and the sha1 of stdout, stderr and the output file of the
   first requests of the benchmark workloads (`perfbench/inputs.py`) for the
   given seed.
@@ -40,7 +43,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
-from magnuspulse import ISpin, SpinSystem, calibrate, explicit_criterion, list_catalog  # noqa: E402
+from magnuspulse import (ISpin, SpinSystem, calibrate, explicit_criterion,  # noqa: E402
+                         extract_omega, list_catalog, propagate_interaction)
 from magnuspulse.cli import main  # noqa: E402
 from magnuspulse.magnus import ExtractionError  # noqa: E402
 
@@ -57,17 +61,38 @@ def _report(system: SpinSystem, shape, **kwargs) -> str:
         return f"ExtractionError: {exc}"
 
 
-def catalog_cases():
+def _extraction(system: SpinSystem, shape) -> str:
+    try:
+        solution = extract_omega(propagate_interaction(system, shape))
+    except ExtractionError as exc:
+        return f"ExtractionError: {exc}"
+    return " ".join(f"{name} sha1 {hashlib.sha1(getattr(solution, name).tobytes()).hexdigest()}"
+                    for name in ("omega", "omega_hat", "ambiguous"))
+
+
+def _catalog_systems() -> dict[str, SpinSystem]:
     spins = (ISpin(offset=TWO_PI * 35.0, j_to_s=8.0), ISpin(offset=-TWO_PI * 55.0, j_to_s=4.0))
     sax = dict(s_offset=TWO_PI * 10.0, i_spins=spins, j_ii={(0, 1): 5.0})
-    systems = {"S": SpinSystem(s_count=1, s_offset=0.0), "SAX": SpinSystem(s_count=1, **sax),
-               "S2AX": SpinSystem(s_count=2, **sax)}
+    return {"S": SpinSystem(s_count=1, s_offset=0.0), "SAX": SpinSystem(s_count=1, **sax),
+            "S2AX": SpinSystem(s_count=2, **sax)}
+
+
+def catalog_cases():
+    systems = _catalog_systems()
     for entry in list_catalog():
         for flip in ("nominal", 360.0, 720.0):
             target = entry.nominal_flip if flip == "nominal" else math.radians(flip)
             shape = calibrate(entry.build(), target)
             for name, system in systems.items():
                 yield f"{entry.name} {flip} {name}", _report(system, shape)
+
+
+def extraction_cases():
+    systems = _catalog_systems()
+    for entry in list_catalog():
+        shape = calibrate(entry.build(), entry.nominal_flip)
+        for name, system in systems.items():
+            yield f"{entry.name} nominal {name} extract_omega", _extraction(system, shape)
 
 
 def spectator_cases(n_steps: int = 1024):
@@ -109,7 +134,8 @@ def report(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3, help="benchmark request seed (default 3)")
     args = parser.parse_args(argv)
     np.set_printoptions(floatmode="unique", threshold=sys.maxsize, linewidth=sys.maxsize)
-    for cases in (catalog_cases(), spectator_cases(), cli_cases(args.seed)):
+    for cases in (catalog_cases(), extraction_cases(), spectator_cases(),
+                  cli_cases(args.seed)):
         for label, line in cases:
             print(f"{label}: {line}", flush=True)
     return 0
