@@ -167,23 +167,18 @@ def _omega_blocks(trajectory: BlockTrajectory):
     width = max(1, TRACK_BLOCK // n_configs)
     state = su2.BranchState((n_configs,))
     first_jump, jump2 = np.full(n_configs, n_times), np.zeros(n_configs)  # n_times: no jump yet
-    for start in range(0, n_times, width):
-        block = slice(start, start + width)
+    for start in range(0, n_times - 1, width):
+        block = slice(start, start + width + 1)
         rows = su2.rows(q[..., block])
         c = rows[0]
         angle, omega, s = su2.track_rows(c, rows[1:], state)
         omega *= angle  # the unit axis becomes Omega
         ambiguous = (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL)
-        if start:  # lead with the sample before the block
-            omega = np.concatenate((before[0], omega), axis=-1)
-            ambiguous = np.concatenate((before[1], ambiguous), axis=-1)
-            block = slice(start - 1, block.stop)
         step2 = _step2(omega)
         jumps = step2 >= math.pi**2
         k = np.argmax(jumps, axis=-1)
         new = (first_jump == n_times) & np.any(jumps, axis=-1)
-        first_jump[new], jump2[new] = block.start + k[new], step2[new, k[new]]
-        before = omega[..., -1:], ambiguous[:, -1:]
+        first_jump[new], jump2[new] = start + k[new], step2[new, k[new]]
         if first_jump.min() < n_times:
             continue
         ox, oy, oz = omega

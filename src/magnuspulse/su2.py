@@ -200,8 +200,8 @@ class BranchState:
 
     axis is the last filled axis before its sign, component-major (the z axis before any
     real one); seen says whether a real axis has been met; sign is the cumulative axis
-    sign; half the last raw half angle (None before the first block); offset the running
-    unwrap correction, summed in the order one `np.unwrap` over the whole grid sums it.
+    sign; offset the running unwrap correction, summed in the order one `np.unwrap` over
+    the whole grid sums it.
     """
 
     def __init__(self, shape):
@@ -209,7 +209,6 @@ class BranchState:
         self.axis[2] = 1.0
         self.seen = np.zeros(shape, dtype=bool)
         self.sign = np.ones(shape)
-        self.half = None
         self.offset = np.zeros(shape)
 
 
@@ -225,12 +224,16 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     Returns (angle, axis, |v|), with angle_k axis_k . S the exponent of
     sample k; axis is component-major, shape (3, ..., n_t).
 
-    A grid can be tracked in consecutive time blocks: each call continues from
-    `state` and leaves it at its last sample, and the blocks' results are
-    those of one call over the whole grid, bit for bit. Without `state` the
-    rows start afresh. A block pays for the fill, the sign products and the
-    unwrap only where it has an undefined axis after a defined one, a negative
-    dot of consecutive axes, or a half-angle step of pi or more.
+    A grid can be tracked in consecutive time windows that share one sample:
+    each window after the first starts with the last sample of the window
+    before. Each call continues from `state` and leaves it at its last sample;
+    tracking that sample again leaves the state and its values unchanged (its
+    axis is `state.axis` and its half-angle step is 0), so the windows'
+    results are those of one call over the whole grid, bit for bit. Without
+    `state` the rows start afresh. A window pays for the fill, the sign
+    products and the unwrap only where it has an undefined axis after a
+    defined one, a negative dot of consecutive axes, or a half-angle step of
+    pi or more.
     """
     if state is None:
         state = BranchState(c.shape[:-1])
@@ -259,22 +262,18 @@ def track_rows(c: np.ndarray, v: np.ndarray,
 
     # The z fallback is not a real previous axis, so it never flips the sign.
     dot = ax[..., 1:] * ax[..., :-1] + ay[..., 1:] * ay[..., :-1] + az[..., 1:] * az[..., :-1]
-    px, py, pz = state.axis
-    edge = (ax[..., 0] * px + ay[..., 0] * py + az[..., 0] * pz < 0.0) & state.seen
     last_axis = axis[..., -1].copy()
     flips = dot < 0.0
-    if flips.any() or edge.any():
+    if flips.any():
         flips &= state.seen[..., None] | np.logical_or.accumulate(defined[..., :-1], axis=-1)
-        factors = np.where(np.concatenate((edge[..., None], flips), axis=-1), -1.0, 1.0)
-        sign = np.cumprod(factors, axis=-1) * state.sign[..., None]
+        factors = np.concatenate((state.sign[..., None], np.where(flips, -1.0, 1.0)), axis=-1)
+        sign = np.cumprod(factors, axis=-1)
     else:
         sign = state.sign[..., None]
 
     unflipped = not np.any(sign < 0.0)
     half = np.arctan2(norm if unflipped else sign * norm, c)
-    before = half[..., :1] if state.half is None else state.half[..., None]
-    step = np.diff(half, axis=-1, prepend=before)
-    state.half = half[..., -1].copy()
+    step = np.diff(half, axis=-1, prepend=half[..., :1])
     if np.all(np.abs(step) < np.pi):
         # Without a step of pi or more, np.unwrap would only add the carried offset
         # (0.0 turns -0.0 into +0.0).

@@ -238,12 +238,17 @@ def test_track_matches_trailing_axis_oracle_on_random_paths(q):
 
 
 def _track_in_blocks(q, cuts):
-    """`su2.track_rows` over the blocks of q (4, n_configs, n_t) starting at time indices `cuts`."""
+    """`su2.track_rows` over windows of q (4, n_configs, n_t) that share the time indices `cuts`.
+
+    Each window after the first starts with the last sample of the window
+    before; that repeated sample is dropped before the windows are joined.
+    """
     state = su2.BranchState(q.shape[1:-1])
-    edges = [0, *cuts, q.shape[-1]]
-    parts = [su2.track_rows(q[0, ..., a:b], q[1:, ..., a:b], state)
+    edges = [0, *cuts, q.shape[-1] - 1]
+    parts = [su2.track_rows(q[0, ..., a:b + 1], q[1:, ..., a:b + 1], state)
              for a, b in zip(edges, edges[1:])]
-    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
+    return tuple(np.concatenate([first, *(p[..., 1:] for p in rest)], axis=-1)
+                 for first, *rest in zip(*parts))
 
 
 def _assert_blocks_track_like_dense(q, cuts):
@@ -314,6 +319,19 @@ def test_blocks_track_like_one_dense_pass_on_random_paths(q, data):
     n_t = q.shape[-1]
     cuts = data.draw(st.lists(st.integers(1, max(1, n_t - 1)), max_size=6, unique=True))
     _assert_blocks_track_like_dense(q, sorted(c for c in cuts if c < n_t))
+
+
+@settings(deadline=None)
+@given(quaternion_paths(), st.data())
+def test_tracking_the_shared_sample_again_changes_nothing(q, data):
+    cut = data.draw(st.integers(1, q.shape[-1]))
+    state = su2.BranchState(q.shape[1:-1])
+    values = su2.track_rows(q[0, ..., :cut], q[1:, ..., :cut], state)
+    fields = {name: field.tobytes() for name, field in vars(state).items()}
+    again = su2.track_rows(q[0, ..., cut - 1:cut], q[1:, ..., cut - 1:cut], state)
+    for got, want in zip(again, values):
+        assert got.tobytes() == want[..., -1:].tobytes()
+    assert {name: field.tobytes() for name, field in vars(state).items()} == fields
 
 
 @pytest.mark.parametrize("turns, unwraps", [(0.2, 0), (2.0, 1)])
