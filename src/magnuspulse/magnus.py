@@ -12,10 +12,11 @@ has its components first and time last, (3, n_configs, n_times), as the
 trajectory's pairs do (see `su2`).
 
 The trajectory is analysed in time blocks of about `TRACK_BLOCK` samples
-(`_omega_blocks`): the tracker carries its branch state across block edges,
-so every block holds the values of one pass over the whole grid, and each
-block starts with the last sample before it, so the jump test, the gap audit
-and the -E passages see every pair of consecutive samples.
+(`_omega_blocks`) that share their edge sample: each block after the first
+starts with the last sample of the block before. The tracker carries its
+branch state over that sample, so every block holds the values of one pass
+over the whole grid, and every pair of consecutive samples lies in one block
+for the jump test, the gap audit and the -E passages.
 `extract_omega` writes the blocks into whole-grid arrays. `explicit_criterion`
 folds the bound margin, the gap audit, the -E times and the largest
 omega_hat block by block and never holds Omega, its steps or the
@@ -64,8 +65,8 @@ class ExtractionError(RuntimeError):
 class MagnusSolution:
     """Continuity-tracked exponent Omega(t) per configuration, on the trajectory's grid.
 
-    omega has shape (3, n_configs, n_times); omega_hat is its norm (always
-    >= 0). alpha/beta, computed from omega on each access, are the axis
+    omega has shape (3, n_configs, n_times); omega_hat is the magnitude of
+    the tracked angle, the norm of omega to rounding (always >= 0). alpha/beta, computed from omega on each access, are the axis
     angles of the elementary-rotation decomposition:
     alpha = atan2(Omega_y, Omega_x) in (-pi, pi], exact zeros taken as +0, and
     beta = atan2(hypot(Omega_x, Omega_y), Omega_z) in [0, pi], so that
@@ -147,12 +148,12 @@ def _omega_blocks(trajectory: BlockTrajectory):
     """Omega, omega_hat and the -E flags along the trajectory, in blocks of `TRACK_BLOCK` samples.
 
     Yields (block, omega, omega_hat, ambiguous) for time slices `block`:
-    omega is component-major, (3, n_configs, block length). Each block's real
-    rows (`su2.rows`) are built contiguous for the tracker. Each block after
-    the first starts with the last sample of the block before, so every pair
-    of consecutive samples lies in one block. One `su2.BranchState` carries
-    the tracker across blocks, so the values are those of one pass over the
-    whole grid.
+    omega is component-major, (3, n_configs, block length), and omega_hat
+    the tracker's |angle|. Each block's real rows (`su2.rows`) are built
+    contiguous for the tracker. Consecutive blocks share one sample, the
+    last of one and the first of the next, so every pair of consecutive
+    samples lies in one block. One `su2.BranchState` carries the tracker
+    across blocks, so the values are those of one pass over the whole grid.
 
     Raises
     ------
@@ -181,11 +182,7 @@ def _omega_blocks(trajectory: BlockTrajectory):
         first_jump[new], jump2[new] = start + k[new], step2[new, k[new]]
         if first_jump.min() < n_times:
             continue
-        ox, oy, oz = omega
-        omega_hat = ox * ox
-        omega_hat += oy * oy
-        omega_hat += oz * oz
-        yield block, omega, np.sqrt(omega_hat, out=omega_hat), ambiguous
+        yield block, omega, np.abs(angle, out=angle), ambiguous
     if first_jump.min() < n_times:
         ci = int(np.argmax(first_jump < n_times))
         raise ExtractionError(
@@ -220,8 +217,8 @@ def gap_audit(rows: np.ndarray) -> tuple[float, float]:
     so where either of two consecutive samples has s > 2 pi, a pair whose
     |lambda_i - lambda_j| / 2 pi brackets an integer n >= 1 passed 2 pi n
     between them, and the nearest distance is 0. A grid audited in blocks
-    passes each with the last sample before it in front (`_omega_blocks`); a
-    repeated sample changes neither result.
+    that share their edge sample (`_omega_blocks`) sees every consecutive
+    pair; a repeated sample changes neither result.
     """
     if rows.shape[0] < 2:
         return 0.0, math.inf

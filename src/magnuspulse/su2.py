@@ -15,8 +15,9 @@ a contiguous row. `transverse_slices` builds those rows, `compose` multiplies
 them, `reduce` takes a time-ordered product down to its endpoint by a pairwise
 tree, `scan` gives every prefix product with the same association in about 2n
 products, and ``track_rows(r[0], r[1:])`` with ``r = rows(x)`` tracks the branch.
-`track_rows` can run over consecutive time blocks, carrying a `BranchState`
-from one to the next, with the result of one call over the whole grid.
+`track_rows` can run over consecutive time windows that share their edge
+sample, carrying a `BranchState` from one to the next, with the result of one
+call over the whole grid.
 
 `compose` is the one product, 8 complex ufunc passes. numpy's complex
 multiply may fuse multiply-adds, depending on the CPU features it dispatches
