@@ -66,8 +66,9 @@ class MagnusSolution:
     """Continuity-tracked exponent Omega(t) per configuration, on the trajectory's grid.
 
     omega has shape (3, n_configs, n_times); omega_hat is the magnitude of
-    the tracked angle, the norm of omega to rounding (always >= 0). alpha/beta, computed from omega on each access, are the axis
-    angles of the elementary-rotation decomposition:
+    the tracked angle, the norm of omega to rounding (always >= 0).
+    alpha/beta, computed from omega on each access, are the axis angles of
+    the elementary-rotation decomposition:
     alpha = atan2(Omega_y, Omega_x) in (-pi, pi], exact zeros taken as +0, and
     beta = atan2(hypot(Omega_x, Omega_y), Omega_z) in [0, pi], so that
     Omega = omega_hat (cos alpha sin beta, sin alpha sin beta, cos beta).

@@ -14,9 +14,12 @@ configuration, so they are validated and kept but never propagated.
 Units
 -----
 Offsets are angular frequencies (rad/s) everywhere inside the library.
-Scalar couplings are *entered in Hz* and converted to rad/s (factor 2*pi)
-exactly once, at system construction. JSON system files carry everything in
-Hz and are converted on load.
+Scalar couplings are entered and stored in Hz (`ISpin.j_to_s`,
+`SpinSystem.j_ii`): `offset_diagonal` applies the 2*pi factor on every call,
+and `_check_offsets` bounds the effective offset by |Omega_s| + pi*sum|J|.
+The I-I couplings are never converted, as they only add a phase. JSON system
+files carry everything in Hz; `load_system` converts the offsets to rad/s
+and keeps the couplings in Hz.
 
 Basis ordering
 --------------

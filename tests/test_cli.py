@@ -481,7 +481,7 @@ class TestErrors:
         assert rc == 4
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["criterion", "decompose"])
+    @pytest.mark.parametrize("command", ["criterion", "propagate", "decompose"])
     def test_nan_tol_bad_input(self, command, capsys):
         assert main([command, "--pulse", "g4", "--tol", "nan"]) == 2
         assert "tol" in capsys.readouterr().err
