@@ -18,11 +18,11 @@ parametrization always exists, whether or not the continuous-exponential
 form does, so it is the fallback route for pulses that fail the
 convergence criterion.
 
-That system is the linear ODE dq/dt = p(t) q on pairs, with
-p = (0, -i omega1 (h_x + i h_y) / 2), so one classical fourth-order (RK4) step
-is a left product with a single pair. Integration builds those step pairs
-block by block over the grid and hands them to the same step-doubling
-driver as the exact propagation route (`propagation._refine`): endpoint
+That system is the linear ODE dq/dt = p(t) q on pairs, with the transverse
+generator p = (0, -i omega1 (h_x + i h_y) / 2), so one classical fourth-order (RK4)
+step is a left product with one pair, in closed form in the field at the step's ends
+and middle, sampled once on the half-step grid. The step pairs go to the same
+step-doubling driver as the exact propagation route (`propagation._refine`): endpoint
 reductions on the grids it discards, one scan of the grid it keeps. Both
 routes return the same `BlockTrajectory`, whose q holds (f, g) on the grid
 t_k = k T / n. The decomposition angles, the rotation angle among them, are
@@ -40,50 +40,35 @@ from .system import SpinSystem, offset_diagonal
 
 
 def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.ndarray:
-    """Classical RK4 steps of dq/dt = p(t) q as pairs, one per time step.
+    """Classical RK4 steps of dq/dt = p(t) q as pairs, one per time step, in closed form.
 
-    p = (0, -i omega1 (h_x + i h_y) / 2) is the pair of -i H, so each stage is a left
-    product and a whole step is q_{k+1} = M_k q_k with
-    M_k = 1 + (k1 + 2 k2 + 2 k3 + k4) / 6, where k1 = dt p(t_k),
-    k2 = dt p(t_mid) (1 + k1/2), k3 = dt p(t_mid) (1 + k2/2) and
-    k4 = dt p(t_{k+1}) (1 + k3). M is written into `out`, component-major
-    with shape (2, n_configs, n_steps), `BLOCK` pairs at a time, so the
-    stage temporaries stay small whatever the grid. Returns the midpoint
-    amplitudes.
+    p = (0, -i omega1 (h_x + i h_y) / 2) is the pair of -i H. With dt p = (0, b0), (0, b1),
+    (0, b2) at t_k, t_k + dt/2 and t_{k+1}, the step M_k = 1 + (k1 + 2 k2 + 2 k3 + k4) / 6,
+    k1 = dt p(t_k), k2 = dt p(t_k + dt/2) (1 + k1/2), k3 = dt p(t_k + dt/2) (1 + k2/2),
+    k4 = dt p(t_{k+1}) (1 + k3), reduces by (0, x)(0, y) = (-conj(x) y, 0),
+    (a, 0)(0, y) = (0, conj(a) y) and (0, x)(a, 0) = (0, a x) to, with s = |b1|**2,
+
+        a = 1 - (conj(b1) b0 + s + conj(b2) (b1 - s b0 / 4)) / 6
+        b = (b0 + 4 b1 + b2 - s (b0 + b2) / 2) / 6.
+
+    b is sampled once on the half-step grid t_j = j dt/2 (b0, b2 even, b1 odd), `BLOCK` pairs
+    at a time; M goes into `out`, (2, n_configs, n_steps). Returns the midpoint amplitudes.
     """
     offsets = offset_diagonal(system)
     n_steps = out.shape[-1]
-    dt = shape.duration / n_steps
-    nodes = np.arange(n_steps + 1) * dt
-    mids = nodes[:-1] + 0.5 * dt
-    amps = _eval(shape.amplitude_fn, mids)
-    at_nodes = (nodes, 0.5 * dt * _eval(shape.amplitude_fn, nodes), _eval(shape.phase_fn, nodes))
-    at_mids = (mids, 0.5 * dt * amps, _eval(shape.phase_fn, mids))
-
-    def dt_p(times, half_dt_amps, phases):
-        p = np.zeros((2, len(offsets), len(times)), dtype=complex)
-        su2.rotating_field(half_dt_amps, phases, offsets, times[0], dt, out=p[1])
-        return p
-
-    one = su2.IDENTITY[:, None, None]
+    half_dt = 0.5 * shape.duration / n_steps
+    times = np.arange(2 * n_steps + 1) * half_dt
+    amps, phases = _eval(shape.amplitude_fn, times), _eval(shape.phase_fn, times)
     block = max(1, BLOCK // len(offsets))
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
-        p_nodes = dt_p(*(x[start:stop + 1] for x in at_nodes))
-        p_mids = dt_p(*(x[start:stop] for x in at_mids))
-        # M is accumulated stage by stage, and each stage's factor 1 + k/2 or 1 + k is
-        # built in place of k, so only one k is alive at a time.
-        m = out[..., start:stop]
-        k = p_nodes[..., :-1]
-        np.add(one, k / 6.0, out=m)
-        k = su2.compose(p_mids, one + 0.5 * k)
-        m += k / 3.0
-        k *= 0.5
-        k = su2.compose(p_mids, np.add(k, one, out=k))
-        m += k / 3.0
-        k = su2.compose(p_nodes[..., 1:], np.add(k, one, out=k))
-        m += k / 6.0
-    return amps
+        half = slice(2 * start, 2 * stop + 1)
+        b = su2.rotating_field(half_dt * amps[half], phases[half], offsets, times[half][0], half_dt)
+        b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
+        s, c2 = b1.real ** 2 + b1.imag ** 2, np.conjugate(b2)
+        out[0, :, start:stop] = 1.0 - (np.conjugate(b1) * b0 + s + c2 * (b1 - 0.25 * s * b0)) / 6
+        out[1, :, start:stop] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) / 6
+    return amps[1::2]
 
 
 def integrate_expansion(system: SpinSystem, shape: PulseShape,

@@ -102,7 +102,8 @@ class CriterionReport:
     pairwise gap to the set {2 pi n, n != 0} (0 where a gap passes 2 pi n
     between samples), and magnus_criterion_ok is true when that distance
     exceeds DEFAULT_GAP_TOL. bound21_margin is the worst-case I(t) - omega_hat(t), the
-    pointwise audit of the amplitude-integral bound on the exponent.
+    pointwise audit of the amplitude-integral bound on the exponent; it includes t = 0, where
+    both are 0, so it is never positive: 0 or a rounding-size negative value means it held.
     ambiguity_times, ascending and distinct, are where some configuration's
     U passes -E (`_minus_e_times`): each stored time flagged as in
     `MagnusSolution.ambiguous`, and an interpolated time for each passage

@@ -348,6 +348,8 @@ def load_pulse_file(source) -> CatalogEntry:
         if doc.get(key) in (None, ""):
             raise ValueError(f"pulse file is missing the {key!r} field")
     family = doc["family"]
+    _require(isinstance(doc.get("name", ""), str),
+             f"name must be a string, got {doc.get('name')!r}")
     if family == "fourier":
         _require("params" not in doc, "fourier pulse files take no 'params' object")
         block = doc.get("fourier")
@@ -363,7 +365,7 @@ def load_pulse_file(source) -> CatalogEntry:
         if not isinstance(params, dict):
             raise ValueError(f"params must be an object, got {params!r}")
     return CatalogEntry(
-        name=str(doc.get("name", "pulse")),
+        name=doc.get("name", "pulse"),
         family=str(family),
         duration=_finite(doc["duration_s"], "duration_s"),
         nominal_flip=math.radians(_finite(doc["nominal_flip_deg"], "nominal_flip_deg")),

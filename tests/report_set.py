@@ -2,7 +2,7 @@
 
 Run from the repository root, with numpy as the only dependency:
 
-    PYTHONPATH=src python tests/report_set.py [--seed 3] > reports.txt
+    PYTHONPATH=src python tests/report_set.py [--seed 3] [--keep DIR] > reports.txt
 
 Two checkouts that give the same results print the same bytes, so a change
 meant to be bit-identical is checked with `cmp` on the two outputs. Each line
@@ -21,6 +21,11 @@ holds one of:
   first requests of the benchmark workloads (`perfbench/inputs.py`) for the
   given seed.
 
+With `--keep DIR` each of those requests also leaves its exit code, stdout
+and output file in DIR, as `<workload>-<index>-<command>.exit`, `.stdout`
+and `.csv`, so that a change that is not bit-identical can be compared by
+value with `tests/compare_outputs.py`. The printed lines stay the same.
+
 The file is not collected by pytest.
 """
 
@@ -32,6 +37,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -109,7 +115,7 @@ def spectator_cases(n_steps: int = 1024):
                            _report(system, shape, n_steps=n_steps))
 
 
-def cli_cases(seed: int):
+def cli_cases(seed: int, keep: Path | None = None):
     catalog = inputs.load_catalog(ROOT / "src" / "magnuspulse" / "data")
     with tempfile.TemporaryDirectory() as tmp:
         pulse, system, output = (Path(tmp) / n for n in ("pulse.json", "system.json", "out.csv"))
@@ -125,6 +131,12 @@ def cli_cases(seed: int):
                 digest = hashlib.sha1(stdout.getvalue().encode())
                 digest.update(stderr.getvalue().replace(tmp, "<tmp>").encode())
                 digest.update(output.read_bytes() if output.exists() else b"")
+                if keep is not None:
+                    stem = f"{workload}-{req.index}-{req.command}"
+                    (keep / f"{stem}.exit").write_text(f"{rc}\n")
+                    (keep / f"{stem}.stdout").write_text(stdout.getvalue())
+                    if output.exists():
+                        shutil.copyfile(output, keep / f"{stem}.csv")
                 yield (f"{workload} {req.index} {req.command}",
                        f"exit {rc} sha1 {digest.hexdigest()}")
 
@@ -132,10 +144,13 @@ def cli_cases(seed: int):
 def report(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3, help="benchmark request seed (default 3)")
+    parser.add_argument("--keep", type=Path, help="directory for each request's outputs")
     args = parser.parse_args(argv)
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
     np.set_printoptions(floatmode="unique", threshold=sys.maxsize, linewidth=sys.maxsize)
     for cases in (catalog_cases(), extraction_cases(), spectator_cases(),
-                  cli_cases(args.seed)):
+                  cli_cases(args.seed, args.keep)):
         for label, line in cases:
             print(f"{label}: {line}", flush=True)
     return 0

@@ -638,6 +638,8 @@ class TestErrors:
          ' "params": {"peak": 3}', "params"),
         ('"family": "gaussian", "duration_s": 0.002, "fourier": {"a0": 1.0}', "fourier"),
         ('"family": "gaussian", "params": {"truncation": 0.01}', "missing the 'duration_s' field"),
+        ('"family": "gaussian", "duration_s": 0.002, "name": null', "name"),
+        ('"family": "gaussian", "duration_s": 0.002, "name": ["a"]', "name"),
     ])
     def test_malformed_pulse_field_bad_input(self, tmp_path, capsys, fields, field):
         pulse_file = tmp_path / "bad.json"

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnuspulse import (SpinSystem, abs_amplitude_integral, calibrate, flip_angle,
-                         offset_diagonal, propagate_interaction, sample, scale_amplitude, su2)
+                         integrate_expansion, offset_diagonal, propagate_interaction, sample,
+                         scale_amplitude, su2)
 from magnuspulse.verify import _criterion, _sax, random_fourier_pulse, random_small_system
 import oracle
 
@@ -65,6 +66,17 @@ def test_scan_is_the_sequential_product(seed, flip, n):
     su2.scan(scanned)
     sequential = oracle.sequential_prefix(np.moveaxis(su2.rows(slices), 0, -1))
     assert np.max(np.abs(su2.to_matrix(scanned) - sequential)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, flips)
+def test_expansion_matches_sequential_oracle(seed, flip):
+    # the bounds of test_expansion.py::test_matches_sequential_oracle, on random envelopes
+    system, pulse = _case(seed, flip)
+    fg = su2.rows(integrate_expansion(system, pulse, n_steps=256, tol=None).q)
+    _, f, g = oracle.integrate_expansion_loop(system, pulse, 256)
+    assert np.max(np.abs(fg[0] - f)) < 1e-12
+    assert np.max(np.abs(np.moveaxis(fg[1:], 0, -1) - g)) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
