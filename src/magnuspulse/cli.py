@@ -67,15 +67,17 @@ def _emit(chunks, output: str | None):
         sys.stdout.writelines(chunk.decode() for chunk in chunks)
         return
     directory = os.path.dirname(os.path.abspath(output)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".magnuspulse-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".magnuspulse-")
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the file asked for, not the temporary one beside it
+        raise OSError(exc.errno, exc.strerror, output) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 #: One table cell: 24 bytes, three little-endian words. Word 0 holds the separator before the
@@ -511,7 +513,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (RefinementError, ExtractionError, RuntimeError) as exc:

@@ -348,8 +348,9 @@ def load_pulse_file(source) -> CatalogEntry:
         if doc.get(key) in (None, ""):
             raise ValueError(f"pulse file is missing the {key!r} field")
     family = doc["family"]
-    _require(isinstance(doc.get("name", ""), str),
-             f"name must be a string, got {doc.get('name')!r}")
+    for key in ("name", "source"):
+        _require(isinstance(doc.get(key, ""), str),
+                 f"{key} must be a string, got {doc.get(key)!r}")
     if family == "fourier":
         _require("params" not in doc, "fourier pulse files take no 'params' object")
         block = doc.get("fourier")
@@ -383,9 +384,9 @@ def list_catalog() -> list[CatalogEntry]:
 
 
 def resolve_pulse(name_or_path) -> CatalogEntry:
-    """Resolve a pulse reference: a filesystem path first, then a catalog name."""
+    """Resolve a pulse reference: a file at that path first, then a catalog name."""
     path = Path(name_or_path)
-    if path.exists():
+    if path.is_file():
         return load_pulse_file(path)
     stem = str(name_or_path).lower()
     candidate = data_dir() / f"{stem}.json"

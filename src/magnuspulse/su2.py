@@ -200,9 +200,9 @@ class BranchState:
     """What `track_rows` carries from one time block to the next, for rows of shape `shape`.
 
     axis is the last filled axis before its sign, component-major (the z axis before any
-    real one); seen says whether a real axis has been met; sign is the cumulative axis
-    sign; offset the running unwrap correction, summed in the order one `np.unwrap` over
-    the whole grid sums it.
+    real one), which a window's leading undefined samples take; seen says whether a real
+    axis has been met; sign is the cumulative axis sign; turns the whole number of turns
+    unwrapped so far, as floats, which only a window with a half-angle step past pi changes.
     """
 
     def __init__(self, shape):
@@ -210,7 +210,7 @@ class BranchState:
         self.axis[2] = 1.0
         self.seen = np.zeros(shape, dtype=bool)
         self.sign = np.ones(shape)
-        self.offset = np.zeros(shape)
+        self.turns = np.zeros(shape)
 
 
 def track_rows(c: np.ndarray, v: np.ndarray,
@@ -220,21 +220,23 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     c has shape (..., n_t) and v = (vx, vy, vz) shape (3, ..., n_t). Where
     |v| <= AXIS_TOL the axis of the last sample that had one is kept (the z
     axis before any). The axis sign is chosen so consecutive axes never
-    point apart, and the half angle atan2(+-|v|, c) is then unwrapped by
-    2 pi, so the angle runs on through 2 pi instead of folding back.
-    Returns (angle, axis, |v|), with angle_k axis_k . S the exponent of
-    sample k; axis is component-major, shape (3, ..., n_t).
+    point apart. The half angle atan2(+-|v|, c) lies in (-pi, pi], so a step
+    of more than pi between samples is one whole turn the other way; adding
+    2 pi times the count of those turns lets the angle run on through 2 pi
+    instead of folding back. Returns (angle, axis, |v|), with angle_k axis_k . S
+    the exponent of sample k; axis is component-major, shape (3, ..., n_t).
 
     A grid can be tracked in consecutive time windows that share one sample:
     each window after the first starts with the last sample of the window
     before. Each call continues from `state` and leaves it at its last sample;
     tracking that sample again leaves the state and its values unchanged (its
-    axis is `state.axis` and its half-angle step is 0), so the windows'
-    results are those of one call over the whole grid, bit for bit. Without
-    `state` the rows start afresh. A window pays for the fill, the sign
-    products and the unwrap only where it has an undefined axis after a
-    defined one, a negative dot of consecutive axes, or a half-angle step of
-    pi or more.
+    axis is `state.axis` and its half-angle step is 0). The turns are whole
+    numbers, whose sums are exact, so the windows' results are those of one
+    call over the whole grid, bit for bit. Without `state` the rows start
+    afresh. A window pays for the fill, in the count of its undefined axes,
+    only where it has one; for the sign products only where consecutive axes
+    have a negative dot; and for counting turns only where a half-angle step
+    passes pi, any other window adding the carried turns alone.
     """
     if state is None:
         state = BranchState(c.shape[:-1])
@@ -248,17 +250,16 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     if defined.all():
         axis = v / norm
     else:
+        # a run of undefined samples takes the axis before its first one, else the carried one
         axis = np.divide(v, norm, out=np.empty(v.shape), where=defined)
         undefined = np.nonzero(~defined)
         rows, k = undefined[:-1], undefined[-1]
+        starts = (np.diff(np.ravel_multi_index(undefined, defined.shape), prepend=-2) != 1)
+        starts |= k == 0
+        first = k[np.maximum.accumulate(np.where(starts, np.arange(len(k)), 0))]
+        fill = axis[(slice(None),) + rows + (np.maximum(first - 1, 0),)]
         carried = state.axis[(slice(None),) + rows].reshape(3, -1)
-        first = np.argmax(defined, axis=-1)[rows]  # a row's first defined sample, if it has one
-        if np.any((k > first) & defined[rows + (first,)]):
-            source = np.where(defined, np.arange(1, norm.shape[-1] + 1), 0)
-            earlier = np.maximum.accumulate(source, axis=-1)[undefined]
-            fill = axis[(slice(None),) + rows + (np.maximum(earlier - 1, 0),)]
-            carried = np.where(earlier > 0, fill, carried)
-        axis[(slice(None),) + undefined] = carried
+        axis[(slice(None),) + undefined] = np.where(first > 0, fill, carried)
     ax, ay, az = axis
 
     # The z fallback is not a real previous axis, so it never flips the sign.
@@ -275,26 +276,15 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     unflipped = not np.any(sign < 0.0)
     half = np.arctan2(norm if unflipped else sign * norm, c)
     step = np.diff(half, axis=-1, prepend=half[..., :1])
-    if np.all(np.abs(step) < np.pi):
-        # Without a step of pi or more, np.unwrap would only add the carried offset
-        # (0.0 turns -0.0 into +0.0).
-        half += state.offset[..., None]
+    if np.any(np.abs(step) > np.pi):
+        turns = np.cumsum((step < -np.pi) * 1.0 - (step > np.pi), axis=-1)
+        turns += state.turns[..., None]
+        state.turns = turns[..., -1].copy()
     else:
-        offset = np.concatenate((state.offset[..., None], _unwrap_correction(step)), axis=-1)
-        offset = np.cumsum(offset, axis=-1)[..., 1:]
-        half += offset
-        state.offset = offset[..., -1].copy()
+        turns = state.turns[..., None]
+    half += (2.0 * np.pi) * turns
     if not unflipped:
         axis *= sign
     state.axis, state.sign = last_axis, sign[..., -1].copy()
     state.seen = state.seen | defined.any(axis=-1)
     return 2.0 * half, axis, norm
-
-
-def _unwrap_correction(step: np.ndarray) -> np.ndarray:
-    """The correction `np.unwrap` (period 2 pi) adds for each step of the half angle."""
-    wrapped = np.mod(step + np.pi, 2.0 * np.pi) - np.pi
-    np.copyto(wrapped, np.pi, where=(wrapped == -np.pi) & (step > 0))
-    correction = wrapped - step
-    np.copyto(correction, 0.0, where=np.abs(step) < np.pi)
-    return correction

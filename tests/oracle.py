@@ -32,6 +32,8 @@ axis last, one (..., n_t, 4) array, the reference for the library's tracker
 on component rows. `track_rows_dense` is the library's former tracker on
 component rows, which gathered every axis from a candidate array and always
 unwrapped; the library's tracker now pays only at undefined axes and jumps.
+Both unwrap by counting whole turns (`_whole_turns`); `np.unwrap`, which sums
+one rounded correction per turn, stays an independent reference in the tests.
 
 `gap_audit_pairs` is the eigenvalue-gap audit as one all-pairs table, the
 reference for the library's spread shortcut, its offset sweep and its test
@@ -326,13 +328,14 @@ def hillis_steele_prefix(x):
     return x
 
 
-def track_trailing(q):
+def track_trailing(q, unwrap=None):
     """Continuous angle and axis along the time axis -2 of q (..., n_t, 4), axis last.
 
     The axis of the last sample with |v| > AXIS_TOL is kept (z before any),
     its sign chosen so consecutive axes never point apart, and the half angle
-    atan2(+-|v|, c) unwrapped by 2 pi. Returns (angle, axis), shapes
-    q.shape[:-1] and q.shape[:-1] + (3,).
+    atan2(+-|v|, c) unwrapped along its last axis by `unwrap`, whole turns of
+    2 pi by default. Returns (angle, axis), shapes q.shape[:-1] and
+    q.shape[:-1] + (3,).
     """
     from magnuspulse.su2 import AXIS_TOL
 
@@ -355,7 +358,7 @@ def track_trailing(q):
     sign = np.ones_like(norm)
     sign[..., 1:] = np.cumprod(np.where(flips, -1.0, 1.0), axis=-1)
 
-    half = np.unwrap(np.arctan2(sign * norm, q[..., 0]), axis=-1)
+    half = (unwrap or _whole_turns)(np.arctan2(sign * norm, q[..., 0]))
     return 2.0 * half, sign[..., None] * axis
 
 
@@ -383,9 +386,19 @@ def track_rows_dense(c, v):
     sign = np.ones_like(norm)
     sign[..., 1:] = np.cumprod(np.where(flips, -1.0, 1.0), axis=-1)
 
-    half = np.unwrap(np.arctan2(sign * norm, c), axis=-1)
+    half = _whole_turns(np.arctan2(sign * norm, c))
     axis *= sign
     return 2.0 * half, axis, norm
+
+
+def _whole_turns(half):
+    """Principal half angles `half` unwrapped along the last axis by whole turns of 2 pi.
+
+    A step of more than pi between samples in (-pi, pi] is one turn the other
+    way; the turns are counted, summed and added as 2 pi times their count.
+    """
+    step = np.diff(half, axis=-1, prepend=half[..., :1])
+    return half + 2.0 * np.pi * np.cumsum((step < -np.pi) * 1.0 - (step > np.pi), axis=-1)
 
 
 def gap_audit_pairs(rows):

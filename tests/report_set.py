@@ -15,8 +15,11 @@ holds one of:
   720 deg on 0-4 spectators (offsets 30 + 17k Hz, J = 3 + 1.5k Hz, S offset
   10 Hz) with one and two S spins, at 1024 steps;
 - the sha1 of the `omega`, `omega_hat` and `ambiguous` bytes of
-  `extract_omega`, or the `ExtractionError` text, for every catalog pulse at
-  its nominal flip on the same S, SAX and S2AX systems at the defaults;
+  `extract_omega`, or the `ExtractionError` text, and the sha1 of the
+  `(alpha, beta, omega)` bytes of `angles_from_state(integrate_expansion(...))`,
+  or the `RefinementError` text, for every catalog pulse at its nominal flip
+  and at 720 deg (where the tracked angles pass whole turns) on the same S,
+  SAX and S2AX systems at the defaults;
 - the exit code and the sha1 of stdout, stderr and the output file of the
   first requests of the benchmark workloads (`perfbench/inputs.py`) for the
   given seed.
@@ -49,8 +52,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
-from magnuspulse import (ISpin, SpinSystem, calibrate, explicit_criterion,  # noqa: E402
-                         extract_omega, list_catalog, propagate_interaction)
+from magnuspulse import (ISpin, RefinementError, SpinSystem, angles_from_state,  # noqa: E402
+                         calibrate, explicit_criterion, extract_omega, integrate_expansion,
+                         list_catalog, propagate_interaction)
 from magnuspulse.cli import main  # noqa: E402
 from magnuspulse.magnus import ExtractionError  # noqa: E402
 
@@ -76,6 +80,14 @@ def _extraction(system: SpinSystem, shape) -> str:
                     for name in ("omega", "omega_hat", "ambiguous"))
 
 
+def _angles(system: SpinSystem, shape) -> str:
+    try:
+        angles = angles_from_state(integrate_expansion(system, shape))
+    except RefinementError as exc:
+        return f"RefinementError: {exc}"
+    return f"alpha, beta, omega sha1 {hashlib.sha1(np.stack(angles).tobytes()).hexdigest()}"
+
+
 def _catalog_systems() -> dict[str, SpinSystem]:
     spins = (ISpin(offset=TWO_PI * 35.0, j_to_s=8.0), ISpin(offset=-TWO_PI * 55.0, j_to_s=4.0))
     sax = dict(s_offset=TWO_PI * 10.0, i_spins=spins, j_ii={(0, 1): 5.0})
@@ -96,9 +108,12 @@ def catalog_cases():
 def extraction_cases():
     systems = _catalog_systems()
     for entry in list_catalog():
-        shape = calibrate(entry.build(), entry.nominal_flip)
-        for name, system in systems.items():
-            yield f"{entry.name} nominal {name} extract_omega", _extraction(system, shape)
+        for flip in ("nominal", 720.0):
+            target = entry.nominal_flip if flip == "nominal" else math.radians(flip)
+            shape = calibrate(entry.build(), target)
+            for name, system in systems.items():
+                yield f"{entry.name} {flip} {name} extract_omega", _extraction(system, shape)
+                yield f"{entry.name} {flip} {name} angles_from_state", _angles(system, shape)
 
 
 def spectator_cases(n_steps: int = 1024):

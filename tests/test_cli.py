@@ -88,6 +88,14 @@ class TestCriterion:
         assert 18703 * 1e-3 / 32768 <= passage <= 18704 * 1e-3 / 32768
         assert doc["magnus_gap_nearest"] == 0.0
 
+    def test_directory_does_not_shadow_a_catalog_pulse(self, tmp_path, monkeypatch, capsys):
+        assert main(["criterion", "--pulse", "g4"]) == 0
+        elsewhere = capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g4").mkdir()
+        assert main(["criterion", "--pulse", "g4"]) == 0
+        assert capsys.readouterr().out == elsewhere
+
     def test_reburp_violates_exit_3(self, tmp_path, sa_file):
         out = tmp_path / "report.json"
         rc = main(
@@ -640,6 +648,7 @@ class TestErrors:
         ('"family": "gaussian", "params": {"truncation": 0.01}', "missing the 'duration_s' field"),
         ('"family": "gaussian", "duration_s": 0.002, "name": null', "name"),
         ('"family": "gaussian", "duration_s": 0.002, "name": ["a"]', "name"),
+        ('"family": "gaussian", "duration_s": 0.002, "source": [1, 2]', "source"),
     ])
     def test_malformed_pulse_field_bad_input(self, tmp_path, capsys, fields, field):
         pulse_file = tmp_path / "bad.json"
@@ -647,6 +656,30 @@ class TestErrors:
         rc = main(["criterion", "--pulse", str(pulse_file)])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["criterion", "propagate", "decompose", "profile"])
+    def test_system_too_large_to_allocate_bad_input(self, tmp_path, capsys, command):
+        # 2^50 configurations ask for more than any 64-bit address space, so the
+        # first configuration-sized allocation fails at once
+        system_file = tmp_path / "spectators.json"
+        spins = [{"j_to_s_hz": 1.0 + k} for k in range(50)]
+        system_file.write_text(json.dumps({"i_spins": spins}))
+        argv = [command, "--pulse", "g4", "--system", str(system_file),
+                "--output", str(tmp_path / "out")]
+        if command == "profile":
+            argv += ["--offset-start", "0", "--offset-stop", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("target", [("no", "such", "x.csv"), ()],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_output_names_the_requested_path(self, tmp_path, capsys, target):
+        output = tmp_path.joinpath(*target)
+        assert main(["propagate", "--pulse", "g4", "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{output}'" in err and ".magnuspulse-" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("shape, field", [("fourier", "a0"),
                                               ("gaussian_cascade", "amplitudes")])

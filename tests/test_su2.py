@@ -286,7 +286,7 @@ def _edge_case_paths():
     return q
 
 
-def test_edge_case_paths_reach_every_carried_case(monkeypatch):
+def test_edge_case_paths_reach_every_carried_case():
     rows = _edge_case_paths()
     norm = np.linalg.norm(rows[1:], axis=0)
     defined = norm > su2.AXIS_TOL
@@ -294,11 +294,9 @@ def test_edge_case_paths_reach_every_carried_case(monkeypatch):
     assert np.any(defined[0, :-1] & ~defined[0, 1:])  # an undefined run after a defined axis
     raw = rows[1:] / np.where(defined, norm, 1.0)
     assert np.any(np.sum(raw[:, 0, 1:] * raw[:, 0, :-1], axis=0) < 0.0)  # the raw axis reverses
-    calls = []
-    correction = su2._unwrap_correction
-    monkeypatch.setattr(su2, "_unwrap_correction", lambda x: calls.append(x) or correction(x))
-    su2.track_rows(rows[0, :1], rows[1:, :1])
-    assert calls and np.any(np.abs(calls[0]) >= np.pi)  # half-angle steps of pi or more
+    state = su2.BranchState((1,))
+    su2.track_rows(rows[0, :1], rows[1:, :1], state)
+    assert np.all(state.turns != 0.0)  # half-angle steps past pi
 
 
 @pytest.mark.parametrize("cut", range(1, 25))  # every edge of the 25-sample paths
@@ -335,24 +333,70 @@ def test_tracking_the_shared_sample_again_changes_nothing(q, data):
 
 
 @pytest.mark.parametrize("turns, unwraps", [(0.2, 0), (2.0, 1)])
-def test_track_unwraps_only_at_half_angle_jumps(monkeypatch, turns, unwraps):
+def test_track_unwraps_only_at_half_angle_jumps(turns, unwraps):
     # Rotations about one fixed axis per configuration. The half angle passes
     # pi (a jump of about 2 pi after the sign flip) only beyond one turn. The
     # path opens with a reversed axis and then the identity, whose half angle
-    # atan2(-0.0, 1.0) is -0.0 and must come out as np.unwrap leaves it, +0.0.
+    # atan2(-0.0, 1.0) is -0.0 and must come out as +0.0.
     rng = np.random.default_rng(5)
     axes = rng.normal(size=(3, 1, 3))
     angles = np.concatenate(([0.0, 0.1, -0.1, 0.0], np.linspace(0.0, turns * 2.0 * np.pi, 60)))
     q = su2.rows(su2.exp(np.moveaxis(angles[None, :, None] * axes / np.linalg.norm(
         axes, axis=-1, keepdims=True), -1, 0)))
-    calls = []
-    unwrap = su2._unwrap_correction
-    monkeypatch.setattr(su2, "_unwrap_correction", lambda step: calls.append(1) or unwrap(step))
-    angle = su2.track_rows(q[0], q[1:])[0]
-    assert len(calls) == unwraps
-    monkeypatch.undo()
+    state = su2.BranchState(q.shape[1:-1])
+    angle = su2.track_rows(q[0], q[1:], state)[0]
+    assert state.turns.tolist() == [float(unwraps)] * 3
     assert not np.any(np.signbit(angle[:, 3]))
     _assert_tracks_like_oracle(q)
+
+
+def _assert_turns_match_np_unwrap(q):
+    """The tracker's angle on rows q against `np.unwrap` of the same principal half angles.
+
+    `np.unwrap` sums one rounded 2 pi correction per turn where the tracker
+    rounds 2 pi times a whole count once, so they agree to a few ulp per turn.
+    """
+    halves = []
+    ref, _ = oracle.track_trailing(
+        _trailing(q), unwrap=lambda half: halves.append(half) or np.unwrap(half, axis=-1))
+    turns = np.rint((0.5 * ref - halves[0]) / (2.0 * np.pi))
+    angle = su2.track_rows(q[0], q[1:])[0]
+    ulp = np.spacing(np.maximum(np.abs(ref), 2.0 * np.pi))
+    assert np.all(np.abs(angle - ref) <= 8.0 * (1.0 + np.abs(turns)) * ulp)
+    return turns
+
+
+@settings(deadline=None)
+@given(quaternion_paths())
+def test_track_matches_np_unwrap_on_random_paths(q):
+    _assert_turns_match_np_unwrap(q)
+
+
+@pytest.mark.parametrize("flip_deg", [None, 720.0])
+def test_track_matches_np_unwrap_on_catalog(sax_system, flip_deg):
+    turns = []
+    for entry in list_catalog():
+        shape = entry.build_calibrated(None if flip_deg is None else np.radians(flip_deg))
+        traj = propagate_interaction(sax_system, shape, n_steps=4096, tol=None)
+        turns.append(_assert_turns_match_np_unwrap(su2.rows(traj.q)))
+        state = integrate_expansion(sax_system, shape, n_steps=4096, tol=None)
+        turns.append(_assert_turns_match_np_unwrap(su2.rows(state.q)))
+    assert flip_deg is None or any(t.any() for t in turns)  # 720 deg passes whole turns
+
+
+@settings(deadline=None)
+@given(quaternion_paths(), st.data())
+def test_windows_count_the_whole_turns_of_one_pass(q, data):
+    n_t = q.shape[-1]
+    cuts = data.draw(st.lists(st.integers(1, max(1, n_t - 1)), max_size=6, unique=True))
+    edges = [0, *sorted(c for c in cuts if c < n_t), n_t - 1]
+    state = su2.BranchState(q.shape[1:-1])
+    for a, b in zip(edges, edges[1:]):
+        su2.track_rows(q[0, ..., a:b + 1], q[1:, ..., a:b + 1], state)
+        assert np.array_equal(state.turns, np.rint(state.turns))
+    one = su2.BranchState(q.shape[1:-1])
+    su2.track_rows(q[0], q[1:], one)
+    assert state.turns.tobytes() == one.turns.tobytes()
 
 
 def test_norm_defect_is_the_matrix_unitarity_defect():
