@@ -66,12 +66,12 @@ def random_small_system(rng):
 
 def _criterion(system, pulse, n_steps, tol):
     """explicit_criterion, retried on 4x denser grids while extraction fails."""
-    for n in (n_steps, 4 * n_steps, 16 * n_steps, 64 * n_steps):
+    for factor in (1, 4, 16, 64, 256, 1024):
         try:
-            return explicit_criterion(system, pulse, n_steps=n, tol=tol)
+            return explicit_criterion(system, pulse, n_steps=factor * n_steps, tol=tol)
         except ExtractionError:
             continue
-    raise ExtractionError(f"extraction failed on every retry grid up to {64 * n_steps} steps")
+    raise ExtractionError(f"extraction failed on every retry grid up to {1024 * n_steps} steps")
 
 
 def _expm_eigh(h, dt):
