@@ -39,7 +39,7 @@ from .pulses import DEFAULT_N_STEPS, PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
 
 
-def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.ndarray:
+def _rk4_steps(offsets: np.ndarray, shape: PulseShape, out: np.ndarray) -> np.ndarray:
     """Classical RK4 steps of dq/dt = p(t) q as pairs, one per time step, in closed form.
 
     p = (0, -i omega1 (h_x + i h_y) / 2) is the pair of -i H. With dt p = (0, b0), (0, b1),
@@ -52,9 +52,8 @@ def _rk4_steps(system: SpinSystem, shape: PulseShape, out: np.ndarray) -> np.nda
         b = (b0 + 4 b1 + b2 - s (b0 + b2) / 2) / 6.
 
     b is sampled once on the half-step grid t_j = j dt/2 (b0, b2 even, b1 odd), `BLOCK` pairs
-    at a time; M goes into `out`, (2, n_configs, n_steps). Returns the midpoint amplitudes.
+    at a time; M goes into `out`, (2, len(offsets), n_steps). Returns the midpoint amplitudes.
     """
-    offsets = offset_diagonal(system)
     n_steps = out.shape[-1]
     half_dt = 0.5 * shape.duration / n_steps
     times = np.arange(2 * n_steps + 1) * half_dt
@@ -87,7 +86,8 @@ def integrate_expansion(system: SpinSystem, shape: PulseShape,
     RefinementError
         If the tolerance is not met within `propagation.MAX_DOUBLINGS` refinements.
     """
-    return _refine(lambda out: _rk4_steps(system, shape, out), system, shape, n_steps, tol)
+    offsets = offset_diagonal(system)
+    return _refine(lambda out: _rk4_steps(offsets, shape, out), system, shape, n_steps, tol)
 
 
 def angles_from_state(trajectory: BlockTrajectory):

@@ -160,16 +160,14 @@ def _omega_blocks(trajectory: BlockTrajectory):
     Raises
     ------
     ExtractionError
-        After the last sample, if any configuration jumps; no block is yielded
-        from the first jump on. The walk records each configuration's first
-        jump and tracks on, as a lower configuration may first jump in a later
-        block; the message names the lowest one, at its first jump.
+        In the block that holds the earliest jump |Omega_k - Omega_{k-1}| >= pi,
+        naming its step k and the lowest configuration that jumps there; that
+        block is not yielded and no later block is tracked.
     """
     q = trajectory.q
     n_configs, n_times = q.shape[1:]
     width = max(1, TRACK_BLOCK // n_configs)
     state = su2.BranchState((n_configs,))
-    first_jump, jump2 = np.full(n_configs, n_times), np.zeros(n_configs)  # n_times: no jump yet
     for start in range(0, n_times - 1, width):
         block = slice(start, start + width + 1)
         rows = su2.rows(q[..., block])
@@ -179,19 +177,12 @@ def _omega_blocks(trajectory: BlockTrajectory):
         ambiguous = (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL)
         step2 = _step2(omega)
         jumps = step2 >= math.pi**2
-        k = np.argmax(jumps, axis=-1)
-        new = (first_jump == n_times) & np.any(jumps, axis=-1)
-        first_jump[new], jump2[new] = start + k[new], step2[new, k[new]]
-        if first_jump.min() < n_times:
-            continue
+        if jumps.any():
+            k, ci = np.argwhere(jumps.T)[0]  # the earliest step, then the lowest configuration
+            raise ExtractionError(f"rotation vector jumped by {math.sqrt(step2[ci, k]):.3f} rad "
+                                  f"between stored samples (config {ci}, step {start + k}); "
+                                  "re-run the propagation with more steps")
         yield block, omega, np.abs(angle, out=angle), ambiguous
-    if first_jump.min() < n_times:
-        ci = int(np.argmax(first_jump < n_times))
-        raise ExtractionError(
-            f"rotation vector jumped by {math.sqrt(jump2[ci]):.3f} rad "
-            f"between stored samples (config {ci}, step {first_jump[ci]}); "
-            "re-run the propagation with more steps"
-        )
 
 
 def _step2(omega: np.ndarray) -> np.ndarray:
@@ -274,7 +265,8 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     Raises
     ------
     ExtractionError
-        As `extract_omega` does.
+        As `extract_omega` does, from the block of `_omega_blocks` that holds
+        the earliest jump; the audit stops there.
     """
     theta_total, i_total = _midpoint_integrals(shape, shape.duration, n_steps)
 

@@ -56,8 +56,8 @@ class SpinSystem:
     Parameters
     ----------
     s_count : int
-        Number of equivalent S spins (n >= 1). All share `s_offset` and the
-        same coupling to each I spin.
+        Number of equivalent S spins, an integer (not a bool) n >= 1. All share
+        `s_offset` and the same coupling to each I spin.
     s_offset : float
         Offset of the S group in rad/s.
     i_spins : sequence of ISpin
@@ -73,7 +73,7 @@ class SpinSystem:
     j_ii: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.s_count < 1:
+        if _integer(self.s_count, "s_count") < 1:
             raise ValueError(f"s_count must be >= 1, got {self.s_count}")
         spins = tuple(
             s if isinstance(s, ISpin) else ISpin(*s) for s in self.i_spins
@@ -103,11 +103,18 @@ class SpinSystem:
 
 
 def m_table(system: SpinSystem) -> np.ndarray:
-    """(n_configs, n_i) array of magnetic quantum numbers, config index as row."""
+    """(n_configs, n_i) array of magnetic quantum numbers, config index as row.
+
+    A table too large to allocate is a ValueError naming `i_spins` and the configuration count.
+    """
     n = system.n_i
-    idx = np.arange(1 << n)
-    bits = (idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
-    return 0.5 - bits.astype(float)
+    try:
+        ms = np.empty((system.n_configs, n))
+        ms[:] = (np.arange(system.n_configs)[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"{n} i_spins make 2**{n} = {system.n_configs} configurations, "
+                         "too many to allocate") from exc
+    return np.subtract(0.5, ms, out=ms)
 
 
 def offset_diagonal(system: SpinSystem) -> np.ndarray:
@@ -192,7 +199,7 @@ def _numbers(values, name: str) -> list[float]:
 
 
 def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
@@ -252,7 +259,7 @@ def load_system(source) -> SpinSystem:
             raise ValueError(f"duplicate j_ii_hz entry for spins {pair}")
         j_ii[pair] = _finite(value, f"j_ii_hz[{k}, {l}]")
     return SpinSystem(
-        s_count=_integer(doc.get("s_count", 1), "s_count"),
+        s_count=doc.get("s_count", 1),
         s_offset=TWO_PI * _finite(doc.get("s_offset_hz", 0.0), "s_offset_hz", hz=True),
         i_spins=tuple(spins),
         j_ii=j_ii,

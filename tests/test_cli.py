@@ -660,7 +660,7 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["criterion", "propagate", "decompose", "profile"])
     def test_system_too_large_to_allocate_bad_input(self, tmp_path, capsys, command):
         # 2^50 configurations ask for more than any 64-bit address space, so the
-        # first configuration-sized allocation fails at once
+        # first configuration-sized allocation, `m_table`, fails at once and says why
         system_file = tmp_path / "spectators.json"
         spins = [{"j_to_s_hz": 1.0 + k} for k in range(50)]
         system_file.write_text(json.dumps({"i_spins": spins}))
@@ -671,6 +671,7 @@ class TestErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "50 i_spins make 2**50 = 1125899906842624 configurations" in err
 
     @pytest.mark.parametrize("target", [("no", "such", "x.csv"), ()],
                              ids=["missing-directory", "directory"])

@@ -85,11 +85,13 @@ class TestExtractOmega:
             extract_omega(traj)
 
     @pytest.mark.parametrize("block", [16, 1 << 40])
-    def test_jump_message_names_lowest_configuration_across_blocks(self, monkeypatch, block):
-        # Configuration 1 jumps at step 3 (first block of 8 samples), configuration 0 at
-        # step 16, across the edge into the third block: the message names configuration 0.
-        angles = np.tile(0.1 * np.arange(24.0), (2, 1))
-        angles[1, 3:] += 3.5
+    def test_jump_message_names_earliest_step_then_lowest_configuration(self, monkeypatch,
+                                                                        block):
+        # Configurations 2 and 1 jump at step 10, the edge sample of the second and third
+        # blocks of 5 steps, configuration 0 at step 16: the message names configuration 1.
+        angles = np.tile(0.1 * np.arange(24.0), (3, 1))
+        angles[2, 10:] += 3.5
+        angles[1, 10:] += 3.3
         angles[0, 16:] += 3.2
         traj = propagate_interaction(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0),
                                      n_steps=23, tol=None)
@@ -97,20 +99,20 @@ class TestExtractOmega:
         traj = dataclasses.replace(traj, q=su2.exp(x_axis * angles))
         monkeypatch.setattr(magnus, "TRACK_BLOCK", block)
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
-        message = r"jumped by 3\.300 rad between stored samples \(config 0, step 16\)"
+        message = r"jumped by 3\.400 rad between stored samples \(config 1, step 10\)"
         with pytest.raises(ExtractionError, match=message):
             extract_omega(traj)
         with pytest.raises(ExtractionError, match=message):
             explicit_criterion(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0))
 
     def test_jump_found_without_tracking_the_grid_again(self, monkeypatch):
-        # 32 configurations x 16385 samples; configuration 5 jumps at step 100 in the first
-        # block, configuration 2 at step 12000 in a later one. The walk names configuration 2
-        # from its own blocks, so the failing criterion allocates a few blocks' worth, not
-        # the whole-grid rows, axes and steps of a second pass.
+        # 32 configurations x 16385 samples in blocks of 512 steps; configuration 5 jumps at
+        # step 1000 in the second block, configuration 2 at step 12000 in a later one. The
+        # walk stops at the second block, so the failing criterion tracks two blocks and
+        # allocates a few blocks' worth, not the whole-grid rows, axes and steps.
         n_times = 16385
         angles = np.tile(1e-3 * np.arange(float(n_times)), (32, 1))
-        angles[5, 100:] += 3.5
+        angles[5, 1000:] += 3.5
         angles[2, 12000:] += 3.2
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         traj = propagate_interaction(SpinSystem(), pulse, n_steps=n_times - 1, tol=None)
@@ -118,7 +120,11 @@ class TestExtractOmega:
         traj = dataclasses.replace(traj, q=su2.exp(x_axis * angles))
         del angles
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
-        message = r"jumped by 3\.201 rad between stored samples \(config 2, step 12000\)"
+        tracked = []
+        track_rows = su2.track_rows
+        monkeypatch.setattr(su2, "track_rows",
+                            lambda c, *args: tracked.append(c.shape) or track_rows(c, *args))
+        message = r"jumped by 3\.501 rad between stored samples \(config 5, step 1000\)"
         tracemalloc.start()
         try:
             with pytest.raises(ExtractionError, match=message):
@@ -126,6 +132,7 @@ class TestExtractOmega:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert tracked == [(32, 513), (32, 513)]
         assert peak < 0.5 * traj.q.nbytes
 
 
@@ -376,6 +383,14 @@ class TestExplicitCriterion:
         assert not report.criterion23_met
         assert report.criterion25_met  # flip angle itself is only pi
         assert report.i_total > TWO_PI
+
+    @pytest.mark.xfail(strict=True, raises=ExtractionError,
+                       reason="refinement converges, but the accepted grid still jumps by "
+                              "3.290 rad (config 3, step 5019); slice-local refinement "
+                              "(ROADMAP item 7) would track it")
+    def test_uburp_360_on_sax_extracts(self, sax_system):
+        report = explicit_criterion(sax_system, resolve_pulse("U-BURP").build_calibrated(TWO_PI))
+        assert not report.criterion23_met  # I(T) = 68.3
 
     def test_hard_two_pi_pulse_degeneracy(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-3), TWO_PI)

@@ -101,6 +101,13 @@ class TestValidationAndLoading:
     def test_bad_s_count(self):
         with pytest.raises(ValueError):
             SpinSystem(s_count=0)
+        assert SpinSystem(s_count=np.int64(2)).s_count == 2
+
+    @pytest.mark.parametrize("s_count", [1.5, 2.0, True, "1", None])
+    def test_non_integer_s_count_rejected(self, s_count):
+        # 1.5 would give m_S = (-0.75, 0.25, 1.25) and True would count as one S spin
+        with pytest.raises(ValueError, match="s_count must be an integer"):
+            SpinSystem(s_count=s_count)
 
     def test_self_coupling_rejected(self):
         with pytest.raises(ValueError):
