@@ -26,7 +26,8 @@ step-doubling driver as the exact propagation route (`propagation._refine`): end
 reductions on the grids it discards, one scan of the grid it keeps. Both
 routes return the same `BlockTrajectory`, whose q holds (f, g) on the grid
 t_k = k T / n. The decomposition angles, the rotation angle among them, are
-read off those pairs by the shared branch tracker (`angles_from_state`).
+read off those pairs by the shared branch tracker, window by window of
+`su2.track_windows` (`angles_from_state`).
 """
 
 from __future__ import annotations
@@ -96,16 +97,18 @@ def angles_from_state(trajectory: BlockTrajectory):
     alpha = atan2(g_y, g_x) in (-pi, pi] with exact zeros taken as +0 (as
     `MagnusSolution.alpha`), beta = atan2(hypot(g_x, g_y), g_z); the rotation
     angle 2*atan2(|g|, f) is unwrapped by continuity in time by
-    `su2.track_rows`, on the real rows (f, g) of `trajectory.q` (`su2.rows`).
+    `su2.track_rows`, on the real rows (f, g) of `trajectory.q`, in the
+    windows of `su2.track_windows`, whose values fill the whole grid.
     The scalar data alone cannot tell ascending from descending at a fold
     (angle through 2 pi, where |g| reflects), so the sign of the half-angle
     sine follows the last well-defined g direction before unwrapping.
     Degenerate points |g| ~ 0 report alpha = beta = 0. Each output has shape
     (n_configs, n_steps + 1).
     """
-    f, gx, gy, gz = rows = su2.rows(trajectory.q)
-    omega, _, norm = su2.track_rows(f, rows[1:])
-    degenerate = norm < 1e-12
-    alpha = np.where(degenerate, 0.0, np.arctan2(gy + 0.0, gx + 0.0))
-    beta = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))
+    alpha, beta, omega = np.empty((3,) + trajectory.q.shape[1:])
+    for window, (_, gx, gy, gz), angle, _, norm in su2.track_windows(trajectory.q):
+        degenerate = norm < 1e-12
+        alpha[:, window] = np.where(degenerate, 0.0, np.arctan2(gy + 0.0, gx + 0.0))
+        beta[:, window] = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))
+        omega[:, window] = angle
     return alpha, beta, omega

@@ -11,12 +11,10 @@ of jumping back at angle 2 pi the way a principal logarithm would. Omega
 has its components first and time last, (3, n_configs, n_times), as the
 trajectory's pairs do (see `su2`).
 
-The trajectory is analysed in time blocks of about `TRACK_BLOCK` samples
-(`_omega_blocks`) that share their edge sample: each block after the first
-starts with the last sample of the block before. The tracker carries its
-branch state over that sample, so every block holds the values of one pass
-over the whole grid, and every pair of consecutive samples lies in one block
-for the jump test, the gap audit and the -E passages.
+The trajectory is analysed in the time windows of `su2.track_windows`
+(`_omega_blocks`), whose window rule makes every block hold the values of one
+pass over the whole grid and puts every pair of consecutive samples in one
+block for the jump test, the gap audit and the -E passages.
 `extract_omega` writes the blocks into whole-grid arrays. `explicit_criterion`
 folds the bound margin, the gap audit, the -E times and the largest
 omega_hat block by block and never holds Omega, its steps or the
@@ -52,9 +50,6 @@ AMBIGUITY_SIN_TOL = 1e-8
 
 #: A gap within this distance (rad) of some 2 pi n, n != 0, fails the gap condition.
 DEFAULT_GAP_TOL = 1e-6
-
-#: Samples (configurations x times) of Omega tracked and audited at once.
-TRACK_BLOCK = 1 << 14
 
 
 class ExtractionError(RuntimeError):
@@ -128,10 +123,10 @@ class CriterionReport:
 def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     """Invert U(t_k) = exp(-i Omega . S) along the trajectory, per configuration.
 
-    The branch (angle + 4 pi k along the axis) is tracked for continuity by
-    `su2.track_rows` on the real rows of the trajectory (`su2.rows`), seeded at
-    Omega(0) = 0; the same |v| flags the -E samples. The blocks of
-    `_omega_blocks` are written into whole-grid arrays.
+    The branch (angle + 4 pi k along the axis) is tracked for continuity
+    along the windows of `su2.track_windows`, seeded at Omega(0) = 0; the
+    same |v| flags the -E samples. The blocks of `_omega_blocks` are written
+    into whole-grid arrays.
 
     Raises
     ------
@@ -147,15 +142,12 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
 
 
 def _omega_blocks(trajectory: BlockTrajectory):
-    """Omega, omega_hat and the -E flags along the trajectory, in blocks of `TRACK_BLOCK` samples.
+    """Omega, omega_hat and the -E flags along the trajectory, window by window.
 
-    Yields (block, omega, omega_hat, ambiguous) for time slices `block`:
-    omega is component-major, (3, n_configs, block length), and omega_hat
-    the tracker's |angle|. Each block's real rows (`su2.rows`) are built
-    contiguous for the tracker. Consecutive blocks share one sample, the
-    last of one and the first of the next, so every pair of consecutive
-    samples lies in one block. One `su2.BranchState` carries the tracker
-    across blocks, so the values are those of one pass over the whole grid.
+    Yields (block, omega, omega_hat, ambiguous) for the time slices `block`
+    of `su2.track_windows`, which share their edge sample: omega is
+    component-major, (3, n_configs, block length), and omega_hat the
+    tracker's |angle|.
 
     Raises
     ------
@@ -164,35 +156,20 @@ def _omega_blocks(trajectory: BlockTrajectory):
         naming its step k and the lowest configuration that jumps there; that
         block is not yielded and no later block is tracked.
     """
-    q = trajectory.q
-    n_configs, n_times = q.shape[1:]
-    width = max(1, TRACK_BLOCK // n_configs)
-    state = su2.BranchState((n_configs,))
-    for start in range(0, n_times - 1, width):
-        block = slice(start, start + width + 1)
-        rows = su2.rows(q[..., block])
-        c = rows[0]
-        angle, omega, s = su2.track_rows(c, rows[1:], state)
+    for block, rows, angle, omega, s in su2.track_windows(trajectory.q):
         omega *= angle  # the unit axis becomes Omega
-        ambiguous = (s < AMBIGUITY_SIN_TOL) & (c <= -1.0 + AMBIGUITY_SIN_TOL)
-        step2 = _step2(omega)
+        ambiguous = (s < AMBIGUITY_SIN_TOL) & (rows[0] <= -1.0 + AMBIGUITY_SIN_TOL)
+        step = np.diff(omega)
+        step *= step
+        step2 = step[0] + step[1] + step[2]  # |Omega_k - Omega_{k-1}|**2 at k - 1
         jumps = step2 >= math.pi**2
         if jumps.any():
             k, ci = np.argwhere(jumps.T)[0]  # the earliest step, then the lowest configuration
             raise ExtractionError(f"rotation vector jumped by {math.sqrt(step2[ci, k]):.3f} rad "
-                                  f"between stored samples (config {ci}, step {start + k}); "
-                                  "re-run the propagation with more steps")
+                                  f"between stored samples (config {ci}, "
+                                  f"step {block.start + k + 1}); re-run the propagation with "
+                                  "more steps")
         yield block, omega, np.abs(angle, out=angle), ambiguous
-
-
-def _step2(omega: np.ndarray) -> np.ndarray:
-    """|Omega_k - Omega_{k-1}|**2 along the last axis, 0 at the first sample."""
-    step = np.zeros(omega.shape)
-    np.subtract(omega[..., 1:], omega[..., :-1], out=step[..., 1:])
-    step *= step
-    step[0] += step[1]
-    step[0] += step[2]
-    return step[0]
 
 
 def gap_audit(rows: np.ndarray) -> tuple[float, float]:
@@ -210,7 +187,7 @@ def gap_audit(rows: np.ndarray) -> tuple[float, float]:
     so where either of two consecutive samples has s > 2 pi, a pair whose
     |lambda_i - lambda_j| / 2 pi brackets an integer n >= 1 passed 2 pi n
     between them, and the nearest distance is 0. A grid audited in blocks
-    that share their edge sample (`_omega_blocks`) sees every consecutive
+    that share their edge sample (`su2.track_windows`) sees every consecutive
     pair; a repeated sample changes neither result.
     """
     if rows.shape[0] < 2:

@@ -14,19 +14,19 @@ Every array here has its components first and time last: pairs are complex
 a contiguous row. `transverse_slices` builds those rows, `compose` multiplies
 them, `reduce` takes a time-ordered product down to its endpoint by a pairwise
 tree, `scan` gives every prefix product with the same association in about 2n
-products, and ``track_rows(r[0], r[1:])`` with ``r = rows(x)`` tracks the branch.
-`track_rows` can run over consecutive time windows that share their edge
-sample, carrying a `BranchState` from one to the next, with the result of one
-call over the whole grid.
+products, and `track_windows` tracks the branch along a trajectory with
+`track_rows`, window by window; its docstring states the window rule.
 
 `compose` is the one product, 8 complex ufunc passes. numpy's complex
 multiply may fuse multiply-adds, depending on the CPU features it dispatches
-to (AVX2 and AVX-512 on x86-64). Arrays then give the same bits whatever
-their layout or length, so ``reduce(x)`` is ``scan(x)[..., -1]`` bit for bit,
-but numpy's 0-d scalar arithmetic need not match them, so products are taken
-on arrays. Across machines and numpy builds results agree to rounding, not
-bit for bit; with ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
-AVX512_SPR"`` numpy multiplies by the plain formula.
+to (AVX2 and AVX-512 on x86-64), and a product of one element that is written
+over an operand or broadcasts an operand of lower rank may take another loop,
+which rounds differently. No complex product here does either, so the same
+values give the same bits whatever their layout or length: ``reduce(x)`` is
+``scan(x)[..., -1]`` bit for bit, and one configuration alone gives the bits
+it gives beside others. Across machines and numpy builds results agree to
+rounding, not bit for bit; with ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4
+AVX512_ICL AVX512_SPR"`` numpy multiplies by the plain formula.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ IDENTITY = np.array([1.0, 0.0], dtype=complex)
 
 #: |v| at or below this leaves the rotation axis to the last sample that had one.
 AXIS_TOL = 1e-9
+
+#: Samples (rows x times) that `track_windows` tracks at once.
+TRACK_BLOCK = 1 << 14
 
 
 def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float, dt: float,
@@ -68,11 +71,12 @@ def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: floa
     turn_coarse.real, turn_coarse.imag = np.cos(coarse), np.sin(coarse)
     if out is None:
         out = np.empty((len(w), n), dtype=complex)
-    # the turns fill `out` itself where n is a multiple of B, and run past it otherwise
-    turn = np.empty((len(w), coarse.shape[1] * size), dtype=complex) if n % size else out
+    # the turns fill `out` itself where n > 1 is a multiple of B, and run past it otherwise:
+    # the last product keeps to the rule of the module docstring for one element too
+    turn = np.empty((len(w), coarse.shape[1] * size), dtype=complex) if n % size or n == 1 else out
     np.multiply(turn_coarse[..., None], turn_fine[:, None], out=turn.reshape(len(w), -1, size))
     amps = amps * (np.cos(phases) + 1j * np.sin(phases)) if np.any(phases) else amps + 0j
-    return np.multiply(amps, turn[:, :n], out=out)
+    return np.multiply(amps[None], turn[:, :n], out=out)
 
 
 def transverse_slices(half_angles: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float,
@@ -105,10 +109,11 @@ def exp(rotation: np.ndarray) -> np.ndarray:
 def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pair of the matrix product U_p U_q, component-major (2, ...).
 
-    a = a_p a_q - conj(b_p) b_q and b = b_p a_q + conj(a_p) b_q, each summed
-    in that order, so a product is the same to the last bit whatever the
-    array layout (see the module docstring). Broadcasts p and q past the
-    component axis. `out`, if given, must not overlap p or q.
+    a = a_p a_q - conj(b_p) b_q and b = b_p a_q + conj(a_p) b_q, with each
+    complex product written to an array of its own, so a product is the
+    same to the last bit whatever the array layout or length (see the module
+    docstring). Broadcasts p and q past the component axis. `out`, if given,
+    must not overlap p or q.
     """
     pa, pb = p
     qa, qb = q
@@ -116,10 +121,10 @@ def compose(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.n
         out = np.empty((2,) + np.broadcast_shapes(pa.shape, qa.shape), dtype=complex)
     a, b = out
     t = np.empty(a.shape, dtype=complex)
-    np.multiply(pa, qa, out=a)
-    a -= np.multiply(np.conjugate(pb, out=t), qb, out=t)
-    np.multiply(pb, qa, out=b)
-    b += np.multiply(np.conjugate(pa, out=t), qb, out=t)
+    np.multiply(np.conjugate(pb, out=t), qb, out=a)
+    np.subtract(np.multiply(pa, qa, out=t), a, out=a)
+    np.multiply(np.conjugate(pa, out=t), qb, out=b)
+    b += np.multiply(pb, qa, out=t)
     return out
 
 
@@ -197,7 +202,7 @@ def norm_defect(x: np.ndarray) -> np.ndarray:
 
 
 class BranchState:
-    """What `track_rows` carries from one time block to the next, for rows of shape `shape`.
+    """What `track_rows` carries from one time window to the next, for rows of shape `shape`.
 
     axis is the last filled axis before its sign, component-major (the z axis before any
     real one), which a window's leading undefined samples take; seen says whether a real
@@ -226,17 +231,15 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     instead of folding back. Returns (angle, axis, |v|), with angle_k axis_k . S
     the exponent of sample k; axis is component-major, shape (3, ..., n_t).
 
-    A grid can be tracked in consecutive time windows that share one sample:
-    each window after the first starts with the last sample of the window
-    before. Each call continues from `state` and leaves it at its last sample;
+    Each call continues from `state` and leaves it at its last sample;
     tracking that sample again leaves the state and its values unchanged (its
     axis is `state.axis` and its half-angle step is 0). The turns are whole
-    numbers, whose sums are exact, so the windows' results are those of one
-    call over the whole grid, bit for bit. Without `state` the rows start
-    afresh. A window pays for the fill, in the count of its undefined axes,
-    only where it has one; for the sign products only where consecutive axes
-    have a negative dot; and for counting turns only where a half-angle step
-    passes pi, any other window adding the carried turns alone.
+    numbers, whose sums are exact, so the windows of `track_windows` give the
+    values of one call over the whole grid, bit for bit. Without `state` the
+    rows start afresh. A window pays for the fill, in its length, only where
+    it has an undefined axis; for the sign products only where consecutive
+    axes have a negative dot; and for counting turns only where a half-angle
+    step passes pi, any other window adding the carried turns alone.
     """
     if state is None:
         state = BranchState(c.shape[:-1])
@@ -250,16 +253,12 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     if defined.all():
         axis = v / norm
     else:
-        # a run of undefined samples takes the axis before its first one, else the carried one
-        axis = np.divide(v, norm, out=np.empty(v.shape), where=defined)
-        undefined = np.nonzero(~defined)
-        rows, k = undefined[:-1], undefined[-1]
-        starts = (np.diff(np.ravel_multi_index(undefined, defined.shape), prepend=-2) != 1)
-        starts |= k == 0
-        first = k[np.maximum.accumulate(np.where(starts, np.arange(len(k)), 0))]
-        fill = axis[(slice(None),) + rows + (np.maximum(first - 1, 0),)]
-        carried = state.axis[(slice(None),) + rows].reshape(3, -1)
-        axis[(slice(None),) + undefined] = np.where(first > 0, fill, carried)
+        # an undefined sample takes the last defined axis before it, else the carried one
+        axis = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+        axis[..., 0] = state.axis  # ahead of the window's samples
+        np.divide(v, norm, out=axis[..., 1:], where=defined)
+        last = np.maximum.accumulate(np.where(defined, np.arange(1, axis.shape[-1]), 0), axis=-1)
+        axis = np.take_along_axis(axis, last[None], axis=-1)
     ax, ay, az = axis
 
     # The z fallback is not a real previous axis, so it never flips the sign.
@@ -288,3 +287,24 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     state.axis, state.sign = last_axis, sign[..., -1].copy()
     state.seen = state.seen | defined.any(axis=-1)
     return 2.0 * half, axis, norm
+
+
+def track_windows(x: np.ndarray):
+    """`track_rows` along pairs x (2, n_rows, n_t), in time windows of about `TRACK_BLOCK` samples.
+
+    Yields (window, r, angle, axis, |v|) for each time slice `window`, with
+    ``r = rows(x[..., window])`` and the rest `track_rows`' values on r. This is
+    the one walk of the branch, and its window rule is the one rule of every
+    check made on it: consecutive windows share one sample, the last of one
+    and the first of the next, so every pair of consecutive samples lies in
+    one window; one `BranchState` carries the tracker over that sample, so
+    each window holds the values of one call over the whole grid, bit for
+    bit, and the shared sample's values are the same in both windows.
+    """
+    n_rows, n_t = x.shape[1:]
+    width = max(1, TRACK_BLOCK // n_rows)
+    state = BranchState((n_rows,))
+    for start in range(0, n_t - 1, width):
+        window = slice(start, start + width + 1)
+        r = rows(x[..., window])
+        yield (window, r) + track_rows(r[0], r[1:], state)

@@ -173,6 +173,24 @@ class TestCriterion:
             "name": "sech", "family": "sech", "duration_s": 1e-3, "flip_deg": 90.0,
             "peak": 2.0, "beta": 4.0}
 
+    def test_one_configuration_alone_and_beside_a_spectator_bit_for_bit(self, tmp_path, capsys):
+        # A J = 0 spectator gives two copies of the one configuration of S alone, whose
+        # products have one element each: numpy may round those by another loop (see `su2`).
+        shape = resolve_pulse("G4").build_calibrated(math.radians(200.0))
+        reports, outputs = [], []
+        for spins in ([], [{"offset_hz": 30.0, "j_to_s_hz": 0.0}]):
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps({"s_offset_hz": 10.0, "i_spins": spins}))
+            report = explicit_criterion(load_system(str(path)), shape)
+            reports.append(repr(dataclasses.replace(report,
+                                                    ambiguity_times=report.ambiguity_times.tolist())))
+            main(["criterion", "--pulse", "G4", "--flip", "200", "--system", str(path),
+                  "--format", "csv"])
+            out = capsys.readouterr().out
+            outputs.append([line for line in out.splitlines() if not line.startswith("system.")])
+        assert reports[0] == reports[1]
+        assert outputs[0] == outputs[1]
+
 
 class TestTables:
     def test_propagate_csv(self, tmp_path, sa_file):

@@ -213,6 +213,18 @@ class TestAnglesFromState:
         assert omega[0, -1] == pytest.approx(3.0 * math.pi, abs=1e-8)
         assert np.all(np.diff(omega[0]) > 0)
 
+    @pytest.mark.parametrize("block", [2, 3, 1000])
+    def test_windows_match_one_window_bit_for_bit(self, monkeypatch, sax_system, block):
+        # U-BURP at 720 deg passes whole turns, and the identity at t = 0 has no axis
+        pulse = resolve_pulse("U-BURP").build_calibrated(2.0 * TWO_PI)
+        state = integrate_expansion(sax_system, pulse, n_steps=1024, tol=None)
+        monkeypatch.setattr(su2, "TRACK_BLOCK", 1 << 40)
+        whole = angles_from_state(state)
+        assert np.max(whole[2]) > 1.5 * TWO_PI and np.all(whole[2][:, 0] == 0.0)
+        monkeypatch.setattr(su2, "TRACK_BLOCK", block)
+        windows = angles_from_state(state)
+        assert [x.tobytes() for x in windows] == [x.tobytes() for x in whole]
+
     def test_angle_derivative_matches_quadrature_integrand(self, sa_system, gaussian90):
         state = integrate_expansion(sa_system, gaussian90, n_steps=2048, tol=None)
         _, _, omega = angles_from_state(state)

@@ -97,7 +97,7 @@ class TestExtractOmega:
                                      n_steps=23, tol=None)
         x_axis = np.array([1.0, 0.0, 0.0])[:, None, None]
         traj = dataclasses.replace(traj, q=su2.exp(x_axis * angles))
-        monkeypatch.setattr(magnus, "TRACK_BLOCK", block)
+        monkeypatch.setattr(su2, "TRACK_BLOCK", block)
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
         message = r"jumped by 3\.400 rad between stored samples \(config 1, step 10\)"
         with pytest.raises(ExtractionError, match=message):
@@ -309,7 +309,7 @@ class TestEigenvaluesAndGap:
             return gap_audit(rows)
 
         monkeypatch.setattr(magnus, "gap_audit", spy)
-        monkeypatch.setattr(magnus, "TRACK_BLOCK", 1000)  # several time blocks per report
+        monkeypatch.setattr(su2, "TRACK_BLOCK", 1000)  # several time blocks per report
         system = request.getfixturevalue(system)
         for entry in list_catalog():
             report = explicit_criterion(system, entry.build_calibrated(), n_steps=1024, tol=None)
@@ -347,7 +347,7 @@ class TestExplicitCriterion:
         scan = su2.scan
         monkeypatch.setattr(magnus, "gap_audit", oracle.gap_audit_pairs)
         monkeypatch.setattr(su2, "scan", lambda x, levels=(): scan(x))
-        monkeypatch.setattr(magnus, "TRACK_BLOCK", 1 << 40)  # the dense tracker runs as one block
+        monkeypatch.setattr(su2, "TRACK_BLOCK", 1 << 40)  # the dense tracker runs as one block
         monkeypatch.setattr(su2, "track_rows", lambda c, v, state: oracle.track_rows_dense(c, v))
         assert fast == reports()
 
@@ -360,7 +360,7 @@ class TestExplicitCriterion:
                                      n_steps=11, tol=None)
         x_axis = np.array([1.0, 0.0, 0.0])[:, None, None]
         traj = dataclasses.replace(traj, q=su2.exp(x_axis * (TWO_PI / 7.5) * np.arange(12.0)))
-        monkeypatch.setattr(magnus, "TRACK_BLOCK", block)
+        monkeypatch.setattr(su2, "TRACK_BLOCK", block)
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
         report = explicit_criterion(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0))
         assert report.max_eigenvalue_gap == pytest.approx(11 * TWO_PI / 7.5)

@@ -86,6 +86,7 @@ def test_compose_is_layout_independent(n):
     assert np.array_equal(_trailing(cm), oracle.pair_product(_trailing(p), _trailing(q)))
     assert np.array_equal(su2.compose(p[..., ::-2], q[..., ::-2]), cm[..., ::-2])  # strided
     assert np.array_equal(su2.compose(p[..., -1:], q[..., -1:]), cm[..., -1:])  # length 1
+    assert np.array_equal(su2.compose(p[:, :1, -1:], q[:, :1, -1:]), cm[:, :1, -1:])  # one element
     assert np.array_equal(su2.compose(p[:, :1], q), su2.compose(p[:, :1].repeat(3, 1), q))
 
 
@@ -439,6 +440,17 @@ def test_rotating_field_writes_into_out_and_applies_phase(n):
     angle = phases - w[:, None] * (0.5 * dt + np.arange(n) * dt)
     assert np.allclose(-out.imag, amps * np.cos(angle), rtol=0.0, atol=1e-14)
     assert np.allclose(out.real, amps * np.sin(angle), rtol=0.0, atol=1e-14)
+
+
+def test_one_offset_of_one_sample_gives_the_bits_it_gives_beside_others():
+    # one element, whose product numpy may round by another loop (see `su2`)
+    rng = np.random.default_rng(0)
+    for amps, phases in rng.normal(size=(20, 2, 1)):
+        w = rng.normal(size=3) * 1e3
+        beside = su2.rotating_field(amps, phases, w, 5e-6, 1e-5)
+        for k in range(3):
+            assert np.array_equal(su2.rotating_field(amps, phases, w[k:k + 1], 5e-6, 1e-5),
+                                  beside[k:k + 1])
 
 
 def test_every_rotating_frame_site_takes_its_phase_from_the_one_helper(monkeypatch):
