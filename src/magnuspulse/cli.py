@@ -122,36 +122,24 @@ def _cell_tables():
     return tables
 
 
-def _product_error(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """a b - s exactly, for s = fl(a b): Dekker's product with Veltkamp's split."""
-    def split(x):
-        big = 134217729.0 * x  # 2**27 + 1
-        high = big - (big - x)
-        return high, x - high
-
-    (ah, al), (bh, bl) = split(a), split(b)
-    return (((ah * bh - s) + ah * bl) + al * bh) + al * bl
-
-
 def _cells(values: np.ndarray) -> np.ndarray:
     """The cell of ',' and `'%.12g' % v` for each value of 1-D `values`.
 
     With e = floor(log10|v|), the scaled value s = |v| 10**(11 - e) is two correctly rounded
-    operations from the exact one, so within 2.3e-4 of it below 1e12. Where 1e11 + margin
-    <= s, rint(s) < 1e12 and s is more than the margin from a half, m = rint(s) is the
-    correctly rounded 12-digit mantissa whatever log10 returned. Where 0 <= 11 - e <= 22
-    the power of ten is exact and s is the exact value rounded once; a half-integer is a
-    double, so it can only lie between the two if s is on it. There m = rint(s) holds
-    without a margin, and on a half the error-free product (`_product_error`) moves m
-    to the exact value's side. The 12 digits are read from 4-digit group tables as two
-    words. As in `%g`, the head holds a "0.000" prefix where -4 <= e < 0, the first e + 1
-    digits and the dot where 0 <= e <= 4, and otherwise the first digit and the dot; an
-    exponent follows the digits. The h digits the head holds move to byte 2 and the rest
-    h bytes down into words 1-2. Every shift count is below 64: a product with
+    operations from the exact one, so within 2.3e-4 of it below 1e12. m = rint(s) is the
+    correctly rounded 12-digit mantissa by either of two rules. Where 1e11 + margin <= s,
+    rint(s) < 1e12 and s is more than the margin from a half, m holds whatever log10 returned.
+    Where 0 <= 11 - e <= 22 the power of ten is exact and s is the exact value rounded once;
+    a half-integer is a double, so it can only lie between the two if s is on it, and m holds
+    without a margin wherever s is off a half. The 12 digits are read from 4-digit group
+    tables as two words. As in `%g`, the head holds a "0.000" prefix where -4 <= e < 0, the
+    first e + 1 digits and the dot where 0 <= e <= 4, and otherwise the first digit and the
+    dot; an exponent follows the digits. The h digits the head holds move to byte 2 and the
+    rest h bytes down into words 1-2. Every shift count is below 64: a product with
     2**(64 - 8 h) mod 2**64 shifts left by 64 - 8 h, or clears where h = 0. Zeros,
-    non-finite, tiny or huge values, exact decimal ties, near-ties where the power is
-    rounded, fixed-notation values of 1e5 or more and texts with no digit after the dot
-    are formatted by `%` one at a time.
+    non-finite, tiny or huge values, values whose s is on a half (exact decimal ties and
+    grid times among them), near-ties where the power is rounded, fixed-notation values of
+    1e5 or more and texts with no digit after the dot are formatted by `%` one at a time.
     """
     groups, per_exponent, powers, limits = _cell_tables()
     magnitude = np.abs(values)
@@ -160,19 +148,10 @@ def _cells(values: np.ndarray) -> np.ndarray:
         np.fmin(np.fmax(e, -_EXP, out=e), _EXP, out=e)
         row = e.astype(np.intp) + _EXP
         # every index below is in range: mode="clip" only skips the bounds check
-        power = powers.take(row, mode="clip")
-        scaled = magnitude * power
+        scaled = magnitude * powers.take(row, mode="clip")
         m = np.rint(scaled)
-        off = np.abs(scaled - m)
-        inside = scaled >= 1e11 + _MARGIN
-        limit = limits.take(row, mode="clip")
-        fast = inside & (off < limit)
-        # on a half the sign of the exact product's error decides; err = 0 is a decimal tie
-        halves = np.flatnonzero((off == 0.5) & inside & (limit == 0.5))
-        err = _product_error(magnitude[halves], power[halves], scaled[halves])
-        m[halves] = scaled[halves] + np.copysign(0.5, err)
-        fast[halves] = err != 0.0
-        fast &= m < 1e12
+        fast = (scaled >= 1e11 + _MARGIN) & (m < 1e12)
+        fast &= np.abs(scaled - m) < limits.take(row, mode="clip")
         np.copyto(m, 1e11, where=~fast)
     low = m.astype(np.int64)
     high = low // 10**8

@@ -9,10 +9,16 @@ request: `NAME.exit` (the exit code), `NAME.stdout` and, where the command
 wrote one, the output table `NAME.csv`. DIR_A is the reference. For each NAME
 the tool prints both exit codes and, for the table and for a JSON document on
 stdout (one row of its numeric leaves), both row counts, the number of cells
-that changed and the number outside the golden tolerance 1e-12 + 1e-11 |ref|
-of `tests/test_golden.py`, and the largest absolute deviation of each column
-that changed, with one line for each cell outside the tolerance. A summary
-gives each column's largest deviation over all files.
+that changed, the number outside the golden tolerance 1e-12 + 1e-11 |ref|
+of `tests/test_golden.py` and the number off by more than one unit of the
+reference cell's 12th significant digit, the last one the CLI prints. For
+each column that changed it gives the largest absolute deviation and the
+largest in those units ("u"; a cell whose reference is 0 or not finite
+counts as inf units), with one line for each cell outside the tolerance. A
+summary gives the same counts and each column's largest deviations over all
+files. The tolerance's absolute floor lets a cell far below 1 move in many
+of its own digits (a `criterion` `error_estimate` near 3e-10 by 0.3 %); the
+count in units does not.
 
 It exits 1 if a file is on one side only, or an exit code, a row count, a
 header, a non-numeric JSON value or non-JSON stdout differs; deviations of
@@ -70,17 +76,25 @@ def _compare(label: str, ref: Path, new: Path, worst: dict, counts: np.ndarray) 
     equal = (va == vb) | (np.isnan(va) & np.isnan(vb))
     dev = np.where(equal, 0.0, np.nan_to_num(np.abs(vb - va), nan=np.inf))
     outside = dev > 1e-12 + 1e-11 * np.abs(va)
-    column_dev = dev.max(axis=0, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = 10.0 ** (np.floor(np.log10(np.abs(va))) - 11)
+        units = np.where(equal, 0.0, np.nan_to_num(dev / unit, nan=np.inf, posinf=np.inf))
+    column_dev, column_units = dev.max(axis=0, initial=0.0), units.max(axis=0, initial=0.0)
     print(f"{label}: rows {len(va)} / {len(vb)}, {np.count_nonzero(~equal)} of {va.size} cells "
-          f"changed, {np.count_nonzero(outside)} outside tolerance"
-          + "".join(f"; {name} {d:.2g}" for name, d in zip(header, column_dev) if d))
+          f"changed, {np.count_nonzero(outside)} outside tolerance, "
+          f"{np.count_nonzero(units > 1.0)} off by more than 1 u"
+          + "".join(f"; {name} {d:.2g} ({u:.2g} u)"
+                    for name, d, u in zip(header, column_dev, column_units) if d))
     for row, column in zip(*np.nonzero(outside)):
         print(f"  outside: {label} row {row + 1} {header[column]} "
               f"{float(va[row, column])!r} -> {float(vb[row, column])!r}")
-    for name, d in zip(header, column_dev):
-        if d >= worst.get(name, (0.0, ""))[0]:
-            worst[name] = (d, label)
-    counts += (va.size, np.count_nonzero(~equal), np.count_nonzero(outside))
+    for name, *values in zip(header, column_dev, column_units):
+        largest = worst.setdefault(name, [(0.0, ""), (0.0, "")])
+        for i, value in enumerate(values):
+            if value >= largest[i][0]:
+                largest[i] = (value, label)
+    counts += (va.size, np.count_nonzero(~equal), np.count_nonzero(outside),
+               np.count_nonzero(units > 1.0))
     if other_a != other_b:
         print(f"{label}: non-numeric values differ")
     return other_a == other_b
@@ -97,7 +111,7 @@ def main(argv=None) -> int:
     ok = names_a == names_b
     for name in sorted(names_a ^ names_b):
         print(f"{name}: only in {dir_a if name in names_a else dir_b}")
-    worst, counts = {}, np.zeros(3, dtype=int)
+    worst, counts = {}, np.zeros(4, dtype=int)
     for stem in sorted({name.rsplit(".", 1)[0] for name in names_a & names_b}):
         codes = [(d / f"{stem}.exit").read_text().strip() for d in (dir_a, dir_b)]
         print(f"{stem}: exit {codes[0]} / {codes[1]}")
@@ -106,11 +120,12 @@ def main(argv=None) -> int:
             if f"{stem}{suffix}" in names_a & names_b:
                 ok &= _compare(stem + suffix, dir_a / f"{stem}{suffix}",
                                dir_b / f"{stem}{suffix}", worst, counts)
-    print(f"all files: {counts[1]} of {counts[0]} cells changed, {counts[2]} outside tolerance")
-    for name, (d, label) in worst.items():
-        if d:
-            print(f"  {name}: largest deviation {d:.2g} ({label})")
-    print(f"  {sum(not d for d, _ in worst.values())} other columns: no cell changed")
+    print(f"all files: {counts[1]} of {counts[0]} cells changed, {counts[2]} outside tolerance, "
+          f"{counts[3]} off by more than 1 u")
+    changed = {name: largest for name, largest in worst.items() if largest[0][0]}
+    for name, ((d, label), (u, units_label)) in changed.items():
+        print(f"  {name}: largest deviation {d:.2g} ({label}), {u:.2g} u ({units_label})")
+    print(f"  {len(worst) - len(changed)} other columns: no cell changed")
     print("exit codes, row counts and non-numeric values " + ("match" if ok else "DIFFER"))
     return 0 if ok else 1
 

@@ -384,6 +384,9 @@ def assert_cells_match_percent_format(values):
 @example([1.234567890125e-06, 0.001234567890135, 0.009876543210975, 0.001000000000015,
           500000.0000005, 100000.0000015, 50000000000.05, 10000000000.15, 1.234567890135e-09,
           -1.000000000015e-09])
+# the first 4097 grid times of a 1 ms pulse on 2**16 steps: 512 of them (k = 7, 11, 15, 19, 21,
+# ...; 3969 on the whole grid) scale exactly onto a half, where only `%` knows the rounding side
+@example([k * (1e-3 / 2**16) for k in range(2**12 + 1)])
 def test_cell_text_matches_percent_format(values):
     assert_cells_match_percent_format(values)
 

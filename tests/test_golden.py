@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -100,6 +101,27 @@ def test_matches_golden(name, tmp_path):
     else:
         problems = _csv_mismatches(text, ref_text)
     assert not problems, "; ".join(problems[:10])
+
+
+@pytest.mark.parametrize("name, negative", [("decompose_g4.csv", 0),
+                                            ("decompose_reburp.csv", 360)])
+def test_decompose_angles_rebuild_state(name, negative):
+    """exp(-i |omega_hat| n(alpha, beta) . S) = cos(w/2) E - 2i sin(w/2) n . S rebuilds each
+    row's (f, g) to within its `constraint_residual` and the 12th printed digit; the signed
+    `omega_hat` misses exactly on the rows where it is negative."""
+    rows = np.genfromtxt(GOLDEN / name, delimiter=",", names=True)
+    alpha, beta, omega = rows["alpha"], rows["beta"], rows["omega_hat"]
+    n = np.stack((np.sin(beta) * np.cos(alpha), np.sin(beta) * np.sin(alpha), np.cos(beta)))
+    state = np.stack([rows[c] for c in ("f", "g_x", "g_y", "g_z")])
+    tol = rows["constraint_residual"] + 1e-12
+
+    def miss(w):
+        return np.abs(np.vstack((np.cos(w / 2), np.sin(w / 2) * n)) - state).max(axis=0)
+
+    assert np.all(np.abs(omega) <= 2 * np.pi)
+    assert np.all(miss(np.abs(omega)) <= tol)
+    assert np.array_equal(miss(omega) > tol, omega < 0)
+    assert np.count_nonzero(omega < 0) == negative
 
 
 def test_golden_tolerance_is_one_printed_digit():
