@@ -123,7 +123,7 @@ def _cell_tables():
 
 
 def _cells(values: np.ndarray) -> np.ndarray:
-    """The cell of ',' and `'%.12g' % v` for each value of 1-D `values`.
+    """The cell of ',' and `'%.12g' % v` for each value of 1-D `values` (a table's v + 0.0).
 
     With e = floor(log10|v|), the scaled value s = |v| 10**(11 - e) is two correctly rounded
     operations from the exact one, so within 2.3e-4 of it below 1e12. m = rint(s) is the
@@ -183,14 +183,16 @@ def _cells(values: np.ndarray) -> np.ndarray:
 def _emit_table(columns, lead, values, meta, args, layout=None, indexed=True):
     """Write one row per (configuration k, grid point i), k-major, as CSV or JSON.
 
-    A row is lead[i], k if `indexed`, then values[j, k, i] for each j in `layout` (default:
-    each source once), j = ~s standing for -values[s, k, i] + 0.0. CSV text is built in
-    blocks of one configuration's rows as records of `_cells`, each cell starting with the
-    separator before it: a lead cell with the newline ending the row above. A negated cell
-    is its source's with the sign slot set where v > 0. JSON rows are the cells read back.
+    `values` holds one (n_configs, n_times) array per source, views of the library's arrays
+    passed without a copy. A row is lead[i] as given, k if `indexed`, then values[j][k, i] +
+    0.0 (an exact zero of either sign prints 0) for each j in `layout` (default: each source
+    once), j = ~s standing for -values[s][k, i] + 0.0. CSV text is built in blocks of one
+    configuration's rows as records of `_cells`, each cell after its separator: a lead cell
+    after the newline ending the row above. A negated cell is its source's with the sign slot
+    set where v > 0. JSON rows are the cells read back.
     """
     layout = range(len(values)) if layout is None else layout
-    index_width = len(str(values.shape[1] - 1)) + 1  # "," and the digits of the largest k
+    index_width = len(str(len(values[0]) - 1)) + 1  # "," and the digits of the largest k
     lead_fields = [("lead", _CELL), ("index", (np.void, index_width))][:1 + indexed]
     record = np.dtype([*lead_fields, *((str(column), _CELL) for column in range(len(layout)))])
     targets = {}
@@ -203,7 +205,7 @@ def _emit_table(columns, lead, values, meta, args, layout=None, indexed=True):
         lead_cells = _cells(lead)
         lead_cells.view(np.uint8)[::_CELL.itemsize] = ord("\n")
         full = bytearray(min(len(lead), CSV_BLOCK_ROWS) * record.itemsize)
-        for k in range(values.shape[1]):
+        for k in range(len(values[0])):
             for start in range(0, len(lead), CSV_BLOCK_ROWS):
                 rows = slice(start, start + CSV_BLOCK_ROWS)
                 n = len(lead_cells[rows])
@@ -214,12 +216,12 @@ def _emit_table(columns, lead, values, meta, args, layout=None, indexed=True):
                 if indexed:
                     block["index"] = np.void(f",{k}".encode().ljust(index_width, b"\0"))
                 for source, names in targets.items():
-                    cells = _cells(values[source, k, rows])
+                    cells = _cells(values[source][k, rows] + 0.0)
                     for name in names:
                         block[name] = cells
                 signs = np.frombuffer(text, np.uint8).reshape(n, -1)
                 for sign, source in negated:
-                    signs[:, sign] = (values[source, k, rows] > 0) * np.uint8(ord("-"))
+                    signs[:, sign] = (values[source][k, rows] > 0) * np.uint8(ord("-"))
                 yield text.translate(None, b"\0")
         yield b"\n"
 
@@ -382,11 +384,9 @@ def _cmd_propagate(args) -> int:
     system, shape, meta = _load_inputs(args)
     traj = propagate_interaction(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "re00", "im00", "re01", "im01", "re10", "im10", "re11", "im11"]
-    # U = [[a, -conj b], [b, conj a]] from rows (Re a, Re b, Im a, Im b); adding 0.0 makes
-    # an exact zero print as 0
-    values = np.concatenate((traj.q.real, traj.q.imag))
-    values += 0.0
-    _emit_table(columns, traj.times, values, meta, args, layout=(0, 2, ~1, 3, 1, 3, 0, ~2))
+    a, b = traj.q  # U = [[a, -conj b], [b, conj a]] from rows (Re a, Re b, Im a, Im b)
+    _emit_table(columns, traj.times, (a.real, b.real, a.imag, b.imag), meta, args,
+                layout=(0, 2, ~1, 3, 1, 3, 0, ~2))
     return EXIT_OK
 
 
@@ -406,13 +406,7 @@ def _cmd_decompose(args) -> int:
     traj = integrate_expansion(system, shape, n_steps=args.steps, tol=args.tol)
     columns = ["t", "config_index", "f", "g_x", "g_y", "g_z", "alpha", "beta",
                "omega_hat", "constraint_residual"]
-    angles = angles_from_state(traj)
-    values = np.empty((8,) + traj.q.shape[1:])
-    su2.rows(traj.q, out=values[:4])
-    values[4:7], values[7] = angles, su2.norm_defect(traj.q)
-    del angles  # not alive while the table is written
-    values[:4] += 0.0  # an exact zero of (f, g) or of the residual prints as 0
-    values[7] += 0.0
+    values = (*su2.rows(traj.q), *angles_from_state(traj), su2.norm_defect(traj.q))
     _emit_table(columns, traj.times, values, meta, args)
     return EXIT_OK
 

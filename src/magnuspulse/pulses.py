@@ -195,19 +195,24 @@ def build_pulse(family: str, duration: float, /, **params) -> PulseShape:
             # so sum_k c_k cos kx = e_1 + d f_1 / 2 and sum_k c_k sin kx = sin x s f_1.
             half = math.pi * np.asarray(t, dtype=float) / duration
             hc, hs = np.cos(half), np.sin(half)
+            del half  # at most seven arrays the size of t from here, each reused once spent
             sign = np.where(np.abs(hc) >= np.abs(hs), 1.0, -1.0)
             d = -4.0 * np.minimum(hc * hc, hs * hs)
 
-            def clenshaw(coeffs):
-                e, f, tmp = np.zeros_like(half), np.zeros_like(half), np.empty_like(half)
+            def clenshaw(coeffs, e, f, tmp):
+                e[...] = f[...] = 0.0
                 for k in range(len(coeffs), 0, -1):
                     e += np.multiply(d, f, out=tmp)
                     e += np.multiply(sign, coeffs[k - 1], out=tmp) if k % 2 else coeffs[k - 1]
                     f += e
-                return e, f
+                return f
 
-            e, f = clenshaw(cos_c)
-            return a0 + (e + 0.5 * d * f) + 2.0 * hs * hc * sign * clenshaw(sin_c)[1]
+            e, f, tmp = np.empty_like(hc), np.empty_like(hc), np.empty_like(hc)
+            for factor in (2.0, hc, sign, clenshaw(sin_c, e, f, tmp)):
+                hs *= factor  # hs is now 2.0 hs hc sign f_1, the sine sum; e, f, tmp are free
+            clenshaw(cos_c, e, f, tmp)
+            e += np.multiply(np.multiply(0.5, d, out=tmp), f, out=tmp)
+            return np.add(np.add(e, a0, out=e), hs, out=e)  # a0 + (e_1 + 0.5 d f_1) + hs
 
         return shape(fourier_amp)
 

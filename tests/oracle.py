@@ -44,6 +44,9 @@ row, the reference for the text of its column-wise CSV writer.
 
 `fourier_series` sums a Fourier envelope one harmonic at a time, a cos or sin
 call each, the reference for the library's Clenshaw recurrence.
+`fourier_clenshaw` is that recurrence as the library first wrote it, with a
+fresh array for each temporary, the bit-for-bit reference for the library's
+form that reuses its buffers.
 """
 
 import math
@@ -439,3 +442,27 @@ def fourier_series(t, duration, a0, cos_coeffs, sin_coeffs):
     for n, b in enumerate(sin_coeffs, start=1):
         out = out + b * np.sin(n * x)
     return out
+
+
+def fourier_clenshaw(t, duration, a0, cos_coeffs, sin_coeffs):
+    """The Fourier envelope by Clenshaw's recurrence in Reinsch's form, one array per temporary.
+
+    With x = 2 pi t / T, s = sign(cos x) and d = 2 (s cos x - 1), the sums
+    e_k = s^k c_k + d f_{k+1} + e_{k+1} and f_k = e_k + f_{k+1} give
+    sum_k c_k cos kx = e_1 + d f_1 / 2 and sum_k c_k sin kx = sin x s f_1.
+    """
+    half = math.pi * np.asarray(t, dtype=float) / duration
+    hc, hs = np.cos(half), np.sin(half)
+    sign = np.where(np.abs(hc) >= np.abs(hs), 1.0, -1.0)
+    d = -4.0 * np.minimum(hc * hc, hs * hs)
+
+    def clenshaw(coeffs):
+        e, f, tmp = np.zeros_like(half), np.zeros_like(half), np.empty_like(half)
+        for k in range(len(coeffs), 0, -1):
+            e += np.multiply(d, f, out=tmp)
+            e += np.multiply(sign, coeffs[k - 1], out=tmp) if k % 2 else coeffs[k - 1]
+            f += e
+        return e, f
+
+    e, f = clenshaw(cos_coeffs)
+    return a0 + (e + 0.5 * d * f) + 2.0 * hs * hc * sign * clenshaw(sin_coeffs)[1]

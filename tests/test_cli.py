@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,24 @@ class TestCsvText:
         rows = list(zip(offsets_hz.tolist(), *table.tolist()))
         assert_same_text(text, csv_table(["offset_hz", "mx", "my", "mz"], rows))
 
+    def test_propagate_table_holds_no_copy_of_the_trajectory(self, tmp_path):
+        """Writing the table raises propagation's own peak by less than half the trajectory's
+        bytes (U-BURP on SAX): the writer formats views of the library's array block by block."""
+        argv = ["propagate", "--pulse", "uburp", "--system", SAX, "--output",
+                str(tmp_path / "u.csv")]
+        shape = resolve_pulse("uburp").build_calibrated()
+        assert main(argv) == 0  # caches filled before the traced calls
+        tracemalloc.start()
+        try:
+            nbytes = propagate_interaction(load_system(SAX), shape).q.nbytes
+            library = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(argv) == 0
+            command = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert command - library < nbytes / 2
+
     @pytest.mark.parametrize("argv", [
         ["propagate", "--steps", "33", "--tol", "1e-4"],
         ["decompose", "--steps", "33", "--tol", "1e-4"],
@@ -351,7 +370,7 @@ class TestCsvText:
 
 
 def table_text(columns, lead, values, layout=None, indexed=True):
-    """CSV text that `_emit_table` writes for (sources, configurations, rows) `values`."""
+    """CSV text that `_emit_table` writes for sources of (configurations, rows) `values`."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit_table(columns, lead, values, {}, argparse.Namespace(format="csv", output=None),
@@ -360,10 +379,10 @@ def table_text(columns, lead, values, layout=None, indexed=True):
 
 
 def assert_cells_match_percent_format(values):
-    """Each value as lead, value and negated cell equals `'%.12g' % v` and of -v + 0.0."""
+    """Each value as lead, value and negated cell equals `'%.12g'` of v, v + 0.0 and -v + 0.0."""
     v = np.array(values, dtype=float)
     text = table_text(["v", "w", "neg"], v, v[None, None], layout=(0, ~0), indexed=False)
-    expected = "".join(f"{x:.12g},{x:.12g},{-x + 0.0:.12g}\n" for x in values)
+    expected = "".join(f"{x:.12g},{x + 0.0:.12g},{-x + 0.0:.12g}\n" for x in values)
     assert_same_text(text, "v,w,neg\n" + expected)
 
 
@@ -439,8 +458,9 @@ def test_time_columns_match_percent_format_at_every_refinement_level(entry):
 
 def test_table_bytes_across_blocks_with_slow_and_negated_cells():
     """More than one block of rows in 11 configurations (1- and 2-digit indices), holding
-    cells that `%` formats (zeros, integers, near-ties, non-finite values) beside negated
-    cells."""
+    cells that `%` formats (zeros of either sign, integers, near-ties, non-finite values)
+    beside negated cells; the strided real and imaginary views of one complex array give
+    the text of the contiguous rows."""
     count = CSV_BLOCK_ROWS + 5
     rng = np.random.default_rng(13)
     lead = np.arange(count) / 4.0
@@ -452,9 +472,24 @@ def test_table_bytes_across_blocks_with_slow_and_negated_cells():
     layout = (1, ~0, 0, ~1)
     columns = ["t", "config_index", "b", "neg_a", "a", "neg_b"]
     text = table_text(columns, lead, values, layout)
-    rows = [(t, k, *(values[j, k, i] if j >= 0 else -values[~j, k, i] + 0.0 for j in layout))
+    rows = [(t, k, *(values[j, k, i] + 0.0 if j >= 0 else -values[~j, k, i] + 0.0
+                     for j in layout))
             for k in range(11) for i, t in enumerate(lead.tolist())]
     assert_same_text(text, csv_table(columns, rows))
+    z = np.empty(values.shape[1:], complex)
+    z.real, z.imag = values
+    assert table_text(columns, lead, (z.real, z.imag), layout) == text
+
+
+@pytest.mark.parametrize("indexed", [True, False])
+def test_zero_of_either_sign_prints_as_zero_in_a_value_column(indexed):
+    """-0.0 in a value column, such as an angle or a profile column, prints 0; the lead
+    column prints as given."""
+    columns = ["t", "config_index", "alpha"] if indexed else ["offset_hz", "mx"]
+    text = table_text(columns, np.array([-0.0, 1.0]), [np.array([[-0.0, -1.0]])],
+                      indexed=indexed)
+    index = ",0" if indexed else ""
+    assert text == ",".join(columns) + f"\n-0{index},0\n1{index},-1\n"
 
 
 def test_emit_leaves_no_file_when_writing_fails(tmp_path):

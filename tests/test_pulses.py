@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,14 +22,18 @@ TWO_PI = 2.0 * math.pi
 
 
 def _assert_fourier_matches_oracle(duration, a0, cos_c, sin_c):
-    """Clenshaw against the per-harmonic sum, to 1e-14 of the coefficients' absolute sum."""
+    """Clenshaw against the per-harmonic sum, to 1e-14 of the coefficients' absolute sum, and
+    bit for bit against the recurrence written with a fresh array per temporary."""
     n = 4096
     edges = np.array([0.0, 1e-12, 0.25, 0.5, 0.5 - 1e-12, 1.0 - 1e-12, 1.0])  # x near 0, pi, 2 pi
     t = np.concatenate(((np.arange(n) + 0.5) * duration / n, duration * edges))
     amp = build_pulse("fourier", duration, a0=a0, cos_coeffs=cos_c, sin_coeffs=sin_c).amplitude_fn
     scale = abs(a0) + sum(map(abs, cos_c)) + sum(map(abs, sin_c))
-    error = np.max(np.abs(amp(t) - oracle.fourier_series(t, duration, a0, cos_c, sin_c)))
+    values = amp(t)
+    error = np.max(np.abs(values - oracle.fourier_series(t, duration, a0, cos_c, sin_c)))
     assert error <= 1e-14 * scale
+    reference = oracle.fourier_clenshaw(t, duration, a0, cos_c, sin_c)
+    assert np.array_equal(values.view(np.int64), reference.view(np.int64))
 
 
 class TestFamilies:
@@ -75,6 +80,22 @@ class TestFamilies:
         entry = resolve_pulse(name)
         p = entry.params
         _assert_fourier_matches_oracle(entry.duration, p["a0"], p["cos_coeffs"], p["sin_coeffs"])
+
+    @pytest.mark.parametrize("name", ["reburp", "uburp", "eburp2", "iburp2"])
+    def test_fourier_envelope_holds_at_most_eight_arrays_of_its_input(self, name):
+        """The recurrence reuses each buffer once its value is spent (seven arrays the size of
+        the input; one per temporary took twelve)."""
+        entry = resolve_pulse(name)
+        amp = entry.build().amplitude_fn
+        t = (np.arange(32768) + 0.5) * (entry.duration / 32768)
+        amp(t)
+        tracemalloc.start()
+        try:
+            amp(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * t.nbytes
 
     def test_fourier_clenshaw_matches_per_harmonic_sum_on_random_series(self):
         rng = np.random.default_rng(14)
