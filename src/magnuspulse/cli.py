@@ -35,8 +35,8 @@ from . import __version__, su2
 from .expansion import angles_from_state, integrate_expansion
 from .magnus import ExtractionError, explicit_criterion
 from .propagation import DEFAULT_TOL, RefinementError, excitation_profile, propagate_interaction
-from .pulses import (DEFAULT_N_STEPS, PulseShape, build_pulse, calibrate, list_catalog,
-                     resolve_pulse)
+from .pulses import (DEFAULT_N_STEPS, FAMILIES, CatalogEntry, PulseShape, build_pulse, calibrate,
+                     list_catalog, resolve_pulse)
 from .system import SpinSystem, _check_offsets, load_system
 from .verify import run_all as run_verify
 
@@ -260,16 +260,21 @@ def _system_doc(system: SpinSystem) -> dict:
     }
 
 
-SHAPE_PARAM_FLAGS = ("amplitude", "peak", "truncation", "beta", "lobes", "order", "width")
+#: The --shape flags, each scalar parameter of `FAMILIES` in order of first appearance, with
+#: the defaults of the families that take it.
+_SHAPE_FLAGS = {name: {family: params[name] for family, params in FAMILIES.items()
+                       if name in params}
+                for params in FAMILIES.values() for name, default in params.items()
+                if isinstance(default, (int, float))}
 
 
 def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
     """Resolve the system and the calibrated pulse from the parsed arguments.
 
     Returns them with the report header: `_meta` plus the pulse and system
-    as the command received them.
+    as the command received them. A --shape pulse is calibrated only to a --flip.
     """
-    for name in ("duration", "flip", "offset_start", "offset_stop", *SHAPE_PARAM_FLAGS):
+    for name in ("duration", "flip", "offset_start", "offset_stop", *_SHAPE_FLAGS):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
@@ -277,41 +282,25 @@ def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
         raise ValueError(f"--offset-count must be at least 1, got {args.offset_count}")
     system = load_system(args.system) if args.system else SpinSystem()
 
-    flip_rad = math.radians(args.flip) if args.flip is not None else None
     if args.pulse:
-        extra = [f"--{n}" for n in ("shape", *SHAPE_PARAM_FLAGS) if getattr(args, n) is not None]
+        extra = [f"--{n}" for n in ("shape", *_SHAPE_FLAGS) if getattr(args, n) is not None]
         if extra:
             raise ValueError(f"--pulse takes no shape flags; drop {', '.join(extra)}")
         entry = resolve_pulse(args.pulse)
-        if args.duration is not None:
-            entry = dataclasses.replace(entry, duration=args.duration)
-        target = flip_rad if flip_rad is not None else entry.nominal_flip
-        shape = calibrate(entry.build(), target, args.steps)
-        pulse_doc = {
-            "name": entry.name,
-            "family": entry.family,
-            "duration_s": entry.duration,
-            "flip_deg": math.degrees(target),
-        }
     elif args.shape:
-        duration = args.duration if args.duration is not None else 1e-3
-        params = {}
-        for name in SHAPE_PARAM_FLAGS:
-            value = getattr(args, name)
-            if value is not None:
-                params[name] = value
-        shape = build_pulse(args.shape, duration, **params)
-        if flip_rad is not None:
-            shape = calibrate(shape, flip_rad, args.steps)
-        pulse_doc = {
-            "name": args.shape,
-            "family": args.shape,
-            "duration_s": duration,
-            "flip_deg": args.flip,
-        }
-        pulse_doc.update(params)
+        entry = CatalogEntry(args.shape, args.shape, 1e-3, None, {
+            name: getattr(args, name) for name in _SHAPE_FLAGS if getattr(args, name) is not None})
     else:
         raise ValueError("a pulse is required: pass --pulse NAME_OR_PATH or --shape FAMILY")
+    if args.duration is not None:
+        entry = dataclasses.replace(entry, duration=args.duration)
+    target = math.radians(args.flip) if args.flip is not None else entry.nominal_flip
+    shape = build_pulse(entry.family, entry.duration, **entry.params)
+    if target is not None:
+        shape = calibrate(shape, target, args.steps)
+    pulse_doc = {"name": entry.name, "family": entry.family, "duration_s": entry.duration,
+                 "flip_deg": args.flip if args.shape else math.degrees(target),
+                 **(entry.params if args.shape else {})}
     return system, shape, {**_meta(args), "pulse": pulse_doc, "system": _system_doc(system)}
 
 
@@ -427,13 +416,10 @@ def _add_common(parser: argparse.ArgumentParser, offsets: bool = False):
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help=f"step-doubling endpoint tolerance (default {DEFAULT_TOL:g})"
                         .replace("e-0", "e-"))  # "1e-9", as %(default)s would not print it
-    parser.add_argument("--amplitude", type=float, help="constant-family amplitude in rad/s")
-    parser.add_argument("--peak", type=float, help="peak amplitude in rad/s for analytic families")
-    parser.add_argument("--truncation", type=float, help="edge truncation for gaussian/hermite")
-    parser.add_argument("--beta", type=float, help="sech steepness parameter")
-    parser.add_argument("--lobes", type=int, help="sinc zero crossings per side")
-    parser.add_argument("--order", type=int, help="hermite polynomial order (even)")
-    parser.add_argument("--width", type=float, help="hermite argument scale")
+    for name, defaults in _SHAPE_FLAGS.items():
+        shown = "/".join(dict.fromkeys(map(str, defaults.values())))
+        parser.add_argument(f"--{name}", type=type(next(iter(defaults.values()))),
+                            help=f"{', '.join(defaults)} parameter (default {shown})")
     if offsets:
         parser.add_argument("--offset-start", type=float, required=True, help="first trial offset in Hz")
         parser.add_argument("--offset-stop", type=float, required=True, help="last trial offset in Hz")

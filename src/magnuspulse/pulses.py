@@ -101,10 +101,10 @@ def _require(cond: bool, message: str):
 
 
 #: Each family's parameters and their defaults; None marks a required parameter, and a
-#: tuple default a list of numbers.
+#: tuple default a list of numbers. The CLI's shape flags follow first appearance here.
 FAMILIES = {
     "constant": {"amplitude": 1.0},
-    "gaussian": {"truncation": 0.01, "peak": 1.0},
+    "gaussian": {"peak": 1.0, "truncation": 0.01},
     "sech": {"beta": 5.3, "peak": 1.0},
     "sinc": {"lobes": 3, "peak": 1.0},
     "hermite": {"order": 2, "width": 1.5, "truncation": 0.01, "peak": 1.0},

@@ -177,13 +177,10 @@ def scan(x: np.ndarray, levels: list | None = None) -> None:
     x[..., 2::2] = compose(x[..., 2::2], x[..., 1:n - 1:2], out=evens)
 
 
-def rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Real rows (c, v_x, v_y, v_z) = (Re a, -Im b, Re b, -Im a) of pairs x (2, ...), as (4, ...).
-
-    Written into `out` if given; the rows are contiguous where `out` is.
-    """
+def rows(x: np.ndarray) -> np.ndarray:
+    """Real rows (c, v_x, v_y, v_z) = (Re a, -Im b, Re b, -Im a) of pairs x (2, ...): (4, ...)."""
     a, b = x
-    out = np.stack((a.real, b.imag, b.real, a.imag), out=out)
+    out = np.stack((a.real, b.imag, b.real, a.imag))
     np.negative(out[1::2], out=out[1::2])
     return out
 

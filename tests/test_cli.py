@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,7 @@ from magnuspulse import cli
 from magnuspulse.cli import (CSV_BLOCK_ROWS, _cells, _emit, _emit_table, _round_floats,
                              build_parser, main)
 from magnuspulse.propagation import DEFAULT_TOL
-from magnuspulse.pulses import DEFAULT_N_STEPS
+from magnuspulse.pulses import DEFAULT_N_STEPS, FAMILIES
 from oracle import csv_table
 
 TWO_PI = 2.0 * math.pi
@@ -191,6 +192,80 @@ class TestCriterion:
             outputs.append([line for line in out.splitlines() if not line.startswith("system.")])
         assert reports[0] == reports[1]
         assert outputs[0] == outputs[1]
+
+
+#: The commands that take a pulse.
+PULSE_COMMANDS = ("criterion", "propagate", "profile", "decompose")
+#: Each scalar parameter of `FAMILIES` with its default's type.
+SCALAR_PARAMS = {name: type(default) for params in FAMILIES.values()
+                 for name, default in params.items() if isinstance(default, (int, float))}
+#: Every flag of each analytic family, each off its default.
+SHAPE_FLAG_VALUES = {
+    "constant": {"amplitude": 3.0},
+    "gaussian": {"peak": 2.0, "truncation": 0.05},
+    "sech": {"beta": 4.0, "peak": 0.5},
+    "sinc": {"lobes": 2, "peak": 3.0},
+    "hermite": {"order": 4, "width": 1.2, "truncation": 0.02, "peak": 1.5},
+}
+
+
+def subparser(command):
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[command]
+
+
+class TestShapeFlags:
+    def test_analytic_families_take_every_scalar_parameter(self):
+        assert {n for params in SHAPE_FLAG_VALUES.values() for n in params} == set(SCALAR_PARAMS)
+        assert all(FAMILIES[f].keys() == SHAPE_FLAG_VALUES[f].keys() for f in SHAPE_FLAG_VALUES)
+        assert SCALAR_PARAMS["lobes"] is SCALAR_PARAMS["order"] is int
+
+    @pytest.mark.parametrize("command", PULSE_COMMANDS)
+    def test_flags_are_the_scalar_parameters_of_the_families(self, command):
+        common = {"help", "system", "pulse", "shape", "duration", "flip", "steps", "tol",
+                  "offset_start", "offset_stop", "offset_count", "output", "format"}
+        flags = {a.dest: (a.type, a.default) for a in subparser(command)._actions
+                 if a.dest not in common}
+        assert flags == {name: (kind, None) for name, kind in SCALAR_PARAMS.items()}
+        offsets = ["--offset-start", "0", "--offset-stop", "1"] if command == "profile" else []
+        args = subparser(command).parse_args(["--lobes", "2", "--order", "4", "--peak", "2",
+                                              *offsets])
+        assert (type(args.lobes), type(args.order), type(args.peak)) == (int, int, float)
+
+    @pytest.mark.parametrize("command", PULSE_COMMANDS)
+    def test_help_names_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for action in subparser(command)._actions:
+            assert all(option in out for option in action.option_strings)
+        for name in SCALAR_PARAMS:
+            (text,) = re.findall(rf"--{name} {name.upper()} (.*?) --", out)
+            for family, params in FAMILIES.items():
+                assert (family in text.split(" parameter")[0].split(", ")) == (name in params)
+                assert name not in params or f"default {params[name]})" in text
+
+    @pytest.mark.parametrize("family", SHAPE_FLAG_VALUES)
+    def test_shape_matches_a_pulse_file_of_the_same_family(self, family, tmp_path, sa_file):
+        params, flip, duration = SHAPE_FLAG_VALUES[family], 120.0, 1.5e-3
+        pulse = tmp_path / "pulse.json"
+        pulse.write_text(json.dumps({"name": family, "family": family, "duration_s": duration,
+                                     "nominal_flip_deg": flip, "params": params}))
+        routes = {"shape": ["--shape", family, *(f"--{k}={v}" for k, v in params.items()),
+                            "--flip", str(flip), "--duration", str(duration)],
+                  "file": ["--pulse", str(pulse)]}
+        docs, tables = {}, {}
+        for route, argv in routes.items():
+            report, table = tmp_path / f"{route}.json", tmp_path / f"{route}.csv"
+            rc = main(["criterion", *argv, "--system", sa_file, "--output", str(report)])
+            assert rc in (0, 3)
+            assert main(["propagate", *argv, "--system", sa_file, "--output", str(table)]) == 0
+            docs[route], tables[route] = (rc, json.loads(report.read_text())), table.read_bytes()
+        header = {"name": family, "family": family, "duration_s": duration, "flip_deg": flip}
+        assert docs["shape"][1].pop("pulse") == {**header, **params}
+        assert docs["file"][1].pop("pulse") == header
+        assert docs["shape"] == docs["file"]
+        assert tables["shape"] == tables["file"]
 
 
 class TestTables:

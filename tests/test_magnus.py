@@ -387,7 +387,7 @@ class TestExplicitCriterion:
     @pytest.mark.xfail(strict=True, raises=ExtractionError,
                        reason="refinement converges, but the accepted grid still jumps by "
                               "3.290 rad (config 3, step 5019); slice-local refinement "
-                              "(ROADMAP item 7) would track it")
+                              "(ROADMAP item 2) would track it")
     def test_uburp_360_on_sax_extracts(self, sax_system):
         report = explicit_criterion(sax_system, resolve_pulse("U-BURP").build_calibrated(TWO_PI))
         assert not report.criterion23_met  # I(T) = 68.3
