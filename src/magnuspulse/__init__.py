@@ -15,12 +15,11 @@ from .pulses import (
     CatalogEntry,
     PulseShape,
     SampledPulse,
-    abs_amplitude_integral,
     build_pulse,
     calibrate,
-    flip_angle,
     list_catalog,
     load_pulse_file,
+    midpoint_integrals,
     resolve_pulse,
     sample,
     scale_amplitude,

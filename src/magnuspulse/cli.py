@@ -260,12 +260,14 @@ def _system_doc(system: SpinSystem) -> dict:
     }
 
 
-#: The --shape flags, each scalar parameter of `FAMILIES` in order of first appearance, with
-#: the defaults of the families that take it.
-_SHAPE_FLAGS = {name: {family: params[name] for family, params in FAMILIES.items()
+#: The --shape families: those of `FAMILIES` whose every parameter has a scalar default.
+_SHAPES = {family: params for family, params in FAMILIES.items()
+           if all(isinstance(default, (int, float)) for default in params.values())}
+#: The --shape flags, each parameter of `_SHAPES` in order of first appearance, with the
+#: defaults of the families that take it.
+_SHAPE_FLAGS = {name: {family: params[name] for family, params in _SHAPES.items()
                        if name in params}
-                for params in FAMILIES.values() for name, default in params.items()
-                if isinstance(default, (int, float))}
+                for params in _SHAPES.values() for name in params}
 
 
 def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
@@ -408,7 +410,7 @@ def _cmd_verify(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, offsets: bool = False):
     parser.add_argument("--system", help="spin system JSON file (default: isolated S spin)")
     parser.add_argument("--pulse", help="bundled pulse name or pulse JSON file path")
-    parser.add_argument("--shape", help="analytic pulse family (gaussian, sech, sinc, hermite, constant, ...)")
+    parser.add_argument("--shape", choices=_SHAPES, help="analytic pulse family")
     parser.add_argument("--duration", type=float, help="pulse duration in seconds")
     parser.add_argument("--flip", type=float, help="target flip angle in degrees")
     parser.add_argument("--steps", type=int, default=DEFAULT_N_STEPS,

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import su2
 from .propagation import DEFAULT_TOL, BlockTrajectory, propagate_interaction
-from .pulses import DEFAULT_N_STEPS, PulseShape, _midpoint_integrals, sample
+from .pulses import DEFAULT_N_STEPS, PulseShape, midpoint_integrals, sample
 from .system import SpinSystem, offset_diagonal
 
 TWO_PI = 2.0 * math.pi
@@ -245,7 +245,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         As `extract_omega` does, from the block of `_omega_blocks` that holds
         the earliest jump; the audit stops there.
     """
-    theta_total, i_total = _midpoint_integrals(shape, shape.duration, n_steps)
+    theta_total, i_total = midpoint_integrals(shape, shape.duration, n_steps)
 
     trajectory = propagate_interaction(system, shape, n_steps=n_steps, tol=tol)
     i_grid = np.concatenate(([0.0], np.cumsum(np.abs(trajectory.amps)) * trajectory.dt))

@@ -16,7 +16,7 @@ Two integrals drive everything downstream:
 
 Both use composite midpoint quadrature, on the same grid that the propagator
 modules use for time slicing, so the discrete identities (for example
-I(T) == theta(T) for non-negative envelopes) hold exactly; `_midpoint_integrals`
+I(T) == theta(T) for non-negative envelopes) hold exactly; `midpoint_integrals`
 gives both from one set of samples.
 
 Fourier envelopes are summed by Clenshaw's recurrence (C. W. Clenshaw, Math.
@@ -68,10 +68,6 @@ class SampledPulse:
     amps: np.ndarray
     phases: np.ndarray
     dt: float
-
-    def __post_init__(self):
-        if not (len(self.times) == len(self.amps) == len(self.phases)):
-            raise ValueError("sample arrays must have equal length")
 
 
 def _eval(fn, t):
@@ -244,8 +240,10 @@ def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:
     return (np.arange(n_steps) + 0.5) * dt, dt
 
 
-def _midpoint_integrals(pulse: PulseShape, t: float, n_steps: int) -> tuple[float, float]:
-    """(integral of omega1, integral of |omega1|) over [0, t] from one set of midpoint samples."""
+def midpoint_integrals(pulse: PulseShape, t: float,
+                       n_steps: int = DEFAULT_N_STEPS) -> tuple[float, float]:
+    """(theta(t), I(t)): the integrals of omega1 and |omega1| over [0, t] from one set of
+    midpoint samples."""
     if not (0.0 <= t <= pulse.duration):
         raise ValueError(f"t={t} outside pulse support [0, {pulse.duration}]")
     if t == 0.0:
@@ -253,16 +251,6 @@ def _midpoint_integrals(pulse: PulseShape, t: float, n_steps: int) -> tuple[floa
     mids, dt = _midpoints(t, n_steps)
     amps = _eval(pulse.amplitude_fn, mids)
     return float(np.sum(amps) * dt), float(np.sum(np.abs(amps)) * dt)
-
-
-def flip_angle(pulse: PulseShape, t: float, n_steps: int = DEFAULT_N_STEPS) -> float:
-    """Flip angle theta(t) = integral_0^t omega1, composite midpoint rule."""
-    return _midpoint_integrals(pulse, t, n_steps)[0]
-
-
-def abs_amplitude_integral(pulse: PulseShape, t: float, n_steps: int = DEFAULT_N_STEPS) -> float:
-    """Criterion integral I(t) = integral_0^t |omega1|, same grid as flip_angle."""
-    return _midpoint_integrals(pulse, t, n_steps)[1]
 
 
 def calibrate(pulse: PulseShape, target_flip: float, n_steps: int = DEFAULT_N_STEPS) -> PulseShape:
@@ -274,7 +262,7 @@ def calibrate(pulse: PulseShape, target_flip: float, n_steps: int = DEFAULT_N_ST
         If the envelope has (numerically) zero net area, which cannot be
         calibrated by scaling.
     """
-    area, magnitude = _midpoint_integrals(pulse, pulse.duration, n_steps)
+    area, magnitude = midpoint_integrals(pulse, pulse.duration, n_steps)
     if magnitude == 0.0 or abs(area) < 1e-12 * magnitude:
         raise ValueError("pulse has zero net area; flip angle cannot be calibrated by scaling")
     return scale_amplitude(pulse, target_flip / area)

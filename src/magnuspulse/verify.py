@@ -21,8 +21,7 @@ from . import su2
 from .expansion import integrate_expansion
 from .magnus import ExtractionError, explicit_criterion, extract_omega, magnus_partial_sums
 from .propagation import propagate_interaction
-from .pulses import (abs_amplitude_integral, build_pulse, calibrate, flip_angle, list_catalog,
-                     scale_amplitude)
+from .pulses import build_pulse, calibrate, list_catalog, midpoint_integrals, scale_amplitude
 from .su2 import SX, SY, SZ
 from .system import ISpin, SpinSystem, assemble_full_matrix, offset_diagonal
 
@@ -132,14 +131,15 @@ def check_criterion_integrals():
     for _ in range(25):
         pulse = random_fourier_pulse(rng)
         t = rng.uniform(0.1, 1.0) * 1e-3
-        if abs_amplitude_integral(pulse, t, 256) < abs(flip_angle(pulse, t, 256)) - 1e-12:
+        theta, i = midpoint_integrals(pulse, t, 256)
+        if i < abs(theta) - 1e-12:
             return False, "triangle inequality violated"
     worst = 0.0
     for family, kwargs in (("gaussian", {"truncation": 0.01}), ("sech", {"beta": 5.3})):
         for flip in (math.pi / 2, 1.5 * math.pi):
             pulse = calibrate(build_pulse(family, 2e-3, **kwargs), flip, 4096)
-            gap = abs(abs_amplitude_integral(pulse, 2e-3, 4096) - flip_angle(pulse, 2e-3, 4096))
-            worst = max(worst, gap)
+            theta, i = midpoint_integrals(pulse, 2e-3, 4096)
+            worst = max(worst, abs(i - theta))
     return worst < 1e-12, f"max non-negative |I - theta| {worst:.2e}"
 
 
@@ -166,7 +166,7 @@ def check_bound_and_gap_sweep():
         system = random_small_system(rng)
         target = rng.uniform(0.3, 1.8) * math.pi
         pulse = calibrate(random_fourier_pulse(rng), target)
-        i_total = abs_amplitude_integral(pulse, pulse.duration)
+        i_total = midpoint_integrals(pulse, pulse.duration)[1]
         if i_total > cap:
             pulse = scale_amplitude(pulse, cap / i_total)
         report = _criterion(system, pulse, 384, 1e-6)
@@ -229,7 +229,7 @@ def check_weak_field():
     errors = []
     for _ in range(6):
         sol = extract_omega(propagate_interaction(system, pulse, n_steps=1024, tol=1e-9))
-        approx = flip_angle(pulse, pulse.duration, 1024)
+        approx = midpoint_integrals(pulse, pulse.duration, 1024)[0]
         errors.append(float(np.max(np.abs(approx - sol.omega_hat[:, -1]))))
         pulse = scale_amplitude(pulse, 0.5)
     ratios = [b / a for a, b in zip(errors, errors[1:])]

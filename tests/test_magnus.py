@@ -14,11 +14,11 @@ from magnuspulse import (
     angles_from_state,
     explicit_criterion,
     extract_omega,
-    flip_angle,
     gap_audit,
     integrate_expansion,
     list_catalog,
     magnus_partial_sums,
+    midpoint_integrals,
     propagate_interaction,
     resolve_pulse,
     scale_amplitude,
@@ -383,6 +383,9 @@ class TestExplicitCriterion:
         assert not report.criterion23_met
         assert report.criterion25_met  # flip angle itself is only pi
         assert report.i_total > TWO_PI
+        # the integrals are the quadrature's own, on the requested (not the refined) grid
+        assert (report.theta_total, report.i_total) == midpoint_integrals(pulse, pulse.duration,
+                                                                          1024)
 
     @pytest.mark.xfail(strict=True, raises=ExtractionError,
                        reason="refinement converges, but the accepted grid still jumps by "
@@ -419,7 +422,7 @@ class TestExplicitCriterion:
 
 class TestWeakField:
     def test_zero_time(self, gaussian90):
-        assert flip_angle(gaussian90, 0.0) == 0.0
+        assert midpoint_integrals(gaussian90, 0.0)[0] == 0.0
 
     def test_error_decreases_with_amplitude(self, sax_system, gaussian90):
         errors = []
@@ -427,7 +430,7 @@ class TestWeakField:
         for _ in range(4):
             traj = propagate_interaction(sax_system, pulse, n_steps=512, tol=1e-8)
             sol = extract_omega(traj)
-            approx = flip_angle(pulse, pulse.duration, 512)
+            approx = midpoint_integrals(pulse, pulse.duration, 512)[0]
             errors.append(float(np.max(np.abs(approx - sol.omega_hat[:, -1]))))
             pulse = scale_amplitude(pulse, 0.5)
         assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -443,7 +446,7 @@ class TestPartialSums:
         pulse = calibrate(build_pulse("gaussian", 1e-3), math.pi / 2)
         sums = magnus_partial_sums(s_only_system, pulse, n_steps=128)
         first = sums[:, 0, 0]
-        assert np.allclose(first, [flip_angle(pulse, 1e-3, 128), 0.0, 0.0], atol=1e-12)
+        assert np.allclose(first, [midpoint_integrals(pulse, 1e-3, 128)[0], 0.0, 0.0], atol=1e-12)
         assert np.allclose(sums[:, 0, 1], first, atol=1e-14)
         assert np.allclose(sums[:, 0, 2], first, atol=1e-14)
 

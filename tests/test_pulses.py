@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from magnuspulse import (
-    abs_amplitude_integral,
     build_pulse,
     calibrate,
-    flip_angle,
     list_catalog,
+    midpoint_integrals,
     resolve_pulse,
     sample,
     scale_amplitude,
@@ -71,8 +70,7 @@ class TestFamilies:
         pulse = entry.build()
         ts = np.linspace(0, entry.duration, 4001)
         assert pulse.amplitude_fn(ts).min() < 0
-        i_t = abs_amplitude_integral(pulse, entry.duration)
-        theta = flip_angle(pulse, entry.duration)
+        theta, i_t = midpoint_integrals(pulse, entry.duration)
         assert i_t > abs(theta)
 
     @pytest.mark.parametrize("name", ["reburp", "uburp", "eburp2", "iburp2"])
@@ -128,27 +126,26 @@ class TestFlipAngle:
     def test_constant_rectangle(self):
         pulse = build_pulse("constant", 1e-2, amplitude=1000.0)
         t = math.pi / 2000.0
-        assert flip_angle(pulse, t, 64) == pytest.approx(math.pi / 2)
+        assert midpoint_integrals(pulse, t, 64)[0] == pytest.approx(math.pi / 2)
 
     def test_zero_time(self, gaussian90):
-        assert flip_angle(gaussian90, 0.0) == 0.0
-        assert abs_amplitude_integral(gaussian90, 0.0) == 0.0
+        assert midpoint_integrals(gaussian90, 0.0) == (0.0, 0.0)
 
     def test_calibrated_gaussian_270(self, gaussian270):
-        assert flip_angle(gaussian270, gaussian270.duration) == pytest.approx(
+        assert midpoint_integrals(gaussian270, gaussian270.duration)[0] == pytest.approx(
             1.5 * math.pi, abs=1e-8
         )
 
     def test_outside_support_rejected(self, gaussian90):
         with pytest.raises(ValueError):
-            flip_angle(gaussian90, -1e-6)
+            midpoint_integrals(gaussian90, -1e-6)
         with pytest.raises(ValueError):
-            flip_angle(gaussian90, gaussian90.duration * 1.01)
+            midpoint_integrals(gaussian90, gaussian90.duration * 1.01)
 
     def test_additive_on_shared_grids(self, gaussian90):
         T = gaussian90.duration
-        theta_half = flip_angle(gaussian90, T / 2, 2048)
-        theta_full = flip_angle(gaussian90, T, 4096)
+        theta_half = midpoint_integrals(gaussian90, T / 2, 2048)[0]
+        theta_full = midpoint_integrals(gaussian90, T, 4096)[0]
         # second half on the same grid spacing
         mids = (np.arange(2048) + 0.5) * (T / 4096) + T / 2
         second_half = float(np.sum(gaussian90.amplitude_fn(mids)) * (T / 4096))
@@ -158,7 +155,8 @@ class TestFlipAngle:
         T = gaussian90.duration
         diffs = []
         for n in (64, 128, 256, 512):
-            diffs.append(abs(flip_angle(gaussian90, T, n) - flip_angle(gaussian90, T, 2 * n)))
+            coarse, fine = (midpoint_integrals(gaussian90, T, m)[0] for m in (n, 2 * n))
+            diffs.append(abs(coarse - fine))
         for coarse, fine in zip(diffs, diffs[1:]):
             assert coarse / fine >= 3.0
 
@@ -166,22 +164,20 @@ class TestFlipAngle:
 class TestAbsIntegral:
     def test_nonnegative_envelope_equals_flip(self, gaussian270):
         T = gaussian270.duration
-        assert abs_amplitude_integral(gaussian270, T) == pytest.approx(
-            flip_angle(gaussian270, T), abs=1e-12
-        )
+        theta, i_t = midpoint_integrals(gaussian270, T)
+        assert i_t == pytest.approx(theta, abs=1e-12)
 
     def test_odd_envelope(self):
         c = 500.0
         pulse = build_pulse("fourier", 1e-3, a0=0.0, sin_coeffs=(c,))
-        theta = flip_angle(pulse, 1e-3, 4096)
-        i_t = abs_amplitude_integral(pulse, 1e-3, 4096)
+        theta, i_t = midpoint_integrals(pulse, 1e-3, 4096)
         assert abs(theta) < 1e-10
         # |sin| integrates to 2/pi of the period times amplitude
         assert i_t == pytest.approx(2.0 * c * 1e-3 / math.pi, rel=1e-5)
 
     def test_constant_linear_in_time(self):
         pulse = build_pulse("constant", 1e-3, amplitude=250.0)
-        assert abs_amplitude_integral(pulse, 0.4e-3, 400) == pytest.approx(0.1)
+        assert midpoint_integrals(pulse, 0.4e-3, 400)[1] == pytest.approx(0.1)
 
     def test_triangle_inequality_on_random_envelopes(self):
         rng = np.random.default_rng(123)
@@ -189,7 +185,8 @@ class TestAbsIntegral:
             pulse = random_fourier_pulse(rng)
             t = rng.uniform(0.1, 1.0) * pulse.duration
             n = int(rng.integers(64, 512))
-            assert abs_amplitude_integral(pulse, t, n) >= abs(flip_angle(pulse, t, n))
+            theta, i_t = midpoint_integrals(pulse, t, n)
+            assert i_t >= abs(theta)
 
 
 class TestCalibrate:
@@ -207,7 +204,7 @@ class TestCalibrate:
         for entry in list_catalog():
             pulse = entry.build()
             expected = scale_amplitude(
-                pulse, entry.nominal_flip / flip_angle(pulse, pulse.duration, n_steps))
+                pulse, entry.nominal_flip / midpoint_integrals(pulse, pulse.duration, n_steps)[0])
             t = np.linspace(0.0, pulse.duration, 257)
             got = calibrate(pulse, entry.nominal_flip, n_steps).amplitude_fn(t)
             assert np.array_equal(got, expected.amplitude_fn(t)), entry.name
@@ -222,7 +219,7 @@ class TestCalibrate:
 
     def test_scale_amplitude_linearity(self, gaussian90):
         doubled = scale_amplitude(gaussian90, 2.0)
-        assert flip_angle(doubled, doubled.duration) == pytest.approx(math.pi, rel=1e-12)
+        assert midpoint_integrals(doubled, doubled.duration)[0] == pytest.approx(math.pi, rel=1e-12)
 
 
 class TestSample:
@@ -238,7 +235,8 @@ class TestSample:
 
     def test_sample_sum_matches_quadrature(self, gaussian90):
         sp = sample(gaussian90, 4096)
-        assert float(np.sum(sp.amps) * sp.dt) == flip_angle(gaussian90, gaussian90.duration, 4096)
+        assert midpoint_integrals(gaussian90, gaussian90.duration, 4096) == (
+            float(np.sum(sp.amps) * sp.dt), float(np.sum(np.abs(sp.amps)) * sp.dt))
 
     def test_envelope_of_the_wrong_shape_rejected(self):
         pulse = dataclasses.replace(build_pulse("constant", 1e-3), amplitude_fn=lambda t: 1.0)
@@ -272,7 +270,7 @@ class TestCatalog:
     def test_catalog_calibration_contract(self):
         entry = resolve_pulse("g4")
         pulse = entry.build_calibrated()
-        assert flip_angle(pulse, entry.duration) == pytest.approx(math.pi / 2, rel=1e-10)
+        assert midpoint_integrals(pulse, entry.duration)[0] == pytest.approx(math.pi / 2, rel=1e-10)
 
     def test_data_dir_env_override(self, tmp_path, monkeypatch):
         (tmp_path / "custom.json").write_text(
