@@ -8,7 +8,6 @@ criterion  existence-criterion report for a pulse/system pair (JSON or CSV)
 propagate  interaction-picture propagator blocks along the time grid (CSV)
 profile    excitation profile versus S offset (CSV)
 decompose  expansion-form coefficients and decomposition angles (CSV)
-verify     run the cross-module invariant suite
 
 Angles are accepted in degrees on the command line (NMR convention) and
 converted to radians internally; offsets and couplings in files are Hz.
@@ -33,12 +32,11 @@ import numpy as np
 
 from . import __version__, su2
 from .expansion import angles_from_state, integrate_expansion
-from .magnus import ExtractionError, explicit_criterion
-from .propagation import DEFAULT_TOL, RefinementError, excitation_profile, propagate_interaction
+from .magnus import explicit_criterion
+from .propagation import DEFAULT_TOL, excitation_profile, propagate_interaction
 from .pulses import (DEFAULT_N_STEPS, FAMILIES, CatalogEntry, PulseShape, build_pulse, calibrate,
                      list_catalog, resolve_pulse)
 from .system import SpinSystem, _check_offsets, load_system
-from .verify import run_all as run_verify
 
 TWO_PI = 2.0 * math.pi
 
@@ -402,11 +400,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    failures = run_verify()
-    return EXIT_OK if failures == 0 else EXIT_NUMERICAL
-
-
 def _add_common(parser: argparse.ArgumentParser, offsets: bool = False):
     parser.add_argument("--system", help="spin system JSON file (default: isolated S spin)")
     parser.add_argument("--pulse", help="bundled pulse name or pulse JSON file path")
@@ -461,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_decompose)
     p_decompose.set_defaults(func=_cmd_decompose)
 
-    p_verify = sub.add_parser("verify", help="run the invariant verification suite")
-    p_verify.set_defaults(func=_cmd_verify)
-
     return parser
 
 
@@ -474,10 +464,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (RefinementError, ExtractionError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import su2
-from .pulses import DEFAULT_N_STEPS, PulseShape, sample
+from .pulses import DEFAULT_N_STEPS, PulseShape, _check_steps, sample
 from .system import SpinSystem, offset_diagonal
 
 DEFAULT_TOL = 1e-9
@@ -107,8 +107,7 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
         If the tolerance is not met within `MAX_DOUBLINGS` refinements or the endpoint is
         not finite; the exception carries the last error estimate and its grid size.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_steps(n_steps)
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .system import _finite, _numbers, read_object
+from .system import _finite, _integer, _numbers, read_object
 
 DEFAULT_N_STEPS = 4096
 
@@ -234,8 +234,13 @@ def scale_amplitude(pulse: PulseShape, factor: float) -> PulseShape:
     return replace(pulse, amplitude_fn=lambda t: factor * np.asarray(amp(t), dtype=float))
 
 
+def _check_steps(n_steps: int):
+    """The step-count rule of every route: n_steps is an integer, not a bool, and at least 1."""
+    _require(_integer(n_steps, "n_steps") >= 1, f"n_steps must be >= 1, got {n_steps}")
+
+
 def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:
-    _require(n_steps >= 1, f"n_steps must be >= 1, got {n_steps}")
+    _check_steps(n_steps)
     dt = t / n_steps
     return (np.arange(n_steps) + 0.5) * dt, dt
 
@@ -246,8 +251,6 @@ def midpoint_integrals(pulse: PulseShape, t: float,
     midpoint samples."""
     if not (0.0 <= t <= pulse.duration):
         raise ValueError(f"t={t} outside pulse support [0, {pulse.duration}]")
-    if t == 0.0:
-        return 0.0, 0.0
     mids, dt = _midpoints(t, n_steps)
     amps = _eval(pulse.amplitude_fn, mids)
     return float(np.sum(amps) * dt), float(np.sum(np.abs(amps)) * dt)

@@ -33,10 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SX = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-SY = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
-
 IDENTITY = np.array([1.0, 0.0], dtype=complex)
 
 #: |v| at or below this leaves the rotation axis to the last sample that had one.

@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -20,13 +19,13 @@ from hypothesis import strategies as st
 
 from magnuspulse import (SpinSystem, angles_from_state, build_pulse, calibrate,
                          excitation_profile, explicit_criterion, integrate_expansion,
-                         list_catalog, load_system, propagate_interaction, resolve_pulse, su2,
-                         verify)
+                         list_catalog, load_system, propagate_interaction, resolve_pulse, su2)
 from magnuspulse import cli
 from magnuspulse.cli import (CSV_BLOCK_ROWS, _cells, _emit, _emit_table, _round_floats,
                              build_parser, main)
 from magnuspulse.propagation import DEFAULT_TOL
 from magnuspulse.pulses import DEFAULT_N_STEPS, FAMILIES
+from contracts import _sax
 from oracle import csv_table
 
 TWO_PI = 2.0 * math.pi
@@ -522,7 +521,7 @@ def test_time_columns_match_percent_format_at_every_refinement_level(entry):
     `'%.12g' % t` at the default steps and at every level that `propagate` or `decompose`
     refines to on the catalog pulse, for one S spin alone and for SAX."""
     shape = entry.build_calibrated()
-    levels = max(route(system, shape).refinement_levels for system in (SpinSystem(), verify._sax())
+    levels = max(route(system, shape).refinement_levels for system in (SpinSystem(), _sax())
                  for route in (propagate_interaction, integrate_expansion))
     for level in range(levels + 1):
         n = DEFAULT_N_STEPS << level
@@ -872,35 +871,13 @@ class TestErrors:
         assert "(default 4096)" in out and "(default 1e-9)" in out
 
 
-class TestVerify:
-    def test_all_checks_pass(self, capsys, monkeypatch, run_check):
-        # every real check, each computed once per session (shared with test_acceptance)
-        monkeypatch.setattr(verify, "CHECKS", [(name, functools.partial(run_check, check))
-                                               for name, check in verify.CHECKS])
-        assert main(["verify"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        n = len(verify.CHECKS)
-        assert lines[-1] == f"{n}/{n} checks passed"
-        assert len(lines) == n + 1
-        assert all(line.startswith("[ok  ] ") for line in lines[:-1])
-
-    def test_failing_check_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "CHECKS", [("fails", lambda: (False, "off by 1e-3")),
-                                               ("passes", lambda: (True, "fine"))])
-        assert main(["verify"]) == 4
-        assert capsys.readouterr().out.splitlines() == [
-            "[FAIL] fails: off by 1e-3", "[ok  ] passes: fine", "1/2 checks passed"]
-
-    def test_raising_check_fails_and_the_rest_still_run(self, capsys, monkeypatch):
-        def crashes():
-            return 1 / 0
-
-        monkeypatch.setattr(verify, "CHECKS", [("crashes", crashes),
-                                               ("passes", lambda: (True, "fine"))])
-        assert main(["verify"]) == 4
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("[FAIL] crashes: raised ZeroDivisionError")
-        assert lines[1:] == ["[ok  ] passes: fine", "1/2 checks passed"]
+class TestRemovedCommand:
+    def test_verify_is_an_invalid_choice(self, capsys):
+        # the contracts run as tests: pytest tests/test_acceptance.py
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'verify'" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -26,8 +26,7 @@ from magnuspulse import (
 )
 from magnuspulse import magnus
 from magnuspulse.magnus import DEFAULT_GAP_TOL, ExtractionError
-from magnuspulse.su2 import SX, SY, SZ
-from magnuspulse.verify import random_fourier_pulse, random_small_system
+from contracts import random_fourier_pulse, random_small_system
 import oracle
 
 TWO_PI = 2.0 * math.pi
@@ -47,7 +46,7 @@ def _assert_each_time_matches_oracle(rows):
 
 def _hermitian(sums):
     """The (n_configs, order, 2, 2) matrices a . S of the (3, n_configs, order) partial sums."""
-    return np.einsum("jcm,jab->cmab", sums, np.stack((SX, SY, SZ)))
+    return np.einsum("jcm,jab->cmab", sums, np.stack((oracle.SX1, oracle.SY1, oracle.SZ1)))
 
 
 class TestExtractOmega:

@@ -1,8 +1,8 @@
 """Properties that hold for any envelope, checked on random Fourier pulses.
 
-Pulses are `verify.random_fourier_pulse` calibrated to a drawn flip angle,
-with I(T) capped at U-BURP intensity as `verify.check_bound_and_gap_sweep`
-caps it; systems are `verify.random_small_system` or the fixed S, SAX and
+Pulses are `contracts.random_fourier_pulse` calibrated to a drawn flip angle,
+with I(T) capped at U-BURP intensity as `contracts.check_bound_and_gap_sweep`
+caps it; systems are `contracts.random_small_system` or the fixed S, SAX and
 S2AX systems. Each tolerance is the one an existing test uses for the same
 quantity.
 """
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from magnuspulse import (SpinSystem, calibrate, integrate_expansion, midpoint_integrals,
                          offset_diagonal, propagate_interaction, sample, scale_amplitude, su2)
-from magnuspulse.verify import _criterion, _sax, random_fourier_pulse, random_small_system
+from contracts import _criterion, _sax, random_fourier_pulse, random_small_system
 import oracle
 
 TWO_PI = 2.0 * math.pi

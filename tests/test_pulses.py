@@ -14,7 +14,7 @@ from magnuspulse import (
     sample,
     scale_amplitude,
 )
-from magnuspulse.verify import random_fourier_pulse
+from contracts import random_fourier_pulse
 import oracle
 
 TWO_PI = 2.0 * math.pi
@@ -249,6 +249,32 @@ class TestSample:
                             centers=[0.5, 0.5], fwhms=[0.2, 0.2])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite samples"):
             sample(pulse, 16)
+
+
+def _sampled(pulse, n_steps):
+    sp = sample(pulse, n_steps)
+    return np.concatenate((sp.times, sp.amps, sp.phases, [sp.dt]))
+
+
+#: Each route of a step count in `pulses`, called as route(pulse, n_steps).
+STEP_ROUTES = {
+    "sample": _sampled,
+    "integrals-at-T": lambda pulse, n: midpoint_integrals(pulse, pulse.duration, n),
+    "integrals-at-0": lambda pulse, n: midpoint_integrals(pulse, 0.0, n),
+    "calibrate": lambda pulse, n: calibrate(pulse, 1.0, n).amplitude_fn(np.linspace(0, 1e-3, 5)),
+}
+
+
+@pytest.mark.parametrize("route", STEP_ROUTES)
+def test_step_count_is_an_integer_of_at_least_one_on_every_route(route):
+    # 2.5 once gave 3 midpoints spaced t / 2.5, and True a one-step grid
+    pulse = build_pulse("gaussian", 1e-3, peak=1000.0)
+    for n_steps, message in ((2.5, "an integer, got 2.5"), (True, "an integer, got True"),
+                             (0, ">= 1, got 0")):
+        with pytest.raises(ValueError, match=f"^n_steps must be {message}$"):
+            STEP_ROUTES[route](pulse, n_steps)
+    got, want = (np.asarray(STEP_ROUTES[route](pulse, n)) for n in (np.int64(8), 8))
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCatalog:

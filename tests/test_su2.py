@@ -15,7 +15,7 @@ from magnuspulse import (angles_from_state, build_pulse, excitation_profile, ext
                          integrate_expansion, list_catalog, magnus_partial_sums,
                          propagate_interaction, su2)
 from magnuspulse.cli import main
-from magnuspulse.verify import _sax
+from contracts import _sax
 import oracle
 
 GOLDEN_SYSTEM = Path(__file__).parent / "data" / "golden" / "sax.json"
