@@ -120,24 +120,37 @@ def _cell_tables():
     return tables
 
 
+def _round_half(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The integer nearest a b for s = fl(a b) on a half, half to even where a b = s.
+
+    The sign of the rounding error a b - s picks the side; Dekker's product with Veltkamp's
+    split (2**27 + 1) gives it exactly.
+    """
+    ah, bh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+    al, bl = a - ah, b - bh
+    err = (((ah * bh - s) + ah * bl) + al * bh) + al * bl
+    return np.where(err > 0, np.ceil(s), np.where(err < 0, np.floor(s), np.rint(s)))
+
+
 def _cells(values: np.ndarray) -> np.ndarray:
     """The cell of ',' and `'%.12g' % v` for each value of 1-D `values` (a table's v + 0.0).
 
     With e = floor(log10|v|), the scaled value s = |v| 10**(11 - e) is two correctly rounded
     operations from the exact one, so within 2.3e-4 of it below 1e12. m = rint(s) is the
     correctly rounded 12-digit mantissa by either of two rules. Where 1e11 + margin <= s,
-    rint(s) < 1e12 and s is more than the margin from a half, m holds whatever log10 returned.
+    rint(s) < 1e12 and s is at least the margin from a half, m holds whatever log10 returned.
     Where 0 <= 11 - e <= 22 the power of ten is exact and s is the exact value rounded once;
     a half-integer is a double, so it can only lie between the two if s is on it, and m holds
-    without a margin wherever s is off a half. The 12 digits are read from 4-digit group
-    tables as two words. As in `%g`, the head holds a "0.000" prefix where -4 <= e < 0, the
-    first e + 1 digits and the dot where 0 <= e <= 4, and otherwise the first digit and the
-    dot; an exponent follows the digits. The h digits the head holds move to byte 2 and the
-    rest h bytes down into words 1-2. Every shift count is below 64: a product with
-    2**(64 - 8 h) mod 2**64 shifts left by 64 - 8 h, or clears where h = 0. Zeros,
-    non-finite, tiny or huge values, values whose s is on a half (exact decimal ties and
-    grid times among them), near-ties where the power is rounded, fixed-notation values of
-    1e5 or more and texts with no digit after the dot are formatted by `%` one at a time.
+    without a margin wherever s is off a half. On a half (grid times often are), m is the
+    exact product rounded by `_round_half`: to its side of the half, or to even on an exact
+    decimal tie, as `%` rounds. The 12 digits are read from 4-digit group tables as two words.
+    As in `%g`, the head holds a "0.000" prefix where -4 <= e < 0, the first e + 1 digits and
+    the dot where 0 <= e <= 4, and otherwise the first digit and the dot; an exponent follows
+    the digits. The h digits the head holds move to byte 2 and the rest h bytes down into
+    words 1-2. Every shift count is below 64: a product with 2**(64 - 8 h) mod 2**64 shifts
+    left by 64 - 8 h, or clears where h = 0. Zeros, non-finite, tiny or huge values,
+    near-ties where the power is rounded, fixed-notation values of 1e5 or more and texts with
+    no digit after the dot are formatted by `%` one at a time.
     """
     groups, per_exponent, powers, limits = _cell_tables()
     magnitude = np.abs(values)
@@ -148,8 +161,12 @@ def _cells(values: np.ndarray) -> np.ndarray:
         # every index below is in range: mode="clip" only skips the bounds check
         scaled = magnitude * powers.take(row, mode="clip")
         m = np.rint(scaled)
+        gap = np.abs(np.subtract(scaled, m, out=e), out=e)  # e is spent
         fast = (scaled >= 1e11 + _MARGIN) & (m < 1e12)
-        fast &= np.abs(scaled - m) < limits.take(row, mode="clip")
+        fast &= gap <= limits.take(row, mode="clip")
+        halves = np.flatnonzero(fast & (gap == 0.5))  # only where the power is exact
+        if len(halves):
+            m[halves] = _round_half(magnitude[halves], powers.take(row[halves]), scaled[halves])
         np.copyto(m, 1e11, where=~fast)
     low = m.astype(np.int64)
     high = low // 10**8
@@ -408,9 +425,11 @@ def _add_common(parser: argparse.ArgumentParser, offsets: bool = False):
     parser.add_argument("--flip", type=float, help="target flip angle in degrees")
     parser.add_argument("--steps", type=int, default=DEFAULT_N_STEPS,
                         help="quadrature/propagation steps (default %(default)s)")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help=f"step-doubling endpoint tolerance (default {DEFAULT_TOL:g})"
-                        .replace("e-0", "e-"))  # "1e-9", as %(default)s would not print it
+    tol_help = (f"step-doubling endpoint tolerance (default {DEFAULT_TOL:g})"
+                .replace("e-0", "e-"))  # "1e-9", as %(default)s would not print it
+    if offsets:  # profile propagates each offset once on the --steps grid
+        tol_help = "accepted and ignored: profile does no step doubling"
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help=tol_help)
     for name, defaults in _SHAPE_FLAGS.items():
         shown = "/".join(dict.fromkeys(map(str, defaults.values())))
         parser.add_argument(f"--{name}", type=type(next(iter(defaults.values()))),

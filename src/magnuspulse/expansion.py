@@ -66,8 +66,9 @@ def _rk4_steps(offsets: np.ndarray, shape: PulseShape, out: np.ndarray) -> np.nd
         b = su2.rotating_field(half_dt * amps[half], phases[half], offsets, times[half][0], half_dt)
         b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
         s, c2 = b1.real ** 2 + b1.imag ** 2, np.conjugate(b2)
-        out[0, :, start:stop] = 1.0 - (np.conjugate(b1) * b0 + s + c2 * (b1 - 0.25 * s * b0)) / 6
-        out[1, :, start:stop] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) / 6
+        out[0, :, start:stop] = 1.0 - (np.conjugate(b1) * b0 + s
+                                       + c2 * (b1 - 0.25 * s * b0)) * (1 / 6)
+        out[1, :, start:stop] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
     return amps[1::2]
 
 

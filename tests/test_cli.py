@@ -244,6 +244,15 @@ class TestShapeFlags:
                 assert (family in text.split(" parameter")[0].split(", ")) == (name in params)
                 assert name not in params or f"default {params[name]})" in text
 
+    @pytest.mark.parametrize("command", PULSE_COMMANDS)
+    def test_tol_help_says_profile_ignores_it(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        (text,) = re.findall(r"--tol TOL (.*?) --", " ".join(capsys.readouterr().out.split()))
+        expected = ("accepted and ignored: profile does no step doubling" if command == "profile"
+                    else "step-doubling endpoint tolerance (default 1e-9)")
+        assert text == expected
+
     @pytest.mark.parametrize("family", SHAPE_FLAG_VALUES)
     def test_shape_matches_a_pulse_file_of_the_same_family(self, family, tmp_path, sa_file):
         params, flip, duration = SHAPE_FLAG_VALUES[family], 120.0, 1.5e-3
@@ -478,7 +487,7 @@ def assert_cells_match_percent_format(values):
           500000.0000005, 100000.0000015, 50000000000.05, 10000000000.15, 1.234567890135e-09,
           -1.000000000015e-09])
 # the first 4097 grid times of a 1 ms pulse on 2**16 steps: 512 of them (k = 7, 11, 15, 19, 21,
-# ...; 3969 on the whole grid) scale exactly onto a half, where only `%` knows the rounding side
+# ...; 3969 on the whole grid) scale exactly onto a half, where the product's error picks the side
 @example([k * (1e-3 / 2**16) for k in range(2**12 + 1)])
 def test_cell_text_matches_percent_format(values):
     assert_cells_match_percent_format(values)
@@ -504,6 +513,28 @@ def test_decimal_cell_text_matches_percent_format(values):
 def test_cell_text_sweeps_every_decimal_exponent():
     assert_cells_match_percent_format([float(f"{mantissa}e{k}") for k in range(-324, 309)
                                        for mantissa in ("1", "9.99999999999", "5.000000000005")])
+
+
+@pytest.mark.parametrize("duration", [0.5e-3, 1e-3, 1.5e-3, 2e-3])
+@pytest.mark.parametrize("n", [2**12, 2**15, 2**17])
+def test_whole_time_column_matches_percent_format(duration, n):
+    """Every grid time t_k = k (T / n) of a round duration, about 12 % of which scale exactly
+    onto a half in the 13th digit, is `'%.12g' % t`."""
+    times = np.arange(n + 1) * (duration / n)
+    cells = _cells(times).tobytes().replace(b"\0", b"").decode().split(",")[1:]
+    wrong = [(t, cell) for t, cell in zip(times.tolist(), cells) if cell != f"{t:.12g}"]
+    assert len(cells) == len(times) and not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("value, text", [(4097 / 4096, "1.00024414062"),
+                                         (4099 / 4096, "1.00073242188"),
+                                         (-4097 / 4096, "-1.00024414062"),
+                                         (-4099 / 4096, "-1.00073242188"),
+                                         (40970 / 4096, "10.0024414062")])
+def test_exact_decimal_tie_rounds_half_to_even(value, text):
+    """An exact tie in the 13th digit (the product's error is 0) rounds to even, as `%`."""
+    assert "%.12g" % value == text
+    assert _cells(np.array([value])).tobytes().replace(b"\0", b"") == b"," + text.encode()
 
 
 @pytest.mark.parametrize("shift", [-1.0, 1.0])
