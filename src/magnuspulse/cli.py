@@ -217,17 +217,19 @@ def _emit_table(columns, lead, values, meta, args, layout=None, indexed=True):
 
     def blocks():
         yield ",".join(columns).encode()
-        lead_cells = _cells(lead)
-        lead_cells.view(np.uint8)[::_CELL.itemsize] = ord("\n")
+        starts = range(0, len(lead), CSV_BLOCK_ROWS)
+        leads = [_cells(lead[start:start + CSV_BLOCK_ROWS]) for start in starts]
+        for cells in leads:
+            cells.view(np.uint8)[::_CELL.itemsize] = ord("\n")
         full = bytearray(min(len(lead), CSV_BLOCK_ROWS) * record.itemsize)
         for k in range(len(values[0])):
-            for start in range(0, len(lead), CSV_BLOCK_ROWS):
+            for start, lead_cells in zip(starts, leads):
                 rows = slice(start, start + CSV_BLOCK_ROWS)
-                n = len(lead_cells[rows])
+                n = len(lead_cells)
                 # every byte is rewritten, so one buffer serves all blocks of full length
                 text = full if n * record.itemsize == len(full) else bytearray(n * record.itemsize)
                 block = np.frombuffer(text, record)
-                block["lead"] = lead_cells[rows]
+                block["lead"] = lead_cells
                 if indexed:
                     block["index"] = np.void(f",{k}".encode().ljust(index_width, b"\0"))
                 for source, names in targets.items():
@@ -400,7 +402,10 @@ def _cmd_profile(args) -> int:
     system, shape, meta = _load_inputs(args)
     _check_offsets(system, TWO_PI * max(abs(args.offset_start), abs(args.offset_stop)),
                    shape.duration)
-    offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
+    try:
+        offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"--offset-count {args.offset_count} is too many to allocate") from exc
     table = excitation_profile(system, shape, TWO_PI * offsets_hz, n_steps=args.steps)
     columns = ["offset_hz", "mx", "my", "mz"]
     _emit_table(columns, offsets_hz, table[:, None], meta, args, indexed=False)

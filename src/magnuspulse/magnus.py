@@ -20,15 +20,14 @@ folds the bound margin, the gap audit, the -E times and the largest
 omega_hat block by block and never holds Omega, its steps or the
 eigenvalues of the whole grid.
 
-Where U passes through -E the rotation axis is genuinely undefined; those
-samples are flagged, the angle itself is still carried through by
-continuity. Such points are exactly where the eigenvalue-gap condition
-|lambda_i - lambda_j| != 2 pi n fails. `gap_audit` checks it over the
-eigenvalues m_S omega_hat of the whole block-diagonal exponent at and
-between stored times, alongside the amplitude-integral criterion
-I(T) < 2 pi and its weak-field flip-angle variant. The series partial sums are rotation vectors,
-computed in the vector form of su(2), where a commutator [a . S, b . S] is
-i (a x b) . S.
+Where U passes through -E the rotation axis is genuinely undefined; those samples are
+flagged, the angle itself is still carried through by continuity. Such points are exactly
+where the eigenvalue-gap condition |lambda_i - lambda_j| != 2 pi n fails. `gap_audit` checks
+it over the eigenvalues m_S omega_hat of the whole block-diagonal exponent at and between
+stored times, from omega_hat and the S spin count, alongside the amplitude-integral
+criterion I(T) < 2 pi and its weak-field flip-angle variant. The series partial sums are
+rotation vectors, computed in the vector form of su(2), where a commutator [a . S, b . S]
+is i (a x b) . S.
 """
 
 from __future__ import annotations
@@ -90,15 +89,16 @@ class CriterionReport:
     """Verdicts and audit quantities for one pulse/system pair.
 
     criterion23_met is the amplitude-integral test I(T) < 2 pi (strict);
-    criterion25_met the flip-angle variant theta(T) < 2 pi. The gap fields
-    are `gap_audit` over the eigenvalues along the whole trajectory, all
-    configurations together: max_eigenvalue_gap is the largest pairwise gap
-    at a stored time, magnus_gap_nearest the smallest distance from any
-    pairwise gap to the set {2 pi n, n != 0} (0 where a gap passes 2 pi n
-    between samples), and magnus_criterion_ok is true when that distance
-    exceeds DEFAULT_GAP_TOL. bound21_margin is the worst-case I(t) - omega_hat(t), the
-    pointwise audit of the amplitude-integral bound on the exponent; it includes t = 0, where
-    both are 0, so it is never positive: 0 or a rounding-size negative value means it held.
+    criterion25_met the flip-angle variant theta(T) < 2 pi. The audits across configurations
+    read M_t = max_c omega_hat_c(t) at each stored time: max_omega_hat is max_t M_t, and
+    bound21_margin min_t (I(t) - M_t), the worst-case I(t) - omega_hat_c(t) of the pointwise
+    bound on the exponent; it includes t = 0, where both are 0, so it is never positive: 0 or
+    a rounding-size negative value means it held. The gap fields are `gap_audit` over the
+    eigenvalues m omega_hat_c, |m| <= s/2 for s S spins: max_eigenvalue_gap is the largest
+    pairwise gap at a stored time, 2 fl(max_omega_hat s / 2), magnus_gap_nearest the smallest
+    distance from any pairwise gap to the set {2 pi n, n != 0} (0 where a gap passes 2 pi n
+    between samples), and magnus_criterion_ok is true when that distance exceeds
+    DEFAULT_GAP_TOL.
     ambiguity_times, ascending and distinct, are where some configuration's
     U passes -E (`_minus_e_times`): each stored time flagged as in
     `MagnusSolution.ambiguous`, and an interpolated time for each passage
@@ -172,47 +172,47 @@ def _omega_blocks(trajectory: BlockTrajectory):
         yield block, omega, np.abs(angle, out=angle), ambiguous
 
 
-def gap_audit(rows: np.ndarray) -> tuple[float, float]:
+def gap_audit(omega_hat: np.ndarray, s_count: int) -> tuple[float, float]:
     """Largest eigenvalue gap and the nearest gap to the set {2 pi n, n != 0}.
 
-    `rows` has shape (n_values, n_times): the eigenvalues of the whole
-    block-diagonal exponent, values first and time last. Every pair (i, j) at
-    the same time counts. Rounding is monotone, so the spread s = fl(max - min)
-    is the largest gap at its time; where s <= 2 pi every pair has n = 1 and
-    the nearest distance there is exactly fl(|s - 2 pi|). Only times with
-    s > 2 pi, and their neighbours, are swept pair by pair. Fewer than two
-    values give (0.0, inf).
+    The eigenvalues of the whole block-diagonal exponent are m omega_hat_c(t), m = -s/2 .. s/2
+    for s = `s_count` and each configuration c of `omega_hat` (n_configs, n_times); every pair
+    at one time counts. Rounding is monotone and omega_hat >= 0, so at each time the spread
+    fl(top + top), top = fl(M_t s / 2) with M_t = max_c omega_hat_c(t), is the largest gap;
+    where it is <= 2 pi every pair has n = 1 and the nearest distance is exactly
+    fl(|spread - 2 pi|). The rows m omega_hat_c are built and swept pair by pair only at times
+    whose spread passes 2 pi and at their neighbours.
 
-    The time between samples counts too. Tracked eigenvalues are continuous,
-    so where either of two consecutive samples has s > 2 pi, a pair whose
-    |lambda_i - lambda_j| / 2 pi brackets an integer n >= 1 passed 2 pi n
-    between them, and the nearest distance is 0. A grid audited in blocks
-    that share their edge sample (`su2.track_windows`) sees every consecutive
-    pair; a repeated sample changes neither result.
+    The time between samples counts too. Tracked eigenvalues are continuous, so where either
+    of two consecutive samples has a spread above 2 pi, a pair whose |lambda_i - lambda_j| /
+    2 pi brackets an integer n >= 1 passed 2 pi n between them, and the nearest distance is 0.
+    A grid audited in blocks that share their edge sample (`su2.track_windows`) sees every
+    consecutive pair; a repeated sample changes neither result.
     """
-    if rows.shape[0] < 2:
-        return 0.0, math.inf
-    spread = np.max(rows, axis=0) - np.min(rows, axis=0)
+    top = np.max(omega_hat, axis=0) * (0.5 * s_count)
+    spread = top + top
     wide = spread > TWO_PI
     nearest = float(np.min(np.abs(spread[~wide] - TWO_PI), initial=math.inf))
     if wide.any():
-        near = wide.copy()  # the wide times and their neighbours
-        near[1:] |= wide[:-1]
-        near[:-1] |= wide[1:]
-        nearest = min(nearest, _pair_sweep(rows[:, near]))
+        near = np.convolve(wide, [1, 1, 1])[1:-1] > 0  # the wide times and their neighbours
+        nearest = min(nearest, _pair_sweep(omega_hat[:, near], s_count))
     return float(np.max(spread)), nearest
 
 
-def _pair_sweep(rows: np.ndarray) -> float:
-    """Nearest gap to {2 pi n, n != 0} over every pair of value-major rows, offset by offset.
+def _pair_sweep(omega_hat: np.ndarray, s_count: int) -> float:
+    """Nearest gap to {2 pi n, n != 0} over every pair of rows m omega_hat_c, offset by offset.
 
-    0 where a pair's floor(gap / 2 pi) changes between neighbouring columns.
-    Columns with s <= 2 pi leave the result as `gap_audit` has it: their
-    distances are at least fl(|s - 2 pi|), and their floors are 0 but at a gap
-    of exactly 2 pi, so two such neighbours need not be consecutive times.
+    0 where a pair's floor(gap / 2 pi) changes between neighbouring columns. Columns with a
+    spread <= 2 pi leave the result as `gap_audit` has it: their distances are at least
+    fl(|spread - 2 pi|), and their floors are 0 but at a gap of exactly 2 pi, so two such
+    neighbours need not be consecutive times. Rows too many to allocate name `s_count`.
     """
-    gap_buf = np.empty((rows.shape[0] - 1,) + rows.shape[1:])
-    dist_buf = np.empty_like(gap_buf)
+    try:
+        ms = np.arange(s_count + 1) - 0.5 * s_count  # total S quantum numbers
+        rows = (omega_hat[:, None, :] * ms[:, None]).reshape(-1, omega_hat.shape[-1])
+        gap_buf, dist_buf = np.empty((2, rows.shape[0] - 1) + rows.shape[1:])
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"s_count {s_count} gives too many eigenvalues to allocate") from exc
     nearest = math.inf
     for d in range(1, rows.shape[0]):
         gaps, dist = gap_buf[d - 1:], dist_buf[d - 1:]
@@ -249,15 +249,14 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
 
     trajectory = propagate_interaction(system, shape, n_steps=n_steps, tol=tol)
     i_grid = np.concatenate(([0.0], np.cumsum(np.abs(trajectory.amps)) * trajectory.dt))
-    ms = np.arange(system.s_count + 1) - 0.5 * system.s_count  # total S quantum numbers
 
     margin, max_hat, max_gap, nearest = math.inf, -math.inf, -math.inf, math.inf
     minus_e = []
     for block, _, omega_hat, ambiguous in _omega_blocks(trajectory):
-        margin = np.minimum(margin, np.min(i_grid[block] - omega_hat))
-        max_hat = np.maximum(max_hat, np.max(omega_hat))
-        lam = (omega_hat[:, None, :] * ms[None, :, None]).reshape(-1, omega_hat.shape[-1])
-        gap, near = gap_audit(lam)
+        top = np.max(omega_hat, axis=0)  # M_t
+        margin = np.minimum(margin, np.min(i_grid[block] - top))
+        max_hat = np.maximum(max_hat, np.max(top))
+        gap, near = gap_audit(omega_hat, system.s_count)
         max_gap, nearest = np.maximum(max_gap, gap), np.minimum(nearest, near)
         minus_e.append(_minus_e_times(trajectory.times[block], omega_hat, ambiguous))
 

@@ -112,7 +112,10 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
         raise ValueError(f"tol must be positive, got {tol}")
 
     def grid(n):
-        q = np.empty((2, system.n_configs, n + 1), dtype=complex)
+        try:
+            q = np.empty((2, system.n_configs, n + 1), dtype=complex)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"n_steps {n_steps}: {n} steps are too many to allocate") from exc
         q[..., 0] = su2.IDENTITY[:, None]
         return q, steps(q[..., 1:])
 

@@ -242,7 +242,10 @@ def _check_steps(n_steps: int):
 def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:
     _check_steps(n_steps)
     dt = t / n_steps
-    return (np.arange(n_steps) + 0.5) * dt, dt
+    try:
+        return (np.arange(n_steps) + 0.5) * dt, dt
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"n_steps {n_steps} gives too many midpoints to allocate") from exc
 
 
 def midpoint_integrals(pulse: PulseShape, t: float,

@@ -37,7 +37,8 @@ one rounded correction per turn, stays an independent reference in the tests.
 
 `gap_audit_pairs` is the eigenvalue-gap audit as one all-pairs table, the
 reference for the library's spread shortcut, its offset sweep and its test
-for gaps that pass 2 pi n between samples.
+for gaps that pass 2 pi n between samples. It takes every eigenvalue
+m omega_hat_c of the whole exponent, as `eigenvalue_rows` builds them.
 
 `csv_table` is the command line's former table writer, one `%` format per
 row, the reference for the text of its column-wise CSV writer.
@@ -402,6 +403,15 @@ def _whole_turns(half):
     """
     step = np.diff(half, axis=-1, prepend=half[..., :1])
     return half + 2.0 * np.pi * np.cumsum((step < -np.pi) * 1.0 - (step > np.pi), axis=-1)
+
+
+def eigenvalue_rows(omega_hat, s_count):
+    """The eigenvalues m omega_hat_c(t), m = -s/2 .. s/2, of the whole block-diagonal exponent.
+
+    (n_configs (s + 1), n_times) rows, configuration-major, for `omega_hat` (n_configs, n_times).
+    """
+    ms = np.arange(s_count + 1) - 0.5 * s_count
+    return (omega_hat[:, None, :] * ms[None, :, None]).reshape(-1, omega_hat.shape[-1])
 
 
 def gap_audit_pairs(rows):

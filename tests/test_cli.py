@@ -421,6 +421,21 @@ class TestCsvText:
         rows = list(zip(offsets_hz.tolist(), *table.tolist()))
         assert_same_text(text, csv_table(["offset_hz", "mx", "my", "mz"], rows))
 
+    def test_time_column_formatted_block_by_block(self, tmp_path, monkeypatch):
+        """On a 65,537-row table no `_cells` call gets more than one block of rows, and the
+        bytes equal those written with the whole grid as one block."""
+        argv = ["propagate", "--pulse", "g4", "--steps", "32768", "--tol", "1e-4", "--output"]
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1 << 17)
+        assert main(argv + [str(tmp_path / "whole.csv")]) == 0
+        monkeypatch.undo()
+        sizes, cells = [], cli._cells
+        monkeypatch.setattr(cli, "_cells", lambda v: sizes.append(len(v)) or cells(v))
+        assert main(argv + [str(tmp_path / "blocks.csv")]) == 0
+        text = (tmp_path / "blocks.csv").read_bytes()
+        assert text.count(b"\n") == 65_537 + 1
+        assert max(sizes) == CSV_BLOCK_ROWS
+        assert text == (tmp_path / "whole.csv").read_bytes()
+
     def test_propagate_table_holds_no_copy_of_the_trajectory(self, tmp_path):
         """Writing the table raises propagation's own peak by less than half the trajectory's
         bytes (U-BURP on SAX): the writer formats views of the library's array block by block."""
@@ -833,6 +848,34 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "50 i_spins make 2**50 = 1125899906842624 configurations" in err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["criterion", "--pulse", "g4", "--steps", str(1 << 62)], "n_steps"),
+        (["propagate", "--shape", "gaussian", "--steps", str(1 << 62)], "n_steps"),
+        (["decompose", "--shape", "gaussian", "--steps", str(1 << 62)], "n_steps"),
+        (["profile", "--shape", "gaussian", "--steps", str(1 << 62), "--offset-start", "-1",
+          "--offset-stop", "1"], "n_steps"),
+        (["profile", "--pulse", "g4", "--offset-start", "-1", "--offset-stop", "1",
+          "--offset-count", str(1 << 62)], "--offset-count"),
+    ], ids=["criterion-steps", "propagate-steps", "decompose-steps", "profile-steps",
+            "profile-offset-count"])
+    def test_size_past_the_address_space_names_its_field(self, tmp_path, capsys, argv, field):
+        # 2^62 samples of 8 bytes or more are past any 64-bit address space, so the first
+        # allocation of that size fails at once, before anything is allocated, and says why
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"{field} {1 << 62}" in err and "allocate" in err
+
+    def test_s_count_past_the_address_space_names_it(self, tmp_path, capsys):
+        # 10^17 + 1 eigenvalues m omega_hat of 8 bytes each are past any 64-bit address
+        # space; the audit builds them only at wide times, so propagation runs first
+        system_file = tmp_path / "system.json"
+        system_file.write_text('{"s_count": 100000000000000000}')
+        assert main(["criterion", "--pulse", "g4", "--system", str(system_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "s_count 100000000000000000" in err and "allocate" in err
 
     @pytest.mark.parametrize("target", [("no", "such", "x.csv"), ()],
                              ids=["missing-directory", "directory"])

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnuspulse import (
     ISpin,
@@ -26,22 +28,45 @@ from magnuspulse import (
 )
 from magnuspulse import magnus
 from magnuspulse.magnus import DEFAULT_GAP_TOL, ExtractionError
-from contracts import random_fourier_pulse, random_small_system
+from contracts import _s2ax, _sax, random_fourier_pulse, random_small_system
 import oracle
 
 TWO_PI = 2.0 * math.pi
 
 
-def _layouts(rows):
-    """The same (n_values, n_times) eigenvalue rows C-ordered and as a time-major view."""
-    return np.ascontiguousarray(rows), np.asfortranarray(rows)
+def _layouts(omega_hat):
+    """The same (n_configs, n_times) omega_hat C-ordered and as a time-major view."""
+    return np.ascontiguousarray(omega_hat), np.asfortranarray(omega_hat)
 
 
-def _assert_each_time_matches_oracle(rows):
+def _audit_pairs(omega_hat, s_count):
+    """The all-pairs oracle on every eigenvalue m omega_hat_c of the whole exponent."""
+    return oracle.gap_audit_pairs(oracle.eigenvalue_rows(omega_hat, s_count))
+
+
+def _assert_each_time_matches_oracle(omega_hat, s_count):
     """gap_audit of each time alone equals the oracle's: the distances, with no time in between."""
-    for time in range(rows.shape[1]):
-        column = rows[:, time:time + 1]
-        assert gap_audit(column) == oracle.gap_audit_pairs(column), time
+    for time in range(omega_hat.shape[1]):
+        column = omega_hat[:, time:time + 1]
+        assert gap_audit(column, s_count) == _audit_pairs(column, s_count), time
+
+
+def _spy_windows(monkeypatch):
+    """Per gap audit of a time window, [widest spread, columns given to `_pair_sweep`]."""
+    windows = []
+    audit, sweep = magnus.gap_audit, magnus._pair_sweep
+
+    def spy_audit(omega_hat, s_count):
+        windows.append([s_count * float(np.max(omega_hat)), 0])
+        return audit(omega_hat, s_count)
+
+    def spy_sweep(omega_hat, s_count):
+        windows[-1][1] += omega_hat.shape[1]
+        return sweep(omega_hat, s_count)
+
+    monkeypatch.setattr(magnus, "gap_audit", spy_audit)
+    monkeypatch.setattr(magnus, "_pair_sweep", spy_sweep)
+    return windows
 
 
 def _hermitian(sums):
@@ -223,100 +248,130 @@ class TestEigenvaluesAndGap:
         assert not report.magnus_criterion_ok
 
     def test_gap_check_ok(self):
-        _, nearest = gap_audit(np.array([[math.pi / 4], [-math.pi / 4]]))
+        _, nearest = gap_audit(np.array([[math.pi / 2]]), 1)  # eigenvalues +-pi/4
         assert nearest > DEFAULT_GAP_TOL
         assert nearest == pytest.approx(TWO_PI - math.pi / 2)
 
     def test_gap_check_violation_at_n1(self):
-        _, nearest = gap_audit(np.array([[math.pi], [-math.pi]]))
+        _, nearest = gap_audit(np.array([[TWO_PI]]), 1)  # eigenvalues +-pi
         assert not nearest > DEFAULT_GAP_TOL
         assert nearest == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_check_zero_eigenvalues_ok(self):
-        _, nearest = gap_audit(np.array([[0.0], [0.0]]))
-        assert nearest > DEFAULT_GAP_TOL
-        assert nearest == pytest.approx(TWO_PI)
+        for s_count in (1, 2, 3):
+            assert gap_audit(np.array([[0.0], [0.0]]), s_count) == (0.0, TWO_PI)
 
-    def test_gap_check_single_value(self):
-        for rows in _layouts(np.array([[0.3, -1.0, 7.0]])):
-            assert gap_audit(rows) == (0.0, math.inf)
+    @pytest.mark.parametrize("system", [
+        SpinSystem(), _sax(), _s2ax(), SpinSystem(s_count=3, s_offset=TWO_PI * 10.0,
+                                                  i_spins=_sax().i_spins)],
+        ids=["S", "SAX", "S2AX", "S3AX"])
+    def test_cross_configuration_audits_read_the_largest_omega_hat(self, system):
+        # The spread at each time is fl(top + top), top = fl(M_t s / 2), and rounding is
+        # monotone, so the largest spread comes from the largest omega_hat; fl(I - x) does
+        # not rise with x, so min_t (I(t) - M_t) is the minimum over every configuration.
+        for entry in list_catalog():
+            pulse = entry.build_calibrated()
+            report = explicit_criterion(system, pulse, n_steps=1024, tol=None)
+            top = 0.5 * system.s_count * report.max_omega_hat
+            assert report.max_eigenvalue_gap == 2 * top, entry.name
+            traj = propagate_interaction(system, pulse, n_steps=1024, tol=None)
+            omega_hat = extract_omega(traj).omega_hat
+            i_grid = np.concatenate(([0.0], np.cumsum(np.abs(traj.amps)) * traj.dt))
+            assert report.max_omega_hat == np.max(omega_hat), entry.name
+            assert report.bound21_margin == np.min(i_grid - omega_hat), entry.name
 
-    def test_matches_all_pairs_oracle_on_random_spectra(self):
-        rng = np.random.default_rng(8)
-        special = [
-            lambda n: np.zeros(n),
-            lambda n: rng.choice([-1.0, 0.5, 2.0], size=n),  # duplicates
-            lambda n: np.resize([math.pi, -math.pi], n),
-            lambda n: np.resize([0.0, TWO_PI, 2.0 * TWO_PI, -TWO_PI], n),  # exactly 2 pi n apart
-        ]
-        for n_values in range(1, 41):
-            n_times = int(rng.integers(4, 40))
-            rows = rng.uniform(-3.0 * TWO_PI, 3.0 * TWO_PI, size=(n_values, n_times))
-            for time, fill in enumerate(special):
-                rows[:, time] = fill(n_values)
-            audit = oracle.gap_audit_pairs(rows)
-            assert [gap_audit(x) for x in _layouts(rows)] == [audit, audit], n_values
-            _assert_each_time_matches_oracle(rows)
+    @pytest.mark.parametrize("s_count", [1, 2, 3, 9])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_all_pairs_oracle_on_drawn_omega_hat(self, s_count, data):
+        # spreads s M_t up to 6 pi, so most windows hold wide times, with values on and
+        # next to 2 pi / s and repeated values (zero gaps) drawn often
+        n_configs, n_times = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 24))
+        top, edge = 3.0 * TWO_PI / s_count, TWO_PI / s_count
+        values = st.one_of(st.floats(0.0, top), st.sampled_from(
+            [0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 7.0), top]))
+        omega_hat = np.array(data.draw(st.lists(values, min_size=n_configs * n_times,
+                                                max_size=n_configs * n_times)))
+        omega_hat = omega_hat.reshape(n_configs, n_times)
+        omega_hat[0, data.draw(st.integers(0, n_times - 1))] = top  # one wide time at least
+        audit = _audit_pairs(omega_hat, s_count)
+        assert [gap_audit(x, s_count) for x in _layouts(omega_hat)] == [audit, audit]
+        _assert_each_time_matches_oracle(omega_hat, s_count)
 
     def test_spread_shortcut_matches_all_pairs_oracle_at_two_pi(self):
-        # Each time's spread is drawn narrow (< 2 pi), exactly 2 pi, 2 pi +- 1 ulp
-        # or wide (up to 6 pi); half the spectra use only narrow and wide times, so
-        # their nearest gap often comes from a wide time's pair sweep.
+        # Each time's spread s M_t, for one and two S spins, is drawn narrow (< 2 pi),
+        # exactly 2 pi, 2 pi +- 1 ulp or wide (up to 6 pi); half the cases use only narrow
+        # and wide times, so their nearest gap often comes from a wide time's pair sweep.
         rng = np.random.default_rng(12)
         edges = (TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0))
         seen_edges = set()
         for case in range(200):
-            n_times, n_values = int(rng.integers(1, 30)), int(rng.integers(2, 12))
+            s_count = 1 + case // 2 % 2  # M_t s / 2 and its double are exact for s = 1, 2
+            n_times, n_configs = int(rng.integers(1, 30)), int(rng.integers(1, 5))
             kinds = ("narrow", "wide") + (("edge",) if case % 2 else ())
-            rows = np.empty((n_values, n_times))
-            for row in rows.T:
+            omega_hat = np.empty((n_configs, n_times))
+            for column in omega_hat.T:
                 kind = rng.choice(kinds)
-                if kind == "edge":
-                    hi, lo = rng.choice(edges), 0.0  # fl(hi - 0.0) is hi exactly
-                else:
-                    lo = rng.uniform(-TWO_PI, TWO_PI)
-                    hi = lo + rng.uniform(0.0, TWO_PI if kind == "narrow" else 3.0 * TWO_PI)
-                row[:] = rng.uniform(lo, hi, size=n_values)
-                row[:2] = lo, hi
-                rng.shuffle(row)
-            seen_edges.update(set(np.ptp(rows, axis=0)) & set(edges))
-            audit = oracle.gap_audit_pairs(rows)
-            assert [gap_audit(x) for x in _layouts(rows)] == [audit, audit], case
-            _assert_each_time_matches_oracle(rows)
+                spread = (rng.choice(edges) if kind == "edge" else
+                          rng.uniform(0.0, TWO_PI if kind == "narrow" else 3.0 * TWO_PI))
+                column[:] = rng.uniform(0.0, spread, size=n_configs) / s_count
+                column[rng.integers(n_configs)] = spread / s_count
+            seen_edges.update(set(s_count * np.max(omega_hat, axis=0)) & set(edges))
+            audit = _audit_pairs(omega_hat, s_count)
+            assert [gap_audit(x, s_count) for x in _layouts(omega_hat)] == [audit, audit], case
+            _assert_each_time_matches_oracle(omega_hat, s_count)
         assert seen_edges == set(edges)
 
     def test_sweeps_only_wide_times_and_their_neighbours(self, monkeypatch):
         swept = []
         sweep = magnus._pair_sweep
-        monkeypatch.setattr(magnus, "_pair_sweep", lambda rows: swept.append(rows.shape) or sweep(rows))
+        monkeypatch.setattr(magnus, "_pair_sweep",
+                            lambda x, s: swept.append(x.shape) or sweep(x, s))
         spreads = np.array([1.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0),
                             9.0, 2.0])
-        rows = np.stack((np.zeros(6), 0.5 * spreads, spreads))
-        for x in _layouts(rows):
-            assert gap_audit(x) == oracle.gap_audit_pairs(rows)
-        assert swept == [(3, 4), (3, 4)]  # wide at times 3 and 4
+        omega_hat = np.stack((0.5 * spreads, spreads))  # one S spin: the spread is M_t
+        for x in _layouts(omega_hat):
+            assert gap_audit(x, 1) == _audit_pairs(omega_hat, 1)
+        assert swept == [(2, 4), (2, 4)]  # wide at times 3 and 4
         swept.clear()
-        assert gap_audit(rows[:, :3]) == oracle.gap_audit_pairs(rows[:, :3])
+        assert gap_audit(omega_hat[:, :3], 1) == _audit_pairs(omega_hat[:, :3], 1)
         assert swept == []
+
+    def test_narrow_windows_build_no_eigenvalue_rows(self, monkeypatch, s2ax_system):
+        # `_pair_sweep` is the one place the rows m omega_hat_c are built; a window whose
+        # spreads stay at or below 2 pi never reaches it
+        monkeypatch.setattr(su2, "TRACK_BLOCK", 512)  # 8 windows of 128 steps on S2AX
+        windows = _spy_windows(monkeypatch)
+        gaussian = build_pulse("gaussian", 2e-3)
+        report = explicit_criterion(s2ax_system, calibrate(gaussian, math.pi / 2), n_steps=1024,
+                                    tol=None)
+        assert report.max_eigenvalue_gap < TWO_PI
+        assert [swept for _, swept in windows] == [0] * 8
+        windows.clear()
+        explicit_criterion(s2ax_system, calibrate(gaussian, TWO_PI), n_steps=1024, tol=None)
+        narrow = [swept for spread, swept in windows if spread <= TWO_PI]
+        wide = [swept for spread, swept in windows if spread > TWO_PI]
+        assert narrow and wide and set(narrow) == {0}
+        assert all(0 < swept <= 129 for swept in wide)
 
     @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
     def test_matches_all_pairs_oracle_on_catalog(self, request, monkeypatch, system):
         seen = []
 
-        def spy(rows):
-            seen.append(rows)
-            return gap_audit(rows)
+        def spy(omega_hat, s_count):
+            seen.append(omega_hat.copy())
+            return gap_audit(omega_hat, s_count)
 
         monkeypatch.setattr(magnus, "gap_audit", spy)
         monkeypatch.setattr(su2, "TRACK_BLOCK", 1000)  # several time blocks per report
         system = request.getfixturevalue(system)
         for entry in list_catalog():
             report = explicit_criterion(system, entry.build_calibrated(), n_steps=1024, tol=None)
-            rows = np.concatenate(seen, axis=1)
+            omega_hat = np.concatenate(seen, axis=1)
             seen.clear()
-            audit = oracle.gap_audit_pairs(rows)
+            audit = _audit_pairs(omega_hat, system.s_count)
             assert (report.max_eigenvalue_gap, report.magnus_gap_nearest) == audit, entry.name
-            assert [gap_audit(x) for x in _layouts(rows)] == [audit, audit], entry.name
+            assert [gap_audit(x, system.s_count) for x in _layouts(omega_hat)] == [audit, audit]
 
 
 class TestExplicitCriterion:
@@ -332,9 +387,10 @@ class TestExplicitCriterion:
 
     @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
     def test_fast_paths_match_dense_forms_bit_for_bit(self, request, monkeypatch, system):
-        # The gap audit's spread shortcut, the scan from the endpoint reduction's
-        # levels and the blocked tracker's sparse fill and unwrap, against the
-        # all-pairs audit, a scan of its own and the dense tracker over the whole grid.
+        # The gap audit's spread shortcut from the largest omega_hat per time, the scan
+        # from the endpoint reduction's levels and the blocked tracker's sparse fill and
+        # unwrap, against the all-pairs audit of every eigenvalue m omega_hat_c, a scan of
+        # its own and the dense tracker over the whole grid.
         system = request.getfixturevalue(system)
         pulses = [entry.build_calibrated() for entry in list_catalog()]
 
@@ -344,7 +400,7 @@ class TestExplicitCriterion:
 
         fast = reports()
         scan = su2.scan
-        monkeypatch.setattr(magnus, "gap_audit", oracle.gap_audit_pairs)
+        monkeypatch.setattr(magnus, "gap_audit", _audit_pairs)
         monkeypatch.setattr(su2, "scan", lambda x, levels=(): scan(x))
         monkeypatch.setattr(su2, "TRACK_BLOCK", 1 << 40)  # the dense tracker runs as one block
         monkeypatch.setattr(su2, "track_rows", lambda c, v, state: oracle.track_rows_dense(c, v))
