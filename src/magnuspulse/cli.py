@@ -34,8 +34,8 @@ from . import __version__, su2
 from .expansion import angles_from_state, integrate_expansion
 from .magnus import explicit_criterion
 from .propagation import DEFAULT_TOL, excitation_profile, propagate_interaction
-from .pulses import (DEFAULT_N_STEPS, FAMILIES, CatalogEntry, PulseShape, build_pulse, calibrate,
-                     list_catalog, resolve_pulse)
+from .pulses import (DEFAULT_N_STEPS, FAMILIES, CatalogEntry, PulseShape, calibrate, list_catalog,
+                     resolve_pulse)
 from .system import SpinSystem, _check_offsets, load_system
 
 TWO_PI = 2.0 * math.pi
@@ -314,7 +314,7 @@ def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
     if args.duration is not None:
         entry = dataclasses.replace(entry, duration=args.duration)
     target = math.radians(args.flip) if args.flip is not None else entry.nominal_flip
-    shape = build_pulse(entry.family, entry.duration, **entry.params)
+    shape = entry.build()
     if target is not None:
         shape = calibrate(shape, target, args.steps)
     pulse_doc = {"name": entry.name, "family": entry.family, "duration_s": entry.duration,

@@ -18,16 +18,16 @@ parametrization always exists, whether or not the continuous-exponential
 form does, so it is the fallback route for pulses that fail the
 convergence criterion.
 
-That system is the linear ODE dq/dt = p(t) q on pairs, with the transverse
-generator p = (0, -i omega1 (h_x + i h_y) / 2), so one classical fourth-order (RK4)
-step is a left product with one pair, in closed form in the field at the step's ends
-and middle, sampled once on the half-step grid. The step pairs go to the same
-step-doubling driver as the exact propagation route (`propagation._refine`): endpoint
-reductions on the grids it discards, one scan of the grid it keeps. Both
-routes return the same `BlockTrajectory`, whose q holds (f, g) on the grid
-t_k = k T / n. The decomposition angles, the rotation angle among them, are
-read off those pairs by the shared branch tracker, window by window of
-`su2.track_windows` (`angles_from_state`).
+That system is the linear ODE dq/dt = p(t) q on pairs, with the transverse generator
+p = (0, -i omega1 (h_x + i h_y) / 2), so one classical fourth-order (RK4) step is a left
+product with one pair, in closed form in the field at the step's ends and middle, sampled
+once on the half-step grid. The step pairs go, as `steps(w, out)` on rows of effective
+offsets w, to the same step-doubling driver as the exact propagation route
+(`propagation._refine`): endpoint reductions on the grids it discards, one scan of the grid
+it keeps. Only the entry point `integrate_expansion` reads a `SpinSystem`, as its w. Both
+routes return the same `BlockTrajectory`, whose q holds (f, g) on the grid t_k = k T / n.
+The decomposition angles, the rotation angle among them, are read off those pairs by the
+shared branch tracker, window by window of `su2.track_windows` (`angles_from_state`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .pulses import DEFAULT_N_STEPS, PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
 
 
-def _rk4_steps(offsets: np.ndarray, shape: PulseShape, out: np.ndarray) -> np.ndarray:
+def _rk4_steps(shape: PulseShape, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Classical RK4 steps of dq/dt = p(t) q as pairs, one per time step, in closed form.
 
     p = (0, -i omega1 (h_x + i h_y) / 2) is the pair of -i H. With dt p = (0, b0), (0, b1),
@@ -53,17 +53,17 @@ def _rk4_steps(offsets: np.ndarray, shape: PulseShape, out: np.ndarray) -> np.nd
         b = (b0 + 4 b1 + b2 - s (b0 + b2) / 2) / 6.
 
     b is sampled once on the half-step grid t_j = j dt/2 (b0, b2 even, b1 odd), `BLOCK` pairs
-    at a time; M goes into `out`, (2, len(offsets), n_steps). Returns the midpoint amplitudes.
+    at a time; M goes into `out`, (2, len(w), n_steps). Returns the midpoint amplitudes.
     """
     n_steps = out.shape[-1]
     half_dt = 0.5 * shape.duration / n_steps
     times = np.arange(2 * n_steps + 1) * half_dt
     amps, phases = _eval(shape.amplitude_fn, times), _eval(shape.phase_fn, times)
-    block = max(1, BLOCK // len(offsets))
+    block = max(1, BLOCK // len(w))
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
         half = slice(2 * start, 2 * stop + 1)
-        b = su2.rotating_field(half_dt * amps[half], phases[half], offsets, times[half][0], half_dt)
+        b = su2.rotating_field(half_dt * amps[half], phases[half], w, times[half][0], half_dt)
         b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
         s, c2 = b1.real ** 2 + b1.imag ** 2, np.conjugate(b2)
         out[0, :, start:stop] = 1.0 - (np.conjugate(b1) * b0 + s
@@ -88,8 +88,8 @@ def integrate_expansion(system: SpinSystem, shape: PulseShape,
     RefinementError
         If the tolerance is not met within `propagation.MAX_DOUBLINGS` refinements.
     """
-    offsets = offset_diagonal(system)
-    return _refine(lambda out: _rk4_steps(offsets, shape, out), system, shape, n_steps, tol)
+    return _refine(lambda w, out: _rk4_steps(shape, w, out), offset_diagonal(system),
+                   shape.duration, n_steps, tol)
 
 
 def angles_from_state(trajectory: BlockTrajectory):

@@ -237,7 +237,8 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     trajectory, extracts the continuous exponent, and audits the pointwise
     bound omega_hat(t) <= I(t) at every stored time, and the eigenvalue-gap
     condition and the -E passages at and between stored times, one time
-    block of `_omega_blocks` at a time.
+    block of `_omega_blocks` at a time; the gap audit (`gap_audit`) stops
+    at a nearest distance of 0, which no later block can lower.
 
     Raises
     ------
@@ -250,14 +251,14 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     trajectory = propagate_interaction(system, shape, n_steps=n_steps, tol=tol)
     i_grid = np.concatenate(([0.0], np.cumsum(np.abs(trajectory.amps)) * trajectory.dt))
 
-    margin, max_hat, max_gap, nearest = math.inf, -math.inf, -math.inf, math.inf
+    margin, max_hat, nearest = math.inf, -math.inf, math.inf
     minus_e = []
     for block, _, omega_hat, ambiguous in _omega_blocks(trajectory):
         top = np.max(omega_hat, axis=0)  # M_t
         margin = np.minimum(margin, np.min(i_grid[block] - top))
         max_hat = np.maximum(max_hat, np.max(top))
-        gap, near = gap_audit(omega_hat, system.s_count)
-        max_gap, nearest = np.maximum(max_gap, gap), np.minimum(nearest, near)
+        if nearest > 0:
+            nearest = np.minimum(nearest, gap_audit(omega_hat, system.s_count)[1])
         minus_e.append(_minus_e_times(trajectory.times[block], omega_hat, ambiguous))
 
     return CriterionReport(
@@ -266,7 +267,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         criterion23_met=bool(i_total < TWO_PI),
         criterion25_met=bool(theta_total < TWO_PI),
         max_omega_hat=float(max_hat),
-        max_eigenvalue_gap=float(max_gap),
+        max_eigenvalue_gap=float(2.0 * (max_hat * (0.5 * system.s_count))),
         magnus_gap_nearest=float(nearest),
         magnus_criterion_ok=bool(nearest > DEFAULT_GAP_TOL),
         bound21_margin=float(margin),

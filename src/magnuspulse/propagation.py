@@ -6,13 +6,13 @@ Hamiltonian restricted to one I configuration is the 2x2 transverse field
 
     H(t) = omega1(t) [cos(-w t + phi(t)) Sx + sin(-w t + phi(t)) Sy],
 
-where w is the configuration's effective S offset. The time-ordered
-propagator is built by piecewise-constant midpoint slicing: each slice
-exponential is evaluated in closed form (so unitarity is exact up to
-rounding), and the grid is doubled until the endpoint stops moving to the
-requested tolerance. `_refine` is that doubling driver for both routes: the
-expansion module hands it RK4 step pairs instead of exact slices, and
-both get back the same `BlockTrajectory`.
+where w is the configuration's effective S offset. The numerics take rows of w; only the
+public entry points read a `SpinSystem`, through `system.offset_diagonal`. The time-ordered
+propagator is built by piecewise-constant midpoint slicing (`_slices`): each slice
+exponential is evaluated in closed form (so unitarity is exact up to rounding), and the grid
+is doubled until the endpoint stops moving to the requested tolerance. `_refine` is that
+doubling driver for both routes: the expansion module hands it RK4 step pairs instead of
+exact slices, and both get back the same `BlockTrajectory`.
 
 A slice's transverse part sin h e^{i phi_k}, shared by every configuration,
 is turned by e^{-i w t_k} from `su2.rotating_field`, which builds a whole
@@ -26,8 +26,8 @@ refinement discards only contributes its endpoint, a pairwise product
 (`su2.reduce`); the accepted grid is scanned in place from its reduction's
 levels (`su2.scan`) for every grid point of it, because downstream analysis
 (continuous matrix-logarithm tracking) needs dense-in-time samples.
-Excitation profiles need endpoints only and never build a trajectory. No
-propagator carries the I-spin energies' scalar phase, which cancels (see `system`).
+Excitation profiles reduce the same `_slices` to endpoints and never build a trajectory.
+No propagator carries the I-spin energies' scalar phase, which cancels (see `system`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import su2
-from .pulses import DEFAULT_N_STEPS, PulseShape, _check_steps, sample
+from .pulses import DEFAULT_N_STEPS, PulseShape, SampledPulse, _check_steps, sample
 from .system import SpinSystem, offset_diagonal
 
 DEFAULT_TOL = 1e-9
@@ -85,16 +85,16 @@ class BlockTrajectory:
         return self.q.shape[1]
 
 
-def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
+def _refine(steps, w: np.ndarray, duration: float, n_steps: int,
             tol: float | None) -> BlockTrajectory:
-    """Step-doubling driver shared by every propagator route.
+    """Step-doubling driver shared by every propagator route, on rows of effective offsets w.
 
-    `steps(out)` writes the pairs of the n time steps of a grid into
-    `out`, shape (2, n_configs, n), and returns that grid's midpoint
+    `steps(w, out)` writes the pairs of the n time steps of a grid over [0, `duration`] into
+    `out`, shape (2, len(w), n), one row per offset of `w`, and returns that grid's midpoint
     amplitudes; `out` is a grid buffer past its identity column 0. Grids of
     n_steps, 2 n_steps, ... steps are tried until the endpoint moves by less
     than `tol` between successive grids (Frobenius norm of the 2x2
-    difference, sqrt(2 (|da|**2 + |db|**2)), max over configurations). A
+    difference, sqrt(2 (|da|**2 + |db|**2)), max over rows). A
     grid's endpoint is its pairwise product (`su2.reduce`); only the grid that
     is returned is scanned in place (`su2.scan`), from that reduction's levels.
     ``tol=None`` scans a single pass.
@@ -113,11 +113,11 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
 
     def grid(n):
         try:
-            q = np.empty((2, system.n_configs, n + 1), dtype=complex)
+            q = np.empty((2, len(w), n + 1), dtype=complex)
         except (MemoryError, ValueError) as exc:
             raise ValueError(f"n_steps {n_steps}: {n} steps are too many to allocate") from exc
         q[..., 0] = su2.IDENTITY[:, None]
-        return q, steps(q[..., 1:])
+        return q, steps(w, q[..., 1:])
 
     q, amps = grid(n_steps)
     level, estimate, tree = 0, math.nan, []
@@ -145,9 +145,15 @@ def _refine(steps, system: SpinSystem, shape: PulseShape, n_steps: int,
     su2.scan(q[..., 1:], tree)
     n = n_steps << level
     return BlockTrajectory(
-        times=np.arange(n + 1) * (shape.duration / n), q=q, amps=amps,
+        times=np.arange(n + 1) * (duration / n), q=q, amps=amps,
         n_steps=n, refinement_levels=level, error_estimate=estimate,
     )
+
+
+def _slices(sp: SampledPulse, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Exact midpoint slices of `sp`, a row per offset of `w`, into `out`; returns sp.amps."""
+    su2.transverse_slices(0.5 * sp.amps * sp.dt, sp.phases, w, 0.5 * sp.dt, sp.dt, out)
+    return sp.amps
 
 
 def propagate_interaction(system: SpinSystem, shape: PulseShape,
@@ -166,14 +172,8 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
         If the tolerance is not met within `MAX_DOUBLINGS` refinements; the
         exception carries the best error estimate.
     """
-    offsets = offset_diagonal(system)
-
-    def slices(out):
-        sp = sample(shape, out.shape[-1])
-        su2.transverse_slices(0.5 * sp.amps * sp.dt, sp.phases, offsets, 0.5 * sp.dt, sp.dt, out)
-        return sp.amps
-
-    return _refine(slices, system, shape, n_steps, tol)
+    return _refine(lambda w, out: _slices(sample(shape, out.shape[-1]), w, out),
+                   offset_diagonal(system), shape.duration, n_steps, tol)
 
 
 def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
@@ -199,11 +199,10 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     rows = (offsets[:, None] + couplings).ravel()
     response = np.empty((3, len(rows)))
     per_block = max(1, BLOCK // n_steps)
-    half = 0.5 * sp.amps * sp.dt
     slices = np.empty((2, min(per_block, len(rows)), n_steps), dtype=complex)
     for start in range(0, len(rows), per_block):
         w = rows[start:start + per_block]
-        su2.transverse_slices(half, sp.phases, w, 0.5 * sp.dt, sp.dt, out=slices[:, :len(w)])
+        _slices(sp, w, slices[:, :len(w)])
         end = su2.reduce(slices[:, :len(w)])
         free = np.zeros((3, len(w)))
         free[2] = w * duration  # exp(-i w T Sz) after the pulse

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from magnuspulse import (SpinSystem, angles_from_state, build_pulse, calibrate,
                          excitation_profile, explicit_criterion, integrate_expansion,
                          list_catalog, load_system, propagate_interaction, resolve_pulse, su2)
-from magnuspulse import cli
+from magnuspulse import cli, pulses
 from magnuspulse.cli import (CSV_BLOCK_ROWS, _cells, _emit, _emit_table, _round_floats,
                              build_parser, main)
 from magnuspulse.propagation import DEFAULT_TOL
@@ -164,7 +164,7 @@ class TestCriterion:
 
     def test_shape_flags_reach_the_pulse_and_are_echoed(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "build_pulse",
+        monkeypatch.setattr(pulses, "build_pulse",
                             lambda *a, **k: calls.append((a, k)) or build_pulse(*a, **k))
         out = tmp_path / "report.json"
         assert main(["criterion", "--shape", "sech", "--beta", "4", "--peak", "2", "--flip", "90",
