@@ -440,8 +440,10 @@ def _add_common(parser: argparse.ArgumentParser, offsets: bool = False):
         parser.add_argument(f"--{name}", type=type(next(iter(defaults.values()))),
                             help=f"{', '.join(defaults)} parameter (default {shown})")
     if offsets:
-        parser.add_argument("--offset-start", type=float, required=True, help="first trial offset in Hz")
-        parser.add_argument("--offset-stop", type=float, required=True, help="last trial offset in Hz")
+        for end, which in (("start", "first"), ("stop", "last")):  # argparse reads -2e3 as a flag
+            parser.add_argument(f"--offset-{end}", type=float, required=True, help=(
+                f"{which} trial offset in Hz (a negative exponent form such as -2e3 needs '=': "
+                f"--offset-{end}=-2e3)"))
         parser.add_argument("--offset-count", type=int, default=101, help="number of offsets (default 101)")
     parser.add_argument("--output", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"),

@@ -12,10 +12,9 @@ real linear system
     dg/dt = +(omega1/2) (f h + h x g),        h = (cos a, sin a, 0),
 
 with a(t) = -w t + phi(t) the rotating transverse-field direction of the
-configuration. (f, g) are the real rows of the Cayley-Klein pair (a, b) of U,
-f = Re a and g = (-Im b, Re b, -Im a) (see `su2`). This
-parametrization always exists, whether or not the continuous-exponential
-form does, so it is the fallback route for pulses that fail the
+configuration. (f, g) are the real rows of the Cayley-Klein pair (a, b) of U, f = Re a and
+g = (-Im b, Re b, -Im a) (see `su2`). This parametrization always exists, whether or not the
+continuous-exponential form does, so it is the fallback route for pulses that fail the
 convergence criterion.
 
 That system is the linear ODE dq/dt = p(t) q on pairs, with the transverse generator
@@ -52,23 +51,24 @@ def _rk4_steps(shape: PulseShape, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         a = 1 - (conj(b1) b0 + s + conj(b2) (b1 - s b0 / 4)) / 6
         b = (b0 + 4 b1 + b2 - s (b0 + b2) / 2) / 6.
 
-    b is sampled once on the half-step grid t_j = j dt/2 (b0, b2 even, b1 odd), `BLOCK` pairs
-    at a time; M goes into `out`, (2, len(w), n_steps). Returns the midpoint amplitudes.
+    b is sampled once on the half-step grid t_j = j dt/2 (b0, b2 even, b1 odd), a row of w at
+    a time in blocks of `BLOCK` steps: no array length, so no rounding, depends on len(w) (the
+    row rule of `su2`). M goes into `out`, (2, len(w), n_steps). Returns the midpoint amplitudes.
     """
     n_steps = out.shape[-1]
     half_dt = 0.5 * shape.duration / n_steps
     times = np.arange(2 * n_steps + 1) * half_dt
     amps, phases = _eval(shape.amplitude_fn, times), _eval(shape.phase_fn, times)
-    block = max(1, BLOCK // len(w))
-    for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
-        half = slice(2 * start, 2 * stop + 1)
-        b = su2.rotating_field(half_dt * amps[half], phases[half], w, times[half][0], half_dt)
-        b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
-        s, c2 = b1.real ** 2 + b1.imag ** 2, np.conjugate(b2)
-        out[0, :, start:stop] = 1.0 - (np.conjugate(b1) * b0 + s
-                                       + c2 * (b1 - 0.25 * s * b0)) * (1 / 6)
-        out[1, :, start:stop] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
+    for start in range(0, n_steps, BLOCK):
+        block, half = slice(start, start + BLOCK), slice(2 * start, 2 * start + 2 * BLOCK + 1)
+        field = half_dt * amps[half]
+        for row in range(len(w)):
+            b = su2.rotating_field(field, phases[half], w[row:row + 1], times[2 * start], half_dt)
+            b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
+            s, c2 = b1.real ** 2 + b1.imag ** 2, np.conjugate(b2)
+            out[0, row:row + 1, block] = 1.0 - (np.conjugate(b1) * b0 + s
+                                                + c2 * (b1 - 0.25 * s * b0)) * (1 / 6)
+            out[1, row:row + 1, block] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
     return amps[1::2]
 
 

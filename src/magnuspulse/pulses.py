@@ -71,7 +71,7 @@ class SampledPulse:
 
 
 def _eval(fn, t):
-    """Evaluate an envelope callable on an array of times.
+    """Evaluate an envelope callable on an array of times, numpy's floating-point warnings off.
 
     Raises
     ------
@@ -79,7 +79,8 @@ def _eval(fn, t):
         If the result does not have the shape of `t` or holds a non-finite sample.
     """
     t = np.asarray(t, dtype=float)
-    out = np.asarray(fn(t), dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.asarray(fn(t), dtype=float)
     if out.shape != t.shape:
         raise ValueError(f"envelope returned shape {out.shape} for {t.shape} sample times")
     if not np.all(np.isfinite(out)):
@@ -170,7 +171,9 @@ def build_pulse(family: str, duration: float, /, **params) -> PulseShape:
         a = -math.log(truncation)
         coeffs = np.zeros(order + 1)
         coeffs[order] = 1.0
-        h0 = np.polynomial.hermite.hermval(0.0, coeffs)
+        with np.errstate(all="ignore"):
+            h0 = np.polynomial.hermite.hermval(0.0, coeffs)
+        _require(math.isfinite(h0), f"order {order} is too large: H_order(0) is not finite")
 
         def hermite_amp(t):
             u = (np.asarray(t) - t0) / t0
@@ -303,12 +306,6 @@ class CatalogEntry:
     def build(self) -> PulseShape:
         """Uncalibrated envelope (unit scale); calibrate for a target flip."""
         return build_pulse(self.family, self.duration, **self.params)
-
-    def build_calibrated(self, flip: float | None = None,
-                         n_steps: int = DEFAULT_N_STEPS) -> PulseShape:
-        """Envelope calibrated to `flip` rad (the nominal flip by default)."""
-        target = self.nominal_flip if flip is None else flip
-        return calibrate(self.build(), target, n_steps)
 
 
 PULSE_FILE_FIELDS = {"name", "family", "duration_s", "nominal_flip_deg", "fourier", "params",

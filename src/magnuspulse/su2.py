@@ -1,13 +1,12 @@
 """
 SU(2) elements as Cayley-Klein pairs: the one representation of every block.
 
-A configuration block U = c E - i (v . sigma) = exp(-i Omega . S) is stored
-as the complex pair (a, b) = (c - i v_z, v_y - i v_x), so that
-U = [[a, -conj b], [b, conj a]] and |a|**2 + |b|**2 = 1 (Cayley-Klein
-parameters; Pauly et al., IEEE TMI 10 (1991) 53). The expansion-form
-coefficients (f, g) of U = f E - 2i (g . S) are the same numbers,
-f = Re a and g = (-Im b, Re b, -Im a); `rows` reads them off as real rows
-and `to_matrix` builds the 2x2 view.
+A configuration block U = c E - i (v . sigma) = exp(-i Omega . S) is stored as the complex
+pair (a, b) = (c - i v_z, v_y - i v_x), so that U = [[a, -conj b], [b, conj a]] and
+|a|**2 + |b|**2 = 1 (Cayley-Klein parameters; Pauly et al., IEEE TMI 10 (1991) 53). The
+expansion-form coefficients (f, g) of U = f E - 2i (g . S) are the same numbers, f = Re a
+and g = (-Im b, Re b, -Im a); `rows` reads them off as real rows and `to_matrix` builds the
+2x2 view.
 
 Every array here has its components first and time last: pairs are complex
 (2, ..., n_t) and rotation vectors real (3, ..., n_t), so each component is
@@ -17,16 +16,17 @@ tree, `scan` gives every prefix product with the same association in about 2n
 products, and `track_windows` tracks the branch along a trajectory with
 `track_rows`, window by window; its docstring states the window rule.
 
-`compose` is the one product, 8 complex ufunc passes. numpy's complex
-multiply may fuse multiply-adds, depending on the CPU features it dispatches
-to (AVX2 and AVX-512 on x86-64), and a product of one element that is written
-over an operand or broadcasts an operand of lower rank may take another loop,
-which rounds differently. No complex product here does either, so the same
-values give the same bits whatever their layout or length: ``reduce(x)`` is
-``scan(x)[..., -1]`` bit for bit, and one configuration alone gives the bits
-it gives beside others. Across machines and numpy builds results agree to
-rounding, not bit for bit; with ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4
-AVX512_ICL AVX512_SPR"`` numpy multiplies by the plain formula.
+`compose` is the one product, 8 complex ufunc passes. numpy's complex multiply may fuse
+multiply-adds, depending on the CPU features it dispatches to (AVX2 and AVX-512 on x86-64),
+and a product of one element that is written over an operand or broadcasts an operand of
+lower rank may take another loop, which rounds differently. No complex product here does
+either, so the same values give the same bits whatever their layout or length: ``reduce(x)``
+is ``scan(x)[..., -1]`` bit for bit, and one configuration alone gives the bits it gives
+beside others, on either propagator route. numpy takes ``x * t`` as ``t * x`` for a
+temporary t of 256 KiB or more, and a fused product rounds by the order of its factors, so
+`expansion._rk4_steps` builds its step pairs a row at a time. Across machines and numpy
+builds results agree to rounding, not bit for bit; with ``NPY_DISABLE_CPU_FEATURES="X86_V3
+X86_V4 AVX512_ICL AVX512_SPR"`` numpy multiplies by the plain formula.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ def check_expansion_equivalence():
     system = _sax()
     worst_diff, worst_residual = 0.0, 0.0
     for entry in list_catalog():
-        pulse = entry.build_calibrated()
+        pulse = calibrate(entry.build(), entry.nominal_flip)
         state = integrate_expansion(system, pulse, n_steps=1024, tol=1e-8)
         traj = propagate_interaction(system, pulse, n_steps=1024, tol=1e-8)
         # Frobenius norm of the 2x2 difference is sqrt(2) times the pair distance
@@ -216,7 +216,7 @@ def check_catalog_verdicts():
     system = SpinSystem(s_count=1, s_offset=TWO_PI * 5.0,
                         i_spins=(ISpin(offset=TWO_PI * 30.0, j_to_s=6.0),))
     for entry in list_catalog():
-        report = _criterion(system, entry.build_calibrated(), 1024, 1e-6)
+        report = _criterion(system, calibrate(entry.build(), entry.nominal_flip), 1024, 1e-6)
         if report.criterion23_met != expected_met[entry.name]:
             return False, f"{entry.name}: I(T)={report.i_total:.3f} contradicts expected verdict"
     return True, "all eight verdicts reproduced"

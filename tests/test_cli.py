@@ -158,7 +158,8 @@ class TestCriterion:
                      "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["pulse"]["duration_s"] == 2e-3
-        pulse = dataclasses.replace(resolve_pulse("g4"), duration=2e-3).build_calibrated()
+        entry = dataclasses.replace(resolve_pulse("g4"), duration=2e-3)
+        pulse = calibrate(entry.build(), entry.nominal_flip)
         report = explicit_criterion(load_system(sa_file), pulse)
         assert doc["bound21_margin"] == _round_floats(report.bound21_margin)
 
@@ -177,7 +178,7 @@ class TestCriterion:
     def test_one_configuration_alone_and_beside_a_spectator_bit_for_bit(self, tmp_path, capsys):
         # A J = 0 spectator gives two copies of the one configuration of S alone, whose
         # products have one element each: numpy may round those by another loop (see `su2`).
-        shape = resolve_pulse("G4").build_calibrated(math.radians(200.0))
+        shape = calibrate(resolve_pulse("G4").build(), math.radians(200.0))
         reports, outputs = [], []
         for spins in ([], [{"offset_hz": 30.0, "j_to_s_hz": 0.0}]):
             path = tmp_path / "system.json"
@@ -441,7 +442,8 @@ class TestCsvText:
         bytes (U-BURP on SAX): the writer formats views of the library's array block by block."""
         argv = ["propagate", "--pulse", "uburp", "--system", SAX, "--output",
                 str(tmp_path / "u.csv")]
-        shape = resolve_pulse("uburp").build_calibrated()
+        entry = resolve_pulse("uburp")
+        shape = calibrate(entry.build(), entry.nominal_flip)
         assert main(argv) == 0  # caches filled before the traced calls
         tracemalloc.start()
         try:
@@ -566,7 +568,7 @@ def test_time_columns_match_percent_format_at_every_refinement_level(entry):
     """Grid times t_i = i T / n often sit near a half in the 13th digit; each cell must be
     `'%.12g' % t` at the default steps and at every level that `propagate` or `decompose`
     refines to on the catalog pulse, for one S spin alone and for SAX."""
-    shape = entry.build_calibrated()
+    shape = calibrate(entry.build(), entry.nominal_flip)
     levels = max(route(system, shape).refinement_levels for system in (SpinSystem(), _sax())
                  for route in (propagate_interaction, integrate_expansion))
     for level in range(levels + 1):
@@ -680,6 +682,8 @@ class TestErrors:
         (["criterion", "--shape", "gaussian", "--truncation", "inf"], "--truncation"),
         (["criterion", "--shape", "sech", "--beta", "nan"], "--beta"),
         (["criterion", "--shape", "hermite", "--width", "inf"], "--width"),
+        (["criterion", "--shape", "hermite", "--order", "400", "--flip", "90"], "order 400"),
+        (["criterion", "--shape", "sech", "--beta", "1e308", "--flip", "90"], "zero net area"),
         (["profile", "--shape", "gaussian", "--offset-start", "nan", "--offset-stop", "10"],
          "--offset-start"),
         (["profile", "--shape", "gaussian", "--offset-start", "0", "--offset-stop", "inf"],

@@ -107,7 +107,7 @@ class TestIntegrate:
 
     def test_matches_sequential_oracle(self, sax_system):
         for entry in list_catalog():
-            pulse = entry.build_calibrated()
+            pulse = calibrate(entry.build(), entry.nominal_flip)
             for n in (64, 1024):
                 state = integrate_expansion(sax_system, pulse, n_steps=n, tol=None)
                 times, f, g = oracle.integrate_expansion_loop(sax_system, pulse, n)
@@ -216,7 +216,7 @@ class TestAnglesFromState:
     @pytest.mark.parametrize("block", [2, 3, 1000])
     def test_windows_match_one_window_bit_for_bit(self, monkeypatch, sax_system, block):
         # U-BURP at 720 deg passes whole turns, and the identity at t = 0 has no axis
-        pulse = resolve_pulse("U-BURP").build_calibrated(2.0 * TWO_PI)
+        pulse = calibrate(resolve_pulse("U-BURP").build(), 2.0 * TWO_PI)
         state = integrate_expansion(sax_system, pulse, n_steps=1024, tol=None)
         monkeypatch.setattr(su2, "TRACK_BLOCK", 1 << 40)
         whole = angles_from_state(state)
@@ -250,7 +250,7 @@ class TestAnglesFromState:
 class TestCatalogEquivalence:
     def test_every_catalog_pulse_including_violators(self, sax_system):
         for entry in list_catalog():
-            pulse = entry.build_calibrated()
+            pulse = calibrate(entry.build(), entry.nominal_flip)
             state = integrate_expansion(sax_system, pulse, n_steps=1024, tol=1e-8)
             traj = propagate_interaction(sax_system, pulse, n_steps=1024, tol=1e-8)
             rebuilt = su2.to_matrix(state.q[..., -1])
@@ -259,7 +259,8 @@ class TestCatalogEquivalence:
             assert float(su2.norm_defect(state.q).max()) < 1e-8, entry.name
 
     def test_shared_grid_agreement_along_trajectory(self, sax_system):
-        pulse = resolve_pulse("g4").build_calibrated()
+        entry = resolve_pulse("g4")
+        pulse = calibrate(entry.build(), entry.nominal_flip)
         state = integrate_expansion(sax_system, pulse, n_steps=4096, tol=None)
         traj = propagate_interaction(sax_system, pulse, n_steps=4096, tol=None)
         diff = np.linalg.norm(su2.to_matrix(state.q) - su2.to_matrix(traj.q), axis=(-2, -1))

@@ -219,7 +219,7 @@ class TestAnglesFromOmega:
 
     def test_on_resonance_zeros_are_canonical(self, s_only_system):
         # every rotation is about x, so the y components are zeros of either sign
-        pulse = resolve_pulse("q3").build_calibrated(TWO_PI)
+        pulse = calibrate(resolve_pulse("q3").build(), TWO_PI)
         for alpha in (extract_omega(propagate_interaction(s_only_system, pulse)).alpha,
                       angles_from_state(integrate_expansion(s_only_system, pulse))[0]):
             assert np.all(alpha > -math.pi)
@@ -270,7 +270,7 @@ class TestEigenvaluesAndGap:
         # monotone, so the largest spread comes from the largest omega_hat; fl(I - x) does
         # not rise with x, so min_t (I(t) - M_t) is the minimum over every configuration.
         for entry in list_catalog():
-            pulse = entry.build_calibrated()
+            pulse = calibrate(entry.build(), entry.nominal_flip)
             report = explicit_criterion(system, pulse, n_steps=1024, tol=None)
             top = 0.5 * system.s_count * report.max_omega_hat
             assert report.max_eigenvalue_gap == 2 * top, entry.name
@@ -361,8 +361,9 @@ class TestEigenvaluesAndGap:
         sweep = magnus._pair_sweep
         monkeypatch.setattr(magnus, "_pair_sweep",
                             lambda x, s: swept.append(x.shape) or sweep(x, s))
+        entry = resolve_pulse("G4")
         report = explicit_criterion(SpinSystem(s_count=128, s_offset=600.0),
-                                    resolve_pulse("G4").build_calibrated())
+                                    calibrate(entry.build(), entry.nominal_flip))
         assert len(swept) == 1
         assert repr(report) == (
             "CriterionReport(i_total=2.077743245620104, theta_total=1.5707963267948966, "
@@ -384,7 +385,8 @@ class TestEigenvaluesAndGap:
         monkeypatch.setattr(su2, "TRACK_BLOCK", 1000)  # several time blocks per report
         system = request.getfixturevalue(system)
         for entry in list_catalog():
-            report = explicit_criterion(system, entry.build_calibrated(), n_steps=1024, tol=None)
+            pulse = calibrate(entry.build(), entry.nominal_flip)
+            report = explicit_criterion(system, pulse, n_steps=1024, tol=None)
             omega_hat = np.concatenate(seen, axis=1)
             seen.clear()
             audit = _audit_pairs(omega_hat, system.s_count)
@@ -410,7 +412,7 @@ class TestExplicitCriterion:
         # unwrap, against the all-pairs audit of every eigenvalue m omega_hat_c, a scan of
         # its own and the dense tracker over the whole grid.
         system = request.getfixturevalue(system)
-        pulses = [entry.build_calibrated() for entry in list_catalog()]
+        pulses = [calibrate(entry.build(), entry.nominal_flip) for entry in list_catalog()]
 
         def reports():
             return [repr(dataclasses.replace(r, ambiguity_times=r.ambiguity_times.tolist()))
@@ -451,7 +453,7 @@ class TestExplicitCriterion:
 
     def test_reburp_violates(self, sa_system):
         entry = resolve_pulse("reburp")
-        pulse = entry.build_calibrated()
+        pulse = calibrate(entry.build(), entry.nominal_flip)
         report = explicit_criterion(sa_system, pulse, n_steps=1024, tol=1e-7)
         assert not report.criterion23_met
         assert report.criterion25_met  # flip angle itself is only pi
@@ -465,7 +467,7 @@ class TestExplicitCriterion:
                               "3.290 rad (config 3, step 5019); slice-local refinement "
                               "(ROADMAP item 2) would track it")
     def test_uburp_360_on_sax_extracts(self, sax_system):
-        report = explicit_criterion(sax_system, resolve_pulse("U-BURP").build_calibrated(TWO_PI))
+        report = explicit_criterion(sax_system, calibrate(resolve_pulse("U-BURP").build(), TWO_PI))
         assert not report.criterion23_met  # I(T) = 68.3
 
     def test_hard_two_pi_pulse_degeneracy(self, s_only_system):

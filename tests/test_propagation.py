@@ -145,7 +145,8 @@ class TestPropagateInteraction:
         # Refinement keeps one grid and its reduction tree, both in pair form, and the
         # scan frees each tree level once used (2.1-2.2x the trajectory's bytes); a
         # second copy of the trajectory in another layout would take the peak past 3x.
-        shape = gaussian90 if pulse == "G90" else resolve_pulse("reburp").build_calibrated()
+        reburp = resolve_pulse("reburp")
+        shape = gaussian90 if pulse == "G90" else calibrate(reburp.build(), reburp.nominal_flip)
         propagate_interaction(sax_system, shape)
         tracemalloc.start()
         try:
@@ -181,12 +182,17 @@ class TestRowCore:
             assert (part.refinement_levels, part.error_estimate) == (
                 whole.refinement_levels, whole.error_estimate)
 
-    @pytest.mark.xfail(strict=True, reason="RK4 steps are sampled in time blocks of "
-                       "BLOCK // len(w) steps, so one row more moves the block edges on longer "
-                       "grids (ROADMAP item 1)")
-    def test_rk4_rows_are_independent_past_one_time_block(self, sax_system, gaussian90):
+    # A row at 8192 steps is 128 KiB and four rows 512 KiB: numpy takes x * t as t * x for a
+    # temporary t of 256 KiB or more, and a fused complex product rounds by its factor order.
+    @pytest.mark.parametrize("rows, n_steps", [([0], 8192), ([0, 1, 2, 2, 3], 2 * BLOCK // 4)],
+                             ids=["lone-row", "repeated-row"])
+    def test_rk4_rows_are_independent_past_one_time_block(self, sax_system, gaussian90, rows,
+                                                          n_steps):
         w, steps = offset_diagonal(sax_system), _route_steps("rk4", gaussian90)
-        n_steps, rows = 2 * BLOCK // len(w), [0, 1, 2, 2, 3]
+        whole, part = (np.empty((2, len(r), n_steps), dtype=complex) for r in (w, rows))
+        steps(w, whole)
+        steps(w[rows], part)
+        assert part.tobytes() == whole[:, rows].tobytes()
         whole = _refine(steps, w, gaussian90.duration, n_steps, None)
         part = _refine(steps, w[rows], gaussian90.duration, n_steps, None)
         assert part.q.tobytes() == whole.q[:, rows].tobytes()
@@ -199,7 +205,7 @@ def _endpoints(route, system, shape, n_steps):
 
 @pytest.mark.parametrize("entry", list_catalog(), ids=lambda e: e.name)
 def test_midpoint_propagator_has_observed_order_two(entry, sax_system):
-    shape = entry.build_calibrated()
+    shape = calibrate(entry.build(), entry.nominal_flip)
     ends = [_endpoints(propagate_interaction, sax_system, shape, n)
             for n in (4096, 8192, 16384, 32768)]
     changes = [float(np.max(np.linalg.norm(fine - coarse, axis=0)))

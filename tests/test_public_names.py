@@ -45,6 +45,11 @@ def test_trailing_axis_tracker_is_gone():
     assert not hasattr(magnuspulse.su2, "track")
 
 
+def test_calibrated_build_is_gone():
+    # calibrate(entry.build(), flip) is the one way to a calibrated catalog envelope
+    assert not hasattr(magnuspulse.CatalogEntry, "build_calibrated")
+
+
 def test_planar_product_is_gone():
     # the Cayley-Klein product is always taken in full: no planar levels, no z-row test
     assert not hasattr(magnuspulse.su2, "_planar")

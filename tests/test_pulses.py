@@ -116,6 +116,8 @@ class TestFamilies:
             build_pulse("sinc", 1e-3, lobes=0)
         with pytest.raises(ValueError):
             build_pulse("hermite", 1e-3, order=3)
+        with pytest.raises(ValueError, match="order 400"):  # H_400(0) overflows
+            build_pulse("hermite", 1e-3, order=400)
         with pytest.raises(ValueError):
             build_pulse("gaussian", 1e-3, bogus=1)
         with pytest.raises(ValueError):
@@ -295,7 +297,7 @@ class TestCatalog:
 
     def test_catalog_calibration_contract(self):
         entry = resolve_pulse("g4")
-        pulse = entry.build_calibrated()
+        pulse = calibrate(entry.build(), entry.nominal_flip)
         assert midpoint_integrals(pulse, entry.duration)[0] == pytest.approx(math.pi / 2, rel=1e-10)
 
     def test_data_dir_env_override(self, tmp_path, monkeypatch):

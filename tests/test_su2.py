@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnuspulse import (angles_from_state, build_pulse, excitation_profile, extract_omega,
-                         integrate_expansion, list_catalog, magnus_partial_sums,
+from magnuspulse import (angles_from_state, build_pulse, calibrate, excitation_profile,
+                         extract_omega, integrate_expansion, list_catalog, magnus_partial_sums,
                          propagate_interaction, su2)
 from magnuspulse.cli import main
 from contracts import _sax
@@ -172,7 +172,7 @@ def _assert_tracks_like_oracle(q):
 def test_track_matches_trailing_axis_oracle_on_catalog(request, system):
     system = request.getfixturevalue(system)
     for entry in list_catalog():
-        shape = entry.build_calibrated()
+        shape = calibrate(entry.build(), entry.nominal_flip)
         traj = propagate_interaction(system, shape, n_steps=4096, tol=None)
         angle, axis = _assert_tracks_like_oracle(su2.rows(traj.q))
         omega = angle * np.moveaxis(axis, -1, 0)
@@ -377,7 +377,8 @@ def test_track_matches_np_unwrap_on_random_paths(q):
 def test_track_matches_np_unwrap_on_catalog(sax_system, flip_deg):
     turns = []
     for entry in list_catalog():
-        shape = entry.build_calibrated(None if flip_deg is None else np.radians(flip_deg))
+        shape = calibrate(entry.build(),
+                          entry.nominal_flip if flip_deg is None else np.radians(flip_deg))
         traj = propagate_interaction(sax_system, shape, n_steps=4096, tol=None)
         turns.append(_assert_turns_match_np_unwrap(su2.rows(traj.q)))
         state = integrate_expansion(sax_system, shape, n_steps=4096, tol=None)
