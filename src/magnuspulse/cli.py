@@ -400,8 +400,7 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_profile(args) -> int:
     system, shape, meta = _load_inputs(args)
-    _check_offsets(system, TWO_PI * max(abs(args.offset_start), abs(args.offset_stop)),
-                   shape.duration)
+    _check_offsets(system, TWO_PI * max(abs(args.offset_start), abs(args.offset_stop)))
     try:
         offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
     except (MemoryError, ValueError) as exc:

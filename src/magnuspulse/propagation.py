@@ -189,7 +189,8 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     (offset, configuration) row of midpoint slices is reduced to its
     endpoint (`su2.reduce`) without a trajectory, `BLOCK` slices at a time.
     The response is the rotated z axis of that endpoint, (Re, Im) of conj(a) b
-    and (|a|**2 - |b|**2) / 2.
+    and (|a|**2 - |b|**2) / 2, with conj(a) b turned by the phase e^{i w T} of
+    the free precession exp(-i w T Sz) that takes the row to the rotating frame.
     """
     offsets = np.asarray(offsets, dtype=float)
     sp = sample(shape, n_steps)
@@ -203,11 +204,8 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     for start in range(0, len(rows), per_block):
         w = rows[start:start + per_block]
         _slices(sp, w, slices[:, :len(w)])
-        end = su2.reduce(slices[:, :len(w)])
-        free = np.zeros((3, len(w)))
-        free[2] = w * duration  # exp(-i w T Sz) after the pulse
-        a, b = su2.compose(su2.exp(free), end)
-        m = np.conj(a) * b
+        a, b = su2.reduce(slices[:, :len(w)])
+        m = np.conj(a) * b * np.exp(1j * (w * duration))
         response[:, start:start + len(w)] = (m.real, m.imag, 0.5 * (
             a.real * a.real + a.imag * a.imag - b.imag * b.imag - b.real * b.real))
     return response.reshape(3, len(offsets), len(couplings)).mean(axis=-1)

@@ -16,7 +16,7 @@ Units
 Offsets are angular frequencies (rad/s) everywhere inside the library.
 Scalar couplings are entered and stored in Hz (`ISpin.j_to_s`,
 `SpinSystem.j_ii`): `offset_diagonal` applies the 2*pi factor on every call,
-and `_check_offsets` bounds the effective offset by |Omega_s| + pi*sum|J|.
+and `_check_offsets` requires the largest effective offset, |Omega_s| + pi*sum|J|, finite.
 The I-I couplings are never converted, as they only add a phase. JSON system
 files carry everything in Hz; `load_system` converts the offsets to rad/s
 and keeps the couplings in Hz.
@@ -124,22 +124,15 @@ def offset_diagonal(system: SpinSystem) -> np.ndarray:
     return system.s_offset + ms @ j_s
 
 
-def _check_offsets(system: SpinSystem, trial: float = 0.0, duration: float = 0.0):
+def _check_offsets(system: SpinSystem, trial: float = 0.0):
     """Require |Omega_s| + pi sum_k |J_k| + |trial|, the largest effective S offset, finite.
 
-    A profile puts trial offsets up to |trial| in place of Omega_s and ends each row with
-    the free precession exp(-i w T Sz) over the pulse's `duration` T, and `su2.exp` squares
-    w T: (|trial| + pi sum_k |J_k|) T must square to a finite number too.
+    A profile puts trial offsets up to |trial| in place of Omega_s.
     """
     coupling = math.pi * sum(abs(s.j_to_s) for s in system.i_spins)
     if not math.isfinite(abs(system.s_offset) + abs(trial) + coupling):
         raise ValueError("effective S offset overflows in rad/s: |s_offset_hz| + sum_k |i_spins"
                          "[k].j_to_s_hz| / 2" + " + |--offset-start/--offset-stop|" * bool(trial))
-    angle = (abs(trial) + coupling) * duration
-    if not math.isfinite(angle * angle):
-        raise ValueError("free precession after the pulse overflows: 2 pi (|--offset-start/"
-                         "--offset-stop| + sum_k |i_spins[k].j_to_s_hz| / 2) duration_s must "
-                         f"stay below {math.sqrt(np.finfo(float).max):.4g} rad")
 
 
 def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:

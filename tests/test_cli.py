@@ -749,10 +749,11 @@ class TestErrors:
         assert field in err
         assert "Warning" not in err
 
-    @pytest.mark.parametrize("offset_hz, code", [("1e300", 2), ("2.134e156", 2), ("2.1339e156", 0)])
-    def test_profile_free_precession_overflowing_bad_input(self, capsys, offset_hz, code):
-        """G4 lasts 1 ms, so 2 pi offset_hz 1e-3 rad squares past the largest double from
-        about 2.1339e156 Hz on, where `su2.exp` turned each row into NaN."""
+    @pytest.mark.parametrize("offset_hz, code", [("2.134e156", 0), ("1e300", 0), ("1e308", 2)])
+    def test_profile_far_offsets(self, capsys, offset_hz, code):
+        """The free precession after the pulse is a phase, finite at any finite offset: rows
+        from 2.134e156 Hz on, which a composed `su2.exp` turned into NaN, stay finite, and only
+        an offset whose 2 pi multiple is inf in rad/s exits 2."""
         rc = main(["profile", "--pulse", "g4", "--offset-start", offset_hz, "--offset-stop",
                    offset_hz, "--offset-count", "2"])
         out, err = capsys.readouterr()
@@ -760,7 +761,9 @@ class TestErrors:
         if code:
             assert "--offset-start/--offset-stop" in err and "Warning" not in err
         else:
-            assert "nan" not in out
+            rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+            assert rows.shape == (2, 4) and np.all(np.isfinite(rows))
+            assert np.all(np.linalg.norm(rows[:, 1:], axis=1) <= 0.5 + 1e-12)
 
     def test_system_file_that_is_not_an_object_bad_input(self, tmp_path, capsys):
         system_file = tmp_path / "list.json"

@@ -284,10 +284,25 @@ class TestExcitationProfile:
         for k, offset in enumerate(offsets):
             system = SpinSystem(s_offset=offset)
             traj = propagate_interaction(system, gaussian90, 512, tol=None)
-            free = np.zeros((3, 1))
-            free[2] = offset_diagonal(system) * traj.times[-1]
-            a, b = su2.compose(su2.exp(free), traj.q[..., -1])
-            m = np.conj(a) * b
+            a, b = traj.q[..., -1]
+            m = np.conj(a) * b * np.exp(1j * (offset_diagonal(system) * traj.times[-1]))
             response = (m.real, m.imag, 0.5 * (
                 a.real * a.real + a.imag * a.imag - b.imag * b.imag - b.real * b.real))
             assert table[:, k].tobytes() == np.concatenate(response).tobytes(), offset
+
+    @pytest.mark.parametrize("entry", list_catalog(), ids=lambda entry: entry.name)
+    def test_phase_is_the_composed_free_precession(self, sax_system, entry):
+        # the free precession exp(-i w T Sz) after the pulse, composed as a general `su2.exp`
+        # pair, only turns conj(a) b by e^{i w T}
+        pulse = calibrate(entry.build(), entry.nominal_flip)
+        offsets = TWO_PI * np.array([-3000.0, 0.0, 450.5, 2e5])
+        table = excitation_profile(sax_system, pulse, offsets)
+        for k, offset in enumerate(offsets):
+            system = dc_replace(sax_system, s_offset=offset)
+            traj = propagate_interaction(system, pulse, tol=None)
+            free = np.zeros((3, system.n_configs))
+            free[2] = offset_diagonal(system) * traj.times[-1]
+            a, b = su2.compose(su2.exp(free), traj.q[..., -1])
+            m = np.conj(a) * b
+            composed = np.mean((m.real, m.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2)), axis=-1)
+            assert np.max(np.abs(table[:, k] - composed)) <= 1e-15, offset
