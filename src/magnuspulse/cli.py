@@ -291,7 +291,8 @@ def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
     """Resolve the system and the calibrated pulse from the parsed arguments.
 
     Returns them with the report header: `_meta` plus the pulse and system
-    as the command received them. A --shape pulse is calibrated only to a --flip.
+    as the command received them. A --shape pulse is calibrated only to a --flip. The offsets,
+    with a profile's trial offsets, pass `_check_offsets` for the pulse's duration first.
     """
     for name in ("duration", "flip", "offset_start", "offset_stop", *_SHAPE_FLAGS):
         value = getattr(args, name, None)
@@ -313,6 +314,8 @@ def _load_inputs(args) -> tuple[SpinSystem, PulseShape, dict]:
         raise ValueError("a pulse is required: pass --pulse NAME_OR_PATH or --shape FAMILY")
     if args.duration is not None:
         entry = dataclasses.replace(entry, duration=args.duration)
+    trial = max(abs(getattr(args, end, 0.0)) for end in ("offset_start", "offset_stop"))
+    _check_offsets(system, TWO_PI * trial, entry.duration)
     target = math.radians(args.flip) if args.flip is not None else entry.nominal_flip
     shape = entry.build()
     if target is not None:
@@ -400,7 +403,6 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_profile(args) -> int:
     system, shape, meta = _load_inputs(args)
-    _check_offsets(system, TWO_PI * max(abs(args.offset_start), abs(args.offset_stop)))
     try:
         offsets_hz = np.linspace(args.offset_start, args.offset_stop, args.offset_count)
     except (MemoryError, ValueError) as exc:

@@ -21,12 +21,12 @@ row by angle addition from about 2 sqrt(n) trig calls. When every phase is
 skipped.
 
 Slices, their products and the stored trajectory are Cayley-Klein pairs
-(see `su2`); `su2.to_matrix` gives the 2x2 view of any of them. A grid that
-refinement discards only contributes its endpoint, a pairwise product
-(`su2.reduce`); the accepted grid is scanned in place from its reduction's
-levels (`su2.scan`) for every grid point of it, because downstream analysis
-(continuous matrix-logarithm tracking) needs dense-in-time samples.
-Excitation profiles reduce the same `_slices` to endpoints and never build a trajectory.
+(see `su2`); `su2.to_matrix` gives the 2x2 view of any of them. `_grid` builds every grid,
+a refinement level or a block of profile rows, reduces it to its endpoint (`su2.reduce`) and
+raises `RefinementError` on the grid whose endpoint is not finite. Only the grid refinement
+accepts is scanned in place from its reduction's levels (`su2.scan`), because downstream
+analysis (continuous matrix-logarithm tracking) needs dense-in-time samples; excitation
+profiles keep the endpoints alone and never build a trajectory.
 No propagator carries the I-spin energies' scalar phase, which cancels (see `system`).
 """
 
@@ -85,65 +85,65 @@ class BlockTrajectory:
         return self.q.shape[1]
 
 
+def _grid(steps, w: np.ndarray, n: int, n_steps: int, tree: list | None = None):
+    """The grid of n steps that `steps` fills for rows w: (q, amps, endpoint), q (2, len(w),
+    n + 1) with the identity in column 0. `su2.reduce` gives the endpoint and its levels to
+    `tree`; a q too large to allocate names `n_steps`, and an endpoint not finite raises here."""
+    try:
+        q = np.empty((2, len(w), n + 1), dtype=complex)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"n_steps {n_steps}: {n} steps are too many to allocate") from exc
+    q[..., 0] = su2.IDENTITY[:, None]
+    amps = steps(w, q[..., 1:])
+    end = su2.reduce(q[..., 1:], tree)
+    if not np.isfinite(end).all():
+        raise RefinementError(f"endpoint is not finite on the grid of {n} steps; more steps "
+                              "cannot help", estimate=math.nan, n_steps=n)
+    return q, amps, end
+
+
 def _refine(steps, w: np.ndarray, duration: float, n_steps: int,
             tol: float | None) -> BlockTrajectory:
     """Step-doubling driver shared by every propagator route, on rows of effective offsets w.
 
     `steps(w, out)` writes the pairs of the n time steps of a grid over [0, `duration`] into
     `out`, shape (2, len(w), n), one row per offset of `w`, and returns that grid's midpoint
-    amplitudes; `out` is a grid buffer past its identity column 0. Grids of
+    amplitudes; `out` is a grid buffer past its identity column 0 (`_grid`). Grids of
     n_steps, 2 n_steps, ... steps are tried until the endpoint moves by less
     than `tol` between successive grids (Frobenius norm of the 2x2
     difference, sqrt(2 (|da|**2 + |db|**2)), max over rows). A
     grid's endpoint is its pairwise product (`su2.reduce`); only the grid that
     is returned is scanned in place (`su2.scan`), from that reduction's levels.
-    ``tol=None`` scans a single pass.
+    ``tol=None`` takes the first grid.
 
     Returns the trajectory of the last grid; its q is that grid's buffer.
 
     Raises
     ------
     RefinementError
-        If the tolerance is not met within `MAX_DOUBLINGS` refinements or the endpoint is
-        not finite; the exception carries the last error estimate and its grid size.
+        On the grid whose endpoint (`_grid`) or estimate is not finite, or if the tolerance is
+        not met within `MAX_DOUBLINGS` refinements; it carries the last estimate and grid size.
     """
     _check_steps(n_steps)
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-
-    def grid(n):
-        try:
-            q = np.empty((2, len(w), n + 1), dtype=complex)
-        except (MemoryError, ValueError) as exc:
-            raise ValueError(f"n_steps {n_steps}: {n} steps are too many to allocate") from exc
-        q[..., 0] = su2.IDENTITY[:, None]
-        return q, steps(w, q[..., 1:])
-
-    q, amps = grid(n_steps)
-    level, estimate, tree = 0, math.nan, []
-    if tol is not None:
-        end, estimate = su2.reduce(q[..., 1:], tree), math.inf
-        while not estimate < tol:
-            finest, finite = n_steps << level, math.isfinite(estimate) or not level
-            if level == MAX_DOUBLINGS or not finite:
-                raise RefinementError(
-                    (f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after {MAX_DOUBLINGS} "
-                     f"grid doublings (finest grid {finest} steps); increase n_steps") if finite
-                    else (f"endpoint is not finite on the grid of {finest} steps (moved by "
-                          f"{estimate}); more steps cannot help"),
-                    estimate=estimate,
-                    n_steps=finest,
-                )
-            del q, tree  # not alive while the finer grid is built
-            level += 1
-            q, amps = grid(n_steps << level)
-            tree = []
-            fine = su2.reduce(q[..., 1:], tree)
+    level, estimate = 0, math.nan
+    while True:
+        n, tree = n_steps << level, []
+        q, amps, fine = _grid(steps, w, n, n_steps, tree)
+        if level:
             estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(fine - end, axis=0)))
-            end = fine
+        if tol is None or estimate < tol:
+            break
+        if level == MAX_DOUBLINGS or math.isinf(estimate):
+            raise RefinementError(
+                f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after {level} grid "
+                f"doublings (finest grid {n} steps); increase n_steps",
+                estimate=estimate, n_steps=n)
+        del q, tree  # not alive while the finer grid is built
+        level, end = level + 1, fine
 
     su2.scan(q[..., 1:], tree)
-    n = n_steps << level
     return BlockTrajectory(
         times=np.arange(n + 1) * (duration / n), q=q, amps=amps,
         n_steps=n, refinement_levels=level, error_estimate=estimate,
@@ -169,8 +169,8 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
     Raises
     ------
     RefinementError
-        If the tolerance is not met within `MAX_DOUBLINGS` refinements; the
-        exception carries the best error estimate.
+        If the tolerance is not met within `MAX_DOUBLINGS` refinements or an endpoint
+        is not finite; the exception carries the best error estimate.
     """
     return _refine(lambda w, out: _slices(sample(shape, out.shape[-1]), w, out),
                    offset_diagonal(system), shape.duration, n_steps, tol)
@@ -187,9 +187,9 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
 
     Only the propagator at the end of the pulse matters, so every
     (offset, configuration) row of midpoint slices is reduced to its
-    endpoint (`su2.reduce`) without a trajectory, `BLOCK` slices at a time.
-    The response is the rotated z axis of that endpoint, (Re, Im) of conj(a) b
-    and (|a|**2 - |b|**2) / 2, with conj(a) b turned by the phase e^{i w T} of
+    endpoint (`_grid`, which raises on one not finite) without a trajectory, `BLOCK`
+    slices at a time. The response is the rotated z axis of that endpoint, (Re, Im) of
+    conj(a) b and (|a|**2 - |b|**2) / 2, with conj(a) b turned by the phase e^{i w T} of
     the free precession exp(-i w T Sz) that takes the row to the rotating frame.
     """
     offsets = np.asarray(offsets, dtype=float)
@@ -200,11 +200,9 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     rows = (offsets[:, None] + couplings).ravel()
     response = np.empty((3, len(rows)))
     per_block = max(1, BLOCK // n_steps)
-    slices = np.empty((2, min(per_block, len(rows)), n_steps), dtype=complex)
     for start in range(0, len(rows), per_block):
         w = rows[start:start + per_block]
-        _slices(sp, w, slices[:, :len(w)])
-        a, b = su2.reduce(slices[:, :len(w)])
+        a, b = _grid(lambda w, out: _slices(sp, w, out), w, n_steps, n_steps)[2]
         m = np.conj(a) * b * np.exp(1j * (w * duration))
         response[:, start:start + len(w)] = (m.real, m.imag, 0.5 * (
             a.real * a.real + a.imag * a.imag - b.imag * b.imag - b.real * b.real))

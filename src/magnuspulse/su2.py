@@ -265,8 +265,7 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     else:
         sign = state.sign[..., None]
 
-    unflipped = not np.any(sign < 0.0)
-    half = np.arctan2(norm if unflipped else sign * norm, c)
+    half = np.arctan2(sign * norm, c)
     step = np.diff(half, axis=-1, prepend=half[..., :1])
     if np.any(np.abs(step) > np.pi):
         turns = np.cumsum((step < -np.pi) * 1.0 - (step > np.pi), axis=-1)
@@ -275,8 +274,7 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     else:
         turns = state.turns[..., None]
     half += (2.0 * np.pi) * turns
-    if not unflipped:
-        axis *= sign
+    axis *= sign
     state.axis, state.sign = last_axis, sign[..., -1].copy()
     state.seen = state.seen | defined.any(axis=-1)
     return 2.0 * half, axis, norm

@@ -16,7 +16,7 @@ Units
 Offsets are angular frequencies (rad/s) everywhere inside the library.
 Scalar couplings are entered and stored in Hz (`ISpin.j_to_s`,
 `SpinSystem.j_ii`): `offset_diagonal` applies the 2*pi factor on every call,
-and `_check_offsets` requires the largest effective offset, |Omega_s| + pi*sum|J|, finite.
+and `_check_offsets` requires the largest effective offset w and w max(T, 1 s) finite.
 The I-I couplings are never converted, as they only add a phase. JSON system
 files carry everything in Hz; `load_system` converts the offsets to rad/s
 and keeps the couplings in Hz.
@@ -124,15 +124,16 @@ def offset_diagonal(system: SpinSystem) -> np.ndarray:
     return system.s_offset + ms @ j_s
 
 
-def _check_offsets(system: SpinSystem, trial: float = 0.0):
-    """Require |Omega_s| + pi sum_k |J_k| + |trial|, the largest effective S offset, finite.
-
-    A profile puts trial offsets up to |trial| in place of Omega_s.
-    """
-    coupling = math.pi * sum(abs(s.j_to_s) for s in system.i_spins)
-    if not math.isfinite(abs(system.s_offset) + abs(trial) + coupling):
+def _check_offsets(system: SpinSystem, trial: float = 0.0, duration: float = 0.0):
+    """Require w = |Omega_s| + |trial| + sum_k |2 pi J_k| / 2, the largest effective S offset,
+    and w max(duration, 1 s), the largest turn w t of a slice, finite, as `offset_diagonal` and
+    `su2.rotating_field` form them. A profile's trial offsets up to |trial| replace Omega_s."""
+    w = abs(system.s_offset) + abs(trial) + sum(abs(TWO_PI * s.j_to_s) / 2
+                                                for s in system.i_spins)
+    if not math.isfinite(w * max(duration, 1.0)):
         raise ValueError("effective S offset overflows in rad/s: |s_offset_hz| + sum_k |i_spins"
-                         "[k].j_to_s_hz| / 2" + " + |--offset-start/--offset-stop|" * bool(trial))
+                         "[k].j_to_s_hz| / 2" + " + |--offset-start/--offset-stop|" * bool(trial)
+                         + ", times the pulse duration in s" * math.isfinite(w))
 
 
 def assemble_full_matrix(system: SpinSystem, per_config_blocks) -> np.ndarray:

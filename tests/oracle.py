@@ -95,15 +95,6 @@ def drive_hamiltonian(system, amp, phase):
     return h
 
 
-def interaction_hamiltonian(system, amp, phase, t, h0_diag=None):
-    """exp(+i H0 t) H1 exp(-i H0 t); H0 is diagonal so the conjugation is a phase map."""
-    if h0_diag is None:
-        h0_diag = np.diag(static_hamiltonian(system)).real
-    u0 = np.exp(1j * h0_diag * t)
-    h1 = drive_hamiltonian(system, amp, phase)
-    return (u0[:, None] * h1) * np.conj(u0)[None, :]
-
-
 def expm_neg_i(h, dt):
     """exp(-i h dt) for Hermitian h via eigendecomposition (batched over axis 0)."""
     w, v = np.linalg.eigh(h)

@@ -765,6 +765,24 @@ class TestErrors:
             assert rows.shape == (2, 4) and np.all(np.isfinite(rows))
             assert np.all(np.linalg.norm(rows[:, 1:], axis=1) <= 0.5 + 1e-12)
 
+    @pytest.mark.parametrize("command", ["propagate", "criterion", "decompose", "profile"])
+    def test_offset_whose_turn_overflows_on_a_long_pulse_bad_input(self, tmp_path, capsys,
+                                                                  command):
+        # 2 pi 2e307 rad/s is finite, but w t is not on a 4 s pulse; no slice is built
+        argv = [command, "--shape", "gaussian", "--duration", "4", "--flip", "90", "--steps", "64"]
+        if command == "profile":
+            argv += ["--offset-start", "2e307", "--offset-stop", "2e307", "--offset-count", "2"]
+            field = "|--offset-start/--offset-stop|, times the pulse duration"
+        else:
+            system_file = tmp_path / "far.json"
+            system_file.write_text('{"s_offset_hz": 2e307}')
+            argv += ["--system", str(system_file)]
+            field = "|s_offset_hz|"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "times the pulse duration" in err
+        assert "Warning" not in err
+
     def test_system_file_that_is_not_an_object_bad_input(self, tmp_path, capsys):
         system_file = tmp_path / "list.json"
         system_file.write_text("[1, 2]")

@@ -133,6 +133,15 @@ class TestPropagateInteraction:
         assert err.value.estimate > 1e-14
         assert err.value.n_steps == 2 << MAX_DOUBLINGS
 
+    def test_non_finite_grid_raises_on_that_grid_without_tolerance(self):
+        # w = 2 pi 2e307 rad/s is finite, but w t overflows past t = 1 s of a 4 s pulse
+        system, pulse = SpinSystem(s_offset=TWO_PI * 2e307), build_pulse("constant", 4.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                RefinementError, match="endpoint is not finite on the grid of 64 steps") as err:
+            propagate_interaction(system, pulse, n_steps=64, tol=None)
+        assert err.value.n_steps == 64
+        assert math.isnan(err.value.estimate)
+
     @pytest.mark.parametrize("route", [propagate_interaction, integrate_expansion])
     @pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
     def test_non_positive_steps_rejected_on_both_routes(self, s_only_system, gaussian90, route,
@@ -196,6 +205,22 @@ class TestRowCore:
         whole = _refine(steps, w, gaussian90.duration, n_steps, None)
         part = _refine(steps, w[rows], gaussian90.duration, n_steps, None)
         assert part.q.tobytes() == whole.q[:, rows].tobytes()
+
+    def test_estimate_not_finite_stops_refinement_at_once(self):
+        # finite endpoints of 4e300 and 8e300 whose 2x2 difference overflows the norm
+        grids = []
+
+        def steps(w, out):
+            grids.append(out.shape[-1])
+            out[:] = su2.IDENTITY[:, None, None]
+            out[0, :, 0] = out.shape[-1] * 1e300
+            return np.zeros(out.shape[-1])
+
+        with np.errstate(over="ignore"), pytest.raises(
+                RefinementError, match="endpoint moved by inf > tol") as err:
+            _refine(steps, np.zeros(1), 1.0, 4, DEFAULT_TOL)
+        assert grids == [4, 8]
+        assert (err.value.n_steps, err.value.estimate) == (8, math.inf)
 
 
 def _endpoints(route, system, shape, n_steps):
@@ -289,6 +314,14 @@ class TestExcitationProfile:
             response = (m.real, m.imag, 0.5 * (
                 a.real * a.real + a.imag * a.imag - b.imag * b.imag - b.real * b.real))
             assert table[:, k].tobytes() == np.concatenate(response).tobytes(), offset
+
+    def test_row_that_is_not_finite_raises(self, s_only_system):
+        # the trial offset 2 pi 2e307 rad/s is finite, but w t overflows on a 4 s pulse
+        pulse = build_pulse("constant", 4.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                RefinementError, match="endpoint is not finite on the grid of 64 steps") as err:
+            excitation_profile(s_only_system, pulse, [0.0, TWO_PI * 2e307], n_steps=64)
+        assert err.value.n_steps == 64
 
     @pytest.mark.parametrize("entry", list_catalog(), ids=lambda entry: entry.name)
     def test_phase_is_the_composed_free_precession(self, sax_system, entry):

@@ -12,7 +12,7 @@ from magnuspulse import (
     load_system,
     offset_diagonal,
 )
-from magnuspulse.system import m_table
+from magnuspulse.system import _check_offsets, m_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,6 +133,17 @@ class TestValidationAndLoading:
             SpinSystem(s_offset=1.7e308, i_spins=(ISpin(j_to_s=1e308),))
         path.write_text('{"s_offset_hz": 2.8e307, "i_spins": [{"j_to_s_hz": 1e306}]}')
         assert np.all(np.isfinite(offset_diagonal(load_system(path))))
+
+    def test_coupling_overflowing_as_two_pi_j_rejected(self):
+        # pi J = 9.4e306 rad/s is finite, but `offset_diagonal` forms 2 pi J = inf first
+        with pytest.raises(ValueError, match="effective S offset overflows in rad/s"):
+            SpinSystem(i_spins=(ISpin(j_to_s=3e307),))
+
+    def test_offset_times_a_duration_past_one_second_must_stay_finite(self):
+        system = SpinSystem(s_offset=TWO_PI * 2e307)  # finite, as is w t up to t = 1 s
+        _check_offsets(system, duration=0.5)
+        with pytest.raises(ValueError, match=r"\|s_offset_hz\| \+ .* times the pulse duration"):
+            _check_offsets(system, duration=4.0)
 
     def test_load_system_reads_an_open_file_and_requires_an_object(self, tmp_path):
         path = tmp_path / "sys.json"
