@@ -449,6 +449,7 @@ def _add_common(parser: argparse.ArgumentParser, offsets: bool = False):
     parser.add_argument("--output", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"),
                         help="output format (default inferred from --output extension)")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,21 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--format", choices=("json", "text"), help="output format")
     p_catalog.set_defaults(func=_cmd_catalog)
 
-    p_criterion = sub.add_parser("criterion", help="evaluate the existence criterion")
-    _add_common(p_criterion)
-    p_criterion.set_defaults(func=_cmd_criterion)
-
-    p_propagate = sub.add_parser("propagate", help="emit propagator blocks along the grid")
-    _add_common(p_propagate)
-    p_propagate.set_defaults(func=_cmd_propagate)
-
-    p_profile = sub.add_parser("profile", help="excitation profile versus offset")
-    _add_common(p_profile, offsets=True)
-    p_profile.set_defaults(func=_cmd_profile)
-
-    p_decompose = sub.add_parser("decompose", help="expansion-form coefficients and angles")
-    _add_common(p_decompose)
-    p_decompose.set_defaults(func=_cmd_decompose)
+    commands = (("criterion", _cmd_criterion, "evaluate the existence criterion"),
+                ("propagate", _cmd_propagate, "emit propagator blocks along the grid"),
+                ("profile", _cmd_profile, "excitation profile versus offset"),
+                ("decompose", _cmd_decompose, "expansion-form coefficients and angles"))
+    for name, func, text in commands:  # profile alone takes the offset flags
+        _add_common(sub.add_parser(name, help=text), name == "profile").set_defaults(func=func)
 
     return parser
 

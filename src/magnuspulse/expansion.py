@@ -103,13 +103,12 @@ def angles_from_state(trajectory: BlockTrajectory):
     The scalar data alone cannot tell ascending from descending at a fold
     (angle through 2 pi, where |g| reflects), so the sign of the half-angle
     sine follows the last well-defined g direction before unwrapping.
-    Degenerate points |g| ~ 0 report alpha = beta = 0. Each output has shape
-    (n_configs, n_steps + 1).
+    Where the tracker leaves the axis undefined (|g| <= `su2.AXIS_TOL`),
+    alpha = beta = 0. Each output has shape (n_configs, n_steps + 1).
     """
     alpha, beta, omega = np.empty((3,) + trajectory.q.shape[1:])
-    for window, (_, gx, gy, gz), angle, _, norm in su2.track_windows(trajectory.q):
-        degenerate = norm < 1e-12
-        alpha[:, window] = np.where(degenerate, 0.0, np.arctan2(gy + 0.0, gx + 0.0))
-        beta[:, window] = np.where(degenerate, 0.0, np.arctan2(np.hypot(gx, gy), gz))
+    for window, (_, gx, gy, gz), angle, _, defined in su2.track_windows(trajectory.q):
+        alpha[:, window] = np.where(defined, np.arctan2(gy + 0.0, gx + 0.0), 0.0)
+        beta[:, window] = np.where(defined, np.arctan2(np.hypot(gx, gy), gz), 0.0)
         omega[:, window] = angle
     return alpha, beta, omega

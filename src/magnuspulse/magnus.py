@@ -44,9 +44,6 @@ from .system import SpinSystem, offset_diagonal
 
 TWO_PI = 2.0 * math.pi
 
-#: |sin(angle/2)| below this with cos(angle/2) ~ -1 marks the U = -E degeneracy.
-AMBIGUITY_SIN_TOL = 1e-8
-
 #: A gap within this distance (rad) of some 2 pi n, n != 0, fails the gap condition.
 DEFAULT_GAP_TOL = 1e-6
 
@@ -66,8 +63,9 @@ class MagnusSolution:
     alpha = atan2(Omega_y, Omega_x) in (-pi, pi], exact zeros taken as +0, and
     beta = atan2(hypot(Omega_x, Omega_y), Omega_z) in [0, pi], so that
     Omega = omega_hat (cos alpha sin beta, sin alpha sin beta, cos beta).
-    ambiguous marks stored samples where U ~ -E left the axis undefined (the
-    angle is still valid there).
+    ambiguous marks stored samples at -E, where the tracker's mask
+    (`su2.track_rows`) leaves the axis undefined and the scalar part is
+    negative; the angle is still valid there.
     """
 
     omega: np.ndarray
@@ -101,8 +99,9 @@ class CriterionReport:
     DEFAULT_GAP_TOL.
     ambiguity_times, ascending and distinct, are where some configuration's
     U passes -E (`_minus_e_times`): each stored time flagged as in
-    `MagnusSolution.ambiguous`, and an interpolated time for each passage
-    between two unflagged samples.
+    `MagnusSolution.ambiguous`, where the tracker's mask leaves the axis
+    undefined, and an interpolated time for each passage between two
+    unflagged samples.
     """
 
     i_total: float
@@ -124,9 +123,9 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     """Invert U(t_k) = exp(-i Omega . S) along the trajectory, per configuration.
 
     The branch (angle + 4 pi k along the axis) is tracked for continuity
-    along the windows of `su2.track_windows`, seeded at Omega(0) = 0; the
-    same |v| flags the -E samples. The blocks of `_omega_blocks` are written
-    into whole-grid arrays.
+    along the windows of `su2.track_windows`, seeded at Omega(0) = 0; its
+    mask of undefined axes flags the -E samples. The blocks of
+    `_omega_blocks` are written into whole-grid arrays.
 
     Raises
     ------
@@ -156,9 +155,9 @@ def _omega_blocks(trajectory: BlockTrajectory):
         naming its step k and the lowest configuration that jumps there; that
         block is not yielded and no later block is tracked.
     """
-    for block, rows, angle, omega, s in su2.track_windows(trajectory.q):
+    for block, rows, angle, omega, defined in su2.track_windows(trajectory.q):
         omega *= angle  # the unit axis becomes Omega
-        ambiguous = (s < AMBIGUITY_SIN_TOL) & (rows[0] <= -1.0 + AMBIGUITY_SIN_TOL)
+        ambiguous = ~defined & (rows[0] < 0.0)
         step = np.diff(omega)
         step *= step
         step2 = step[0] + step[1] + step[2]  # |Omega_k - Omega_{k-1}|**2 at k - 1

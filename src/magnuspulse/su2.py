@@ -215,24 +215,23 @@ def track_rows(c: np.ndarray, v: np.ndarray,
                state: BranchState | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Continuous rotation angle and axis of c E - i (v . sigma) along the last (time) axis.
 
-    c has shape (..., n_t) and v = (vx, vy, vz) shape (3, ..., n_t). Where
-    |v| <= AXIS_TOL the axis of the last sample that had one is kept (the z
-    axis before any). The axis sign is chosen so consecutive axes never
-    point apart. The half angle atan2(+-|v|, c) lies in (-pi, pi], so a step
-    of more than pi between samples is one whole turn the other way; adding
-    2 pi times the count of those turns lets the angle run on through 2 pi
-    instead of folding back. Returns (angle, axis, |v|), with angle_k axis_k . S
-    the exponent of sample k; axis is component-major, shape (3, ..., n_t).
+    c has shape (..., n_t) and v = (vx, vy, vz) shape (3, ..., n_t). Where |v| <= AXIS_TOL
+    the axis is undefined, the one rule for a sample at +-E, and the axis of the last sample
+    that had one is kept (the z axis before any). The axis sign is chosen so consecutive axes
+    never point apart. The half angle atan2(+-|v|, c) lies in (-pi, pi], so a step of more
+    than pi between samples is one whole turn the other way; adding 2 pi times the count of
+    those turns lets the angle run on through 2 pi instead of folding back. Returns (angle,
+    axis, defined): angle_k axis_k . S is the exponent of sample k, axis is component-major,
+    shape (3, ..., n_t), and defined the mask |v| > AXIS_TOL, shape (..., n_t).
 
-    Each call continues from `state` and leaves it at its last sample;
-    tracking that sample again leaves the state and its values unchanged (its
-    axis is `state.axis` and its half-angle step is 0). The turns are whole
-    numbers, whose sums are exact, so the windows of `track_windows` give the
-    values of one call over the whole grid, bit for bit. Without `state` the
-    rows start afresh. A window pays for the fill, in its length, only where
-    it has an undefined axis; for the sign products only where consecutive
-    axes have a negative dot; and for counting turns only where a half-angle
-    step passes pi, any other window adding the carried turns alone.
+    Each call continues from `state` and leaves it at its last sample; tracking that sample
+    again leaves the state and its values unchanged (its axis is `state.axis` and its
+    half-angle step is 0). The turns are whole numbers, whose sums are exact, so the windows
+    of `track_windows` give the values of one call over the whole grid, bit for bit. Without
+    `state` the rows start afresh. A window pays for the fill, in its length, only where it
+    has an undefined axis; for the sign products only where consecutive axes have a negative
+    dot; and for counting turns only where a half-angle step passes pi, any other window
+    adding the carried turns alone.
     """
     if state is None:
         state = BranchState(c.shape[:-1])
@@ -277,13 +276,13 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     axis *= sign
     state.axis, state.sign = last_axis, sign[..., -1].copy()
     state.seen = state.seen | defined.any(axis=-1)
-    return 2.0 * half, axis, norm
+    return 2.0 * half, axis, defined
 
 
 def track_windows(x: np.ndarray):
     """`track_rows` along pairs x (2, n_rows, n_t), in time windows of about `TRACK_BLOCK` samples.
 
-    Yields (window, r, angle, axis, |v|) for each time slice `window`, with
+    Yields (window, r, angle, axis, defined) for each time slice `window`, with
     ``r = rows(x[..., window])`` and the rest `track_rows`' values on r. This is
     the one walk of the branch, and its window rule is the one rule of every
     check made on it: consecutive windows share one sample, the last of one

@@ -84,17 +84,6 @@ def static_hamiltonian(system):
     return h
 
 
-def drive_hamiltonian(system, amp, phase):
-    """RF term amp * (cos(phase) Sx_total + sin(phase) Sy_total) over the S group."""
-    n_s, n_i = system.s_count, system.n_i
-    total = n_s + n_i
-    dim = 1 << total
-    h = np.zeros((dim, dim), dtype=complex)
-    for s in range(n_s):
-        h += amp * (np.cos(phase) * embed(SX1, s, total) + np.sin(phase) * embed(SY1, s, total))
-    return h
-
-
 def expm_neg_i(h, dt):
     """exp(-i h dt) for Hermitian h via eigendecomposition (batched over axis 0)."""
     w, v = np.linalg.eigh(h)
@@ -360,7 +349,8 @@ def track_trailing(q, unwrap=None):
 def track_rows_dense(c, v):
     """`su2.track_rows` on component rows, with every sample gathered and always unwrapped.
 
-    Returns (angle, axis, |v|) with the axis component-major, (3, ..., n_t).
+    Returns (angle, axis, defined) with the axis component-major, (3, ..., n_t),
+    and defined the mask |v| > AXIS_TOL of samples whose axis is their own.
     """
     from magnuspulse.su2 import AXIS_TOL
 
@@ -383,7 +373,7 @@ def track_rows_dense(c, v):
 
     half = _whole_turns(np.arctan2(sign * norm, c))
     axis *= sign
-    return 2.0 * half, axis, norm
+    return 2.0 * half, axis, defined
 
 
 def _whole_turns(half):

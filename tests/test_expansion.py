@@ -214,6 +214,17 @@ class TestAnglesFromState:
         assert omega[0, -1] == pytest.approx(3.0 * math.pi, abs=1e-8)
         assert np.all(np.diff(omega[0]) > 0)
 
+    def test_angles_read_0_where_the_tracker_leaves_the_axis_undefined(self, s_only_system):
+        # RE-BURP at 720 deg on S alone returns to |g| ~ 1e-11, where the direction of g is
+        # rounding noise; the tracker's mask, not a threshold of its own, zeroes the angles
+        pulse = calibrate(resolve_pulse("RE-BURP").build(), 2.0 * TWO_PI)
+        state = integrate_expansion(s_only_system, pulse)
+        rows = su2.rows(state.q)
+        undefined = ~su2.track_rows(rows[0], rows[1:])[2]
+        assert undefined[:, 1:].any()
+        alpha, beta, _ = angles_from_state(state)
+        assert np.all(alpha[undefined] == 0.0) and np.all(beta[undefined] == 0.0)
+
     @pytest.mark.parametrize("block", [2, 3, 1000])
     def test_windows_match_one_window_bit_for_bit(self, monkeypatch, sax_system, block):
         # U-BURP at 720 deg passes whole turns, and the identity at t = 0 has no axis

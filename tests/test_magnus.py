@@ -94,6 +94,17 @@ class TestExtractOmega:
         assert sol.ambiguous[0, crossing]
         assert sol.ambiguous.sum() == 1
 
+    def test_minus_e_flags_read_the_trackers_mask(self):
+        # About x, 2 pi - 1e-8 and 2 pi + 1e-9 are -E to |v| = sin(half) = 5e-9 and 5e-10;
+        # only the second is within su2.AXIS_TOL, where the tracker leaves the axis undefined
+        traj = propagate_interaction(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0),
+                                     n_steps=9, tol=None)
+        angles = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, TWO_PI - 1e-8, TWO_PI + 1e-9, 7.0])
+        q = su2.exp(np.array([1.0, 0.0, 0.0])[:, None, None] * angles)
+        assert np.abs(q[1, 0, 7:9]).tolist() == pytest.approx([5e-9, 5e-10], rel=1e-6)
+        sol = extract_omega(dataclasses.replace(traj, q=q))
+        assert sol.ambiguous[0].tolist() == [False] * 8 + [True, False]
+
     def test_gaussian_sax_reconstruction(self, sax_system, gaussian90):
         traj = propagate_interaction(sax_system, gaussian90, n_steps=1024, tol=1e-8)
         sol = extract_omega(traj)
