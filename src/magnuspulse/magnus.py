@@ -18,7 +18,8 @@ block for the jump test, the gap audit and the -E passages.
 `extract_omega` writes the blocks into whole-grid arrays. `explicit_criterion`
 folds the bound margin, the gap audit, the -E times and the largest
 omega_hat block by block and never holds Omega, its steps or the
-eigenvalues of the whole grid.
+eigenvalues of the whole grid. Where the grid keeps away from -E it reads
+the tracker's omega_hat untracked (`_principal_blocks`).
 
 Where U passes through -E the rotation axis is genuinely undefined; those samples are
 flagged, the angle itself is still carried through by continuity. Such points are exactly
@@ -232,27 +233,39 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
                        tol: float | None = DEFAULT_TOL) -> CriterionReport:
     """Evaluate the existence criterion and all audit quantities for one pulse.
 
-    Computes I(T) and theta(T) by quadrature, propagates the exact
-    trajectory, extracts the continuous exponent, and audits the pointwise
-    bound omega_hat(t) <= I(t) at every stored time, and the eigenvalue-gap
-    condition and the -E passages at and between stored times, one time
-    block of `_omega_blocks` at a time; the gap audit (`gap_audit`) stops
-    at a nearest distance of 0, which no later block can lower.
+    Computes I(T) and theta(T) by quadrature, propagates the exact trajectory, and audits the
+    pointwise bound omega_hat(t) <= I(t) at every stored time, and the eigenvalue-gap condition
+    and the -E passages at and between stored times, a window at a time; the gap audit
+    (`gap_audit`) stops at a nearest distance of 0, which no later window can lower.
+
+    The windows are `_principal_blocks`' where 1 + low > (16 D)**2 + `su2.AXIS_TOL`, low the
+    smallest c of the blocks U = c E - i (v . sigma) and D = dt max |amps| / 2, which bounds
+    |q_k - q_{k-1}| = 2 |sin(amps_k dt / 4)| as step k turns U by amps_k dt; else
+    `_omega_blocks`'. So D < 1/11, and, with |q|**2 within AXIS_TOL / 2 of 1, c < 0 gives
+    |v|**2 = |q|**2 - c**2 > (16 D)**2 + AXIS_TOL / 2. A turn needs an axis flip, so |v| <= D
+    at both samples, where c < 0 at one, and a -E flag |v| <= AXIS_TOL where c < 0: with
+    neither and atan2 odd, the tracker's omega_hat is 2 atan2(|v|, c) to the bit, |v| summed
+    in its order. Omega steps by at most pi D + 4 pi D / |v| < pi where c < 0, and 3 pi D
+    elsewhere: no jump either.
 
     Raises
     ------
     ExtractionError
-        As `extract_omega` does, from the block of `_omega_blocks` that holds
+        As `extract_omega` does, from the window of `_omega_blocks` that holds
         the earliest jump; the audit stops there.
     """
     theta_total, i_total = midpoint_integrals(shape, shape.duration, n_steps)
 
     trajectory = propagate_interaction(system, shape, n_steps=n_steps, tol=tol)
-    i_grid = np.concatenate(([0.0], np.cumsum(np.abs(trajectory.amps)) * trajectory.dt))
+    amps = np.abs(trajectory.amps)
+    i_grid = np.concatenate(([0.0], np.cumsum(amps) * trajectory.dt))
 
+    d = 0.5 * trajectory.dt * np.max(amps)  # D; a NaN sends the walk to the tracker
+    off = 1.0 + np.min(trajectory.q[0].real) > 256.0 * d * d + su2.AXIS_TOL
+    walk = _principal_blocks if off else _omega_blocks
     margin, max_hat, nearest = math.inf, -math.inf, math.inf
     minus_e = []
-    for block, _, omega_hat, ambiguous in _omega_blocks(trajectory):
+    for block, _, omega_hat, ambiguous in walk(trajectory):
         top = np.max(omega_hat, axis=0)  # M_t
         margin = np.minimum(margin, np.min(i_grid[block] - top))
         max_hat = np.maximum(max_hat, np.max(top))
@@ -275,6 +288,15 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         trajectory_steps=trajectory.n_steps,
         error_estimate=trajectory.error_estimate,
     )
+
+
+def _principal_blocks(trajectory: BlockTrajectory):
+    """`_omega_blocks`' values off -E: (block, None, 2 atan2(|v|, c), no flag) per window, with
+    c copied contiguous, as in the tracker's rows, and |v| summed in the tracker's order."""
+    for block in su2._windows(*trajectory.q.shape[1:]):
+        a, b = trajectory.q[:, :, block]
+        norm = np.sqrt(b.imag * b.imag + b.real * b.real + a.imag * a.imag)
+        yield block, None, 2.0 * np.arctan2(norm, a.real.copy()), np.zeros(norm.shape, bool)
 
 
 def _minus_e_times(times: np.ndarray, omega_hat: np.ndarray, ambiguous: np.ndarray) -> np.ndarray:

@@ -164,7 +164,8 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
     Starts from `n_steps` midpoint slices and doubles the grid until the
     endpoint propagators move by less than `tol` (max Frobenius norm over
     configurations) between successive refinements. Pass ``tol=None`` for a
-    single fixed-grid pass.
+    single fixed-grid pass. Each step k is an exact slice, a turn of U by
+    |amps_k| dt, which `magnus.explicit_criterion` relies on.
 
     Raises
     ------

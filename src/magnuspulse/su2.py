@@ -279,22 +279,24 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     return 2.0 * half, axis, defined
 
 
+def _windows(n_rows: int, n_t: int):
+    """Time slices of about `TRACK_BLOCK` samples in all; consecutive ones share an edge sample."""
+    width = max(1, TRACK_BLOCK // n_rows)
+    return (slice(start, start + width + 1) for start in range(0, n_t - 1, width))
+
+
 def track_windows(x: np.ndarray):
-    """`track_rows` along pairs x (2, n_rows, n_t), in time windows of about `TRACK_BLOCK` samples.
+    """`track_rows` along pairs x (2, n_rows, n_t), in the time windows of `_windows`.
 
     Yields (window, r, angle, axis, defined) for each time slice `window`, with
     ``r = rows(x[..., window])`` and the rest `track_rows`' values on r. This is
     the one walk of the branch, and its window rule is the one rule of every
-    check made on it: consecutive windows share one sample, the last of one
-    and the first of the next, so every pair of consecutive samples lies in
-    one window; one `BranchState` carries the tracker over that sample, so
-    each window holds the values of one call over the whole grid, bit for
-    bit, and the shared sample's values are the same in both windows.
+    check made on it: one `BranchState` carries the tracker over the sample
+    that consecutive windows share, so each window holds the values of one
+    call over the whole grid, bit for bit, and the shared sample's values are
+    the same in both windows.
     """
-    n_rows, n_t = x.shape[1:]
-    width = max(1, TRACK_BLOCK // n_rows)
-    state = BranchState((n_rows,))
-    for start in range(0, n_t - 1, width):
-        window = slice(start, start + width + 1)
+    state = BranchState(x.shape[1:2])
+    for window in _windows(*x.shape[1:]):
         r = rows(x[..., window])
         yield (window, r) + track_rows(r[0], r[1:], state)

@@ -69,6 +69,28 @@ def _spy_windows(monkeypatch):
     return windows
 
 
+def _track_instead(monkeypatch):
+    """Put the tracker walk `_omega_blocks` in the place of the criterion's principal walk."""
+    monkeypatch.setattr(magnus, "_principal_blocks", magnus._omega_blocks)
+
+
+def _turning_about_x(traj, angles):
+    """traj with q = exp(-i angles S_x), angles (n_configs, n_times), and amplitudes whose
+    |amps_k| dt is the largest turn of step k, as every step of a propagated grid has."""
+    turns = np.max(np.abs(np.diff(angles)), axis=0)
+    return dataclasses.replace(traj, q=su2.exp(np.array([1.0, 0.0, 0.0])[:, None, None] * angles),
+                               amps=turns / traj.dt)
+
+
+def _outcome(system, pulse):
+    """explicit_criterion's report as text, its ambiguity times as a list, or its error."""
+    try:
+        report = explicit_criterion(system, pulse)
+    except ExtractionError as exc:
+        return f"ExtractionError: {exc}"
+    return repr(dataclasses.replace(report, ambiguity_times=report.ambiguity_times.tolist()))
+
+
 def _hermitian(sums):
     """The (n_configs, order, 2, 2) matrices a . S of the (3, n_configs, order) partial sums."""
     return np.einsum("jcm,jab->cmab", sums, np.stack((oracle.SX1, oracle.SY1, oracle.SZ1)))
@@ -130,8 +152,7 @@ class TestExtractOmega:
         angles[0, 16:] += 3.2
         traj = propagate_interaction(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0),
                                      n_steps=23, tol=None)
-        x_axis = np.array([1.0, 0.0, 0.0])[:, None, None]
-        traj = dataclasses.replace(traj, q=su2.exp(x_axis * angles))
+        traj = _turning_about_x(traj, angles)
         monkeypatch.setattr(su2, "TRACK_BLOCK", block)
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
         message = r"jumped by 3\.400 rad between stored samples \(config 1, step 10\)"
@@ -151,8 +172,7 @@ class TestExtractOmega:
         angles[2, 12000:] += 3.2
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         traj = propagate_interaction(SpinSystem(), pulse, n_steps=n_times - 1, tol=None)
-        x_axis = np.array([1.0, 0.0, 0.0])[:, None, None]
-        traj = dataclasses.replace(traj, q=su2.exp(x_axis * angles))
+        traj = _turning_about_x(traj, angles)
         del angles
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
         tracked = []
@@ -436,7 +456,118 @@ class TestExplicitCriterion:
         monkeypatch.setattr(su2, "scan", lambda x, levels=(): scan(x))
         monkeypatch.setattr(su2, "TRACK_BLOCK", 1 << 40)  # the dense tracker runs as one block
         monkeypatch.setattr(su2, "track_rows", lambda c, v, state: oracle.track_rows_dense(c, v))
+        _track_instead(monkeypatch)  # else the principal walk answers most reports untracked
         assert fast == reports()
+
+    @pytest.mark.parametrize("system", ["s_only_system", "sax_system", "s2ax_system"])
+    def test_principal_walk_matches_the_tracker_bit_for_bit(self, request, monkeypatch, system):
+        # Every catalog pulse at its nominal flip, 360 and 720 deg, at the defaults: the same
+        # report or error text as the tracker walk, whether the guard held or sent it there.
+        system = request.getfixturevalue(system)
+        pulses = [calibrate(entry.build(), flip) for entry in list_catalog()
+                  for flip in (entry.nominal_flip, TWO_PI, 2.0 * TWO_PI)]
+        tracked = []
+        track_rows = su2.track_rows
+        monkeypatch.setattr(su2, "track_rows",
+                            lambda *args: tracked.append(1) or track_rows(*args))
+        principal, untracked = [], 0
+        for pulse in pulses:
+            tracked.clear()
+            principal.append(_outcome(system, pulse))
+            untracked += not tracked
+        assert 0 < untracked < len(pulses)  # both ways are taken
+        _track_instead(monkeypatch)
+        assert principal == [_outcome(system, pulse) for pulse in pulses]
+
+    def test_g4_on_sax_is_never_tracked(self, monkeypatch, sax_system):
+        entry = resolve_pulse("G4")
+        pulse = calibrate(entry.build(), entry.nominal_flip)
+        monkeypatch.setattr(su2, "track_rows", None)  # a call would raise TypeError
+        report = explicit_criterion(sax_system, pulse)
+        assert report.criterion23_met and report.magnus_criterion_ok
+
+    def test_uburp_360_on_sax_falls_back_and_raises(self, monkeypatch, sax_system):
+        monkeypatch.setattr(magnus, "_principal_blocks", None)  # a call would raise TypeError
+        with pytest.raises(ExtractionError, match=r"3\.290 rad between stored samples "
+                                                  r"\(config 3, step 5019\)"):
+            explicit_criterion(sax_system, calibrate(resolve_pulse("U-BURP").build(), TWO_PI))
+
+    @pytest.mark.parametrize("trip", ["step", "low"])
+    def test_guard_sends_a_grid_near_minus_e_to_the_tracker(self, monkeypatch, trip):
+        # Configuration 0 turns about x by 0.01 a step; configuration 1 holds still, then
+        # turns at step 20 by 0.9 rad (256 D**2 = 52 > 2 >= 1 + c), or from 2 pi - 0.5 to
+        # 2 pi - 0.45 rad (256 D**2 = 0.16 > 1 + c = 0.025). The tracker walks alone.
+        angles = np.stack((0.01 * np.arange(40.0), np.full(40, 0.3 if trip == "step" else
+                                                              TWO_PI - 0.5)))
+        angles[1, 20:] += 0.9 if trip == "step" else 0.05
+        pulse = build_pulse("constant", 1e-3, amplitude=0.0)
+        traj = _turning_about_x(propagate_interaction(SpinSystem(), pulse, n_steps=39, tol=None),
+                                angles)
+        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        principal = magnus._principal_blocks
+        monkeypatch.setattr(magnus, "_principal_blocks", None)  # a call would raise TypeError
+        report = explicit_criterion(SpinSystem(), pulse)
+        assert report.max_omega_hat == pytest.approx(1.2 if trip == "step" else TWO_PI - 0.45)
+        # configuration 0 alone keeps the guard (256 D**2 = 0.0064 < 1 + c) and is not tracked
+        traj = _turning_about_x(traj, angles[:1])
+        monkeypatch.setattr(magnus, "_principal_blocks", principal)
+        monkeypatch.setattr(su2, "track_rows", None)
+        assert explicit_criterion(SpinSystem(), pulse).max_omega_hat == pytest.approx(0.39)
+
+    def test_minus_e_to_rounding_goes_to_the_tracker(self, monkeypatch):
+        # A configuration held at -E with |q|**2 = 1 - 2e-12: D = 0 and 1 + c = 1e-12 > 0
+        # keep every bound but AXIS_TOL's, which sends the audit to the tracker; it flags
+        # every sample, where 2 atan2(0, c) would read 2 pi without a flag
+        pulse = build_pulse("constant", 1e-3, amplitude=0.0)
+        traj = propagate_interaction(SpinSystem(), pulse, n_steps=8, tol=None)
+        traj = dataclasses.replace(traj, q=np.stack((np.full((1, 9), -(1.0 - 1e-12) + 0j),
+                                                     np.zeros((1, 9), complex))))
+        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        report = explicit_criterion(SpinSystem(), pulse)
+        assert report.max_omega_hat == TWO_PI
+        assert report.ambiguity_times.tolist() == traj.times[1:].tolist()
+
+    def test_principal_walk_holds_a_few_windows(self, monkeypatch):
+        # 32 configurations x 16385 samples in windows of 512 steps, turning about x by 1e-4
+        # a step: the whole walk is principal and allocates about two windows of q, not the
+        # whole-grid angles
+        n_times = 16385
+        pulse = build_pulse("constant", 1e-3, amplitude=0.0)
+        traj = propagate_interaction(SpinSystem(), pulse, n_steps=n_times - 1, tol=None)
+        traj = _turning_about_x(traj, np.tile(1e-4 * np.arange(float(n_times)), (32, 1)))
+        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        monkeypatch.setattr(su2, "track_rows", None)  # a call would raise TypeError
+        tracemalloc.start()
+        try:
+            report = explicit_criterion(SpinSystem(), pulse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_omega_hat == pytest.approx(1.6384)
+        assert peak < 4 * traj.q[..., :513].nbytes
+
+    def test_arctan2_is_odd_bit_for_bit_on_the_unit_circle(self):
+        # The principal walk reads 2 atan2(|v|, c) where the tracker, past an axis flip, takes
+        # |2 atan2(-|v|, c)|: numpy's atan2 must be odd to the bit on the contiguous rows both
+        # walks pass it, under the CPU features it dispatches to
+        half = np.random.default_rng(42).uniform(0.0, math.pi, 1 << 20)
+        tiny = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-20, 1e-9]
+        ends = [1.0, -1.0, 0.0, -0.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)]
+        norm = np.concatenate((np.sin(half), np.repeat(tiny, len(ends)), [1.0, 1.0]))
+        c = np.concatenate((np.cos(half), np.tile(ends, len(tiny)), [0.0, -0.0]))
+        assert np.array_equal(np.arctan2(-norm, c).view(np.int64),
+                              np.negative(np.arctan2(norm, c)).view(np.int64))
+
+    def test_reburp_540_near_resonance_reads_a_passage(self):
+        # RE-BURP at 540 deg on S at 0.5 Hz comes within 1 + min c = 3.2e-8 of -E (ROADMAP
+        # item 13): the guard sends it to the tracker, which reads one -E passage there
+        system = SpinSystem(s_count=1, s_offset=TWO_PI * 0.5)
+        report = explicit_criterion(system, calibrate(resolve_pulse("RE-BURP").build(),
+                                                      1.5 * TWO_PI))
+        assert report.trajectory_steps == 8192
+        assert report.max_omega_hat == pytest.approx(10.820, abs=1e-3)
+        assert len(report.ambiguity_times) == 1
+        assert not report.magnus_criterion_ok
 
     @pytest.mark.parametrize("block", [8, 1 << 40])
     def test_crossing_on_a_track_block_edge(self, monkeypatch, block):
@@ -445,8 +576,7 @@ class TestExplicitCriterion:
         # 0.4 of any 2 pi n.
         traj = propagate_interaction(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0),
                                      n_steps=11, tol=None)
-        x_axis = np.array([1.0, 0.0, 0.0])[:, None, None]
-        traj = dataclasses.replace(traj, q=su2.exp(x_axis * (TWO_PI / 7.5) * np.arange(12.0)))
+        traj = _turning_about_x(traj, (TWO_PI / 7.5) * np.arange(12.0)[None])
         monkeypatch.setattr(su2, "TRACK_BLOCK", block)
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
         report = explicit_criterion(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0))
