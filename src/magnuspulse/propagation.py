@@ -15,18 +15,20 @@ doubling driver for both routes: the expansion module hands it RK4 step pairs in
 exact slices, and both get back the same `BlockTrajectory`.
 
 A slice's transverse part sin h e^{i phi_k}, shared by every configuration,
-is turned by e^{-i w t_k} from `su2.rotating_field`, which builds a whole
+is turned by e^{-i w t_k} as in `su2.rotating_field`, which builds a whole
 row by angle addition from about 2 sqrt(n) trig calls. When every phase is
 0, as for every family `build_pulse` makes, e^{i phi} = 1 and its trig is
-skipped.
+skipped. `su2.transverse_slices` fills a grid a chunk of time at a time.
 
 Slices, their products and the stored trajectory are Cayley-Klein pairs
 (see `su2`); `su2.to_matrix` gives the 2x2 view of any of them. `_grid` builds every grid,
-a refinement level or a block of profile rows, reduces it to its endpoint (`su2.reduce`) and
-raises `RefinementError` on the grid whose endpoint is not finite. Only the grid refinement
-accepts is scanned in place from its reduction's levels (`su2.scan`), because downstream
-analysis (continuous matrix-logarithm tracking) needs dense-in-time samples; excitation
-profiles keep the endpoints alone and never build a trajectory.
+a refinement level or a block of profile rows, reduces it to its endpoint in chunks of time
+(`su2._chunked`, the bits of `su2.reduce`) and raises `RefinementError` on the grid whose
+endpoint is not finite. Only the grid that refinement predicts to pass is scanned in place
+as it is reduced (the bits of `su2.scan`), because downstream analysis (continuous
+matrix-logarithm tracking) needs dense-in-time samples; no grid keeps more of its reduction
+tree than one chunk's. Excitation profiles keep the endpoints alone and never build a
+trajectory.
 No propagator carries the I-spin energies' scalar phase, which cancels (see `system`).
 """
 
@@ -85,17 +87,18 @@ class BlockTrajectory:
         return self.q.shape[1]
 
 
-def _grid(steps, w: np.ndarray, n: int, n_steps: int, tree: list | None = None):
+def _grid(steps, w: np.ndarray, n: int, n_steps: int, scanned: bool = False):
     """The grid of n steps that `steps` fills for rows w: (q, amps, endpoint), q (2, len(w),
-    n + 1) with the identity in column 0. `su2.reduce` gives the endpoint and its levels to
-    `tree`; a q too large to allocate names `n_steps`, and an endpoint not finite raises here."""
+    n + 1) with the identity in column 0. `su2._chunked` gives the endpoint, and scans q in
+    place if `scanned`; a q too large to allocate names `n_steps`, and an endpoint not finite
+    raises here."""
     try:
         q = np.empty((2, len(w), n + 1), dtype=complex)
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"n_steps {n_steps}: {n} steps are too many to allocate") from exc
     q[..., 0] = su2.IDENTITY[:, None]
     amps = steps(w, q[..., 1:])
-    end = su2.reduce(q[..., 1:], tree)
+    end = su2._chunked(q[..., 1:], scanned)
     if not np.isfinite(end).all():
         raise RefinementError(f"endpoint is not finite on the grid of {n} steps; more steps "
                               "cannot help", estimate=math.nan, n_steps=n)
@@ -111,10 +114,14 @@ def _refine(steps, w: np.ndarray, duration: float, n_steps: int,
     amplitudes; `out` is a grid buffer past its identity column 0 (`_grid`). Grids of
     n_steps, 2 n_steps, ... steps are tried until the endpoint moves by less
     than `tol` between successive grids (Frobenius norm of the 2x2
-    difference, sqrt(2 (|da|**2 + |db|**2)), max over rows). A
-    grid's endpoint is its pairwise product (`su2.reduce`); only the grid that
-    is returned is scanned in place (`su2.scan`), from that reduction's levels.
-    ``tol=None`` takes the first grid.
+    difference, sqrt(2 (|da|**2 + |db|**2)), max over rows); an endpoint is its grid's
+    pairwise product (`su2._chunked`). ``tol=None`` takes the first grid.
+
+    Only the grid predicted to pass is scanned as it is reduced: the first when tol is None,
+    else the one after an estimate below 4 tol, as the midpoint rule is second order. A grid
+    that passes unscanned is walked again from the step pairs left in q, and a scanned grid
+    that fails costs its scan; both walks give the same endpoint, so results never depend
+    on the prediction.
 
     Returns the trajectory of the last grid; its q is that grid's buffer.
 
@@ -127,10 +134,10 @@ def _refine(steps, w: np.ndarray, duration: float, n_steps: int,
     _check_steps(n_steps)
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    level, estimate = 0, math.nan
+    level, estimate, scanned = 0, math.nan, tol is None
     while True:
-        n, tree = n_steps << level, []
-        q, amps, fine = _grid(steps, w, n, n_steps, tree)
+        n = n_steps << level
+        q, amps, fine = _grid(steps, w, n, n_steps, scanned)
         if level:
             estimate = math.sqrt(2.0) * float(np.max(np.linalg.norm(fine - end, axis=0)))
         if tol is None or estimate < tol:
@@ -140,10 +147,11 @@ def _refine(steps, w: np.ndarray, duration: float, n_steps: int,
                 f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after {level} grid "
                 f"doublings (finest grid {n} steps); increase n_steps",
                 estimate=estimate, n_steps=n)
-        del q, tree  # not alive while the finer grid is built
-        level, end = level + 1, fine
+        del q  # not alive while the finer grid is built
+        level, end, scanned = level + 1, fine, estimate < 4.0 * tol
 
-    su2.scan(q[..., 1:], tree)
+    if not scanned:  # the walk left the step pairs in q
+        su2._chunked(q[..., 1:], True)
     return BlockTrajectory(
         times=np.arange(n + 1) * (duration / n), q=q, amps=amps,
         n_steps=n, refinement_levels=level, error_estimate=estimate,
@@ -152,7 +160,7 @@ def _refine(steps, w: np.ndarray, duration: float, n_steps: int,
 
 def _slices(sp: SampledPulse, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Exact midpoint slices of `sp`, a row per offset of `w`, into `out`; returns sp.amps."""
-    su2.transverse_slices(0.5 * sp.amps * sp.dt, sp.phases, w, 0.5 * sp.dt, sp.dt, out)
+    su2.transverse_slices(sp.amps, sp.phases, w, 0.5 * sp.dt, sp.dt, out)
     return sp.amps
 
 

@@ -13,8 +13,10 @@ Every array here has its components first and time last: pairs are complex
 a contiguous row. `transverse_slices` builds those rows, `compose` multiplies
 them, `reduce` takes a time-ordered product down to its endpoint by a pairwise
 tree, `scan` gives every prefix product with the same association in about 2n
-products, and `track_windows` tracks the branch along a trajectory with
-`track_rows`, window by window; its docstring states the window rule.
+products, `_chunked` takes either a chunk of time at a time, each chunk a whole subtree of
+the pairing, with one carried prefix and the same bits (its docstring gives the proof), and
+`track_windows` tracks the branch along a trajectory with `track_rows`, window by window;
+its docstring states the window rule.
 
 `compose` is the one product, 8 complex ufunc passes. numpy's complex multiply may fuse
 multiply-adds, depending on the CPU features it dispatches to (AVX2 and AVX-512 on x86-64),
@@ -41,6 +43,38 @@ AXIS_TOL = 1e-9
 #: Samples (rows x times) that `track_windows` tracks at once.
 TRACK_BLOCK = 1 << 14
 
+#: Row-steps (rows x times) of a chunk that `_chunked` reduces and scans, and `_fields` fills.
+SCAN_BLOCK = 1 << 16
+
+
+def _fields(amps, phases: np.ndarray, w: np.ndarray, t0: float, dt: float, out: np.ndarray):
+    """Write the `rotating_field` of amplitudes amps(chunk) into `out` a chunk at a time and
+    yield each chunk (a slice) once written. Chunks are whole blocks B, about `SCAN_BLOCK`
+    samples over all rows, so each product is the one of the whole row; turns are taken once."""
+    n = out.shape[-1]
+    w = np.asarray(w, dtype=float)[:, None]
+    size = 1 << n.bit_length() // 2  # B, a power of two
+    fine = -w * (t0 + np.arange(size) * dt)
+    coarse = -w * (np.arange(0, n, size) * dt)
+    turn_fine = np.empty(fine.shape, dtype=complex)
+    turn_fine.real, turn_fine.imag = np.sin(fine), -np.cos(fine)  # -i e^{i fine}
+    turn_coarse = np.empty(coarse.shape, dtype=complex)
+    turn_coarse.real, turn_coarse.imag = np.cos(coarse), np.sin(coarse)
+    step = size * max(1, SCAN_BLOCK // (size * max(1, len(w))))
+    phased = np.any(phases)
+    for start in range(0, n, step):
+        chunk = slice(start, start + step)
+        blocks = turn_coarse[:, start // size:(start + step) // size]
+        a = amps(chunk)
+        # the turns fill `out` itself where the chunk, longer than 1, is whole blocks, and run
+        # past it otherwise: the last product keeps to the rule of the module docstring
+        turn = (out[:, chunk] if len(a) % size == 0 and len(a) > 1 else
+                np.empty((len(w), blocks.shape[1] * size), dtype=complex))
+        np.multiply(blocks[..., None], turn_fine[:, None], out=turn.reshape(len(w), -1, size))
+        a = a * (np.cos(phases[chunk]) + 1j * np.sin(phases[chunk])) if phased else a + 0j
+        np.multiply(a[None], turn[:, :len(a)], out=out[:, chunk])
+        yield chunk
+
 
 def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float, dt: float,
                    out=None) -> np.ndarray:
@@ -54,41 +88,31 @@ def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: floa
     -w (t0 + r dt), -i folded into the latter, cost about 2 sqrt(n) trig
     calls per offset, and each sample one complex product. amps e^{i phases}
     is shared by every offset; where every phase is 0 it is amps itself and
-    its trig is skipped.
+    its trig is skipped. The row is written in chunks of whole blocks (`_fields`).
     """
-    n = len(amps)
-    w = np.asarray(w, dtype=float)[:, None]
-    size = 1 << n.bit_length() // 2  # B, a power of two
-    fine = -w * (t0 + np.arange(size) * dt)
-    coarse = -w * (np.arange(0, n, size) * dt)
-    turn_fine = np.empty(fine.shape, dtype=complex)
-    turn_fine.real, turn_fine.imag = np.sin(fine), -np.cos(fine)  # -i e^{i fine}
-    turn_coarse = np.empty(coarse.shape, dtype=complex)
-    turn_coarse.real, turn_coarse.imag = np.cos(coarse), np.sin(coarse)
     if out is None:
-        out = np.empty((len(w), n), dtype=complex)
-    # the turns fill `out` itself where n > 1 is a multiple of B, and run past it otherwise:
-    # the last product keeps to the rule of the module docstring for one element too
-    turn = np.empty((len(w), coarse.shape[1] * size), dtype=complex) if n % size or n == 1 else out
-    np.multiply(turn_coarse[..., None], turn_fine[:, None], out=turn.reshape(len(w), -1, size))
-    amps = amps * (np.cos(phases) + 1j * np.sin(phases)) if np.any(phases) else amps + 0j
-    return np.multiply(amps[None], turn[:, :n], out=out)
+        out = np.empty((len(w), len(amps)), dtype=complex)
+    for _ in _fields(lambda chunk: amps[chunk], phases, w, t0, dt, out):
+        pass
+    return out
 
 
-def transverse_slices(half_angles: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float,
+def transverse_slices(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float,
                       dt: float, out=None) -> np.ndarray:
-    """exp(-i 2h_k (cos a Sx + sin a Sy)), a = phases_k - w t_k, on the grid t_k = t0 + k dt.
+    """exp(-i 2h_k (cos a Sx + sin a Sy)), h_k = amps_k dt / 2, a = phases_k - w t_k, on the
+    grid t_k = t0 + k dt: the exact slices of amplitudes amps over steps dt.
 
-    Signed half angles h make negative amplitudes come out right without
-    branching. The pair is (cos h, -i sin h e^{i a}), its b the
-    `rotating_field` of sin h. The pairs come back component-major, shape
-    (2, len(w), n), ready for `reduce` and `scan`, and written row by row into
-    `out` if given.
+    Signed amplitudes make negative ones come out right without branching. The pair is
+    (cos h, -i sin h e^{i a}), its b the `rotating_field` of sin h. The pairs come back
+    component-major, shape (2, len(w), n), ready for `reduce` and `scan`, and written into
+    `out` if given, a chunk of `_fields` at a time, with h, cos h and sin h.
     """
+    amps = np.asarray(amps, dtype=float)
     if out is None:
-        out = np.empty((2, len(w), len(half_angles)), dtype=complex)
-    out[0] = np.cos(half_angles)
-    rotating_field(np.sin(half_angles), phases, w, t0, dt, out=out[1])
+        out = np.empty((2, len(w), len(amps)), dtype=complex)
+    half = lambda chunk: 0.5 * amps[chunk] * dt
+    for chunk in _fields(lambda chunk: np.sin(half(chunk)), phases, w, t0, dt, out[1]):
+        out[0, :, chunk] = np.cos(half(chunk))
     return out
 
 
@@ -171,6 +195,45 @@ def scan(x: np.ndarray, levels: list | None = None) -> None:
     x[..., 1::2] = pairs
     evens = pairs[..., :(n - 1) // 2]
     x[..., 2::2] = compose(x[..., 2::2], x[..., 1:n - 1:2], out=evens)
+
+
+def _chunked(x: np.ndarray, scanned: bool) -> np.ndarray:
+    """``reduce(x)``, and x scanned in place as by `scan` if `scanned`, in chunks of time.
+
+    x is (2, n_rows, n). A chunk is the longest run of 2^c >= 1024 steps, 2^c dividing n, with
+    n_rows 2^c within `SCAN_BLOCK`: a whole subtree of `reduce`'s pairing; else the grid is
+    one chunk. Each chunk is reduced, keeping its levels only to be scanned, and its root
+    pushed onto a stack of nodes; while the top two have equal size they merge, as `reduce`
+    pairs them. The fold N_r (... (N_2 N_1)) of the stack from its largest node is the
+    product through the chunk's end with `scan`'s association: `scan` gives prefix P_j as
+    that fold over the aligned nodes of j + 1's binary digits. The chunk is scanned from its
+    levels with the fold seeding its root and the previous chunk's prefix composed onto index
+    0 of every level below, as the whole scan composes it, so every prefix and the endpoint
+    keep their bits. Returns the endpoint (2, n_rows).
+    """
+    n = x.shape[-1]
+    size = min(n & -n, 1 << max(1, SCAN_BLOCK // x.shape[1]).bit_length() - 1)
+    size = size if size >= 1024 else n
+    nodes, prefix = [], None  # products of aligned subtrees, the earliest and largest first
+    for count, stop in enumerate(range(size, n + 1, size), 1):
+        chunk, levels = x[..., stop - size:stop], [] if scanned else None
+        nodes.append(reduce(chunk, levels))
+        while count % 2 == 0:  # the top two nodes are equal subtrees
+            nodes[-2:] = [compose(nodes[-1], nodes[-2])]
+            count //= 2
+        if not scanned and stop < n:
+            continue
+        fold = nodes[0]
+        for node in nodes[1:]:
+            fold = compose(node, fold)
+        if scanned:
+            if prefix is not None:  # the first chunk's root is its own fold
+                for level in [chunk] + levels[:-1]:
+                    level[..., 0] = compose(level[..., 0], prefix)
+                levels[-1][..., 0] = fold
+            scan(chunk, levels)
+            prefix = fold
+    return fold
 
 
 def rows(x: np.ndarray) -> np.ndarray:

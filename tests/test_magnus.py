@@ -440,9 +440,9 @@ class TestExplicitCriterion:
     @pytest.mark.parametrize("system", ["sax_system", "s2ax_system"])
     def test_fast_paths_match_dense_forms_bit_for_bit(self, request, monkeypatch, system):
         # The gap audit's spread shortcut from the largest omega_hat per time, the scan
-        # from the endpoint reduction's levels and the blocked tracker's sparse fill and
+        # in time chunks from each chunk's levels and the blocked tracker's sparse fill and
         # unwrap, against the all-pairs audit of every eigenvalue m omega_hat_c, a scan of
-        # its own and the dense tracker over the whole grid.
+        # its own over the whole grid and the dense tracker over the whole grid.
         system = request.getfixturevalue(system)
         pulses = [calibrate(entry.build(), entry.nominal_flip) for entry in list_catalog()]
 
@@ -454,6 +454,7 @@ class TestExplicitCriterion:
         scan = su2.scan
         monkeypatch.setattr(magnus, "gap_audit", _audit_pairs)
         monkeypatch.setattr(su2, "scan", lambda x, levels=(): scan(x))
+        monkeypatch.setattr(su2, "SCAN_BLOCK", 0)  # no chunk: every grid is scanned whole
         monkeypatch.setattr(su2, "TRACK_BLOCK", 1 << 40)  # the dense tracker runs as one block
         monkeypatch.setattr(su2, "track_rows", lambda c, v, state: oracle.track_rows_dense(c, v))
         _track_instead(monkeypatch)  # else the principal walk answers most reports untracked

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from magnuspulse import (
+    ISpin,
     SpinSystem,
     assemble_full_matrix,
     build_pulse,
@@ -32,7 +33,7 @@ E2 = np.eye(2, dtype=complex)
 def _slice(system, config, amp, phase, t, dt):
     """exp(-i H dt) of one configuration's block Hamiltonian, as a 2x2 matrix."""
     w = offset_diagonal(system)[config:config + 1]
-    return su2.to_matrix(su2.transverse_slices([0.5 * amp * dt], [phase], w, t, dt)[:, 0, 0])
+    return su2.to_matrix(su2.transverse_slices([amp], [phase], w, t, dt)[:, 0, 0])
 
 
 class TestBlockHamiltonian:
@@ -151,9 +152,10 @@ class TestPropagateInteraction:
 
     @pytest.mark.parametrize("pulse", ["G90", "RE-BURP"])
     def test_peak_memory_stays_near_the_trajectory(self, sax_system, gaussian90, pulse):
-        # Refinement keeps one grid and its reduction tree, both in pair form, and the
-        # scan frees each tree level once used (2.1-2.2x the trajectory's bytes); a
-        # second copy of the trajectory in another layout would take the peak past 3x.
+        # Refinement keeps one grid and one chunk of its reduction tree, both in pair form,
+        # and the scan frees each tree level once used: G90's 4 x 16384 grid is one chunk
+        # (2.16x the trajectory's bytes), RE-BURP's 4 x 32768 grid two (1.63x); a second
+        # copy of the trajectory in another layout would take the peak past 3x.
         reburp = resolve_pulse("reburp")
         shape = gaussian90 if pulse == "G90" else calibrate(reburp.build(), reburp.nominal_flip)
         propagate_interaction(sax_system, shape)
@@ -221,6 +223,86 @@ class TestRowCore:
             _refine(steps, np.zeros(1), 1.0, 4, DEFAULT_TOL)
         assert grids == [4, 8]
         assert (err.value.n_steps, err.value.estimate) == (8, math.inf)
+
+
+def _shrinking(ratio):
+    """`steps` turning each row w about one axis by 1 + w (n / 1024)**log2(ratio) over a grid
+    of n unequal steps: each doubling multiplies the estimate by about `ratio`."""
+    def steps(w, out):
+        n = out.shape[-1]
+        weight = 1.0 + 0.5 * np.sin(np.arange(n) * (6.0 * math.pi / n))
+        angle = (1.0 + w[:, None] * (n / 1024) ** math.log2(ratio)) * weight / weight.sum()
+        out[:] = su2.exp(np.array([0.6, 0.0, 0.8])[:, None, None] * angle)
+        return np.zeros(n)
+    return steps
+
+
+def _whole_grid_refinement(steps, w, n_steps, tol):
+    """`_refine`'s scanned grid, estimate and levels, or its `RefinementError` text, built
+    from `su2.reduce` and `su2.scan` on whole grids, every grid reduced and the last scanned."""
+    level, end = 0, None
+    while True:
+        n = n_steps << level
+        x = np.empty((2, len(w), n), dtype=complex)
+        steps(w, x)
+        fine = su2.reduce(x)
+        estimate = (math.nan if end is None else
+                    math.sqrt(2.0) * float(np.max(np.linalg.norm(fine - end, axis=0))))
+        if estimate < tol:
+            su2.scan(x)
+            return x, estimate, level
+        if level == MAX_DOUBLINGS:
+            return (f"endpoint moved by {estimate:.3e} > tol={tol:.3e} after {level} grid "
+                    f"doublings (finest grid {n} steps); increase n_steps")
+        level, end = level + 1, fine
+
+
+class TestScanPrediction:
+    """`_refine` scans only the grid predicted to pass; the prediction moves only the cost."""
+
+    @pytest.mark.parametrize("ratio, tol, walks", [
+        # 8192 passes after an estimate of 12 tol, unscanned, and is walked again with its scan
+        (1 / 16, 1e-4, [(1024, False), (2048, False), (4096, False), (8192, False),
+                        (8192, True)]),
+        # 8192 is scanned after an estimate of 2.7 tol and fails; 16384 is scanned and passes
+        (1 / 2, 2e-3, [(1024, False), (2048, False), (4096, False), (8192, True),
+                       (16384, True)]),
+        # the last grid allowed is scanned and fails
+        (1 / 2, 5e-5, [(1024 << level, False) for level in range(MAX_DOUBLINGS)]
+         + [(1024 << MAX_DOUBLINGS, True)]),
+    ], ids=["passes-unscanned", "scanned-fails", "scanned-last-fails"])
+    def test_mispredictions_keep_every_bit(self, monkeypatch, ratio, tol, walks):
+        steps, w = _shrinking(ratio), np.array([1e-2, 3e-2])
+        reference = _whole_grid_refinement(steps, w, 1024, tol)
+        seen, walk = [], su2._chunked
+        monkeypatch.setattr(su2, "_chunked", lambda x, scanned: seen.append(
+            (x.shape[-1], scanned)) or walk(x, scanned))
+        monkeypatch.setattr(su2, "SCAN_BLOCK", 2 * 1024)  # chunks of 1024 steps past level 0
+        if isinstance(reference, str):
+            with pytest.raises(RefinementError) as err:
+                _refine(steps, w, 1.0, 1024, tol)
+            assert str(err.value) == reference
+        else:
+            traj = _refine(steps, w, 1.0, 1024, tol)
+            x, estimate, level = reference
+            assert traj.q[..., 1:].tobytes() == x.tobytes()
+            assert (traj.error_estimate, traj.refinement_levels) == (estimate, level)
+        assert seen == walks
+
+    def test_scan_holds_the_trajectory_and_one_chunk(self):
+        # 2 rows x 131072 steps, the longest grids of a criterion request: the trajectory,
+        # one chunk of its reduction tree and the sample, and no grid-sized temporary
+        system = SpinSystem(i_spins=(ISpin(offset=50.0, j_to_s=7.0),))
+        pulse, n_steps = build_pulse("gaussian", 2e-3), 1 << 17
+        sp = sample(pulse, n_steps)
+        tracemalloc.start()
+        try:
+            traj = propagate_interaction(system, pulse, n_steps, tol=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = su2.SCAN_BLOCK * traj.q[..., :1].nbytes // traj.n_configs  # pairs of one chunk
+        assert peak < traj.q.nbytes + chunk + sp.times.nbytes + sp.amps.nbytes + sp.phases.nbytes
 
 
 def _endpoints(route, system, shape, n_steps):

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnuspulse import (SpinSystem, calibrate, integrate_expansion, midpoint_integrals,
-                         offset_diagonal, propagate_interaction, sample, scale_amplitude, su2)
+from magnuspulse import (ExtractionError, SpinSystem, calibrate, explicit_criterion,
+                         integrate_expansion, midpoint_integrals, offset_diagonal,
+                         propagate_interaction, sample, scale_amplitude, su2)
 from contracts import _criterion, _sax, random_fourier_pulse, random_small_system
 import oracle
 
@@ -59,7 +60,7 @@ def test_trajectory_stays_unit(seed, flip):
 def test_scan_is_the_sequential_product(seed, flip, n):
     system, pulse = _case(seed, flip)
     sp = sample(pulse, n)
-    slices = su2.transverse_slices(0.5 * sp.amps * sp.dt, sp.phases, offset_diagonal(system),
+    slices = su2.transverse_slices(sp.amps, sp.phases, offset_diagonal(system),
                                    0.5 * sp.dt, sp.dt)
     scanned = slices.copy()
     su2.scan(scanned)
@@ -92,6 +93,15 @@ def test_amplitude_integral_bounds_flip_angle(seed, flip, fraction):
 def test_exponent_bounded_by_amplitude_integral(seed, flip):
     system, pulse = _case(seed, flip)
     report = _criterion(system, pulse, 384, 1e-6)
+    assert report.bound21_margin >= -1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=ExtractionError,
+                   reason="a draw of the property above: the grid jumps by 3.752 rad (config 1, "
+                          "step 373) on every retry grid up to 393216 steps; slice-local "
+                          "samples (ROADMAP item 2) or widened fast rows (item 14) would answer")
+def test_exponent_bounded_by_amplitude_integral_on_a_known_draw():
+    report = explicit_criterion(*_case(89435860, 8.0), 384, 1e-6)
     assert report.bound21_margin >= -1e-6
 
 

@@ -72,6 +72,33 @@ def test_scan_from_kept_levels_is_the_plain_scan_bit_for_bit(n):
     assert np.array_equal(endpoint, kept)
 
 
+#: Grids of whole chunks of 2^17, 2^15, 2^14 and 2^13 steps, and one with no power-of-two
+#: chunk of 1024 steps or more (3000 = 8 x 375), which is walked as one chunk.
+CHUNKED_SIZES = [1 << 17, 3 << 15, 5 << 14, 7 << 13, 3000]
+
+
+@pytest.mark.parametrize("n", CHUNKED_SIZES)
+@pytest.mark.parametrize("n_rows", [1, 2, 3])
+def test_chunked_walk_is_the_whole_grid_reduce_and_scan_bit_for_bit(monkeypatch, n, n_rows):
+    q = _steps(n, n_configs=n_rows)
+    whole = q.copy()
+    levels = []
+    endpoint = su2.reduce(whole, levels)
+    su2.scan(whole, levels)
+    reduced, reduce = [], su2.reduce
+    monkeypatch.setattr(su2, "reduce", lambda x, *a: reduced.append(x.shape[-1]) or reduce(x, *a))
+    for chunk in (1024, 4096, 1 << 14, 1 << 16, 1 << 20):
+        monkeypatch.setattr(su2, "SCAN_BLOCK", n_rows * chunk)
+        reduced.clear()
+        x = q.copy()
+        assert su2._chunked(x, False).tobytes() == endpoint.tobytes()
+        assert np.array_equal(x, q)  # the endpoint-only form writes nothing
+        assert su2._chunked(x, True).tobytes() == endpoint.tobytes()
+        assert x.tobytes() == whole.tobytes(), chunk
+        size = n if n == 3000 else min(chunk, n & -n)
+        assert reduced == 2 * (n // size) * [size]
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 1024, 4096])
 def test_power_of_two_endpoint_matches_log_depth_scan(n):
     q = _steps(n)
@@ -456,8 +483,8 @@ def test_one_offset_of_one_sample_gives_the_bits_it_gives_beside_others():
 
 def test_every_rotating_frame_site_takes_its_phase_from_the_one_helper(monkeypatch):
     calls = []
-    helper = su2.rotating_field
-    monkeypatch.setattr(su2, "rotating_field", lambda *a, **k: calls.append(a) or helper(*a, **k))
+    helper = su2._fields  # `rotating_field` and `transverse_slices` write their rows through it
+    monkeypatch.setattr(su2, "_fields", lambda *a, **k: calls.append(a) or helper(*a, **k))
     system, pulse = _sax(), build_pulse("gaussian", 1e-3)
     for site in (lambda: propagate_interaction(system, pulse, n_steps=16, tol=None),
                  lambda: integrate_expansion(system, pulse, n_steps=16, tol=None),
