@@ -18,8 +18,7 @@ block for the jump test, the gap audit and the -E passages.
 `extract_omega` writes the blocks into whole-grid arrays. `explicit_criterion`
 folds the bound margin, the gap audit, the -E times and the largest
 omega_hat block by block and never holds Omega, its steps or the
-eigenvalues of the whole grid. Where the grid keeps away from -E it reads
-the tracker's omega_hat untracked (`_principal_blocks`).
+eigenvalues of the whole grid, and tracks only the configurations at -E (`_closest`).
 
 Where U passes through -E the rotation axis is genuinely undefined; those samples are
 flagged, the angle itself is still carried through by continuity. Such points are exactly
@@ -47,6 +46,9 @@ TWO_PI = 2.0 * math.pi
 
 #: A gap within this distance (rad) of some 2 pi n, n != 0, fails the gap condition.
 DEFAULT_GAP_TOL = 1e-6
+
+#: A configuration whose 1 + min_t Re a(t) is at or below this is at -E and branch-tracked.
+MINUS_E_TOL = 1e-8
 
 
 class ExtractionError(RuntimeError):
@@ -141,22 +143,23 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     return MagnusSolution(omega=omega, omega_hat=omega_hat, ambiguous=ambiguous)
 
 
-def _omega_blocks(trajectory: BlockTrajectory):
-    """Omega, omega_hat and the -E flags along the trajectory, window by window.
+def _omega_blocks(trajectory: BlockTrajectory, configs=slice(None)):
+    """Omega, omega_hat and the -E flags of the configurations `configs`, window by window.
 
     Yields (block, omega, omega_hat, ambiguous) for the time slices `block`
-    of `su2.track_windows`, which share their edge sample: omega is
-    component-major, (3, n_configs, block length), and omega_hat the
+    of `su2.track_windows` over the whole trajectory, which share their edge sample: omega
+    is component-major, (3, n_configs, block length), and omega_hat the
     tracker's |angle|.
 
     Raises
     ------
     ExtractionError
         In the block that holds the earliest jump |Omega_k - Omega_{k-1}| >= pi,
-        naming its step k and the lowest configuration that jumps there; that
-        block is not yielded and no later block is tracked.
+        naming its step k and the lowest configuration that jumps there, by its index in
+        the trajectory; that block is not yielded and no later block is tracked.
     """
-    for block, rows, angle, omega, defined in su2.track_windows(trajectory.q):
+    index = np.arange(trajectory.q.shape[1])[configs]
+    for block, rows, angle, omega, defined in su2.track_windows(trajectory.q, configs):
         omega *= angle  # the unit axis becomes Omega
         ambiguous = ~defined & (rows[0] < 0.0)
         step = np.diff(omega)
@@ -166,7 +169,7 @@ def _omega_blocks(trajectory: BlockTrajectory):
         if jumps.any():
             k, ci = np.argwhere(jumps.T)[0]  # the earliest step, then the lowest configuration
             raise ExtractionError(f"rotation vector jumped by {math.sqrt(step2[ci, k]):.3f} rad "
-                                  f"between stored samples (config {ci}, "
+                                  f"between stored samples (config {index[ci]}, "
                                   f"step {block.start + k + 1}); re-run the propagation with "
                                   "more steps")
         yield block, omega, np.abs(angle, out=angle), ambiguous
@@ -238,20 +241,17 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     and the -E passages at and between stored times, a window at a time; the gap audit
     (`gap_audit`) stops at a nearest distance of 0, which no later window can lower.
 
-    The windows are `_principal_blocks`' where 1 + low > (16 D)**2 + `su2.AXIS_TOL`, low the
-    smallest c of the blocks U = c E - i (v . sigma) and D = dt max |amps| / 2, which bounds
-    |q_k - q_{k-1}| = 2 |sin(amps_k dt / 4)| as step k turns U by amps_k dt; else
-    `_omega_blocks`'. So D < 1/11, and, with |q|**2 within AXIS_TOL / 2 of 1, c < 0 gives
-    |v|**2 = |q|**2 - c**2 > (16 D)**2 + AXIS_TOL / 2. A turn needs an axis flip, so |v| <= D
-    at both samples, where c < 0 at one, and a -E flag |v| <= AXIS_TOL where c < 0: with
-    neither and atan2 odd, the tracker's omega_hat is 2 atan2(|v|, c) to the bit, |v| summed
-    in its order. Omega steps by at most pi D + 4 pi D / |v| < pi where c < 0, and 3 pi D
-    elsewhere: no jump either.
+    exp(-i Omega . S) maps the open ball |Omega| < 2 pi one-to-one onto SU(2) without -E, so
+    a configuration whose U stays off -E has one continuous exponent, the principal one,
+    omega_hat = 2 atan2(|v|, c) of U = c E - i (v . sigma), with no jump and no -E passage.
+    Only configurations whose delta_c (`_closest`) is at most `MINUS_E_TOL` are tracked. A
+    slice turns U by |amps_k| dt <= 2 D, D = dt max |amps| / 2, so its Re a dips at most D**2 / 8
+    below its ends: 1 + min_k c_k > D**2 / 8 + MINUS_E_TOL needs no in-slice minimum.
 
     Raises
     ------
     ExtractionError
-        As `extract_omega` does, from the window of `_omega_blocks` that holds
+        As `extract_omega` does, for the tracked configurations, from the window that holds
         the earliest jump; the audit stops there.
     """
     theta_total, i_total = midpoint_integrals(shape, shape.duration, n_steps)
@@ -260,12 +260,18 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     amps = np.abs(trajectory.amps)
     i_grid = np.concatenate(([0.0], np.cumsum(amps) * trajectory.dt))
 
-    d = 0.5 * trajectory.dt * np.max(amps)  # D; a NaN sends the walk to the tracker
-    off = 1.0 + np.min(trajectory.q[0].real) > 256.0 * d * d + su2.AXIS_TOL
-    walk = _principal_blocks if off else _omega_blocks
+    q, d = trajectory.q, 0.5 * trajectory.dt * np.max(amps)  # D; NaN rows are tracked
+    near = np.flatnonzero(~(1.0 + np.min(q[0].real, axis=-1) > 0.125 * d * d + MINUS_E_TOL))
+    tracked = near[~(_closest(q, near) > MINUS_E_TOL)] if near.size else near
+    walk = _omega_blocks(trajectory, tracked)
     margin, max_hat, nearest = math.inf, -math.inf, math.inf
     minus_e = []
-    for block, _, omega_hat, ambiguous in walk(trajectory):
+    for block in su2._windows(*q.shape[1:]):
+        a, b = q[:, :, block]  # c copied contiguous and |v| summed as in the tracker's rows
+        norm = np.sqrt(b.imag * b.imag + b.real * b.real + a.imag * a.imag)
+        omega_hat, ambiguous = 2.0 * np.arctan2(norm, a.real.copy()), np.zeros(norm.shape, bool)
+        if tracked.size:
+            _, _, omega_hat[tracked], ambiguous[tracked] = next(walk)
         top = np.max(omega_hat, axis=0)  # M_t
         margin = np.minimum(margin, np.min(i_grid[block] - top))
         max_hat = np.maximum(max_hat, np.max(top))
@@ -290,13 +296,22 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     )
 
 
-def _principal_blocks(trajectory: BlockTrajectory):
-    """`_omega_blocks`' values off -E: (block, None, 2 atan2(|v|, c), no flag) per window, with
-    c copied contiguous, as in the tracker's rows, and |v| summed in the tracker's order."""
-    for block in su2._windows(*trajectory.q.shape[1:]):
-        a, b = trajectory.q[:, :, block]
-        norm = np.sqrt(b.imag * b.imag + b.real * b.real + a.imag * a.imag)
-        yield block, None, 2.0 * np.arctan2(norm, a.real.copy()), np.zeros(norm.shape, bool)
+def _closest(q: np.ndarray, configs: np.ndarray) -> np.ndarray:
+    """delta_c = 1 + min_t Re a_c(t) of the configurations `configs` of pairs q, exact inside
+    each slice: U_{k+1} U_k^dagger = cos h E - i sin h (n . sigma), h in [0, pi], takes U_k =
+    c E - i (v . sigma) along Re a = c cos x - (n . v) sin x, x in [0, h], least at an end or,
+    where its slope (times sin h) is negative at x = 0 and positive at x = h, -hypot(c, n . v)."""
+    delta = 1.0 + np.min(q[0].real, axis=-1)[configs]  # the samples
+    for block in su2._windows(len(configs), q.shape[-1]):
+        x = q[:, configs, block]
+        a, b = x[..., :-1]
+        (c, *v), (s0, *s) = su2.rows(x[..., :-1]), su2.rows(su2.compose(x[..., 1:],
+                                                                        np.stack((a.conj(), -b))))
+        slope, sin2 = -np.einsum("i...,i...->...", s, v), np.einsum("i...,i...->...", s, s)
+        dip = (slope < 0.0) & (slope * s0 > c * sin2)
+        np.minimum.at(delta, np.nonzero(dip)[0],
+                      1.0 - np.hypot(c[dip], slope[dip] / np.sqrt(sin2[dip])))
+    return delta
 
 
 def _minus_e_times(times: np.ndarray, omega_hat: np.ndarray, ambiguous: np.ndarray) -> np.ndarray:

@@ -348,18 +348,18 @@ def _windows(n_rows: int, n_t: int):
     return (slice(start, start + width + 1) for start in range(0, n_t - 1, width))
 
 
-def track_windows(x: np.ndarray):
+def track_windows(x: np.ndarray, subset=slice(None)):
     """`track_rows` along pairs x (2, n_rows, n_t), in the time windows of `_windows`.
 
     Yields (window, r, angle, axis, defined) for each time slice `window`, with
-    ``r = rows(x[..., window])`` and the rest `track_rows`' values on r. This is
+    ``r = rows(x[:, subset, window])`` and the rest `track_rows`' values on r. This is
     the one walk of the branch, and its window rule is the one rule of every
     check made on it: one `BranchState` carries the tracker over the sample
     that consecutive windows share, so each window holds the values of one
     call over the whole grid, bit for bit, and the shared sample's values are
-    the same in both windows.
+    the same in both windows. Rows `subset` alone keep those bits, in the same windows.
     """
-    state = BranchState(x.shape[1:2])
+    state = BranchState(x[0, subset, 0].shape)
     for window in _windows(*x.shape[1:]):
-        r = rows(x[..., window])
+        r = rows(x[:, subset, window])
         yield (window, r) + track_rows(r[0], r[1:], state)

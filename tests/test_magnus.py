@@ -27,7 +27,7 @@ from magnuspulse import (
     su2,
 )
 from magnuspulse import magnus
-from magnuspulse.magnus import DEFAULT_GAP_TOL, ExtractionError
+from magnuspulse.magnus import DEFAULT_GAP_TOL, MINUS_E_TOL, ExtractionError
 from contracts import _s2ax, _sax, random_fourier_pulse, random_small_system
 import oracle
 
@@ -70,8 +70,41 @@ def _spy_windows(monkeypatch):
 
 
 def _track_instead(monkeypatch):
-    """Put the tracker walk `_omega_blocks` in the place of the criterion's principal walk."""
-    monkeypatch.setattr(magnus, "_principal_blocks", magnus._omega_blocks)
+    """Make the criterion branch-track every configuration, as if each were at -E."""
+    monkeypatch.setattr(magnus, "MINUS_E_TOL", math.inf)
+
+
+def _spy_tracked_rows(monkeypatch):
+    """The row count of each `su2.track_rows` call."""
+    rows = []
+    track_rows = su2.track_rows
+    monkeypatch.setattr(su2, "track_rows", lambda c, *args: rows.append(len(c)) or
+                        track_rows(c, *args))
+    return rows
+
+
+def _closest(q):
+    """`magnus._closest` of every configuration of pairs q."""
+    return magnus._closest(q, np.arange(q.shape[1]))
+
+
+def _sampled_closest(q, m=64):
+    """1 + min Re a over the samples of pairs q and m points inside each slice, the slice
+    U_{k+1} U_k^dagger = cos h E - i sin h (n . sigma) turning U_k = c E - i (v . sigma) to
+    Re a = c cos x - (n . v) sin x at x = h j / (m + 1). Re a is a sinusoid of x, so a slice
+    whose ends lie more than h**2 / 8 above its row's lowest sample cannot hold the row's
+    minimum and is not sampled."""
+    a, b = q[:, :, :-1]
+    (c, *v), (s0, *s) = su2.rows(q[:, :, :-1]), su2.rows(su2.compose(q[:, :, 1:],
+                                                                    np.stack((a.conj(), -b))))
+    low = np.min(q[0].real, axis=-1)
+    sin_h = np.sqrt(np.einsum("i...,i...->...", s, s))
+    h = np.arctan2(sin_h, s0)
+    row, k = np.nonzero(np.minimum(c, q[0, :, 1:].real) - h * h / 8.0 <= low[:, None])
+    x = h[row, k, None] * (np.arange(1, m + 1) / (m + 1))
+    along = np.einsum("i...,i...->...", s, v)[row, k, None] / sin_h[row, k, None]  # n . v
+    np.minimum.at(low, row, np.min(c[row, k, None] * np.cos(x) - along * np.sin(x), axis=-1))
+    return 1.0 + low
 
 
 def _turning_about_x(traj, angles):
@@ -146,7 +179,10 @@ class TestExtractOmega:
                                                                         block):
         # Configurations 2 and 1 jump at step 10, the edge sample of the second and third
         # blocks of 5 steps, configuration 0 at step 16: the message names configuration 1.
+        # 1 and 2 pass -E at step 5.5, where the criterion tracks them alone, and still names
+        # configuration 1, not the first of its tracked rows.
         angles = np.tile(0.1 * np.arange(24.0), (3, 1))
+        angles[1:] += TWO_PI - 0.55
         angles[2, 10:] += 3.5
         angles[1, 10:] += 3.3
         angles[0, 16:] += 3.2
@@ -158,8 +194,10 @@ class TestExtractOmega:
         message = r"jumped by 3\.400 rad between stored samples \(config 1, step 10\)"
         with pytest.raises(ExtractionError, match=message):
             extract_omega(traj)
+        tracked = _spy_tracked_rows(monkeypatch)
         with pytest.raises(ExtractionError, match=message):
             explicit_criterion(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0))
+        assert set(tracked) == {2}
 
     def test_jump_found_without_tracking_the_grid_again(self, monkeypatch):
         # 32 configurations x 16385 samples in blocks of 512 steps; configuration 5 jumps at
@@ -463,22 +501,26 @@ class TestExplicitCriterion:
     @pytest.mark.parametrize("system", ["s_only_system", "sax_system", "s2ax_system"])
     def test_principal_walk_matches_the_tracker_bit_for_bit(self, request, monkeypatch, system):
         # Every catalog pulse at its nominal flip, 360 and 720 deg, at the defaults: the same
-        # report or error text as the tracker walk, whether the guard held or sent it there.
+        # report as tracking every configuration, wherever that gives one. Where it raises,
+        # the criterion reports only if every configuration's delta_c is above MINUS_E_TOL.
         system = request.getfixturevalue(system)
         pulses = [calibrate(entry.build(), flip) for entry in list_catalog()
                   for flip in (entry.nominal_flip, TWO_PI, 2.0 * TWO_PI)]
-        tracked = []
-        track_rows = su2.track_rows
-        monkeypatch.setattr(su2, "track_rows",
-                            lambda *args: tracked.append(1) or track_rows(*args))
+        tracked = _spy_tracked_rows(monkeypatch)
         principal, untracked = [], 0
         for pulse in pulses:
             tracked.clear()
             principal.append(_outcome(system, pulse))
             untracked += not tracked
-        assert 0 < untracked < len(pulses)  # both ways are taken
+        # on S at 0 Hz every 360 and 720 deg pulse passes -E; beside spectators none comes near
+        assert untracked == (8 if system.n_configs == 1 else len(pulses))
         _track_instead(monkeypatch)
-        assert principal == [_outcome(system, pulse) for pulse in pulses]
+        for pulse, outcome in zip(pulses, principal):
+            everywhere = _outcome(system, pulse)
+            if everywhere.startswith("ExtractionError") and not outcome.startswith("Extraction"):
+                assert np.min(_closest(propagate_interaction(system, pulse).q)) > MINUS_E_TOL
+            else:
+                assert outcome == everywhere
 
     def test_g4_on_sax_is_never_tracked(self, monkeypatch, sax_system):
         entry = resolve_pulse("G4")
@@ -487,38 +529,95 @@ class TestExplicitCriterion:
         report = explicit_criterion(sax_system, pulse)
         assert report.criterion23_met and report.magnus_criterion_ok
 
-    def test_uburp_360_on_sax_falls_back_and_raises(self, monkeypatch, sax_system):
-        monkeypatch.setattr(magnus, "_principal_blocks", None)  # a call would raise TypeError
-        with pytest.raises(ExtractionError, match=r"3\.290 rad between stored samples "
-                                                  r"\(config 3, step 5019\)"):
-            explicit_criterion(sax_system, calibrate(resolve_pulse("U-BURP").build(), TWO_PI))
+    def test_uburp_540_on_four_spectators_tracks_one_row_and_raises(self, monkeypatch):
+        # Of the 16 configurations, only 15 comes within MINUS_E_TOL of -E (delta = 9.7e-9);
+        # the criterion tracks it alone and raises at the step its row raises at by itself
+        spins = tuple(ISpin(offset=TWO_PI * (30.0 + 17.0 * k), j_to_s=3.0 + 1.5 * k)
+                      for k in range(4))
+        system = SpinSystem(s_count=1, s_offset=TWO_PI * 10.0, i_spins=spins)
+        pulse = calibrate(resolve_pulse("U-BURP").build(), 1.5 * TWO_PI, 1024)
+        traj = propagate_interaction(system, pulse, n_steps=1024)
+        with pytest.raises(ExtractionError) as alone:
+            extract_omega(dataclasses.replace(traj, q=traj.q[:, 15:16]))
+        tracked = _spy_tracked_rows(monkeypatch)
+        message = r"4\.758 rad between stored samples \(config 15, step 7877\)"
+        with pytest.raises(ExtractionError, match=message) as raised:
+            explicit_criterion(system, pulse, n_steps=1024)
+        assert set(tracked) == {1}
+        assert str(raised.value) == str(alone.value).replace("config 0,", "config 15,")
 
-    @pytest.mark.parametrize("trip", ["step", "low"])
-    def test_guard_sends_a_grid_near_minus_e_to_the_tracker(self, monkeypatch, trip):
-        # Configuration 0 turns about x by 0.01 a step; configuration 1 holds still, then
-        # turns at step 20 by 0.9 rad (256 D**2 = 52 > 2 >= 1 + c), or from 2 pi - 0.5 to
-        # 2 pi - 0.45 rad (256 D**2 = 0.16 > 1 + c = 0.025). The tracker walks alone.
-        angles = np.stack((0.01 * np.arange(40.0), np.full(40, 0.3 if trip == "step" else
-                                                              TWO_PI - 0.5)))
-        angles[1, 20:] += 0.9 if trip == "step" else 0.05
+    def test_only_configurations_at_minus_e_are_tracked(self, monkeypatch):
+        # Configuration 0 turns about x by 0.01 a step, 1 by 0.1 a step through 2 pi at step
+        # 10.5, and 2 holds still at 2 pi - 1e-3 (1 + c = 1.25e-7), below D**2 / 8 = 3.1e-4 of
+        # the fastest turn: the rule reads 2's slices off consecutive samples, which do not
+        # turn, and tracks 1 alone. Its passage is the report's one -E time.
+        angles = np.stack((0.01 * np.arange(40.0), TWO_PI - 1.05 + 0.1 * np.arange(40.0),
+                           np.full(40, TWO_PI - 1e-3)))
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         traj = _turning_about_x(propagate_interaction(SpinSystem(), pulse, n_steps=39, tol=None),
                                 angles)
         monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
-        principal = magnus._principal_blocks
-        monkeypatch.setattr(magnus, "_principal_blocks", None)  # a call would raise TypeError
+        tracked = _spy_tracked_rows(monkeypatch)
         report = explicit_criterion(SpinSystem(), pulse)
-        assert report.max_omega_hat == pytest.approx(1.2 if trip == "step" else TWO_PI - 0.45)
-        # configuration 0 alone keeps the guard (256 D**2 = 0.0064 < 1 + c) and is not tracked
-        traj = _turning_about_x(traj, angles[:1])
-        monkeypatch.setattr(magnus, "_principal_blocks", principal)
-        monkeypatch.setattr(su2, "track_rows", None)
-        assert explicit_criterion(SpinSystem(), pulse).max_omega_hat == pytest.approx(0.39)
+        assert tracked == [1]
+        assert report.max_omega_hat == pytest.approx(TWO_PI + 2.85)
+        assert report.ambiguity_times == pytest.approx([10.5 * traj.dt], rel=1e-9)
+        assert _closest(traj.q)[2] == pytest.approx(1.0 - math.cos(5e-4), rel=1e-6)
+
+    def test_closest_approach_matches_sampled_slices(self, sax_system):
+        # At 360 deg the catalog comes near -E inside slices, at the nominal flip at a sample;
+        # on 2**17 steps 64 points a slice find each row's minimum to within 1e-12
+        for entry in list_catalog():
+            for flip in (entry.nominal_flip, TWO_PI):
+                pulse = calibrate(entry.build(), flip)
+                q = propagate_interaction(sax_system, pulse, n_steps=1 << 17, tol=None).q
+                delta, sampled = _closest(q), _sampled_closest(q)
+                assert np.all(delta <= sampled), entry.name
+                assert np.all(sampled - delta <= 1e-12), entry.name
+
+    @pytest.mark.parametrize("scale", [1.0, 1.001])
+    def test_constant_pulse_passes_minus_e_where_its_closed_form_does(self, monkeypatch, scale):
+        # A constant pulse with I(T) = 1.1 * 2 sqrt(3) pi at offset w1 / sqrt(3) turns U by 4 pi
+        # about its tilted axis while the frame turns by 2 pi about z: U = -E at t = T / 1.1
+        # (ROADMAP item 8). 0.1 % further off resonance it misses -E by delta = 2.8e-6.
+        pulse = build_pulse("constant", 1e-3)
+        pulse = scale_amplitude(pulse, 2.2 * math.sqrt(3.0) * math.pi / midpoint_integrals(
+            pulse, pulse.duration)[1])
+        w1 = 2.2 * math.sqrt(3.0) * math.pi / pulse.duration
+        system = SpinSystem(s_offset=scale * w1 / math.sqrt(3.0))
+        tracked = _spy_tracked_rows(monkeypatch)
+        report = explicit_criterion(system, pulse)
+        (delta,) = _closest(propagate_interaction(system, pulse).q)
+        if scale == 1.0:
+            assert abs(delta) <= 1e-10
+            assert set(tracked) == {1}
+            assert report.ambiguity_times == pytest.approx([pulse.duration / 1.1], rel=1e-4)
+        else:
+            assert delta == pytest.approx(2.8e-6, rel=0.02)
+            assert tracked == []
+            assert len(report.ambiguity_times) == 0
+
+    def test_rows_that_pass_the_cheap_check_compose_no_slice(self, monkeypatch, sax_system):
+        # G4 keeps every configuration's 1 + min c above 1.6, far above D**2 / 8 + MINUS_E_TOL:
+        # no slice U_{k+1} U_k^dagger is composed. U-BURP at 360 deg brings configuration 3
+        # within 9.5e-7 of -E at a sample, below D**2 / 8 = 1.9e-6, and the other three no
+        # nearer than 3.8e-6, so the slices of one row are composed.
+        composed = []
+        compose = su2.compose
+        for name, flip, expected in (("G4", math.pi / 2, []), ("U-BURP", TWO_PI, [1])):
+            pulse = calibrate(resolve_pulse(name).build(), flip)
+            traj = propagate_interaction(sax_system, pulse)
+            monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+            monkeypatch.setattr(su2, "compose", lambda p, *args, **kwargs: composed.append(
+                p.shape[1]) or compose(p, *args, **kwargs))
+            explicit_criterion(sax_system, pulse)
+            assert sorted(set(composed)) == expected, name
+            monkeypatch.setattr(su2, "compose", compose)
 
     def test_minus_e_to_rounding_goes_to_the_tracker(self, monkeypatch):
-        # A configuration held at -E with |q|**2 = 1 - 2e-12: D = 0 and 1 + c = 1e-12 > 0
-        # keep every bound but AXIS_TOL's, which sends the audit to the tracker; it flags
-        # every sample, where 2 atan2(0, c) would read 2 pi without a flag
+        # A configuration held at -E with |q|**2 = 1 - 2e-12: D = 0 and delta = 1e-12 is at
+        # most MINUS_E_TOL, which sends it to the tracker; it flags every sample, where
+        # 2 atan2(0, c) would read 2 pi without a flag
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         traj = propagate_interaction(SpinSystem(), pulse, n_steps=8, tol=None)
         traj = dataclasses.replace(traj, q=np.stack((np.full((1, 9), -(1.0 - 1e-12) + 0j),
@@ -559,16 +658,22 @@ class TestExplicitCriterion:
         assert np.array_equal(np.arctan2(-norm, c).view(np.int64),
                               np.negative(np.arctan2(norm, c)).view(np.int64))
 
-    def test_reburp_540_near_resonance_reads_a_passage(self):
-        # RE-BURP at 540 deg on S at 0.5 Hz comes within 1 + min c = 3.2e-8 of -E (ROADMAP
-        # item 13): the guard sends it to the tracker, which reads one -E passage there
+    def test_reburp_540_near_resonance_stays_off_minus_e(self):
+        # RE-BURP at 540 deg on S at 0.5 Hz comes within delta = 3.2e-8 of -E (ROADMAP item
+        # 13), above MINUS_E_TOL: its one exponent is the principal one, with no -E passage,
+        # and its largest omega_hat, 2 arccos(delta - 1), is what 64 times the grid tracks
         system = SpinSystem(s_count=1, s_offset=TWO_PI * 0.5)
-        report = explicit_criterion(system, calibrate(resolve_pulse("RE-BURP").build(),
-                                                      1.5 * TWO_PI))
+        pulse = calibrate(resolve_pulse("RE-BURP").build(), 1.5 * TWO_PI)
+        report = explicit_criterion(system, pulse)
         assert report.trajectory_steps == 8192
-        assert report.max_omega_hat == pytest.approx(10.820, abs=1e-3)
-        assert len(report.ambiguity_times) == 1
-        assert not report.magnus_criterion_ok
+        assert len(report.ambiguity_times) == 0
+        assert report.magnus_criterion_ok
+        (delta,) = _closest(propagate_interaction(system, pulse).q)
+        assert MINUS_E_TOL < delta < 1e-7
+        top = 2.0 * math.acos(delta - 1.0)
+        assert report.max_omega_hat <= top
+        dense = extract_omega(propagate_interaction(system, pulse, n_steps=1 << 19, tol=None))
+        assert top == pytest.approx(np.max(dense.omega_hat), abs=1e-5)
 
     @pytest.mark.parametrize("block", [8, 1 << 40])
     def test_crossing_on_a_track_block_edge(self, monkeypatch, block):
@@ -605,13 +710,13 @@ class TestExplicitCriterion:
         assert (report.theta_total, report.i_total) == midpoint_integrals(pulse, pulse.duration,
                                                                           1024)
 
-    @pytest.mark.xfail(strict=True, raises=ExtractionError,
-                       reason="refinement converges, but the accepted grid still jumps by "
-                              "3.290 rad (config 3, step 5019); slice-local refinement "
-                              "(ROADMAP item 2) would track it")
     def test_uburp_360_on_sax_extracts(self, sax_system):
+        # configuration 3 comes within delta = 9.45e-7 of -E, too near for the tracker on the
+        # accepted grid, but not at it: every exponent is principal
         report = explicit_criterion(sax_system, calibrate(resolve_pulse("U-BURP").build(), TWO_PI))
         assert not report.criterion23_met  # I(T) = 68.3
+        assert report.max_omega_hat < TWO_PI
+        assert len(report.ambiguity_times) == 0
 
     def test_hard_two_pi_pulse_degeneracy(self, s_only_system):
         pulse = calibrate(build_pulse("constant", 1e-3), TWO_PI)

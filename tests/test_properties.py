@@ -11,13 +11,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magnuspulse import (ExtractionError, SpinSystem, calibrate, explicit_criterion,
-                         integrate_expansion, midpoint_integrals, offset_diagonal,
-                         propagate_interaction, sample, scale_amplitude, su2)
-from contracts import _criterion, _sax, random_fourier_pulse, random_small_system
+from magnuspulse import (SpinSystem, calibrate, explicit_criterion, integrate_expansion,
+                         midpoint_integrals, offset_diagonal, propagate_interaction, sample,
+                         scale_amplitude, su2)
+from contracts import _sax, random_fourier_pulse, random_small_system
 import oracle
 
 TWO_PI = 2.0 * math.pi
@@ -90,18 +90,10 @@ def test_amplitude_integral_bounds_flip_angle(seed, flip, fraction):
 
 @settings(max_examples=20, deadline=None)
 @given(seeds, flips)
+@example(89435860, 8.0)  # one configuration is tracked through -E, to max omega_hat 8.869
 def test_exponent_bounded_by_amplitude_integral(seed, flip):
     system, pulse = _case(seed, flip)
-    report = _criterion(system, pulse, 384, 1e-6)
-    assert report.bound21_margin >= -1e-6
-
-
-@pytest.mark.xfail(strict=True, raises=ExtractionError,
-                   reason="a draw of the property above: the grid jumps by 3.752 rad (config 1, "
-                          "step 373) on every retry grid up to 393216 steps; slice-local "
-                          "samples (ROADMAP item 2) or widened fast rows (item 14) would answer")
-def test_exponent_bounded_by_amplitude_integral_on_a_known_draw():
-    report = explicit_criterion(*_case(89435860, 8.0), 384, 1e-6)
+    report = explicit_criterion(system, pulse, n_steps=384, tol=1e-6)
     assert report.bound21_margin >= -1e-6
 
 
@@ -111,7 +103,8 @@ def test_exponent_bounded_by_amplitude_integral_on_a_known_draw():
 def test_gap_above_two_pi_passed_two_pi(name, seed, flip):
     # Every eigenvalue is 0 at t = 0 and the tracked ones are continuous, so a
     # gap above 2 pi was exactly 2 pi at some time, sampled or not.
-    report = _criterion(SYSTEMS[name], _pulse(np.random.default_rng(seed), flip), 384, 1e-6)
+    report = explicit_criterion(SYSTEMS[name], _pulse(np.random.default_rng(seed), flip),
+                                n_steps=384, tol=1e-6)
     if report.max_eigenvalue_gap > TWO_PI:
         assert report.magnus_gap_nearest == 0.0
         assert not report.magnus_criterion_ok
