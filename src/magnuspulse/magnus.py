@@ -16,9 +16,11 @@ The trajectory is analysed in the time windows of `su2.track_windows`
 pass over the whole grid and puts every pair of consecutive samples in one
 block for the jump test, the gap audit and the -E passages.
 `extract_omega` writes the blocks into whole-grid arrays. `explicit_criterion`
-folds the bound margin, the gap audit, the -E times and the largest
-omega_hat block by block and never holds Omega, its steps or the
-eigenvalues of the whole grid, and tracks only the configurations at -E (`_closest`).
+stores no trajectory: it audits each time chunk of the grid as it is scanned
+(`propagation._streamed`), folding the bound margin, the gap audit, the -E times
+and the largest omega_hat window by window (`_audit`), so it holds one chunk and
+never Omega, its steps or the eigenvalues of the whole grid; it tracks only the
+configurations at -E (`_closest`), on a second walk of the grid.
 
 Where U passes through -E the rotation axis is genuinely undefined; those samples are
 flagged, the angle itself is still carried through by continuity. Such points are exactly
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import su2
-from .propagation import DEFAULT_TOL, BlockTrajectory, propagate_interaction
+from .propagation import DEFAULT_TOL, BlockTrajectory, _streamed
 from .pulses import DEFAULT_N_STEPS, PulseShape, midpoint_integrals, sample
 from .system import SpinSystem, offset_diagonal
 
@@ -138,28 +140,30 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     """
     shape = trajectory.q.shape[1:]
     omega, omega_hat, ambiguous = np.empty((3,) + shape), np.empty(shape), np.empty(shape, bool)
-    for block, *values in _omega_blocks(trajectory):
+    for block, *values in _omega_blocks(trajectory.q):
         omega[..., block], omega_hat[:, block], ambiguous[:, block] = values
     return MagnusSolution(omega=omega, omega_hat=omega_hat, ambiguous=ambiguous)
 
 
-def _omega_blocks(trajectory: BlockTrajectory, configs=slice(None)):
-    """Omega, omega_hat and the -E flags of the configurations `configs`, window by window.
+def _omega_blocks(q: np.ndarray, configs=slice(None), state=None, start: int = 0):
+    """Omega, omega_hat and the -E flags of the configurations `configs` of pairs q, window by
+    window.
 
-    Yields (block, omega, omega_hat, ambiguous) for the time slices `block`
-    of `su2.track_windows` over the whole trajectory, which share their edge sample: omega
+    Yields (block, omega, omega_hat, ambiguous) for the time slices `block` of
+    `su2.track_windows` over q, which share their edge sample: omega
     is component-major, (3, n_configs, block length), and omega_hat the
-    tracker's |angle|.
+    tracker's |angle|. The walk continues from `state` (`su2.BranchState`) if given, for q
+    a time chunk of a grid whose column 0 is step `start`.
 
     Raises
     ------
     ExtractionError
         In the block that holds the earliest jump |Omega_k - Omega_{k-1}| >= pi,
         naming its step k and the lowest configuration that jumps there, by its index in
-        the trajectory; that block is not yielded and no later block is tracked.
+        q; that block is not yielded and no later block is tracked.
     """
-    index = np.arange(trajectory.q.shape[1])[configs]
-    for block, rows, angle, omega, defined in su2.track_windows(trajectory.q, configs):
+    index = np.arange(q.shape[1])[configs]
+    for block, rows, angle, omega, defined in su2.track_windows(q, configs, state):
         omega *= angle  # the unit axis becomes Omega
         ambiguous = ~defined & (rows[0] < 0.0)
         step = np.diff(omega)
@@ -170,8 +174,8 @@ def _omega_blocks(trajectory: BlockTrajectory, configs=slice(None)):
             k, ci = np.argwhere(jumps.T)[0]  # the earliest step, then the lowest configuration
             raise ExtractionError(f"rotation vector jumped by {math.sqrt(step2[ci, k]):.3f} rad "
                                   f"between stored samples (config {index[ci]}, "
-                                  f"step {block.start + k + 1}); re-run the propagation with "
-                                  "more steps")
+                                  f"step {start + block.start + k + 1}); re-run the propagation "
+                                  "with more steps")
         yield block, omega, np.abs(angle, out=angle), ambiguous
 
 
@@ -236,17 +240,22 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
                        tol: float | None = DEFAULT_TOL) -> CriterionReport:
     """Evaluate the existence criterion and all audit quantities for one pulse.
 
-    Computes I(T) and theta(T) by quadrature, propagates the exact trajectory, and audits the
-    pointwise bound omega_hat(t) <= I(t) at every stored time, and the eigenvalue-gap condition
-    and the -E passages at and between stored times, a window at a time; the gap audit
-    (`gap_audit`) stops at a nearest distance of 0, which no later window can lower.
+    Computes I(T) and theta(T) by quadrature, refines the exact propagation as
+    `propagate_interaction` does, and audits the pointwise bound omega_hat(t) <= I(t) at every
+    stored time, and the eigenvalue-gap condition and the -E passages at and between stored
+    times (`_audit`). The trajectory is never stored: each grid is built, reduced and scanned
+    a time chunk at a time, and the grid predicted to pass is audited chunk by chunk as it is
+    scanned (`propagation._streamed`), so the criterion holds one chunk, not a trajectory.
 
     exp(-i Omega . S) maps the open ball |Omega| < 2 pi one-to-one onto SU(2) without -E, so
     a configuration whose U stays off -E has one continuous exponent, the principal one,
     omega_hat = 2 atan2(|v|, c) of U = c E - i (v . sigma), with no jump and no -E passage.
-    Only configurations whose delta_c (`_closest`) is at most `MINUS_E_TOL` are tracked. A
-    slice turns U by |amps_k| dt <= 2 D, D = dt max |amps| / 2, so its Re a dips at most D**2 / 8
-    below its ends: 1 + min_k c_k > D**2 / 8 + MINUS_E_TOL needs no in-slice minimum.
+    The audit reads every configuration so and finds each one's delta_c (`_closest`) where it
+    may be small: a slice turns U by |amps_k| dt <= 2 D, D = dt max |amps| / 2 over its
+    chunk, so its Re a dips at most D**2 / 8 below its ends, and a chunk where 1 + min c >
+    D**2 / 8 + MINUS_E_TOL needs no in-slice minimum. If some delta_c is at most
+    `MINUS_E_TOL`, the accepted grid is streamed and audited once more, with those
+    configurations branch-tracked across its chunks.
 
     Raises
     ------
@@ -255,29 +264,12 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         the earliest jump; the audit stops there.
     """
     theta_total, i_total = midpoint_integrals(shape, shape.duration, n_steps)
-
-    trajectory = propagate_interaction(system, shape, n_steps=n_steps, tol=tol)
-    amps = np.abs(trajectory.amps)
-    i_grid = np.concatenate(([0.0], np.cumsum(amps) * trajectory.dt))
-
-    q, d = trajectory.q, 0.5 * trajectory.dt * np.max(amps)  # D; NaN rows are tracked
-    near = np.flatnonzero(~(1.0 + np.min(q[0].real, axis=-1) > 0.125 * d * d + MINUS_E_TOL))
-    tracked = near[~(_closest(q, near) > MINUS_E_TOL)] if near.size else near
-    walk = _omega_blocks(trajectory, tracked)
-    margin, max_hat, nearest = math.inf, -math.inf, math.inf
-    minus_e = []
-    for block in su2._windows(*q.shape[1:]):
-        a, b = q[:, :, block]  # c copied contiguous and |v| summed as in the tracker's rows
-        norm = np.sqrt(b.imag * b.imag + b.real * b.real + a.imag * a.imag)
-        omega_hat, ambiguous = 2.0 * np.arctan2(norm, a.real.copy()), np.zeros(norm.shape, bool)
-        if tracked.size:
-            _, _, omega_hat[tracked], ambiguous[tracked] = next(walk)
-        top = np.max(omega_hat, axis=0)  # M_t
-        margin = np.minimum(margin, np.min(i_grid[block] - top))
-        max_hat = np.maximum(max_hat, np.max(top))
-        if nearest > 0:
-            nearest = np.minimum(nearest, gap_audit(omega_hat, system.s_count)[1])
-        minus_e.append(_minus_e_times(trajectory.times[block], omega_hat, ambiguous))
+    (audit, closest), walk, n, estimate = _streamed(
+        system, shape, n_steps, tol, lambda chunks: _audit(chunks, system.s_count))
+    tracked = np.flatnonzero(~(closest > MINUS_E_TOL))  # NaN rows are tracked
+    if tracked.size:
+        audit, _ = _audit(walk(), system.s_count, tracked)
+    margin, max_hat, nearest, minus_e = audit
 
     return CriterionReport(
         i_total=i_total,
@@ -291,9 +283,58 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         bound21_margin=float(margin),
         ambiguity_times=np.unique(np.concatenate(minus_e)),
         n_steps=n_steps,
-        trajectory_steps=trajectory.n_steps,
-        error_estimate=trajectory.error_estimate,
+        trajectory_steps=n,
+        error_estimate=estimate,
     )
+
+
+def _audit(chunks, s_count: int, tracked: np.ndarray | None = None):
+    """Fold the criterion's audits over one scanned grid, a time chunk at a time.
+
+    `chunks` yields (start, q, amps, dt) in time order: q (2, n_configs, k + 1) holds the
+    pairs at steps start .. start + k, the first the last of the chunk before (the identity
+    at step 0), and amps the midpoint amplitudes of its k steps of dt. In the windows of
+    `su2._windows` inside each chunk, which share their edge sample, the fold takes the bound
+    margin against a carried sum of |amps| dt, the largest omega_hat, the gap audit (which
+    stops at a nearest distance of 0, as no later window can lower it) and the -E times.
+    Configurations `tracked` take omega_hat and the -E flags from the branch tracker, carried
+    across chunks (`_omega_blocks`); the others are read as principal.
+
+    With `tracked` None, each configuration's least `_closest` over the chunks that fail
+    `explicit_criterion`'s D**2 / 8 check comes back (inf where none does), which is delta_c
+    wherever delta_c is at most MINUS_E_TOL. Returns ((margin, max omega_hat, nearest, -E
+    times), those minima).
+    """
+    margin, max_hat, nearest, minus_e, total = math.inf, -math.inf, math.inf, [], 0.0
+    closest, state = math.inf, None if tracked is None else su2.BranchState(tracked.shape)
+    for start, q, amps, dt in chunks:
+        amps = np.abs(amps)
+        sums = np.cumsum(np.concatenate(([total], amps)))  # one sum in time order, carried
+        total, i_grid, times = sums[-1], sums * dt, np.arange(start, start + len(sums)) * dt
+        if state is None:
+            d = 0.5 * dt * np.max(amps)  # D; NaN rows are tracked
+            near = np.flatnonzero(~(1.0 + np.min(q[0].real, axis=-1) > 0.125 * d * d
+                                    + MINUS_E_TOL))
+            delta = np.full(q.shape[1], math.inf)
+            if near.size:
+                delta[near] = _closest(q, near)
+            closest = np.minimum(closest, delta)
+        walk = state and _omega_blocks(q, tracked, state, start)
+        for block in su2._windows(*q.shape[1:]):
+            a, b = q[:, :, block]  # c copied contiguous and |v| summed as in the tracker's rows
+            norm = np.sqrt(b.imag * b.imag + b.real * b.real + a.imag * a.imag)
+            omega_hat = 2.0 * np.arctan2(norm, a.real.copy())
+            ambiguous = np.zeros(norm.shape, bool)
+            if walk:
+                _, _, omega_hat[tracked], ambiguous[tracked] = next(walk)
+            top = np.max(omega_hat, axis=0)  # M_t
+            margin = np.minimum(margin, np.min(i_grid[block] - top))
+            max_hat = np.maximum(max_hat, np.max(top))
+            if nearest > 0:
+                nearest = np.minimum(nearest, gap_audit(omega_hat, s_count)[1])
+            minus_e.append(_minus_e_times(times[block], omega_hat, ambiguous))
+        del amps, sums, i_grid, times, norm, omega_hat, top  # not alive while the next is built
+    return (margin, max_hat, nearest, minus_e), closest
 
 
 def _closest(q: np.ndarray, configs: np.ndarray) -> np.ndarray:

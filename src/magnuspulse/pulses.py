@@ -48,7 +48,9 @@ class PulseShape:
     """Amplitude/phase envelope over a fixed duration.
 
     `amplitude_fn` maps t in [0, T] to omega1(t) in rad/s (sign allowed) and
-    `phase_fn` maps t to phi(t) in rad. Both must accept numpy arrays.
+    `phase_fn` maps t to phi(t) in rad. Both must accept numpy arrays, and they are
+    evaluated on chunks of a midpoint grid, not on the whole grid at once: a sample may
+    depend only on its own time. Every family `build_pulse` makes satisfies this.
     """
 
     duration: float
@@ -70,19 +72,29 @@ class SampledPulse:
     dt: float
 
 
+#: Times an envelope callable is given at once (`_eval`).
+_EVAL_BLOCK = 1 << 14
+
+
 def _eval(fn, t):
-    """Evaluate an envelope callable on an array of times, numpy's floating-point warnings off.
+    """Evaluate an envelope callable on a 1-D array of times, numpy's floating-point warnings
+    off, a chunk of `_EVAL_BLOCK` times at a time, as `PulseShape` allows.
 
     Raises
     ------
     ValueError
-        If the result does not have the shape of `t` or holds a non-finite sample.
+        If a result does not have the shape of its times or holds a non-finite sample.
     """
     t = np.asarray(t, dtype=float)
-    with np.errstate(all="ignore"):
-        out = np.asarray(fn(t), dtype=float)
-    if out.shape != t.shape:
-        raise ValueError(f"envelope returned shape {out.shape} for {t.shape} sample times")
+    out = np.empty(t.shape)
+    for start in range(0, len(t), _EVAL_BLOCK):
+        chunk = t[start:start + _EVAL_BLOCK]
+        with np.errstate(all="ignore"):
+            value = np.asarray(fn(chunk), dtype=float)
+        if value.shape != chunk.shape:
+            raise ValueError(f"envelope returned shape {value.shape} for {chunk.shape} sample "
+                             "times")
+        out[start:start + _EVAL_BLOCK] = value
     if not np.all(np.isfinite(out)):
         raise ValueError("envelope produced non-finite samples")
     return out

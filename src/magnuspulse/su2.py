@@ -13,10 +13,12 @@ Every array here has its components first and time last: pairs are complex
 a contiguous row. `transverse_slices` builds those rows, `compose` multiplies
 them, `reduce` takes a time-ordered product down to its endpoint by a pairwise
 tree, `scan` gives every prefix product with the same association in about 2n
-products, `_chunked` takes either a chunk of time at a time, each chunk a whole subtree of
-the pairing, with one carried prefix and the same bits (its docstring gives the proof), and
+products, `_stream` takes either a time chunk at a time, each chunk a whole subtree of the
+pairing, with one carried prefix and the same bits (its docstring gives the proof), and
 `track_windows` tracks the branch along a trajectory with `track_rows`, window by window;
-its docstring states the window rule.
+its docstring states the window rule. One rule (`_chunk`) sets the time chunks of every
+grid, those its slices are written in and those it is reduced and scanned in, so a grid
+can be built, reduced and scanned a chunk at a time and never held whole.
 
 `compose` is the one product, 8 complex ufunc passes. numpy's complex multiply may fuse
 multiply-adds, depending on the CPU features it dispatches to (AVX2 and AVX-512 on x86-64),
@@ -43,37 +45,56 @@ AXIS_TOL = 1e-9
 #: Samples (rows x times) that `track_windows` tracks at once.
 TRACK_BLOCK = 1 << 14
 
-#: Row-steps (rows x times) of a chunk that `_chunked` reduces and scans, and `_fields` fills.
+#: Row-steps (rows x times) of a time chunk (`_chunk`), which is at least 1024 steps.
 SCAN_BLOCK = 1 << 16
 
 
-def _fields(amps, phases: np.ndarray, w: np.ndarray, t0: float, dt: float, out: np.ndarray):
-    """Write the `rotating_field` of amplitudes amps(chunk) into `out` a chunk at a time and
-    yield each chunk (a slice) once written. Chunks are whole blocks B, about `SCAN_BLOCK`
-    samples over all rows, so each product is the one of the whole row; turns are taken once."""
-    n = out.shape[-1]
+def _chunk(n_rows: int, n: int) -> int:
+    """Steps of a time chunk of a grid of n steps on n_rows rows, the one chunk rule of every
+    grid: the longest run of 2^c >= 1024 steps that divides n with n_rows 2^c within
+    `SCAN_BLOCK` (1024 steps past that), a whole subtree of `reduce`'s pairing; n where no
+    such run divides n."""
+    size = min(n & -n, 1 << max(10, (SCAN_BLOCK // max(1, n_rows)).bit_length() - 1))
+    return size if size >= 1024 else max(n, 1)
+
+
+def _turns(w: np.ndarray, t0: float, dt: float, n: int):
+    """(B, -i e^{-i w (t0 + r dt)} for r < B, e^{-i w j B dt} for j B < n): the turns that
+    `rotating_field` builds the grid t_k = t0 + k dt, k < n, from, B a power of two near
+    sqrt(n), a row of each per offset of w."""
     w = np.asarray(w, dtype=float)[:, None]
-    size = 1 << n.bit_length() // 2  # B, a power of two
+    size = 1 << n.bit_length() // 2
     fine = -w * (t0 + np.arange(size) * dt)
     coarse = -w * (np.arange(0, n, size) * dt)
     turn_fine = np.empty(fine.shape, dtype=complex)
     turn_fine.real, turn_fine.imag = np.sin(fine), -np.cos(fine)  # -i e^{i fine}
     turn_coarse = np.empty(coarse.shape, dtype=complex)
     turn_coarse.real, turn_coarse.imag = np.cos(coarse), np.sin(coarse)
-    step = size * max(1, SCAN_BLOCK // (size * max(1, len(w))))
-    phased = np.any(phases)
-    for start in range(0, n, step):
-        chunk = slice(start, start + step)
-        blocks = turn_coarse[:, start // size:(start + step) // size]
-        a = amps(chunk)
-        # the turns fill `out` itself where the chunk, longer than 1, is whole blocks, and run
-        # past it otherwise: the last product keeps to the rule of the module docstring
-        turn = (out[:, chunk] if len(a) % size == 0 and len(a) > 1 else
-                np.empty((len(w), blocks.shape[1] * size), dtype=complex))
-        np.multiply(blocks[..., None], turn_fine[:, None], out=turn.reshape(len(w), -1, size))
-        a = a * (np.cos(phases[chunk]) + 1j * np.sin(phases[chunk])) if phased else a + 0j
-        np.multiply(a[None], turn[:, :len(a)], out=out[:, chunk])
-        yield chunk
+    return size, turn_fine, turn_coarse
+
+
+def _fields(turns, a: np.ndarray, phases: np.ndarray, start: int, out: np.ndarray):
+    """Write the `rotating_field` of amplitudes a and phases at samples start, start + 1, ...
+    of the grid of `turns` into out, (n_rows, len(a)): each sample is one product of its two
+    turns and one of that with its amplitude, so a sample's bits do not depend on the chunk."""
+    size, fine, coarse = turns
+    first, lead = divmod(start, size)
+    blocks = coarse[:, first:first + -(-(lead + len(a)) // size)]  # the blocks a touches
+    # the turns fill `out` itself where it is whole blocks, longer than 1, and run past it
+    # otherwise: the last product keeps to the rule of the module docstring
+    turn = (out if lead == 0 and len(a) == blocks.shape[1] * size > 1 else
+            np.empty((len(fine), blocks.shape[1] * size), dtype=complex))
+    np.multiply(blocks[..., None], fine[:, None], out=turn.reshape(len(fine), -1, size))
+    a = a * (np.cos(phases) + 1j * np.sin(phases)) if np.any(phases) else a + 0j
+    np.multiply(a[None], turn[:, lead:lead + len(a)], out=out)
+
+
+def _slices(turns, amps: np.ndarray, phases: np.ndarray, dt: float, start: int, out: np.ndarray):
+    """Write the `transverse_slices` of amplitudes amps at samples start, start + 1, ... of the
+    grid of `turns` into out, (2, n_rows, len(amps))."""
+    half = 0.5 * amps * dt
+    out[0] = np.cos(half)
+    _fields(turns, np.sin(half), phases, start, out[1])
 
 
 def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float, dt: float,
@@ -86,14 +107,17 @@ def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: floa
     written into `out` if given. e^{-i w t_k} is built by angle addition:
     with k = j B + r and B about sqrt(n), the turns by -w (j B dt) and by
     -w (t0 + r dt), -i folded into the latter, cost about 2 sqrt(n) trig
-    calls per offset, and each sample one complex product. amps e^{i phases}
+    calls per offset (`_turns`), and each sample one complex product. amps e^{i phases}
     is shared by every offset; where every phase is 0 it is amps itself and
-    its trig is skipped. The row is written in chunks of whole blocks (`_fields`).
+    its trig is skipped. The row is written a time chunk (`_chunk`) at a time (`_fields`).
     """
     if out is None:
         out = np.empty((len(w), len(amps)), dtype=complex)
-    for _ in _fields(lambda chunk: amps[chunk], phases, w, t0, dt, out):
-        pass
+    n = len(amps)
+    turns, size = _turns(w, t0, dt, n), _chunk(len(w), n)
+    for start in range(0, n, size):
+        chunk = slice(start, start + size)
+        _fields(turns, amps[chunk], phases[chunk], start, out[:, chunk])
     return out
 
 
@@ -105,14 +129,16 @@ def transverse_slices(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: f
     Signed amplitudes make negative ones come out right without branching. The pair is
     (cos h, -i sin h e^{i a}), its b the `rotating_field` of sin h. The pairs come back
     component-major, shape (2, len(w), n), ready for `reduce` and `scan`, and written into
-    `out` if given, a chunk of `_fields` at a time, with h, cos h and sin h.
+    `out` if given, a time chunk (`_chunk`) at a time, with h, cos h and sin h (`_slices`).
     """
     amps = np.asarray(amps, dtype=float)
     if out is None:
         out = np.empty((2, len(w), len(amps)), dtype=complex)
-    half = lambda chunk: 0.5 * amps[chunk] * dt
-    for chunk in _fields(lambda chunk: np.sin(half(chunk)), phases, w, t0, dt, out[1]):
-        out[0, :, chunk] = np.cos(half(chunk))
+    n = len(amps)
+    turns, size = _turns(w, t0, dt, n), _chunk(len(w), n)
+    for start in range(0, n, size):
+        chunk = slice(start, start + size)
+        _slices(turns, amps[chunk], phases[chunk], dt, start, out[:, :, chunk])
     return out
 
 
@@ -197,32 +223,27 @@ def scan(x: np.ndarray, levels: list | None = None) -> None:
     x[..., 2::2] = compose(x[..., 2::2], x[..., 1:n - 1:2], out=evens)
 
 
-def _chunked(x: np.ndarray, scanned: bool) -> np.ndarray:
-    """``reduce(x)``, and x scanned in place as by `scan` if `scanned`, in chunks of time.
+def _stream(chunks, scanned: bool):
+    """Reduce, and scan in place as by `scan` if `scanned`, a grid given as its time chunks.
 
-    x is (2, n_rows, n). A chunk is the longest run of 2^c >= 1024 steps, 2^c dividing n, with
-    n_rows 2^c within `SCAN_BLOCK`: a whole subtree of `reduce`'s pairing; else the grid is
-    one chunk. Each chunk is reduced, keeping its levels only to be scanned, and its root
-    pushed onto a stack of nodes; while the top two have equal size they merge, as `reduce`
-    pairs them. The fold N_r (... (N_2 N_1)) of the stack from its largest node is the
-    product through the chunk's end with `scan`'s association: `scan` gives prefix P_j as
-    that fold over the aligned nodes of j + 1's binary digits. The chunk is scanned from its
-    levels with the fold seeding its root and the previous chunk's prefix composed onto index
-    0 of every level below, as the whole scan composes it, so every prefix and the endpoint
-    keep their bits. Returns the endpoint (2, n_rows).
+    `chunks` yields the grid's chunks (2, n_rows, size) in time order, each of `_chunk`'s size
+    and filled when yielded: whole subtrees of `reduce`'s pairing. Each chunk is reduced,
+    keeping its levels only to be scanned, and its root pushed onto a stack of nodes; while
+    the top two have equal size they merge, as `reduce` pairs them. The fold N_r (... (N_2
+    N_1)) of the stack from its largest node is the product through the chunk's end with
+    `scan`'s association: `scan` gives prefix P_j as that fold over the aligned nodes of
+    j + 1's binary digits. The chunk is scanned from its levels with the fold seeding its root
+    and the previous chunk's prefix composed onto index 0 of every level below, as the whole
+    scan composes it, so every prefix and the endpoint keep their bits. Yields that fold
+    (2, n_rows) once each chunk is done; the last is `reduce`'s endpoint of the grid.
     """
-    n = x.shape[-1]
-    size = min(n & -n, 1 << max(1, SCAN_BLOCK // x.shape[1]).bit_length() - 1)
-    size = size if size >= 1024 else n
     nodes, prefix = [], None  # products of aligned subtrees, the earliest and largest first
-    for count, stop in enumerate(range(size, n + 1, size), 1):
-        chunk, levels = x[..., stop - size:stop], [] if scanned else None
+    for count, chunk in enumerate(chunks, 1):
+        levels = [] if scanned else None
         nodes.append(reduce(chunk, levels))
         while count % 2 == 0:  # the top two nodes are equal subtrees
             nodes[-2:] = [compose(nodes[-1], nodes[-2])]
             count //= 2
-        if not scanned and stop < n:
-            continue
         fold = nodes[0]
         for node in nodes[1:]:
             fold = compose(node, fold)
@@ -233,7 +254,17 @@ def _chunked(x: np.ndarray, scanned: bool) -> np.ndarray:
                 levels[-1][..., 0] = fold
             scan(chunk, levels)
             prefix = fold
-    return fold
+        yield fold
+
+
+def _chunked(x: np.ndarray, scanned: bool) -> np.ndarray:
+    """``reduce(x)``, and x scanned in place as by `scan` if `scanned`, in time chunks of
+    `_chunk`'s size (`_stream`). x is (2, n_rows, n); returns the endpoint (2, n_rows)."""
+    size = _chunk(*x.shape[1:])
+    for end in _stream((x[..., start:start + size] for start in range(0, x.shape[-1], size)),
+                       scanned):
+        pass
+    return end
 
 
 def rows(x: np.ndarray) -> np.ndarray:
@@ -348,7 +379,7 @@ def _windows(n_rows: int, n_t: int):
     return (slice(start, start + width + 1) for start in range(0, n_t - 1, width))
 
 
-def track_windows(x: np.ndarray, subset=slice(None)):
+def track_windows(x: np.ndarray, subset=slice(None), state: BranchState | None = None):
     """`track_rows` along pairs x (2, n_rows, n_t), in the time windows of `_windows`.
 
     Yields (window, r, angle, axis, defined) for each time slice `window`, with
@@ -357,9 +388,11 @@ def track_windows(x: np.ndarray, subset=slice(None)):
     check made on it: one `BranchState` carries the tracker over the sample
     that consecutive windows share, so each window holds the values of one
     call over the whole grid, bit for bit, and the shared sample's values are
-    the same in both windows. Rows `subset` alone keep those bits, in the same windows.
+    the same in both windows. Rows `subset` alone keep those bits, in the same windows. A
+    walk continues from `state` and leaves it at x's last sample, so pairs given a time chunk
+    at a time, each with the last sample of the chunk before, keep them too.
     """
-    state = BranchState(x[0, subset, 0].shape)
+    state = BranchState(x[0, subset, 0].shape) if state is None else state
     for window in _windows(*x.shape[1:]):
         r = rows(x[:, subset, window])
         yield (window, r) + track_rows(r[0], r[1:], state)

@@ -28,7 +28,8 @@ from magnuspulse import (
 )
 from magnuspulse import magnus
 from magnuspulse.magnus import DEFAULT_GAP_TOL, MINUS_E_TOL, ExtractionError
-from contracts import _s2ax, _sax, random_fourier_pulse, random_small_system
+from magnuspulse.propagation import RefinementError
+from contracts import _gaussian90, _s2ax, _sax, random_fourier_pulse, random_small_system
 import oracle
 
 TWO_PI = 2.0 * math.pi
@@ -83,6 +84,33 @@ def _spy_tracked_rows(monkeypatch):
     return rows
 
 
+def _stream_instead(monkeypatch, traj):
+    """Make the criterion audit the stored trajectory traj in place of the grids it refines:
+    the chunk source that `propagation._streamed` hands its fold gives traj as one chunk, and
+    gives it again for the tracked configurations."""
+    chunks = lambda: iter([(0, traj.q, traj.amps, traj.dt)])
+    monkeypatch.setattr(magnus, "_streamed", lambda system, shape, n_steps, tol, fold: (
+        fold(chunks()), chunks, traj.n_steps, traj.error_estimate))
+
+
+def _minus_e_constant_pulse(scale=1.0):
+    """ROADMAP item 8's passage: S alone at `scale` times the offset w1 / sqrt(3) and a
+    constant pulse with I(T) = 1.1 * 2 sqrt(3) pi, which at scale 1 turns U by 4 pi about its
+    tilted axis while the frame turns by 2 pi about z, so U = -E at t = T / 1.1."""
+    pulse = build_pulse("constant", 1e-3)
+    pulse = scale_amplitude(pulse, 2.2 * math.sqrt(3.0) * math.pi / midpoint_integrals(
+        pulse, pulse.duration)[1])
+    w1 = 2.2 * math.sqrt(3.0) * math.pi / pulse.duration
+    return SpinSystem(s_offset=scale * w1 / math.sqrt(3.0)), pulse
+
+
+def _spectators(count):
+    """One S spin at 10 Hz and `count` spectators at 30 + 17 k Hz with J = 3 + 1.5 k Hz."""
+    spins = tuple(ISpin(offset=TWO_PI * (30.0 + 17.0 * k), j_to_s=3.0 + 1.5 * k)
+                  for k in range(count))
+    return SpinSystem(s_count=1, s_offset=TWO_PI * 10.0, i_spins=spins)
+
+
 def _closest(q):
     """`magnus._closest` of every configuration of pairs q."""
     return magnus._closest(q, np.arange(q.shape[1]))
@@ -115,10 +143,10 @@ def _turning_about_x(traj, angles):
                                amps=turns / traj.dt)
 
 
-def _outcome(system, pulse):
+def _outcome(system, pulse, **kwargs):
     """explicit_criterion's report as text, its ambiguity times as a list, or its error."""
     try:
-        report = explicit_criterion(system, pulse)
+        report = explicit_criterion(system, pulse, **kwargs)
     except ExtractionError as exc:
         return f"ExtractionError: {exc}"
     return repr(dataclasses.replace(report, ambiguity_times=report.ambiguity_times.tolist()))
@@ -190,7 +218,7 @@ class TestExtractOmega:
                                      n_steps=23, tol=None)
         traj = _turning_about_x(traj, angles)
         monkeypatch.setattr(su2, "TRACK_BLOCK", block)
-        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        _stream_instead(monkeypatch, traj)
         message = r"jumped by 3\.400 rad between stored samples \(config 1, step 10\)"
         with pytest.raises(ExtractionError, match=message):
             extract_omega(traj)
@@ -212,7 +240,7 @@ class TestExtractOmega:
         traj = propagate_interaction(SpinSystem(), pulse, n_steps=n_times - 1, tol=None)
         traj = _turning_about_x(traj, angles)
         del angles
-        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        _stream_instead(monkeypatch, traj)
         tracked = []
         track_rows = su2.track_rows
         monkeypatch.setattr(su2, "track_rows",
@@ -430,7 +458,7 @@ class TestEigenvaluesAndGap:
         entry = resolve_pulse("G4")
         pulse = calibrate(entry.build(), entry.nominal_flip)
         audits = [gap_audit(omega_hat, system.s_count) for _, _, omega_hat, _ in
-                  magnus._omega_blocks(propagate_interaction(system, pulse))]
+                  magnus._omega_blocks(propagate_interaction(system, pulse).q)]
         assert len(audits) == 2 and min(audits)[0] > TWO_PI and audits[0][1] == 0.0
         swept = []
         sweep = magnus._pair_sweep
@@ -492,7 +520,7 @@ class TestExplicitCriterion:
         scan = su2.scan
         monkeypatch.setattr(magnus, "gap_audit", _audit_pairs)
         monkeypatch.setattr(su2, "scan", lambda x, levels=(): scan(x))
-        monkeypatch.setattr(su2, "SCAN_BLOCK", 0)  # no chunk: every grid is scanned whole
+        monkeypatch.setattr(su2, "SCAN_BLOCK", 1 << 60)  # one chunk: every grid is scanned whole
         monkeypatch.setattr(su2, "TRACK_BLOCK", 1 << 40)  # the dense tracker runs as one block
         monkeypatch.setattr(su2, "track_rows", lambda c, v, state: oracle.track_rows_dense(c, v))
         _track_instead(monkeypatch)  # else the principal walk answers most reports untracked
@@ -532,9 +560,7 @@ class TestExplicitCriterion:
     def test_uburp_540_on_four_spectators_tracks_one_row_and_raises(self, monkeypatch):
         # Of the 16 configurations, only 15 comes within MINUS_E_TOL of -E (delta = 9.7e-9);
         # the criterion tracks it alone and raises at the step its row raises at by itself
-        spins = tuple(ISpin(offset=TWO_PI * (30.0 + 17.0 * k), j_to_s=3.0 + 1.5 * k)
-                      for k in range(4))
-        system = SpinSystem(s_count=1, s_offset=TWO_PI * 10.0, i_spins=spins)
+        system = _spectators(4)
         pulse = calibrate(resolve_pulse("U-BURP").build(), 1.5 * TWO_PI, 1024)
         traj = propagate_interaction(system, pulse, n_steps=1024)
         with pytest.raises(ExtractionError) as alone:
@@ -556,7 +582,7 @@ class TestExplicitCriterion:
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         traj = _turning_about_x(propagate_interaction(SpinSystem(), pulse, n_steps=39, tol=None),
                                 angles)
-        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        _stream_instead(monkeypatch, traj)
         tracked = _spy_tracked_rows(monkeypatch)
         report = explicit_criterion(SpinSystem(), pulse)
         assert tracked == [1]
@@ -577,14 +603,9 @@ class TestExplicitCriterion:
 
     @pytest.mark.parametrize("scale", [1.0, 1.001])
     def test_constant_pulse_passes_minus_e_where_its_closed_form_does(self, monkeypatch, scale):
-        # A constant pulse with I(T) = 1.1 * 2 sqrt(3) pi at offset w1 / sqrt(3) turns U by 4 pi
-        # about its tilted axis while the frame turns by 2 pi about z: U = -E at t = T / 1.1
-        # (ROADMAP item 8). 0.1 % further off resonance it misses -E by delta = 2.8e-6.
-        pulse = build_pulse("constant", 1e-3)
-        pulse = scale_amplitude(pulse, 2.2 * math.sqrt(3.0) * math.pi / midpoint_integrals(
-            pulse, pulse.duration)[1])
-        w1 = 2.2 * math.sqrt(3.0) * math.pi / pulse.duration
-        system = SpinSystem(s_offset=scale * w1 / math.sqrt(3.0))
+        # U = -E at t = T / 1.1 (ROADMAP item 8); 0.1 % further off resonance it misses -E
+        # by delta = 2.8e-6
+        system, pulse = _minus_e_constant_pulse(scale)
         tracked = _spy_tracked_rows(monkeypatch)
         report = explicit_criterion(system, pulse)
         (delta,) = _closest(propagate_interaction(system, pulse).q)
@@ -607,7 +628,7 @@ class TestExplicitCriterion:
         for name, flip, expected in (("G4", math.pi / 2, []), ("U-BURP", TWO_PI, [1])):
             pulse = calibrate(resolve_pulse(name).build(), flip)
             traj = propagate_interaction(sax_system, pulse)
-            monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+            _stream_instead(monkeypatch, traj)
             monkeypatch.setattr(su2, "compose", lambda p, *args, **kwargs: composed.append(
                 p.shape[1]) or compose(p, *args, **kwargs))
             explicit_criterion(sax_system, pulse)
@@ -622,7 +643,7 @@ class TestExplicitCriterion:
         traj = propagate_interaction(SpinSystem(), pulse, n_steps=8, tol=None)
         traj = dataclasses.replace(traj, q=np.stack((np.full((1, 9), -(1.0 - 1e-12) + 0j),
                                                      np.zeros((1, 9), complex))))
-        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        _stream_instead(monkeypatch, traj)
         report = explicit_criterion(SpinSystem(), pulse)
         assert report.max_omega_hat == TWO_PI
         assert report.ambiguity_times.tolist() == traj.times[1:].tolist()
@@ -635,7 +656,7 @@ class TestExplicitCriterion:
         pulse = build_pulse("constant", 1e-3, amplitude=0.0)
         traj = propagate_interaction(SpinSystem(), pulse, n_steps=n_times - 1, tol=None)
         traj = _turning_about_x(traj, np.tile(1e-4 * np.arange(float(n_times)), (32, 1)))
-        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        _stream_instead(monkeypatch, traj)
         monkeypatch.setattr(su2, "track_rows", None)  # a call would raise TypeError
         tracemalloc.start()
         try:
@@ -684,7 +705,7 @@ class TestExplicitCriterion:
                                      n_steps=11, tol=None)
         traj = _turning_about_x(traj, (TWO_PI / 7.5) * np.arange(12.0)[None])
         monkeypatch.setattr(su2, "TRACK_BLOCK", block)
-        monkeypatch.setattr(magnus, "propagate_interaction", lambda *args, **kwargs: traj)
+        _stream_instead(monkeypatch, traj)
         report = explicit_criterion(SpinSystem(), build_pulse("constant", 1e-3, amplitude=0.0))
         assert report.max_eigenvalue_gap == pytest.approx(11 * TWO_PI / 7.5)
         assert report.magnus_gap_nearest == 0.0
@@ -741,6 +762,99 @@ class TestExplicitCriterion:
             assert report.max_eigenvalue_gap <= report.i_total + 1e-6
             if report.criterion23_met:
                 assert report.magnus_criterion_ok
+
+
+#: Requests whose streamed criterion is checked against the audit of the stored trajectory.
+STREAMED = {
+    "n_steps-1000": lambda: (_sax(), calibrate(resolve_pulse("G4").build(), math.pi / 2),
+                             {"n_steps": 1000}),
+    "n_steps-3072": lambda: (_s2ax(), calibrate(resolve_pulse("Q5").build(), math.pi / 2),
+                             {"n_steps": 3072, "tol": None}),
+    "phased": lambda: (_sax(), dataclasses.replace(
+        _gaussian90(), phase_fn=lambda t: TWO_PI * 3e5 * t * t), {}),
+    "minus-e-passage": lambda: _minus_e_constant_pulse() + ({},),
+    "u-burp-540-four-spectators": lambda: (
+        _spectators(4), calibrate(resolve_pulse("U-BURP").build(), 1.5 * TWO_PI, 1024),
+        {"n_steps": 1024}),
+}
+
+
+class TestStreamedCriterion:
+    """The criterion stores no trajectory: it audits each time chunk as it is scanned."""
+
+    @staticmethod
+    def _stored(monkeypatch, system, pulse, **kwargs):
+        """The criterion's outcome on `propagate_interaction`'s stored trajectory, one chunk."""
+        with monkeypatch.context() as patch:
+            _stream_instead(patch, propagate_interaction(system, pulse, **kwargs))
+            return _outcome(system, pulse, **kwargs)
+
+    @pytest.mark.parametrize("system", ["s_only_system", "sax_system", "s2ax_system"])
+    def test_catalog_matches_the_stored_audit_bit_for_bit(self, request, monkeypatch, system):
+        system = request.getfixturevalue(system)
+        for entry in list_catalog():
+            for flip in (entry.nominal_flip, TWO_PI, 1.5 * TWO_PI, 2.0 * TWO_PI):
+                pulse = calibrate(entry.build(), flip)
+                assert _outcome(system, pulse) == self._stored(monkeypatch, system, pulse), (
+                    entry.name, flip)
+
+    @pytest.mark.parametrize("scan_block", [su2.SCAN_BLOCK, 0], ids=["default", "1024-steps"])
+    @pytest.mark.parametrize("case", sorted(STREAMED))
+    def test_request_matches_the_stored_audit_bit_for_bit(self, monkeypatch, case, scan_block):
+        # SCAN_BLOCK 0 gives chunks of 1024 steps, so most grids stream in many chunks
+        monkeypatch.setattr(su2, "SCAN_BLOCK", scan_block)
+        system, pulse, kwargs = STREAMED[case]()
+        starts, audit = [], magnus._audit
+        monkeypatch.setattr(magnus, "_audit", lambda chunks, *args: audit(
+            (starts.append(chunk[0]) or chunk for chunk in chunks), *args))
+        streamed = _outcome(system, pulse, **kwargs)
+        monkeypatch.setattr(magnus, "_audit", audit)
+        assert streamed == self._stored(monkeypatch, system, pulse, **kwargs)
+        if case == "minus-e-passage":  # its one configuration is tracked, in a second walk
+            assert "ambiguity_times=[0.0009090" in streamed and starts.count(0) == 2
+        if case == "u-burp-540-four-spectators":
+            assert streamed.endswith("(config 15, step 7877); re-run the propagation with "
+                                     "more steps")
+        if scan_block == 0 and case != "n_steps-1000":  # 1000 = 8 x 125 is one chunk
+            assert len(set(starts)) > 2
+
+    def test_grid_not_finite_raises_before_the_audit(self, monkeypatch):
+        # w = 2 pi 2e307 rad/s is finite, but w t overflows past t = 1 s of a 4 s pulse: the
+        # chunk's endpoint is NaN, and the audit is given no chunk
+        system, pulse = SpinSystem(s_offset=TWO_PI * 2e307), build_pulse("constant", 4.0)
+        audited, audit = [], magnus._audit
+        monkeypatch.setattr(magnus, "_audit", lambda chunks, *args: audit(
+            (audited.append(chunk[0]) or chunk for chunk in chunks), *args))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                RefinementError, match="endpoint is not finite on the grid of 64 steps"):
+            explicit_criterion(system, pulse, n_steps=64, tol=None)
+        assert audited == []
+
+    def test_stores_no_trajectory(self, sax_system):
+        # 4 configurations x 2**17 steps: the trajectory is 16.8 MB; the criterion holds one
+        # chunk of 16384 steps and its reduction tree, 2.1 MB each
+        entry = resolve_pulse("G4")
+        pulse, n_steps = calibrate(entry.build(), entry.nominal_flip), 1 << 17
+        tracemalloc.start()
+        try:
+            explicit_criterion(sax_system, pulse, n_steps=n_steps, tol=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sax_system.n_configs * (n_steps + 1) * 16 / 3
+
+    def test_memory_stays_bounded_as_spectators_grow(self):
+        # G4 on 6 distinct spectators, 64 configurations x 32768 steps: 67 MB of trajectory
+        entry = resolve_pulse("G4")
+        pulse = calibrate(entry.build(), entry.nominal_flip)
+        tracemalloc.start()
+        try:
+            report = explicit_criterion(_spectators(6), pulse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trajectory_steps == 32768
+        assert peak < 16e6
 
 
 class TestWeakField:

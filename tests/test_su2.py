@@ -99,6 +99,26 @@ def test_chunked_walk_is_the_whole_grid_reduce_and_scan_bit_for_bit(monkeypatch,
         assert reduced == 2 * (n // size) * [size]
 
 
+@pytest.mark.parametrize("scan_block", [su2.SCAN_BLOCK, 0], ids=["default", "zero"])
+def test_chunked_walk_gives_many_rows_chunks_of_1024_steps(monkeypatch, scan_block):
+    # 256 rows: SCAN_BLOCK // 256 = 256 steps is under 1024, so the chunks are 1024 steps, 3 of
+    # them on 3072 steps, and the walk is still the whole grid's reduce and scan bit for bit
+    n, n_rows = 3 << 10, 256
+    q = _steps(n, n_configs=n_rows)
+    whole = q.copy()
+    levels = []
+    endpoint = su2.reduce(whole, levels)
+    su2.scan(whole, levels)
+    del levels
+    reduced, reduce = [], su2.reduce
+    monkeypatch.setattr(su2, "reduce", lambda x, *a: reduced.append(x.shape[-1]) or reduce(x, *a))
+    monkeypatch.setattr(su2, "SCAN_BLOCK", scan_block)
+    assert su2._chunk(n_rows, n) == 1024
+    assert su2._chunked(q, True).tobytes() == endpoint.tobytes()
+    assert q.tobytes() == whole.tobytes()
+    assert reduced == 3 * [1024]
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 1024, 4096])
 def test_power_of_two_endpoint_matches_log_depth_scan(n):
     q = _steps(n)
