@@ -20,11 +20,12 @@ convergence criterion.
 That system is the linear ODE dq/dt = p(t) q on pairs, with the transverse generator
 p = (0, -i omega1 (h_x + i h_y) / 2), so one classical fourth-order (RK4) step is a left
 product with one pair, in closed form in the field at the step's ends and middle, sampled
-once on the half-step grid. The step pairs go, as `steps(w, out)` on rows of effective
-offsets w, to the same step-doubling driver as the exact propagation route
-(`propagation._refine`): endpoint reductions on the grids it discards, one scan of the grid
-it keeps. Only the entry point `integrate_expansion` reads a `SpinSystem`, as its w. Both
-routes return the same `BlockTrajectory`, whose q holds (f, g) on the grid t_k = k T / n.
+once on the half-step grid. `_rk4_steps` is the filler that writes them, on rows of
+effective offsets w, into the grids that the exact route's driver (`propagation._refine`)
+walks into a trajectory's buffer a time chunk at a time (`propagation._walk`): endpoint
+reductions on the grids it discards, one scan of the grid it keeps. Only the entry point
+`integrate_expansion` reads a `SpinSystem`, as its w. Both routes return the same
+`BlockTrajectory`, whose q holds (f, g) on the grid t_k = k T / n.
 The decomposition angles, the rotation angle among them, are read off those pairs by the
 shared branch tracker, window by window of `su2.track_windows` (`angles_from_state`).
 """
@@ -34,13 +35,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import su2
-from .propagation import BLOCK, DEFAULT_TOL, BlockTrajectory, _refine
+from .propagation import DEFAULT_TOL, BlockTrajectory, _refine
 from .pulses import DEFAULT_N_STEPS, PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
 
+#: Steps of RK4's time blocks, whose edges the grid alone sets.
+BLOCK = 1 << 16
 
-def _rk4_steps(shape: PulseShape, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Classical RK4 steps of dq/dt = p(t) q as pairs, one per time step, in closed form.
+
+def _rk4_steps(shape: PulseShape, w: np.ndarray, n: int, dt: float):
+    """`propagation._walk`'s filler of classical RK4 steps of dq/dt = p(t) q for rows w on the
+    grid of n steps dt, as pairs in closed form.
 
     p = (0, -i omega1 (h_x + i h_y) / 2) is the pair of -i H. With dt p = (0, b0), (0, b1),
     (0, b2) at t_k, t_k + dt/2 and t_{k+1}, the step M_k = 1 + (k1 + 2 k2 + 2 k3 + k4) / 6,
@@ -52,24 +57,28 @@ def _rk4_steps(shape: PulseShape, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         b = (b0 + 4 b1 + b2 - s (b0 + b2) / 2) / 6.
 
     b is sampled once on the half-step grid t_j = j dt/2 (b0, b2 even, b1 odd), a row of w at
-    a time in blocks of `BLOCK` steps: no array length, so no rounding, depends on len(w) (the
-    row rule of `su2`). M goes into `out`, (2, len(w), n_steps). Returns the midpoint amplitudes.
+    a time in whole time blocks of `BLOCK` steps: no array length, so no rounding, depends on
+    len(w) (the row rule of `su2`) or on the walk's chunks. A chunk that starts a block
+    writes the whole block, so x must run on past the chunk, as on a stored grid.
     """
-    n_steps = out.shape[-1]
-    half_dt = 0.5 * shape.duration / n_steps
-    times = np.arange(2 * n_steps + 1) * half_dt
+    half_dt = 0.5 * dt
+    times = np.arange(2 * n + 1) * half_dt
     amps, phases = _eval(shape.amplitude_fn, times), _eval(shape.phase_fn, times)
-    for start in range(0, n_steps, BLOCK):
-        block, half = slice(start, start + BLOCK), slice(2 * start, 2 * start + 2 * BLOCK + 1)
-        field = half_dt * amps[half]
-        for row in range(len(w)):
-            b = su2.rotating_field(field, phases[half], w[row:row + 1], times[2 * start], half_dt)
-            b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
-            s, c2 = b1.real ** 2 + b1.imag ** 2, np.conjugate(b2)
-            out[0, row:row + 1, block] = 1.0 - (np.conjugate(b1) * b0 + s
-                                                + c2 * (b1 - 0.25 * s * b0)) * (1 / 6)
-            out[1, row:row + 1, block] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
-    return amps[1::2]
+
+    def fill(x, start, size):
+        for k in range(-start % BLOCK, size, BLOCK):  # the blocks that start in the chunk
+            j = 2 * (start + k)  # the block's first half step
+            block, half = slice(k, k + BLOCK), slice(j, j + 2 * BLOCK + 1)
+            field = half_dt * amps[half]
+            for row in range(len(w)):
+                b = su2.rotating_field(field, phases[half], w[row:row + 1], times[j], half_dt)
+                b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
+                s, c2 = b1.real ** 2 + b1.imag ** 2, np.conjugate(b2)
+                x[0, row:row + 1, block] = 1.0 - (np.conjugate(b1) * b0 + s
+                                                  + c2 * (b1 - 0.25 * s * b0)) * (1 / 6)
+                x[1, row:row + 1, block] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
+        return amps[2 * start + 1:2 * (start + size):2]
+    return fill
 
 
 def integrate_expansion(system: SpinSystem, shape: PulseShape,
@@ -88,7 +97,7 @@ def integrate_expansion(system: SpinSystem, shape: PulseShape,
     RefinementError
         If the tolerance is not met within `propagation.MAX_DOUBLINGS` refinements.
     """
-    return _refine(lambda w, out: _rk4_steps(shape, w, out), offset_diagonal(system),
+    return _refine(lambda *grid: _rk4_steps(shape, *grid), offset_diagonal(system),
                    shape.duration, n_steps, tol)
 
 

@@ -8,30 +8,25 @@ Hamiltonian restricted to one I configuration is the 2x2 transverse field
 
 where w is the configuration's effective S offset. The numerics take rows of w; only the
 public entry points read a `SpinSystem`, through `system.offset_diagonal`. The time-ordered
-propagator is built by piecewise-constant midpoint slicing (`_slices`): each slice
-exponential is evaluated in closed form (so unitarity is exact up to rounding), and the grid
-is doubled until the endpoint stops moving to the requested tolerance. `_levels` is that
-doubling driver for every route: `_refine` runs it on stored grids, to which the expansion
-module hands RK4 step pairs instead of exact slices, and both get back the same
-`BlockTrajectory`; `_streamed` runs it on grids that are never stored, for the criterion.
+propagator is built by piecewise-constant midpoint slicing (`_exact`): each slice
+exponential is evaluated in closed form (so unitarity is exact up to rounding), its
+transverse part turned by e^{-i w t_k} as in `su2.rotating_field`, and the grid is doubled
+until the endpoint stops moving to the requested tolerance. `_levels` is that doubling
+driver for every route: `_refine` runs it on stored grids, to which the expansion module
+hands RK4 step pairs instead of exact slices, and both get back the same `BlockTrajectory`;
+`_streamed` runs it on grids that are never stored, for the criterion.
 
-A slice's transverse part sin h e^{i phi_k}, shared by every configuration,
-is turned by e^{-i w t_k} as in `su2.rotating_field`, which builds a whole
-row by angle addition from about 2 sqrt(n) trig calls. When every phase is
-0, as for every family `build_pulse` makes, e^{i phi} = 1 and its trig is
-skipped. `su2.transverse_slices` fills a grid a time chunk (`su2._chunk`) at a time.
-
-Slices, their products and the stored trajectory are Cayley-Klein pairs
-(see `su2`); `su2.to_matrix` gives the 2x2 view of any of them. `_grid` builds every stored
-grid, a refinement level or a block of profile rows, reduces it to its endpoint in chunks of
-time (`su2._chunked`, the bits of `su2.reduce`) and raises `RefinementError` on the grid
-whose endpoint is not finite. Only the grid that refinement predicts to pass is scanned in
-place as it is reduced (the bits of `su2.scan`), because downstream analysis (continuous
-matrix-logarithm tracking) needs dense-in-time samples; no grid keeps more of its reduction
-tree than one chunk's. `_walk` builds a grid of exact slices that is never stored: the
-same chunks, each sampled, sliced, reduced and scanned on its own, with the same bits, so
-the criterion holds one chunk where `propagate_interaction` holds the trajectory.
-Excitation profiles keep the endpoints alone and never build a trajectory.
+Slices, their products and the stored trajectory are Cayley-Klein pairs (see `su2`);
+`su2.to_matrix` gives the 2x2 view of any of them. `_walk` builds every grid, a refinement
+level or a block of profile rows, a time chunk at a time: a filler writes the chunk's step
+pairs (`_exact`'s slices or `expansion._rk4_steps`), which are reduced to the endpoint (the
+bits of `su2.reduce`), and `RefinementError` is raised on the grid whose endpoint is not
+finite. Only the grid that refinement predicts to pass is scanned in place as it is reduced
+(the bits of `su2.scan`), because downstream analysis (continuous matrix-logarithm
+tracking) needs dense-in-time samples; no grid keeps more of its reduction tree than one
+chunk's. A stored grid is written chunk by chunk into the trajectory's own buffer; the
+criterion's grids reuse one chunk buffer, so the criterion holds one chunk where
+`propagate_interaction` holds the trajectory. Excitation profiles keep the endpoints alone.
 No propagator carries the I-spin energies' scalar phase, which cancels (see `system`).
 """
 
@@ -40,19 +35,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace as dc_replace
+from functools import partial
 
 import numpy as np
 
 from . import su2
-from .pulses import DEFAULT_N_STEPS, PulseShape, SampledPulse, _check_steps, _eval, sample
+from .pulses import DEFAULT_N_STEPS, PulseShape, _check_steps, _eval, sample
 from .system import SpinSystem, offset_diagonal
 
 DEFAULT_TOL = 1e-9
 #: Grid doublings before refinement gives up; a larger n_steps reaches the same finest grid.
 MAX_DOUBLINGS = 8
-
-#: Pairs built at once where a route works through its grid in blocks.
-BLOCK = 1 << 16
 
 
 class RefinementError(RuntimeError):
@@ -89,29 +82,6 @@ class BlockTrajectory:
     @property
     def n_configs(self) -> int:
         return self.q.shape[1]
-
-
-def _finite(end: np.ndarray, n: int):
-    """Raise `RefinementError` if the endpoint of the grid of n steps is not finite."""
-    if not np.isfinite(end).all():
-        raise RefinementError(f"endpoint is not finite on the grid of {n} steps; more steps "
-                              "cannot help", estimate=math.nan, n_steps=n)
-
-
-def _grid(steps, w: np.ndarray, n: int, n_steps: int, scanned: bool = False):
-    """The grid of n steps that `steps` fills for rows w: ((q, amps), endpoint), q (2, len(w),
-    n + 1) with the identity in column 0. `su2._chunked` gives the endpoint, and scans q in
-    place if `scanned`; a q too large to allocate names `n_steps`, and an endpoint not finite
-    raises here."""
-    try:
-        q = np.empty((2, len(w), n + 1), dtype=complex)
-    except (MemoryError, ValueError) as exc:
-        raise ValueError(f"n_steps {n_steps}: {n} steps are too many to allocate") from exc
-    q[..., 0] = su2.IDENTITY[:, None]
-    amps = steps(w, q[..., 1:])
-    end = su2._chunked(q[..., 1:], scanned)
-    _finite(end, n)
-    return (q, amps), end
 
 
 def _levels(grid, n_steps: int, tol: float | None):
@@ -155,58 +125,83 @@ def _levels(grid, n_steps: int, tol: float | None):
         level, end, scanned = level + 1, fine, estimate < 4.0 * tol
 
 
-def _refine(steps, w: np.ndarray, duration: float, n_steps: int,
-            tol: float | None) -> BlockTrajectory:
-    """`_levels` on the stored grids of `_grid`, for rows of effective offsets w.
-
-    `steps(w, out)` writes the pairs of the n time steps of a grid over [0, `duration`] into
-    `out`, shape (2, len(w), n), one row per offset of `w`, and returns that grid's midpoint
-    amplitudes. Returns the trajectory of the accepted grid, whose q is that grid's buffer,
-    scanned from the step pairs left in it if it passed unscanned.
-    """
-    (q, amps), n, level, estimate, scanned = _levels(
-        lambda n, scanned: _grid(steps, w, n, n_steps, scanned), n_steps, tol)
-    if not scanned:  # the walk left the step pairs in q
-        su2._chunked(q[..., 1:], True)
-    return BlockTrajectory(
-        times=np.arange(n + 1) * (duration / n), q=q, amps=amps,
-        n_steps=n, refinement_levels=level, error_estimate=estimate,
-    )
-
-
-def _slices(sp: SampledPulse, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Exact midpoint slices of `sp`, a row per offset of `w`, into `out`; returns sp.amps."""
-    su2.transverse_slices(sp.amps, sp.phases, w, 0.5 * sp.dt, sp.dt, out)
-    return sp.amps
-
-
-def _walk(shape: PulseShape, w: np.ndarray, n: int, scanned: bool, ends: list):
-    """The grid of n exact midpoint slices of `shape` for rows w, never stored: each time
-    chunk (`su2._chunk`, as `su2.transverse_slices` fills it) is sampled on its own midpoints,
-    sliced, reduced and, if `scanned`, scanned (`su2._stream`), with the bits of a stored grid.
+def _walk(filler, w: np.ndarray, duration: float, n: int, scanned: bool, ends: list, q=None):
+    """The grid of n steps over [0, `duration`] that ``fill = filler(w, n, dt)`` fills for rows
+    w, a time chunk (`su2._chunk`) at a time: ``fill(x, start, size)`` writes the pairs of
+    steps start .. start + size - 1 into x[..., :size] and returns their midpoint amplitudes,
+    and each chunk is reduced and, if `scanned`, scanned (`su2._stream`) before the next is
+    filled, with the bits of `su2.reduce` and `su2.scan` on the whole grid. A stored grid is
+    written into q, (2, len(w), n + 1), x running on to the grid's end; otherwise one chunk
+    buffer is reused.
 
     Yields (start, x, amps, dt) per chunk: x (2, len(w), size + 1) holds steps start + 1 ..
     start + size past column 0, the last sample of the chunk before (the identity at start
-    0), and amps their midpoint amplitudes; the next chunk overwrites both. `ends` holds the
-    product through the chunk, which raises here if it is not finite.
+    0), and amps their midpoint amplitudes; without q the next chunk overwrites x. `ends`
+    holds the product through the chunk, and `RefinementError` is raised if it is not finite.
     """
-    size, dt = su2._chunk(len(w), n), shape.duration / n
-    turns = su2._turns(w, 0.5 * dt, dt, n)
-    x, amps = np.empty((2, len(w), size + 1), dtype=complex), np.empty(size)
+    size, dt, chunk = su2._chunk(len(w), n), duration / n, []
+    fill = filler(w, n, dt)
+    x = np.empty((2, len(w), size + 1), dtype=complex) if q is None else q
     x[..., 0] = su2.IDENTITY[:, None]
 
     def chunks():
         for start in range(0, n, size):
-            mids = (np.arange(start, start + size) + 0.5) * dt  # as `pulses.sample`'s grid
-            amps[:] = _eval(shape.amplitude_fn, mids)
-            su2._slices(turns, amps, _eval(shape.phase_fn, mids), dt, start, x[:, :, 1:])
-            yield x[:, :, 1:]
+            view = x if q is None else q[..., start:]
+            if q is None and start:
+                x[..., 0] = x[..., -1]
+            chunk[:] = start, view[..., :size + 1], fill(view[..., 1:], start, size), dt
+            yield view[..., 1:size + 1]
 
-    for start, end in zip(range(0, n, size), su2._stream(chunks(), scanned)):
-        _finite(end, n)
+    for end in su2._stream(chunks(), scanned):
+        if not np.isfinite(end).all():
+            raise RefinementError(f"endpoint is not finite on the grid of {n} steps; more "
+                                  "steps cannot help", estimate=math.nan, n_steps=n)
         ends[:] = [end]
-        yield start, x, amps, dt
-        x[..., 0] = x[..., -1]
+        yield tuple(chunk)
+
+
+def _exact(samples, w: np.ndarray, n: int, dt: float):
+    """`_walk`'s filler of exact midpoint slices for rows w on the grid of n steps dt, whose
+    amplitudes and phases on the steps `chunk` (a slice) are ``samples(chunk, dt)``."""
+    turns = su2._turns(w, 0.5 * dt, dt, n)
+
+    def fill(x, start, size):
+        amps, phases = samples(slice(start, start + size), dt)
+        su2._slices(turns, amps, phases, dt, start, x[..., :size])
+        return amps
+    return fill
+
+
+def _sampled(shape: PulseShape):
+    """`_exact` on `shape` sampled on each chunk's own midpoints, as `pulses.sample` takes them."""
+    def samples(chunk, dt):
+        mids = (np.arange(chunk.start, chunk.stop) + 0.5) * dt
+        return _eval(shape.amplitude_fn, mids), _eval(shape.phase_fn, mids)
+    return partial(_exact, samples)
+
+
+def _refine(filler, w: np.ndarray, duration: float, n_steps: int,
+            tol: float | None) -> BlockTrajectory:
+    """`_levels` on grids that `filler` fills for rows w over [0, `duration`], each walked
+    (`_walk`) into a q of its own; a q too large to allocate names `n_steps`. Returns the
+    trajectory of the accepted grid, whose q is that grid's buffer, scanned from the step pairs
+    left in it if it passed unscanned."""
+    def grid(n, scanned):
+        try:
+            q = np.empty((2, len(w), n + 1), dtype=complex)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"n_steps {n_steps}: {n} steps are too many to allocate") from exc
+        ends = []
+        amps = [chunk for _, _, chunk, _ in _walk(filler, w, duration, n, scanned, ends, q)]
+        return (q, np.concatenate(amps)), ends[0]
+
+    (q, amps), n, level, estimate, scanned = _levels(grid, n_steps, tol)
+    if not scanned:  # the walk left the step pairs in q
+        deque(_walk(lambda *_: lambda *_: None, w, duration, n, True, [], q), 0)
+    return BlockTrajectory(
+        times=np.arange(n + 1) * (duration / n), q=q, amps=amps,
+        n_steps=n, refinement_levels=level, error_estimate=estimate,
+    )
 
 
 def _streamed(system: SpinSystem, shape: PulseShape, n_steps: int, tol: float | None, fold):
@@ -217,15 +212,15 @@ def _streamed(system: SpinSystem, shape: PulseShape, n_steps: int, tol: float | 
     estimate): ``walk()`` gives the chunks of the accepted grid again, and is how a grid
     accepted unscanned is folded.
     """
-    w = offset_diagonal(system)
+    w, filler = offset_diagonal(system), _sampled(shape)
 
     def grid(n, scanned):
         ends = []
-        chunks = _walk(shape, w, n, scanned, ends)
+        chunks = _walk(filler, w, shape.duration, n, scanned, ends)
         return (fold(chunks) if scanned else deque(chunks, 0)), ends[0]
 
     value, n, _, estimate, scanned = _levels(grid, n_steps, tol)
-    walk = lambda: _walk(shape, w, n, True, [])
+    walk = lambda: _walk(filler, w, shape.duration, n, True, [])
     return (value if scanned else fold(walk())), walk, n, estimate
 
 
@@ -247,8 +242,7 @@ def propagate_interaction(system: SpinSystem, shape: PulseShape,
         If the tolerance is not met within `MAX_DOUBLINGS` refinements or an endpoint
         is not finite; the exception carries the best error estimate.
     """
-    return _refine(lambda w, out: _slices(sample(shape, out.shape[-1]), w, out),
-                   offset_diagonal(system), shape.duration, n_steps, tol)
+    return _refine(_sampled(shape), offset_diagonal(system), shape.duration, n_steps, tol)
 
 
 def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
@@ -262,10 +256,10 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
 
     Only the propagator at the end of the pulse matters, so every
     (offset, configuration) row of midpoint slices is reduced to its
-    endpoint (`_grid`, which raises on one not finite) without a trajectory, `BLOCK`
-    slices at a time. The response is the rotated z axis of that endpoint, (Re, Im) of
-    conj(a) b and (|a|**2 - |b|**2) / 2, with conj(a) b turned by the phase e^{i w T} of
-    the free precession exp(-i w T Sz) that takes the row to the rotating frame.
+    endpoint (`_walk`, which raises on one not finite) without a trajectory, in blocks of
+    about `su2.SCAN_BLOCK` row-steps. The response is the rotated z axis of that endpoint,
+    (Re, Im) of conj(a) b and (|a|**2 - |b|**2) / 2, with conj(a) b turned by the phase
+    e^{i w T} of the free precession exp(-i w T Sz) that takes the row to the rotating frame.
     """
     offsets = np.asarray(offsets, dtype=float)
     sp = sample(shape, n_steps)
@@ -274,10 +268,12 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     couplings = offset_diagonal(dc_replace(system, s_offset=0.0))
     rows = (offsets[:, None] + couplings).ravel()
     response = np.empty((3, len(rows)))
-    per_block = max(1, BLOCK // n_steps)
+    filler = partial(_exact, lambda chunk, _: (sp.amps[chunk], sp.phases[chunk]))
+    per_block, ends = max(1, su2.SCAN_BLOCK // n_steps), []
     for start in range(0, len(rows), per_block):
         w = rows[start:start + per_block]
-        a, b = _grid(lambda w, out: _slices(sp, w, out), w, n_steps, n_steps)[1]
+        deque(_walk(filler, w, shape.duration, n_steps, False, ends), 0)
+        a, b = ends[0]
         m = np.conj(a) * b * np.exp(1j * (w * duration))
         response[:, start:start + len(w)] = (m.real, m.imag, 0.5 * (
             a.real * a.real + a.imag * a.imag - b.imag * b.imag - b.real * b.real))

@@ -10,15 +10,15 @@ and g = (-Im b, Re b, -Im a); `rows` reads them off as real rows and `to_matrix`
 
 Every array here has its components first and time last: pairs are complex
 (2, ..., n_t) and rotation vectors real (3, ..., n_t), so each component is
-a contiguous row. `transverse_slices` builds those rows, `compose` multiplies
-them, `reduce` takes a time-ordered product down to its endpoint by a pairwise
-tree, `scan` gives every prefix product with the same association in about 2n
+a contiguous row. `_slices` builds those rows of exact slices from any sample on,
+`compose` multiplies them, `reduce` takes a time-ordered product down to its endpoint by a
+pairwise tree, `scan` gives every prefix product with the same association in about 2n
 products, `_stream` takes either a time chunk at a time, each chunk a whole subtree of the
 pairing, with one carried prefix and the same bits (its docstring gives the proof), and
 `track_windows` tracks the branch along a trajectory with `track_rows`, window by window;
 its docstring states the window rule. One rule (`_chunk`) sets the time chunks of every
-grid, those its slices are written in and those it is reduced and scanned in, so a grid
-can be built, reduced and scanned a chunk at a time and never held whole.
+grid, so a grid is filled, reduced and scanned a chunk at a time (`propagation._walk`),
+stored or never held whole.
 
 `compose` is the one product, 8 complex ufunc passes. numpy's complex multiply may fuse
 multiply-adds, depending on the CPU features it dispatches to (AVX2 and AVX-512 on x86-64),
@@ -90,8 +90,10 @@ def _fields(turns, a: np.ndarray, phases: np.ndarray, start: int, out: np.ndarra
 
 
 def _slices(turns, amps: np.ndarray, phases: np.ndarray, dt: float, start: int, out: np.ndarray):
-    """Write the `transverse_slices` of amplitudes amps at samples start, start + 1, ... of the
-    grid of `turns` into out, (2, n_rows, len(amps))."""
+    """Write the exact slices exp(-i 2h_k (cos a Sx + sin a Sy)), h_k = amps_k dt / 2, a =
+    phases_k - w t_k, at samples start, start + 1, ... of the grid of `turns` into out, (2,
+    n_rows, len(amps)): the pairs (cos h, -i sin h e^{i a}), b the `rotating_field` of sin h
+    (`_fields`). Signed amplitudes make negative ones come out right without branching."""
     half = 0.5 * amps * dt
     out[0] = np.cos(half)
     _fields(turns, np.sin(half), phases, start, out[1])
@@ -101,44 +103,17 @@ def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: floa
                    out=None) -> np.ndarray:
     """b = -i amps_k e^{i (phases_k - w t_k)} on the grid t_k = t0 + k dt, for each offset w.
 
-    That is the pair row b = v_y - i v_x of the transverse vector
-    amps_k (cos a_k, sin a_k, 0), a_k = phases_k - w t_k. amps and phases
-    have length n and w length m; b comes back complex, shape (m, n),
-    written into `out` if given. e^{-i w t_k} is built by angle addition:
-    with k = j B + r and B about sqrt(n), the turns by -w (j B dt) and by
-    -w (t0 + r dt), -i folded into the latter, cost about 2 sqrt(n) trig
-    calls per offset (`_turns`), and each sample one complex product. amps e^{i phases}
-    is shared by every offset; where every phase is 0 it is amps itself and
-    its trig is skipped. The row is written a time chunk (`_chunk`) at a time (`_fields`).
+    That is the pair row b = v_y - i v_x of the transverse vector amps_k (cos a_k, sin a_k, 0),
+    a_k = phases_k - w t_k. amps and phases have length n and w length m; b comes back
+    complex, shape (m, n), written into `out` if given. e^{-i w t_k} is built by angle
+    addition: with k = j B + r and B about sqrt(n), the turns by -w (j B dt) and by
+    -w (t0 + r dt), -i folded into the latter, cost about 2 sqrt(n) trig calls per offset
+    (`_turns`), and each sample one complex product (`_fields`). amps e^{i phases} is shared
+    by every offset; where every phase is 0 it is amps itself and its trig is skipped.
     """
     if out is None:
         out = np.empty((len(w), len(amps)), dtype=complex)
-    n = len(amps)
-    turns, size = _turns(w, t0, dt, n), _chunk(len(w), n)
-    for start in range(0, n, size):
-        chunk = slice(start, start + size)
-        _fields(turns, amps[chunk], phases[chunk], start, out[:, chunk])
-    return out
-
-
-def transverse_slices(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float,
-                      dt: float, out=None) -> np.ndarray:
-    """exp(-i 2h_k (cos a Sx + sin a Sy)), h_k = amps_k dt / 2, a = phases_k - w t_k, on the
-    grid t_k = t0 + k dt: the exact slices of amplitudes amps over steps dt.
-
-    Signed amplitudes make negative ones come out right without branching. The pair is
-    (cos h, -i sin h e^{i a}), its b the `rotating_field` of sin h. The pairs come back
-    component-major, shape (2, len(w), n), ready for `reduce` and `scan`, and written into
-    `out` if given, a time chunk (`_chunk`) at a time, with h, cos h and sin h (`_slices`).
-    """
-    amps = np.asarray(amps, dtype=float)
-    if out is None:
-        out = np.empty((2, len(w), len(amps)), dtype=complex)
-    n = len(amps)
-    turns, size = _turns(w, t0, dt, n), _chunk(len(w), n)
-    for start in range(0, n, size):
-        chunk = slice(start, start + size)
-        _slices(turns, amps[chunk], phases[chunk], dt, start, out[:, :, chunk])
+    _fields(_turns(w, t0, dt, len(amps)), amps, phases, 0, out)
     return out
 
 
@@ -255,16 +230,6 @@ def _stream(chunks, scanned: bool):
             scan(chunk, levels)
             prefix = fold
         yield fold
-
-
-def _chunked(x: np.ndarray, scanned: bool) -> np.ndarray:
-    """``reduce(x)``, and x scanned in place as by `scan` if `scanned`, in time chunks of
-    `_chunk`'s size (`_stream`). x is (2, n_rows, n); returns the endpoint (2, n_rows)."""
-    size = _chunk(*x.shape[1:])
-    for end in _stream((x[..., start:start + size] for start in range(0, x.shape[-1], size)),
-                       scanned):
-        pass
-    return end
 
 
 def rows(x: np.ndarray) -> np.ndarray:

@@ -22,7 +22,13 @@ holds one of:
   SAX and S2AX systems at the defaults;
 - the exit code and the sha1 of stdout, stderr and the output file of the
   first requests of the benchmark workloads (`perfbench/inputs.py`) for the
-  given seed.
+  given seed;
+- the sha1 of the `q` and `amps` bytes of `propagate_interaction`, with its
+  `n_steps` and `error_estimate`, the sha1 of the `q` bytes of
+  `integrate_expansion`, and the sha1 of the `excitation_profile` bytes at
+  101 offsets over +-3 kHz, or the `RefinementError` text, for every catalog
+  pulse at its nominal flip on the same S, SAX and S2AX systems at the
+  defaults: the stored routes' bits, not only what is read off them.
 
 With `--keep DIR` each of those requests also leaves its exit code, stdout
 and output file in DIR, as `<workload>-<index>-<command>.exit`, `.stdout`
@@ -53,8 +59,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402
 from magnuspulse import (ISpin, RefinementError, SpinSystem, angles_from_state,  # noqa: E402
-                         calibrate, explicit_criterion, extract_omega, integrate_expansion,
-                         list_catalog, propagate_interaction)
+                         calibrate, excitation_profile, explicit_criterion, extract_omega,
+                         integrate_expansion, list_catalog, propagate_interaction)
 from magnuspulse.cli import main  # noqa: E402
 from magnuspulse.magnus import ExtractionError  # noqa: E402
 
@@ -130,6 +136,37 @@ def spectator_cases(n_steps: int = 1024):
                            _report(system, shape, n_steps=n_steps))
 
 
+def _sha1(*arrays) -> str:
+    return hashlib.sha1(b"".join(array.tobytes() for array in arrays)).hexdigest()
+
+
+def _propagated(system: SpinSystem, shape) -> str:
+    traj = propagate_interaction(system, shape)
+    return (f"q, amps sha1 {_sha1(traj.q, traj.amps)} n_steps {traj.n_steps} "
+            f"error_estimate {traj.error_estimate!r}")
+
+
+def stored_route_cases():
+    offsets = np.linspace(-TWO_PI * 3e3, TWO_PI * 3e3, 101)
+    routes = {
+        "propagate_interaction": _propagated,
+        "integrate_expansion": lambda system, shape: (
+            f"q sha1 {_sha1(integrate_expansion(system, shape).q)}"),
+        "excitation_profile": lambda system, shape: (
+            f"sha1 {_sha1(excitation_profile(system, shape, offsets))}"),
+    }
+    systems = _catalog_systems()
+    for entry in list_catalog():
+        shape = calibrate(entry.build(), entry.nominal_flip)
+        for name, system in systems.items():
+            for route, line in routes.items():
+                try:
+                    text = line(system, shape)
+                except RefinementError as exc:
+                    text = f"RefinementError: {exc}"
+                yield f"{entry.name} nominal {name} {route}", text
+
+
 def cli_cases(seed: int, keep: Path | None = None):
     catalog = inputs.load_catalog(ROOT / "src" / "magnuspulse" / "data")
     with tempfile.TemporaryDirectory() as tmp:
@@ -165,7 +202,7 @@ def report(argv=None) -> int:
         args.keep.mkdir(parents=True, exist_ok=True)
     np.set_printoptions(floatmode="unique", threshold=sys.maxsize, linewidth=sys.maxsize)
     for cases in (catalog_cases(), extraction_cases(), spectator_cases(),
-                  cli_cases(args.seed, args.keep)):
+                  cli_cases(args.seed, args.keep), stored_route_cases()):
         for label, line in cases:
             print(f"{label}: {line}", flush=True)
     return 0

@@ -17,13 +17,14 @@ from magnuspulse import (
     list_catalog,
     offset_diagonal,
     propagate_interaction,
+    propagation,
     resolve_pulse,
     sample,
     su2,
 )
-from magnuspulse.expansion import _rk4_steps
-from magnuspulse.propagation import (BLOCK, DEFAULT_TOL, MAX_DOUBLINGS, RefinementError, _refine,
-                                     _slices)
+from magnuspulse.expansion import BLOCK, _rk4_steps
+from magnuspulse.propagation import (DEFAULT_TOL, MAX_DOUBLINGS, RefinementError, _refine,
+                                     _sampled)
 from oracle import SX1, SY1, SZ1
 
 TWO_PI = 2.0 * math.pi
@@ -32,8 +33,9 @@ E2 = np.eye(2, dtype=complex)
 
 def _slice(system, config, amp, phase, t, dt):
     """exp(-i H dt) of one configuration's block Hamiltonian, as a 2x2 matrix."""
-    w = offset_diagonal(system)[config:config + 1]
-    return su2.to_matrix(su2.transverse_slices([amp], [phase], w, t, dt)[:, 0, 0])
+    w, x = offset_diagonal(system)[config:config + 1], np.empty((2, 1, 1), dtype=complex)
+    su2._slices(su2._turns(w, t, dt, 1), np.array([amp]), np.array([phase]), dt, 0, x)
+    return su2.to_matrix(x[:, 0, 0])
 
 
 class TestBlockHamiltonian:
@@ -169,11 +171,18 @@ class TestPropagateInteraction:
         assert peak <= 2.5 * traj.q.nbytes
 
 
-def _route_steps(route, shape):
-    """The `steps(w, out)` that each route hands `_refine`."""
+def _route_filler(route, shape):
+    """The filler that each route hands `_refine`."""
     if route == "exact":
-        return lambda w, out: _slices(sample(shape, out.shape[-1]), w, out)
-    return lambda w, out: _rk4_steps(shape, w, out)
+        return _sampled(shape)
+    return lambda *grid: _rk4_steps(shape, *grid)
+
+
+def _pairs(filler, w, n, duration=1.0):
+    """The step pairs (2, len(w), n) of the grid of n steps that `filler` fills, in one call."""
+    x = np.empty((2, len(w), n), dtype=complex)
+    filler(w, n, duration / n)(x, 0, n)
+    return x
 
 
 class TestRowCore:
@@ -184,11 +193,11 @@ class TestRowCore:
 
     @pytest.mark.parametrize("route", ["exact", "rk4"])
     def test_rows_are_independent(self, sax_system, gaussian90, route):
-        w, steps = offset_diagonal(sax_system), _route_steps(route, gaussian90)
-        whole = _refine(steps, w, gaussian90.duration, 64, DEFAULT_TOL)
+        w, filler = offset_diagonal(sax_system), _route_filler(route, gaussian90)
+        whole = _refine(filler, w, gaussian90.duration, 64, DEFAULT_TOL)
         assert whole.refinement_levels >= 2
         for rows in ([2, 0, 3, 1], [0, 1, 2, 2, 3]):
-            part = _refine(steps, w[rows], gaussian90.duration, 64, DEFAULT_TOL)
+            part = _refine(filler, w[rows], gaussian90.duration, 64, DEFAULT_TOL)
             assert part.q.tobytes() == whole.q[:, rows].tobytes(), rows
             assert (part.refinement_levels, part.error_estimate) == (
                 whole.refinement_levels, whole.error_estimate)
@@ -199,52 +208,54 @@ class TestRowCore:
                              ids=["lone-row", "repeated-row"])
     def test_rk4_rows_are_independent_past_one_time_block(self, sax_system, gaussian90, rows,
                                                           n_steps):
-        w, steps = offset_diagonal(sax_system), _route_steps("rk4", gaussian90)
-        whole, part = (np.empty((2, len(r), n_steps), dtype=complex) for r in (w, rows))
-        steps(w, whole)
-        steps(w[rows], part)
+        w, filler = offset_diagonal(sax_system), _route_filler("rk4", gaussian90)
+        whole, part = (_pairs(filler, r, n_steps, gaussian90.duration) for r in (w, w[rows]))
         assert part.tobytes() == whole[:, rows].tobytes()
-        whole = _refine(steps, w, gaussian90.duration, n_steps, None)
-        part = _refine(steps, w[rows], gaussian90.duration, n_steps, None)
+        whole = _refine(filler, w, gaussian90.duration, n_steps, None)
+        part = _refine(filler, w[rows], gaussian90.duration, n_steps, None)
         assert part.q.tobytes() == whole.q[:, rows].tobytes()
 
     def test_estimate_not_finite_stops_refinement_at_once(self):
         # finite endpoints of 4e300 and 8e300 whose 2x2 difference overflows the norm
         grids = []
 
-        def steps(w, out):
-            grids.append(out.shape[-1])
-            out[:] = su2.IDENTITY[:, None, None]
-            out[0, :, 0] = out.shape[-1] * 1e300
-            return np.zeros(out.shape[-1])
+        def filler(w, n, dt):
+            grids.append(n)
+            def fill(x, start, size):
+                x[..., :size] = su2.IDENTITY[:, None, None]
+                x[0, :, 0] = n * 1e300
+                return np.zeros(size)
+            return fill
 
         with np.errstate(over="ignore"), pytest.raises(
                 RefinementError, match="endpoint moved by inf > tol") as err:
-            _refine(steps, np.zeros(1), 1.0, 4, DEFAULT_TOL)
+            _refine(filler, np.zeros(1), 1.0, 4, DEFAULT_TOL)
         assert grids == [4, 8]
         assert (err.value.n_steps, err.value.estimate) == (8, math.inf)
 
 
 def _shrinking(ratio):
-    """`steps` turning each row w about one axis by 1 + w (n / 1024)**log2(ratio) over a grid
+    """A filler turning each row w about one axis by 1 + w (n / 1024)**log2(ratio) over a grid
     of n unequal steps: each doubling multiplies the estimate by about `ratio`."""
-    def steps(w, out):
-        n = out.shape[-1]
+    def filler(w, n, dt):
         weight = 1.0 + 0.5 * np.sin(np.arange(n) * (6.0 * math.pi / n))
         angle = (1.0 + w[:, None] * (n / 1024) ** math.log2(ratio)) * weight / weight.sum()
-        out[:] = su2.exp(np.array([0.6, 0.0, 0.8])[:, None, None] * angle)
-        return np.zeros(n)
-    return steps
+        pairs = su2.exp(np.array([0.6, 0.0, 0.8])[:, None, None] * angle)
+
+        def fill(x, start, size):
+            x[..., :size] = pairs[..., start:start + size]
+            return np.zeros(size)
+        return fill
+    return filler
 
 
-def _whole_grid_refinement(steps, w, n_steps, tol):
+def _whole_grid_refinement(filler, w, n_steps, tol):
     """`_refine`'s scanned grid, estimate and levels, or its `RefinementError` text, built
     from `su2.reduce` and `su2.scan` on whole grids, every grid reduced and the last scanned."""
     level, end = 0, None
     while True:
         n = n_steps << level
-        x = np.empty((2, len(w), n), dtype=complex)
-        steps(w, x)
+        x = _pairs(filler, w, n)
         fine = su2.reduce(x)
         estimate = (math.nan if end is None else
                     math.sqrt(2.0) * float(np.max(np.linalg.norm(fine - end, axis=0))))
@@ -272,18 +283,18 @@ class TestScanPrediction:
          + [(1024 << MAX_DOUBLINGS, True)]),
     ], ids=["passes-unscanned", "scanned-fails", "scanned-last-fails"])
     def test_mispredictions_keep_every_bit(self, monkeypatch, ratio, tol, walks):
-        steps, w = _shrinking(ratio), np.array([1e-2, 3e-2])
-        reference = _whole_grid_refinement(steps, w, 1024, tol)
-        seen, walk = [], su2._chunked
-        monkeypatch.setattr(su2, "_chunked", lambda x, scanned: seen.append(
-            (x.shape[-1], scanned)) or walk(x, scanned))
+        filler, w = _shrinking(ratio), np.array([1e-2, 3e-2])
+        reference = _whole_grid_refinement(filler, w, 1024, tol)
+        seen, walk = [], propagation._walk
+        monkeypatch.setattr(propagation, "_walk", lambda filler, w, duration, n, scanned, *a:
+                            seen.append((n, scanned)) or walk(filler, w, duration, n, scanned, *a))
         monkeypatch.setattr(su2, "SCAN_BLOCK", 2 * 1024)  # chunks of 1024 steps past level 0
         if isinstance(reference, str):
             with pytest.raises(RefinementError) as err:
-                _refine(steps, w, 1.0, 1024, tol)
+                _refine(filler, w, 1.0, 1024, tol)
             assert str(err.value) == reference
         else:
-            traj = _refine(steps, w, 1.0, 1024, tol)
+            traj = _refine(filler, w, 1.0, 1024, tol)
             x, estimate, level = reference
             assert traj.q[..., 1:].tobytes() == x.tobytes()
             assert (traj.error_estimate, traj.refinement_levels) == (estimate, level)
@@ -385,7 +396,7 @@ class TestExcitationProfile:
         assert table[2, 1] == pytest.approx(0.5, abs=1e-2)  # untouched far away
 
     def test_rows_are_the_exact_routes_endpoints(self, gaussian90):
-        # both build their slices with `_slices`, and `su2.reduce` is the scan's last column
+        # both build their slices with `_exact`, and `su2.reduce` is the scan's last column
         offsets = [-3000.0, -0.0, 0.0, 450.5]
         table = excitation_profile(SpinSystem(), gaussian90, offsets, n_steps=512)
         for k, offset in enumerate(offsets):

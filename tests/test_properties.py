@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magnuspulse import (SpinSystem, calibrate, explicit_criterion, integrate_expansion,
-                         midpoint_integrals, offset_diagonal, propagate_interaction, sample,
+                         midpoint_integrals, offset_diagonal, propagate_interaction,
                          scale_amplitude, su2)
+from magnuspulse.propagation import _sampled
 from contracts import _sax, random_fourier_pulse, random_small_system
 import oracle
 
@@ -59,9 +60,9 @@ def test_trajectory_stays_unit(seed, flip):
 @given(seeds, flips, st.integers(1, 300))
 def test_scan_is_the_sequential_product(seed, flip, n):
     system, pulse = _case(seed, flip)
-    sp = sample(pulse, n)
-    slices = su2.transverse_slices(sp.amps, sp.phases, offset_diagonal(system),
-                                   0.5 * sp.dt, sp.dt)
+    w = offset_diagonal(system)
+    slices = np.empty((2, len(w), n), dtype=complex)
+    _sampled(pulse)(w, n, pulse.duration / n)(slices, 0, n)  # the exact route's filler
     scanned = slices.copy()
     su2.scan(scanned)
     sequential = oracle.sequential_prefix(np.moveaxis(su2.rows(slices), 0, -1))

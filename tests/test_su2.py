@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from magnuspulse import (angles_from_state, build_pulse, calibrate, excitation_profile,
                          extract_omega, integrate_expansion, list_catalog, magnus_partial_sums,
-                         propagate_interaction, su2)
+                         propagate_interaction, propagation, sample, su2)
 from magnuspulse.cli import main
 from contracts import _sax
 import oracle
@@ -77,10 +78,38 @@ def test_scan_from_kept_levels_is_the_plain_scan_bit_for_bit(n):
 CHUNKED_SIZES = [1 << 17, 3 << 15, 5 << 14, 7 << 13, 3000]
 
 
+def _copied(pairs):
+    """A `propagation._walk` filler that writes the step pairs `pairs` (2, n_rows, n)."""
+    def fill(x, start, size):
+        x[..., :size] = pairs[..., start:start + size]
+        return np.zeros(size)
+    return lambda w, n, dt: fill
+
+
+def _walked(filler, w, n, scanned, q=None):
+    """The endpoint of `propagation._walk` on the grid of n steps over 1 s that `filler` fills
+    for rows w, and the samples of its chunks (2, len(w), n) as each was yielded."""
+    ends = []
+    chunks = [x[..., 1:].copy()
+              for _, x, _, _ in propagation._walk(filler, w, 1.0, n, scanned, ends, q)]
+    return ends[0], np.concatenate(chunks, axis=-1)
+
+
 @pytest.mark.parametrize("n", CHUNKED_SIZES)
 @pytest.mark.parametrize("n_rows", [1, 2, 3])
-def test_chunked_walk_is_the_whole_grid_reduce_and_scan_bit_for_bit(monkeypatch, n, n_rows):
-    q = _steps(n, n_configs=n_rows)
+@pytest.mark.parametrize("route", ["steps", "profile"])
+def test_chunked_walk_is_the_whole_grid_reduce_and_scan_bit_for_bit(monkeypatch, n, n_rows,
+                                                                    route):
+    # "profile" walks the exact slices of a row block cut from one sample, as
+    # `excitation_profile` does, against the slices of the whole grid in one call
+    w = np.arange(n_rows) * 300.0 - 200.0
+    if route == "steps":
+        q, filler = _steps(n, n_configs=n_rows), _copied(_steps(n, n_configs=n_rows))
+    else:
+        sp = sample(build_pulse("sinc", 1.0, peak=40.0), n)
+        filler = partial(propagation._exact, lambda chunk, _: (sp.amps[chunk], sp.phases[chunk]))
+        q = np.empty((2, n_rows, n), dtype=complex)
+        filler(w, n, sp.dt)(q, 0, n)
     whole = q.copy()
     levels = []
     endpoint = su2.reduce(whole, levels)
@@ -90,13 +119,18 @@ def test_chunked_walk_is_the_whole_grid_reduce_and_scan_bit_for_bit(monkeypatch,
     for chunk in (1024, 4096, 1 << 14, 1 << 16, 1 << 20):
         monkeypatch.setattr(su2, "SCAN_BLOCK", n_rows * chunk)
         reduced.clear()
-        x = q.copy()
-        assert su2._chunked(x, False).tobytes() == endpoint.tobytes()
-        assert np.array_equal(x, q)  # the endpoint-only form writes nothing
-        assert su2._chunked(x, True).tobytes() == endpoint.tobytes()
-        assert x.tobytes() == whole.tobytes(), chunk
+        x = np.empty((2, n_rows, n + 1), dtype=complex)
+        end, _ = _walked(filler, w, n, False, x)
+        assert end.tobytes() == endpoint.tobytes()
+        assert np.array_equal(x[..., 1:], q)  # the endpoint-only form writes the pairs alone
+        end, samples = _walked(filler, w, n, True, x)
+        assert end.tobytes() == endpoint.tobytes()
+        assert x[..., 1:].tobytes() == samples.tobytes() == whole.tobytes(), chunk
+        end, samples = _walked(filler, w, n, True)  # one chunk buffer, never stored
+        assert end.tobytes() == endpoint.tobytes()
+        assert samples.tobytes() == whole.tobytes(), chunk
         size = n if n == 3000 else min(chunk, n & -n)
-        assert reduced == 2 * (n // size) * [size]
+        assert reduced == 3 * (n // size) * [size]
 
 
 @pytest.mark.parametrize("scan_block", [su2.SCAN_BLOCK, 0], ids=["default", "zero"])
@@ -114,8 +148,9 @@ def test_chunked_walk_gives_many_rows_chunks_of_1024_steps(monkeypatch, scan_blo
     monkeypatch.setattr(su2, "reduce", lambda x, *a: reduced.append(x.shape[-1]) or reduce(x, *a))
     monkeypatch.setattr(su2, "SCAN_BLOCK", scan_block)
     assert su2._chunk(n_rows, n) == 1024
-    assert su2._chunked(q, True).tobytes() == endpoint.tobytes()
-    assert q.tobytes() == whole.tobytes()
+    x = np.empty((2, n_rows, n + 1), dtype=complex)
+    assert _walked(_copied(q), np.zeros(n_rows), n, True, x)[0].tobytes() == endpoint.tobytes()
+    assert x[..., 1:].tobytes() == whole.tobytes()
     assert reduced == 3 * [1024]
 
 
@@ -503,7 +538,7 @@ def test_one_offset_of_one_sample_gives_the_bits_it_gives_beside_others():
 
 def test_every_rotating_frame_site_takes_its_phase_from_the_one_helper(monkeypatch):
     calls = []
-    helper = su2._fields  # `rotating_field` and `transverse_slices` write their rows through it
+    helper = su2._fields  # `rotating_field` and `_slices` write their rows through it
     monkeypatch.setattr(su2, "_fields", lambda *a, **k: calls.append(a) or helper(*a, **k))
     system, pulse = _sax(), build_pulse("gaussian", 1e-3)
     for site in (lambda: propagate_interaction(system, pulse, n_steps=16, tol=None),
