@@ -1,26 +1,24 @@
 """
 Continuous-exponential propagator analysis and the explicit existence criterion.
 
-Each interaction propagator U(t) of a configuration, stored as a Cayley-Klein
-pair (see `su2`), is written as a single exponential
-U = exp(-i Omega(t) . S). The rotation vector Omega(t) is recovered by the
-shared branch tracker `su2.track_rows`: the axis keeps a continuous sign and
-the angle is unwrapped by 4 pi, seeded by Omega(0) = 0. That keeps Omega(t)
-on the smooth branch the continuous-exponential solution lives on, instead
-of jumping back at angle 2 pi the way a principal logarithm would. Omega
-has its components first and time last, (3, n_configs, n_times), as the
-trajectory's pairs do (see `su2`).
+Each interaction propagator U(t) of a configuration, stored as a Cayley-Klein pair (see
+`su2`), is written as a single exponential U = exp(-i Omega(t) . S). exp maps the ball
+|Omega| < 2 pi one-to-one onto SU(2) without -E, so a configuration whose U keeps off -E has
+one continuous exponent, the principal one. A configuration that may come within
+`MINUS_E_TOL` of -E (`_near`) is read by the shared branch tracker `su2.track_rows` instead:
+the axis keeps a continuous sign and the angle is unwrapped by 4 pi, seeded by Omega(0) = 0,
+so Omega(t) runs on through 2 pi where a principal logarithm would jump back. Omega has its
+components first and time last, (3, n_configs, n_times), as the trajectory's pairs do.
 
-The trajectory is analysed in the time windows of `su2.track_windows`
-(`_omega_blocks`), whose window rule makes every block hold the values of one
-pass over the whole grid and puts every pair of consecutive samples in one
-block for the jump test, the gap audit and the -E passages.
-`extract_omega` writes the blocks into whole-grid arrays. `explicit_criterion`
-stores no trajectory: it audits each time chunk of the grid as it is scanned
-(`propagation._streamed`), folding the bound margin, the gap audit, the -E times
-and the largest omega_hat window by window (`_audit`), so it holds one chunk and
-never Omega, its steps or the eigenvalues of the whole grid; it tracks only the
-configurations at -E (`_closest`), on a second walk of the grid.
+`_omega_blocks` is the one reader of the exponent, in the time windows of `su2.track_windows`,
+whose window rule makes every block hold the values of one pass over the whole grid and puts
+every pair of consecutive samples in one block for the jump test, the gap audit and the -E
+passages. `extract_omega` builds Omega from its blocks into whole-grid arrays.
+`explicit_criterion` stores no trajectory: it audits each time chunk of the grid as it is
+scanned (`propagation._streamed`), folding the bound margin, the gap audit, the -E times and
+the largest omega_hat window by window (`_audit`), so it holds one chunk and never Omega, its
+steps or the eigenvalues of the whole grid; it tracks only the configurations at -E, on a
+second walk of the grid.
 
 Where U passes through -E the rotation axis is genuinely undefined; those samples are
 flagged, the angle itself is still carried through by continuity. Such points are exactly
@@ -59,10 +57,11 @@ class ExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MagnusSolution:
-    """Continuity-tracked exponent Omega(t) per configuration, on the trajectory's grid.
+    """Continuous exponent Omega(t) per configuration, on the trajectory's grid.
 
-    omega has shape (3, n_configs, n_times); omega_hat is the magnitude of
-    the tracked angle, the norm of omega to rounding (always >= 0).
+    omega has shape (3, n_configs, n_times): the principal exponent, or the tracked one of a
+    configuration near -E (`extract_omega`); omega_hat is the magnitude of its angle, the
+    norm of omega to rounding (always >= 0).
     alpha/beta, computed from omega on each access, are the axis angles of
     the elementary-rotation decomposition:
     alpha = atan2(Omega_y, Omega_x) in (-pi, pi], exact zeros taken as +0, and
@@ -127,56 +126,65 @@ class CriterionReport:
 def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
     """Invert U(t_k) = exp(-i Omega . S) along the trajectory, per configuration.
 
-    The branch (angle + 4 pi k along the axis) is tracked for continuity
-    along the windows of `su2.track_windows`, seeded at Omega(0) = 0; its
-    mask of undefined axes flags the -E samples. The blocks of
-    `_omega_blocks` are written into whole-grid arrays.
+    A configuration off -E takes the principal exponent Omega = (v / |v|) omega_hat of
+    U = c E - i (v . sigma), +0 where |v| = 0 (see `explicit_criterion`); one that may come
+    within `MINUS_E_TOL` of -E (`_near`, which bounds each step's turn by |amps_k| dt) is
+    branch-tracked from Omega(0) = 0 instead, its -E samples flagged (`_omega_blocks`).
 
     Raises
     ------
     ExtractionError
-        If consecutive rotation vectors are >= pi apart, i.e. the trajectory
-        is stored too coarsely to track the branch.
+        If a tracked configuration's consecutive rotation vectors are >= pi apart, i.e. the
+        trajectory is stored too coarsely to track its branch.
     """
-    shape = trajectory.q.shape[1:]
+    q, shape = trajectory.q, trajectory.q.shape[1:]
+    tracked = np.flatnonzero(~(_near(q, trajectory.amps, trajectory.dt) > MINUS_E_TOL))
     omega, omega_hat, ambiguous = np.empty((3,) + shape), np.empty(shape), np.empty(shape, bool)
-    for block, *values in _omega_blocks(trajectory.q):
-        omega[..., block], omega_hat[:, block], ambiguous[:, block] = values
+    for block, norm, hat, flags, turned in _omega_blocks(q, tracked):
+        axis = np.zeros((3,) + norm.shape)  # +0 where |v| = 0
+        np.divide(su2.rows(q[:, :, block])[1:], norm, out=axis, where=norm > 0.0)
+        axis *= hat
+        if tracked.size:
+            axis[:, tracked] = turned
+        omega[..., block], omega_hat[:, block], ambiguous[:, block] = axis, hat, flags
     return MagnusSolution(omega=omega, omega_hat=omega_hat, ambiguous=ambiguous)
 
 
-def _omega_blocks(q: np.ndarray, configs=slice(None), state=None, start: int = 0):
-    """Omega, omega_hat and the -E flags of the configurations `configs` of pairs q, window by
-    window.
+def _omega_blocks(q: np.ndarray, tracked: np.ndarray, state=None, start: int = 0):
+    """The one reader of the exponent of pairs q, in the windows of `su2._windows`, which
+    share their edge sample: yields (block, |v|, omega_hat, -E flags, Omega of `tracked`).
 
-    Yields (block, omega, omega_hat, ambiguous) for the time slices `block` of
-    `su2.track_windows` over q, which share their edge sample: omega
-    is component-major, (3, n_configs, block length), and omega_hat the
-    tracker's |angle|. The walk continues from `state` (`su2.BranchState`) if given, for q
-    a time chunk of a grid whose column 0 is step `start`.
+    Every configuration reads the principal omega_hat = 2 atan2(|v|, c), |v| summed as in the
+    tracker's rows, with no flag. The configurations `tracked` alone are also read by
+    `su2.track_windows`, whose omega_hat and flags replace theirs and whose Omega (3,
+    len(tracked), block length) comes last, None if none is tracked. Their walk continues
+    from `state` (`su2.BranchState`) if given, for q a time chunk of a grid from step `start`.
 
     Raises
     ------
     ExtractionError
-        In the block that holds the earliest jump |Omega_k - Omega_{k-1}| >= pi,
-        naming its step k and the lowest configuration that jumps there, by its index in
-        q; that block is not yielded and no later block is tracked.
+        In the block that holds a tracked configuration's earliest jump |Omega_k -
+        Omega_{k-1}| >= pi, naming its step k and the lowest configuration that jumps there,
+        by its index in q; that block is not yielded and no later block is read.
     """
-    index = np.arange(q.shape[1])[configs]
-    for block, rows, angle, omega, defined in su2.track_windows(q, configs, state):
-        omega *= angle  # the unit axis becomes Omega
-        ambiguous = ~defined & (rows[0] < 0.0)
-        step = np.diff(omega)
-        step *= step
-        step2 = step[0] + step[1] + step[2]  # |Omega_k - Omega_{k-1}|**2 at k - 1
-        jumps = step2 >= math.pi**2
-        if jumps.any():
-            k, ci = np.argwhere(jumps.T)[0]  # the earliest step, then the lowest configuration
-            raise ExtractionError(f"rotation vector jumped by {math.sqrt(step2[ci, k]):.3f} rad "
-                                  f"between stored samples (config {index[ci]}, "
-                                  f"step {start + block.start + k + 1}); re-run the propagation "
-                                  "with more steps")
-        yield block, omega, np.abs(angle, out=angle), ambiguous
+    walk, omega = su2.track_windows(q, tracked, state), None
+    for block in su2._windows(*q.shape[1:]):
+        a, b = q[:, :, block]  # c copied contiguous and |v| summed as in the tracker's rows
+        norm = np.sqrt(b.imag * b.imag + b.real * b.real + a.imag * a.imag)
+        omega_hat, ambiguous = 2.0 * np.arctan2(norm, a.real.copy()), np.zeros(norm.shape, bool)
+        if tracked.size:
+            _, rows, angle, omega, defined = next(walk)
+            omega *= angle  # the unit axis becomes Omega
+            step2 = np.sum(np.diff(omega) ** 2, axis=0)  # |Omega_k - Omega_{k-1}|**2 at k - 1
+            jumps = step2 >= math.pi**2
+            if jumps.any():
+                k, ci = np.argwhere(jumps.T)[0]  # the earliest step, then the lowest row
+                raise ExtractionError(f"rotation vector jumped by {math.sqrt(step2[ci, k]):.3f} "
+                                      f"rad between stored samples (config {tracked[ci]}, "
+                                      f"step {start + block.start + k + 1}); re-run the "
+                                      "propagation with more steps")
+            omega_hat[tracked], ambiguous[tracked] = np.abs(angle), ~defined & (rows[0] < 0.0)
+        yield block, norm, omega_hat, ambiguous, omega
 
 
 def gap_audit(omega_hat: np.ndarray, s_count: int) -> tuple[float, float]:
@@ -250,22 +258,19 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     exp(-i Omega . S) maps the open ball |Omega| < 2 pi one-to-one onto SU(2) without -E, so
     a configuration whose U stays off -E has one continuous exponent, the principal one,
     omega_hat = 2 atan2(|v|, c) of U = c E - i (v . sigma), with no jump and no -E passage.
-    The audit reads every configuration so and finds each one's delta_c (`_closest`) where it
-    may be small: a slice turns U by |amps_k| dt <= 2 D, D = dt max |amps| / 2 over its
-    chunk, so its Re a dips at most D**2 / 8 below its ends, and a chunk where 1 + min c >
-    D**2 / 8 + MINUS_E_TOL needs no in-slice minimum. If some delta_c is at most
-    `MINUS_E_TOL`, the accepted grid is streamed and audited once more, with those
-    configurations branch-tracked across its chunks.
+    The audit reads every configuration so, as `extract_omega` does, and each one's delta_c
+    (`_near`) in each chunk. If some delta_c is at most `MINUS_E_TOL`, the accepted grid is
+    streamed and audited once more, with those configurations branch-tracked across chunks.
 
     Raises
     ------
     ExtractionError
-        As `extract_omega` does, for the tracked configurations, from the window that holds
-        the earliest jump; the audit stops there.
+        As `extract_omega` does, from the window that holds a tracked configuration's
+        earliest jump; the audit stops there.
     """
     theta_total, i_total = midpoint_integrals(shape, shape.duration, n_steps)
     (audit, closest), walk, n, estimate = _streamed(
-        system, shape, n_steps, tol, lambda chunks: _audit(chunks, system.s_count))
+        system, shape, n_steps, tol, lambda chunks: _audit(chunks, system.s_count, np.arange(0)))
     tracked = np.flatnonzero(~(closest > MINUS_E_TOL))  # NaN rows are tracked
     if tracked.size:
         audit, _ = _audit(walk(), system.s_count, tracked)
@@ -288,53 +293,47 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     )
 
 
-def _audit(chunks, s_count: int, tracked: np.ndarray | None = None):
+def _audit(chunks, s_count: int, tracked: np.ndarray):
     """Fold the criterion's audits over one scanned grid, a time chunk at a time.
 
     `chunks` yields (start, q, amps, dt) in time order: q (2, n_configs, k + 1) holds the
     pairs at steps start .. start + k, the first the last of the chunk before (the identity
     at step 0), and amps the midpoint amplitudes of its k steps of dt. In the windows of
-    `su2._windows` inside each chunk, which share their edge sample, the fold takes the bound
-    margin against a carried sum of |amps| dt, the largest omega_hat, the gap audit (which
-    stops at a nearest distance of 0, as no later window can lower it) and the -E times.
-    Configurations `tracked` take omega_hat and the -E flags from the branch tracker, carried
-    across chunks (`_omega_blocks`); the others are read as principal.
-
-    With `tracked` None, each configuration's least `_closest` over the chunks that fail
-    `explicit_criterion`'s D**2 / 8 check comes back (inf where none does), which is delta_c
-    wherever delta_c is at most MINUS_E_TOL. Returns ((margin, max omega_hat, nearest, -E
-    times), those minima).
+    `_omega_blocks` inside each chunk, tracking the configurations `tracked` across chunks,
+    the fold takes the bound margin against a carried sum of |amps| dt, the largest omega_hat,
+    the gap audit (which stops at a nearest distance of 0, as no later window can lower it)
+    and the -E times. Returns ((margin, max omega_hat, nearest, -E times), least `_near` or inf).
     """
     margin, max_hat, nearest, minus_e, total = math.inf, -math.inf, math.inf, [], 0.0
-    closest, state = math.inf, None if tracked is None else su2.BranchState(tracked.shape)
+    closest, state = math.inf, su2.BranchState(tracked.shape)
     for start, q, amps, dt in chunks:
+        if not tracked.size:  # the walk that finds delta_c, before any is tracked
+            closest = np.minimum(closest, _near(q, amps, dt))
         amps = np.abs(amps)
         sums = np.cumsum(np.concatenate(([total], amps)))  # one sum in time order, carried
         total, i_grid, times = sums[-1], sums * dt, np.arange(start, start + len(sums)) * dt
-        if state is None:
-            d = 0.5 * dt * np.max(amps)  # D; NaN rows are tracked
-            near = np.flatnonzero(~(1.0 + np.min(q[0].real, axis=-1) > 0.125 * d * d
-                                    + MINUS_E_TOL))
-            delta = np.full(q.shape[1], math.inf)
-            if near.size:
-                delta[near] = _closest(q, near)
-            closest = np.minimum(closest, delta)
-        walk = state and _omega_blocks(q, tracked, state, start)
-        for block in su2._windows(*q.shape[1:]):
-            a, b = q[:, :, block]  # c copied contiguous and |v| summed as in the tracker's rows
-            norm = np.sqrt(b.imag * b.imag + b.real * b.real + a.imag * a.imag)
-            omega_hat = 2.0 * np.arctan2(norm, a.real.copy())
-            ambiguous = np.zeros(norm.shape, bool)
-            if walk:
-                _, _, omega_hat[tracked], ambiguous[tracked] = next(walk)
+        for block, _, omega_hat, ambiguous, _ in _omega_blocks(q, tracked, state, start):
             top = np.max(omega_hat, axis=0)  # M_t
             margin = np.minimum(margin, np.min(i_grid[block] - top))
             max_hat = np.maximum(max_hat, np.max(top))
             if nearest > 0:
                 nearest = np.minimum(nearest, gap_audit(omega_hat, s_count)[1])
             minus_e.append(_minus_e_times(times[block], omega_hat, ambiguous))
-        del amps, sums, i_grid, times, norm, omega_hat, top  # not alive while the next is built
+        del amps, sums, i_grid, times, omega_hat, ambiguous, top  # not alive past the chunk
     return (margin, max_hat, nearest, minus_e), closest
+
+
+def _near(q: np.ndarray, amps: np.ndarray, dt: float) -> np.ndarray:
+    """delta_c (`_closest`) of each configuration of pairs q that may come within `MINUS_E_TOL`
+    of -E, inf for the others (a NaN one is near): steps of dt turn U by |amps_k| dt <= 2 D,
+    D = dt max |amps| / 2, so a slice's Re a dips at most D**2 / 8 below its ends, and a
+    configuration with 1 + min c > D**2 / 8 + MINUS_E_TOL needs no in-slice minimum."""
+    d = 0.5 * dt * np.max(np.abs(amps))
+    near = np.flatnonzero(~(1.0 + np.min(q[0].real, axis=-1) > 0.125 * d * d + MINUS_E_TOL))
+    delta = np.full(q.shape[1], math.inf)
+    if near.size:
+        delta[near] = _closest(q, near)
+    return delta
 
 
 def _closest(q: np.ndarray, configs: np.ndarray) -> np.ndarray:

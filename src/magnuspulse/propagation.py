@@ -65,7 +65,9 @@ class BlockTrajectory:
     time last, shape (2, n_configs, n_steps + 1), so U = [[a, -conj b],
     [b, conj a]] (`su2.to_matrix`); `su2.rows` reads off (f, g) of
     U = f E - 2i g . S. Index 0 in time is the identity. amps are the
-    midpoint amplitude samples the route stepped with.
+    midpoint amplitude samples the route stepped with. On the exact route step k turns U by
+    |amps_k| dt (by about that on the RK4 route), the bound that `magnus.extract_omega`
+    relies on to find the configurations near -E (`magnus._near`).
     """
 
     times: np.ndarray

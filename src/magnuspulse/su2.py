@@ -99,20 +99,19 @@ def _slices(turns, amps: np.ndarray, phases: np.ndarray, dt: float, start: int, 
     _fields(turns, np.sin(half), phases, start, out[1])
 
 
-def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float, dt: float,
-                   out=None) -> np.ndarray:
+def rotating_field(amps: np.ndarray, phases: np.ndarray, w: np.ndarray, t0: float,
+                   dt: float) -> np.ndarray:
     """b = -i amps_k e^{i (phases_k - w t_k)} on the grid t_k = t0 + k dt, for each offset w.
 
     That is the pair row b = v_y - i v_x of the transverse vector amps_k (cos a_k, sin a_k, 0),
     a_k = phases_k - w t_k. amps and phases have length n and w length m; b comes back
-    complex, shape (m, n), written into `out` if given. e^{-i w t_k} is built by angle
-    addition: with k = j B + r and B about sqrt(n), the turns by -w (j B dt) and by
-    -w (t0 + r dt), -i folded into the latter, cost about 2 sqrt(n) trig calls per offset
-    (`_turns`), and each sample one complex product (`_fields`). amps e^{i phases} is shared
-    by every offset; where every phase is 0 it is amps itself and its trig is skipped.
+    complex, shape (m, n). e^{-i w t_k} is built by angle addition: with k = j B + r and B
+    about sqrt(n), the turns by -w (j B dt) and by -w (t0 + r dt), -i folded into the latter,
+    cost about 2 sqrt(n) trig calls per offset (`_turns`), and each sample one complex
+    product (`_fields`). amps e^{i phases} is shared by every offset; where every phase is 0
+    it is amps itself and its trig is skipped.
     """
-    if out is None:
-        out = np.empty((len(w), len(amps)), dtype=complex)
+    out = np.empty((len(w), len(amps)), dtype=complex)
     _fields(_turns(w, t0, dt, len(amps)), amps, phases, 0, out)
     return out
 

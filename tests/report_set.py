@@ -28,7 +28,10 @@ holds one of:
   `integrate_expansion`, and the sha1 of the `excitation_profile` bytes at
   101 offsets over +-3 kHz, or the `RefinementError` text, for every catalog
   pulse at its nominal flip on the same S, SAX and S2AX systems at the
-  defaults: the stored routes' bits, not only what is read off them.
+  defaults: the stored routes' bits, not only what is read off them;
+- the `extract_omega` line as above for every catalog pulse at 360 deg on
+  the same systems, where a configuration may come near -E without
+  reaching it.
 
 With `--keep DIR` each of those requests also leaves its exit code, stdout
 and output file in DIR, as `<workload>-<index>-<command>.exit`, `.stdout`
@@ -167,6 +170,14 @@ def stored_route_cases():
                 yield f"{entry.name} nominal {name} {route}", text
 
 
+def extraction_360_cases():
+    systems = _catalog_systems()
+    for entry in list_catalog():
+        shape = calibrate(entry.build(), TWO_PI)
+        for name, system in systems.items():
+            yield f"{entry.name} 360.0 {name} extract_omega", _extraction(system, shape)
+
+
 def cli_cases(seed: int, keep: Path | None = None):
     catalog = inputs.load_catalog(ROOT / "src" / "magnuspulse" / "data")
     with tempfile.TemporaryDirectory() as tmp:
@@ -202,7 +213,8 @@ def report(argv=None) -> int:
         args.keep.mkdir(parents=True, exist_ok=True)
     np.set_printoptions(floatmode="unique", threshold=sys.maxsize, linewidth=sys.maxsize)
     for cases in (catalog_cases(), extraction_cases(), spectator_cases(),
-                  cli_cases(args.seed, args.keep), stored_route_cases()):
+                  cli_cases(args.seed, args.keep), stored_route_cases(),
+                  extraction_360_cases()):
         for label, line in cases:
             print(f"{label}: {line}", flush=True)
     return 0

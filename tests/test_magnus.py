@@ -152,6 +152,15 @@ def _outcome(system, pulse, **kwargs):
     return repr(dataclasses.replace(report, ambiguity_times=report.ambiguity_times.tolist()))
 
 
+def _extraction(traj):
+    """extract_omega's omega, omega_hat and ambiguous bytes on traj, or its error."""
+    try:
+        solution = extract_omega(traj)
+    except ExtractionError as exc:
+        return f"ExtractionError: {exc}"
+    return [getattr(solution, name).tobytes() for name in ("omega", "omega_hat", "ambiguous")]
+
+
 def _hermitian(sums):
     """The (n_configs, order, 2, 2) matrices a . S of the (3, n_configs, order) partial sums."""
     return np.einsum("jcm,jab->cmab", sums, np.stack((oracle.SX1, oracle.SY1, oracle.SZ1)))
@@ -457,8 +466,8 @@ class TestEigenvaluesAndGap:
         system = SpinSystem(s_count=128, s_offset=600.0)
         entry = resolve_pulse("G4")
         pulse = calibrate(entry.build(), entry.nominal_flip)
-        audits = [gap_audit(omega_hat, system.s_count) for _, _, omega_hat, _ in
-                  magnus._omega_blocks(propagate_interaction(system, pulse).q)]
+        audits = [gap_audit(omega_hat, system.s_count) for _, _, omega_hat, _, _ in
+                  magnus._omega_blocks(propagate_interaction(system, pulse).q, np.arange(0))]
         assert len(audits) == 2 and min(audits)[0] > TWO_PI and audits[0][1] == 0.0
         swept = []
         sweep = magnus._pair_sweep
@@ -529,33 +538,45 @@ class TestExplicitCriterion:
     @pytest.mark.parametrize("system", ["s_only_system", "sax_system", "s2ax_system"])
     def test_principal_walk_matches_the_tracker_bit_for_bit(self, request, monkeypatch, system):
         # Every catalog pulse at its nominal flip, 360 and 720 deg, at the defaults: the same
-        # report as tracking every configuration, wherever that gives one. Where it raises,
-        # the criterion reports only if every configuration's delta_c is above MINUS_E_TOL.
+        # report, and the same extract_omega bits, as tracking every configuration, wherever
+        # that answers. Where it raises, the principal walk answers only if every
+        # configuration's delta_c is above MINUS_E_TOL.
         system = request.getfixturevalue(system)
         pulses = [calibrate(entry.build(), flip) for entry in list_catalog()
                   for flip in (entry.nominal_flip, TWO_PI, 2.0 * TWO_PI)]
+        trajectories = [propagate_interaction(system, pulse) for pulse in pulses]
         tracked = _spy_tracked_rows(monkeypatch)
         principal, untracked = [], 0
-        for pulse in pulses:
+        for pulse, traj in zip(pulses, trajectories):
             tracked.clear()
-            principal.append(_outcome(system, pulse))
+            principal.append((_outcome(system, pulse), _extraction(traj)))
             untracked += not tracked
         # on S at 0 Hz every 360 and 720 deg pulse passes -E; beside spectators none comes near
         assert untracked == (8 if system.n_configs == 1 else len(pulses))
         _track_instead(monkeypatch)
-        for pulse, outcome in zip(pulses, principal):
-            everywhere = _outcome(system, pulse)
-            if everywhere.startswith("ExtractionError") and not outcome.startswith("Extraction"):
-                assert np.min(_closest(propagate_interaction(system, pulse).q)) > MINUS_E_TOL
-            else:
-                assert outcome == everywhere
+        raised = lambda outcome: str(outcome).startswith("ExtractionError")
+        for pulse, traj, outcomes in zip(pulses, trajectories, principal):
+            for outcome, everywhere in zip(outcomes, (_outcome(system, pulse), _extraction(traj))):
+                if raised(everywhere) and not raised(outcome):
+                    assert np.min(_closest(traj.q)) > MINUS_E_TOL
+                else:
+                    assert outcome == everywhere
 
-    def test_g4_on_sax_is_never_tracked(self, monkeypatch, sax_system):
-        entry = resolve_pulse("G4")
-        pulse = calibrate(entry.build(), entry.nominal_flip)
+    @pytest.mark.parametrize("name, flip", [("G4", None), ("U-BURP", TWO_PI)])
+    def test_sax_off_minus_e_is_never_tracked(self, monkeypatch, sax_system, name, flip):
+        # G4 at its nominal flip, and U-BURP at 360 deg, which comes no nearer -E than
+        # delta = 9.5e-7 and where tracking every configuration raises: the criterion and
+        # extract_omega read the principal exponent alone and agree on the largest omega_hat
+        entry = resolve_pulse(name)
+        pulse = calibrate(entry.build(), flip or entry.nominal_flip)
+        traj = propagate_interaction(sax_system, pulse)
         monkeypatch.setattr(su2, "track_rows", None)  # a call would raise TypeError
         report = explicit_criterion(sax_system, pulse)
-        assert report.criterion23_met and report.magnus_criterion_ok
+        solution = extract_omega(traj)
+        assert report.criterion23_met == (name == "G4") and report.magnus_criterion_ok
+        assert np.max(solution.omega_hat) == report.max_omega_hat
+        assert not solution.ambiguous.any()
+        assert np.max(np.abs(su2.exp(solution.omega) - traj.q)) <= 1e-12
 
     def test_uburp_540_on_four_spectators_tracks_one_row_and_raises(self, monkeypatch):
         # Of the 16 configurations, only 15 comes within MINUS_E_TOL of -E (delta = 9.7e-9);
