@@ -19,13 +19,10 @@ convergence criterion.
 
 That system is the linear ODE dq/dt = p(t) q on pairs, with the transverse generator
 p = (0, -i omega1 (h_x + i h_y) / 2), so one classical fourth-order (RK4) step is a left
-product with one pair, in closed form in the field at the step's ends and middle, sampled
-once on the half-step grid. `_rk4_steps` is the filler that writes them, on rows of
-effective offsets w, into the grids that the exact route's driver (`propagation._refine`)
-walks into a trajectory's buffer a time chunk at a time (`propagation._walk`): endpoint
-reductions on the grids it discards, one scan of the grid it keeps. Only the entry point
-`integrate_expansion` reads a `SpinSystem`, as its w. Both routes return the same
-`BlockTrajectory`, whose q holds (f, g) on the grid t_k = k T / n.
+product with one pair, in closed form in the field at the step's ends and middle, which
+`_rk4_steps` writes for rows of effective offsets w, a chunk at a time, into the grids of
+`propagation._refine`. Only `integrate_expansion` reads a `SpinSystem`, as its w. Both routes
+return the same `BlockTrajectory`, whose q holds (f, g) on the grid t_k = k T / n.
 The decomposition angles, the rotation angle among them, are read off those pairs by the
 shared branch tracker, window by window of `su2.track_windows` (`angles_from_state`).
 """
@@ -38,9 +35,6 @@ from . import su2
 from .propagation import DEFAULT_TOL, BlockTrajectory, _refine
 from .pulses import DEFAULT_N_STEPS, PulseShape, _eval
 from .system import SpinSystem, offset_diagonal
-
-#: Steps of RK4's time blocks, whose edges the grid alone sets.
-BLOCK = 1 << 16
 
 
 def _rk4_steps(shape: PulseShape, w: np.ndarray, n: int, dt: float):
@@ -56,28 +50,25 @@ def _rk4_steps(shape: PulseShape, w: np.ndarray, n: int, dt: float):
         a = 1 - (conj(b1) b0 + s + conj(b2) (b1 - s b0 / 4)) / 6
         b = (b0 + 4 b1 + b2 - s (b0 + b2) / 2) / 6.
 
-    b is sampled once on the half-step grid t_j = j dt/2 (b0, b2 even, b1 odd), a row of w at
-    a time in whole time blocks of `BLOCK` steps: no array length, so no rounding, depends on
-    len(w) (the row rule of `su2`) or on the walk's chunks. A chunk that starts a block
-    writes the whole block, so x must run on past the chunk, as on a stored grid.
+    b is sampled on each chunk's half steps t_j = j dt/2 (b0, b2 even, b1 odd) a row at a time,
+    from one turn table per row, so no rounding depends on len(w) (`su2`'s row rule) or chunks.
     """
-    half_dt = 0.5 * dt
-    times = np.arange(2 * n + 1) * half_dt
-    amps, phases = _eval(shape.amplitude_fn, times), _eval(shape.phase_fn, times)
+    turns = [su2._turns(w[row:row + 1], 0.0, 0.5 * dt, 2 * n + 1) for row in range(len(w))]
 
     def fill(x, start, size):
-        for k in range(-start % BLOCK, size, BLOCK):  # the blocks that start in the chunk
-            j = 2 * (start + k)  # the block's first half step
-            block, half = slice(k, k + BLOCK), slice(j, j + 2 * BLOCK + 1)
-            field = half_dt * amps[half]
-            for row in range(len(w)):
-                b = su2.rotating_field(field, phases[half], w[row:row + 1], times[j], half_dt)
-                b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
-                s, c2 = b1.real ** 2 + b1.imag ** 2, np.conjugate(b2)
-                x[0, row:row + 1, block] = 1.0 - (np.conjugate(b1) * b0 + s
-                                                  + c2 * (b1 - 0.25 * s * b0)) * (1 / 6)
-                x[1, row:row + 1, block] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
-        return amps[2 * start + 1:2 * (start + size):2]
+        times = np.arange(2 * start, 2 * (start + size) + 1) * (0.5 * dt)
+        amps, phases = _eval(shape.amplitude_fn, times), _eval(shape.phase_fn, times)
+        field, b = 0.5 * dt * amps, np.empty((1, 2 * size + 1), dtype=complex)
+        for row, turn in enumerate(turns):
+            su2._fields(turn, field, phases, 2 * start, b)
+            b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
+            s = b1.real ** 2 + b1.imag ** 2
+            # numpy takes x * t as t * x for a temporary t of 256 KiB or more, and a fused
+            # product rounds by its factor order: one ufunc call, not written over t, fixes it
+            t = np.multiply(np.conjugate(b2), b1 - 0.25 * s * b0)
+            x[0, row:row + 1] = 1.0 - (np.conjugate(b1) * b0 + s + t) * (1 / 6)
+            x[1, row:row + 1] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
+        return amps[1::2]
     return fill
 
 

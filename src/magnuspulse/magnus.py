@@ -47,8 +47,9 @@ TWO_PI = 2.0 * math.pi
 #: A gap within this distance (rad) of some 2 pi n, n != 0, fails the gap condition.
 DEFAULT_GAP_TOL = 1e-6
 
-#: A configuration whose 1 + min_t Re a(t) is at or below this is at -E and branch-tracked.
-MINUS_E_TOL = 1e-8
+#: 1 + min_t Re a(t) at or below this is -E to rounding, and the configuration branch-tracked:
+#: exact passages read |delta_c| <= 1.4e-11 up to 2^20 steps, near misses >= 5.1e-10.
+MINUS_E_TOL = 1e-10
 
 
 class ExtractionError(RuntimeError):

@@ -130,16 +130,15 @@ def _levels(grid, n_steps: int, tol: float | None):
 def _walk(filler, w: np.ndarray, duration: float, n: int, scanned: bool, ends: list, q=None):
     """The grid of n steps over [0, `duration`] that ``fill = filler(w, n, dt)`` fills for rows
     w, a time chunk (`su2._chunk`) at a time: ``fill(x, start, size)`` writes the pairs of
-    steps start .. start + size - 1 into x[..., :size] and returns their midpoint amplitudes,
-    and each chunk is reduced and, if `scanned`, scanned (`su2._stream`) before the next is
-    filled, with the bits of `su2.reduce` and `su2.scan` on the whole grid. A stored grid is
-    written into q, (2, len(w), n + 1), x running on to the grid's end; otherwise one chunk
-    buffer is reused.
+    steps start .. start + size - 1 into x, (2, len(w), size), and returns their midpoint
+    amplitudes. Each chunk is reduced and, if `scanned`, scanned (`su2._stream`) before the
+    next is filled, with the bits of `su2.reduce` and `su2.scan` on the whole grid.
 
     Yields (start, x, amps, dt) per chunk: x (2, len(w), size + 1) holds steps start + 1 ..
     start + size past column 0, the last sample of the chunk before (the identity at start
-    0), and amps their midpoint amplitudes; without q the next chunk overwrites x. `ends`
-    holds the product through the chunk, and `RefinementError` is raised if it is not finite.
+    0), and amps their midpoint amplitudes. x is the chunk's columns of a stored grid q, (2,
+    len(w), n + 1), or else one chunk buffer, which the next chunk overwrites. `ends` holds
+    the product through the chunk, and `RefinementError` is raised if it is not finite.
     """
     size, dt, chunk = su2._chunk(len(w), n), duration / n, []
     fill = filler(w, n, dt)
@@ -148,11 +147,11 @@ def _walk(filler, w: np.ndarray, duration: float, n: int, scanned: bool, ends: l
 
     def chunks():
         for start in range(0, n, size):
-            view = x if q is None else q[..., start:]
+            view = x if q is None else q[..., start:start + size + 1]
             if q is None and start:
                 x[..., 0] = x[..., -1]
-            chunk[:] = start, view[..., :size + 1], fill(view[..., 1:], start, size), dt
-            yield view[..., 1:size + 1]
+            chunk[:] = start, view, fill(view[..., 1:], start, size), dt
+            yield view[..., 1:]
 
     for end in su2._stream(chunks(), scanned):
         if not np.isfinite(end).all():
@@ -169,7 +168,7 @@ def _exact(samples, w: np.ndarray, n: int, dt: float):
 
     def fill(x, start, size):
         amps, phases = samples(slice(start, start + size), dt)
-        su2._slices(turns, amps, phases, dt, start, x[..., :size])
+        su2._slices(turns, amps, phases, dt, start, x)
         return amps
     return fill
 

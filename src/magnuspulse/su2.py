@@ -26,11 +26,10 @@ and a product of one element that is written over an operand or broadcasts an op
 lower rank may take another loop, which rounds differently. No complex product here does
 either, so the same values give the same bits whatever their layout or length: ``reduce(x)``
 is ``scan(x)[..., -1]`` bit for bit, and one configuration alone gives the bits it gives
-beside others, on either propagator route. numpy takes ``x * t`` as ``t * x`` for a
-temporary t of 256 KiB or more, and a fused product rounds by the order of its factors, so
-`expansion._rk4_steps` builds its step pairs a row at a time. Across machines and numpy
-builds results agree to rounding, not bit for bit; with ``NPY_DISABLE_CPU_FEATURES="X86_V3
-X86_V4 AVX512_ICL AVX512_SPR"`` numpy multiplies by the plain formula.
+beside others, on either propagator route (the RK4 route fixes its factor order, see
+`expansion._rk4_steps`). Across machines and numpy builds results agree to rounding, not bit
+for bit; with ``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"`` numpy
+multiplies by the plain formula.
 """
 
 from __future__ import annotations

@@ -31,7 +31,11 @@ holds one of:
   defaults: the stored routes' bits, not only what is read off them;
 - the `extract_omega` line as above for every catalog pulse at 360 deg on
   the same systems, where a configuration may come near -E without
-  reaching it.
+  reaching it;
+- the sha1 of the `q` bytes of `integrate_expansion` on SAX at 16384 and
+  131072 steps with ``tol=None``, for every catalog pulse at its nominal
+  flip: RK4 grids long enough for the factor order of a product and the
+  turn table of a grid to show in the bits.
 
 With `--keep DIR` each of those requests also leaves its exit code, stdout
 and output file in DIR, as `<workload>-<index>-<command>.exit`, `.stdout`
@@ -178,6 +182,16 @@ def extraction_360_cases():
             yield f"{entry.name} 360.0 {name} extract_omega", _extraction(system, shape)
 
 
+def rk4_grid_cases():
+    sax = _catalog_systems()["SAX"]
+    for entry in list_catalog():
+        shape = calibrate(entry.build(), entry.nominal_flip)
+        for n_steps in (16384, 131072):
+            traj = integrate_expansion(sax, shape, n_steps=n_steps, tol=None)
+            yield (f"{entry.name} nominal SAX integrate_expansion {n_steps}",
+                   f"q sha1 {_sha1(traj.q)}")
+
+
 def cli_cases(seed: int, keep: Path | None = None):
     catalog = inputs.load_catalog(ROOT / "src" / "magnuspulse" / "data")
     with tempfile.TemporaryDirectory() as tmp:
@@ -214,7 +228,7 @@ def report(argv=None) -> int:
     np.set_printoptions(floatmode="unique", threshold=sys.maxsize, linewidth=sys.maxsize)
     for cases in (catalog_cases(), extraction_cases(), spectator_cases(),
                   cli_cases(args.seed, args.keep), stored_route_cases(),
-                  extraction_360_cases()):
+                  extraction_360_cases(), rk4_grid_cases()):
         for label, line in cases:
             print(f"{label}: {line}", flush=True)
     return 0

@@ -22,7 +22,7 @@ from magnuspulse import (
     sample,
     su2,
 )
-from magnuspulse.expansion import BLOCK, _rk4_steps
+from magnuspulse.expansion import _rk4_steps
 from magnuspulse.propagation import (DEFAULT_TOL, MAX_DOUBLINGS, RefinementError, _refine,
                                      _sampled)
 from oracle import SX1, SY1, SZ1
@@ -202,12 +202,14 @@ class TestRowCore:
             assert (part.refinement_levels, part.error_estimate) == (
                 whole.refinement_levels, whole.error_estimate)
 
-    # A row at 8192 steps is 128 KiB and four rows 512 KiB: numpy takes x * t as t * x for a
-    # temporary t of 256 KiB or more, and a fused complex product rounds by its factor order.
-    @pytest.mark.parametrize("rows, n_steps", [([0], 8192), ([0, 1, 2, 2, 3], 2 * BLOCK // 4)],
+    # numpy takes x * t as t * x for a temporary t of 256 KiB or more, and a fused complex
+    # product rounds by its factor order. A row of 8192 steps is 128 KiB, under that, and one
+    # of 32768 steps 512 KiB, over it; `_refine` walks 32768 steps in chunks of 16384 (256
+    # KiB a row) on SAX's 4 rows and of 8192 on 5, one on each side.
+    @pytest.mark.parametrize("rows, n_steps", [([0], 8192), ([0, 1, 2, 2, 3], 32768)],
                              ids=["lone-row", "repeated-row"])
-    def test_rk4_rows_are_independent_past_one_time_block(self, sax_system, gaussian90, rows,
-                                                          n_steps):
+    def test_rk4_rows_are_independent_past_the_elision_threshold(self, sax_system, gaussian90,
+                                                                 rows, n_steps):
         w, filler = offset_diagonal(sax_system), _route_filler("rk4", gaussian90)
         whole, part = (_pairs(filler, r, n_steps, gaussian90.duration) for r in (w, w[rows]))
         assert part.tobytes() == whole[:, rows].tobytes()

@@ -16,6 +16,7 @@ from magnuspulse import (angles_from_state, build_pulse, calibrate, excitation_p
                          extract_omega, integrate_expansion, list_catalog, magnus_partial_sums,
                          propagate_interaction, propagation, sample, su2)
 from magnuspulse.cli import main
+from magnuspulse.expansion import _rk4_steps
 from contracts import _sax
 import oracle
 
@@ -97,19 +98,25 @@ def _walked(filler, w, n, scanned, q=None):
 
 @pytest.mark.parametrize("n", CHUNKED_SIZES)
 @pytest.mark.parametrize("n_rows", [1, 2, 3])
-@pytest.mark.parametrize("route", ["steps", "profile"])
+@pytest.mark.parametrize("route", ["steps", "profile", "rk4"])
 def test_chunked_walk_is_the_whole_grid_reduce_and_scan_bit_for_bit(monkeypatch, n, n_rows,
                                                                     route):
     # "profile" walks the exact slices of a row block cut from one sample, as
-    # `excitation_profile` does, against the slices of the whole grid in one call
+    # `excitation_profile` does, and "rk4" the RK4 step pairs of `integrate_expansion`, each
+    # against the pairs of the whole grid in one call
     w = np.arange(n_rows) * 300.0 - 200.0
+    shape = build_pulse("sinc", 1.0, peak=40.0)
     if route == "steps":
         q, filler = _steps(n, n_configs=n_rows), _copied(_steps(n, n_configs=n_rows))
     else:
-        sp = sample(build_pulse("sinc", 1.0, peak=40.0), n)
-        filler = partial(propagation._exact, lambda chunk, _: (sp.amps[chunk], sp.phases[chunk]))
+        if route == "profile":
+            sp = sample(shape, n)
+            filler = partial(propagation._exact,
+                             lambda chunk, _: (sp.amps[chunk], sp.phases[chunk]))
+        else:
+            filler = partial(_rk4_steps, shape)
         q = np.empty((2, n_rows, n), dtype=complex)
-        filler(w, n, sp.dt)(q, 0, n)
+        filler(w, n, 1.0 / n)(q, 0, n)
     whole = q.copy()
     levels = []
     endpoint = su2.reduce(whole, levels)
