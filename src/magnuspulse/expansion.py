@@ -50,24 +50,27 @@ def _rk4_steps(shape: PulseShape, w: np.ndarray, n: int, dt: float):
         a = 1 - (conj(b1) b0 + s + conj(b2) (b1 - s b0 / 4)) / 6
         b = (b0 + 4 b1 + b2 - s (b0 + b2) / 2) / 6.
 
-    b is sampled on each chunk's half steps t_j = j dt/2 (b0, b2 even, b1 odd) a row at a time,
-    from one turn table per row, so no rounding depends on len(w) (`su2`'s row rule) or chunks.
+    b is sampled on each chunk's half steps t_j = j dt/2 (b0, b2 even, b1 odd), one turn table
+    per group of rows, so no rounding depends on the group (`su2`'s row rule) or the chunk.
     """
-    turns = [su2._turns(w[row:row + 1], 0.0, 0.5 * dt, 2 * n + 1) for row in range(len(w))]
+    step = su2._chunk(1, n) // su2._chunk(len(w), n)  # rows whose chunk is a one-row grid's
+    turns = {row: su2._turns(w[row:row + step], 0.0, 0.5 * dt, 2 * n + 1)
+             for row in range(0, len(w), step)}
 
     def fill(x, start, size):
         times = np.arange(2 * start, 2 * (start + size) + 1) * (0.5 * dt)
         amps, phases = _eval(shape.amplitude_fn, times), _eval(shape.phase_fn, times)
-        field, b = 0.5 * dt * amps, np.empty((1, 2 * size + 1), dtype=complex)
-        for row, turn in enumerate(turns):
+        field, group = 0.5 * dt * amps, np.empty((step, 2 * size + 1), dtype=complex)
+        for row, turn in turns.items():
+            rows, b = slice(row, row + step), group[:len(turn[1])]
             su2._fields(turn, field, phases, 2 * start, b)
             b0, b1, b2 = b[:, :-1:2], b[:, 1::2], b[:, 2::2]
             s = b1.real ** 2 + b1.imag ** 2
             # numpy takes x * t as t * x for a temporary t of 256 KiB or more, and a fused
             # product rounds by its factor order: one ufunc call, not written over t, fixes it
             t = np.multiply(np.conjugate(b2), b1 - 0.25 * s * b0)
-            x[0, row:row + 1] = 1.0 - (np.conjugate(b1) * b0 + s + t) * (1 / 6)
-            x[1, row:row + 1] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
+            x[0, rows] = 1.0 - (np.conjugate(b1) * b0 + s + t) * (1 / 6)
+            x[1, rows] = (b0 + 4.0 * b1 + b2 - 0.5 * s * (b0 + b2)) * (1 / 6)
         return amps[1::2]
     return fill
 

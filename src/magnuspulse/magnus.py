@@ -4,8 +4,8 @@ Continuous-exponential propagator analysis and the explicit existence criterion.
 Each interaction propagator U(t) of a configuration, stored as a Cayley-Klein pair (see
 `su2`), is written as a single exponential U = exp(-i Omega(t) . S). exp maps the ball
 |Omega| < 2 pi one-to-one onto SU(2) without -E, so a configuration whose U keeps off -E has
-one continuous exponent, the principal one. A configuration that may come within
-`MINUS_E_TOL` of -E (`_near`) is read by the shared branch tracker `su2.track_rows` instead:
+one continuous exponent, the principal one. A configuration that may come to -E to rounding
+(`_near`, `MINUS_E_TOL`) is read by the shared branch tracker `su2.track_rows` instead:
 the axis keeps a continuous sign and the angle is unwrapped by 4 pi, seeded by Omega(0) = 0,
 so Omega(t) runs on through 2 pi where a principal logarithm would jump back. Omega has its
 components first and time last, (3, n_configs, n_times), as the trajectory's pairs do.
@@ -47,8 +47,8 @@ TWO_PI = 2.0 * math.pi
 #: A gap within this distance (rad) of some 2 pi n, n != 0, fails the gap condition.
 DEFAULT_GAP_TOL = 1e-6
 
-#: 1 + min_t Re a(t) at or below this is -E to rounding, and the configuration branch-tracked:
-#: exact passages read |delta_c| <= 1.4e-11 up to 2^20 steps, near misses >= 5.1e-10.
+#: 1 + min_t Re a(t) <= max(this, n eps) on n steps is -E to rounding, branch-tracked (`_near`):
+#: exact passages read |delta_c| <= max(1.4e-11, n eps / 5), measured near misses >= 5.1e-10.
 MINUS_E_TOL = 1e-10
 
 
@@ -129,7 +129,7 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
 
     A configuration off -E takes the principal exponent Omega = (v / |v|) omega_hat of
     U = c E - i (v . sigma), +0 where |v| = 0 (see `explicit_criterion`); one that may come
-    within `MINUS_E_TOL` of -E (`_near`, which bounds each step's turn by |amps_k| dt) is
+    to -E to rounding (`_near`, which bounds each step's turn by |amps_k| dt) is
     branch-tracked from Omega(0) = 0 instead, its -E samples flagged (`_omega_blocks`).
 
     Raises
@@ -139,7 +139,7 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
         trajectory is stored too coarsely to track its branch.
     """
     q, shape = trajectory.q, trajectory.q.shape[1:]
-    tracked = np.flatnonzero(~(_near(q, trajectory.amps, trajectory.dt) > MINUS_E_TOL))
+    tracked = np.flatnonzero(_near(q, trajectory.amps, trajectory.dt, trajectory.n_steps))
     omega, omega_hat, ambiguous = np.empty((3,) + shape), np.empty(shape), np.empty(shape, bool)
     for block, norm, hat, flags, turned in _omega_blocks(q, tracked):
         axis = np.zeros((3,) + norm.shape)  # +0 where |v| = 0
@@ -260,7 +260,7 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     a configuration whose U stays off -E has one continuous exponent, the principal one,
     omega_hat = 2 atan2(|v|, c) of U = c E - i (v . sigma), with no jump and no -E passage.
     The audit reads every configuration so, as `extract_omega` does, and each one's delta_c
-    (`_near`) in each chunk. If some delta_c is at most `MINUS_E_TOL`, the accepted grid is
+    (`_near`) in each chunk. If some is -E to rounding there, the accepted grid is
     streamed and audited once more, with those configurations branch-tracked across chunks.
 
     Raises
@@ -270,11 +270,11 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         earliest jump; the audit stops there.
     """
     theta_total, i_total = midpoint_integrals(shape, shape.duration, n_steps)
-    (audit, closest), walk, n, estimate = _streamed(
-        system, shape, n_steps, tol, lambda chunks: _audit(chunks, system.s_count, np.arange(0)))
-    tracked = np.flatnonzero(~(closest > MINUS_E_TOL))  # NaN rows are tracked
+    (audit, near), walk, n, estimate = _streamed(system, shape, n_steps, tol, lambda chunks, n:
+                                                 _audit(chunks, n, system.s_count, np.arange(0)))
+    tracked = np.flatnonzero(near)
     if tracked.size:
-        audit, _ = _audit(walk(), system.s_count, tracked)
+        audit, _ = _audit(walk(), n, system.s_count, tracked)
     margin, max_hat, nearest, minus_e = audit
 
     return CriterionReport(
@@ -294,8 +294,8 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     )
 
 
-def _audit(chunks, s_count: int, tracked: np.ndarray):
-    """Fold the criterion's audits over one scanned grid, a time chunk at a time.
+def _audit(chunks, n: int, s_count: int, tracked: np.ndarray):
+    """Fold the criterion's audits over one scanned grid of n steps, a time chunk at a time.
 
     `chunks` yields (start, q, amps, dt) in time order: q (2, n_configs, k + 1) holds the
     pairs at steps start .. start + k, the first the last of the chunk before (the identity
@@ -303,13 +303,13 @@ def _audit(chunks, s_count: int, tracked: np.ndarray):
     `_omega_blocks` inside each chunk, tracking the configurations `tracked` across chunks,
     the fold takes the bound margin against a carried sum of |amps| dt, the largest omega_hat,
     the gap audit (which stops at a nearest distance of 0, as no later window can lower it)
-    and the -E times. Returns ((margin, max omega_hat, nearest, -E times), least `_near` or inf).
+    and the -E times. Returns ((margin, max omega_hat, nearest, -E times), the rows `_near` flags).
     """
     margin, max_hat, nearest, minus_e, total = math.inf, -math.inf, math.inf, [], 0.0
-    closest, state = math.inf, su2.BranchState(tracked.shape)
+    near, state = False, su2.BranchState(tracked.shape)
     for start, q, amps, dt in chunks:
-        if not tracked.size:  # the walk that finds delta_c, before any is tracked
-            closest = np.minimum(closest, _near(q, amps, dt))
+        if not tracked.size:  # the walk that finds the rows at -E, before any is tracked
+            near = near | _near(q, amps, dt, n)
         amps = np.abs(amps)
         sums = np.cumsum(np.concatenate(([total], amps)))  # one sum in time order, carried
         total, i_grid, times = sums[-1], sums * dt, np.arange(start, start + len(sums)) * dt
@@ -321,20 +321,19 @@ def _audit(chunks, s_count: int, tracked: np.ndarray):
                 nearest = np.minimum(nearest, gap_audit(omega_hat, s_count)[1])
             minus_e.append(_minus_e_times(times[block], omega_hat, ambiguous))
         del amps, sums, i_grid, times, omega_hat, ambiguous, top  # not alive past the chunk
-    return (margin, max_hat, nearest, minus_e), closest
+    return (margin, max_hat, nearest, minus_e), near
 
 
-def _near(q: np.ndarray, amps: np.ndarray, dt: float) -> np.ndarray:
-    """delta_c (`_closest`) of each configuration of pairs q that may come within `MINUS_E_TOL`
-    of -E, inf for the others (a NaN one is near): steps of dt turn U by |amps_k| dt <= 2 D,
-    D = dt max |amps| / 2, so a slice's Re a dips at most D**2 / 8 below its ends, and a
-    configuration with 1 + min c > D**2 / 8 + MINUS_E_TOL needs no in-slice minimum."""
-    d = 0.5 * dt * np.max(np.abs(amps))
-    near = np.flatnonzero(~(1.0 + np.min(q[0].real, axis=-1) > 0.125 * d * d + MINUS_E_TOL))
-    delta = np.full(q.shape[1], math.inf)
-    if near.size:
-        delta[near] = _closest(q, near)
-    return delta
+def _near(q: np.ndarray, amps: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """Whether each configuration of pairs q, on a grid of n steps, has delta_c (`_closest`) at
+    most tol = max(`MINUS_E_TOL`, n eps) (a NaN one has): steps of dt turn U by |amps_k| dt <=
+    2 D, D = dt max |amps| / 2, so a slice's Re a dips at most D**2 / 8 below its ends, and a
+    configuration with 1 + min c > D**2 / 8 + tol needs no in-slice minimum."""
+    d, tol = 0.5 * dt * np.max(np.abs(amps)), max(MINUS_E_TOL, n * np.finfo(float).eps)
+    flags = ~(1.0 + np.min(q[0].real, axis=-1) > 0.125 * d * d + tol)
+    if flags.any():
+        flags[flags] = ~(_closest(q, np.flatnonzero(flags)) > tol)
+    return flags
 
 
 def _closest(q: np.ndarray, configs: np.ndarray) -> np.ndarray:

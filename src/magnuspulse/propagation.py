@@ -208,21 +208,21 @@ def _refine(filler, w: np.ndarray, duration: float, n_steps: int,
 def _streamed(system: SpinSystem, shape: PulseShape, n_steps: int, tol: float | None, fold):
     """Refine as `propagate_interaction` does, on grids that are never stored (`_walk`).
 
-    The grid predicted to pass goes to `fold(chunks)` as it is scanned, and a predicted grid
-    that fails discards fold's value. Returns (fold's value on the accepted grid, walk, n,
-    estimate): ``walk()`` gives the chunks of the accepted grid again, and is how a grid
-    accepted unscanned is folded.
+    The grid predicted to pass goes to `fold(chunks, n)`, n its steps, as it is scanned, and a
+    predicted grid that fails discards fold's value. Returns (fold's value on the accepted grid,
+    walk, n, estimate): ``walk()`` gives the chunks of the accepted grid again, and is how a
+    grid accepted unscanned is folded.
     """
     w, filler = offset_diagonal(system), _sampled(shape)
 
     def grid(n, scanned):
         ends = []
         chunks = _walk(filler, w, shape.duration, n, scanned, ends)
-        return (fold(chunks) if scanned else deque(chunks, 0)), ends[0]
+        return (fold(chunks, n) if scanned else deque(chunks, 0)), ends[0]
 
     value, n, _, estimate, scanned = _levels(grid, n_steps, tol)
     walk = lambda: _walk(filler, w, shape.duration, n, True, [])
-    return (value if scanned else fold(walk())), walk, n, estimate
+    return (value if scanned else fold(walk(), n)), walk, n, estimate
 
 
 def propagate_interaction(system: SpinSystem, shape: PulseShape,

@@ -90,7 +90,7 @@ def _stream_instead(monkeypatch, traj):
     gives it again for the tracked configurations."""
     chunks = lambda: iter([(0, traj.q, traj.amps, traj.dt)])
     monkeypatch.setattr(magnus, "_streamed", lambda system, shape, n_steps, tol, fold: (
-        fold(chunks()), chunks, traj.n_steps, traj.error_estimate))
+        fold(chunks(), traj.n_steps), chunks, traj.n_steps, traj.error_estimate))
 
 
 def _minus_e_constant_pulse(scale=1.0):
@@ -644,6 +644,27 @@ class TestExplicitCriterion:
             assert delta == pytest.approx(2.8e-6, rel=0.02)
             assert tracked == []
             assert len(report.ambiguity_times) == 0
+
+    @pytest.mark.parametrize("log_steps", [21, 22])
+    def test_constant_pulse_passage_is_tracked_on_fine_grids(self, monkeypatch, log_steps):
+        # The passage reads delta_c = 9.17e-11 at 2^21 and 2^22 steps (-7.5e-10 at 2^24): U's
+        # norm drifts by rounding about in proportion to n, within the grid's max(MINUS_E_TOL,
+        # n eps) = 4.7e-10 and 9.3e-10
+        system, pulse = _minus_e_constant_pulse()
+        tracked = _spy_tracked_rows(monkeypatch)
+        report = explicit_criterion(system, pulse, n_steps=1 << log_steps, tol=None)
+        assert set(tracked) == {1}
+        assert report.ambiguity_times == pytest.approx([pulse.duration / 1.1], rel=1e-6)
+
+    def test_minus_e_tolerance_grows_with_the_grid(self):
+        # A sample 5e-10 from -E is a near miss on 2^16 steps and -E to rounding on 2^22,
+        # where n eps = 9.3e-10; a NaN configuration is near on any grid
+        a = 5e-10 - 1.0
+        q = np.array([[[1.0, a], [math.nan, 1.0]], [[0.0, math.sqrt(1.0 - a * a)], [0.0, 0.0]]],
+                     complex)
+        assert 1.0 + a == pytest.approx(5e-10, rel=1e-6)
+        assert magnus._near(q, np.zeros(1), 1.0, 1 << 16).tolist() == [False, True]
+        assert magnus._near(q, np.zeros(1), 1.0, 1 << 22).tolist() == [True, True]
 
     def test_rows_that_pass_the_cheap_check_compose_no_slice(self, monkeypatch, sax_system):
         # G4 keeps every configuration's 1 + min c above 1.6, far above D**2 / 8 + MINUS_E_TOL:
