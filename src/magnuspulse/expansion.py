@@ -24,7 +24,7 @@ product with one pair, in closed form in the field at the step's ends and middle
 `propagation._refine`. Only `integrate_expansion` reads a `SpinSystem`, as its w. Both routes
 return the same `BlockTrajectory`, whose q holds (f, g) on the grid t_k = k T / n.
 The decomposition angles, the rotation angle among them, are read off those pairs by the
-shared branch tracker, window by window of `su2.track_windows` (`angles_from_state`).
+shared branch tracker `su2.track_rows`, window by window (`angles_from_state`).
 """
 
 from __future__ import annotations
@@ -102,15 +102,18 @@ def angles_from_state(trajectory: BlockTrajectory):
     `MagnusSolution.alpha`), beta = atan2(hypot(g_x, g_y), g_z); the rotation
     angle 2*atan2(|g|, f) is unwrapped by continuity in time by
     `su2.track_rows`, on the real rows (f, g) of `trajectory.q`, in the
-    windows of `su2.track_windows`, whose values fill the whole grid.
+    windows of `su2._windows`, whose values fill the whole grid.
     The scalar data alone cannot tell ascending from descending at a fold
     (angle through 2 pi, where |g| reflects), so the sign of the half-angle
     sine follows the last well-defined g direction before unwrapping.
     Where the tracker leaves the axis undefined (|g| <= `su2.AXIS_TOL`),
     alpha = beta = 0. Each output has shape (n_configs, n_steps + 1).
     """
-    alpha, beta, omega = np.empty((3,) + trajectory.q.shape[1:])
-    for window, (_, gx, gy, gz), angle, _, defined in su2.track_windows(trajectory.q):
+    q = trajectory.q
+    alpha, beta, omega, state = *np.empty((3,) + q.shape[1:]), su2.BranchState(q.shape[1:2])
+    for window in su2._windows(*q.shape[1:]):
+        _, gx, gy, gz = rows = su2.rows(q[:, :, window])
+        angle, _, defined = su2.track_rows(rows[0], rows[1:], state)
         alpha[:, window] = np.where(defined, np.arctan2(gy + 0.0, gx + 0.0), 0.0)
         beta[:, window] = np.where(defined, np.arctan2(np.hypot(gx, gy), gz), 0.0)
         omega[:, window] = angle

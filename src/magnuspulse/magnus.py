@@ -10,15 +10,15 @@ the axis keeps a continuous sign and the angle is unwrapped by 4 pi, seeded by O
 so Omega(t) runs on through 2 pi where a principal logarithm would jump back. Omega has its
 components first and time last, (3, n_configs, n_times), as the trajectory's pairs do.
 
-`_omega_blocks` is the one reader of the exponent, in the time windows of `su2.track_windows`,
+`_omega_blocks` is the one reader of the exponent, in the time windows of `su2._windows`,
 whose window rule makes every block hold the values of one pass over the whole grid and puts
 every pair of consecutive samples in one block for the jump test, the gap audit and the -E
 passages. `extract_omega` builds Omega from its blocks into whole-grid arrays.
 `explicit_criterion` stores no trajectory: it audits each time chunk of the grid as it is
 scanned (`propagation._streamed`), folding the bound margin, the gap audit, the -E times and
 the largest omega_hat window by window (`_audit`), so it holds one chunk and never Omega, its
-steps or the eigenvalues of the whole grid; it tracks only the configurations at -E, on a
-second walk of the grid.
+steps or the eigenvalues of the whole grid; it tracks only the configurations at -E, in a
+second refinement at the accepted grid size.
 
 Where U passes through -E the rotation axis is genuinely undefined; those samples are
 flagged, the angle itself is still carried through by continuity. Such points are exactly
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import su2
 from .propagation import DEFAULT_TOL, BlockTrajectory, _streamed
-from .pulses import DEFAULT_N_STEPS, PulseShape, midpoint_integrals, sample
+from .pulses import DEFAULT_N_STEPS, PulseShape, _check_steps, midpoint_integrals, sample
 from .system import SpinSystem, offset_diagonal
 
 TWO_PI = 2.0 * math.pi
@@ -152,13 +152,13 @@ def extract_omega(trajectory: BlockTrajectory) -> MagnusSolution:
 
 
 def _omega_blocks(q: np.ndarray, tracked: np.ndarray, state=None, start: int = 0):
-    """The one reader of the exponent of pairs q, in the windows of `su2._windows`, which
-    share their edge sample: yields (block, |v|, omega_hat, -E flags, Omega of `tracked`).
+    """The one reader of the exponent of pairs q, in the windows of `su2._windows`: yields
+    (block, |v|, omega_hat, -E flags, Omega of `tracked`).
 
     Every configuration reads the principal omega_hat = 2 atan2(|v|, c), |v| summed as in the
     tracker's rows, with no flag. The configurations `tracked` alone are also read by
-    `su2.track_windows`, whose omega_hat and flags replace theirs and whose Omega (3,
-    len(tracked), block length) comes last, None if none is tracked. Their walk continues
+    `su2.track_rows`, whose omega_hat and flags replace theirs and whose Omega (3,
+    len(tracked), block length) comes last, None if none is tracked. The tracker continues
     from `state` (`su2.BranchState`) if given, for q a time chunk of a grid from step `start`.
 
     Raises
@@ -168,13 +168,14 @@ def _omega_blocks(q: np.ndarray, tracked: np.ndarray, state=None, start: int = 0
         Omega_{k-1}| >= pi, naming its step k and the lowest configuration that jumps there,
         by its index in q; that block is not yielded and no later block is read.
     """
-    walk, omega = su2.track_windows(q, tracked, state), None
+    state, omega = su2.BranchState(tracked.shape) if state is None else state, None
     for block in su2._windows(*q.shape[1:]):
         a, b = q[:, :, block]  # c copied contiguous and |v| summed as in the tracker's rows
         norm = np.sqrt(b.imag * b.imag + b.real * b.real + a.imag * a.imag)
         omega_hat, ambiguous = 2.0 * np.arctan2(norm, a.real.copy()), np.zeros(norm.shape, bool)
         if tracked.size:
-            _, rows, angle, omega, defined = next(walk)
+            rows = su2.rows(q[:, tracked, block])
+            angle, omega, defined = su2.track_rows(rows[0], rows[1:], state)
             omega *= angle  # the unit axis becomes Omega
             step2 = np.sum(np.diff(omega) ** 2, axis=0)  # |Omega_k - Omega_{k-1}|**2 at k - 1
             jumps = step2 >= math.pi**2
@@ -202,7 +203,7 @@ def gap_audit(omega_hat: np.ndarray, s_count: int) -> tuple[float, float]:
     The time between samples counts too. Tracked eigenvalues are continuous, so where either
     of two consecutive samples has a spread above 2 pi, a pair whose |lambda_i - lambda_j| /
     2 pi brackets an integer n >= 1 passed 2 pi n between them, and the nearest distance is 0.
-    A grid audited in blocks that share their edge sample (`su2.track_windows`) sees every
+    A grid audited in blocks that share their edge sample (`su2._windows`) sees every
     consecutive pair; a repeated sample changes neither result.
     """
     top = np.max(omega_hat, axis=0) * (0.5 * s_count)
@@ -260,8 +261,9 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
     a configuration whose U stays off -E has one continuous exponent, the principal one,
     omega_hat = 2 atan2(|v|, c) of U = c E - i (v . sigma), with no jump and no -E passage.
     The audit reads every configuration so, as `extract_omega` does, and each one's delta_c
-    (`_near`) in each chunk. If some is -E to rounding there, the accepted grid is
-    streamed and audited once more, with those configurations branch-tracked across chunks.
+    (`_near`) in each chunk. If some is -E to rounding there, the grid is refined once more
+    with no tolerance at the accepted size and audited with those configurations
+    branch-tracked across chunks.
 
     Raises
     ------
@@ -269,12 +271,13 @@ def explicit_criterion(system: SpinSystem, shape: PulseShape,
         As `extract_omega` does, from the window that holds a tracked configuration's
         earliest jump; the audit stops there.
     """
+    n_steps = _check_steps(n_steps)
     theta_total, i_total = midpoint_integrals(shape, shape.duration, n_steps)
-    (audit, near), walk, n, estimate = _streamed(system, shape, n_steps, tol, lambda chunks, n:
-                                                 _audit(chunks, n, system.s_count, np.arange(0)))
+    fold = lambda tracked: lambda chunks, n: _audit(chunks, n, system.s_count, tracked)
+    (audit, near), n, estimate = _streamed(system, shape, n_steps, tol, fold(np.arange(0)))
     tracked = np.flatnonzero(near)
     if tracked.size:
-        audit, _ = _audit(walk(), n, system.s_count, tracked)
+        (audit, _), _, _ = _streamed(system, shape, n, None, fold(tracked))
     margin, max_hat, nearest, minus_e = audit
 
     return CriterionReport(
@@ -308,8 +311,7 @@ def _audit(chunks, n: int, s_count: int, tracked: np.ndarray):
     margin, max_hat, nearest, minus_e, total = math.inf, -math.inf, math.inf, [], 0.0
     near, state = False, su2.BranchState(tracked.shape)
     for start, q, amps, dt in chunks:
-        if not tracked.size:  # the walk that finds the rows at -E, before any is tracked
-            near = near | _near(q, amps, dt, n)
+        near = near | _near(q, amps, dt, n)
         amps = np.abs(amps)
         sums = np.cumsum(np.concatenate(([total], amps)))  # one sum in time order, carried
         total, i_grid, times = sums[-1], sums * dt, np.arange(start, start + len(sums)) * dt

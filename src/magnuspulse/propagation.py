@@ -107,7 +107,7 @@ def _levels(grid, n_steps: int, tol: float | None):
         If the estimate is not finite, or the tolerance is not met within `MAX_DOUBLINGS`
         refinements; it carries the last estimate and grid size.
     """
-    _check_steps(n_steps)
+    n_steps = _check_steps(n_steps)
     if tol is not None and not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     level, estimate, scanned = 0, math.nan, tol is None
@@ -209,9 +209,8 @@ def _streamed(system: SpinSystem, shape: PulseShape, n_steps: int, tol: float | 
     """Refine as `propagate_interaction` does, on grids that are never stored (`_walk`).
 
     The grid predicted to pass goes to `fold(chunks, n)`, n its steps, as it is scanned, and a
-    predicted grid that fails discards fold's value. Returns (fold's value on the accepted grid,
-    walk, n, estimate): ``walk()`` gives the chunks of the accepted grid again, and is how a
-    grid accepted unscanned is folded.
+    predicted grid that fails discards fold's value; a grid accepted unscanned is walked again,
+    scanned, for fold. Returns (fold's value on the accepted grid, n, estimate).
     """
     w, filler = offset_diagonal(system), _sampled(shape)
 
@@ -221,8 +220,7 @@ def _streamed(system: SpinSystem, shape: PulseShape, n_steps: int, tol: float | 
         return (fold(chunks, n) if scanned else deque(chunks, 0)), ends[0]
 
     value, n, _, estimate, scanned = _levels(grid, n_steps, tol)
-    walk = lambda: _walk(filler, w, shape.duration, n, True, [])
-    return (value if scanned else fold(walk(), n)), walk, n, estimate
+    return (value if scanned else grid(n, True)[0]), n, estimate
 
 
 def propagate_interaction(system: SpinSystem, shape: PulseShape,
@@ -262,7 +260,7 @@ def excitation_profile(system: SpinSystem, shape: PulseShape, offsets,
     (Re, Im) of conj(a) b and (|a|**2 - |b|**2) / 2, with conj(a) b turned by the phase
     e^{i w T} of the free precession exp(-i w T Sz) that takes the row to the rotating frame.
     """
-    offsets = np.asarray(offsets, dtype=float)
+    offsets, n_steps = np.asarray(offsets, dtype=float), _check_steps(n_steps)
     sp = sample(shape, n_steps)
     duration = n_steps * sp.dt
     # offset_diagonal is s_offset + couplings, so each trial offset adds to the couplings

@@ -249,9 +249,11 @@ def scale_amplitude(pulse: PulseShape, factor: float) -> PulseShape:
     return replace(pulse, amplitude_fn=lambda t: factor * np.asarray(amp(t), dtype=float))
 
 
-def _check_steps(n_steps: int):
-    """The step-count rule of every route: n_steps is an integer, not a bool, and at least 1."""
+def _check_steps(n_steps: int) -> int:
+    """The step-count rule of every route: n_steps is an integer, not a bool, and at least 1.
+    Returns it as an int."""
     _require(_integer(n_steps, "n_steps") >= 1, f"n_steps must be >= 1, got {n_steps}")
+    return int(n_steps)
 
 
 def _midpoints(t: float, n_steps: int) -> tuple[np.ndarray, float]:

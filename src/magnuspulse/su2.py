@@ -15,10 +15,10 @@ a contiguous row. `_slices` builds those rows of exact slices from any sample on
 pairwise tree, `scan` gives every prefix product with the same association in about 2n
 products, `_stream` takes either a time chunk at a time, each chunk a whole subtree of the
 pairing, with one carried prefix and the same bits (its docstring gives the proof), and
-`track_windows` tracks the branch along a trajectory with `track_rows`, window by window;
-its docstring states the window rule. One rule (`_chunk`) sets the time chunks of every
-grid, so a grid is filled, reduced and scanned a chunk at a time (`propagation._walk`),
-stored or never held whole.
+`track_rows` tracks the branch along a trajectory, in the time windows of `_windows`, whose
+docstring states the window rule. One rule (`_chunk`) sets the time chunks of every grid, so
+a grid is filled, reduced and scanned a chunk at a time (`propagation._walk`), stored or
+never held whole.
 
 `compose` is the one product, 8 complex ufunc passes. numpy's complex multiply may fuse
 multiply-adds, depending on the CPU features it dispatches to (AVX2 and AVX-512 on x86-64),
@@ -41,7 +41,7 @@ IDENTITY = np.array([1.0, 0.0], dtype=complex)
 #: |v| at or below this leaves the rotation axis to the last sample that had one.
 AXIS_TOL = 1e-9
 
-#: Samples (rows x times) that `track_windows` tracks at once.
+#: Samples (rows x times) of a time window (`_windows`).
 TRACK_BLOCK = 1 << 14
 
 #: Row-steps (rows x times) of a time chunk (`_chunk`), which is at least 1024 steps.
@@ -284,7 +284,7 @@ def track_rows(c: np.ndarray, v: np.ndarray,
     Each call continues from `state` and leaves it at its last sample; tracking that sample
     again leaves the state and its values unchanged (its axis is `state.axis` and its
     half-angle step is 0). The turns are whole numbers, whose sums are exact, so the windows
-    of `track_windows` give the values of one call over the whole grid, bit for bit. Without
+    of `_windows` give the values of one call over the whole grid, bit for bit. Without
     `state` the rows start afresh. A window pays for the fill, in its length, only where it
     has an undefined axis; for the sign products only where consecutive axes have a negative
     dot; and for counting turns only where a half-angle step passes pi, any other window
@@ -337,25 +337,10 @@ def track_rows(c: np.ndarray, v: np.ndarray,
 
 
 def _windows(n_rows: int, n_t: int):
-    """Time slices of about `TRACK_BLOCK` samples in all; consecutive ones share an edge sample."""
+    """Time slices of about `TRACK_BLOCK` samples in all, in which every reader of pairs x (2,
+    n_rows, n_t) tracks ``r = rows(x[:, subset, window])`` by ``track_rows(r[0], r[1:], state)``.
+    Consecutive windows share an edge sample and one `BranchState` carries the tracker across
+    it, so each window has the bits of one call over the whole grid, for all rows or any
+    subset; so do time chunks, each given with the last sample of the chunk before."""
     width = max(1, TRACK_BLOCK // n_rows)
     return (slice(start, start + width + 1) for start in range(0, n_t - 1, width))
-
-
-def track_windows(x: np.ndarray, subset=slice(None), state: BranchState | None = None):
-    """`track_rows` along pairs x (2, n_rows, n_t), in the time windows of `_windows`.
-
-    Yields (window, r, angle, axis, defined) for each time slice `window`, with
-    ``r = rows(x[:, subset, window])`` and the rest `track_rows`' values on r. This is
-    the one walk of the branch, and its window rule is the one rule of every
-    check made on it: one `BranchState` carries the tracker over the sample
-    that consecutive windows share, so each window holds the values of one
-    call over the whole grid, bit for bit, and the shared sample's values are
-    the same in both windows. Rows `subset` alone keep those bits, in the same windows. A
-    walk continues from `state` and leaves it at x's last sample, so pairs given a time chunk
-    at a time, each with the last sample of the chunk before, keep them too.
-    """
-    state = BranchState(x[0, subset, 0].shape) if state is None else state
-    for window in _windows(*x.shape[1:]):
-        r = rows(x[:, subset, window])
-        yield (window, r) + track_rows(r[0], r[1:], state)

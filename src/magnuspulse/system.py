@@ -83,6 +83,7 @@ class SpinSystem:
         n = len(spins)
         couplings: dict[tuple[int, int], float] = {}
         for (k, l), value in dict(self.j_ii).items():
+            k, l = int(_integer(k, "j_ii index")), int(_integer(l, "j_ii index"))
             if k == l:
                 raise ValueError(f"j_ii_hz self-coupling ({k}, {l}) is not allowed")
             if not (0 <= k < n and 0 <= l < n):
@@ -90,7 +91,7 @@ class SpinSystem:
             key = (min(k, l), max(k, l))
             if key in couplings:
                 raise ValueError(f"duplicate coupling entry for {key}")
-            couplings[key] = float(value)
+            couplings[key] = _finite(value, f"j_ii {key}")
         object.__setattr__(self, "j_ii", couplings)
 
     @property

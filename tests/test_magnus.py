@@ -86,11 +86,11 @@ def _spy_tracked_rows(monkeypatch):
 
 def _stream_instead(monkeypatch, traj):
     """Make the criterion audit the stored trajectory traj in place of the grids it refines:
-    the chunk source that `propagation._streamed` hands its fold gives traj as one chunk, and
-    gives it again for the tracked configurations."""
+    every call of `propagation._streamed`, the tracked configurations' one too, hands its fold
+    traj as one chunk."""
     chunks = lambda: iter([(0, traj.q, traj.amps, traj.dt)])
     monkeypatch.setattr(magnus, "_streamed", lambda system, shape, n_steps, tol, fold: (
-        fold(chunks(), traj.n_steps), chunks, traj.n_steps, traj.error_estimate))
+        fold(chunks(), traj.n_steps), traj.n_steps, traj.error_estimate))
 
 
 def _minus_e_constant_pulse(scale=1.0):
@@ -210,6 +210,23 @@ class TestExtractOmega:
         with pytest.raises(ExtractionError, match="more steps"):
             traj = propagate_interaction(s_only_system, pulse, n_steps=2, tol=None)
             extract_omega(traj)
+
+    @pytest.mark.parametrize("spectators", [0, 1])
+    @pytest.mark.parametrize("block", [2, 3, 1000])
+    def test_tracked_windows_match_one_window_bit_for_bit(self, monkeypatch, spectators, block):
+        # G4 at 720 deg on resonance passes -E, so S alone at 0 Hz has one tracked row and a
+        # J = 0 spectator two; their omega_hat runs on past 2 pi across the windows' edges
+        traj = propagate_interaction(SpinSystem(i_spins=(ISpin(),) * spectators),
+                                     calibrate(resolve_pulse("G4").build(), 2.0 * TWO_PI),
+                                     n_steps=1024, tol=None)
+        tracked = _spy_tracked_rows(monkeypatch)
+        monkeypatch.setattr(su2, "TRACK_BLOCK", 1 << 40)
+        whole = extract_omega(traj)
+        assert tracked == [2 ** spectators] and np.max(whole.omega_hat) > TWO_PI
+        monkeypatch.setattr(su2, "TRACK_BLOCK", block)
+        windows = extract_omega(traj)
+        assert [getattr(windows, name).tobytes() for name in ("omega", "omega_hat", "ambiguous")
+                ] == [getattr(whole, name).tobytes() for name in ("omega", "omega_hat", "ambiguous")]
 
     @pytest.mark.parametrize("block", [16, 1 << 40])
     def test_jump_message_names_earliest_step_then_lowest_configuration(self, monkeypatch,

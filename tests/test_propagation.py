@@ -13,6 +13,7 @@ from magnuspulse import (
     build_pulse,
     calibrate,
     excitation_profile,
+    explicit_criterion,
     integrate_expansion,
     list_catalog,
     offset_diagonal,
@@ -151,6 +152,20 @@ class TestPropagateInteraction:
                                                         n_steps):
         with pytest.raises(ValueError, match="n_steps"):
             route(s_only_system, gaussian90, n_steps=n_steps)
+
+    def test_numpy_integer_steps_give_the_int_steps_results(self, sax_system, gaussian90):
+        # a NumPy integer passes the step-count rule, and every entry point reads it as an int
+        counts = (np.int64(64), 64)
+        for route in (propagate_interaction, integrate_expansion):
+            got, want = (route(sax_system, gaussian90, n_steps=n) for n in counts)
+            assert type(got.n_steps) is int and got.n_steps == want.n_steps
+            assert (got.q.tobytes(), got.amps.tobytes()) == (want.q.tobytes(), want.amps.tobytes())
+        got, want = (explicit_criterion(sax_system, gaussian90, n_steps=n) for n in counts)
+        assert type(got.n_steps) is int and type(got.trajectory_steps) is int
+        assert repr(got) == repr(want)
+        offsets = np.linspace(-1e3, 1e3, 5)
+        got, want = (excitation_profile(sax_system, gaussian90, offsets, n_steps=n) for n in counts)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("pulse", ["G90", "RE-BURP"])
     def test_peak_memory_stays_near_the_trajectory(self, sax_system, gaussian90, pulse):

@@ -45,6 +45,11 @@ def test_trailing_axis_tracker_is_gone():
     assert not hasattr(magnuspulse.su2, "track")
 
 
+def test_window_walk_generator_is_gone():
+    # each reader loops over su2._windows itself and calls su2.track_rows in each window
+    assert not hasattr(magnuspulse.su2, "track_windows")
+
+
 def test_calibrated_build_is_gone():
     # calibrate(entry.build(), flip) is the one way to a calibrated catalog envelope
     assert not hasattr(magnuspulse.CatalogEntry, "build_calibrated")

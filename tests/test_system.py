@@ -113,6 +113,21 @@ class TestValidationAndLoading:
         with pytest.raises(ValueError):
             SpinSystem(i_spins=(ISpin(),), j_ii={(0, 0): 1.0})
 
+    @pytest.mark.parametrize("j_ii, message", [
+        ({(0, 0.5): 1.0}, "j_ii index must be an integer, got 0.5"),
+        ({(True, 0): 1.0}, "j_ii index must be an integer, got True"),
+        ({(0, 1): float("nan")}, "non-finite j_ii (0, 1): nan"),
+        ({(0, 1): "1.0"}, "j_ii (0, 1) must be a number, got '1.0'"),
+    ])
+    def test_coupling_rejected_as_load_system_rejects_it(self, j_ii, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpinSystem(i_spins=(ISpin(), ISpin()), j_ii=j_ii)
+
+    def test_coupling_indices_stored_as_ints(self):
+        system = SpinSystem(i_spins=(ISpin(), ISpin()), j_ii={(np.int64(1), np.int64(0)): 2.0})
+        assert system.j_ii == {(0, 1): 2.0}
+        assert all(type(k) is int for k in next(iter(system.j_ii)))
+
     def test_out_of_range_coupling_rejected(self):
         with pytest.raises(ValueError):
             SpinSystem(i_spins=(ISpin(),), j_ii={(0, 1): 1.0})
